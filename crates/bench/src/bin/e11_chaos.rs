@@ -17,6 +17,8 @@
 //!           [--backend threads|reactor] [--workers W]
 //! ```
 
+use std::time::Instant;
+
 use crusader_bench::cli::SimArgs;
 use crusader_chaos::{builtin_catalog_dir, run_scenario, Catalog, Executor, Scenario};
 
@@ -77,8 +79,19 @@ fn main() {
         scenarios.len(),
         executors.len()
     );
-    crusader_bench::header(&["scenario", "executor", "expected", "verdict", "first violation"]);
+    crusader_bench::header(&[
+        "scenario",
+        "executor",
+        "expected",
+        "verdict",
+        "first violation",
+        "events",
+        "ns/event",
+        "spills",
+        "splices",
+    ]);
     let mut mismatches = 0;
+    let mut degraded = 0;
     for sc in &scenarios {
         for &executor in &executors {
             // Wall-clock replays are at the mercy of host scheduling: a
@@ -92,12 +105,15 @@ fn main() {
                 Executor::Sim { .. } => 1,
                 Executor::Runtime { .. } => 3,
             };
+            let mut started = Instant::now();
             let mut out = run_scenario(sc, executor);
             let mut retries = 0;
             while !out.as_expected(sc) && retries + 1 < attempts {
                 retries += 1;
+                started = Instant::now();
                 out = run_scenario(sc, executor);
             }
+            let elapsed = started.elapsed();
             let verdict = if out.verdict.clean() {
                 "clean".to_owned()
             } else {
@@ -126,11 +142,43 @@ fn main() {
             } else {
                 String::new()
             };
+            // The queue columns are simulator diagnostics: a wall-clock
+            // replay has no event queue (and its "ns/event" would be the
+            // protocol's pacing, not the executor's cost).
+            let queue = match executor {
+                Executor::Sim { .. } => {
+                    let t = &out.trace;
+                    let events = t.events_processed.max(1);
+                    #[allow(clippy::cast_precision_loss)]
+                    let ns_per_event = elapsed.as_nanos() as f64 / events as f64;
+                    // Splices are the one push path that is not O(1); a
+                    // share above 1 % means the ladder lost the pop
+                    // frontier. A count ratio, so it gates on any host.
+                    let over = t.queue_splice_count > t.events_processed / 100;
+                    if over {
+                        degraded += 1;
+                    }
+                    format!(
+                        "{} | {ns_per_event:.0} | {} | {}{}",
+                        t.events_processed,
+                        t.queue_spill_count,
+                        t.queue_splice_count,
+                        if over { "  ← SPLICE SHARE > 1 %" } else { "" },
+                    )
+                }
+                Executor::Runtime { .. } => "— | — | — | —".to_owned(),
+            };
             println!(
-                "| {} | {executor} | {expected} | {verdict}{note} | {first} |",
+                "| {} | {executor} | {expected} | {verdict}{note} | {first} | {queue} |",
                 sc.name,
             );
         }
+    }
+    if degraded > 0 {
+        eprintln!(
+            "\n{degraded} replay(s) spliced more than 1 % of their events into the sorted run"
+        );
+        std::process::exit(1);
     }
     if mismatches > 0 {
         eprintln!("\n{mismatches} replay(s) diverged from their pinned verdicts");

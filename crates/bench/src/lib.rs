@@ -224,9 +224,9 @@ impl Scenario {
 /// hash), the violation list, forgery/message/event counts, and the
 /// finishing time. Used by the determinism regression test to pin exact
 /// engine behaviour and by the sharded cross-check proptests to compare
-/// executors; `timer_slots_high_water` and `queue_spill_count` are
-/// deliberately excluded (the sharded engine reports per-lane aggregates
-/// of both, see [`crusader_sim::shard`]).
+/// executors; `timer_slots_high_water`, `queue_spill_count` and
+/// `queue_splice_count` are deliberately excluded (the sharded engine
+/// reports per-lane aggregates of all three, see [`crusader_sim::shard`]).
 #[must_use]
 pub fn trace_hash(trace: &Trace) -> u64 {
     struct Fnv(u64);

@@ -11,8 +11,8 @@ fn catalog() -> Catalog {
     Catalog::load(&builtin_catalog_dir()).expect("committed catalog loads")
 }
 
-/// The deterministic slice of a [`Trace`] — everything except the two
-/// executor-dependent capacity counters documented on the struct.
+/// The deterministic slice of a [`Trace`] — everything except the three
+/// executor-dependent queue/slab diagnostics documented on the struct.
 fn deterministic_view(t: &Trace) -> impl PartialEq + std::fmt::Debug {
     (
         t.pulses.clone(),
@@ -105,6 +105,49 @@ fn sim_replays_are_bit_identical_across_lane_counts() {
                 reference.verdict.tolerated, sharded.verdict.tolerated,
                 "{}: {lanes}-lane tolerated count disagrees",
                 sc.name
+            );
+        }
+    }
+}
+
+/// The event queue stays a ladder under every fault timeline: at the
+/// benchmark's size (`rescale(32)`), on one lane and on four, at most
+/// 1 % of a scenario's events may have been spliced into the queue's
+/// sorted run — the one push path that is not O(1). A count ratio, so it
+/// holds on any host. (Before the queue anchored its tiers at the pop
+/// frontier, a crash scenario's `Recover` event — pushed first, hundreds
+/// of buckets out — put nearly *every* push on that path.)
+#[test]
+fn queue_splices_stay_under_one_percent_of_events() {
+    for sc in &catalog().scenarios {
+        let sc = sc.rescale(32).expect("catalog scenarios rescale to n = 32");
+        let reference = run_scenario(
+            &sc,
+            Executor::Sim {
+                lanes: 1,
+                force_parallel: None,
+            },
+        );
+        let sharded = run_scenario(
+            &sc,
+            Executor::Sim {
+                lanes: 4,
+                force_parallel: Some(true),
+            },
+        );
+        assert_eq!(
+            deterministic_view(&reference.trace),
+            deterministic_view(&sharded.trace),
+            "{}: 4-lane trace diverges from the single-lane reference at n = 32",
+            sc.name
+        );
+        for (lanes, trace) in [(1, &reference.trace), (4, &sharded.trace)] {
+            assert!(
+                trace.queue_splice_count <= trace.events_processed / 100,
+                "{} on {lanes} lane(s): {} of {} events were spliced into the sorted run",
+                sc.name,
+                trace.queue_splice_count,
+                trace.events_processed
             );
         }
     }

@@ -566,6 +566,7 @@ impl<A: Automaton> Sim<A> {
         self.trace.finished_at = self.now;
         self.trace.timer_slots_high_water = self.timers.high_water() as u64;
         self.trace.queue_spill_count = self.queue.spill_count();
+        self.trace.queue_splice_count = self.queue.splice_count();
         self.trace
     }
 

@@ -17,10 +17,19 @@
 //!   each bucket is sorted once when its turn comes and then drained as a
 //!   tiny insertion-sorted run; the rare far-future event (an idle-period
 //!   timer, a test's adversarial timestamp) overflows to a small 4-ary
-//!   spill heap ([`EventQueue::spill_count`] reports how often). Pop
-//!   order is *exactly* `(at, seq)` — bucket boundaries are a monotone
-//!   function of `at`, so the partition can never reorder keys — which
-//!   the pinned trace hashes and the sharded engine's merge depend on.
+//!   spill heap ([`EventQueue::spill_count`] reports how often). The
+//!   tiers are anchored at the **pop frontier**, not at whatever was
+//!   pushed first: when traffic undercuts the sorted run — a crash
+//!   scenario's `Recover` event scheduled before anything else, a lane
+//!   holding only its next-pulse timer when a round's deliveries are
+//!   posted — the partition re-anchors just under the traffic in one
+//!   pass (lowering the whole bucketed window if the undercut is deeper
+//!   than the ring can address), so a far-future entry never turns the
+//!   queue into one sorted array ([`EventQueue::splice_count`] counts
+//!   the pushes that still take the sorted-insert path). Pop order is
+//!   *exactly* `(at, seq)` — bucket boundaries are a monotone function of
+//!   `at`, so the partition can never reorder keys — which the pinned
+//!   trace hashes and the sharded engine's merge depend on.
 //! * **Timer state is a generation-stamped slab, not a set.** A
 //!   [`TimerId`] packs `(generation, slot)`; cancelling or firing frees
 //!   the slot and bumps its generation, so stale ids are recognized by a
@@ -305,27 +314,28 @@ const LADDER_BUCKETS_PER_HORIZON: f64 = 8.0;
 /// bucket claim every couple of pops.
 const SPARSE_RUN_MAX: usize = 24;
 
-/// A run taking sustained catch-all splices re-anchors (demotes) itself
-/// back into the ladder once it is longer than this — below it, plain
-/// sorted inserts are cheaper than redistributing.
+/// A run taking sustained splices into its top bucket re-anchors
+/// (demotes) itself back into the ladder once it is longer than this —
+/// below it, plain sorted inserts are cheaper than redistributing.
 ///
 /// The demote exists for the sharded engine's push pattern: a lane
 /// drains its queue over a conservative window, and the subsequent
 /// reconcile pushes the whole window's worth of new deliveries — all
 /// within one delay-jitter span `u`, i.e. into *one* bucket, which by
-/// then anchors the (empty or freshly claimed) run. Without the demote
-/// every one of those pushes pays a randomly positioned sorted insert
-/// into an ever-growing run — O(window²) memmove traffic, measured as a
-/// 6× reconcile slowdown at n = 64 — where one O(run) unwind per burst
-/// restores O(1) unsorted bucket appends.
+/// then is the freshly claimed run. Without the demote every one of
+/// those pushes pays a randomly positioned sorted insert into an
+/// ever-growing run — O(window²) memmove traffic, measured as a 6×
+/// reconcile slowdown at n = 64 — where one O(run) unwind per burst
+/// restores O(1) unsorted bucket appends. (A burst landing *below* the
+/// run's top bucket needs no such patience: it re-anchors on its first
+/// push, see [`EventQueue::push_with_seq`].)
 const RUN_DEMOTE_MIN: usize = 64;
 
-/// Catch-all splices tolerated per claimed run before a large run is
+/// Top-bucket splices tolerated per claimed run before a large run is
 /// considered under burst pressure (see [`RUN_DEMOTE_MIN`]): a handful
 /// of clamped-to-now timers spliced into a big actively-draining run
 /// must not trigger a demote-and-reclaim round trip.
 const RUN_DEMOTE_INSERTS: u32 = 32;
-
 
 /// Sorts one claimed bucket ascending. Bucket contents are near-sorted —
 /// pushes happen in nondecreasing "now" order with at most the delay
@@ -430,15 +440,19 @@ impl SpillHeap {
 ///
 /// Payloads are parked in `slots` (recycled through `free`) while the
 /// ordering machinery moves only [`HeapEntry`] records. Three tiers, by
-/// distance from the pop frontier:
+/// distance from the pop frontier — on every path, because the
+/// partition [re-anchors](Self::reanchor) whenever traffic shows the
+/// frontier to be below the run:
 ///
 /// 1. **The active run** (`run`): every entry whose bucket index is
 ///    `≤ run_idx`, kept sorted ascending behind a head cursor (pops are
 ///    a bounds-checked read plus an increment). Drained fully before the
-///    ladder advances; late arrivals into its time range — same-instant
+///    ladder advances; late arrivals into its top bucket — same-instant
 ///    follow-ups, zero-delay sends — are spliced in by binary-search
 ///    insertion, the "tiny insertion-sorted run" of the classic ladder
-///    queue.
+///    queue. A push strictly below the top bucket lowers `run_idx`
+///    instead, so the run never stays stretched across the gap between
+///    a far-future entry and the traffic in front of it.
 /// 2. **The ladder** (`buckets`): a ring of [`LADDER_BUCKETS`] fixed-width
 ///    time buckets for indices in `(run_idx, limit_idx)`. A push is O(1):
 ///    compute the bucket from `at`, append. When the run drains, the next
@@ -451,6 +465,24 @@ impl SpillHeap {
 ///    far-future timers. When run and ladder are both empty the ladder is
 ///    re-anchored at the spill minimum and one ladder-span of entries is
 ///    drained back into buckets.
+///
+/// **Re-anchoring.** `limit_idx` is set by whichever entry opened the
+/// current epoch — the first push into an empty queue, or the spill
+/// minimum at a recharge — and that entry need not be near the pops: a
+/// crash scenario schedules its `Recover` events (hundreds of buckets
+/// out) before any node has sent a message, and a sharded lane that has
+/// drained down to one next-pulse timer recharges on it just before the
+/// reconcile posts the next round's deliveries. The ring aliases indices
+/// [`LADDER_BUCKETS`] apart, so buckets exist only for one ring-span
+/// below `limit_idx`; nearer traffic used to have nowhere to go but the
+/// run, each push a binary search plus a memmove over everything pending
+/// (measured: 570–700 ns/event on the crash-and-recover catalog
+/// scenarios against 145–217 ns on the calm ones). Now the first push
+/// strictly under the run's top bucket moves the *window* instead: one
+/// pass, `O(run + entries past the new limit)`, sends the far entries to
+/// the spill heap where they belong and everything else to O(1) buckets.
+/// The same routine serves a burst demote and [`relax`](Self::relax), so
+/// the three ways of lowering the run cannot diverge.
 ///
 /// **Order is exactly `(at, seq)`, always.** The bucket index is a
 /// monotone function of `at` alone (`floor(at · inv_width)`, computed
@@ -494,8 +526,11 @@ pub(crate) struct EventQueue<M> {
     in_buckets: usize,
     /// Total entries across all three tiers.
     len: usize,
-    /// Lifetime count of pushes that overflowed to the spill heap.
+    /// Lifetime count of entries sent to the spill heap.
     spilled: u64,
+    /// Lifetime count of pushes spliced by the catch-all branch into a
+    /// run past sparse size.
+    spliced: u64,
     slots: Vec<Option<EventKind<M>>>,
     free: Vec<u32>,
     next_seq: u64,
@@ -532,6 +567,7 @@ impl<M> EventQueue<M> {
             in_buckets: 0,
             len: 0,
             spilled: 0,
+            spliced: 0,
             slots: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
@@ -563,6 +599,7 @@ impl<M> EventQueue<M> {
             in_buckets: 0,
             len: 0,
             spilled: 0,
+            spliced: 0,
             slots: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
@@ -623,8 +660,8 @@ impl<M> EventQueue<M> {
             // workload that repeatedly drains the queue would grow the
             // run `Vec` by one entry per epoch forever). The limit
             // leaves one bucket of headroom *below* the anchor so a
-            // post-anchor burst can demote out of the run without
-            // aliasing ring slots.
+            // post-anchor burst into the anchor's own bucket can demote
+            // out of the run without moving the window.
             self.run.clear();
             self.head = 0;
             self.run_idx = idx;
@@ -652,26 +689,37 @@ impl<M> EventQueue<M> {
             self.run.insert(self.head + pos, entry);
             self.run_idx = self.run_idx.max(idx);
             self.next_idx = self.run_idx + 1;
-        } else if idx <= self.run_idx {
-            // Lands in the active run's time range: splice it into the
-            // sorted run. Covers same-instant follow-ups and adversarial
-            // pushes earlier than the current frontier. A large run
-            // taking *sustained* splices is the burst anti-pattern (a
-            // whole round of deliveries landing in one freshly anchored
-            // or claimed bucket, each paying a mid-run memmove — measured
-            // as a 6× reconcile slowdown at n = 64); past
-            // [`RUN_DEMOTE_MIN`] the run demotes itself back into the
-            // ladder, after which the burst appends to an unsorted bucket
-            // in O(1) and is sorted once on claim. The insert-count gate
-            // keeps an occasional splice into a large actively-draining
-            // run (a timer clamped to "now") from paying a pointless
-            // demote-and-reclaim round trip.
+        } else if idx > self.run_idx {
+            self.place(idx, entry);
+        } else {
+            // Lands in the run's index range. Strictly below its top
+            // bucket means the run is not where the pops are: it was
+            // anchored on a far-future first push, lazily claimed ahead
+            // of traffic that had not been posted yet, or grew across
+            // buckets in sparse mode — so the partition re-anchors just
+            // under the push at once (see [`reanchor`](Self::reanchor))
+            // and this entry, like the rest of its burst, takes an O(1)
+            // bucket append. A push into the top bucket itself is the
+            // run's legitimate late arrival (a same-instant follow-up, a
+            // zero-delay send) and is spliced in — unless a large run is
+            // taking *sustained* splices, the burst anti-pattern (a
+            // whole round of deliveries landing in one freshly claimed
+            // bucket, each paying a mid-run memmove — measured as a 6×
+            // reconcile slowdown at n = 64), which past
+            // [`RUN_DEMOTE_MIN`] re-anchors the same way. The
+            // insert-count gate keeps an occasional splice into a large
+            // actively-draining run (a timer clamped to "now") from
+            // paying a pointless demote-and-reclaim round trip.
             self.run_inserts += 1;
-            if self.run_inserts > RUN_DEMOTE_INSERTS && self.run.len() - self.head > RUN_DEMOTE_MIN
+            if idx < self.run_idx
+                || (self.run_inserts > RUN_DEMOTE_INSERTS
+                    && self.run.len() - self.head > RUN_DEMOTE_MIN)
             {
-                self.demote_run(idx.saturating_sub(1));
+                self.reanchor(idx.saturating_sub(1));
             }
-            if idx <= self.run_idx {
+            if idx > self.run_idx {
+                self.place(idx, entry);
+            } else {
                 // Amortized prefix compaction (same rationale as the
                 // sparse branch): a run that keeps absorbing splices as
                 // fast as it drains may never empty, so drop the popped
@@ -680,28 +728,31 @@ impl<M> EventQueue<M> {
                     self.run.drain(..self.head);
                     self.head = 0;
                 }
-                let pos = self.run[self.head..].partition_point(|e| e.0 < entry.0);
+                let live = &self.run[self.head..];
+                // (a run still short enough for sparse mode is a tiny
+                // sorted array by design; only longer ones are counted)
+                self.spliced += u64::from(live.len() >= SPARSE_RUN_MAX);
+                let pos = live.partition_point(|e| e.0 < entry.0);
                 self.run.insert(self.head + pos, entry);
-            } else {
-                self.bucket_push(idx, entry);
             }
-        } else if idx < self.limit_idx {
-            self.bucket_push(idx, entry);
-        } else {
-            self.spill.push(entry);
-            self.spilled += 1;
         }
         self.len += 1;
     }
 
-    /// Appends an entry to its ring bucket (unsorted until claimed).
+    /// Files an entry above the run: an O(1) append to its ring bucket
+    /// (unsorted until claimed), or the spill heap at or past `limit_idx`.
     #[inline]
-    fn bucket_push(&mut self, idx: u64, entry: HeapEntry) {
-        debug_assert!(idx > self.run_idx && idx < self.limit_idx);
-        let slot = (idx % LADDER_BUCKETS as u64) as usize;
-        self.buckets[slot].push(entry);
-        self.occupied[slot / 64] |= 1 << (slot % 64);
-        self.in_buckets += 1;
+    fn place(&mut self, idx: u64, entry: HeapEntry) {
+        debug_assert!(idx > self.run_idx);
+        if idx < self.limit_idx {
+            let slot = (idx % LADDER_BUCKETS as u64) as usize;
+            self.buckets[slot].push(entry);
+            self.occupied[slot / 64] |= 1 << (slot % 64);
+            self.in_buckets += 1;
+        } else {
+            self.spill.push(entry);
+            self.spilled += 1;
+        }
     }
 
     /// Makes the run's head the queue minimum, claiming lazily: the
@@ -763,9 +814,7 @@ impl<M> EventQueue<M> {
             return;
         }
         let new_idx = self.bucket_index(self.run[self.head].at()).saturating_sub(1);
-        if new_idx < self.run_idx {
-            self.demote_run(new_idx);
-        }
+        self.reanchor(new_idx);
     }
 
     /// Claims the next non-empty bucket as the new active run (recharging
@@ -791,8 +840,8 @@ impl<M> EventQueue<M> {
                 self.occupied[slot / 64] |= 1 << (slot % 64);
                 self.in_buckets += 1;
             }
-            // (direct pushes rather than `bucket_push`: during a recharge
-            // the run is empty and `run_idx` still points at its drained
+            // (direct pushes rather than `place`: during a recharge the
+            // run is empty and `run_idx` still points at its drained
             // epoch, so the helper's frontier assertion does not apply)
             debug_assert!(self.in_buckets > 0, "recharge drained nothing");
         }
@@ -814,21 +863,32 @@ impl<M> EventQueue<M> {
         self.run_inserts = 0;
     }
 
-    /// Re-anchors the run at `new_run_idx` (or as far back as the ring
-    /// can address), returning every entry of a later bucket to the
-    /// ladder. Called when a push lands behind a large run's coverage or
-    /// a consumer pauses mid-run; `O(run)`, at most once per undercut.
-    fn demote_run(&mut self, new_run_idx: u64) {
-        // The ring aliases indices `LADDER_BUCKETS` apart, so only
-        // indices within one ring-span of `limit_idx` may hold entries;
-        // anything the run covers below that stays in the run (the
-        // catch-all tier has no aliasing problem).
-        let new_run_idx = new_run_idx.max(
-            self.limit_idx
-                .saturating_sub(LADDER_BUCKETS as u64 + 1),
-        );
+    /// Lowers the run to `new_run_idx` (a no-op if it is already there
+    /// or below): the run keeps its entries up to that index and every
+    /// later one is refiled above it. The one routine behind all three
+    /// ways the partition follows the pop frontier down — a push below
+    /// the run's top bucket, a burst demote, and [`relax`](Self::relax).
+    ///
+    /// If the ring cannot address the gap up to `limit_idx` (see
+    /// *Re-anchoring* in the type docs) the window comes down too:
+    /// `limit_idx` drops to one ring-span above the new anchor, and
+    /// bucket and run entries at or past it move to the spill heap.
+    /// `O(run + moved)`. Order is untouched: every entry is refiled by
+    /// the same `bucket_index`, and run ≤ buckets < spill still holds
+    /// index-wise.
+    fn reanchor(&mut self, new_run_idx: u64) {
         if new_run_idx >= self.run_idx {
             return;
+        }
+        self.run_idx = new_run_idx;
+        self.next_idx = new_run_idx + 1;
+        self.run_inserts = 0;
+        if self.limit_idx > new_run_idx + LADDER_BUCKETS as u64 + 1 {
+            // Same headroom as a fresh anchor: one bucket spare below.
+            self.limit_idx = new_run_idx + LADDER_BUCKETS as u64;
+            if self.in_buckets > 0 {
+                self.spill_past_limit();
+            }
         }
         self.run.drain(..self.head);
         self.head = 0;
@@ -839,20 +899,31 @@ impl<M> EventQueue<M> {
             .partition_point(|e| self.bucket_index(e.at()) <= new_run_idx);
         for i in keep..self.run.len() {
             let entry = self.run[i];
-            let idx = self.bucket_index(entry.at());
-            debug_assert!(
-                idx > new_run_idx && idx < self.limit_idx,
-                "demoted entry outside the ladder's addressable span"
-            );
-            let slot = (idx % LADDER_BUCKETS as u64) as usize;
-            self.buckets[slot].push(entry);
-            self.occupied[slot / 64] |= 1 << (slot % 64);
-            self.in_buckets += 1;
+            self.place(self.bucket_index(entry.at()), entry);
         }
         self.run.truncate(keep);
-        self.run_idx = new_run_idx;
-        self.next_idx = new_run_idx + 1;
-        self.run_inserts = 0;
+    }
+
+    /// Moves every bucket whose index is at or past a just-lowered
+    /// `limit_idx` to the spill heap. Live bucket indices span at most
+    /// the ring, so each slot holds entries of a single index and its
+    /// first entry speaks for all of them.
+    fn spill_past_limit(&mut self) {
+        for slot in 0..LADDER_BUCKETS {
+            let Some(first) = self.buckets[slot].first() else {
+                continue;
+            };
+            if self.bucket_index(first.at()) < self.limit_idx {
+                continue;
+            }
+            let moved = self.buckets[slot].len();
+            for entry in self.buckets[slot].drain(..) {
+                self.spill.push(entry);
+            }
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
+            self.in_buckets -= moved;
+            self.spilled += moved as u64;
+        }
     }
 
     /// First set bit of the occupancy bitmap in cyclic ring order
@@ -883,15 +954,29 @@ impl<M> EventQueue<M> {
         unreachable!("first_occupied_from on an empty ladder")
     }
 
-    /// How many pushes overflowed past the ladder's horizon into the
-    /// spill heap over this queue's lifetime. Zero for workloads whose
-    /// events stay within ~16 delay horizons of the pop frontier (all the
-    /// standard CPS scenarios — a regression test pins this); a large
-    /// value signals the delay hint passed to
+    /// How many entries went to the spill heap over this queue's
+    /// lifetime: pushes past the ladder's horizon, plus already-queued
+    /// entries a [`reanchor`](Self::reanchor) moved there when it
+    /// lowered the window (each counted once per move). Zero for
+    /// workloads whose events stay within ~16 delay horizons of the pop
+    /// frontier (all the standard CPS scenarios — a regression test pins
+    /// this); a large value signals the delay hint passed to
     /// [`with_delay_hint`](Self::with_delay_hint) is far off the
     /// workload's real horizon.
     pub fn spill_count(&self) -> u64 {
         self.spilled
+    }
+
+    /// How many pushes took the catch-all splice into a sorted run
+    /// already [`SPARSE_RUN_MAX`] entries long (the `idx <= run_idx`
+    /// branch of [`push_with_seq`](Self::push_with_seq); inserts into a
+    /// run shorter than that — sparse mode, or a lane's handful of
+    /// same-bucket arrivals — are the cheap path by design and are not
+    /// counted). Each is a binary search plus a memmove of the run's
+    /// tail, so a count that grows with the push count means the queue
+    /// has degraded into one sorted array.
+    pub fn splice_count(&self) -> u64 {
+        self.spliced
     }
 
     #[cfg_attr(not(test), allow(dead_code))]
@@ -912,6 +997,53 @@ impl<M> EventQueue<M> {
             .flatten()
             .filter(|k| matches!(k, EventKind::Deliver { .. }))
             .count()
+    }
+
+    /// Asserts the tier partition the pop order rests on: a sorted run
+    /// at or below `run_idx`, every bucket entry in its own ring slot
+    /// strictly between `run_idx` and `limit_idx` and within one
+    /// ring-span of the limit (no aliasing), the spill heap at or past
+    /// the limit, and the bookkeeping counters in agreement.
+    #[cfg(test)]
+    fn check_invariants(&self) {
+        let live = &self.run[self.head..];
+        assert!(live.windows(2).all(|w| w[0].0 < w[1].0), "run not sorted");
+        for e in live {
+            assert!(
+                self.bucket_index(e.at()) <= self.run_idx,
+                "run entry above run_idx"
+            );
+        }
+        let mut in_buckets = 0;
+        for (slot, bucket) in self.buckets.iter().enumerate() {
+            let bit = self.occupied[slot / 64] >> (slot % 64) & 1;
+            assert_eq!(bit == 1, !bucket.is_empty(), "occupancy bit of slot {slot}");
+            for e in bucket {
+                let idx = self.bucket_index(e.at());
+                assert_eq!(
+                    (idx % LADDER_BUCKETS as u64) as usize,
+                    slot,
+                    "entry in wrong slot"
+                );
+                assert!(
+                    idx > self.run_idx && idx < self.limit_idx,
+                    "bucket entry outside the ladder"
+                );
+                assert!(
+                    idx + LADDER_BUCKETS as u64 >= self.limit_idx,
+                    "ring slot aliased"
+                );
+            }
+            in_buckets += bucket.len();
+        }
+        assert_eq!(in_buckets, self.in_buckets);
+        for e in &self.spill.heap {
+            assert!(
+                self.bucket_index(e.at()) >= self.limit_idx,
+                "spill entry below the limit"
+            );
+        }
+        assert_eq!(live.len() + in_buckets + self.spill.len(), self.len);
     }
 
     /// Slab slots currently sitting on the free list (leak diagnostics).
@@ -1214,6 +1346,76 @@ mod tests {
         assert_eq!(q.pop().unwrap().at, Time::from_secs(1.001));
     }
 
+    /// The chaos engine's push pattern: a `Recover` event scheduled before
+    /// anything else anchors the queue thousands of buckets ahead of the
+    /// traffic. The queue must stay a ladder — O(1) bucket appends, not
+    /// one sorted array absorbing every push by binary search + memmove
+    /// (before the frontier re-anchor, the splice count below equalled
+    /// the number of pushes).
+    #[test]
+    fn far_future_anchor_stays_a_ladder() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        let d = 1e-3; // the default delay hint: buckets are d / 8 wide
+        let sentinel_at = 10_000.0 * d / LADDER_BUCKETS_PER_HORIZON;
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut oracle: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut push =
+            |q: &mut EventQueue<u64>, oracle: &mut BinaryHeap<Reverse<(u64, u64)>>, at: f64| {
+                q.push(Time::from_secs(at), EventKind::AdvTimer { key: seq });
+                oracle.push(Reverse((at.to_bits(), seq)));
+                seq += 1;
+            };
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut jitter = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) as f64 / (1u64 << 53) as f64
+        };
+        push(&mut q, &mut oracle, sentinel_at);
+        // A round's worth of traffic in flight, then 100 k pop/push
+        // pairs with delays in [d − u, d]: ~2 k buckets of simulated
+        // time (a dozen ladder epochs), all of it short of the sentinel.
+        for i in 0..360 {
+            push(&mut q, &mut oracle, d * jitter() + f64::from(i) * 1e-9);
+        }
+        for i in 0..100_000u32 {
+            let event = q.pop().expect("queue holds the stream");
+            let Reverse((at_bits, want)) = oracle.pop().expect("oracle holds the stream");
+            assert_eq!(
+                event.at.as_secs().to_bits(),
+                at_bits,
+                "pop {i} out of order"
+            );
+            assert!(matches!(event.kind, EventKind::AdvTimer { key } if key == want));
+            let delay = d - 0.1 * d * jitter();
+            push(&mut q, &mut oracle, event.at.as_secs() + delay);
+        }
+        let mut last = None;
+        while let Some(Reverse((at_bits, want))) = oracle.pop() {
+            let event = q.pop().expect("queue and oracle drain together");
+            assert_eq!(event.at.as_secs().to_bits(), at_bits);
+            assert!(matches!(event.kind, EventKind::AdvTimer { key } if key == want));
+            last = Some(want);
+        }
+        assert_eq!(last, Some(0), "the sentinel pops last");
+        assert!(q.is_empty());
+        // One burst-demote's worth of tolerated splices per re-anchor,
+        // and the sentinel forces a single re-anchor.
+        let budget = u64::from(RUN_DEMOTE_INSERTS) + RUN_DEMOTE_MIN as u64 + 8;
+        assert!(
+            q.splice_count() < budget,
+            "{} of {seq} pushes were spliced into the sorted run (budget {budget})",
+            q.splice_count()
+        );
+        // The sentinel is moved to the spill heap once; the rest of the
+        // count is ordinary epoch-boundary overflow.
+        assert!(q.spill_count() >= 1);
+    }
+
     proptest! {
         /// Random interleavings of pushes and pops: pops always come out
         /// in (at, seq) order, and the slab never leaks a slot.
@@ -1298,8 +1500,12 @@ mod tests {
         /// Ladder queue vs. a `BinaryHeap` oracle over adversarial
         /// timestamp patterns — same-instant bursts, zero-delay (ũ = d)
         /// arrivals, bounded-delay traffic, far-future timers that hit
-        /// the spill heap, and horizon rollovers that force the ladder to
-        /// re-anchor. The `(at, seq)` pop sequences must be identical.
+        /// the spill heap, horizon rollovers that force the ladder to
+        /// re-anchor, a first push ≥ 1 000 buckets ahead of everything
+        /// that follows (the `Recover`-first shape), and drains down to
+        /// the spill tier followed by nearer pushes (the dry sharded
+        /// lane), both of which lower the whole window. The `(at, seq)`
+        /// pop sequences must be identical.
         #[test]
         fn prop_ladder_matches_heap_oracle(
             ops in proptest::collection::vec(0u32..1 << 14, 1..300)
@@ -1340,9 +1546,28 @@ mod tests {
                     }
                 }
             };
+            // Half the streams open on a far-future first push, which
+            // anchors the ladder ≥ 1 000 buckets (125 d) past the rest.
+            if ops[0] % 2 == 0 {
+                let at = (125.0 + f64::from(ops[0] >> 3)) * d;
+                push(&mut q, &mut oracle, &mut next_seq, at);
+            }
             for op in ops {
                 let magnitude = f64::from(op >> 3);
                 match op % 8 {
+                    // Drain to the spill tier, let a peek recharge the
+                    // ladder on the (far) spill minimum, then undercut it
+                    // with bounded-delay traffic from the pop frontier.
+                    7 if (op >> 3) % 8 == 0 => {
+                        while q.len() > q.spill.len() {
+                            pop_and_compare(&mut q, &mut oracle, &mut now);
+                        }
+                        let _ = q.peek_key();
+                        for k in 0..3 {
+                            let delay = d - f64::from(k) * (d / 30.0);
+                            push(&mut q, &mut oracle, &mut next_seq, now + delay);
+                        }
+                    }
                     // Bounded-delay traffic: delays in [d − u, d].
                     0 | 1 => {
                         let delay = d - (magnitude / 2048.0) * (d / 10.0);
@@ -1369,6 +1594,7 @@ mod tests {
                     _ => pop_and_compare(&mut q, &mut oracle, &mut now),
                 }
                 prop_assert_eq!(q.len(), oracle.len());
+                q.check_invariants();
             }
             // Drain both to the end; the sequences must agree exactly.
             while !oracle.is_empty() || !q.is_empty() {

@@ -72,14 +72,15 @@
 //! `crates/bench/tests/determinism.rs` and the cross-check proptests in
 //! `crates/bench/tests/sharded.rs` hold this equivalence to account.
 //!
-//! Two intentional deviations: [`Trace::timer_slots_high_water`] is
+//! Three intentional deviations: [`Trace::timer_slots_high_water`] is
 //! reported as the *sum* of the per-lane slab high-waters — still a valid
 //! memory bound, but an upper estimate of the single global slab's
 //! high-water (lanes cannot observe each other's concurrent occupancy) —
-//! and [`Trace::queue_spill_count`] sums the per-lane ladder-queue spill
-//! counters, which need not equal the single global queue's (lane
-//! frontiers advance independently). Both are performance diagnostics,
-//! excluded from the determinism trace hash.
+//! and [`Trace::queue_spill_count`] / [`Trace::queue_splice_count`] sum
+//! the per-lane ladder-queue spill and splice counters, which need not
+//! equal the single global queue's (lane frontiers advance
+//! independently). All three are performance diagnostics, excluded from
+//! the determinism trace hash.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -497,9 +498,10 @@ enum Src {
 ///
 /// Produces the same [`Trace`] — bit for bit, including event and message
 /// counts, pulse times, and violation order — as the single-lane
-/// [`Sim::run`] on the same builder and seed (the one documented
-/// exceptions are [`Trace::timer_slots_high_water`] and
-/// [`Trace::queue_spill_count`]; see the [module docs](self)). Lanes
+/// [`Sim::run`] on the same builder and seed (the documented
+/// exceptions are [`Trace::timer_slots_high_water`],
+/// [`Trace::queue_spill_count`] and [`Trace::queue_splice_count`]; see
+/// the [module docs](self)). Lanes
 /// advance on a pool of long-lived worker threads — one per lane, spawned
 /// lazily on the first parallel window, handed their lanes through
 /// channels, and parked between windows — so wall-clock improves with
@@ -745,6 +747,7 @@ impl<A: Automaton> ShardedSim<A> {
             .map(|l| l.timers.high_water() as u64)
             .sum();
         self.trace.queue_spill_count = self.lanes.iter().map(|l| l.queue.spill_count()).sum();
+        self.trace.queue_splice_count = self.lanes.iter().map(|l| l.queue.splice_count()).sum();
         let stats = MailboxStats {
             posted: self.posted,
             consumed: self.lanes.iter().map(|l| l.delivers_popped).sum(),

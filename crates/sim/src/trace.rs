@@ -32,12 +32,13 @@ pub struct Trace {
     /// *sum* of the per-lane slab high-waters — still a valid bound on
     /// total slab memory, but an upper estimate of the single-lane value
     /// (lanes cannot observe each other's concurrent occupancy), and one
-    /// of the two fields of this struct that are not bit-identical across
-    /// the two executors (the other is [`queue_spill_count`]). It is
-    /// deliberately excluded from the determinism trace hash for that
-    /// reason.
+    /// of the three fields of this struct that are not bit-identical
+    /// across the two executors (the others are [`queue_spill_count`] and
+    /// [`queue_splice_count`]). It is deliberately excluded from the
+    /// determinism trace hash for that reason.
     ///
     /// [`queue_spill_count`]: Self::queue_spill_count
+    /// [`queue_splice_count`]: Self::queue_splice_count
     pub timer_slots_high_water: u64,
     /// Events that overflowed the ladder event queue's bucketed horizon
     /// into its far-future spill heap (see `crusader_sim`'s engine
@@ -49,6 +50,14 @@ pub struct Trace {
     /// workload's timer horizon dwarfs its link delay `d` and the queue
     /// is degrading toward plain heap behaviour.
     ///
+    /// When traffic undercuts a far-anchored run (a `Recover` event
+    /// scheduled first, a lane holding only its next-pulse timer) the
+    /// queue re-anchors its window at the pop frontier and moves the
+    /// already-queued entries past the lowered horizon to the spill
+    /// heap; those moves **are counted here**, once each, next to the
+    /// pushes that overflowed directly. Standard CPS runs never lower
+    /// the window, so their count stays zero.
+    ///
     /// Purely a performance diagnostic: spilling never affects event
     /// order. Under the sharded executor it is the *sum* over the
     /// per-lane queues, which can differ from the single-lane value
@@ -56,6 +65,22 @@ pub struct Trace {
     /// [`timer_slots_high_water`](Self::timer_slots_high_water) — it is
     /// excluded from the determinism trace hash.
     pub queue_spill_count: u64,
+    /// Pushes that landed in the ladder queue's catch-all tier and were
+    /// spliced by binary search plus memmove into a sorted run already
+    /// past the queue's tiny-array size (24 entries; shorter runs are
+    /// the cheap path by design and are not counted) — the one push path
+    /// that is not O(1). Same-instant follow-ups and zero-delay sends
+    /// into a busy bucket always take it; a count above a percent or so of
+    /// [`events_processed`](Self::events_processed) means the tier
+    /// partition has lost the pop frontier and the queue is degrading
+    /// toward one sorted array (the chaos matrix test and the
+    /// chaos-smoke CI job gate that share).
+    ///
+    /// Purely a performance diagnostic: which tier a push lands in never
+    /// affects event order. Summed over the per-lane queues under the
+    /// sharded executor and excluded from the determinism trace hash,
+    /// exactly like [`queue_spill_count`](Self::queue_spill_count).
+    pub queue_splice_count: u64,
     /// Messages destroyed by chaos injection — deliveries to crashed
     /// nodes plus sends lost to an active link cut (see
     /// [`crate::ChaosTimeline`]). Zero when no timeline is installed.
