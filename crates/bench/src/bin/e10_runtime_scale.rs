@@ -60,6 +60,19 @@ fn main() {
         outcome.messages as f64 / outcome.run_secs,
         outcome.violations.len()
     );
+    // How well the message path batches, as ratios of counts (a
+    // broadcast is one message in its command and n deliveries out).
+    let sup = outcome.supervision;
+    println!(
+        "\n  deliveries per inbox hand-off : {:.1}   ({} hand-offs)",
+        outcome.messages as f64 / sup.inbox_handoffs.max(1) as f64,
+        sup.inbox_handoffs
+    );
+    println!(
+        "  deliveries per net command    : {:.1}   ({} commands, one per flush)",
+        outcome.messages as f64 / sup.net_commands.max(1) as f64,
+        sup.net_commands
+    );
     for v in &outcome.violations {
         eprintln!("  violation: {v}");
     }

@@ -533,6 +533,9 @@ pub struct RuntimeOutcome {
     pub violations: Vec<String>,
     /// Configured run length in seconds.
     pub run_secs: f64,
+    /// The runtime's own counts: faults, and the commands and inbox
+    /// hand-offs the deliveries took.
+    pub supervision: crusader_runtime::SupervisionStats,
 }
 
 /// Runs the runtime scenario for size `n` on `backend` and summarizes.
@@ -560,6 +563,7 @@ pub fn run_runtime(n: usize, backend: Backend, workers: Option<usize>) -> Runtim
         messages: report.messages_delivered,
         violations: report.trace.violations,
         run_secs: cfg.run_for.as_secs_f64(),
+        supervision: report.supervision,
     }
 }
 

@@ -14,7 +14,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::clock::EmulatedClock;
-use crate::net::{NetChaos, NetCommand, NetLink, Network, NodeEvent};
+use crate::net::{NetChaos, Network, NodeEvent};
 use crate::node::{node_loop, NodeCore};
 use crate::reactor;
 use crate::supervise::{self, Counters, Heartbeats, SupervisionStats};
@@ -291,14 +291,19 @@ where
             inbox_rxs.push(Some(rx));
         }
     }
+    // A plain closure, so the network's `deliver_batch` falls back to
+    // one channel send per event: each node blocks on its own inbox
+    // channel, and a channel takes one message at a time.
     let net_sink = {
         let txs = inbox_txs.clone();
+        let counters = Arc::clone(&counters);
         move |to: NodeId, event: NodeEvent<A::Msg>| {
             // Silent nodes crashed at start: their messages are dropped
             // rather than buffered unread. A closed inbox means that node
             // already shut down; also fine.
             if let Some(tx) = &txs[to.index()] {
                 let _ = tx.send(event);
+                counters.note_inbox_handoff();
             }
         }
     };
@@ -306,7 +311,15 @@ where
         timeline: Arc::clone(timeline),
         epoch: Arc::clone(&epoch_cell),
     });
-    let network = Network::spawn(net_sink, cfg.n, cfg.d, cfg.u, cfg.seed, net_chaos);
+    let network = Network::spawn(
+        net_sink,
+        cfg.n,
+        cfg.d,
+        cfg.u,
+        cfg.seed,
+        net_chaos,
+        Arc::clone(&counters),
+    );
 
     let verifier = ring.verifier();
     let mut handles = Vec::new();
@@ -318,7 +331,7 @@ where
         let rate = 1.0 + rng.gen::<f64>() * (cfg.theta - 1.0);
         let offset = cfg.max_offset * rng.gen::<f64>();
         let automaton = make_node(me);
-        let net = NetLink::new(network.commands.clone(), Arc::clone(&counters));
+        let net = network.link.clone();
         let signer = ring.signer(me);
         let verifier = Arc::clone(&verifier);
         let n = cfg.n;
@@ -372,8 +385,7 @@ where
             }
         }
     }
-    let _ = network.commands.send(NetCommand::Shutdown);
-    let (messages_delivered, chaos_dropped) = network.handle.join().unwrap_or((0, 0));
+    let (messages_delivered, chaos_dropped) = network.shutdown();
     stop.store(true, Ordering::Release);
     let _ = watchdog.join();
     // Count events no node ever read (deliveries that raced shutdown).

@@ -56,33 +56,49 @@ impl Ord for PendingTimer {
     }
 }
 
-/// Messages a handler produced, to be flushed to the network by the
-/// backend after the handler returns. Broadcasts stay a *single* value
-/// here and on the wire to the network thread; the fan-out (and the
-/// per-destination delay draws) happens inside the network, so a
-/// 2048-node broadcast costs one channel send, not 2048.
+/// Messages handlers produced, to be flushed to the network by the
+/// backend once the quantum's handlers have returned. Broadcasts stay a
+/// *single* value here and on the wire to the network thread; the
+/// fan-out (and the per-destination delay draws) happens inside the
+/// network, so a 2048-node broadcast costs one channel send, not 2048.
 pub(crate) struct Outbox<M> {
     pub sends: Vec<(NodeId, M)>,
     pub broadcasts: Vec<M>,
 }
 
-impl<M> Outbox<M> {
-    pub fn new() -> Self {
+// Manual impl: `derive(Default)` would demand `M: Default`.
+impl<M> Default for Outbox<M> {
+    fn default() -> Self {
         Outbox {
             sends: Vec::new(),
             broadcasts: Vec::new(),
         }
     }
+}
 
-    /// Sends the buffered messages out through the network link (which
-    /// retries with backoff if the network queue is full).
+impl<M> Outbox<M> {
+    /// Hands everything buffered to the network link as **one** command
+    /// (the link retries with backoff if the network queue is full).
+    /// More than one message travels as the outbox itself, swapped for
+    /// a recycled empty one so that neither side allocates; a lone
+    /// message needs no buffer and goes as a bare `Send`/`Broadcast`.
     pub fn flush(&mut self, from: NodeId, net: &NetLink<M>) {
-        for (to, msg) in self.sends.drain(..) {
-            net.send(NetCommand::Send { from, to, msg });
-        }
-        for msg in self.broadcasts.drain(..) {
-            net.send(NetCommand::Broadcast { from, msg });
-        }
+        let cmd = match (self.sends.len(), self.broadcasts.len()) {
+            (0, 0) => return,
+            (1, 0) => {
+                let (to, msg) = self.sends.pop().expect("one send");
+                NetCommand::Send { from, to, msg }
+            }
+            (0, 1) => {
+                let msg = self.broadcasts.pop().expect("one broadcast");
+                NetCommand::Broadcast { from, msg }
+            }
+            _ => {
+                let out = std::mem::replace(self, net.spare_outbox());
+                NetCommand::Batch { from, out }
+            }
+        };
+        net.send(cmd);
     }
 }
 
@@ -447,7 +463,7 @@ pub(crate) fn node_loop<A: Automaton>(
     heartbeats: &Heartbeats,
 ) -> NodeCore<A> {
     let idx = core.me().index();
-    let mut out = Outbox::new();
+    let mut out = Outbox::default();
     contained(&mut core, &mut out, counters, |c, o| c.init(o));
     out.flush(core.me(), net);
     loop {

@@ -8,14 +8,14 @@
 //! "whole lanes per window" to "one node task per wakeup".
 //!
 //! ```text
-//!             ┌────────────┐  NetCommand (Send/Broadcast)
+//!             ┌────────────┐  NetCommand: one per quantum
 //!   handlers ─┤  network   │◄───────────────────────────┐
 //!             │  thread    │                             │
-//!             └─────┬──────┘ deliver: inbox push + wake  │
-//!                   ▼                                    │
+//!             └─────┬──────┘ deliver_batch: one inbox    │
+//!                   ▼        append + wake per node/sweep│
 //!  ┌───────────────────────────────┐               ┌─────┴─────┐
 //!  │ per-node cells                │   ready queue │  workers  │
-//!  │  inbox: Mutex<Vec<NodeEvent>> │──────────────►│  (M long- │
+//!  │  inbox: Mutex<VecDeque<Event>>│──────────────►│  (M long- │
 //!  │  queued: AtomicBool           │  (crossbeam   │   lived   │
 //!  │  core: Mutex<Option<NodeCore>>│   channel;    │  threads, │
 //!  └───────────────────────────────┘   workers     │  parked   │
@@ -30,17 +30,23 @@
 //! ```
 //!
 //! * **Cells and the ready queue.** Each node is a cell: an inbox, a
-//!   `queued` flag, and its [`NodeCore`]. Anyone with an event for the
-//!   node (network thread, timer thread, harness) pushes it into the
+//!   `queued` flag, and its [`NodeCore`]. Anyone with events for the
+//!   node (network thread, timer thread, harness) pushes them into the
 //!   inbox and *schedules* the cell — a compare-and-swap on `queued`
-//!   plus, if it was idle, one send on the shared ready channel. Workers
-//!   block on that channel (crossbeam parks them when it is empty), pop
-//!   a node index, drain the node's inbox in batches through the same
-//!   `NodeCore` handler code the thread backend uses, fire its due
-//!   timers, and clear `queued`. The flag guarantees a node is never on
-//!   the ready queue twice, so a node's handlers are always executed
-//!   sequentially — the [`Automaton`] contract — without per-node locks
-//!   being contended.
+//!   plus, if it was idle, one send on the shared ready channel. The
+//!   network thread does this once per node per delivery sweep, with
+//!   everything the sweep holds for the node, not once per message.
+//!   Workers block on the ready channel (crossbeam parks them when it
+//!   is empty), pop a node index, swap the node's inbox against their
+//!   own empty scratch queue (the lock is held for the swap only, and
+//!   both buffers keep their capacity, so the steady state allocates
+//!   nothing), run the events through the same `NodeCore` handler code
+//!   the thread backend uses, fire the node's due timers, hand
+//!   everything the handlers sent to the network as one command, and
+//!   clear `queued`. The flag guarantees a node is never on the ready
+//!   queue twice, so a node's handlers are always executed sequentially
+//!   — the [`Automaton`] contract — without per-node locks being
+//!   contended.
 //! * **Timers.** `SetTimer` deadlines stay node-local (each `NodeCore`
 //!   keeps its own heap, as under the thread backend); the reactor only
 //!   needs to know *when to wake the node next*. After running a node,
@@ -52,13 +58,15 @@
 //!   host scheduling jitter and is folded into the same "real hardware
 //!   inflates `u`" caveat as everything else in this crate).
 //! * **Fairness.** A worker processes at most [`BATCH_EVENTS`] events
-//!   per scheduling; if the inbox still has more (or grew while the
-//!   worker was clearing the flag), the cell is re-scheduled at the back
-//!   of the ready queue, so one hot node cannot starve 2047 others.
+//!   per scheduling, however many one hand-off put into the inbox; what
+//!   is left goes back to the front of the inbox and the cell is
+//!   re-scheduled at the back of the ready queue (as it is if the inbox
+//!   grew while the worker was clearing the flag), so one hot node
+//!   cannot starve 2047 others.
 //! * **Supervision.** A handler panic is contained per event: the
 //!   outbox rolls back to its pre-event state, the unprocessed tail of
-//!   the batch is re-spliced to the *front* of the node's inbox (no
-//!   event lost, none delivered twice), and the panic is counted — then
+//!   the scratch queue is re-spliced to the *front* of the node's inbox
+//!   (no event lost, none delivered twice), and the panic is counted — then
 //!   the worker carrying it dies and a dedicated supervisor thread
 //!   respawns a replacement that adopts the same ready queue, so the
 //!   dead worker's backlog is picked up by the pool. A watchdog thread
@@ -76,6 +84,7 @@
 //!   while converting.
 
 use std::any::Any;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -91,7 +100,7 @@ use rand::Rng;
 
 use crate::clock::EmulatedClock;
 use crate::harness::{BackendRun, RuntimeConfig};
-use crate::net::{NetChaos, NetCommand, NetLink, Network, NodeEvent};
+use crate::net::{DeliverySink, NetChaos, NetLink, Network, NodeEvent};
 use crate::node::{NodeCore, Outbox};
 use crate::supervise::{self, Counters, Heartbeats};
 use crate::wheel::{TimerWheel, WheelKey};
@@ -124,7 +133,7 @@ fn wheel_granularity_ns(u: Dur, d: Dur) -> u64 {
 }
 
 struct Cell<A: Automaton> {
-    inbox: Mutex<Vec<NodeEvent<A::Msg>>>,
+    inbox: Mutex<VecDeque<NodeEvent<A::Msg>>>,
     queued: AtomicBool,
     /// Whether the timer wheel currently holds a wakeup for this node.
     /// Set by the worker when it registers a deadline, cleared by the
@@ -153,7 +162,7 @@ struct Shared<A: Automaton> {
     /// storm (the thread backend gets this priority for free from the
     /// kernel scheduler, which preempts busy threads when a
     /// `recv_deadline` expires).
-    urgent: Mutex<std::collections::VecDeque<u32>>,
+    urgent: Mutex<VecDeque<u32>>,
 }
 
 impl<A: Automaton> Shared<A> {
@@ -176,19 +185,39 @@ impl<A: Automaton> Shared<A> {
         // Kick a (possibly parked) worker to look at the lane.
         let _ = self.ready_tx.send(KICK);
     }
+}
 
-    /// Network-delivery sink: push and wake. Events for silent nodes
-    /// are dropped here — the node crashed before start, so the bytes
-    /// would only pile up unread (the thread backend's sink does the
-    /// same; the network still counts the delivery). Also carries the
-    /// chaos injector's `Freeze`/`Thaw` control events.
-    fn deliver(&self, to: NodeId, event: NodeEvent<A::Msg>) {
-        if !self.active[to.index()] {
+/// The network's way into the cells: one inbox lock and one wake-up
+/// check per hand-off, however many events it carries. Events for
+/// silent nodes are dropped here — the node crashed before start, so
+/// the bytes would only pile up unread (the thread backend's sink does
+/// the same; the network still counts the delivery). Also carries the
+/// chaos injector's `Freeze`/`Thaw` control events.
+struct CellSink<A: Automaton> {
+    shared: Arc<Shared<A>>,
+    counters: Arc<Counters>,
+}
+
+impl<A: Automaton> CellSink<A> {
+    fn hand_off(&self, to: NodeId, put: impl FnOnce(&mut VecDeque<NodeEvent<A::Msg>>)) {
+        if !self.shared.active[to.index()] {
             return;
         }
-        let cell = &self.cells[to.index()];
-        cell.inbox.lock().push(event);
-        self.schedule(to.index());
+        put(&mut self.shared.cells[to.index()].inbox.lock());
+        self.counters.note_inbox_handoff();
+        self.shared.schedule(to.index());
+    }
+}
+
+impl<A: Automaton> DeliverySink<A::Msg> for CellSink<A> {
+    fn deliver(&mut self, to: NodeId, event: NodeEvent<A::Msg>) {
+        self.hand_off(to, |inbox| inbox.push_back(event));
+    }
+
+    fn deliver_batch(&mut self, to: NodeId, events: &mut Vec<NodeEvent<A::Msg>>) {
+        self.hand_off(to, |inbox| inbox.extend(events.drain(..)));
+        // A silent node's events were not taken.
+        events.clear();
     }
 }
 
@@ -224,15 +253,16 @@ impl<A: Automaton> Clone for WorkerCtx<A> {
     }
 }
 
-/// Pushes `tail` back onto the *front* of the cell's inbox, ahead of
+/// Puts `tail` back onto the *front* of the cell's inbox, ahead of
 /// anything that arrived since it was taken, preserving delivery order.
-fn splice_front<A: Automaton>(cell: &Cell<A>, tail: Vec<NodeEvent<A::Msg>>) {
+/// Leaves `tail` empty.
+fn splice_front<A: Automaton>(cell: &Cell<A>, tail: &mut VecDeque<NodeEvent<A::Msg>>) {
     if tail.is_empty() {
         return;
     }
     let mut inbox = cell.inbox.lock();
-    let newer = std::mem::replace(&mut *inbox, tail);
-    inbox.extend(newer);
+    tail.append(&mut inbox);
+    std::mem::swap(&mut *inbox, tail);
 }
 
 /// Runs one handler call with panic capture: rolls the outbox back to
@@ -263,17 +293,19 @@ fn guarded<A: Automaton, R>(
     }
 }
 
-/// One scheduling quantum for node `idx` on a worker thread.
+/// One scheduling quantum for node `idx` on a worker thread. `scratch`
+/// is the worker's own event queue, empty between quanta.
 ///
 /// A handler panic does not lose state: the outbox rolls back to the
-/// pre-event point, the unprocessed tail of the batch goes back to the
-/// front of the inbox (no event lost, none delivered twice), the cell's
-/// scheduling bookkeeping completes as usual — and the payload is
+/// pre-event point, the unprocessed tail of the scratch queue goes back
+/// to the front of the inbox (no event lost, none delivered twice), the
+/// cell's scheduling bookkeeping completes as usual — and the payload is
 /// returned so the worker carrying the panic dies and is respawned.
 fn run_node<A: Automaton>(
     ctx: &WorkerCtx<A>,
     idx: usize,
     out: &mut Outbox<A::Msg>,
+    scratch: &mut VecDeque<NodeEvent<A::Msg>>,
 ) -> Result<(), Box<dyn Any + Send>> {
     let shared = &*ctx.shared;
     let cell = &shared.cells[idx];
@@ -301,41 +333,41 @@ fn run_node<A: Automaton>(
         }
         let mut processed = 0;
         'events: while panic_payload.is_none() && processed < BATCH_EVENTS {
-            let mut batch = std::mem::take(&mut *cell.inbox.lock());
-            if batch.is_empty() {
+            // Take the whole inbox by swapping it against the (empty)
+            // scratch queue.
+            std::mem::swap(&mut *cell.inbox.lock(), scratch);
+            if scratch.is_empty() {
                 break;
             }
-            // Hold the quantum to the cap strictly: the tail goes back to
-            // the *front* of the inbox (ahead of anything that arrived
-            // since the take), or one hot node under an echo storm would
-            // monopolize its worker and starve every other node's timers.
-            if batch.len() > BATCH_EVENTS - processed {
-                let tail = batch.split_off(BATCH_EVENTS - processed);
-                splice_front(cell, tail);
-            }
-            let mut events = batch.into_iter();
-            while let Some(event) = events.next() {
+            while processed < BATCH_EVENTS {
+                let Some(event) = scratch.pop_front() else {
+                    break;
+                };
                 processed += 1;
                 match guarded(core, out, &ctx.counters, |c, o| c.on_event(event, o)) {
                     Ok(true) => {}
                     Ok(false) => {
                         // Shutdown: the rest of the batch is moot, but
                         // count it so message accounting stays honest.
-                        ctx.counters.note_discarded(events.count() as u64);
+                        ctx.counters.note_discarded(scratch.len() as u64);
+                        scratch.clear();
                         break 'events;
                     }
                     Err(p) => {
-                        // Worker-panic teardown fix: requeue the
-                        // unprocessed tail deterministically instead of
-                        // dropping it with the dying worker.
-                        let tail: Vec<_> = events.collect();
-                        splice_front(cell, tail);
                         panic_payload = Some(p);
                         break 'events;
                     }
                 }
             }
         }
+        // Hold the quantum to the cap strictly: what it did not get to —
+        // past the cap, or behind a panic (worker-panic teardown fix:
+        // requeued deterministically, not dropped with the dying worker)
+        // — goes back to the *front* of the inbox, ahead of anything that
+        // arrived since the swap. Otherwise one hot node under an echo
+        // storm would monopolize its worker and starve every other
+        // node's timers.
+        splice_front(cell, scratch);
         if panic_payload.is_none() {
             if let Err(p) = guarded(core, out, &ctx.counters, |c, o| c.fire_due(o)) {
                 panic_payload = Some(p);
@@ -386,7 +418,8 @@ fn run_node<A: Automaton>(
 /// A node panic is re-raised here — the worker dies with it and the
 /// supervisor respawns a replacement.
 fn worker_main<A: Automaton>(ctx: &WorkerCtx<A>) {
-    let mut out = Outbox::new();
+    let mut out = Outbox::default();
+    let mut scratch = VecDeque::new();
     while let Ok(idx) = ctx.ready_rx.recv() {
         if idx == STOP {
             return;
@@ -397,7 +430,7 @@ fn worker_main<A: Automaton>(ctx: &WorkerCtx<A>) {
             let next = ctx.shared.urgent.lock().pop_front();
             match next {
                 Some(u) => {
-                    if let Err(p) = run_node(ctx, u as usize, &mut out) {
+                    if let Err(p) = run_node(ctx, u as usize, &mut out, &mut scratch) {
                         std::panic::resume_unwind(p);
                     }
                 }
@@ -405,7 +438,7 @@ fn worker_main<A: Automaton>(ctx: &WorkerCtx<A>) {
             }
         }
         if idx != KICK {
-            if let Err(p) = run_node(ctx, idx as usize, &mut out) {
+            if let Err(p) = run_node(ctx, idx as usize, &mut out, &mut scratch) {
                 std::panic::resume_unwind(p);
             }
         }
@@ -566,7 +599,7 @@ where
         };
         active.push(core.is_some());
         cells.push(Cell {
-            inbox: Mutex::new(Vec::new()),
+            inbox: Mutex::new(VecDeque::new()),
             queued: AtomicBool::new(false),
             wheel_armed: AtomicBool::new(false),
             core: Mutex::new(core),
@@ -576,12 +609,12 @@ where
         cells,
         active,
         ready_tx: ready_tx.clone(),
-        urgent: Mutex::new(std::collections::VecDeque::new()),
+        urgent: Mutex::new(VecDeque::new()),
     });
 
-    let net_sink = {
-        let shared = Arc::clone(&shared);
-        move |to: NodeId, event: NodeEvent<A::Msg>| shared.deliver(to, event)
+    let net_sink = CellSink {
+        shared: Arc::clone(&shared),
+        counters: Arc::clone(&counters),
     };
     let net_chaos = cfg.chaos.as_ref().map(|timeline| {
         let cell = Arc::new(std::sync::OnceLock::new());
@@ -591,7 +624,15 @@ where
             epoch: cell,
         }
     });
-    let network = Network::spawn(net_sink, cfg.n, cfg.d, cfg.u, cfg.seed, net_chaos);
+    let network = Network::spawn(
+        net_sink,
+        cfg.n,
+        cfg.d,
+        cfg.u,
+        cfg.seed,
+        net_chaos,
+        Arc::clone(&counters),
+    );
 
     let (wheel_tx, wheel_rx) = channel::unbounded::<WheelCmd>();
     let granularity = wheel_granularity_ns(cfg.u, cfg.d);
@@ -615,14 +656,13 @@ where
         )
     };
 
-    let net = NetLink::new(network.commands.clone(), Arc::clone(&counters));
     let (exit_tx, exit_rx) = channel::unbounded::<(WorkerCtx<A>, bool)>();
     let worker_handles: Vec<_> = (0..workers)
         .map(|w| {
             let ctx = WorkerCtx {
                 shared: Arc::clone(&shared),
                 ready_rx: ready_rx.clone(),
-                net: net.clone(),
+                net: network.link.clone(),
                 wheel_tx: wheel_tx.clone(),
                 counters: Arc::clone(&counters),
                 heartbeats: Arc::clone(&heartbeats),
@@ -682,7 +722,7 @@ where
     // worker — FIFO ordering drains all pre-shutdown work first.
     for i in 0..cfg.n {
         if silent.binary_search(&i).is_err() {
-            shared.cells[i].inbox.lock().push(NodeEvent::Shutdown);
+            shared.cells[i].inbox.lock().push_back(NodeEvent::Shutdown);
             shared.schedule(i);
         }
     }
@@ -696,14 +736,12 @@ where
     for handle in worker_handles {
         let _ = handle.join();
     }
-    let _ = network.commands.send(NetCommand::Shutdown);
-    let (messages_delivered, chaos_dropped) = network.handle.join().unwrap_or((0, 0));
+    let (messages_delivered, chaos_dropped) = network.shutdown();
     let _ = wheel_tx.send(WheelCmd::Stop);
     let _ = timer_handle.join();
     // The watchdog's nudge closure holds the `Shared` handle; join it
     // before harvesting.
     let _ = watchdog.join();
-    drop(net);
 
     // Everything is joined: harvest without contention. Events still
     // queued (deliveries that raced shutdown) are counted as discarded,
@@ -726,5 +764,116 @@ where
         messages_delivered,
         chaos_dropped,
         supervision: counters.snapshot(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crusader_crypto::CarriesSignatures;
+    use crusader_sim::{Context, TimerId};
+    use crusader_time::LocalTime;
+
+    use super::*;
+    use crate::{run, Backend};
+
+    #[derive(Clone, Debug)]
+    struct Note;
+    impl CarriesSignatures for Note {}
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Seen {
+        Note,
+        Tick,
+    }
+
+    /// More than two full quanta, so the cap has to hold twice.
+    const BURST: usize = 2 * BATCH_EVENTS + 88;
+
+    /// Node 0 sends node 1 the whole burst from `on_init`; node 1 naps
+    /// over every 64th note, long enough for a tick to come due in every
+    /// quantum; node 2 ticks every millisecond. Notes and ticks go into
+    /// one log in the order the (single) worker ran them.
+    struct Crowd {
+        notes: usize,
+        log: Arc<Mutex<Vec<Seen>>>,
+    }
+
+    impl Automaton for Crowd {
+        type Msg = Note;
+
+        fn on_init(&mut self, ctx: &mut dyn Context<Note>) {
+            match ctx.me().index() {
+                0 => (0..BURST).for_each(|_| ctx.send(NodeId::new(1), Note)),
+                2 => {
+                    ctx.set_timer_at(LocalTime::from_millis(1.0));
+                }
+                _ => {}
+            }
+        }
+
+        fn on_message(&mut self, _from: NodeId, _msg: Note, _ctx: &mut dyn Context<Note>) {
+            self.log.lock().push(Seen::Note);
+            self.notes += 1;
+            if self.notes % 64 == 1 {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+
+        fn on_timer(&mut self, _timer: TimerId, ctx: &mut dyn Context<Note>) {
+            self.log.lock().push(Seen::Tick);
+            let next = ctx.local_time() + Dur::from_millis(1.0);
+            ctx.set_timer_at(next);
+        }
+    }
+
+    /// One hand-off may put any number of events into an inbox; a quantum
+    /// still runs at most `BATCH_EVENTS` of them, and another node's due
+    /// timer runs before the next quantum does.
+    #[test]
+    fn a_hand_off_longer_than_the_cap_is_run_a_quantum_at_a_time() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let cfg = RuntimeConfig {
+            // No delay uncertainty: the burst shares its send instant, so
+            // it shares its delivery instant, sweep and hand-off too.
+            d: Dur::from_millis(20.0),
+            u: Dur::ZERO,
+            theta: 1.0,
+            max_offset: Dur::ZERO,
+            run_for: Duration::from_millis(500),
+            backend: Backend::Reactor,
+            workers: Some(1),
+            ..RuntimeConfig::new(3)
+        };
+        let report = run(&cfg, |_| Crowd {
+            notes: 0,
+            log: Arc::clone(&log),
+        });
+        assert!(
+            report.trace.violations.is_empty(),
+            "{:?}",
+            report.trace.violations
+        );
+        assert_eq!(report.messages_delivered, BURST as u64);
+        assert_eq!(report.supervision.net_commands, 1);
+        assert_eq!(report.supervision.inbox_handoffs, 1);
+
+        let log = log.lock();
+        let notes: Vec<usize> = (0..log.len()).filter(|&i| log[i] == Seen::Note).collect();
+        assert_eq!(notes.len(), BURST, "an event was lost or run twice");
+        let (first, last) = (notes[0], notes[BURST - 1]);
+        let longest = log[first..=last]
+            .split(|&seen| seen == Seen::Tick)
+            .map(<[Seen]>::len)
+            .max()
+            .expect("the burst is in the log");
+        assert!(
+            longest <= BATCH_EVENTS,
+            "{longest} handlers of one node ran back to back"
+        );
+        let ticks_between = last - first + 1 - BURST;
+        assert!(
+            ticks_between >= 2,
+            "{ticks_between} ticks ran between the burst's three quanta"
+        );
     }
 }

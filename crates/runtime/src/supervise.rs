@@ -40,11 +40,21 @@ pub struct SupervisionStats {
     /// Silent node stalls detected by the watchdog (a registered timer
     /// deadline overdue by more than the stall threshold).
     pub stalls_detected: u64,
-    /// Sends that needed at least one retry because the network sink
-    /// was full.
+    /// Retries of a command push because the network queue was full.
     pub net_retries: u64,
-    /// Sends dropped after every retry attempt timed out.
+    /// Messages dropped after every retry attempt of the command
+    /// carrying them timed out (a command holds up to a quantum's sends,
+    /// and each one counts).
     pub net_sends_failed: u64,
+    /// Commands the network thread ingested. A command carries
+    /// everything one flush held, so messages per command says how well
+    /// the send side batches.
+    pub net_commands: u64,
+    /// Inbox hand-offs the network made: on the reactor one lock and one
+    /// wake-up check each, carrying everything a delivery sweep held for
+    /// that node; on the thread backend one channel send per event.
+    /// `messages_delivered` over this says how well delivery batches.
+    pub inbox_handoffs: u64,
     /// Queued node events discarded at teardown or past a shutdown —
     /// counted, never silently lost, so panic-path runs cannot distort
     /// message accounting unnoticed.
@@ -65,6 +75,8 @@ pub(crate) struct Counters {
     stalls_detected: AtomicU64,
     net_retries: AtomicU64,
     net_sends_failed: AtomicU64,
+    net_commands: AtomicU64,
+    inbox_handoffs: AtomicU64,
     events_discarded: AtomicU64,
     fault_budget: u64,
     degraded: AtomicBool,
@@ -78,6 +90,8 @@ impl Counters {
             stalls_detected: AtomicU64::new(0),
             net_retries: AtomicU64::new(0),
             net_sends_failed: AtomicU64::new(0),
+            net_commands: AtomicU64::new(0),
+            inbox_handoffs: AtomicU64::new(0),
             events_discarded: AtomicU64::new(0),
             fault_budget: (n.saturating_sub(1) / 2) as u64,
             degraded: AtomicBool::new(false),
@@ -100,8 +114,16 @@ impl Counters {
         self.net_retries.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn note_net_send_failed(&self) {
-        self.net_sends_failed.fetch_add(1, Ordering::Relaxed);
+    pub fn note_net_sends_failed(&self, count: u64) {
+        self.net_sends_failed.fetch_add(count, Ordering::Relaxed);
+    }
+
+    pub fn note_net_commands(&self, count: u64) {
+        self.net_commands.fetch_add(count, Ordering::Relaxed);
+    }
+
+    pub fn note_inbox_handoff(&self) {
+        self.inbox_handoffs.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn note_discarded(&self, count: u64) {
@@ -137,6 +159,8 @@ impl Counters {
             stalls_detected: self.stalls_detected.load(Ordering::Relaxed),
             net_retries: self.net_retries.load(Ordering::Relaxed),
             net_sends_failed: self.net_sends_failed.load(Ordering::Relaxed),
+            net_commands: self.net_commands.load(Ordering::Relaxed),
+            inbox_handoffs: self.inbox_handoffs.load(Ordering::Relaxed),
             events_discarded: self.events_discarded.load(Ordering::Relaxed),
             fault_budget: self.fault_budget,
             degraded: self.degraded.load(Ordering::Acquire),
@@ -287,13 +311,17 @@ mod tests {
         c.note_respawn();
         c.note_net_retry();
         c.note_net_retry();
-        c.note_net_send_failed();
+        c.note_net_sends_failed(1);
+        c.note_net_commands(3);
+        c.note_inbox_handoff();
         c.note_discarded(5);
         c.note_discarded(0);
         let snap = c.snapshot();
         assert_eq!(snap.worker_respawns, 1);
         assert_eq!(snap.net_retries, 2);
         assert_eq!(snap.net_sends_failed, 1);
+        assert_eq!(snap.net_commands, 3);
+        assert_eq!(snap.inbox_handoffs, 1);
         assert_eq!(snap.events_discarded, 5);
         assert_eq!(snap.fault_budget, 4);
         assert!(!snap.degraded);

@@ -1,8 +1,9 @@
 //! Supervision-layer tests: injected panic drills are contained on both
 //! backends (the reactor additionally respawns the worker that died
 //! carrying the panic), no node is lost, and requeued events are never
-//! double-delivered — under hand-picked and property-randomized panic
-//! schedules.
+//! lost, double-delivered or reordered — even when the inbox holds more
+//! than a quantum's worth at the panic — under hand-picked and
+//! property-randomized panic schedules.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -128,17 +129,29 @@ fn threads_contain_injected_panic_in_place() {
     assert_eq!(sup.worker_respawns, 0, "{sup:?}");
 }
 
-/// Sequence-stamped gossip for the double-delivery check: every node
-/// broadcasts a strictly increasing sequence number on a 10 ms cadence
-/// and every receiver flags an exact repeat of a (sender, seq) pair —
-/// which is precisely what a doubly-requeued inbox event would produce.
+/// Pings per tick and sender. The link below has no delay uncertainty,
+/// so a tick's pings share their delivery instant and land in each
+/// receiver's inbox as *one* hand-off — longer than the reactor's
+/// 256-event quantum, so a panic in it has a tail past the cap to requeue.
+const BURST: u64 = 600;
+
+/// Every node panics on this ping of node 0's, in its own handler: the
+/// hundredth of node 0's second burst, with 500 of the same hand-off
+/// still behind it. Unlike the timeline's drills, which fall where the
+/// clock puts them, this one is mid-batch by construction.
+const PANIC_SEQ: u64 = BURST + 100;
+
+/// Sequence-stamped gossip for the loss and double-delivery check: every
+/// node broadcasts a burst of strictly increasing sequence numbers on a
+/// 10 ms cadence, and every receiver holds each sender to exactly that
+/// sequence. A requeued inbox tail that lost an event, ran one twice or
+/// came back out of order breaks it.
 ///
-/// The detector deliberately tolerates *reordering*: the network model
-/// delivers with iid delays in `[d − u, d]` and never promised FIFO, so
-/// two broadcasts fired back-to-back while a node catches up on overdue
-/// timers after a respawn stall can legally swap in flight. (The cadence
-/// is re-armed relative to the current local time for the same reason —
-/// a stalled node must not burst out its backlog in one instant.)
+/// Expecting order is fair here, though the network never promised FIFO:
+/// with `u = 0` every flight takes exactly `d`, one sender's commands are
+/// stamped in the order it flushed them, and ties deliver in send order.
+/// (The cadence is re-armed relative to the current local time, so a node
+/// stalled by a respawn does not fire its backlog in one instant.)
 #[derive(Debug, Clone)]
 struct Ping {
     seq: u64,
@@ -147,14 +160,17 @@ impl CarriesSignatures for Ping {}
 
 struct Pinger {
     seq: u64,
-    seen: Vec<std::collections::HashSet<u64>>,
+    ticks: u64,
+    /// The last sequence number seen from each sender.
+    last: Vec<u64>,
 }
 
 impl Pinger {
     fn new(n: usize) -> Self {
         Pinger {
             seq: 0,
-            seen: vec![std::collections::HashSet::new(); n],
+            ticks: 0,
+            last: vec![0; n],
         }
     }
 }
@@ -167,15 +183,22 @@ impl Automaton for Pinger {
     }
 
     fn on_message(&mut self, from: NodeId, msg: Ping, ctx: &mut dyn Context<Ping>) {
-        if !self.seen[from.index()].insert(msg.seq) {
-            ctx.mark_violation(format!("{from} delivered seq {} twice", msg.seq));
+        let last = std::mem::replace(&mut self.last[from.index()], msg.seq);
+        if msg.seq != last + 1 {
+            ctx.mark_violation(format!("{from} delivered seq {} after {last}", msg.seq));
+        }
+        if from.index() == 0 && msg.seq == PANIC_SEQ {
+            panic!("injected fault: ping {PANIC_SEQ} of node 0");
         }
     }
 
     fn on_timer(&mut self, _t: TimerId, ctx: &mut dyn Context<Ping>) {
-        self.seq += 1;
-        ctx.broadcast(Ping { seq: self.seq });
-        ctx.pulse(self.seq);
+        for _ in 0..BURST {
+            self.seq += 1;
+            ctx.broadcast(Ping { seq: self.seq });
+        }
+        self.ticks += 1;
+        ctx.pulse(self.ticks);
         let next = ctx.local_time() + Dur::from_millis(10.0);
         ctx.set_timer_at(next);
     }
@@ -184,10 +207,11 @@ impl Automaton for Pinger {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-    /// Random panic schedules on both backends: no node ever disappears
-    /// (everyone keeps pulsing), no requeued message is double-delivered
-    /// (no receiver ever sees the same (sender, seq) pair twice), and
-    /// every scheduled drill is accounted for.
+    /// Random panic schedules on both backends, on top of the one panic
+    /// every node throws mid-batch: no node ever disappears (everyone
+    /// keeps pulsing), no requeued message is lost, double-delivered or
+    /// reordered (every receiver sees every sender's exact sequence),
+    /// and every panic is accounted for.
     #[test]
     fn respawn_after_panic_loses_no_node_and_no_message(
         seed in 0u64..1_000,
@@ -205,7 +229,7 @@ proptest! {
             let cfg = RuntimeConfig {
                 n: 4,
                 d: Dur::from_millis(3.0),
-                u: Dur::from_millis(1.0),
+                u: Dur::ZERO,
                 theta: 1.001,
                 max_offset: Dur::from_millis(0.5),
                 run_for: Duration::from_millis(150),
@@ -228,21 +252,11 @@ proptest! {
                 );
             }
             let sup = report.supervision;
-            prop_assert_eq!(
-                sup.worker_panics,
-                drills.len() as u64,
-                "{}: {:?}",
-                backend,
-                sup
-            );
+            // The drills, plus each node's own panic on `PANIC_SEQ`.
+            let panics = drills.len() as u64 + 4;
+            prop_assert_eq!(sup.worker_panics, panics, "{}: {:?}", backend, sup);
             if backend == Backend::Reactor {
-                prop_assert_eq!(
-                    sup.worker_respawns,
-                    drills.len() as u64,
-                    "{}: {:?}",
-                    backend,
-                    sup
-                );
+                prop_assert_eq!(sup.worker_respawns, panics, "{}: {:?}", backend, sup);
             } else {
                 prop_assert_eq!(sup.worker_respawns, 0);
             }
