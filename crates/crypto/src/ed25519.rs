@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use ed25519_dalek::{Signer as _, SigningKey, VerifyingKey};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -51,7 +53,7 @@ impl Ed25519Scheme {
     #[must_use]
     pub fn sign(&self, node: NodeId, msg: &[u8]) -> Signature {
         let sig = self.signing[node.index()].sign(msg);
-        Signature::Ed25519(Box::new(sig.to_bytes()))
+        Signature::Ed25519(Arc::new(sig.to_bytes()))
     }
 
     /// Verifies a signature.
@@ -102,11 +104,13 @@ mod tests {
     fn tampered_signature_rejected() {
         let s = Ed25519Scheme::new(3, 1);
         let sig = s.sign(NodeId::new(2), b"pulse 7");
-        let Signature::Ed25519(mut bytes) = sig else {
+        let Signature::Ed25519(bytes) = sig else {
             panic!("expected ed25519 signature");
         };
+        let mut bytes = *bytes;
         bytes[5] ^= 0xff;
-        assert!(!s.verify(NodeId::new(2), b"pulse 7", &Signature::Ed25519(bytes)));
+        let tampered = Signature::Ed25519(Arc::new(bytes));
+        assert!(!s.verify(NodeId::new(2), b"pulse 7", &tampered));
     }
 
     #[test]

@@ -47,6 +47,7 @@ pub use ring::{KeyRing, RestrictedSigner};
 pub use symbolic::SymbolicScheme;
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A signature produced by one of the supported schemes.
 ///
@@ -56,8 +57,11 @@ use std::fmt;
 pub enum Signature {
     /// A symbolic (ideal-model) signature: a 64-bit keyed tag.
     Symbolic(u64),
-    /// A real ed25519 signature (64 bytes).
-    Ed25519(Box<[u8; 64]>),
+    /// A real ed25519 signature (64 bytes). Shared, not owned: a signed
+    /// message is cloned once per destination it is delivered to, and a
+    /// clone bumps a count instead of allocating 64 bytes on one thread
+    /// for another to free. Equality, hashing and `Debug` see the bytes.
+    Ed25519(Arc<[u8; 64]>),
 }
 
 impl fmt::Debug for Signature {
@@ -97,7 +101,25 @@ mod tests {
     fn signature_debug_is_nonempty() {
         let s = Signature::Symbolic(0xdead_beef);
         assert!(!format!("{s:?}").is_empty());
-        let e = Signature::Ed25519(Box::new([7u8; 64]));
+        let e = Signature::Ed25519(Arc::new([7u8; 64]));
         assert!(format!("{e:?}").contains("ed25519"));
+    }
+
+    #[test]
+    fn an_ed25519_clone_shares_its_bytes_and_compares_by_them() {
+        use std::hash::BuildHasher;
+
+        let sig = Signature::Ed25519(Arc::new([7u8; 64]));
+        let clone = sig.clone();
+        let (Signature::Ed25519(a), Signature::Ed25519(b)) = (&sig, &clone) else {
+            panic!("expected ed25519 signatures");
+        };
+        assert!(Arc::ptr_eq(a, b), "a clone allocated");
+        // Equal bytes in storage of their own are the same signature.
+        let apart = Signature::Ed25519(Arc::new([7u8; 64]));
+        assert_eq!(sig, apart);
+        let hash = |s: &Signature| FxBuildHasher::default().hash_one(s);
+        assert_eq!(hash(&sig), hash(&apart));
+        assert_ne!(sig, Signature::Ed25519(Arc::new([8u8; 64])));
     }
 }

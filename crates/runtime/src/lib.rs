@@ -32,10 +32,15 @@
 //! Host scheduling jitter is physically indistinguishable from message
 //! delay, so it effectively inflates `u`: configure millisecond-scale
 //! `d`/`u` (WAN-like), not microseconds, and treat skew numbers from this
-//! runtime as environment-dependent. (On the reactor backend the timer
-//! wheel's tick granularity — at most `u/64`, clamped to `[50 µs, 1 ms]`
-//! — adds to the same budget.) All bound-checking experiments use the
-//! simulator.
+//! runtime as environment-dependent. The runtime's own grid adds to the
+//! same budget: the network thread and the reactor's timer wheel share
+//! one tick — at most `u/64`, clamped to `[50 µs, 1 ms]`. A timer wake
+//! is up to one tick late. A delivery is rounded *up* to the grid after
+//! a flight drawn from `[d − u, d − tick]`, so it stays inside
+//! `[d − u, d]` whenever `u` is at least one tick; for a smaller `u`
+//! (under 50 µs, `u = 0` included) it is never early and overshoots `d`
+//! by less than one tick, which is the kernel's own timer slack. All
+//! bound-checking experiments use the simulator.
 //!
 //! # Example
 //!
@@ -81,6 +86,27 @@ pub use clock::EmulatedClock;
 pub use harness::{run, Backend, RuntimeConfig, RuntimeReport};
 pub use net::NodeEvent;
 pub use supervise::SupervisionStats;
+
+use crusader_time::Dur;
+
+/// The tick, in nanoseconds, of the one grid the runtime keeps time on:
+/// the reactor's timer wheel fires wake-ups on it and the network thread
+/// delivers on it. Fine enough that being up to one tick late is small
+/// against the delay uncertainty `u` (protocol deadlines compound two or
+/// three timer hops, so lateness must be ≪ the slack `u` provides),
+/// coarse enough that neither thread spins and that a tick's deliveries
+/// are worth a wake-up: `min(u, d)/64`, clamped to `[50 µs, 1 ms]`.
+pub(crate) fn tick_ns(u: Dur, d: Dur) -> u64 {
+    whole_nanos(u.min(d) / 64.0).clamp(50_000, 1_000_000)
+}
+
+/// `dur` in whole nanoseconds; a negative one is zero.
+pub(crate) fn whole_nanos(dur: Dur) -> u64 {
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    {
+        dur.as_nanos().max(0.0) as u64
+    }
+}
 
 #[cfg(test)]
 mod tests {

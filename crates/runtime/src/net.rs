@@ -1,15 +1,58 @@
 //! The delay-injecting network thread, shared by both backends.
 //!
 //! Receives send/broadcast commands from node handlers, holds each
-//! message for a uniformly random flight time in `[d − u, d]` (drawn
-//! per *destination*, exactly like the simulator's random delay model),
-//! then hands it to the backend through a [`DeliverySink`] — a channel
-//! push for the thread backend, an inbox hand-off plus wakeup for the
-//! reactor.
+//! message for a random flight time inside `[d − u, d]` (drawn per
+//! *destination*, like the simulator's random delay model), then hands
+//! it to the backend through a [`DeliverySink`] — a channel push for the
+//! thread backend, an inbox hand-off plus wakeup for the reactor.
 //!
-//! Both directions move batches, because at a million messages a second
-//! what a message costs is the channel operation around it, not the
-//! heap push:
+//! # The tick grid
+//!
+//! The thread acts on the grid the reactor's timer wheel uses: ticks of
+//! [`tick_ns`](crate::tick_ns) nanoseconds (`min(u, d)/64`, clamped to
+//! `[50 µs, 1 ms]`), counted from the instant the thread was set up. A
+//! message's flight is drawn uniformly, in whole nanoseconds, from
+//! `[d − u, max(d − u, d − tick)]`, and its delivery instant is rounded
+//! **up** to the grid. So a message is never handed over before
+//! `sent_at + (d − u)`, and whenever `u ≥ tick` it is never scheduled
+//! after `sent_at + d`: the model's window holds, its top tick's worth
+//! folded into the rounding. For `u < tick` — a `u` below 50 µs, which
+//! includes the `u = 0` links some tests use — the window is narrower
+//! than the grid and the rounding overshoots `sent_at + d` by less than
+//! one tick. That is the kernel's own timer slack, which no sleeping
+//! thread on this host undercuts, and the crate docs fold it into the
+//! same "the host inflates `u`" caveat as the wheel's tick.
+//!
+//! A CPS round is `n³` deliveries spread over `2u`: at their drawn
+//! instants they come due a microsecond apart, and every one of them
+//! that the thread sleeps towards costs a timer slack, a preemption and
+//! a wake-up of the parked worker. On the grid the loop sleeps until
+//! the next *occupied* tick and hands the whole tick over, one hand-off
+//! per destination: at most `2u/tick + 2` sweeps a round however many
+//! messages it holds.
+//!
+//! # The tick ring
+//!
+//! Every message of a tick shares its instant, so what is in flight
+//! needs no ordering beyond "which tick" and "arrival order within it".
+//! [`TickRing`] keeps one slab of entries threaded into per-tick FIFO
+//! lists (`next` index per entry, `(head, tail)` per tick, freed entries
+//! on a free list), and a ring of ticks that spans only the first to the
+//! last *occupied* tick. Push and pop are `O(1)`; the front tick is never
+//! empty while anything is in flight, so the sleep deadline is `O(1)`
+//! too. The slab is as long as the most messages ever in flight at once
+//! and the ring costs eight bytes per tick between the earliest and the
+//! latest delivery outstanding — neither grows with `d/tick` for a burst
+//! on a long link, nor with the fullest tick (one queue per tick would
+//! keep every tick's peak capacity for good). A push earlier than
+//! everything in flight (a sweep that ran late, a `d − u` below one tick)
+//! becomes the new front tick: due at once, never lost, and with no
+//! rotation to wait out.
+//!
+//! # Batches in both directions
+//!
+//! At a million messages a second what a message costs is the channel
+//! operation around it, not the ring push:
 //!
 //! * **In.** A worker quantum's sends and broadcasts arrive as *one*
 //!   [`NetCommand::Batch`] (a lone message still travels as a bare
@@ -21,31 +64,35 @@
 //!   state allocates nothing — and frees nothing across threads, which
 //!   is what keeps the allocator's arenas from growing.
 //! * **Out.** What is due in one sweep (again at most [`TURN_BUDGET`]
-//!   messages, so a burst coming due cannot starve the ingest either)
-//!   is staged per destination and handed over with one
+//!   messages, so a burst coming due cannot starve the ingest either; a
+//!   tick that holds more is handed over across sweeps, in arrival
+//!   order) is staged per destination and handed over with one
 //!   [`DeliverySink::deliver_batch`] per destination: on the reactor one
 //!   inbox lock, one append and one `schedule`, however many messages
 //!   the sweep held for that node.
 //!
 //! Every command goes through one enqueue routine, so the chaos checks
-//! (link cut per `(from, to)`, storm and flood per send instant), the
-//! per-destination delay draw and the `seq` tie-break are per message
-//! exactly as they were when every message was its own command. The one
-//! thing a batch shares is its **send instant**: `sent_at` is read once,
-//! when the net thread dequeues the command, so all sends of one quantum
-//! start their flight together (and a little later than `ctx.send` was
-//! called — by the rest of the quantum plus the queueing). The read is
-//! never earlier than the handler's call, so no message is delivered
-//! before its real send instant plus `d − u`.
+//! (link cut per `(from, to)`, storm and flood per send instant) and the
+//! per-destination delay draw are per message exactly as they were when
+//! every message was its own command. A storm pins a message to the top
+//! of the drawn range and a rushed flood copy to its bottom, so both
+//! stay inside the window like any other draw. What a batch shares is
+//! its **send instant**: `sent_at` is read once, when the net thread
+//! dequeues the command, so all sends of one quantum start their flight
+//! together (and a little later than `ctx.send` was called — by the rest
+//! of the quantum plus the queueing). The read is never earlier than the
+//! handler's call, so no message is delivered before its real send
+//! instant plus `d − u`. What a tick shares is its **delivery instant**:
+//! each destination gets its messages in `(tick, arrival)` order.
 //!
 //! Broadcasts travel from the sender to this thread as **one** value
 //! and are held behind one `Arc` while in flight; the per-destination
 //! clone happens only at delivery time. At reactor scale this matters
 //! twice: a 2048-node broadcast is one channel send instead of 2048, and
-//! the in-flight heap holds 16-byte-ish entries sharing a payload
-//! instead of 2048 deep copies.
+//! the ring holds small entries sharing a payload instead of 2048 deep
+//! copies.
 
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -57,10 +104,11 @@ use crusader_sim::{ChaosTimeline, FloodSpec};
 use crusader_time::{Dur, Time};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 use crate::node::Outbox;
 use crate::supervise::Counters;
+use crate::{tick_ns, whole_nanos};
 
 /// What a node receives from the runtime.
 #[derive(Debug)]
@@ -162,32 +210,127 @@ impl<M: Clone> Payload<M> {
     }
 }
 
-struct InFlight<M> {
-    deliver_at: Instant,
-    seq: u64,
+/// End-of-list mark in the [`TickRing`]'s entry indices.
+const NIL: u32 = u32::MAX;
+
+/// One message in flight, or a free slab entry (`payload` is `None`).
+/// `next` is the entry behind it in its tick, or the next free entry.
+struct Entry<M> {
+    next: u32,
     from: NodeId,
     to: NodeId,
-    payload: Payload<M>,
+    payload: Option<Payload<M>>,
 }
 
-impl<M> PartialEq for InFlight<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.deliver_at == other.deliver_at && self.seq == other.seq
-    }
+/// One tick's FIFO list of slab entries: `(head, tail)`, both [`NIL`]
+/// when no message is due in the tick.
+#[derive(Clone, Copy)]
+struct TickList {
+    head: u32,
+    tail: u32,
 }
-impl<M> Eq for InFlight<M> {}
-impl<M> PartialOrd for InFlight<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+
+const NO_MESSAGES: TickList = TickList {
+    head: NIL,
+    tail: NIL,
+};
+
+/// The messages in flight, by delivery tick, in arrival order within a
+/// tick (module docs, *The tick ring*).
+struct TickRing<M> {
+    /// The slab: grows only when the free list is empty, so its length
+    /// is the most messages ever in flight at once.
+    entries: Vec<Entry<M>>,
+    /// Head of the free list threaded through `entries`.
+    free: u32,
+    /// The ticks from `first` to the last occupied one. Neither end is
+    /// ever an empty tick; the ones in between may be.
+    ticks: VecDeque<TickList>,
+    /// The tick of `ticks[0]`.
+    first: u64,
+    len: usize,
 }
-impl<M> Ord for InFlight<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by delivery time.
-        other
-            .deliver_at
-            .cmp(&self.deliver_at)
-            .then(other.seq.cmp(&self.seq))
+
+impl<M> TickRing<M> {
+    fn new() -> Self {
+        TickRing {
+            entries: Vec::new(),
+            free: NIL,
+            ticks: VecDeque::new(),
+            first: 0,
+            len: 0,
+        }
+    }
+
+    /// The earliest tick with a message in it.
+    fn first_tick(&self) -> Option<u64> {
+        (!self.ticks.is_empty()).then_some(self.first)
+    }
+
+    /// Appends a message to `tick`'s list. A tick earlier than
+    /// everything in flight becomes the new front.
+    fn push(&mut self, tick: u64, from: NodeId, to: NodeId, payload: Payload<M>) {
+        let entry = Entry {
+            next: NIL,
+            from,
+            to,
+            payload: Some(payload),
+        };
+        let at = if self.free == NIL {
+            let at = u32::try_from(self.entries.len()).expect("the slab is indexed by u32");
+            assert!(at != NIL, "2^32 messages in flight");
+            self.entries.push(entry);
+            at
+        } else {
+            let at = self.free;
+            self.free = std::mem::replace(&mut self.entries[at as usize], entry).next;
+            at
+        };
+        if self.ticks.is_empty() {
+            self.first = tick;
+        }
+        for _ in tick..self.first {
+            self.ticks.push_front(NO_MESSAGES);
+        }
+        self.first = self.first.min(tick);
+        let offset = usize::try_from(tick - self.first).expect("ticks in flight fit in memory");
+        if offset >= self.ticks.len() {
+            self.ticks.resize(offset + 1, NO_MESSAGES);
+        }
+        let list = &mut self.ticks[offset];
+        if list.head == NIL {
+            list.head = at;
+        } else {
+            self.entries[list.tail as usize].next = at;
+        }
+        list.tail = at;
+        self.len += 1;
+    }
+
+    /// Takes the oldest message of the earliest tick, if that tick is
+    /// `now_tick` or earlier.
+    fn pop_due(&mut self, now_tick: u64) -> Option<(NodeId, NodeId, Payload<M>)> {
+        if self.first > now_tick {
+            return None;
+        }
+        let list = self.ticks.front_mut()?;
+        let at = list.head;
+        let entry = &mut self.entries[at as usize];
+        let payload = entry
+            .payload
+            .take()
+            .expect("a listed entry holds a message");
+        let popped = (entry.from, entry.to, payload);
+        list.head = std::mem::replace(&mut entry.next, self.free);
+        self.free = at;
+        self.len -= 1;
+        // Keep the front occupied: drop this tick once it is empty, and
+        // the empty ones behind it.
+        while self.ticks.front().is_some_and(|list| list.head == NIL) {
+            self.ticks.pop_front();
+            self.first += 1;
+        }
+        Some(popped)
     }
 }
 
@@ -367,9 +510,10 @@ impl<M: Clone + Send + Sync + 'static> Network<M> {
 /// What every message of one command shares: the instant its flight
 /// starts and the chaos windows open at that instant.
 struct Departure {
-    sent_at: Instant,
-    /// Scenario time of `sent_at`; zero until the epoch is anchored
-    /// (all chaos windows open strictly after time zero).
+    /// The send instant, in nanoseconds on the grid's clock.
+    sent_ns: u64,
+    /// Scenario time of the send instant; zero until the epoch is
+    /// anchored (all chaos windows open strictly after time zero).
     t: Time,
     storming: bool,
     flood: Option<FloodSpec>,
@@ -379,13 +523,16 @@ struct Departure {
 /// times. Kept apart from the thread's loop so that tests can drive it
 /// with instants of their choosing.
 struct Flights<M> {
-    heap: BinaryHeap<InFlight<M>>,
-    seq: u64,
+    ring: TickRing<M>,
     rng: SmallRng,
     n: usize,
-    /// Flight-time range `[d − u, d]`.
-    min: Duration,
-    max: Duration,
+    /// Where the grid starts, and its tick in nanoseconds.
+    origin: Instant,
+    tick: u64,
+    /// Flights are `min_ns` plus a draw from `0..=spread_ns`: the range
+    /// `[d − u, max(d − u, d − tick)]` of the module docs.
+    min_ns: u64,
+    spread_ns: u64,
     chaos: Option<NetChaos>,
     chaos_dropped: u64,
     delivered: u64,
@@ -406,13 +553,16 @@ impl<M: Clone> Flights<M> {
         chaos: Option<NetChaos>,
         spare: Arc<Mutex<Vec<Outbox<M>>>>,
     ) -> Self {
+        let tick = tick_ns(u, d);
+        let min_ns = whole_nanos(d - u);
         Flights {
-            heap: BinaryHeap::new(),
-            seq: 0,
+            ring: TickRing::new(),
             rng: SmallRng::seed_from_u64(seed ^ 0x7e7e_0000_0000_0001),
             n,
-            min: Duration::from_secs_f64((d - u).as_secs().max(0.0)),
-            max: Duration::from_secs_f64(d.as_secs()),
+            origin: Instant::now(),
+            tick,
+            min_ns,
+            spread_ns: whole_nanos(d).saturating_sub(tick).saturating_sub(min_ns),
             chaos,
             chaos_dropped: 0,
             delivered: 0,
@@ -422,32 +572,42 @@ impl<M: Clone> Flights<M> {
         }
     }
 
-    fn draw_delay(&mut self) -> Duration {
-        if self.max > self.min {
-            let secs = self
-                .rng
-                .gen_range(self.min.as_secs_f64()..=self.max.as_secs_f64());
-            Duration::from_secs_f64(secs)
-        } else {
-            self.max
+    /// `at` in nanoseconds on the grid's clock (zero before its origin).
+    fn nanos_of(&self, at: Instant) -> u64 {
+        #[allow(clippy::cast_possible_truncation)]
+        {
+            at.saturating_duration_since(self.origin).as_nanos() as u64
         }
     }
 
-    fn push(&mut self, from: NodeId, to: NodeId, deliver_at: Instant, payload: Payload<M>) {
-        self.heap.push(InFlight {
-            deliver_at,
-            seq: self.seq,
-            from,
-            to,
-            payload,
-        });
-        self.seq += 1;
+    /// A flight time in nanoseconds, uniform over the drawn range.
+    fn draw_flight(&mut self) -> u64 {
+        // Multiply-shift instead of a modulo: no division, and a bias
+        // of the range over 2⁶⁴.
+        let range = u128::from(self.spread_ns) + 1;
+        #[allow(clippy::cast_possible_truncation)]
+        let drawn = ((u128::from(self.rng.next_u64()) * range) >> 64) as u64;
+        self.min_ns + drawn
+    }
+
+    /// Puts a message in flight for `flight_ns`, its delivery rounded
+    /// up to the grid so that it is never handed over early.
+    fn push(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        dep: &Departure,
+        flight_ns: u64,
+        payload: Payload<M>,
+    ) {
+        let tick = (dep.sent_ns + flight_ns).div_ceil(self.tick);
+        self.ring.push(tick, from, to, payload);
     }
 
     /// Puts one message for one destination in flight: the link-cut
-    /// check, the flood copies (rushed to the minimum delay or drawn),
-    /// then the message itself (pinned to the maximum delay in a storm,
-    /// else drawn).
+    /// check, the flood copies (rushed to the bottom of the range or
+    /// drawn), then the message itself (pinned to the top of the range
+    /// in a storm, else drawn).
     fn route(&mut self, from: NodeId, to: NodeId, payload: Payload<M>, dep: &Departure) {
         if self
             .chaos
@@ -461,24 +621,24 @@ impl<M: Clone> Flights<M> {
             Some(spec) => {
                 let shared = payload.into_shared();
                 for _ in 0..spec.copies {
-                    let delay = if spec.rush {
-                        self.min
+                    let flight = if spec.rush {
+                        self.min_ns
                     } else {
-                        self.draw_delay()
+                        self.draw_flight()
                     };
                     let copy = Payload::Shared(Arc::clone(&shared));
-                    self.push(from, to, dep.sent_at + delay, copy);
+                    self.push(from, to, dep, flight, copy);
                 }
                 Payload::Shared(shared)
             }
             None => payload,
         };
-        let delay = if dep.storming {
-            self.max
+        let flight = if dep.storming {
+            self.min_ns + self.spread_ns
         } else {
-            self.draw_delay()
+            self.draw_flight()
         };
-        self.push(from, to, dep.sent_at + delay, payload);
+        self.push(from, to, dep, flight, payload);
     }
 
     fn fan_out(&mut self, from: NodeId, msg: M, dep: &Departure) {
@@ -488,10 +648,10 @@ impl<M: Clone> Flights<M> {
         }
     }
 
-    /// Puts everything `cmd` carries in flight, departing now. Returns
+    /// Puts everything `cmd` carries in flight, departing at `sent_at`
+    /// (the thread passes the instant it dequeued the command). Returns
     /// `false` for `Shutdown`.
-    fn enqueue(&mut self, cmd: NetCommand<M>) -> bool {
-        let sent_at = Instant::now();
+    fn enqueue(&mut self, cmd: NetCommand<M>, sent_at: Instant) -> bool {
         let (t, storming, flood) = match &self.chaos {
             Some(c) => {
                 let t = c.epoch.get().map_or(Time::ZERO, |epoch| {
@@ -502,7 +662,7 @@ impl<M: Clone> Flights<M> {
             None => (Time::ZERO, false, None),
         };
         let dep = Departure {
-            sent_at,
+            sent_ns: self.nanos_of(sent_at),
             t,
             storming,
             flood,
@@ -527,22 +687,31 @@ impl<M: Clone> Flights<M> {
         true
     }
 
-    /// One delivery sweep: hands the messages due by `now` — the
-    /// earliest [`TURN_BUDGET`] of them, if there are more — to `sink`,
-    /// staged per destination in `(deliver_at, seq)` order, then one
-    /// `deliver_batch` per destination that has any.
+    /// The instant of the earliest occupied tick: when the next sweep
+    /// has something to hand over.
+    fn next_due(&self) -> Option<Instant> {
+        self.ring
+            .first_tick()
+            .map(|tick| self.origin + Duration::from_nanos(tick * self.tick))
+    }
+
+    /// One delivery sweep: hands the messages of every tick that has
+    /// come by `now` — the earliest [`TURN_BUDGET`] of them, if there
+    /// are more — to `sink`, staged per destination in `(tick, arrival)`
+    /// order, then one `deliver_batch` per destination that has any.
     fn deliver_due<S: DeliverySink<M>>(&mut self, now: Instant, sink: &mut S) {
-        let mut room = TURN_BUDGET;
-        while room > 0 && self.heap.peek().is_some_and(|m| m.deliver_at <= now) {
-            room -= 1;
-            let m = self.heap.pop().expect("peeked");
-            let slot = &mut self.staged[m.to.index()];
+        let now_tick = self.nanos_of(now) / self.tick;
+        for _ in 0..TURN_BUDGET {
+            let Some((from, to, payload)) = self.ring.pop_due(now_tick) else {
+                break;
+            };
+            let slot = &mut self.staged[to.index()];
             if slot.is_empty() {
-                self.touched.push(m.to);
+                self.touched.push(to);
             }
             slot.push(NodeEvent::Deliver {
-                from: m.from,
-                msg: m.payload.into_msg(),
+                from,
+                msg: payload.into_msg(),
             });
             self.delivered += 1;
         }
@@ -616,7 +785,7 @@ fn network_loop<M: Clone + Send, S: DeliverySink<M>>(
         // used up its budget the next delivery is already due, and the
         // wait only picks up a command that is already queued.) Until
         // the epoch is anchored a pending schedule polls at 1ms.
-        let mut deadline: Option<Instant> = flights.heap.peek().map(|m| m.deliver_at);
+        let mut deadline: Option<Instant> = flights.next_due();
         if let Some(c) = flights.chaos.as_ref() {
             let next_crash = transitions
                 .as_ref()
@@ -640,18 +809,18 @@ fn network_loop<M: Clone + Send, S: DeliverySink<M>>(
             Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => Some(NetCommand::Shutdown),
         };
-        let floor = flights.heap.len();
+        let floor = flights.ring.len;
         while let Some(cmd) = next {
-            if !flights.enqueue(cmd) {
+            if !flights.enqueue(cmd, Instant::now()) {
                 // Shutdown comes when every node is done (or gone), so
                 // nobody is left to read what is still in flight: it is
                 // counted as discarded, not delivered.
                 counters.note_net_commands(commands);
-                counters.note_discarded(flights.heap.len() as u64);
+                counters.note_discarded(flights.ring.len as u64);
                 return (flights.delivered, flights.chaos_dropped);
             }
             commands += 1;
-            next = if flights.heap.len() - floor < TURN_BUDGET {
+            next = if flights.ring.len - floor < TURN_BUDGET {
                 match rx.try_recv() {
                     Ok(cmd) => Some(cmd),
                     Err(TryRecvError::Empty) => None,
@@ -836,60 +1005,142 @@ mod tests {
         assert!(snap.degraded, "seven lost messages against a budget of one");
     }
 
-    #[test]
-    fn each_destination_gets_deliver_at_then_seq_order_and_nothing_early() {
-        let (d, u) = (ms(20.0), ms(5.0));
-        let floor = Duration::from_millis(15);
-        let mut flights = flights(d, u, 11, Some(cut_and_flood()));
-        let before = Instant::now();
-        for cmd in one_of_each() {
-            assert!(flights.enqueue(cmd));
+    /// What is in flight, as `(tick, to, msg)` in the order it is owed:
+    /// tick by tick, arrival order within a tick.
+    fn in_flight(ring: &TickRing<u32>) -> Vec<(u64, NodeId, u32)> {
+        let mut owed = Vec::new();
+        for (tick, list) in (ring.first..).zip(&ring.ticks) {
+            let mut at = list.head;
+            while at != NIL {
+                let entry = &ring.entries[at as usize];
+                let msg = match entry.payload.as_ref().expect("listed") {
+                    Payload::One(msg) => *msg,
+                    Payload::Shared(msg) => **msg,
+                };
+                owed.push((tick, entry.to, msg));
+                at = entry.next;
+            }
         }
-        let after = Instant::now();
+        assert_eq!(owed.len(), ring.len);
+        owed
+    }
+
+    /// The values a command carries.
+    fn values(cmd: &NetCommand<u32>) -> Vec<u32> {
+        match cmd {
+            NetCommand::Send { msg, .. } | NetCommand::Broadcast { msg, .. } => vec![*msg],
+            NetCommand::Batch { out, .. } => {
+                let sends = out.sends.iter().map(|&(_, msg)| msg);
+                sends.chain(out.broadcasts.iter().copied()).collect()
+            }
+            NetCommand::Shutdown => Vec::new(),
+        }
+    }
+
+    #[test]
+    fn each_destination_gets_tick_then_arrival_order_nothing_early_nothing_late() {
+        let (d, u) = (ms(20.0), ms(5.0));
+        let (floor, ceiling) = (Duration::from_millis(15), Duration::from_millis(20));
+        let mut flights = flights(d, u, 11, Some(cut_and_flood()));
+        let tick = Duration::from_nanos(flights.tick);
+        assert!(
+            tick <= Duration::from_millis(5),
+            "u ≥ tick: the window holds"
+        );
+        // Send instants of our choosing, off the grid: a command every
+        // 37 µs from 3 ms in.
+        let mut sent_at = std::collections::HashMap::new();
+        for (k, cmd) in (0u32..).zip(one_of_each()) {
+            let at = flights.origin + Duration::from_millis(3) + Duration::from_micros(37) * k;
+            sent_at.extend(values(&cmd).into_iter().map(|msg| (msg, at)));
+            assert!(flights.enqueue(cmd, at));
+        }
         // What is in flight, per destination, in the order it is owed.
-        let mut owed: [Vec<(Instant, u64, u32)>; N] = Default::default();
-        for m in &flights.heap {
-            assert!(m.deliver_at >= before + floor, "flight shorter than d - u");
-            assert!(
-                m.deliver_at <= after + Duration::from_millis(20),
-                "flight longer than d"
-            );
-            let msg = match &m.payload {
-                Payload::One(msg) => *msg,
-                Payload::Shared(msg) => **msg,
-            };
-            owed[m.to.index()].push((m.deliver_at, m.seq, msg));
+        let mut owed: [Vec<(Instant, u32)>; N] = Default::default();
+        for (tick_no, to, msg) in in_flight(&flights.ring) {
+            let due = flights.origin + Duration::from_nanos(tick_no * flights.tick);
+            assert!(due >= sent_at[&msg] + floor, "scheduled before d - u");
+            assert!(due <= sent_at[&msg] + ceiling, "scheduled after d");
+            owed[to.index()].push((due, msg));
         }
         assert_eq!(owed.iter().map(Vec::len).sum::<usize>(), 210);
-        for to in &mut owed {
-            to.sort_unstable();
-        }
-        // Sweep at instants of our choosing: just short of the shortest
-        // flight, then every half millisecond until the longest is over.
+        // Sweep at instants of our choosing: just short of the first
+        // tick due, then every 50 µs until the last is over.
+        let step = Duration::from_micros(50);
         let mut sink = PerEvent::default();
-        let mut now = before + floor - Duration::from_nanos(1);
+        let mut now = flights.next_due().expect("in flight") - Duration::from_nanos(1);
         sink.now = Some(now);
         flights.deliver_due(now, &mut sink);
         assert!(
             sink.got.iter().all(Vec::is_empty),
-            "delivered before sent_at + (d - u)"
+            "delivered before its tick"
         );
-        while !flights.heap.is_empty() {
-            now += Duration::from_micros(500);
+        while flights.ring.len > 0 {
+            now += step;
             sink.now = Some(now);
             flights.deliver_due(now, &mut sink);
         }
         assert_eq!(flights.delivered, 210);
+        assert_eq!(flights.next_due(), None);
         for (got, owed) in sink.got.iter().zip(&owed) {
             assert_eq!(got.len(), owed.len());
-            for (&(msg, swept), &(deliver_at, _, owed_msg)) in got.iter().zip(owed) {
-                assert_eq!(msg, owed_msg, "out of (deliver_at, seq) order");
-                assert!(
-                    swept.expect("set per sweep") >= deliver_at,
-                    "delivered early"
-                );
+            for (&(msg, swept), &(due, owed_msg)) in got.iter().zip(owed) {
+                assert_eq!(msg, owed_msg, "out of (tick, arrival) order");
+                let swept = swept.expect("set per sweep");
+                assert!(swept >= due, "delivered early");
+                assert!(swept < due + step, "not by the first sweep after its tick");
             }
         }
+    }
+
+    /// Storm and rush stay inside the window: a stormed message flies
+    /// the longest flight a draw could give, a rushed copy the shortest.
+    #[test]
+    fn a_storm_pins_to_the_top_of_the_range_and_a_rush_to_the_bottom() {
+        let mut timeline = ChaosTimeline::new(N);
+        let (from, until) = (Time::from_millis(1.0), Time::from_secs(3600.0));
+        timeline.storm(from, until);
+        timeline.flood_window(from, until, 1, true);
+        let epoch = Arc::new(OnceLock::new());
+        let chaos = NetChaos {
+            timeline: Arc::new(timeline),
+            epoch: Arc::clone(&epoch),
+        };
+        let mut flights = flights(ms(20.0), ms(5.0), 5, Some(chaos));
+        epoch.set(flights.origin).expect("fresh cell");
+        // Sent off the grid, one second in.
+        let sent_ns = 12_800 * flights.tick + 1_000;
+        let sent_at = flights.origin + Duration::from_nanos(sent_ns);
+        let (from, msg) = (NodeId::new(2), 9);
+        assert!(flights.enqueue(NetCommand::Broadcast { from, msg }, sent_at));
+        let ticks: Vec<u64> = in_flight(&flights.ring).iter().map(|m| m.0).collect();
+        assert_eq!(ticks.len(), 2 * N);
+        // The rushed copies share the first tick at or after `d − u`,
+        // the stormed originals the last one at or before `d`.
+        let (bottom, top) = (sent_ns + 15_000_000, sent_ns + 20_000_000);
+        assert_eq!(ticks[..N], [bottom.div_ceil(flights.tick); N]);
+        assert_eq!(ticks[N..], [top / flights.tick; N]);
+    }
+
+    /// An hour-long link is 72 million ticks of 50 µs; a burst on it
+    /// costs a slab entry per message and a ring of the ticks the burst
+    /// itself covers.
+    #[test]
+    fn the_ring_spans_the_occupied_ticks_only() {
+        let mut flights = flights(Dur::from_secs(3600.0), ms(1.0), 7, None);
+        assert_eq!(flights.tick, 50_000);
+        let sent_at = flights.origin + Duration::from_millis(1);
+        for cmd in one_of_each() {
+            assert!(flights.enqueue(cmd, sent_at));
+        }
+        assert_eq!(flights.ring.entries.len(), 80);
+        assert!(flights.ring.first > 71_000_000);
+        assert!(
+            flights.ring.ticks.len() <= 21,
+            "{}",
+            flights.ring.ticks.len()
+        );
+        assert!(flights.ring.ticks.capacity() <= 64);
     }
 
     #[test]
@@ -907,14 +1158,15 @@ mod tests {
                 out,
             }
         };
-        let later = Instant::now() + Duration::from_secs(3600);
+        let now = Instant::now();
+        let later = now + Duration::from_secs(3600);
         let mut one_by_one = PerEvent::default();
         let mut a = flights(ms(20.0), ms(5.0), 3, None);
-        assert!(a.enqueue(quantum()));
+        assert!(a.enqueue(quantum(), now));
         a.deliver_due(later, &mut one_by_one);
         let mut batched = PerBatch::default();
         let mut b = flights(ms(20.0), ms(5.0), 3, None);
-        assert!(b.enqueue(quantum()));
+        assert!(b.enqueue(quantum(), now));
         b.deliver_due(later, &mut batched);
         assert_eq!(a.delivered, 412);
         assert_eq!(one_by_one.got, batched.inner.got);
@@ -925,23 +1177,122 @@ mod tests {
 
     #[test]
     fn a_sweep_stops_at_its_budget_and_the_next_takes_the_rest() {
+        // No uncertainty and one send instant: one tick holds them all.
         let mut flights = flights(ms(1.0), Dur::ZERO, 1, None);
         let sends = (0..TURN_BUDGET + 5)
-            .map(|i| (NodeId::new(i % N), 0))
+            .map(|i| (NodeId::new(i % N), i as u32))
             .collect();
         let out = Outbox {
             sends,
             broadcasts: Vec::new(),
         };
         let from = NodeId::new(0);
-        assert!(flights.enqueue(NetCommand::Batch { from, out }));
-        let later = Instant::now() + Duration::from_secs(1);
+        let now = Instant::now();
+        assert!(flights.enqueue(NetCommand::Batch { from, out }, now));
+        assert_eq!(flights.ring.ticks.len(), 1);
+        let later = now + Duration::from_secs(1);
         let mut sink = PerBatch::default();
         flights.deliver_due(later, &mut sink);
         assert_eq!(flights.delivered, TURN_BUDGET as u64);
-        assert_eq!(flights.heap.len(), 5);
+        assert_eq!(flights.ring.len, 5);
+        assert!(flights.next_due().is_some_and(|due| due <= later));
         flights.deliver_due(later, &mut sink);
-        assert!(flights.heap.is_empty());
+        assert_eq!(flights.ring.len, 0);
+        assert_eq!(flights.next_due(), None);
+        // The tick came out in arrival order across the two sweeps.
+        for (to, got) in sink.inner.got.iter().enumerate() {
+            let sent = (0..TURN_BUDGET + 5).filter(|i| i % N == to);
+            let got = got.iter().map(|&(msg, _)| msg as usize);
+            assert!(got.eq(sent), "destination {to} out of arrival order");
+        }
+    }
+
+    /// Per destination, how many hand-offs the current sweep made, and
+    /// the messages seen so far. Any number of destinations.
+    struct Census {
+        handed: Vec<u32>,
+        messages: usize,
+    }
+
+    impl DeliverySink<u32> for Census {
+        fn deliver(&mut self, _to: NodeId, _event: NodeEvent<u32>) {
+            panic!("messages come in batches");
+        }
+
+        fn deliver_batch(&mut self, to: NodeId, events: &mut Vec<NodeEvent<u32>>) {
+            assert!(!events.is_empty(), "a hand-off with nothing in it");
+            self.handed[to.index()] += 1;
+            self.messages += events.len();
+            events.clear();
+        }
+    }
+
+    /// The count the grid exists for: an echo round of a 40-node mesh —
+    /// 1600 broadcasts spread over `u`, 64 000 deliveries spread over
+    /// `2u` — takes one sweep per tick, not one per message.
+    #[test]
+    fn a_round_takes_a_sweep_per_tick_and_a_hand_off_per_destination() {
+        const MESH: usize = 40;
+        let (d, u) = (ms(200.0), ms(60.0));
+        let spare = Arc::new(Mutex::new(Vec::new()));
+        let mut flights: Flights<u32> = Flights::new(MESH, d, u, 23, None, spare);
+        let tick = Duration::from_nanos(flights.tick);
+        let start = flights.origin + Duration::from_millis(5);
+        let apart = Duration::from_millis(60) / (MESH * MESH) as u32;
+        for k in 0..(MESH * MESH) as u32 {
+            let from = NodeId::new(k as usize % MESH);
+            let cmd = NetCommand::Broadcast { from, msg: k };
+            assert!(flights.enqueue(cmd, start + apart * k));
+        }
+        assert_eq!(flights.ring.len, MESH * MESH * MESH);
+        let mut sink = Census {
+            handed: vec![0; MESH],
+            messages: 0,
+        };
+        let (mut sweeps, mut round_sweeps) = (0u64, None);
+        while let Some(due) = flights.next_due() {
+            sweeps += 1;
+            sink.handed.fill(0);
+            let before = sink.messages;
+            flights.deliver_due(due, &mut sink);
+            assert!(sink.messages > before, "woke for an empty tick");
+            assert!(
+                sink.handed.iter().all(|&h| h <= 1),
+                "two hand-offs to one destination in one sweep"
+            );
+            if sweeps == 10 {
+                // A command that arrives between two ticks is taken in,
+                // and the sweep it causes hands nothing over early.
+                let between = due + tick / 2;
+                let cmd = NetCommand::Broadcast {
+                    from: NodeId::new(0),
+                    msg: u32::MAX,
+                };
+                assert!(flights.enqueue(cmd, between));
+                let seen = sink.messages;
+                sink.handed.fill(0);
+                flights.deliver_due(between, &mut sink);
+                assert_eq!(sink.messages, seen, "delivered between ticks");
+                assert!(sink.handed.iter().all(|&h| h == 0));
+            }
+            // The late broadcast lands after the round's last tick.
+            if round_sweeps.is_none() && sink.messages >= MESH * MESH * MESH {
+                round_sweeps = Some(sweeps);
+            }
+        }
+        assert_eq!(sink.messages, MESH * MESH * MESH + MESH);
+        let (sweeps, bound) = (
+            round_sweeps.expect("set"),
+            2 * 60_000_000 / flights.tick + 2,
+        );
+        assert!(
+            sweeps <= bound,
+            "{sweeps} sweeps for a round, bound {bound}"
+        );
+        assert!(
+            sweeps >= bound / 2,
+            "{sweeps} sweeps: the round was not spread"
+        );
     }
 
     /// The net-thread analogue of the timer thread's starvation fix: with
@@ -994,5 +1345,109 @@ mod tests {
             "the due message never landed behind {sent:?} storm commands"
         );
         net.shutdown();
+    }
+
+    mod proptests {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        use proptest::prelude::*;
+
+        use super::*;
+
+        proptest! {
+            /// The ring, driven through `Flights`, against a
+            /// `BinaryHeap<(tick, arrival)>`: every sweep hands each
+            /// destination what the heap pops, in the heap's order, the
+            /// budget included; the next deadline is the heap's minimum;
+            /// and the slab is never longer than the most messages that
+            /// were in flight at once. On a `d = u = 0` link a message's
+            /// tick is its send instant rounded up, so choosing send
+            /// instants is choosing ticks — also ones the sweeps have
+            /// already passed.
+            #[test]
+            fn prop_ring_matches_heap_oracle(
+                // One op per value (the vendored proptest stand-in has no
+                // tuple strategies): the low 3 bits select, the rest is
+                // the argument.
+                ops in proptest::collection::vec(0u32..1 << 16, 1..120)
+            ) {
+                let mut flights = flights(Dur::ZERO, Dur::ZERO, 0, None);
+                let (origin, tick) = (flights.origin, flights.tick);
+                let instant_of = |tick_no: u64| origin + Duration::from_nanos(tick_no * tick);
+                let mut oracle: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+                let (mut arrivals, mut peak, mut now_tick) = (0u32, 0usize, 8u64);
+                for op in ops {
+                    let arg = u64::from(op >> 3);
+                    // How many messages to push into which tick, or
+                    // `None` to sweep.
+                    let push = match op & 7 {
+                        // Near the sweep instant, up to 8 ticks behind it.
+                        0..=3 => Some((1, now_tick + arg % 48 - 8)),
+                        // Far ahead of anything else in flight.
+                        4 => Some((1, now_tick + 1_000 + arg)),
+                        // Now and then, more than a sweep's budget in one tick.
+                        5 if arg % 4 == 0 => {
+                            Some((TURN_BUDGET as u64 + arg % 9, now_tick + arg % 3))
+                        }
+                        5 => Some((1, now_tick)),
+                        _ => None,
+                    };
+                    if let Some((count, at_tick)) = push {
+                        let sends = (0..count).map(|_| {
+                            let arrival = arrivals;
+                            arrivals += 1;
+                            oracle.push(Reverse((at_tick, arrival)));
+                            (NodeId::new(arrival as usize % N), arrival)
+                        });
+                        let out = Outbox {
+                            sends: sends.collect(),
+                            broadcasts: Vec::new(),
+                        };
+                        let from = NodeId::new(0);
+                        prop_assert!(flights.enqueue(NetCommand::Batch { from, out }, instant_of(at_tick)));
+                        peak = peak.max(oracle.len());
+                    } else {
+                        // Sweep a few ticks on, or at the same instant
+                        // again, or — now and then — so far on that the
+                        // ring drains and the next push starts it afresh.
+                        let drain = op & 7 == 7 && arg % 8 == 0;
+                        now_tick += match (op & 7, drain) {
+                            (6, _) => arg % 16,
+                            (_, true) => 20_000,
+                            _ => 0,
+                        };
+                        // Anywhere inside the tick will do.
+                        let now = instant_of(now_tick) + Duration::from_nanos(arg % tick);
+                        loop {
+                            let mut expect: [Vec<u32>; N] = Default::default();
+                            for _ in 0..TURN_BUDGET {
+                                match oracle.peek() {
+                                    Some(&Reverse((t, arrival))) if t <= now_tick => {
+                                        oracle.pop();
+                                        expect[arrival as usize % N].push(arrival);
+                                    }
+                                    _ => break,
+                                }
+                            }
+                            let mut sink = PerBatch::default();
+                            flights.deliver_due(now, &mut sink);
+                            let got = sink
+                                .inner
+                                .got
+                                .map(|to| to.iter().map(|&(msg, _)| msg).collect::<Vec<_>>());
+                            prop_assert_eq!(got, expect);
+                            if !drain || oracle.is_empty() {
+                                break;
+                            }
+                        }
+                    }
+                    prop_assert_eq!(flights.ring.len, oracle.len());
+                    let due = oracle.peek().map(|&Reverse((t, _))| instant_of(t));
+                    prop_assert_eq!(flights.next_due(), due);
+                    prop_assert!(flights.ring.entries.len() <= peak);
+                }
+            }
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! ```text
 //!             ┌────────────┐  NetCommand: one per quantum
 //!   handlers ─┤  network   │◄───────────────────────────┐
-//!             │  thread    │                             │
+//!             │  thread    │ one sweep per occupied tick │
 //!             └─────┬──────┘ deliver_batch: one inbox    │
 //!                   ▼        append + wake per node/sweep│
 //!  ┌───────────────────────────────┐               ┌─────┴─────┐
@@ -34,8 +34,9 @@
 //!   node (network thread, timer thread, harness) pushes them into the
 //!   inbox and *schedules* the cell — a compare-and-swap on `queued`
 //!   plus, if it was idle, one send on the shared ready channel. The
-//!   network thread does this once per node per delivery sweep, with
-//!   everything the sweep holds for the node, not once per message.
+//!   network thread does this once per node per delivery sweep — one
+//!   sweep per occupied tick — with everything the tick holds for the
+//!   node, not once per message.
 //!   Workers block on the ready channel (crossbeam parks them when it
 //!   is empty), pop a node index, swap the node's inbox against their
 //!   own empty scratch queue (the lock is held for the swap only, and
@@ -53,10 +54,11 @@
 //!   the worker registers the node's earliest deadline with the timer
 //!   thread, which multiplexes all N wakeups through one hashed
 //!   [`TimerWheel`](crate::wheel::TimerWheel) and re-schedules each node
-//!   as its tick expires. Wheel granularity is derived from `u` (a wake
-//!   can be late by at most one tick, which is indistinguishable from
-//!   host scheduling jitter and is folded into the same "real hardware
-//!   inflates `u`" caveat as everything else in this crate).
+//!   as its tick expires. The wheel's tick is [`tick_ns`], the grid the
+//!   network thread delivers on too (a wake can be late by at most one
+//!   tick, which is indistinguishable from host scheduling jitter and is
+//!   folded into the same "real hardware inflates `u`" caveat as
+//!   everything else in this crate).
 //! * **Fairness.** A worker processes at most [`BATCH_EVENTS`] events
 //!   per scheduling, however many one hand-off put into the inbox; what
 //!   is left goes back to the front of the inbox and the cell is
@@ -93,7 +95,6 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{self, Receiver, Sender};
 use crusader_crypto::{KeyRing, NodeId};
 use crusader_sim::Automaton;
-use crusader_time::Dur;
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -103,6 +104,7 @@ use crate::harness::{BackendRun, RuntimeConfig};
 use crate::net::{DeliverySink, NetChaos, NetLink, Network, NodeEvent};
 use crate::node::{NodeCore, Outbox};
 use crate::supervise::{self, Counters, Heartbeats};
+use crate::tick_ns;
 use crate::wheel::{TimerWheel, WheelKey};
 
 /// Max events one scheduling quantum may process before the node goes
@@ -117,20 +119,6 @@ const KICK: u32 = u32::MAX - 1;
 
 /// Slot count of the per-run hashed timer wheel.
 const WHEEL_SLOTS: usize = 256;
-
-/// Wheel tick granularity: fine enough that the ≤ 1-tick wake lateness
-/// is small against the delay uncertainty `u` (protocol deadlines
-/// compound two or three timer hops, so lateness must be ≪ the slack
-/// `u` provides), coarse enough that the timer thread is not spinning.
-/// Clamped to `[50 µs, 1 ms]`.
-fn wheel_granularity_ns(u: Dur, d: Dur) -> u64 {
-    let base = (u.min(d) / 64.0).as_nanos();
-    let clamped = base.clamp(50_000.0, 1_000_000.0);
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    {
-        clamped as u64
-    }
-}
 
 struct Cell<A: Automaton> {
     inbox: Mutex<VecDeque<NodeEvent<A::Msg>>>,
@@ -635,7 +623,7 @@ where
     );
 
     let (wheel_tx, wheel_rx) = channel::unbounded::<WheelCmd>();
-    let granularity = wheel_granularity_ns(cfg.u, cfg.d);
+    let granularity = tick_ns(cfg.u, cfg.d);
     let timer_handle = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
@@ -771,7 +759,7 @@ where
 mod tests {
     use crusader_crypto::CarriesSignatures;
     use crusader_sim::{Context, TimerId};
-    use crusader_time::LocalTime;
+    use crusader_time::{Dur, LocalTime};
 
     use super::*;
     use crate::{run, Backend};
