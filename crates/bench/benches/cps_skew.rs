@@ -3,20 +3,18 @@
 //! these runs).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use crusader_bench::Scenario;
+use crusader_bench::snapshot::{cps_scenario, CPS_SNAPSHOT_PULSES};
 use crusader_sim::SilentAdversary;
-use crusader_time::Dur;
 
 fn bench_cps(c: &mut Criterion) {
     let mut group = c.benchmark_group("cps_sim");
     group.sample_size(10);
     for n in [4usize, 8, 16] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let mut s = Scenario::new(n, Dur::from_millis(1.0), Dur::from_micros(10.0), 1.0001);
-            s.pulses = 8;
+            let s = cps_scenario(n);
             b.iter(|| {
                 let (m, _) = s.run_cps(Box::new(SilentAdversary));
-                assert_eq!(m.pulses, 8);
+                assert_eq!(m.pulses as u64, CPS_SNAPSHOT_PULSES);
             });
         });
     }

@@ -1,93 +1,101 @@
-//! Shared `--n` / `--lanes` command-line handling for the experiment
-//! binaries.
+//! Command-line handling shared by every `experiments` subcommand.
 //!
-//! The experiment binaries historically hard-coded small system sizes
-//! (n ≈ 5–17) because the single-lane engine serialized every delivery.
-//! With the sharded executor ([`crusader_sim::ShardedSim`]) they scale to
-//! hundreds of nodes, so each binary now accepts:
+//! One flag set is parsed once, up front; which subcommand honours which
+//! flag is decided by one table ([`crate::experiments::EXPERIMENTS`]),
+//! not by the experiments themselves:
 //!
-//! * `--n N` — override the system size. The binary *validates* that
+//! * `--n N` — override the system size. The experiment *validates* that
 //!   the paper's maximum fault budget, `f = ⌈n/2⌉ − 1`, is feasible for
-//!   Theorem 17 at the requested `n` (exiting with a clear message
-//!   instead of silently clamping anything). The sweeps then provision
-//!   that maximum budget — except `e9`, which by design corrupts a
-//!   single node (its attack concerns link uncertainty, not head
-//!   count);
-//! * `--lanes L` — run the scenario on the sharded executor with `L`
-//!   event lanes (`1`, the default, keeps the single-lane reference
-//!   engine). Traces are identical either way; only wall-clock changes.
+//!   Theorem 17 at the requested `n` under its own link/clock parameters
+//!   ([`SimArgs::resolve_n`]; [`SimArgs::resolve_n_structural`] where no
+//!   such parameters exist) and fails with a clear message instead of
+//!   silently clamping anything. The sweeps then provision that maximum
+//!   budget — except `e9`, which by design corrupts a single node, and
+//!   `e7`, a 3-node construction by definition
+//!   ([`SimArgs::require_n`]);
+//! * `--lanes L` — run the scenario on the sharded executor
+//!   ([`crusader_sim::ShardedSim`]) with `L` event lanes (`1`, the
+//!   default, keeps the single-lane reference engine). Traces are
+//!   identical either way; only wall-clock changes. Experiments that
+//!   never run the event-lane simulator (`e5`, `e6`, `e7`, `e10`, `a2`)
+//!   do not take it;
+//! * `--backend threads|reactor`, `--workers W` — which wall-clock
+//!   runtime executor drives the nodes ([`crusader_runtime::Backend`])
+//!   and with how many reactor worker threads (default
+//!   `available_parallelism()`); `e10_runtime_scale` and `e11_chaos`
+//!   only;
+//! * `--scenario FILE`, `--catalog DIR` — replay one `.chaos` scenario
+//!   file or a whole directory (defaults to the committed catalog in
+//!   `crates/chaos/catalog`); `e11_chaos` only;
+//! * `--check PATH` — compare the regenerated count ledger with the
+//!   committed file; the `counts` subcommand only.
 //!
-//! Every experiment binary parses these flags, but not every experiment
-//! can honour both: the synchronous-round executor (`e5`), the sampled
-//! TCB state machine (`e6`), the Theorem 5 tri-execution (`e7`), and the
-//! vector-sampling ablation (`a2`) have no event lanes, and `e7` is a
-//! 3-node construction by definition. Those binaries *reject* the
-//! inapplicable flag with a clear message ([`SimArgs::reject_lanes`],
-//! [`SimArgs::require_n`]) instead of silently ignoring it, and validate
-//! `--n` against the structural fault budget
-//! ([`SimArgs::resolve_n_structural`]) where no link/clock parameters
-//! exist to derive Theorem 17 feasibility from. `run_all` forwards each
-//! flag only to the binaries that support it.
-//!
-//! The wall-clock runtime's scale binary (`e10_runtime_scale`) adds two
-//! flags of its own:
-//!
-//! * `--backend threads|reactor` — which runtime executor drives the
-//!   nodes ([`crusader_runtime::Backend`]);
-//! * `--workers W` — reactor worker-thread count (defaults to
-//!   `available_parallelism()`).
-//!
-//! Simulator binaries reject both ([`SimArgs::reject_backend`]) — a
-//! deterministic simulation has no wall-clock backend to select.
-//!
-//! The chaos replay binary (`e11_chaos`) adds two flags of its own:
-//!
-//! * `--scenario FILE` — replay one `.chaos` scenario file;
-//! * `--catalog DIR` — replay a whole scenario directory (defaults to
-//!   the committed catalog in `crates/chaos/catalog`).
-//!
-//! Every other binary rejects both ([`SimArgs::reject_scenario`]) —
-//! the same discipline as `--backend`.
+//! A single subcommand given a flag it does not take fails with exit
+//! code 2 and a message naming both; `experiments all` forwards each
+//! flag to exactly the experiments that take it.
+
+use std::path::PathBuf;
 
 use crusader_core::{max_faults_with_signatures, Params};
 use crusader_runtime::Backend;
 use crusader_time::Dur;
 
-/// Parsed experiment-binary overrides.
-#[derive(Clone, Debug, Default)]
+/// Why a subcommand did not reproduce: what `main` prints on stderr and
+/// the process exit code it turns it into. `experiments all` counts it
+/// as that experiment's failure and goes on.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Failure {
+    /// Process exit code: 2 for a flag or input the subcommand cannot
+    /// run with, 1 for a run whose result is not the pinned one.
+    pub code: u8,
+    /// The full stderr text.
+    pub message: String,
+}
+
+impl Failure {
+    /// A flag or input this subcommand cannot run with (exit code 2).
+    #[must_use]
+    pub fn usage(message: impl std::fmt::Display) -> Self {
+        Failure {
+            code: 2,
+            message: format!("error: {message}"),
+        }
+    }
+
+    /// A run whose result is not the pinned one (exit code 1).
+    #[must_use]
+    pub fn drift(message: impl Into<String>) -> Self {
+        Failure {
+            code: 1,
+            message: message.into(),
+        }
+    }
+}
+
+/// The parsed flags.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SimArgs {
-    /// `--n`: requested system size (`None` keeps the binary's default).
+    /// `--n`: requested system size (`None` keeps the experiment's
+    /// default).
     pub n: Option<usize>,
     /// `--lanes`: requested lane count (`None` keeps single-lane).
     pub lanes: Option<usize>,
     /// `--backend`: which wall-clock runtime executor to use (`None`
-    /// keeps the binary's default). Only meaningful for runtime-facing
-    /// binaries; simulator binaries reject it.
+    /// keeps the experiment's default).
     pub backend: Option<Backend>,
     /// `--workers`: reactor worker-thread count (`None` means
-    /// `available_parallelism()`). Runtime-facing binaries only.
+    /// `available_parallelism()`).
     pub workers: Option<usize>,
-    /// `--scenario`: a `.chaos` scenario file to replay. Only the chaos
-    /// replay binary (`e11_chaos`) honours it; every other binary
-    /// rejects it ([`reject_scenario`](Self::reject_scenario)).
-    pub scenario: Option<std::path::PathBuf>,
+    /// `--scenario`: a `.chaos` scenario file to replay.
+    pub scenario: Option<PathBuf>,
     /// `--catalog`: a directory of `.chaos` scenarios to replay.
-    /// `e11_chaos` only, like [`scenario`](Self::scenario).
-    pub catalog: Option<std::path::PathBuf>,
+    pub catalog: Option<PathBuf>,
+    /// `--check`: the committed count ledger to compare against.
+    pub check: Option<PathBuf>,
 }
 
 impl SimArgs {
-    /// Parses `--n`/`--lanes` from the process arguments.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for unknown flags or unparsable values.
-    pub fn parse() -> Result<SimArgs, String> {
-        Self::parse_from(std::env::args().skip(1))
-    }
-
-    /// [`parse`](Self::parse) over an explicit argument list (the
-    /// process name already stripped).
+    /// Parses the flags that follow the subcommand name.
     ///
     /// # Errors
     ///
@@ -128,6 +136,9 @@ impl SimArgs {
                 "--catalog" => {
                     args.catalog = Some(value("--catalog")?.into());
                 }
+                "--check" => {
+                    args.check = Some(value("--check")?.into());
+                }
                 other => return Err(format!("unknown argument {other:?}")),
             }
         }
@@ -140,39 +151,25 @@ impl SimArgs {
         Ok(args)
     }
 
-    /// [`parse`](Self::parse), printing usage and exiting on error.
-    #[must_use]
-    pub fn parse_or_exit() -> SimArgs {
-        match Self::parse() {
-            Ok(args) => args,
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!(
-                    "usage: [--n N] [--lanes L] [--backend threads|reactor] [--workers W] \
-                     [--scenario FILE] [--catalog DIR]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Resolves the system size against the binary's default and
+    /// Resolves the system size against the experiment's default and
     /// validates that maximum resilience (`f = ⌈n/2⌉ − 1`) is feasible
-    /// under the given link/clock parameters, exiting with a diagnostic
-    /// otherwise — nothing is silently clamped.
-    #[must_use]
-    pub fn resolve_n(&self, default_n: usize, d: Dur, u: Dur, theta: f64) -> usize {
+    /// under the given link/clock parameters — nothing is silently
+    /// clamped.
+    ///
+    /// # Errors
+    ///
+    /// Returns a usage [`Failure`] naming the infeasible parameters.
+    pub fn resolve_n(&self, default_n: usize, d: Dur, u: Dur, theta: f64) -> Result<usize, Failure> {
         let n = self.n.unwrap_or(default_n);
         let f = max_faults_with_signatures(n);
         let params = Params { n, f, d, u, theta };
-        if let Err(e) = params.derive() {
-            eprintln!(
-                "error: n={n} implies f=⌈n/2⌉−1={f}, which is infeasible for \
+        match params.derive() {
+            Ok(_) => Ok(n),
+            Err(e) => Err(Failure::usage(format!(
+                "n={n} implies f=⌈n/2⌉−1={f}, which is infeasible for \
                  Theorem 17 under d={d}, u={u}, θ={theta}: {e}"
-            );
-            std::process::exit(2);
+            ))),
         }
-        n
     }
 
     /// The lane count to run with (1 = single-lane reference engine).
@@ -186,68 +183,35 @@ impl SimArgs {
     /// construction has at least one faulty node to work with. For
     /// experiments with no link/clock parameters (the synchronous APA
     /// executor, the vector-sampling ablation) where Theorem 17
-    /// feasibility is not defined. Exits with a diagnostic otherwise —
-    /// nothing is silently clamped.
-    #[must_use]
-    pub fn resolve_n_structural(&self, default_n: usize) -> usize {
+    /// feasibility is not defined.
+    ///
+    /// # Errors
+    ///
+    /// Returns a usage [`Failure`] for `n < 3`.
+    pub fn resolve_n_structural(&self, default_n: usize) -> Result<usize, Failure> {
         let n = self.n.unwrap_or(default_n);
-        let f = max_faults_with_signatures(n);
-        if f == 0 {
-            eprintln!(
-                "error: n={n} implies f=⌈n/2⌉−1=0 — this experiment's adversarial \
+        if max_faults_with_signatures(n) == 0 {
+            return Err(Failure::usage(format!(
+                "n={n} implies f=⌈n/2⌉−1=0 — this experiment's adversarial \
                  construction needs at least one faulty node; use n ≥ 3"
-            );
-            std::process::exit(2);
+            )));
         }
-        n
+        Ok(n)
     }
 
     /// For experiments whose construction fixes `n` (the Theorem 5
     /// tri-execution): accept `--n required`, reject anything else with
-    /// `why` in the diagnostic.
-    pub fn require_n(&self, required: usize, why: &str) {
-        if let Some(n) = self.n {
-            if n != required {
-                eprintln!("error: --n {n} is not supported: {why} (only n = {required})");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// For experiments that never run the event-lane simulator: reject an
-    /// explicit `--lanes` with `why` instead of silently ignoring it.
-    pub fn reject_lanes(&self, why: &str) {
-        if self.lanes.is_some() {
-            eprintln!("error: --lanes is not supported by this experiment: {why}");
-            std::process::exit(2);
-        }
-    }
-
-    /// For experiments that never touch the wall-clock runtime: reject an
-    /// explicit `--backend`/`--workers` with `why` instead of silently
-    /// ignoring it (same discipline as [`reject_lanes`](Self::reject_lanes)).
-    pub fn reject_backend(&self, why: &str) {
-        if self.backend.is_some() {
-            eprintln!("error: --backend is not supported by this experiment: {why}");
-            std::process::exit(2);
-        }
-        if self.workers.is_some() {
-            eprintln!("error: --workers is not supported by this experiment: {why}");
-            std::process::exit(2);
-        }
-    }
-
-    /// For every experiment except the chaos replay binary: reject an
-    /// explicit `--scenario`/`--catalog` with `why` instead of silently
-    /// ignoring it (same discipline as [`reject_backend`](Self::reject_backend)).
-    pub fn reject_scenario(&self, why: &str) {
-        if self.scenario.is_some() {
-            eprintln!("error: --scenario is not supported by this experiment: {why}");
-            std::process::exit(2);
-        }
-        if self.catalog.is_some() {
-            eprintln!("error: --catalog is not supported by this experiment: {why}");
-            std::process::exit(2);
+    /// the experiment's `name` and `why` in the diagnostic.
+    ///
+    /// # Errors
+    ///
+    /// Returns a usage [`Failure`] for any other `--n`.
+    pub fn require_n(&self, required: usize, name: &str, why: &str) -> Result<(), Failure> {
+        match self.n {
+            Some(n) if n != required => Err(Failure::usage(format!(
+                "--n {n} is not supported by {name}: {why} (only n = {required})"
+            ))),
+            _ => Ok(()),
         }
     }
 }
@@ -287,7 +251,9 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_still_rejected() {
-        let err = parse(&["--chaos"]).expect_err("must fail");
-        assert!(err.contains("--chaos"), "{err}");
+        for gone in ["--chaos", "--json", "--compare", "--section", "--label", "--reps", "--max-n"] {
+            let err = parse(&[gone, "x"]).expect_err("must fail");
+            assert!(err.contains(gone), "{err}");
+        }
     }
 }

@@ -6,15 +6,15 @@
 //! full stagger, and the midpoint step dutifully chases it: the skew
 //! escapes the Theorem 17 bound.
 
-use crusader_bench::cli::SimArgs;
-use crusader_bench::Scenario;
+use crate::cli::{Failure, SimArgs};
+use crate::Scenario;
 use crusader_core::adversary::StaggeredDealer;
 use crusader_core::{CpsNode, TcbWindows};
 use crusader_sim::DelayModel;
 use crusader_time::drift::DriftModel;
 use crusader_time::Dur;
 
-fn run(n: usize, lanes: usize, reject: bool, stagger_us: f64) -> (f64, f64, usize) {
+fn measure(n: usize, lanes: usize, reject: bool, stagger_us: f64) -> (f64, f64, usize) {
     // At the default n = 5, f = ⌈n/2⌉ − 1 = 2 = ⌈5/3⌉: beyond the
     // signature-free bound, where the discard rule alone can no longer
     // absorb timing equivocation — this is exactly the regime the
@@ -52,18 +52,17 @@ fn run(n: usize, lanes: usize, reject: bool, stagger_us: f64) -> (f64, f64, usiz
     )
 }
 
-fn main() {
-    let args = SimArgs::parse_or_exit();
-    args.reject_scenario("chaos scenario replay is the e11_chaos experiment");
-    args.reject_backend("this experiment runs on the deterministic simulator; the wall-clock runtime scale experiment is e10_runtime_scale");
-    let n = args.resolve_n(5, Dur::from_millis(1.0), Dur::from_micros(20.0), 1.003);
+/// Runs the experiment (module docs): `Err` for input it cannot run
+/// with, a panic for a violated shape assertion.
+pub fn run(args: &SimArgs) -> Result<(), Failure> {
+    let n = args.resolve_n(5, Dur::from_millis(1.0), Dur::from_micros(20.0), 1.003)?;
     let f = crusader_core::max_faults_with_signatures(n);
     println!("# A1: ablating TCB's echo rejection (n = {n}, f = {f}, staggered dealers)\n");
     println!("| stagger (µs) | rejection | steady skew (µs) | S bound (µs) | within S |");
     println!("|--------------|-----------|------------------|--------------|----------|");
     for stagger in [50.0, 150.0, 250.0, 350.0, 450.0] {
         for reject in [true, false] {
-            let (skew, s, _viol) = run(n, args.lanes(), reject, stagger);
+            let (skew, s, _viol) = measure(n, args.lanes(), reject, stagger);
             println!(
                 "| {:>12.0} | {:>9} | {:>13.3} | {:>12.3} | {:>8} |",
                 stagger,
@@ -80,4 +79,5 @@ fn main() {
     println!("Theorem 17 bound — until the stagger grows so large the late copy");
     println!("falls outside the acceptance window entirely and the attack");
     println!("self-neutralizes. Echo rejection closes exactly that gap.");
+    Ok(())
 }

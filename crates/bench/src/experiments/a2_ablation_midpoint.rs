@@ -6,7 +6,7 @@
 //! outside the honest range, which in CPS translates to unbounded skew
 //! growth (the liars re-lie every round).
 
-use crusader_bench::cli::SimArgs;
+use crate::cli::{Failure, SimArgs};
 use crusader_core::midpoint::{midpoint, select_interval};
 use crusader_time::Dur;
 use rand::rngs::SmallRng;
@@ -22,12 +22,10 @@ fn naive_midpoint(values: &[Dur]) -> Dur {
     (lo + hi) / 2.0
 }
 
-fn main() {
-    let args = SimArgs::parse_or_exit();
-    args.reject_scenario("chaos scenario replay is the e11_chaos experiment");
-    args.reject_backend("this experiment runs on the deterministic simulator; the wall-clock runtime scale experiment is e10_runtime_scale");
-    args.reject_lanes("a2 samples estimate vectors directly, without the event simulator");
-    let n = args.resolve_n_structural(9);
+/// Runs the experiment (module docs): `Err` for input it cannot run
+/// with, a panic for a violated shape assertion.
+pub fn run(args: &SimArgs) -> Result<(), Failure> {
+    let n = args.resolve_n_structural(9)?;
     let f = crusader_core::max_faults_with_signatures(n);
     println!("# A2: selection-rule ablation (n = {n}, f = {f}, 10000 adversarial vectors)\n");
     let mut rng = SmallRng::seed_from_u64(42);
@@ -82,4 +80,5 @@ fn main() {
         println!("  ⊥ → {x:>8.0} µs: [{}, {}] ⊆ [{}, {}] ✓",
             replaced.lo, replaced.hi, with_bot.lo, with_bot.hi);
     }
+    Ok(())
 }

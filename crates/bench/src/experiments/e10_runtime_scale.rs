@@ -9,7 +9,7 @@
 //! SecureTime-style one-to-many fleet (a CPS core of 32 dealers plus
 //! listen-only `PulseClient`s), because full-mesh CPS is `Θ(h²·n)`
 //! messages per round and physically cannot scale to thousands of nodes
-//! on one host (see `crusader_bench::snapshot`'s module docs).
+//! on one host (see [`crate::snapshot`]'s module docs).
 //!
 //! The run **asserts** liveness and safety — at least one pulse
 //! completed by every active node, zero violations — so a clean exit is
@@ -17,17 +17,16 @@
 //! runtime-scale smoke step relies on (`--n 512 --backend reactor`).
 //!
 //! ```text
-//! e10_runtime_scale [--n N] [--backend threads|reactor] [--workers W]
+//! experiments e10_runtime_scale [--n N] [--backend threads|reactor] [--workers W]
 //! ```
 
-use crusader_bench::cli::SimArgs;
-use crusader_bench::snapshot::{run_runtime, runtime_scenario};
+use crate::cli::{Failure, SimArgs};
+use crate::snapshot::{run_runtime, runtime_scenario};
 use crusader_runtime::Backend;
 
-fn main() {
-    let args = SimArgs::parse_or_exit();
-    args.reject_scenario("chaos scenario replay is the e11_chaos experiment");
-    args.reject_lanes("the wall-clock runtime has no event lanes; lanes belong to the simulator");
+/// Runs the experiment (module docs): `Err` for input it cannot run
+/// with, a panic for a violated shape assertion.
+pub fn run(args: &SimArgs) -> Result<(), Failure> {
     let n = args.n.unwrap_or(64);
     let backend = args.backend.unwrap_or(Backend::Reactor);
     let (cfg, core, params) = runtime_scenario(n);
@@ -51,7 +50,7 @@ fn main() {
     println!("  duration : {:.1} s of wall-clock time\n", cfg.run_for.as_secs_f64());
 
     let outcome = run_runtime(n, backend, args.workers);
-    crusader_bench::header(&["backend", "pulses", "messages", "msg/s", "violations"]);
+    crate::header(&["backend", "pulses", "messages", "msg/s", "violations"]);
     println!(
         "| {} | {} | {} | {:.0} | {} |",
         backend,
@@ -90,4 +89,5 @@ fn main() {
         "\nall active nodes pulsed {} time(s), violation-free ✓",
         outcome.pulses
     );
+    Ok(())
 }

@@ -13,52 +13,42 @@
 //! extra nodes are untouched honest participants).
 //!
 //! ```text
-//! e11_chaos [--scenario FILE | --catalog DIR] [--n N] [--lanes L]
-//!           [--backend threads|reactor] [--workers W]
+//! experiments e11_chaos [--scenario FILE | --catalog DIR] [--n N] [--lanes L]
+//!                       [--backend threads|reactor] [--workers W]
 //! ```
 
 use std::time::Instant;
 
-use crusader_bench::cli::SimArgs;
+use crate::cli::{Failure, SimArgs};
 use crusader_chaos::{builtin_catalog_dir, run_scenario, Catalog, Executor, Scenario};
 
-fn main() {
-    let args = SimArgs::parse_or_exit();
+/// Runs the experiment (module docs): `Err` for input it cannot run
+/// with, a panic for a violated shape assertion.
+pub fn run(args: &SimArgs) -> Result<(), Failure> {
     let mut scenarios: Vec<Scenario> = match (&args.scenario, &args.catalog) {
         (Some(_), Some(_)) => {
-            eprintln!("error: --scenario and --catalog are mutually exclusive");
-            std::process::exit(2);
+            return Err(Failure::usage("--scenario and --catalog are mutually exclusive"));
         }
         (Some(file), None) => {
-            let text = std::fs::read_to_string(file).unwrap_or_else(|e| {
-                eprintln!("error: read {}: {e}", file.display());
-                std::process::exit(2);
-            });
-            vec![Scenario::parse(&text).unwrap_or_else(|e| {
-                eprintln!("error: {}: {e}", file.display());
-                std::process::exit(2);
-            })]
+            let text = std::fs::read_to_string(file)
+                .map_err(|e| Failure::usage(format!("read {}: {e}", file.display())))?;
+            vec![Scenario::parse(&text)
+                .map_err(|e| Failure::usage(format!("{}: {e}", file.display())))?]
         }
         (None, dir) => {
             let dir = dir.clone().unwrap_or_else(builtin_catalog_dir);
-            Catalog::load(&dir)
-                .unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                })
-                .scenarios
+            Catalog::load(&dir).map_err(Failure::usage)?.scenarios
         }
     };
     if let Some(n) = args.n {
         scenarios = scenarios
             .iter()
             .map(|sc| {
-                sc.rescale(n).unwrap_or_else(|e| {
-                    eprintln!("error: --n {n} cannot replay {}: {e}", sc.name);
-                    std::process::exit(2);
+                sc.rescale(n).map_err(|e| {
+                    Failure::usage(format!("--n {n} cannot replay {}: {e}", sc.name))
                 })
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
     }
     let mut executors = vec![Executor::Sim {
         lanes: args.lanes(),
@@ -70,8 +60,7 @@ fn main() {
             workers: args.workers,
         });
     } else if args.workers.is_some() {
-        eprintln!("error: --workers needs --backend");
-        std::process::exit(2);
+        return Err(Failure::usage("--workers needs --backend"));
     }
 
     println!(
@@ -79,7 +68,7 @@ fn main() {
         scenarios.len(),
         executors.len()
     );
-    crusader_bench::header(&[
+    crate::header(&[
         "scenario",
         "executor",
         "expected",
@@ -175,17 +164,18 @@ fn main() {
         }
     }
     if degraded > 0 {
-        eprintln!(
+        return Err(Failure::drift(format!(
             "\n{degraded} replay(s) spliced more than 1 % of their events into the sorted run"
-        );
-        std::process::exit(1);
+        )));
     }
     if mismatches > 0 {
-        eprintln!("\n{mismatches} replay(s) diverged from their pinned verdicts");
-        std::process::exit(1);
+        return Err(Failure::drift(format!(
+            "\n{mismatches} replay(s) diverged from their pinned verdicts"
+        )));
     }
     println!(
         "\nall {} scenario(s) reproduced their pinned verdicts on every executor ✓",
         scenarios.len()
     );
+    Ok(())
 }

@@ -5,20 +5,19 @@
 //! derived bound `S`. Expected shape: both the bound and the measurement
 //! grow linearly in `u`, and the measured skew never exceeds `S`.
 
-use crusader_bench::cli::SimArgs;
-use crusader_bench::{header, us, Scenario};
+use crate::cli::{Failure, SimArgs};
+use crate::{header, us, Scenario};
 use crusader_sim::{DelayModel, SilentAdversary};
 use crusader_time::drift::DriftModel;
 use crusader_time::Dur;
 
-fn main() {
-    let args = SimArgs::parse_or_exit();
-    args.reject_scenario("chaos scenario replay is the e11_chaos experiment");
-    args.reject_backend("this experiment runs on the deterministic simulator; the wall-clock runtime scale experiment is e10_runtime_scale");
+/// Runs the experiment (module docs): `Err` for input it cannot run
+/// with, a panic for a violated shape assertion.
+pub fn run(args: &SimArgs) -> Result<(), Failure> {
     let d = Dur::from_millis(1.0);
     let theta = 1.0001;
     // The sweep's largest u decides feasibility; validate against it.
-    let n = args.resolve_n(8, d, Dur::from_micros(300.0), theta);
+    let n = args.resolve_n(8, d, Dur::from_micros(300.0), theta)?;
     let f = crusader_core::max_faults_with_signatures(n);
     println!("# E1: skew vs u   (n = {n}, f = {f}, d = {d}, θ = {theta})\n");
     header(&[
@@ -50,4 +49,5 @@ fn main() {
     }
     println!("\nShape check: S tracks ~4u for u ≫ (θ−1)d (the S/u ratio");
     println!("stabilizes), and the measured skew always respects it.");
+    Ok(())
 }

@@ -4,21 +4,20 @@
 //! shape: the bound and the measured skew scale linearly in θ−1 (until
 //! the feasibility region of Corollary 4 runs out near θ ≈ 1.078).
 
-use crusader_bench::cli::SimArgs;
-use crusader_bench::{header, us, Scenario};
+use crate::cli::{Failure, SimArgs};
+use crate::{header, us, Scenario};
 use crusader_core::Params;
 use crusader_sim::{DelayModel, SilentAdversary};
 use crusader_time::drift::DriftModel;
 use crusader_time::Dur;
 
-fn main() {
-    let args = SimArgs::parse_or_exit();
-    args.reject_scenario("chaos scenario replay is the e11_chaos experiment");
-    args.reject_backend("this experiment runs on the deterministic simulator; the wall-clock runtime scale experiment is e10_runtime_scale");
+/// Runs the experiment (module docs): `Err` for input it cannot run
+/// with, a panic for a violated shape assertion.
+pub fn run(args: &SimArgs) -> Result<(), Failure> {
     let d = Dur::from_millis(1.0);
     let u = Dur::from_micros(1.0);
     // The sweep's largest θ decides feasibility; validate against it.
-    let n = args.resolve_n(8, d, u, 1.07);
+    let n = args.resolve_n(8, d, u, 1.07)?;
     let f = crusader_core::max_faults_with_signatures(n);
     println!(
         "# E2: skew vs θ−1   (n = {n}, f = {f}, d = {d}, u = {u}; max feasible θ = {:.4})\n",
@@ -54,4 +53,5 @@ fn main() {
     println!("over (u-dominated rows have huge ratios), bottoms out around 10 in");
     println!("the drift-dominated regime, and diverges again as θ approaches the");
     println!("feasibility limit where the Lemma 16 denominator P(θ) → 0.");
+    Ok(())
 }

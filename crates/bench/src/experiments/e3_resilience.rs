@@ -6,8 +6,8 @@
 //! (≤ S) and no violations over 40 pulses; "DIVERGES" = skew grew past S.
 
 use crusader_baselines::{LwNode, TickStagger};
-use crusader_bench::cli::SimArgs;
-use crusader_bench::Scenario;
+use crate::cli::{Failure, SimArgs};
+use crate::Scenario;
 use crusader_core::adversary::StaggeredDealer;
 use crusader_core::{max_faults_with_signatures, max_faults_without_signatures, Params};
 use crusader_sim::DelayModel;
@@ -64,15 +64,14 @@ fn verdict_lw(n: usize, f: usize, lanes: usize) -> &'static str {
     }
 }
 
-fn main() {
-    let args = SimArgs::parse_or_exit();
-    args.reject_scenario("chaos scenario replay is the e11_chaos experiment");
-    args.reject_backend("this experiment runs on the deterministic simulator; the wall-clock runtime scale experiment is e10_runtime_scale");
+/// Runs the experiment (module docs): `Err` for input it cannot run
+/// with, a panic for a violated shape assertion.
+pub fn run(args: &SimArgs) -> Result<(), Failure> {
     // --n replaces the default size sweep with a single column (validated
     // for f = ceil(n/2)-1 feasibility); --lanes picks the executor.
     let ns: Vec<usize> = match args.n {
         Some(_) => {
-            vec![args.resolve_n(12, Dur::from_millis(1.0), Dur::from_micros(10.0), 1.003)]
+            vec![args.resolve_n(12, Dur::from_millis(1.0), Dur::from_micros(10.0), 1.003)?]
         }
         None => vec![4, 6, 7, 9, 12],
     };
@@ -93,4 +92,5 @@ fn main() {
     }
     println!("\nExpected shape: the LW column flips to DIVERGES exactly when");
     println!("f ≥ ⌈n/3⌉; the CPS column stays ok through f = ⌈n/2⌉−1.");
+    Ok(())
 }

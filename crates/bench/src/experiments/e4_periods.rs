@@ -1,18 +1,17 @@
 //! E4 — Theorem 17's period bounds: every observed period lies within
 //! [(T − (θ+1)S)/θ, T + 3S].
 
-use crusader_bench::cli::SimArgs;
-use crusader_bench::{header, Scenario};
+use crate::cli::{Failure, SimArgs};
+use crate::{header, Scenario};
 use crusader_sim::{DelayModel, SilentAdversary};
 use crusader_time::drift::DriftModel;
 use crusader_time::Dur;
 
-fn main() {
-    let args = SimArgs::parse_or_exit();
-    args.reject_scenario("chaos scenario replay is the e11_chaos experiment");
-    args.reject_backend("this experiment runs on the deterministic simulator; the wall-clock runtime scale experiment is e10_runtime_scale");
+/// Runs the experiment (module docs): `Err` for input it cannot run
+/// with, a panic for a violated shape assertion.
+pub fn run(args: &SimArgs) -> Result<(), Failure> {
     // The sweep's harshest (u, θ) pair decides feasibility.
-    let n = args.resolve_n(8, Dur::from_millis(1.0), Dur::from_micros(200.0), 1.02);
+    let n = args.resolve_n(8, Dur::from_millis(1.0), Dur::from_micros(200.0), 1.02)?;
     let f = crusader_core::max_faults_with_signatures(n);
     println!("# E4: period bounds (n = {n}, f = {f}, worst-case drift/delays)\n");
     header(&[
@@ -54,4 +53,5 @@ fn main() {
     println!("\nShape check: observed periods sit strictly inside the derived");
     println!("window; the window widens with θ (clock-rate spread) as the");
     println!("theorem predicts.");
+    Ok(())
 }

@@ -5,7 +5,7 @@
 //! equivocating dealers against `n − f` honest nodes. Runs on the
 //! synchronous round executor, so `--lanes` is rejected.
 
-use crusader_bench::cli::SimArgs;
+use crate::cli::{Failure, SimArgs};
 use crusader_core::cb::{cb_sign_bytes, SignedValue};
 use crusader_core::{iterations_for, ApaMsg, ApaNode};
 use crusader_crypto::{KeyRing, NodeId};
@@ -57,12 +57,10 @@ fn spread(outs: &[Option<f64>]) -> f64 {
     vals.iter().cloned().fold(f64::MIN, f64::max) - vals.iter().cloned().fold(f64::MAX, f64::min)
 }
 
-fn main() {
-    let args = SimArgs::parse_or_exit();
-    args.reject_scenario("chaos scenario replay is the e11_chaos experiment");
-    args.reject_backend("this experiment runs on the deterministic simulator; the wall-clock runtime scale experiment is e10_runtime_scale");
-    args.reject_lanes("e5 runs the synchronous round executor, which has no event lanes");
-    let n = args.resolve_n_structural(7);
+/// Runs the experiment (module docs): `Err` for input it cannot run
+/// with, a panic for a violated shape assertion.
+pub fn run(args: &SimArgs) -> Result<(), Failure> {
+    let n = args.resolve_n_structural(7)?;
     let f = crusader_core::max_faults_with_signatures(n);
     let honest = n - f;
     println!("# E5: approximate agreement (Theorem 9 / Corollary 2)\n");
@@ -126,4 +124,5 @@ fn main() {
     }
     println!("\nShape check: spread halves per iteration even with ⌈n/2⌉−1");
     println!("equivocating dealers — impossible without signatures at this f.");
+    Ok(())
 }

@@ -14,7 +14,7 @@
 //! The state machines are sampled directly (no event-lane simulator), so
 //! `--lanes` is rejected.
 
-use crusader_bench::cli::SimArgs;
+use crate::cli::{Failure, SimArgs};
 use crusader_core::{TcbInstance, TcbWindows};
 use crusader_time::{Dur, LocalTime};
 use rand::rngs::SmallRng;
@@ -114,17 +114,15 @@ fn sample(
     }
 }
 
-fn main() {
-    let args = SimArgs::parse_or_exit();
-    args.reject_scenario("chaos scenario replay is the e11_chaos experiment");
-    args.reject_backend("this experiment runs on the deterministic simulator; the wall-clock runtime scale experiment is e10_runtime_scale");
-    args.reject_lanes("e6 samples the TCB state machine directly, without the event simulator");
+/// Runs the experiment (module docs): `Err` for input it cannot run
+/// with, a panic for a violated shape assertion.
+pub fn run(args: &SimArgs) -> Result<(), Failure> {
     let d = 1e-3;
     let u = 50e-6;
     let theta = 1.001;
     // Feasibility of the maximum fault budget at the requested receiver
     // count, under this experiment's link/clock parameters.
-    let n = args.resolve_n(2, Dur::from_secs(d), Dur::from_secs(u), theta);
+    let n = args.resolve_n(2, Dur::from_secs(d), Dur::from_secs(u), theta)?;
     let s_bound = 300e-6;
     let windows = TcbWindows {
         send_offset: Dur::from_secs(theta * s_bound),
@@ -183,4 +181,5 @@ fn main() {
     println!("\nShape check: beyond the consistency bound the dealer can no");
     println!("longer be accepted by every receiver — large staggers zero out");
     println!("the 'all accepted' column instead of widening the gap.");
+    Ok(())
 }

@@ -4,20 +4,19 @@
 //! exactly; the implied adversary is audited per Lemma 18.
 
 use crusader_baselines::EchoSyncNode;
-use crusader_bench::cli::SimArgs;
+use crate::cli::{Failure, SimArgs};
 use crusader_core::{CpsNode, Params};
 use crusader_lowerbound::{evaluate, TriConfig, TriSim};
 use crusader_time::Dur;
 
-fn main() {
-    let args = SimArgs::parse_or_exit();
-    args.reject_scenario("chaos scenario replay is the e11_chaos experiment");
-    args.reject_backend("this experiment runs on the deterministic simulator; the wall-clock runtime scale experiment is e10_runtime_scale");
+/// Runs the experiment (module docs): `Err` for input it cannot run
+/// with, a panic for a violated shape assertion.
+pub fn run(args: &SimArgs) -> Result<(), Failure> {
     args.require_n(
         3,
+        "e7_lower_bound",
         "Theorem 5's construction is a tri-execution over exactly three nodes",
-    );
-    args.reject_lanes("e7 runs the lower-bound tri-execution engine, not the event-lane simulator");
+    )?;
     let d = Dur::from_millis(1.0);
     let theta = 1.05;
     println!("# E7: Theorem 5 lower bound (n = 3, f = 1, d = {d}, θ = {theta})\n");
@@ -67,4 +66,5 @@ fn main() {
     println!("the bound scales linearly in ũ; the audit confirms the adversary");
     println!("never used a signature before receiving it (footnote 1 equality");
     println!("cases included).");
+    Ok(())
 }

@@ -9,23 +9,22 @@
 //! executor.
 
 use crusader_baselines::{ChainSyncNode, EchoSyncNode, LwNode, SelectiveEcho};
-use crusader_bench::cli::SimArgs;
-use crusader_bench::Scenario;
+use crate::cli::{Failure, SimArgs};
+use crate::Scenario;
 use crusader_core::max_faults_without_signatures;
 use crusader_crypto::NodeId;
 use crusader_sim::SilentAdversary;
 use crusader_time::drift::DriftModel;
 use crusader_time::Dur;
 
-fn main() {
-    let args = SimArgs::parse_or_exit();
-    args.reject_scenario("chaos scenario replay is the e11_chaos experiment");
-    args.reject_backend("this experiment runs on the deterministic simulator; the wall-clock runtime scale experiment is e10_runtime_scale");
+/// Runs the experiment (module docs): `Err` for input it cannot run
+/// with, a panic for a violated shape assertion.
+pub fn run(args: &SimArgs) -> Result<(), Failure> {
     let d = Dur::from_millis(1.0);
     let u = Dur::from_micros(10.0);
     let theta = 1.001;
     let ns: Vec<usize> = match args.n {
-        Some(_) => vec![args.resolve_n(4, d, u, theta)],
+        Some(_) => vec![args.resolve_n(4, d, u, theta)?],
         None => vec![4, 6, 8, 12, 16],
     };
     println!("# E8: baseline comparison (d = {d}, u = {u}, θ = {theta})\n");
@@ -81,4 +80,5 @@ fn main() {
     println!("\nShape check: CPS ≈ LW skew (both Θ(u + (θ−1)d)) but at double");
     println!("the resilience; echo sync is pinned near d = 1000 µs; chain");
     println!("sync grows with f (and hence with n at proportional resilience).");
+    Ok(())
 }

@@ -3,20 +3,19 @@
 //! attack turns honest dealers' broadcasts into ⊥ evidence and the
 //! effective error budget degrades toward Θ(ũ).
 
-use crusader_bench::cli::SimArgs;
-use crusader_bench::Scenario;
+use crate::cli::{Failure, SimArgs};
+use crate::Scenario;
 use crusader_core::adversary::RushingForwarder;
 use crusader_sim::DelayModel;
 use crusader_time::drift::DriftModel;
 use crusader_time::Dur;
 
-fn main() {
-    let args = SimArgs::parse_or_exit();
-    args.reject_scenario("chaos scenario replay is the e11_chaos experiment");
-    args.reject_backend("this experiment runs on the deterministic simulator; the wall-clock runtime scale experiment is e10_runtime_scale");
+/// Runs the experiment (module docs): `Err` for input it cannot run
+/// with, a panic for a violated shape assertion.
+pub fn run(args: &SimArgs) -> Result<(), Failure> {
     let d = Dur::from_millis(1.0);
     let u = Dur::from_micros(20.0);
-    let n = args.resolve_n(5, d, u, 1.0002);
+    let n = args.resolve_n(5, d, u, 1.0002)?;
     println!("# E9: faulty links undercutting the minimum delay (n = {n}, f = 1)\n");
     println!("| ũ (µs) | ũ/u | pulses | max skew (µs) | ⊥-budget violations |");
     println!("|--------|-----|--------|---------------|---------------------|");
@@ -46,4 +45,5 @@ fn main() {
     println!("honest dealers start getting ⊥'d, eroding the fault budget —");
     println!("the executable version of 'designers must enforce minimum");
     println!("delays even on attacker-adjacent links'.");
+    Ok(())
 }

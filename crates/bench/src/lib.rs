@@ -1,5 +1,5 @@
-//! Shared measurement harness for the experiment binaries (`src/bin/e*`)
-//! and criterion benches.
+//! Shared measurement harness for the experiments ([`experiments`], one
+//! binary with a subcommand each) and the criterion benches.
 //!
 //! Every experiment in README.md's per-experiment index funnels through
 //! [`Scenario::run_cps`] / [`Scenario::run_protocol`], so sweeps differ only in the
@@ -13,6 +13,7 @@ use crusader_time::drift::DriftModel;
 use crusader_time::{Dur, Time};
 
 pub mod cli;
+pub mod experiments;
 pub mod snapshot;
 
 /// One measured run.
@@ -167,7 +168,7 @@ impl Scenario {
 
     /// Runs CPS under this scenario and returns the raw [`Trace`].
     ///
-    /// Used by the perf-snapshot harness (which needs
+    /// Used by the count ledger (which needs
     /// [`Trace::events_processed`]) and by the determinism regression test
     /// (which pins a hash over the full observable trace).
     ///

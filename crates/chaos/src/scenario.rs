@@ -31,14 +31,27 @@
 //! ```
 //!
 //! Node sets are comma-separated indices and inclusive ranges:
-//! `0-3,6`. Every directive is validated on parse (indices in range,
-//! windows non-empty, bounds ordered) so a broken catalog fails loudly
-//! at load time, not mid-replay.
+//! `0-3,6`. Every directive is validated on parse (values finite,
+//! indices in range, windows non-empty, bounds ordered, `n`/`d_ms`/
+//! `u_ms`/`theta` feasible for Theorem 17 with the `faulty` set inside
+//! the `⌈n/2⌉ − 1` budget) so a broken file is an `Err` naming the line
+//! or directive at load time — never a panic, a hang or an allocation
+//! sized by the input, and never a surprise mid-replay.
 
 use std::path::{Path, PathBuf};
 
+use crusader_core::max_faults_with_signatures;
 use crusader_sim::ChaosTimeline;
 use crusader_time::{Dur, Time};
+
+/// Largest system size a scenario may declare, and so the most indices
+/// a node set may list: far beyond what a full-mesh replay can execute,
+/// it only keeps a typo from sizing an allocation.
+pub const MAX_N: usize = 1 << 16;
+
+/// Largest magnitude of a `*_ms` value (about 31 years): keeps every
+/// quantity derived from it finite.
+const MAX_MS: f64 = 1e12;
 
 /// Which pulse-count population an `invariant min_pulses` covers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -299,11 +312,11 @@ impl Scenario {
                 "summary" => summary = Some(toks.join(" ")),
                 "n" => n = Some(num(&toks).map_err(err)?),
                 "seed" => seed = num(&toks).map_err(err)?,
-                "d_ms" => d = Dur::from_millis(num(&toks).map_err(err)?),
-                "u_ms" => u = Dur::from_millis(num(&toks).map_err(err)?),
+                "d_ms" => d = dur_ms(&toks).map_err(err)?,
+                "u_ms" => u = dur_ms(&toks).map_err(err)?,
                 "theta" => theta = num(&toks).map_err(err)?,
                 "run_for_ms" => {
-                    run_for = Some(Dur::from_millis(num(&toks).map_err(err)?));
+                    run_for = Some(dur_ms(&toks).map_err(err)?);
                 }
                 "faulty" => faulty = node_set(one(&toks).map_err(err)?).map_err(err)?,
                 "affected" => {
@@ -361,16 +374,16 @@ impl Scenario {
                 "invariant" => match toks.first().copied() {
                     Some("resync_ms") => {
                         invariants.resync =
-                            Some(Dur::from_millis(num(&toks[1..]).map_err(err)?));
+                            Some(dur_ms(&toks[1..]).map_err(err)?);
                     }
                     Some("skew_ms") => {
                         invariants.skew =
-                            Some(Dur::from_millis(num(&toks[1..]).map_err(err)?));
+                            Some(dur_ms(&toks[1..]).map_err(err)?);
                     }
                     Some("period_ms") => {
                         let [lo, hi] = exactly::<2>(&toks[1..]).map_err(err)?;
-                        let lo = Dur::from_millis(parse_in(lo, "min").map_err(err)?);
-                        let hi = Dur::from_millis(parse_in(hi, "max").map_err(err)?);
+                        let lo = dur_ms(&[lo]).map_err(err)?;
+                        let hi = dur_ms(&[hi]).map_err(err)?;
                         if hi < lo {
                             return Err(err("period_ms max below min".to_owned()));
                         }
@@ -437,9 +450,35 @@ impl Scenario {
     }
 
     fn validate(&self) -> Result<(), String> {
-        if self.n == 0 {
-            return Err("n must be positive".to_owned());
+        if self.n == 0 || self.n > MAX_N {
+            return Err(format!("n must lie in 1..={MAX_N}, got {}", self.n));
         }
+        if self.run_for <= Dur::ZERO {
+            return Err(format!("run_for_ms must be positive, got {}", self.run_for));
+        }
+        if self.d <= Dur::ZERO {
+            return Err(format!("d_ms must be positive, got {}", self.d));
+        }
+        if self.u.is_negative() || self.u > self.d {
+            return Err(format!("u_ms must lie in [0, d_ms], got {}", self.u));
+        }
+        // The upper end is far past feasibility (θ ≲ 1.078); it is here
+        // because for a θ whose cube overflows `Params::derive` computes a
+        // NaN feasibility polynomial, which its `p <= 0` test lets through.
+        if !(1.0..=2.0).contains(&self.theta) {
+            return Err(format!("theta must lie in [1, 2], got {}", self.theta));
+        }
+        let budget = max_faults_with_signatures(self.n);
+        if self.faulty.len() > budget {
+            return Err(format!(
+                "faulty lists {} nodes, the budget at n={} is {budget}",
+                self.faulty.len(),
+                self.n
+            ));
+        }
+        crate::replay::scenario_params(self)
+            .derive()
+            .map_err(|e| format!("n/d_ms/u_ms/theta are infeasible for Theorem 17: {e}"))?;
         let check_node = |i: usize, what: &str| {
             if i >= self.n {
                 Err(format!("{what} index {i} out of range for n={}", self.n))
@@ -529,23 +568,42 @@ where
         .map_err(|e| format!("{what} {tok:?}: {e}"))
 }
 
+/// The one `*_ms` value of a directive: finite and at most [`MAX_MS`] in
+/// magnitude.
+fn dur_ms(toks: &[&str]) -> Result<Dur, String> {
+    let tok = one(toks)?;
+    let ms: f64 = parse_in(tok, "value")?;
+    if ms.is_nan() || ms.abs() > MAX_MS {
+        return Err(format!("value {tok:?} must be finite and within ±{MAX_MS:e} ms"));
+    }
+    Ok(Dur::from_millis(ms))
+}
+
 fn time_ms(tok: &str) -> Result<Time, String> {
     let ms: f64 = parse_in(tok, "time")?;
-    if !(ms.is_finite() && ms >= 0.0) {
-        return Err(format!("time {tok:?} must be a finite non-negative ms value"));
+    if !(0.0..=MAX_MS).contains(&ms) {
+        return Err(format!("time {tok:?} must be a non-negative ms value up to {MAX_MS:e}"));
     }
     Ok(Time::from_secs(ms / 1e3))
 }
 
-/// Parses `0-3,6`-style node sets into a sorted, deduplicated list.
+/// Parses `0-3,6`-style node sets into a sorted, deduplicated list. The
+/// terms may list at most [`MAX_N`] indices between them, checked before
+/// any range is materialized (`n` may come later in the file, so the
+/// exact range check is [`Scenario::validate`]'s).
 fn node_set(spec: &str) -> Result<Vec<usize>, String> {
     let mut out = std::collections::BTreeSet::new();
+    let mut listed = 0usize;
     for term in spec.split(',') {
         if let Some((lo, hi)) = term.split_once('-') {
             let lo: usize = parse_in(lo, "node")?;
             let hi: usize = parse_in(hi, "node")?;
             if hi < lo {
                 return Err(format!("range {term:?} is reversed"));
+            }
+            listed = listed.saturating_add((hi - lo).saturating_add(1));
+            if listed > MAX_N {
+                return Err(format!("node set {spec:?} lists more than {MAX_N} indices"));
             }
             out.extend(lo..=hi);
         } else {
@@ -681,40 +739,37 @@ mod tests {
         assert!(tl.storming(Time::from_secs(0.22)));
     }
 
+    /// Every case is an `Err` naming the line or directive, returned at
+    /// once: none reaches an assert in `Dur::from_millis`, `derive` or
+    /// the replay, and no range is materialized before it is bounded.
     #[test]
     fn rejects_bad_input() {
-        for (broken, why) in [
-            ("name t\nsummary s\nn 4\nexpect clean", "missing run_for"),
-            (
-                "name t\nsummary s\nn 4\nrun_for_ms 100\ncrash 9 10 20\nexpect clean",
-                "crash node out of range",
-            ),
-            (
-                "name t\nsummary s\nn 4\nrun_for_ms 100\ncrash 1 20 10\nexpect clean",
-                "empty crash window",
-            ),
-            (
-                "name t\nsummary s\nn 4\nrun_for_ms 100\nflood 10 20 0 rush\nexpect clean",
-                "zero copies",
-            ),
-            (
-                "name t\nsummary s\nn 4\nrun_for_ms 100\nexpect maybe",
-                "bad expectation",
-            ),
-            (
-                "name t\nsummary s\nn 4\nrun_for_ms 100\npanic 9 50\nexpect clean",
-                "panic node out of range",
-            ),
-            (
-                "name t\nsummary s\nn 4\nrun_for_ms 100\npanic 1 150\nexpect clean",
-                "panic past the horizon",
-            ),
-            (
-                "name t\nsummary s\nn 4\nrun_for_ms 100\nwat 1\nexpect clean",
-                "unknown directive",
-            ),
+        for (broken, names) in [
+            ("expect clean", "missing 'run_for_ms'"),
+            ("run_for_ms 100\ncrash 9 10 20", "crash index 9 out of range"),
+            ("run_for_ms 100\ncrash 1 20 10", "crash window is empty"),
+            ("run_for_ms 100\nflood 10 20 0 rush", "flood copies"),
+            ("run_for_ms 100\nexpect maybe", "line 5: expect"),
+            ("run_for_ms 100\npanic 9 50", "panic index 9 out of range"),
+            ("run_for_ms 100\npanic 1 150", "past the horizon"),
+            ("run_for_ms 100\nwat 1", "line 5: unknown directive"),
+            ("run_for_ms 100\nd_ms NaN", "line 5"),
+            ("run_for_ms 100\ninvariant skew_ms NaN", "line 5"),
+            ("run_for_ms 100\nd_ms 1\nu_ms 5", "u_ms"),
+            ("run_for_ms 100\ntheta 0.5", "theta"),
+            ("run_for_ms -5", "run_for_ms"),
+            ("run_for_ms 100\nfaulty 0-99999999999", "line 5"),
+            ("run_for_ms 100\nfaulty 0-1", "faulty"),
+            ("run_for_ms 100\ntheta 1.2", "theta"),
+            ("run_for_ms 100\nu_ms 2.5", "u_ms"),
+            ("run_for_ms 100\nn 70000", "n must"),
+            ("run_for_ms 100\nd_ms 1e300", "line 5"),
         ] {
-            assert!(Scenario::parse(broken).is_err(), "should reject: {why}");
+            let text = format!("name t\nsummary s\nn 4\n{broken}\nexpect clean");
+            let started = std::time::Instant::now();
+            let err = Scenario::parse(&text).expect_err(broken);
+            assert!(err.contains(names), "{broken:?}: {err}");
+            assert!(started.elapsed().as_millis() < 100, "{broken:?}: {:?}", started.elapsed());
         }
     }
 

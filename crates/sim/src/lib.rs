@@ -59,11 +59,12 @@
 //! every pinned trace hash — is bit-for-bit identical to this single-lane
 //! reference engine. See [`shard`] for the design and its proof sketch.
 //!
-//! Committed before/after numbers live in `BENCH_cps.json` at the repo
-//! root (see the README's *Engine internals & performance* section for
-//! the `perf_snapshot` record/check workflow); a pinned trace-hash test
-//! in `crusader_bench` guarantees these optimizations are seed-for-seed
-//! trace-identical to the original engine.
+//! The engine's deterministic counts (events, messages, spills, splices)
+//! are committed in `BENCH_cps.json` at the repo root and compared byte
+//! for byte by `experiments counts --check` (see the README's *The
+//! count ledger*); wall-clock numbers live in `benchmark/`. A pinned
+//! trace-hash test in `crusader_bench` guarantees these optimizations
+//! are seed-for-seed trace-identical to the original engine.
 //!
 //! # Example
 //!
