@@ -19,11 +19,11 @@
 //!   identical either way; only wall-clock changes. Experiments that
 //!   never run the event-lane simulator (`e5`, `e6`, `e7`, `e10`, `a2`)
 //!   do not take it;
-//! * `--backend threads|reactor`, `--workers W` — which wall-clock
-//!   runtime executor drives the nodes ([`crusader_runtime::Backend`])
-//!   and with how many reactor worker threads (default
-//!   `available_parallelism()`); `e10_runtime_scale` and `e11_chaos`
-//!   only;
+//! * `--runtime` — also replay each scenario on the wall-clock runtime;
+//!   `e11_chaos` only;
+//! * `--workers W` — how many reactor worker threads the wall-clock
+//!   runtime runs on (default `available_parallelism()`);
+//!   `e10_runtime_scale` and `e11_chaos` (with `--runtime`) only;
 //! * `--scenario FILE`, `--catalog DIR` — replay one `.chaos` scenario
 //!   file or a whole directory (defaults to the committed catalog in
 //!   `crates/chaos/catalog`); `e11_chaos` only;
@@ -37,7 +37,6 @@
 use std::path::PathBuf;
 
 use crusader_core::{max_faults_with_signatures, Params};
-use crusader_runtime::Backend;
 use crusader_time::Dur;
 
 /// Why a subcommand did not reproduce: what `main` prints on stderr and
@@ -80,9 +79,8 @@ pub struct SimArgs {
     pub n: Option<usize>,
     /// `--lanes`: requested lane count (`None` keeps single-lane).
     pub lanes: Option<usize>,
-    /// `--backend`: which wall-clock runtime executor to use (`None`
-    /// keeps the experiment's default).
-    pub backend: Option<Backend>,
+    /// `--runtime`: also replay on the wall-clock runtime.
+    pub runtime: bool,
     /// `--workers`: reactor worker-thread count (`None` means
     /// `available_parallelism()`).
     pub workers: Option<usize>,
@@ -120,9 +118,7 @@ impl SimArgs {
                             .map_err(|e| format!("--lanes: {e}"))?,
                     );
                 }
-                "--backend" => {
-                    args.backend = Some(value("--backend")?.parse::<Backend>()?);
-                }
+                "--runtime" => args.runtime = true,
                 "--workers" => {
                     args.workers = Some(
                         value("--workers")?
@@ -251,7 +247,16 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_still_rejected() {
-        for gone in ["--chaos", "--json", "--compare", "--section", "--label", "--reps", "--max-n"] {
+        for gone in [
+            "--chaos",
+            "--json",
+            "--compare",
+            "--section",
+            "--label",
+            "--reps",
+            "--max-n",
+            "--backend",
+        ] {
             let err = parse(&[gone, "x"]).expect_err("must fail");
             assert!(err.contains(gone), "{err}");
         }

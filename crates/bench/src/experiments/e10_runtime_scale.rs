@@ -1,6 +1,6 @@
 //! E10 — runtime scale: CPS deployments on the wall-clock runtime's
-//! event-driven reactor backend (vs the original thread-per-node
-//! backend), the live counterpart of the simulator's sharded executor.
+//! event-driven reactor, the live counterpart of the simulator's
+//! sharded executor.
 //!
 //! Unlike e1–e9 this is not a paper reproduction but a deployment
 //! experiment: real OS threads, real ed25519 signatures, injected
@@ -14,28 +14,26 @@
 //! The run **asserts** liveness and safety — at least one pulse
 //! completed by every active node, zero violations — so a clean exit is
 //! itself a reproduction result, which is exactly what the CI
-//! runtime-scale smoke step relies on (`--n 512 --backend reactor`).
+//! runtime-scale smoke step relies on (`--n 512`, `--n 2048`).
 //!
 //! ```text
-//! experiments e10_runtime_scale [--n N] [--backend threads|reactor] [--workers W]
+//! experiments e10_runtime_scale [--n N] [--workers W]
 //! ```
 
 use crate::cli::{Failure, SimArgs};
 use crate::snapshot::{run_runtime, runtime_scenario};
-use crusader_runtime::Backend;
 
 /// Runs the experiment (module docs): `Err` for input it cannot run
 /// with, a panic for a violated shape assertion.
 pub fn run(args: &SimArgs) -> Result<(), Failure> {
     let n = args.n.unwrap_or(64);
-    let backend = args.backend.unwrap_or(Backend::Reactor);
     let (cfg, core, params) = runtime_scenario(n);
     let workload = if core == n {
         format!("full CPS mesh, f = {} silent", cfg.silent.len())
     } else {
         format!("CPS core of {core} + {} listen-only clients", n - core)
     };
-    println!("# E10: runtime scale   (n = {n}, backend = {backend})\n");
+    println!("# E10: runtime scale   (n = {n})\n");
     println!("  workload : {workload}");
     println!(
         "  link     : d = {}, u = {}, θ = {} (WAN-scale; host jitter adds to u)",
@@ -49,11 +47,10 @@ pub fn run(args: &SimArgs) -> Result<(), Failure> {
     );
     println!("  duration : {:.1} s of wall-clock time\n", cfg.run_for.as_secs_f64());
 
-    let outcome = run_runtime(n, backend, args.workers);
-    crate::header(&["backend", "pulses", "messages", "msg/s", "violations"]);
+    let outcome = run_runtime(n, args.workers);
+    crate::header(&["pulses", "messages", "msg/s", "violations"]);
     println!(
-        "| {} | {} | {} | {:.0} | {} |",
-        backend,
+        "| {} | {} | {:.0} | {} |",
         outcome.pulses,
         outcome.messages,
         outcome.messages as f64 / outcome.run_secs,
@@ -78,11 +75,11 @@ pub fn run(args: &SimArgs) -> Result<(), Failure> {
 
     assert!(
         outcome.pulses >= 1,
-        "liveness: no pulse completed by every active node at n = {n} on {backend}"
+        "liveness: no pulse completed by every active node at n = {n}"
     );
     assert!(
         outcome.violations.is_empty(),
-        "safety: {} violations at n = {n} on {backend}",
+        "safety: {} violations at n = {n}",
         outcome.violations.len()
     );
     println!(

@@ -6,15 +6,16 @@
 //! relies on.
 //!
 //! Every scenario replays on the deterministic simulator (`--lanes`
-//! selects the sharded executor); `--backend` *adds* a wall-clock
-//! runtime replay, where the same fault timeline plays out against the
-//! host clock and must reach the same verdict. `--n` rescales the
+//! selects the sharded executor); `--runtime` *adds* a wall-clock
+//! runtime replay (on `--workers` reactor workers), where the same fault
+//! timeline plays out against the host clock and must reach the same
+//! verdict. `--n` rescales the
 //! scenarios to a larger system (node indices are absolute, so the
 //! extra nodes are untouched honest participants).
 //!
 //! ```text
 //! experiments e11_chaos [--scenario FILE | --catalog DIR] [--n N] [--lanes L]
-//!                       [--backend threads|reactor] [--workers W]
+//!                       [--runtime [--workers W]]
 //! ```
 
 use std::time::Instant;
@@ -54,13 +55,12 @@ pub fn run(args: &SimArgs) -> Result<(), Failure> {
         lanes: args.lanes(),
         force_parallel: None,
     }];
-    if let Some(backend) = args.backend {
+    if args.runtime {
         executors.push(Executor::Runtime {
-            backend,
             workers: args.workers,
         });
     } else if args.workers.is_some() {
-        return Err(Failure::usage("--workers needs --backend"));
+        return Err(Failure::usage("--workers needs --runtime"));
     }
 
     println!(

@@ -14,7 +14,7 @@
 //! `all` forwards each flag to exactly the rows that take it — the
 //! synchronous/sampled experiments (`e5`, `e6`, `a2`) take `--n` but
 //! have no event lanes, the Theorem 5 tri-execution (`e7`) is fixed at
-//! n = 3, only `e10` and `e11` know what a backend is, only `e11`
+//! n = 3, only `e10` and `e11` run the wall-clock runtime, only `e11`
 //! replays `.chaos` files — and runs the rest at their defaults rather
 //! than failing the whole report. `all` runs the rows in-process; an
 //! experiment that returns a [`Failure`] or panics counts as failed and
@@ -50,9 +50,9 @@ pub struct Experiment {
     pub takes_n: bool,
     /// Takes `--lanes`.
     pub takes_lanes: bool,
-    /// Takes `--backend` and `--workers`.
-    pub takes_backend: bool,
-    /// Takes `--scenario` and `--catalog`.
+    /// Takes `--workers`.
+    pub takes_workers: bool,
+    /// Takes `--scenario`, `--catalog` and `--runtime`.
     pub takes_scenario: bool,
 }
 
@@ -61,7 +61,7 @@ const fn exp(
     run: fn(&SimArgs) -> Result<(), Failure>,
     takes_n: bool,
     takes_lanes: bool,
-    takes_backend: bool,
+    takes_workers: bool,
     takes_scenario: bool,
 ) -> Experiment {
     Experiment {
@@ -69,7 +69,7 @@ const fn exp(
         run,
         takes_n,
         takes_lanes,
-        takes_backend,
+        takes_workers,
         takes_scenario,
     }
 }
@@ -102,10 +102,10 @@ impl Experiment {
         let rules: [(&str, bool, &str, Clear); 6] = [
             ("--n", self.takes_n, "running at its default", |a| a.n.take().is_some()),
             ("--lanes", self.takes_lanes, "running single-lane", |a| a.lanes.take().is_some()),
-            ("--backend", self.takes_backend, "simulator experiment", |a| a.backend.take().is_some()),
+            ("--runtime", self.takes_scenario, "chaos replay is e11_chaos", |a| std::mem::take(&mut a.runtime)),
             ("--scenario", self.takes_scenario, "chaos replay is e11_chaos", |a| a.scenario.take().is_some()),
             ("--catalog", self.takes_scenario, "chaos replay is e11_chaos", |a| a.catalog.take().is_some()),
-            ("--workers", self.takes_backend, "simulator experiment", |a| a.workers.take().is_some()),
+            ("--workers", self.takes_workers, "simulator experiment", |a| a.workers.take().is_some()),
         ];
         let mut taken = args.clone();
         let mut dropped = Vec::new();
@@ -177,8 +177,8 @@ fn run_counts(args: &SimArgs) -> Result<(), Failure> {
 }
 
 const USAGE: &str = "usage: experiments <name>|all|counts [--n N] [--lanes L] \
-                     [--backend threads|reactor] [--workers W] [--scenario FILE] \
-                     [--catalog DIR] [--check PATH]";
+                     [--runtime] [--workers W] [--scenario FILE] [--catalog DIR] \
+                     [--check PATH]";
 
 /// Parses `argv` (the process name already stripped), checks the flags
 /// against the subcommand, and runs it.
@@ -229,7 +229,7 @@ mod tests {
         [
             ("--n", SimArgs { n: Some(16), ..d() }),
             ("--lanes", SimArgs { lanes: Some(4), ..d() }),
-            ("--backend", SimArgs { backend: Some(crusader_runtime::Backend::Reactor), ..d() }),
+            ("--runtime", SimArgs { runtime: true, ..d() }),
             ("--workers", SimArgs { workers: Some(2), ..d() }),
             ("--scenario", SimArgs { scenario: Some("x.chaos".into()), ..d() }),
             ("--catalog", SimArgs { catalog: Some("dir".into()), ..d() }),
@@ -240,7 +240,7 @@ mod tests {
         match flag {
             "--n" => e.takes_n,
             "--lanes" => e.takes_lanes,
-            "--backend" | "--workers" => e.takes_backend,
+            "--workers" => e.takes_workers,
             _ => e.takes_scenario,
         }
     }
@@ -272,6 +272,8 @@ mod tests {
 
     #[test]
     fn all_forwards_each_flag_to_exactly_the_rows_that_take_it() {
+        let replays_on_runtime = EXPERIMENTS.iter().filter(|e| takes(e, "--runtime"));
+        assert!(replays_on_runtime.map(|e| e.name).eq(["e11_chaos"]));
         for e in &EXPERIMENTS {
             for (flag, args) in each_flag() {
                 let (taken, dropped) = e.split(&args);
@@ -298,7 +300,8 @@ mod tests {
             (&["all", "--check", "BENCH_cps.json"], "--check"),
             (&["counts", "--n", "4"], "--check"),
             (&["e5_apa", "--lanes", "2"], "e5_apa"),
-            (&["e11_chaos", "--workers", "2"], "--workers needs --backend"),
+            (&["e11_chaos", "--workers", "2"], "--workers needs --runtime"),
+            (&["e10_runtime_scale", "--runtime"], "e10_runtime_scale"),
         ] {
             let err = run(words).expect_err("must be refused");
             assert_eq!(err.code, 2, "{words:?}");

@@ -52,7 +52,7 @@ use std::time::Duration;
 use crusader_chaos::{builtin_catalog_dir, run_scenario, Catalog, Executor};
 use crusader_core::{max_faults_with_signatures, CpsNode, FleetNode, Params, PulseClient};
 use crusader_crypto::NodeId;
-use crusader_runtime::{Backend, RuntimeConfig};
+use crusader_runtime::RuntimeConfig;
 use crusader_sim::metrics::{pulse_stats, resync_times};
 use crusader_sim::{SilentAdversary, Trace};
 use crusader_time::Dur;
@@ -275,9 +275,9 @@ pub fn check(path: &Path) -> Result<(), Failure> {
 
 /// The wall-clock deployment at system size `n` — one place, so the
 /// `e10_runtime_scale` experiment and the CI smoke steps cannot drift
-/// apart. Returns the runtime config (with
-/// the backend left at its default, to be overridden by the caller),
-/// the core size, and the core's protocol parameters.
+/// apart. Returns the runtime config (with the worker count left at its
+/// default, to be overridden by the caller), the core size, and the
+/// core's protocol parameters.
 ///
 /// `d`/`u` scale with `n` so each round's `Θ(core²·n)` delivery volume
 /// fits inside a round period even on a small host — the same
@@ -316,7 +316,6 @@ pub fn runtime_scenario(n: usize) -> (RuntimeConfig, usize, Params) {
         Vec::new()
     };
     let cfg = RuntimeConfig {
-        n,
         silent,
         d,
         u,
@@ -324,10 +323,7 @@ pub fn runtime_scenario(n: usize) -> (RuntimeConfig, usize, Params) {
         max_offset: derived.s,
         run_for: Duration::from_millis(run_ms),
         seed: 0xCAFE ^ (n as u64),
-        backend: Backend::Reactor,
-        workers: None,
-        chaos: None,
-        observer: None,
+        ..RuntimeConfig::new(n)
     };
     (cfg, core, params)
 }
@@ -349,11 +345,11 @@ pub struct RuntimeOutcome {
     pub supervision: crusader_runtime::SupervisionStats,
 }
 
-/// Runs the runtime scenario for size `n` on `backend` and summarizes.
+/// Runs the runtime scenario for size `n` on `workers` reactor workers
+/// and summarizes.
 #[must_use]
-pub fn run_runtime(n: usize, backend: Backend, workers: Option<usize>) -> RuntimeOutcome {
+pub fn run_runtime(n: usize, workers: Option<usize>) -> RuntimeOutcome {
     let (mut cfg, core, params) = runtime_scenario(n);
-    cfg.backend = backend;
     cfg.workers = workers;
     let derived = params.derive().expect("validated by runtime_scenario");
     let silent = cfg.silent.clone();

@@ -23,7 +23,7 @@
 //!   simulator (replay + rushing inside flood windows);
 //! * [`run_scenario`] — one entry point replaying any scenario on any
 //!   [`Executor`]: single-lane sim, sharded sim (bit-identical traces),
-//!   or either runtime backend (identical verdicts).
+//!   or the wall-clock runtime (identical verdicts).
 //!
 //! Honest-traffic injection (crash freezes, link cuts, delay storms,
 //! flood duplication) lives in the executors themselves —

@@ -1,8 +1,8 @@
 //! Replaying a [`Scenario`] on any executor with continuous checking.
 //!
-//! One scenario file drives four executors: the single-lane reference
-//! simulator, the sharded simulator (any lane count), and both
-//! wall-clock runtime backends. Every replay runs the recovery-capable
+//! One scenario file drives three executors: the single-lane reference
+//! simulator, the sharded simulator (any lane count), and the
+//! wall-clock runtime. Every replay runs the recovery-capable
 //! fleet — [`RecoveringNode`] wrapping [`CpsNode`] — so a crash window
 //! ending mid-run triggers the real signed rejoin handshake (resync
 //! request, `f + 1`-signature pulse certificate, fast-forward) instead
@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use crusader_core::{max_faults_with_signatures, CpsNode, Params, RecoveringNode, RecoveryMsg};
 use crusader_crypto::NodeId;
-use crusader_runtime::{Backend, RuntimeConfig};
+use crusader_runtime::RuntimeConfig;
 use crusader_sim::{
     Adversary, DelayModel, SilentAdversary, SimBuilder, Trace,
 };
@@ -40,10 +40,8 @@ pub enum Executor {
         /// Worker-pool override; `None` keeps the automatic choice.
         force_parallel: Option<bool>,
     },
-    /// A wall-clock runtime backend.
+    /// The wall-clock runtime.
     Runtime {
-        /// Threads or reactor.
-        backend: Backend,
         /// Reactor worker count (`None` = `available_parallelism()`).
         workers: Option<usize>,
     },
@@ -54,7 +52,7 @@ impl std::fmt::Display for Executor {
         match self {
             Executor::Sim { lanes: 1, .. } => write!(f, "sim"),
             Executor::Sim { lanes, .. } => write!(f, "sim/lanes={lanes}"),
-            Executor::Runtime { backend, .. } => write!(f, "runtime/{backend}"),
+            Executor::Runtime { .. } => write!(f, "runtime"),
         }
     }
 }
@@ -139,9 +137,7 @@ pub fn run_scenario(sc: &Scenario, executor: Executor) -> Outcome {
             lanes,
             force_parallel,
         } => run_sim(sc, &timeline, &checker, horizon, lanes, force_parallel),
-        Executor::Runtime { backend, workers } => {
-            run_runtime(sc, &timeline, &checker, backend, workers)
-        }
+        Executor::Runtime { workers } => run_runtime(sc, &timeline, &checker, workers),
     };
     let verdict = checker.finalize(horizon);
     Outcome {
@@ -197,7 +193,6 @@ fn run_runtime(
     sc: &Scenario,
     timeline: &Arc<crusader_sim::ChaosTimeline>,
     checker: &Arc<InvariantChecker>,
-    backend: Backend,
     workers: Option<usize>,
 ) -> Trace {
     let params = scenario_params(sc);
@@ -214,7 +209,6 @@ fn run_runtime(
         max_offset: derived.s,
         run_for: std::time::Duration::from_secs_f64(sc.run_for.as_secs()),
         seed: sc.seed,
-        backend,
         workers,
         chaos: Some(Arc::clone(timeline)),
         observer: Some(Arc::clone(checker) as Arc<dyn crusader_sim::RunObserver>),

@@ -129,8 +129,8 @@ pub struct StormSpec {
 }
 
 /// A worker-panic drill: the named node's handler panics once at the
-/// given instant. Runtime-only — the wall-clock backends contain the
-/// panic in their supervision layer; the simulators ignore drills
+/// given instant. Runtime-only — the wall-clock runtime contains the
+/// panic in its supervision layer; the simulators ignore drills
 /// (there is no worker to kill in a deterministic event loop).
 #[derive(Clone, Copy, Debug)]
 pub struct PanicSpec {

@@ -7,7 +7,6 @@
 use std::sync::{Mutex, MutexGuard};
 
 use crusader_chaos::{builtin_catalog_dir, run_scenario, Catalog, Executor, Scenario};
-use crusader_runtime::Backend;
 
 static GATE: Mutex<()> = Mutex::new(());
 
@@ -43,7 +42,7 @@ fn catalog() -> Catalog {
     Catalog::load(&builtin_catalog_dir()).expect("committed catalog loads")
 }
 
-/// Replay a scenario on a wall-clock backend until `good` accepts the
+/// Replay a scenario on the wall-clock runtime until `good` accepts the
 /// outcome, giving up after three attempts and returning the last one.
 ///
 /// Host scheduling is the one adversary the catalog cannot budget for:
@@ -53,13 +52,9 @@ fn catalog() -> Catalog {
 /// three attempts; a scheduler stall does not repeat.
 fn run_wallclock(
     sc: &Scenario,
-    backend: Backend,
     good: impl Fn(&crusader_chaos::Outcome) -> bool,
 ) -> crusader_chaos::Outcome {
-    let executor = Executor::Runtime {
-        backend,
-        workers: None,
-    };
+    let executor = Executor::Runtime { workers: None };
     let mut out = run_scenario(sc, executor);
     for _ in 0..2 {
         if good(&out) {
@@ -70,27 +65,18 @@ fn run_wallclock(
     out
 }
 
-/// Both wall-clock backends, every scenario, one sequential pass.
+/// The wall-clock runtime, every scenario, one sequential pass.
 #[test]
 fn runtime_backends_reach_every_pinned_verdict() {
     let _gate = gate();
     quiet_injected_panics();
     for sc in &catalog().scenarios {
-        let mut verdicts = Vec::new();
-        for backend in [Backend::Threads, Backend::Reactor] {
-            let out = run_wallclock(sc, backend, |out| out.as_expected(sc));
-            assert!(
-                out.as_expected(sc),
-                "{} on runtime/{backend}: verdict {:?} does not match pinned expectation",
-                sc.name,
-                out.verdict
-            );
-            verdicts.push(out.verdict.clean());
-        }
-        assert_eq!(
-            verdicts[0], verdicts[1],
-            "{}: threads and reactor disagree on clean/violating",
-            sc.name
+        let out = run_wallclock(sc, |out| out.as_expected(sc));
+        assert!(
+            out.as_expected(sc),
+            "{} on the runtime: verdict {:?} does not match pinned expectation",
+            sc.name,
+            out.verdict
         );
     }
 }
@@ -113,22 +99,20 @@ fn fault_free_scenarios_are_spotless_on_both_runtime_backends() {
         for n in [8, 13] {
             let mut sc = base.rescale(n).expect("fault-free scenarios rescale");
             sc.seed = 5;
-            for backend in [Backend::Threads, Backend::Reactor] {
-                let out = run_wallclock(&sc, backend, |out| {
-                    out.verdict.clean() && out.verdict.tolerated == 0
-                });
-                assert!(
-                    out.verdict.clean(),
-                    "{} (n={n}) on runtime/{backend}: fault-free run reported {:?}",
-                    sc.name,
-                    out.verdict.violations
-                );
-                assert_eq!(
-                    out.verdict.tolerated, 0,
-                    "{} (n={n}) on runtime/{backend}: fault-free run tolerated {} complaints",
-                    sc.name, out.verdict.tolerated
-                );
-            }
+            let out = run_wallclock(&sc, |out| {
+                out.verdict.clean() && out.verdict.tolerated == 0
+            });
+            assert!(
+                out.verdict.clean(),
+                "{} (n={n}) on the runtime: fault-free run reported {:?}",
+                sc.name,
+                out.verdict.violations
+            );
+            assert_eq!(
+                out.verdict.tolerated, 0,
+                "{} (n={n}) on the runtime: fault-free run tolerated {} complaints",
+                sc.name, out.verdict.tolerated
+            );
         }
     }
 }

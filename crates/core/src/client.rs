@@ -27,7 +27,7 @@
 //!
 //! [`FleetNode`] packages "core member or client" as a single
 //! [`Automaton`] type so one `make_node` closure can deploy a mixed
-//! fleet on the simulator or on either runtime backend.
+//! fleet on the simulator or on the wall-clock runtime.
 
 use std::collections::HashMap;
 

@@ -174,9 +174,10 @@ impl Params {
         let t = self.theta;
         let p = Self::feasibility(t);
         // `partial_cmp` keeps the NaN-rejecting semantics of `!(t > 1.0)`
-        // explicit: anything not strictly greater than 1 — including NaN —
-        // is infeasible.
-        if t.partial_cmp(&1.0) != Some(std::cmp::Ordering::Greater) || p <= 0.0 {
+        // and `!(p > 0.0)` explicit: anything not strictly greater —
+        // including NaN, which `P` is once θ² overflows — is infeasible.
+        let above = |x: f64, floor: f64| x.partial_cmp(&floor) == Some(std::cmp::Ordering::Greater);
+        if !above(t, 1.0) || !above(p, 0.0) {
             return Err(ParamError::ThetaInfeasible {
                 theta: t,
                 max_theta: Self::max_feasible_theta(),
@@ -300,6 +301,15 @@ mod tests {
             bad.derive(),
             Err(ParamError::ThetaInfeasible { .. })
         ));
+        // Far out, `P` overflows: to −∞ once θ³ does (1e103), to NaN
+        // once θ² does too (1e155, ∞). Both are infeasible, not a panic.
+        for theta in [1e103, 1e155, f64::INFINITY] {
+            let huge = Params { theta, ..good };
+            assert!(
+                matches!(huge.derive(), Err(ParamError::ThetaInfeasible { .. })),
+                "θ = {theta:e}"
+            );
+        }
     }
 
     #[test]

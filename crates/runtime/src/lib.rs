@@ -7,22 +7,15 @@
 //! clocks, and **real ed25519 signatures** (`crusader-crypto`'s
 //! `KeyRing::ed25519`).
 //!
-//! Two executors drive the nodes, selected by [`RuntimeConfig::backend`]:
-//!
-//! * [`Backend::Threads`] — one OS thread per node, blocking on its
-//!   inbox with the next timer deadline as the wait bound. Simple,
-//!   latency-faithful, and fine to a few hundred nodes.
-//! * [`Backend::Reactor`] — an event-driven worker-pool reactor: N node
-//!   state machines multiplexed as non-blocking tasks onto M long-lived
-//!   worker threads, with per-node inboxes, a ready-queue scheduler that
-//!   parks idle workers, and a hashed [timer wheel](wheel) multiplexing
-//!   all `SetTimer` deadlines through one timer thread. This is the
-//!   scale path: thousands of nodes on a handful of threads.
-//!
-//! Both backends drive the **same protocol core** per node (the same
-//! handler dispatch, timer bookkeeping, and pulse logging — see
-//! `src/node.rs`), so they differ only in scheduling, and a test suite
-//! holds them to the same model bounds.
+//! One executor drives the nodes, an event-driven worker-pool reactor
+//! (`src/reactor.rs`): N node state machines multiplexed as non-blocking
+//! tasks onto M long-lived worker threads, with per-node inboxes, a
+//! ready-queue scheduler that parks idle workers, and a hashed
+//! [timer wheel](wheel) multiplexing all `SetTimer` deadlines through
+//! one timer thread — thousands of nodes on a handful of threads. Every
+//! node's handlers run through one protocol core (`src/node.rs`: handler
+//! dispatch, timer bookkeeping, pulse logging), and
+//! `tests/runtime_bounds.rs` holds runs to the model bounds.
 //!
 //! The same [`Automaton`](crusader_sim::Automaton) implementations run
 //! unchanged in both worlds; the runtime exists to demonstrate that the
@@ -47,7 +40,7 @@
 //! ```no_run
 //! use std::time::Duration;
 //! use crusader_core::{CpsNode, Params};
-//! use crusader_runtime::{run, Backend, RuntimeConfig};
+//! use crusader_runtime::{run, RuntimeConfig};
 //! use crusader_time::Dur;
 //!
 //! let d = Dur::from_millis(5.0);
@@ -63,7 +56,6 @@
 //!     max_offset: derived.s,
 //!     run_for: Duration::from_millis(500),
 //!     seed: 42,
-//!     backend: Backend::Reactor,
 //!     workers: None, // available_parallelism()
 //!     ..RuntimeConfig::new(4)
 //! };
@@ -120,13 +112,12 @@ mod tests {
 
     use super::*;
 
-    fn cps_cfg(backend: Backend, silent: Vec<usize>, seed: u64) -> (RuntimeConfig, Params) {
+    fn cps_cfg(silent: Vec<usize>, seed: u64) -> (RuntimeConfig, Params) {
         let d = Dur::from_millis(5.0);
         let u = Dur::from_millis(2.0);
         let params = Params::max_resilience(4, d, u, 1.01);
         let derived = params.derive().unwrap();
         let cfg = RuntimeConfig {
-            n: 4,
             silent,
             d,
             u,
@@ -134,10 +125,7 @@ mod tests {
             max_offset: derived.s,
             run_for: Duration::from_millis(700),
             seed,
-            backend,
-            workers: None,
-            chaos: None,
-            observer: None,
+            ..RuntimeConfig::new(4)
         };
         (cfg, params)
     }
@@ -150,87 +138,53 @@ mod tests {
         // T ≈ a few × d: several pulses must have completed.
         assert!(
             stats.complete_pulses >= 3,
-            "only {} pulses on {:?}: {:?}",
+            "only {} pulses: {:?}",
             stats.complete_pulses,
-            cfg.backend,
             report.trace.violations
         );
         // Loose sanity bound: scheduling jitter inflates u, but skew must
         // stay well under d + S.
         assert!(
             stats.max_skew < cfg.d + derived.s * 2.0,
-            "skew {} on {:?}",
-            stats.max_skew,
-            cfg.backend
+            "skew {}",
+            stats.max_skew
         );
         assert!(report.messages_delivered > 0);
     }
 
     #[test]
-    fn cps_pulses_under_real_threads() {
-        let (cfg, params) = cps_cfg(Backend::Threads, vec![], 7);
-        assert_cps_pulses(&cfg, params, 4);
-    }
-
-    #[test]
     fn cps_pulses_under_the_reactor() {
-        let (cfg, params) = cps_cfg(Backend::Reactor, vec![], 7);
+        let (cfg, params) = cps_cfg(vec![], 7);
         assert_cps_pulses(&cfg, params, 4);
-    }
-
-    #[test]
-    fn cps_survives_silent_fault_live() {
-        let (cfg, params) = cps_cfg(Backend::Threads, vec![3], 11);
-        assert_cps_pulses(&cfg, params, 3);
     }
 
     #[test]
     fn cps_survives_silent_fault_on_the_reactor() {
-        let (cfg, params) = cps_cfg(Backend::Reactor, vec![3], 11);
+        let (cfg, params) = cps_cfg(vec![3], 11);
         assert_cps_pulses(&cfg, params, 3);
     }
 
     #[test]
     fn reactor_with_one_worker_still_pulses() {
-        let (mut cfg, params) = cps_cfg(Backend::Reactor, vec![], 13);
+        let (mut cfg, params) = cps_cfg(vec![], 13);
         cfg.workers = Some(1);
         assert_cps_pulses(&cfg, params, 4);
     }
 
     #[test]
     fn echo_sync_runs_on_the_runtime_too() {
-        let d = Dur::from_millis(5.0);
-        let u = Dur::from_millis(2.0);
-        for backend in [Backend::Threads, Backend::Reactor] {
-            let cfg = RuntimeConfig {
-                n: 4,
-                silent: vec![],
-                d,
-                u,
-                theta: 1.001,
-                max_offset: Dur::from_millis(2.0),
-                run_for: Duration::from_millis(600),
-                seed: 3,
-                backend,
-                workers: None,
-                chaos: None,
-                observer: None,
-            };
-            let report = run(&cfg, |me| {
-                EchoSyncNode::new(me, 4, 1, Dur::from_millis(50.0))
-            });
-            let honest: Vec<NodeId> = NodeId::all(4).collect();
-            let stats = pulse_stats(&report.trace, &honest);
-            assert!(stats.complete_pulses >= 2, "backend {backend}");
-        }
-    }
-
-    #[test]
-    fn backend_parses_and_displays() {
-        assert_eq!("threads".parse::<Backend>().unwrap(), Backend::Threads);
-        assert_eq!("reactor".parse::<Backend>().unwrap(), Backend::Reactor);
-        assert!("tokio".parse::<Backend>().is_err());
-        assert_eq!(Backend::Reactor.to_string(), "reactor");
-        assert_eq!(Backend::default(), Backend::Threads);
+        let cfg = RuntimeConfig {
+            theta: 1.001,
+            max_offset: Dur::from_millis(2.0),
+            run_for: Duration::from_millis(600),
+            seed: 3,
+            ..RuntimeConfig::new(4)
+        };
+        let report = run(&cfg, |me| {
+            EchoSyncNode::new(me, 4, 1, Dur::from_millis(50.0))
+        });
+        let honest: Vec<NodeId> = NodeId::all(4).collect();
+        let stats = pulse_stats(&report.trace, &honest);
+        assert!(stats.complete_pulses >= 2);
     }
 }

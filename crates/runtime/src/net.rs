@@ -1,10 +1,10 @@
-//! The delay-injecting network thread, shared by both backends.
+//! The reactor's delay-injecting network thread.
 //!
 //! Receives send/broadcast commands from node handlers, holds each
 //! message for a random flight time inside `[d − u, d]` (drawn per
 //! *destination*, like the simulator's random delay model), then hands
-//! it to the backend through a [`DeliverySink`] — a channel push for the
-//! thread backend, an inbox hand-off plus wakeup for the reactor.
+//! it to the reactor through a [`DeliverySink`]: an inbox hand-off plus
+//! wake-up per destination.
 //!
 //! # The tick grid
 //!
@@ -93,7 +93,7 @@
 //! copies.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{
@@ -134,20 +134,21 @@ pub enum NodeEvent<M> {
     Shutdown,
 }
 
-/// How the network hands events to the backend.
+/// How the network hands events to the reactor.
 ///
-/// Implemented by plain closures; the network thread is generic over it
-/// so the thread and reactor backends share one delivery loop. Carries
-/// whole [`NodeEvent`]s (not just messages) so the chaos injector can
-/// emit `Freeze`/`Thaw` control events through the same path.
+/// The network thread is generic over it so that the tests below can
+/// record what a sweep hands over; the reactor's cell sink is the one
+/// implementation outside them. Carries whole [`NodeEvent`]s (not just
+/// messages) so the chaos injector can emit `Freeze`/`Thaw` control
+/// events through the same path.
 pub(crate) trait DeliverySink<M>: Send + 'static {
     fn deliver(&mut self, to: NodeId, event: NodeEvent<M>);
 
     /// Hands over everything one delivery sweep holds for `to`, in
     /// delivery order, and leaves `events` empty (its capacity stays
     /// with the network, which refills it next sweep). The default
-    /// forwards event by event; a backend whose hand-off has a fixed
-    /// cost — a lock, a wake-up — overrides it to pay that cost once.
+    /// forwards event by event; a sink whose hand-off has a fixed cost —
+    /// a lock, a wake-up — overrides it to pay that cost once.
     fn deliver_batch(&mut self, to: NodeId, events: &mut Vec<NodeEvent<M>>) {
         for event in events.drain(..) {
             self.deliver(to, event);
@@ -155,34 +156,22 @@ pub(crate) trait DeliverySink<M>: Send + 'static {
     }
 }
 
-impl<M, F: FnMut(NodeId, NodeEvent<M>) + Send + 'static> DeliverySink<M> for F {
-    fn deliver(&mut self, to: NodeId, event: NodeEvent<M>) {
-        self(to, event);
-    }
-}
-
 /// Chaos injection context for the network thread: the fault timeline
-/// plus the run's epoch anchor. The epoch arrives through a `OnceLock`
-/// because the thread backend anchors it only after the startup barrier
-/// — until it is set, no scenario time has elapsed (every window starts
-/// after time zero) and the network polls briefly instead of blocking.
+/// plus the run's epoch, the host instant of scenario time zero.
 pub(crate) struct NetChaos {
     pub timeline: Arc<ChaosTimeline>,
-    pub epoch: Arc<OnceLock<Instant>>,
+    pub epoch: Instant,
 }
 
 impl NetChaos {
-    /// The host instant of scenario time `t`, once the epoch is anchored.
-    fn instant_of(&self, t: Time) -> Option<Instant> {
-        self.epoch
-            .get()
-            .map(|epoch| *epoch + Duration::from_secs_f64(t.as_secs()))
+    /// The host instant of scenario time `t`.
+    fn instant_of(&self, t: Time) -> Instant {
+        self.epoch + Duration::from_secs_f64(t.as_secs())
     }
 
-    /// Whether scenario time `t` has come by `now` (never, before the
-    /// epoch is anchored).
+    /// Whether scenario time `t` has come by `now`.
     fn due(&self, t: Time, now: Instant) -> bool {
-        self.instant_of(t).is_some_and(|at| at <= now)
+        self.instant_of(t) <= now
     }
 }
 
@@ -512,8 +501,7 @@ impl<M: Clone + Send + Sync + 'static> Network<M> {
 struct Departure {
     /// The send instant, in nanoseconds on the grid's clock.
     sent_ns: u64,
-    /// Scenario time of the send instant; zero until the epoch is
-    /// anchored (all chaos windows open strictly after time zero).
+    /// Scenario time of the send instant (zero before the epoch).
     t: Time,
     storming: bool,
     flood: Option<FloodSpec>,
@@ -654,9 +642,7 @@ impl<M: Clone> Flights<M> {
     fn enqueue(&mut self, cmd: NetCommand<M>, sent_at: Instant) -> bool {
         let (t, storming, flood) = match &self.chaos {
             Some(c) => {
-                let t = c.epoch.get().map_or(Time::ZERO, |epoch| {
-                    Time::from_secs(sent_at.saturating_duration_since(*epoch).as_secs_f64())
-                });
+                let t = Time::from_secs(sent_at.saturating_duration_since(c.epoch).as_secs_f64());
                 (t, c.timeline.storming(t), c.timeline.flood(t))
             }
             None => (Time::ZERO, false, None),
@@ -783,8 +769,7 @@ fn network_loop<M: Clone + Send, S: DeliverySink<M>>(
         // Wait for the next command, the next due delivery, or the next
         // chaos transition — whichever is soonest. (After a sweep that
         // used up its budget the next delivery is already due, and the
-        // wait only picks up a command that is already queued.) Until
-        // the epoch is anchored a pending schedule polls at 1ms.
+        // wait only picks up a command that is already queued.)
         let mut deadline: Option<Instant> = flights.next_due();
         if let Some(c) = flights.chaos.as_ref() {
             let next_crash = transitions
@@ -794,7 +779,7 @@ fn network_loop<M: Clone + Send, S: DeliverySink<M>>(
                 .as_ref()
                 .and_then(|pc| pc.schedule.get(pc.next).map(|&(t, _)| t));
             for t in [next_crash, next_panic].into_iter().flatten() {
-                let at = c.instant_of(t).unwrap_or(now + Duration::from_millis(1));
+                let at = c.instant_of(t);
                 deadline = Some(deadline.map_or(at, |d| d.min(at)));
             }
         }
@@ -856,13 +841,9 @@ mod tests {
         let only = |i: usize| (0..N).map(|j| j == i).collect::<Vec<bool>>();
         timeline.cut_link(only(0), only(3), from, until);
         timeline.flood_window(from, until, 2, false);
-        let epoch = Arc::new(OnceLock::new());
-        epoch
-            .set(Instant::now() - Duration::from_secs(1))
-            .expect("fresh cell");
         NetChaos {
             timeline: Arc::new(timeline),
-            epoch,
+            epoch: Instant::now() - Duration::from_secs(1),
         }
     }
 
@@ -937,18 +918,30 @@ mod tests {
         }
     }
 
+    /// What a real network thread handed over: how many events, and
+    /// whether the [`MARK`]ed message was among them.
+    #[derive(Default)]
+    struct Tally {
+        seen: Arc<AtomicU64>,
+        marked: Arc<AtomicBool>,
+    }
+
+    impl DeliverySink<u32> for Tally {
+        fn deliver(&mut self, _to: NodeId, event: NodeEvent<u32>) {
+            self.seen.fetch_add(1, Ordering::Relaxed);
+            if matches!(event, NodeEvent::Deliver { msg: MARK, .. }) {
+                self.marked.store(true, Ordering::Release);
+            }
+        }
+    }
+
     /// Runs one round of [`one_of_each`] through a real network thread
     /// and stops it once `wait_for` deliveries have been seen. Returns
     /// `(seen by the sink, delivered, chaos-dropped, discarded, commands)`.
     fn round_trip(d: Dur, u: Dur, wait_for: u64) -> (u64, u64, u64, u64, u64) {
         let counters = Arc::new(Counters::new(N));
-        let seen = Arc::new(AtomicU64::new(0));
-        let sink = {
-            let seen = Arc::clone(&seen);
-            move |_to: NodeId, _event: NodeEvent<u32>| {
-                seen.fetch_add(1, Ordering::Relaxed);
-            }
-        };
+        let sink = Tally::default();
+        let seen = Arc::clone(&sink.seen);
         let chaos = Some(cut_and_flood());
         let net = Network::spawn(sink, N, d, u, 7, chaos, Arc::clone(&counters));
         for cmd in one_of_each() {
@@ -1101,13 +1094,11 @@ mod tests {
         let (from, until) = (Time::from_millis(1.0), Time::from_secs(3600.0));
         timeline.storm(from, until);
         timeline.flood_window(from, until, 1, true);
-        let epoch = Arc::new(OnceLock::new());
         let chaos = NetChaos {
             timeline: Arc::new(timeline),
-            epoch: Arc::clone(&epoch),
+            epoch: Instant::now(),
         };
         let mut flights = flights(ms(20.0), ms(5.0), 5, Some(chaos));
-        epoch.set(flights.origin).expect("fresh cell");
         // Sent off the grid, one second in.
         let sent_ns = 12_800 * flights.tick + 1_000;
         let sent_at = flights.origin + Duration::from_nanos(sent_ns);
@@ -1301,15 +1292,8 @@ mod tests {
     /// delivered.
     #[test]
     fn a_command_storm_does_not_starve_a_due_delivery() {
-        let landed = Arc::new(AtomicBool::new(false));
-        let sink = {
-            let landed = Arc::clone(&landed);
-            move |_to: NodeId, event: NodeEvent<u32>| {
-                if matches!(event, NodeEvent::Deliver { msg: MARK, .. }) {
-                    landed.store(true, Ordering::Release);
-                }
-            }
-        };
+        let sink = Tally::default();
+        let landed = Arc::clone(&sink.marked);
         let counters = Arc::new(Counters::new(N));
         let net = Network::spawn(sink, N, ms(5.0), ms(1.0), 5, None, counters);
         let (from, to) = (NodeId::new(0), NodeId::new(1));

@@ -1,13 +1,10 @@
-//! The per-node protocol driver shared by both runtime backends.
+//! The per-node protocol driver.
 //!
 //! [`NodeCore`] owns everything one node needs to run its
 //! [`Automaton`]: the automaton itself, the node's emulated drifting
 //! clock, its pending local-time timers, and its signing/verifying
-//! capabilities. Both backends drive the *same* `NodeCore` methods —
-//! the `threads` backend from a blocking per-node event loop
-//! ([`node_loop`]), the `reactor` backend from whichever worker thread
-//! the node's task is scheduled on — so protocol semantics cannot drift
-//! between backends.
+//! capabilities. The reactor drives its methods from whichever worker
+//! thread the node's task is scheduled on.
 //!
 //! Pulses and violations are buffered *inside* the core and harvested
 //! once at shutdown: the hot path takes no shared lock (the seed
@@ -17,18 +14,16 @@
 //! holding it).
 
 use std::collections::{BinaryHeap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 use crusader_crypto::{NodeId, Signer, Verifier};
 use crusader_sim::{Automaton, Context, RunObserver, TimerId};
 use crusader_time::{LocalTime, Time};
 
 use crate::clock::EmulatedClock;
 use crate::net::{NetCommand, NetLink, NodeEvent};
-use crate::supervise::{self, Counters, Heartbeats};
+use crate::supervise;
 
 struct PendingTimer {
     fire_local: LocalTime,
@@ -57,7 +52,7 @@ impl Ord for PendingTimer {
 }
 
 /// Messages handlers produced, to be flushed to the network by the
-/// backend once the quantum's handlers have returned. Broadcasts stay a
+/// worker once the quantum's handlers have returned. Broadcasts stay a
 /// *single* value here and on the wire to the network thread; the
 /// fan-out (and the per-destination delay draws) happens inside the
 /// network, so a 2048-node broadcast costs one channel send, not 2048.
@@ -156,7 +151,7 @@ impl<'a, M: Clone> Context<M> for RtCtx<'a, M> {
     }
 }
 
-/// One node's complete runtime state, backend-agnostic.
+/// One node's complete runtime state.
 pub(crate) struct NodeCore<A: Automaton> {
     automaton: A,
     me: NodeId,
@@ -171,8 +166,8 @@ pub(crate) struct NodeCore<A: Automaton> {
     pulses: Vec<(u64, Instant)>,
     /// Violations (prefixed with the node id), harvested at shutdown.
     violations: Vec<String>,
-    /// Whether `on_init` ran (the reactor initializes lazily on the
-    /// node's first scheduling; the thread backend calls it up front).
+    /// Whether `on_init` ran (the reactor initializes lazily, on the
+    /// node's first scheduling).
     inited: bool,
     /// Chaos-crashed: deliveries are dropped and timers deferred until
     /// a [`NodeEvent::Thaw`] arrives (they then fire at the recovery
@@ -184,8 +179,7 @@ pub(crate) struct NodeCore<A: Automaton> {
     /// Set once the node saw `Shutdown`; further events are ignored.
     pub done: bool,
     /// The wheel deadline this node last registered with the reactor's
-    /// timer thread (`None` = no pending wakeup). Unused by the thread
-    /// backend, which blocks in `recv_deadline` instead.
+    /// timer thread (`None` = no pending wakeup).
     pub registered_wakeup: Option<Instant>,
 }
 
@@ -403,7 +397,7 @@ impl<A: Automaton> NodeCore<A> {
     }
 
     /// Records a violation from outside a handler context — the
-    /// backends use it to log contained handler panics against the
+    /// reactor uses it to log contained handler panics against the
     /// node.
     pub fn note_violation(&mut self, text: &str) {
         if let Some((obs, epoch)) = &self.observer {
@@ -420,81 +414,5 @@ impl<A: Automaton> NodeCore<A> {
     /// Surrenders the buffered pulse log and violations.
     pub fn into_results(self) -> (Vec<(u64, Instant)>, Vec<String>) {
         (self.pulses, self.violations)
-    }
-}
-
-/// Runs `f` over the core with panic containment: a panicking handler
-/// rolls the outbox back to its pre-call state (messages earlier
-/// handlers flushed into it this quantum survive), is counted against
-/// the fault budget, and — unless it is an injected drill — recorded as
-/// a violation on the node. Returns `None` when `f` panicked; the node
-/// keeps running (graceful degradation, not abort).
-pub(crate) fn contained<A: Automaton, R>(
-    core: &mut NodeCore<A>,
-    out: &mut Outbox<A::Msg>,
-    counters: &Counters,
-    f: impl FnOnce(&mut NodeCore<A>, &mut Outbox<A::Msg>) -> R,
-) -> Option<R> {
-    let (s0, b0) = (out.sends.len(), out.broadcasts.len());
-    match catch_unwind(AssertUnwindSafe(|| f(core, out))) {
-        Ok(r) => Some(r),
-        Err(payload) => {
-            out.sends.truncate(s0);
-            out.broadcasts.truncate(b0);
-            counters.note_panic();
-            counters.note_fault_budget();
-            let msg = supervise::panic_message(&*payload);
-            if !supervise::is_injected(&msg) {
-                core.note_violation(&format!("handler panicked: {msg}"));
-            }
-            None
-        }
-    }
-}
-
-/// The thread backend's per-node event loop: blocks on the inbox with
-/// the next timer deadline as the wait bound. Returns the core so the
-/// harness can harvest its pulse log without any shared-state locking.
-pub(crate) fn node_loop<A: Automaton>(
-    mut core: NodeCore<A>,
-    inbox: &Receiver<NodeEvent<A::Msg>>,
-    net: &NetLink<A::Msg>,
-    counters: &Counters,
-    heartbeats: &Heartbeats,
-) -> NodeCore<A> {
-    let idx = core.me().index();
-    let mut out = Outbox::default();
-    contained(&mut core, &mut out, counters, |c, o| c.init(o));
-    out.flush(core.me(), net);
-    loop {
-        contained(&mut core, &mut out, counters, |c, o| c.fire_due(o));
-        out.flush(core.me(), net);
-        // Wait for the next message or timer deadline, reporting the
-        // deadline to the watchdog first.
-        let deadline = core.next_deadline();
-        heartbeats.set_deadline(idx, if core.done { None } else { deadline });
-        let result = match deadline {
-            Some(at) => inbox.recv_deadline(at),
-            None => inbox.recv().map_err(|_| RecvTimeoutError::Disconnected),
-        };
-        match result {
-            Ok(event) => {
-                // A contained panic is not a shutdown: keep running.
-                let keep_going = contained(&mut core, &mut out, counters, |c, o| {
-                    c.on_event(event, o)
-                })
-                .unwrap_or(true);
-                out.flush(core.me(), net);
-                if !keep_going {
-                    heartbeats.set_deadline(idx, None);
-                    return core;
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => { /* loop fires due timers */ }
-            Err(RecvTimeoutError::Disconnected) => {
-                heartbeats.set_deadline(idx, None);
-                return core;
-            }
-        }
     }
 }

@@ -1,9 +1,8 @@
-//! The event-driven `reactor` backend: N node tasks on M worker threads.
+//! The reactor: N node tasks on M worker threads.
 //!
-//! The thread backend burns one OS thread per node, which caps
-//! deployments at a few dozen nodes; the reactor multiplexes thousands
-//! of [`NodeCore`] state machines onto a small persistent worker pool —
-//! the same long-lived-workers-fed-by-channels pattern as the sharded
+//! The runtime's one executor multiplexes thousands of [`NodeCore`]
+//! state machines onto a small persistent worker pool — the same
+//! long-lived-workers-fed-by-channels pattern as the sharded
 //! simulator's lane pool (`crates/sim/src/shard.rs`), adapted from
 //! "whole lanes per window" to "one node task per wakeup".
 //!
@@ -41,15 +40,15 @@
 //!   is empty), pop a node index, swap the node's inbox against their
 //!   own empty scratch queue (the lock is held for the swap only, and
 //!   both buffers keep their capacity, so the steady state allocates
-//!   nothing), run the events through the same `NodeCore` handler code
-//!   the thread backend uses, fire the node's due timers, hand
+//!   nothing), run the events through the node's `NodeCore`, fire the
+//!   node's due timers, hand
 //!   everything the handlers sent to the network as one command, and
 //!   clear `queued`. The flag guarantees a node is never on the ready
 //!   queue twice, so a node's handlers are always executed sequentially
 //!   — the [`Automaton`] contract — without per-node locks being
 //!   contended.
 //! * **Timers.** `SetTimer` deadlines stay node-local (each `NodeCore`
-//!   keeps its own heap, as under the thread backend); the reactor only
+//!   keeps its own heap); the reactor only
 //!   needs to know *when to wake the node next*. After running a node,
 //!   the worker registers the node's earliest deadline with the timer
 //!   thread, which multiplexes all N wakeups through one hashed
@@ -100,7 +99,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::clock::EmulatedClock;
-use crate::harness::{BackendRun, RuntimeConfig};
+use crate::harness::{ReactorRun, RuntimeConfig};
 use crate::net::{DeliverySink, NetChaos, NetLink, Network, NodeEvent};
 use crate::node::{NodeCore, Outbox};
 use crate::supervise::{self, Counters, Heartbeats};
@@ -147,9 +146,7 @@ struct Shared<A: Automaton> {
     /// lane before taking the next ready-queue entry. Without it, a
     /// timer wake waits FIFO behind every queued node's message batch —
     /// milliseconds of protocol-visible timer lateness under an echo
-    /// storm (the thread backend gets this priority for free from the
-    /// kernel scheduler, which preempts busy threads when a
-    /// `recv_deadline` expires).
+    /// storm.
     urgent: Mutex<VecDeque<u32>>,
 }
 
@@ -178,9 +175,9 @@ impl<A: Automaton> Shared<A> {
 /// The network's way into the cells: one inbox lock and one wake-up
 /// check per hand-off, however many events it carries. Events for
 /// silent nodes are dropped here — the node crashed before start, so
-/// the bytes would only pile up unread (the thread backend's sink does
-/// the same; the network still counts the delivery). Also carries the
-/// chaos injector's `Freeze`/`Thaw` control events.
+/// the bytes would only pile up unread (the network still counts the
+/// delivery). Also carries the chaos injector's `Freeze`/`Thaw` control
+/// events.
 struct CellSink<A: Automaton> {
     shared: Arc<Shared<A>>,
     counters: Arc<Counters>,
@@ -532,16 +529,16 @@ fn timer_loop<A: Automaton>(
     }
 }
 
-/// Runs the configured system on the reactor backend. Mirrors the thread
-/// backend observable-for-observable: same RNG draw order for rates and
-/// offsets, same network semantics, same report.
+/// Runs the configured system: draws each active node's clock rate and
+/// offset from `rng` in node order, runs for `cfg.run_for`, shuts down
+/// and harvests the pulse logs.
 pub(crate) fn run<A, F>(
     cfg: &RuntimeConfig,
     silent: &[usize],
     ring: &KeyRing,
     rng: &mut SmallRng,
     mut make_node: F,
-) -> BackendRun
+) -> ReactorRun
 where
     A: Automaton,
     F: FnMut(NodeId) -> A,
@@ -557,7 +554,7 @@ where
     let heartbeats = Arc::new(Heartbeats::new(cfg.n, t0));
     let stop = Arc::new(AtomicBool::new(false));
     // The epoch is a hair in the future so every clock starts at its
-    // configured offset, mirroring the thread backend's barrier anchor.
+    // configured offset.
     let epoch = t0 + Duration::from_millis(2);
     let verifier = ring.verifier();
 
@@ -604,13 +601,9 @@ where
         shared: Arc::clone(&shared),
         counters: Arc::clone(&counters),
     };
-    let net_chaos = cfg.chaos.as_ref().map(|timeline| {
-        let cell = Arc::new(std::sync::OnceLock::new());
-        cell.set(epoch).expect("fresh cell");
-        NetChaos {
-            timeline: Arc::clone(timeline),
-            epoch: cell,
-        }
+    let net_chaos = cfg.chaos.as_ref().map(|timeline| NetChaos {
+        timeline: Arc::clone(timeline),
+        epoch,
     });
     let network = Network::spawn(
         net_sink,
@@ -745,7 +738,7 @@ where
             violations.extend(viols);
         }
     }
-    BackendRun {
+    ReactorRun {
         epoch,
         pulse_log,
         violations,
@@ -762,7 +755,7 @@ mod tests {
     use crusader_time::{Dur, LocalTime};
 
     use super::*;
-    use crate::{run, Backend};
+    use crate::run;
 
     #[derive(Clone, Debug)]
     struct Note;
@@ -828,7 +821,6 @@ mod tests {
             theta: 1.0,
             max_offset: Dur::ZERO,
             run_for: Duration::from_millis(500),
-            backend: Backend::Reactor,
             workers: Some(1),
             ..RuntimeConfig::new(3)
         };

@@ -3,8 +3,8 @@
 //! silent-stall detection, and the watchdog thread that scans them.
 //!
 //! The runtime's fault posture is *log and keep going*. A panicking
-//! handler is contained (and, on the reactor, its worker respawned with
-//! the dead worker's node queue adopted by the pool); a network sink
+//! handler is contained (and its worker respawned, with the dead
+//! worker's node queue adopted by the pool); a network sink
 //! that stays full triggers bounded retry with exponential backoff
 //! before the send is dropped and counted; a node whose next timer
 //! deadline passes by more than the stall threshold without the node
@@ -27,15 +27,14 @@ use crusader_time::Dur;
 /// Supervision outcome of one runtime run, reported on
 /// [`RuntimeReport`](crate::RuntimeReport).
 ///
-/// Counts are totals over the whole run, across both backends' fault
-/// paths; none of them abort a run — the runtime degrades and logs.
+/// Counts are totals over the whole run; none of them abort a run — the
+/// runtime degrades and logs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SupervisionStats {
-    /// Automaton-handler panics contained by the backend (includes
+    /// Automaton-handler panics contained by the reactor (includes
     /// injected panic drills from a chaos timeline).
     pub worker_panics: u64,
     /// Reactor workers respawned after a panic killed their thread.
-    /// Zero on the thread backend, which contains panics in-loop.
     pub worker_respawns: u64,
     /// Silent node stalls detected by the watchdog (a registered timer
     /// deadline overdue by more than the stall threshold).
@@ -50,9 +49,8 @@ pub struct SupervisionStats {
     /// everything one flush held, so messages per command says how well
     /// the send side batches.
     pub net_commands: u64,
-    /// Inbox hand-offs the network made: on the reactor one lock and one
-    /// wake-up check each, carrying everything a delivery sweep held for
-    /// that node; on the thread backend one channel send per event.
+    /// Inbox hand-offs the network made: one lock and one wake-up check
+    /// each, carrying everything a delivery sweep held for that node.
     /// `messages_delivered` over this says how well delivery batches.
     pub inbox_handoffs: u64,
     /// Queued node events discarded at teardown or past a shutdown —
@@ -174,7 +172,7 @@ pub(crate) const EXEMPT: u64 = u64::MAX;
 
 /// Per-node next-expected-deadline slots, in nanoseconds since `t0`.
 ///
-/// A backend writes a node's slot every time it runs the node: the
+/// The reactor writes a node's slot every time it runs the node: the
 /// earliest pending timer deadline, or [`EXEMPT`] when the node has no
 /// wakeup of its own. The watchdog flags a node whose recorded deadline
 /// passed by more than the stall threshold — the signature of a wakeup
@@ -216,7 +214,7 @@ pub(crate) fn stall_threshold(d: Dur) -> Duration {
 
 /// Spawns the watchdog thread: scans the heartbeat slots at a fraction
 /// of `threshold`, counts each overdue node as a stall (against the
-/// fault budget) and calls `nudge` with its index so the backend can
+/// fault budget) and calls `nudge` with its index so the reactor can
 /// reschedule it. Exits when `stop` is set.
 pub(crate) fn spawn_watchdog<F>(
     heartbeats: Arc<Heartbeats>,

@@ -1,8 +1,8 @@
 //! A hashed timer wheel for host-time deadlines.
 //!
-//! The reactor backend multiplexes thousands of node tasks onto a handful
-//! of worker threads, so `SetTimer` deadlines can no longer live in a
-//! per-thread `recv_deadline` — some *one* data structure has to answer
+//! The reactor multiplexes thousands of node tasks onto a handful of
+//! worker threads, so `SetTimer` deadlines cannot live in a per-thread
+//! `recv_deadline` — some *one* data structure has to answer
 //! "which node must wake next, and when?" for every parked node at once.
 //! This module is that structure: a classic hashed timer wheel (Varghese &
 //! Lauck, SOSP 1987), sharing design DNA with the simulator's ladder

@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use crusader_crypto::{CarriesSignatures, NodeId};
-use crusader_runtime::{run, Backend, RuntimeConfig};
+use crusader_runtime::{run, RuntimeConfig};
 use crusader_sim::{Automaton, Context, TimerId};
 use crusader_time::Dur;
 
@@ -43,7 +43,6 @@ fn a_saturated_relay_moves_several_messages_per_channel_operation() {
         d: Dur::from_millis(5.0),
         u: Dur::from_millis(1.0),
         run_for: Duration::from_millis(300),
-        backend: Backend::Reactor,
         workers: Some(1),
         ..RuntimeConfig::new(8)
     };

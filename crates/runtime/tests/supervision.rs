@@ -1,6 +1,6 @@
-//! Supervision-layer tests: injected panic drills are contained on both
-//! backends (the reactor additionally respawns the worker that died
-//! carrying the panic), no node is lost, and requeued events are never
+//! Supervision-layer tests: injected panic drills are contained (the
+//! reactor respawns the worker that died carrying the panic), no node is
+//! lost, and requeued events are never
 //! lost, double-delivered or reordered — even when the inbox holds more
 //! than a quantum's worth at the panic — under hand-picked and
 //! property-randomized panic schedules.
@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use crusader_core::{CpsNode, Params};
 use crusader_crypto::{CarriesSignatures, NodeId};
-use crusader_runtime::{run, Backend, RuntimeConfig};
+use crusader_runtime::{run, RuntimeConfig};
 use crusader_sim::metrics::pulse_stats;
 use crusader_sim::{Automaton, ChaosTimeline, Context, TimerId};
 use crusader_time::{Dur, LocalTime, Time};
@@ -41,7 +41,7 @@ fn quiet_injected_panics() {
 /// scheduling jitter — and the milliseconds a panic unwind plus thread
 /// respawn cost — must fit inside the protocol's slack, which LAN-like
 /// 5 ms bounds do not leave on a shared host.
-fn cps_cfg(backend: Backend, chaos: ChaosTimeline, seed: u64) -> (RuntimeConfig, Params) {
+fn cps_cfg(chaos: ChaosTimeline, seed: u64) -> (RuntimeConfig, Params) {
     let d = Dur::from_millis(20.0);
     let u = Dur::from_millis(6.0);
     let params = Params::max_resilience(4, d, u, 1.01);
@@ -54,7 +54,6 @@ fn cps_cfg(backend: Backend, chaos: ChaosTimeline, seed: u64) -> (RuntimeConfig,
         max_offset: derived.s,
         run_for: Duration::from_millis(1500),
         seed,
-        backend,
         workers: Some(2),
         chaos: Some(Arc::new(chaos)),
         ..RuntimeConfig::new(4)
@@ -87,7 +86,7 @@ fn reactor_respawns_worker_after_injected_panic() {
     quiet_injected_panics();
     let mut chaos = ChaosTimeline::new(4);
     chaos.panic_at(1, Time::from_millis(200.0));
-    let (cfg, params) = cps_cfg(Backend::Reactor, chaos, 17);
+    let (cfg, params) = cps_cfg(chaos, 17);
     let report = run_drill(&cfg, params);
     assert!(
         report.trace.violations.is_empty(),
@@ -105,28 +104,6 @@ fn reactor_respawns_worker_after_injected_panic() {
     assert!(sup.worker_panics >= 1, "{sup:?}");
     assert!(sup.worker_respawns >= 1, "{sup:?}");
     assert_eq!(sup.fault_budget, 1);
-}
-
-/// On the thread backend the same drill is contained inside the node's
-/// own event loop — nothing to respawn, same survival.
-#[test]
-fn threads_contain_injected_panic_in_place() {
-    quiet_injected_panics();
-    let mut chaos = ChaosTimeline::new(4);
-    chaos.panic_at(2, Time::from_millis(200.0));
-    let (cfg, params) = cps_cfg(Backend::Threads, chaos, 19);
-    let report = run_drill(&cfg, params);
-    assert!(
-        report.trace.violations.is_empty(),
-        "{:?}",
-        report.trace.violations
-    );
-    let everyone: Vec<NodeId> = NodeId::all(4).collect();
-    let stats = pulse_stats(&report.trace, &everyone);
-    assert!(stats.complete_pulses >= 3);
-    let sup = report.supervision;
-    assert!(sup.worker_panics >= 1, "{sup:?}");
-    assert_eq!(sup.worker_respawns, 0, "{sup:?}");
 }
 
 /// Pings per tick and sender. The link below has no delay uncertainty,
@@ -207,11 +184,11 @@ impl Automaton for Pinger {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-    /// Random panic schedules on both backends, on top of the one panic
-    /// every node throws mid-batch: no node ever disappears (everyone
-    /// keeps pulsing), no requeued message is lost, double-delivered or
-    /// reordered (every receiver sees every sender's exact sequence),
-    /// and every panic is accounted for.
+    /// Random panic schedules, on top of the one panic every node throws
+    /// mid-batch: no node ever disappears (everyone keeps pulsing), no
+    /// requeued message is lost, double-delivered or reordered (every
+    /// receiver sees every sender's exact sequence), and every panic is
+    /// accounted for, each by one respawned worker.
     #[test]
     fn respawn_after_panic_loses_no_node_and_no_message(
         seed in 0u64..1_000,
@@ -220,46 +197,40 @@ proptest! {
         drills in proptest::collection::vec(0u64..240, 0..=4),
     ) {
         quiet_injected_panics();
-        for backend in [Backend::Threads, Backend::Reactor] {
-            let mut chaos = ChaosTimeline::new(4);
-            for &code in &drills {
-                #[allow(clippy::cast_possible_truncation, clippy::cast_precision_loss)]
-                chaos.panic_at((code % 4) as usize, Time::from_millis(10.0 + (code / 4) as f64));
-            }
-            let cfg = RuntimeConfig {
-                n: 4,
-                d: Dur::from_millis(3.0),
-                u: Dur::ZERO,
-                theta: 1.001,
-                max_offset: Dur::from_millis(0.5),
-                run_for: Duration::from_millis(150),
-                seed,
-                backend,
-                workers: Some(2),
-                chaos: Some(Arc::new(chaos)),
-                ..RuntimeConfig::new(4)
-            };
-            let report = run(&cfg, |_me| Pinger::new(4));
-            prop_assert!(
-                report.trace.violations.is_empty(),
-                "{backend}: {:?}",
-                report.trace.violations
-            );
-            for i in 0..4 {
-                prop_assert!(
-                    !report.trace.pulses[i].is_empty(),
-                    "{backend}: node {i} was lost after the drills"
-                );
-            }
-            let sup = report.supervision;
-            // The drills, plus each node's own panic on `PANIC_SEQ`.
-            let panics = drills.len() as u64 + 4;
-            prop_assert_eq!(sup.worker_panics, panics, "{}: {:?}", backend, sup);
-            if backend == Backend::Reactor {
-                prop_assert_eq!(sup.worker_respawns, panics, "{}: {:?}", backend, sup);
-            } else {
-                prop_assert_eq!(sup.worker_respawns, 0);
-            }
+        let mut chaos = ChaosTimeline::new(4);
+        for &code in &drills {
+            #[allow(clippy::cast_possible_truncation, clippy::cast_precision_loss)]
+            chaos.panic_at((code % 4) as usize, Time::from_millis(10.0 + (code / 4) as f64));
         }
+        let cfg = RuntimeConfig {
+            n: 4,
+            d: Dur::from_millis(3.0),
+            u: Dur::ZERO,
+            theta: 1.001,
+            max_offset: Dur::from_millis(0.5),
+            run_for: Duration::from_millis(150),
+            seed,
+            workers: Some(2),
+            chaos: Some(Arc::new(chaos)),
+            ..RuntimeConfig::new(4)
+        };
+        let report = run(&cfg, |_me| Pinger::new(4));
+        prop_assert!(
+            report.trace.violations.is_empty(),
+            "{:?}",
+            report.trace.violations
+        );
+        for i in 0..4 {
+            prop_assert!(
+                !report.trace.pulses[i].is_empty(),
+                "node {} was lost after the drills",
+                i
+            );
+        }
+        let sup = report.supervision;
+        // The drills, plus each node's own panic on `PANIC_SEQ`.
+        let panics = drills.len() as u64 + 4;
+        prop_assert_eq!(sup.worker_panics, panics, "{:?}", sup);
+        prop_assert_eq!(sup.worker_respawns, panics, "{:?}", sup);
     }
 }

@@ -7,15 +7,14 @@ pub use crate::event::TimerId;
 ///
 /// Automatons are runtime-agnostic: the same implementation runs under the
 /// discrete-event simulator ([`Sim`](crate::Sim)) and under the wall-clock
-/// thread runtime (`crusader-runtime`). All interaction with the outside
-/// world goes through the [`Context`].
+/// runtime (`crusader-runtime`). All interaction with the outside world
+/// goes through the [`Context`].
 ///
 /// Handlers are invoked sequentially per node; an automaton never needs
 /// interior synchronization — every executor guarantees it: the
 /// simulator by construction, the sharded executor by lane ownership,
-/// and the wall-clock runtime on both of its backends (a dedicated OS
-/// thread per node under `threads`; a never-queued-twice scheduling
-/// flag per node task under the `reactor` worker pool). Automatons own
+/// and the wall-clock runtime by a never-queued-twice scheduling flag
+/// per node task on its reactor's worker pool. Automatons own
 /// their state outright (`'static`): the sharded executor's persistent
 /// worker pool moves whole lanes of them onto long-lived threads, and
 /// the runtime's reactor moves individual node tasks between workers.

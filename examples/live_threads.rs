@@ -2,8 +2,8 @@
 //! injected WAN-ish delays and emulated drifting clocks.
 //!
 //! The exact same `CpsNode` automaton that the simulator drives runs here
-//! under `crusader-runtime`'s thread-per-node harness. One node is
-//! crashed from the start.
+//! on `crusader-runtime`'s reactor (see examples/reactor_swarm.rs for it
+//! at thousand-node scale). One node is crashed from the start.
 //!
 //! Run with: `cargo run --release --example live_threads`
 
@@ -11,19 +11,11 @@ use std::time::Duration;
 
 use crusader::core::{CpsNode, Params};
 use crusader::crypto::NodeId;
-use crusader::runtime::{run, Backend, RuntimeConfig};
+use crusader::runtime::{run, RuntimeConfig};
 use crusader::sim::metrics::pulse_stats;
 use crusader::time::Dur;
 
 fn main() {
-    // `--backend reactor` runs the same deployment on the event-driven
-    // worker-pool executor (see examples/reactor_swarm.rs for it at
-    // thousand-node scale).
-    let backend: Backend = std::env::args()
-        .skip(1)
-        .skip_while(|a| a != "--backend")
-        .nth(1)
-        .map_or(Backend::Threads, |v| v.parse().expect("--backend"));
     let n = 5;
     let d = Dur::from_millis(8.0);
     let u = Dur::from_millis(3.0);
@@ -31,12 +23,11 @@ fn main() {
     let params = Params::max_resilience(n, d, u, theta);
     let derived = params.derive().expect("feasible");
 
-    println!("live run: {n} nodes on the '{backend}' backend, ed25519 signatures, d = {d}, u = {u}");
+    println!("live run: {n} nodes, ed25519 signatures, d = {d}, u = {u}");
     println!("  node 4 is crashed; S = {}, T = {}", derived.s, derived.t_nominal);
     println!("  running for 2 seconds of wall-clock time...\n");
 
     let cfg = RuntimeConfig {
-        n,
         silent: vec![4],
         d,
         u,
@@ -44,10 +35,7 @@ fn main() {
         max_offset: derived.s,
         run_for: Duration::from_secs(2),
         seed: 0xED25519,
-        backend,
-        workers: None,
-        chaos: None,
-        observer: None,
+        ..RuntimeConfig::new(n)
     };
     let report = run(&cfg, |me| CpsNode::new(me, params, derived));
 

@@ -1,4 +1,4 @@
-//! A thousand-node-class deployment on the reactor backend: a CPS core
+//! A thousand-node-class deployment on the runtime's reactor: a CPS core
 //! of 16 full participants serves pulses to hundreds of listen-only
 //! clients (SecureTime-style one-to-many synchronization).
 //!
@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use crusader::core::{CpsNode, FleetNode, Params, PulseClient};
 use crusader::crypto::NodeId;
-use crusader::runtime::{run, Backend, RuntimeConfig};
+use crusader::runtime::{run, RuntimeConfig};
 use crusader::sim::metrics::pulse_stats;
 use crusader::time::Dur;
 
@@ -42,18 +42,13 @@ fn main() {
     println!("  running for 4 seconds of wall-clock time...\n");
 
     let cfg = RuntimeConfig {
-        n,
-        silent: vec![],
         d,
         u,
         theta,
         max_offset: derived.s,
         run_for: Duration::from_secs(4),
         seed: 0x54A3, // "swarm"
-        backend: Backend::Reactor,
-        workers: None,
-        chaos: None,
-        observer: None,
+        ..RuntimeConfig::new(n)
     };
     let report = run(&cfg, |me| {
         if me.index() < core {
@@ -81,7 +76,6 @@ fn main() {
          (bound S(1 + θ²) + d = {});",
         derived.s * (1.0 + theta * theta) + d
     );
-    println!("  the same run on the thread backend would need {n} OS threads.");
     if !report.trace.violations.is_empty() {
         println!("  violations: {:?}", report.trace.violations);
     }
