@@ -8,14 +8,50 @@
 //! correctness regression (or consciously re-pinned with a justification).
 
 use crusader_bench::snapshot::cps_scenario;
-use crusader_bench::trace_hash;
-use crusader_sim::SilentAdversary;
+use crusader_bench::{trace_hash, Scenario};
+use crusader_chaos::{builtin_catalog_dir, run_scenario, Catalog, Executor};
+use crusader_core::adversary::{RushingForwarder, StaggeredDealer};
+use crusader_core::Carry;
+use crusader_sim::{Adversary, DelayModel, SilentAdversary};
+use crusader_time::Dur;
 
 /// `(n, expected trace hash)` for the snapshot scenario at each size.
 const PINNED: &[(usize, u64)] = &[
     (4, 0x1277e2210ec74e1f),
     (8, 0xeb28601f3439c630),
     (16, 0xc49491b40c2c1e51),
+];
+
+/// Trace hashes of the n = 8 snapshot scenario under the two active
+/// adversaries of `crusader_core::adversary`, with adversary-chosen
+/// delays and ũ = 3u: these runs exercise the adversary callbacks, the
+/// knowledge gate and `pick_delay` on every send, which the silent pins
+/// above never reach. These and [`PINNED_CATALOG`] were recorded at
+/// commit 8ac66b2, while the two simulators still had separate send and
+/// adversary code.
+const PINNED_STAGGERED: u64 = 0x805a21cd9627aff5;
+const PINNED_RUSHING: u64 = 0xd6b5680eb949bd0a;
+
+/// `(scenario, trace hash, chaos_drops, chaos_duplicates)` for every
+/// committed chaos scenario at its native `n` on the single-lane engine.
+/// [`trace_hash`] does not cover the two chaos counters, so they are
+/// pinned beside it.
+const PINNED_CATALOG: &[(&str, u64, u64, u64)] = &[
+    ("calm_baseline", 0x582e10b36025c492, 0, 0),
+    ("crash_recover", 0x3c12f0e099283f3c, 168, 0),
+    ("crash_forever", 0x6ed41f87ef270b41, 848, 0),
+    ("client_churn", 0x9d676db1d461d85e, 352, 0),
+    ("delay_storm", 0xc19d1966bacbc96d, 0, 0),
+    ("partition_heal", 0xc25f4cfa4e8349a3, 472, 0),
+    ("round_flood", 0x3243fa9226123c0e, 0, 10640),
+    ("rushing_flood", 0x9e38e34fbfd9729c, 0, 12096),
+    ("rejoin_probe", 0x42ad6d706c8a9d80, 560, 0),
+    ("silent_death_probe", 0xd535287472790879, 848, 0),
+    ("crash_storm_heal", 0x77bc3757fd2c4abd, 419, 0),
+    ("rolling_restart", 0x4d5fd9e61665699d, 458, 0),
+    // The worker-panic drill fires on the wall-clock runtime only; on the
+    // simulator it replays the calm baseline.
+    ("worker_panic", 0x582e10b36025c492, 0, 0),
 ];
 
 #[test]
@@ -100,6 +136,77 @@ fn standard_cps_scenarios_never_spill() {
             trace.queue_spill_count
         );
     }
+}
+
+/// The n = 8 snapshot scenario with adversary-chosen delays and ũ = 3u.
+fn active_scenario() -> Scenario {
+    let mut scenario = cps_scenario(8);
+    scenario.delays = DelayModel::AdversaryChoice;
+    scenario.u_tilde = Some(scenario.u * 3.0);
+    scenario
+}
+
+#[test]
+fn active_adversary_traces_are_pinned() {
+    type MakeAdversary = fn() -> Box<dyn Adversary<Carry>>;
+    let cases: [(&str, MakeAdversary, u64); 2] = [
+        (
+            "StaggeredDealer",
+            || Box::new(StaggeredDealer::new(Dur::from_micros(300.0))),
+            PINNED_STAGGERED,
+        ),
+        ("RushingForwarder", || Box::new(RushingForwarder::new()), PINNED_RUSHING),
+    ];
+    for (name, adversary, expected) in cases {
+        for lanes in [1, 2, 3] {
+            let mut scenario = active_scenario();
+            scenario.lanes = lanes;
+            scenario.force_parallel = (lanes > 1).then_some(true);
+            let (trace, _) = scenario.run_cps_trace(adversary());
+            let got = trace_hash(&trace);
+            assert_eq!(
+                got, expected,
+                "{name} lanes={lanes}: trace hash {got:#018x} != pinned {expected:#018x} \
+                 (events={}, messages={}, forgeries_blocked={}, violations={})",
+                trace.events_processed,
+                trace.messages_delivered,
+                trace.forgeries_blocked,
+                trace.violations.len()
+            );
+        }
+    }
+}
+
+#[test]
+fn chaos_catalog_traces_are_pinned() {
+    let catalog = Catalog::load(&builtin_catalog_dir()).expect("committed catalog loads");
+    let got: Vec<(String, u64, u64, u64)> = catalog
+        .scenarios
+        .iter()
+        .map(|sc| {
+            let out = run_scenario(
+                sc,
+                Executor::Sim {
+                    lanes: 1,
+                    force_parallel: None,
+                },
+            );
+            (
+                sc.name.clone(),
+                trace_hash(&out.trace),
+                out.trace.chaos_drops,
+                out.trace.chaos_duplicates,
+            )
+        })
+        .collect();
+    let expected: Vec<(String, u64, u64, u64)> = PINNED_CATALOG
+        .iter()
+        .map(|&(name, hash, drops, dups)| (name.to_owned(), hash, drops, dups))
+        .collect();
+    assert_eq!(
+        got, expected,
+        "a catalog replay's (trace hash, chaos_drops, chaos_duplicates) changed"
+    );
 }
 
 #[test]
