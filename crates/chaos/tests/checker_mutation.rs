@@ -65,7 +65,7 @@ proptest! {
         prop_assert!(verdict_of(spec.clone(), &trace, horizon).clean());
 
         let last = trace.pulses[node].last_mut().unwrap();
-        *last = *last + Dur::from_millis(extra_ms);
+        *last += Dur::from_millis(extra_ms);
         let mutated_at = *trace.pulses[node].last().unwrap();
         let v = verdict_of(spec, &trace, horizon);
         prop_assert_eq!(v.violations.len(), 1, "{:?}", v.violations);
@@ -95,7 +95,7 @@ proptest! {
 
         // Shift < half a period keeps per-node monotonicity; > 2ms + max
         // offset breaks the round's spread.
-        trace.pulses[node][round] = trace.pulses[node][round] + Dur::from_millis(shift_ms);
+        trace.pulses[node][round] += Dur::from_millis(shift_ms);
         let mutated_at = trace.pulses[node][round];
         let v = verdict_of(spec, &trace, horizon);
         prop_assert_eq!(v.violations.len(), 1, "{:?}", v.violations);

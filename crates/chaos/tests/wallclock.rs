@@ -67,7 +67,7 @@ fn run_wallclock(
 
 /// The wall-clock runtime, every scenario, one sequential pass.
 #[test]
-fn runtime_backends_reach_every_pinned_verdict() {
+fn runtime_reaches_every_pinned_verdict() {
     let _gate = gate();
     quiet_injected_panics();
     for sc in &catalog().scenarios {
@@ -87,7 +87,7 @@ fn runtime_backends_reach_every_pinned_verdict() {
 /// can push an honest round over budget — a property of wall-clock
 /// hosts, not a checker false positive.
 #[test]
-fn fault_free_scenarios_are_spotless_on_both_runtime_backends() {
+fn fault_free_scenarios_are_spotless_on_the_runtime() {
     let _gate = gate();
     let bases: Vec<Scenario> = catalog()
         .scenarios

@@ -88,13 +88,14 @@ pub(crate) enum Payload<M> {
     /// One broadcast's payload, shared by every pending delivery.
     Shared(Arc<SharedPayload<M>>),
     /// **Single-lane engine only:** an index into the engine's broadcast
-    /// arena ([`crate::engine::BroadcastArena`]), whose refcounts are
-    /// plain integers — the single-threaded engine pays no atomic
-    /// operations per broadcast delivery. The sharded executor never
-    /// constructs this variant (its broadcast payloads cross lane
-    /// threads, which is exactly what [`Payload::Shared`]'s `Arc` is
-    /// for), so the accessors below treat it as unreachable: the engine
-    /// resolves `Local` against its arena before they can be called.
+    /// arena, whose refcounts are plain integers — the single-threaded
+    /// engine pays no atomic operations per broadcast delivery. Only the
+    /// engine's `Post` implementation creates, copies, reads and releases
+    /// this variant, so the shared step never needs to tell it apart; the
+    /// sharded executor's broadcast payloads cross lane threads, which is
+    /// what [`Payload::Shared`]'s `Arc` is for. The accessors below treat
+    /// `Local` as unreachable: the engine resolves it against its arena
+    /// before they can be called.
     Local(u32),
 }
 

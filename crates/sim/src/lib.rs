@@ -54,10 +54,13 @@
 //! engine shards into per-node event lanes with a deterministic merge:
 //! [`Sim::sharded`] splits the run across lane-local queues that advance
 //! (in parallel, when the host has the cores) up to a conservative
-//! lookahead horizon `d − ũ`, exchanging cross-lane sends through
-//! fixed-order mailboxes so the merged `(at, seq)` order — and therefore
-//! every pinned trace hash — is bit-for-bit identical to this single-lane
-//! reference engine. See [`shard`] for the design and its proof sketch.
+//! lookahead horizon `d − ũ`, recording into fixed-order mailboxes. Both
+//! executors share one step: every operation on the globally ordered
+//! state (delay draws, adversary callbacks and their knowledge gate,
+//! chaos hooks, trace and observer records) is defined once, and the
+//! sharded reconcile calls it in merged `(at, seq)` order, so every
+//! pinned trace hash is bit-for-bit identical on both. See [`shard`] for
+//! the design and its proof sketch.
 //!
 //! The engine's deterministic counts (events, messages, spills, splices)
 //! are committed in `BENCH_cps.json` at the repo root and compared byte
@@ -104,6 +107,7 @@ mod engine;
 mod event;
 mod network;
 mod trace;
+mod world;
 
 pub mod chaos;
 pub mod metrics;

@@ -10,9 +10,9 @@
 //! # Lanes, windows, mailboxes
 //!
 //! * **Lanes.** Node `v` belongs to lane `v.index() % lanes`. A lane owns
-//!   its nodes' automatons, their timers, and a lane-local slab event
-//!   queue (the engine's packed-`u128` 4-ary min-heap) holding exactly
-//!   the events destined for its nodes.
+//!   its nodes' automatons, their timers, and a lane-local event queue
+//!   (the engine's ladder queue) holding exactly the events destined for
+//!   its nodes.
 //! * **Windows.** Each round picks the globally earliest pending event
 //!   time `t_min` and advances every lane — in parallel, on a persistent
 //!   per-lane worker pool — through the window `[t_min, t_min + (d − ũ))`.
@@ -23,15 +23,18 @@
 //!   (When ũ = d the lookahead degenerates to zero and windows shrink to
 //!   a single instant `{t_min}`, which still makes progress one
 //!   timestamp at a time.)
-//! * **Mailboxes.** Handlers executed inside a lane do not touch shared
-//!   state; they append their effects (sends, broadcasts, timers, pulses,
-//!   violations) to a per-lane mailbox tagged with the source event's
-//!   `(at, seq)` key. After the window, a sequential *reconcile* merges
-//!   the mailboxes in ascending key order and replays each effect exactly
-//!   as the single-lane engine would have: drawing delay randomness,
-//!   assigning global sequence numbers, invoking adversary callbacks,
-//!   updating the signature-knowledge tracker, and routing each new event
-//!   into the destination node's lane.
+//! * **Mailboxes.** A lane classifies each popped event with the
+//!   single-lane engine's `Env::classify` and runs honest handlers in
+//!   place. Everything that touches the globally ordered `World` — the
+//!   outcome of every other pop, and the effects (sends, broadcasts,
+//!   timers, pulses, violations) of every handler — goes into a per-lane
+//!   mailbox tagged with the source event's `(at, seq)` key. After the
+//!   window, a sequential *reconcile* merges the mailboxes in ascending
+//!   key order and hands each record to the same `World` functions
+//!   [`Sim::run`] calls: they draw delay randomness, invoke adversary
+//!   callbacks and update the signature-knowledge tracker, and the
+//!   reconcile's `Post` implementation assigns global sequence numbers
+//!   and routes each new event into the destination node's lane.
 //!
 //! # Why the merged order equals the single-lane `(at, seq)` order
 //!
@@ -56,14 +59,16 @@
 //!    processes (and each handler's inputs) is independent of the other
 //!    lanes' progress, so running lanes concurrently computes the same
 //!    per-event effect lists as the single-lane engine.
-//! 3. *The reconcile replays the shared-state schedule exactly.* It
-//!    consumes mailbox records in merged `(at, seq)` order — resolving a
-//!    provisional timer's true number when its arming effect is replayed,
-//!    which always precedes it — and performs pushes, delay draws,
-//!    adversary callbacks, and trace writes in the same order and with
-//!    the same values as the single-lane engine's event loop, including
-//!    the early-stop conditions (pulse completion and the event cap),
-//!    past which trailing lane work is discarded unobserved.
+//! 3. *The reconcile calls the same step.* It consumes mailbox records in
+//!    merged `(at, seq)` order — resolving a provisional timer's true
+//!    number when its arming effect is replayed, which always precedes
+//!    it — and passes each to the `World` functions the single-lane
+//!    event loop calls for the same event (`begin_event`, `settle`,
+//!    `apply_effect`, `done_by_pulses`). The pushes, delay draws,
+//!    adversary callbacks, trace writes and early stops (pulse completion
+//!    and the event cap, past which trailing lane work is discarded
+//!    unobserved) therefore happen in the same order with the same
+//!    values; the only difference is where `Post::post` puts an event.
 //!
 //! Steps 1–3 give induction over windows: after every reconcile the
 //! queues, the RNG, the adversary, the tracker, and the trace are in the
@@ -83,7 +88,7 @@
 //! the determinism trace hash.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::iter::Peekable;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
@@ -91,17 +96,14 @@ use std::thread::JoinHandle;
 use std::vec::IntoIter;
 
 use crossbeam::channel::{Receiver, Sender};
-use crusader_crypto::{KnowledgeTracker, NodeId, RestrictedSigner, Signer, Verifier};
-use crusader_time::{Dur, HardwareClock, Time};
-use rand::rngs::SmallRng;
+use crusader_crypto::NodeId;
+use crusader_time::{Dur, Time};
 
-use crate::adversary::{AdvEffect, Adversary, AdversaryApi};
-use crate::automaton::{Automaton, Context};
-use crate::chaos::{ChaosTimeline, RunObserver};
-use crate::engine::{Effect, NodeCtx, RunLimits, Sim};
-use crate::event::{EventKey, EventKind, EventQueue, Payload, TimerId, TimerSlab};
-use crate::network::{DelayModel, LinkConfig};
+use crate::automaton::Automaton;
+use crate::engine::{Effect, NodeCtx, Sim};
+use crate::event::{EventKey, EventKind, EventQueue, Payload, TimerSlab};
 use crate::trace::Trace;
+use crate::world::{Call, Env, Popped, Post, World};
 
 /// Sequence numbers at or above this value are *provisional*: lane-local
 /// stand-ins for in-window timers whose true global number is assigned by
@@ -123,62 +125,50 @@ enum SeqRef {
     Pending(u32),
 }
 
-/// One effect recorded by a lane for the reconcile to replay in global
-/// order. Mirrors [`Effect`], minus cancellations (lane-local, no global
-/// side effects) and with timers split by whether they were provisionally
-/// pushed in-window.
-enum ReplayEffect<M> {
-    Send { to: NodeId, msg: M },
-    Broadcast { msg: M },
-    /// Timer already provisionally pushed into the lane's queue; the
-    /// reconcile assigns `pending[slot]` its true sequence number.
-    TimerInWindow { slot: u32 },
-    /// Timer firing beyond the window; the reconcile pushes it.
-    TimerBeyond { node: NodeId, id: TimerId, fire_at: Time },
-    Pulse { node: NodeId, index: u64 },
-    Violation { node: NodeId, text: String },
+/// One handler effect a lane records for the reconcile.
+enum Replay<M> {
+    /// Applied by the reconcile through [`World::apply_effect`].
+    Apply(Effect<M>),
+    /// A timer firing inside the window, which the lane already pushed
+    /// under a provisional number; the reconcile assigns `pending[slot]`
+    /// its true sequence number.
+    Provisional(u32),
 }
 
 /// What a lane did with one popped event.
 enum RecordBody<M> {
-    /// An honest node's handler ran; `delivery` notes whether the event
-    /// was a message delivery (counted in the trace) or a timer. The
-    /// handler's effects are the next `effects` entries of the lane's
-    /// flat arena — an offset-free encoding, since records are replayed
-    /// strictly in lane order. (A per-record `Vec` here would put one
-    /// allocation per event back on the hot path, and worse: allocated on
-    /// a lane thread, freed on the reconcile thread, which serializes
-    /// lanes on the allocator.)
-    Honest {
+    /// Settled by the reconcile through [`World::settle`]: every outcome
+    /// of [`Env::classify`] except an honest handler and an in-window
+    /// deferral.
+    Settle(Popped<M>),
+    /// An honest node's handler ran, for a message delivery or not. (The
+    /// flag lives here, not as a field of [`Record`]: a lone `bool` there
+    /// made every record push wait on a store-forwarding stall.) Its
+    /// effects are the next `effects` entries of the lane's flat arena —
+    /// an offset-free encoding, since records are replayed strictly in
+    /// lane order. (A per-record `Vec` here would put one allocation per
+    /// event back on the hot path, and worse: allocated on a lane thread,
+    /// freed on the reconcile thread, which serializes lanes on the
+    /// allocator.)
+    Ran {
         node: NodeId,
         delivery: bool,
         effects: u32,
     },
-    /// A delivery to a faulty node: the adversary sees it in reconcile.
-    FaultyDeliver {
-        from: NodeId,
-        to: NodeId,
-        msg: Payload<M>,
-    },
-    /// A cancelled (stale) timer pop: counted, nothing else. Also used
-    /// for a crashed node's timer when the node never recovers — the
-    /// single-lane engine likewise counts the pop and drops it.
-    Stale,
-    /// A delivery to a chaos-crashed node: the reconcile counts it as
-    /// delivered *and* chaos-dropped, running no handler.
-    ChaosDrop,
     /// A crashed node's timer deferred to a recovery instant inside the
-    /// current window: the lane re-pushed it provisionally (same
-    /// machinery as `ReplayEffect::TimerInWindow`); the reconcile
-    /// assigns `pending[slot]` its true sequence number.
-    ChaosTimerInWindow { slot: u32 },
-    /// A crashed node's timer deferred past the window: the reconcile
-    /// pushes it at the recovery instant with a true sequence number.
-    ChaosTimerBeyond {
-        node: NodeId,
-        id: TimerId,
-        resume: Time,
-    },
+    /// window: the lane re-pushed it provisionally, like an in-window
+    /// timer, and the reconcile assigns `pending[slot]` its true number.
+    Deferred { slot: u32 },
+}
+
+impl<M> RecordBody<M> {
+    fn is_delivery(&self) -> bool {
+        match self {
+            RecordBody::Settle(popped) => popped.is_delivery(),
+            RecordBody::Ran { delivery, .. } => *delivery,
+            RecordBody::Deferred { .. } => false,
+        }
+    }
 }
 
 /// One popped event plus everything the reconcile needs to replay it.
@@ -206,32 +196,13 @@ impl Window {
     }
 }
 
-/// Read-only engine state shared by every lane and the reconcile thread.
-///
-/// Owned (not borrowed) and handed to the worker pool behind one `Arc` at
-/// spawn time: persistent worker threads outlive any stack frame of the
-/// reconcile loop, so the per-window borrows the old scoped-thread
-/// implementation relied on cannot work here. Everything inside is
-/// immutable for the whole run.
-struct EngineCtx {
-    clocks: Vec<HardwareClock>,
-    signers: Vec<Arc<dyn Signer>>,
-    verifier: Arc<dyn Verifier>,
-    faulty_mask: Vec<bool>,
-    n: usize,
-    lanes: usize,
-    horizon: Time,
-    /// Chaos fault-injection schedule. Lane threads may query it freely:
-    /// every query is a pure function of the event time, so parallel
-    /// lanes agree with the single-lane engine by construction.
-    chaos: Option<Arc<ChaosTimeline>>,
-}
-
 /// One shard: the nodes it owns, their timers, and their event queue.
 struct Lane<A: Automaton> {
     /// Automatons of the nodes assigned to this lane, indexed by
-    /// `node.index() / lanes` (`None` for faulty nodes).
+    /// `node.index() / stride` (`None` for faulty nodes).
     nodes: Vec<Option<A>>,
+    /// The lane count: node `v` belongs to lane `v.index() % stride`.
+    stride: usize,
     queue: EventQueue<A::Msg>,
     timers: TimerSlab,
     /// This window's mailbox, in lane pop order (= global order
@@ -239,7 +210,7 @@ struct Lane<A: Automaton> {
     records: Vec<Record<A::Msg>>,
     /// Flat effect arena backing `records` (one growth curve per window
     /// instead of one allocation per event).
-    arena: Vec<ReplayEffect<A::Msg>>,
+    arena: Vec<Replay<A::Msg>>,
     /// Provisional in-window timer pushes so far this window.
     provisional: u32,
     /// Pooled effect buffer (one allocation per run, as in the engine).
@@ -256,6 +227,7 @@ impl<A: Automaton> Lane<A> {
     fn vacant() -> Self {
         Lane {
             nodes: Vec::new(),
+            stride: 1,
             queue: EventQueue::placeholder(),
             timers: TimerSlab::new(),
             records: Vec::new(),
@@ -269,9 +241,9 @@ impl<A: Automaton> Lane<A> {
     /// Processes every pending event inside `window` (capped by the
     /// horizon and the event-cap `budget`), recording one mailbox entry
     /// per pop.
-    fn advance(&mut self, sh: &EngineCtx, window: Window, budget: usize) {
+    fn advance(&mut self, env: &Env, window: Window, budget: usize) {
         while let Some(key) = self.queue.peek_key() {
-            if !window.contains(key.at()) || key.at() > sh.horizon {
+            if !window.contains(key.at()) || key.at() > env.horizon {
                 break;
             }
             if self.records.len() >= budget {
@@ -287,84 +259,26 @@ impl<A: Automaton> Lane<A> {
                 SeqRef::Known(key.seq())
             };
             let at = event.at;
-            let body = match event.kind {
-                EventKind::Deliver { from, to, msg } => {
-                    self.delivers_popped += 1;
-                    // Mirror of the single-lane `deliver`: a chaos-crashed
-                    // recipient loses the message before the faulty check.
-                    if sh.chaos.as_deref().is_some_and(|c| c.down(to, at)) {
-                        drop(msg);
-                        RecordBody::ChaosDrop
-                    } else if sh.faulty_mask[to.index()] {
-                        RecordBody::FaultyDeliver { from, to, msg }
-                    } else {
-                        let msg = msg.into_owned();
-                        let effects = self.run_handler(sh, to, at, Some(window), |node, ctx| {
-                            node.on_message(from, msg, ctx);
-                        });
-                        RecordBody::Honest {
-                            node: to,
-                            delivery: true,
-                            effects,
-                        }
+            let popped = env.classify(&mut self.timers, at, event.kind);
+            self.delivers_popped += u64::from(popped.is_delivery());
+            let body = match popped {
+                Popped::Honest { node, call } => {
+                    let delivery = matches!(call, Call::Message { .. });
+                    let call = call.resolve(Payload::into_owned);
+                    let effects = self.run_handler(env, node, at, Some(window), call);
+                    RecordBody::Ran {
+                        node,
+                        delivery,
+                        effects,
                     }
                 }
-                EventKind::Timer { node, id } => {
-                    // Mirror of the single-lane run loop: a crashed node's
-                    // timer is deferred to its recovery instant *before*
-                    // the slab fire (so a later cancel still matches), or
-                    // dropped like a stale pop if it never recovers. An
-                    // in-window recovery re-pushes provisionally, exactly
-                    // like an in-window `SetTimer`.
-                    if sh.chaos.as_deref().is_some_and(|c| c.down(node, at)) {
-                        let chaos = sh.chaos.as_deref().expect("down implies timeline");
-                        match chaos.resume_at(node, at) {
-                            None => RecordBody::Stale,
-                            Some(resume) if window.contains(resume) && resume <= sh.horizon => {
-                                let slot = self.provisional;
-                                self.provisional += 1;
-                                self.queue.push_with_seq(
-                                    resume,
-                                    PROVISIONAL_BASE + u64::from(slot),
-                                    EventKind::Timer { node, id },
-                                );
-                                RecordBody::ChaosTimerInWindow { slot }
-                            }
-                            Some(resume) => RecordBody::ChaosTimerBeyond { node, id, resume },
-                        }
-                    } else if !self.timers.fire(id) || sh.faulty_mask[node.index()] {
-                        RecordBody::Stale
-                    } else {
-                        let effects = self.run_handler(sh, node, at, Some(window), |n, ctx| {
-                            n.on_timer(id, ctx);
-                        });
-                        RecordBody::Honest {
-                            node,
-                            delivery: false,
-                            effects,
-                        }
-                    }
+                Popped::Defer { node, id, resume }
+                    if window.contains(resume) && resume <= env.horizon =>
+                {
+                    let slot = self.push_provisional(resume, EventKind::Timer { node, id });
+                    RecordBody::Deferred { slot }
                 }
-                EventKind::Recover { node } => {
-                    // Mirror of the single-lane arm: a later crash window
-                    // still covering this instant makes the event a no-op
-                    // (counted like any pop, handled by its own Recover).
-                    if sh.chaos.as_deref().is_some_and(|c| c.down(node, at)) {
-                        RecordBody::Stale
-                    } else {
-                        let effects = self.run_handler(sh, node, at, Some(window), |n, ctx| {
-                            n.on_recover(ctx);
-                        });
-                        RecordBody::Honest {
-                            node,
-                            delivery: false,
-                            effects,
-                        }
-                    }
-                }
-                EventKind::AdvTimer { .. } => {
-                    unreachable!("adversary timers never enter lane queues")
-                }
+                popped => RecordBody::Settle(popped),
             };
             self.records.push(Record { at, seq, body });
         }
@@ -374,81 +288,56 @@ impl<A: Automaton> Lane<A> {
         self.queue.relax();
     }
 
-    /// Runs `f` against node `v` at real time `now` and converts the
-    /// effects into mailbox form, provisionally pushing timers that fire
-    /// inside `window` (pass `None` during init, where the reconcile is
-    /// inline and every timer is pushed with its true sequence number).
-    fn run_handler<F>(
+    /// Pushes an in-window event under the next provisional sequence
+    /// number and returns its slot in the pending table.
+    fn push_provisional(&mut self, at: Time, kind: EventKind<A::Msg>) -> u32 {
+        let slot = self.provisional;
+        self.provisional += 1;
+        self.queue
+            .push_with_seq(at, PROVISIONAL_BASE + u64::from(slot), kind);
+        slot
+    }
+
+    /// Runs one handler of node `v` at real time `now` and records its
+    /// effects, provisionally pushing timers that fire inside `window`
+    /// (pass `None` when the reconcile applies the effects at once, so
+    /// every timer gets its true sequence number). Returns the number of
+    /// recorded effects.
+    fn run_handler(
         &mut self,
-        sh: &EngineCtx,
+        env: &Env,
         v: NodeId,
         now: Time,
         window: Option<Window>,
-        f: F,
-    ) -> u32
-    where
-        F: FnOnce(&mut A, &mut dyn Context<A::Msg>),
-    {
+        call: Call<A::Msg>,
+    ) -> u32 {
         let mut effects = std::mem::take(&mut self.effects);
         debug_assert!(effects.is_empty(), "pooled lane buffer not drained");
-        let now_local = sh.clocks[v.index()].read(now);
-        {
-            let node = self.nodes[v.index() / sh.lanes]
-                .as_mut()
-                .expect("honest node present");
-            let mut ctx = NodeCtx {
-                me: v,
-                n: sh.n,
-                now_local,
-                signer: &*sh.signers[v.index()],
-                verifier: &*sh.verifier,
-                timers: &mut self.timers,
-                effects: &mut effects,
-            };
-            f(node, &mut ctx);
-        }
+        let node = self.nodes[v.index() / self.stride]
+            .as_mut()
+            .expect("honest node present");
+        call.run(
+            node,
+            &mut NodeCtx::new(env, v, now, &mut self.timers, &mut effects),
+        );
         let before = self.arena.len();
         for effect in effects.drain(..) {
-            match effect {
-                Effect::Send { to, msg } => self.arena.push(ReplayEffect::Send { to, msg }),
-                Effect::Broadcast { msg } => self.arena.push(ReplayEffect::Broadcast { msg }),
-                Effect::SetTimer { id, at } => {
-                    // Same clamp as the single-lane engine: a timer armed
-                    // at or before the current local time fires now.
-                    let fire_at = if at <= now_local {
-                        now
-                    } else {
-                        sh.clocks[v.index()].when(at)
-                    };
-                    match window {
-                        Some(w) if w.contains(fire_at) && fire_at <= sh.horizon => {
-                            let slot = self.provisional;
-                            self.provisional += 1;
-                            self.queue.push_with_seq(
-                                fire_at,
-                                PROVISIONAL_BASE + u64::from(slot),
-                                EventKind::Timer { node: v, id },
-                            );
-                            self.arena.push(ReplayEffect::TimerInWindow { slot });
-                        }
-                        _ => self.arena.push(ReplayEffect::TimerBeyond {
-                            node: v,
-                            id,
-                            fire_at,
-                        }),
-                    }
+            let replay = match effect {
+                Effect::SetTimer { id, at }
+                    if window.is_some_and(|w| w.contains(at)) && at <= env.horizon =>
+                {
+                    Replay::Provisional(self.push_provisional(at, EventKind::Timer { node: v, id }))
                 }
+                // Lane-local, order-insensitive across lanes (a node only
+                // ever cancels its own timers): applied here so later
+                // in-window pops of the same lane observe it.
                 Effect::CancelTimer { id } => {
-                    // Lane-local, order-insensitive across lanes (a node
-                    // only ever cancels its own timers): applied here so
-                    // later in-window pops of the same lane observe it.
                     self.timers.cancel(id);
+                    continue;
                 }
-                Effect::Pulse { index } => self.arena.push(ReplayEffect::Pulse { node: v, index }),
-                Effect::Violation(text) => {
-                    self.arena.push(ReplayEffect::Violation { node: v, text });
-                }
-            }
+                effect => Replay::Apply(effect),
+            };
+            self.arena.push(replay);
         }
         self.effects = effects;
         u32::try_from(self.arena.len() - before).expect("per-event effect count fits u32")
@@ -493,6 +382,51 @@ enum Src {
     Queue(usize),
 }
 
+/// The sharded executor's [`Post`]: every event the world schedules gets
+/// the next global sequence number and goes to the lane of its node, or,
+/// for an adversary timer, to the adversary queue.
+struct Router<A: Automaton> {
+    lanes: Vec<Lane<A>>,
+    /// Global sequence counter; all true sequence numbers come from here.
+    next_seq: u64,
+    /// Adversary real-time timers, merged into the reconcile by key
+    /// (adversary callbacks only ever run in the sequential reconcile).
+    adv_queue: BinaryHeap<Reverse<(EventKey, u64)>>,
+    /// Deliver events routed into lane queues.
+    posted: u64,
+}
+
+impl<A: Automaton> Router<A> {
+    fn alloc_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        assert!(
+            seq < PROVISIONAL_BASE,
+            "sharded runs cap at 2^35 scheduled events"
+        );
+        self.next_seq += 1;
+        seq
+    }
+}
+
+impl<A: Automaton> Post<A::Msg> for Router<A> {
+    fn post(&mut self, at: Time, kind: EventKind<A::Msg>) {
+        let seq = self.alloc_seq();
+        let node = match &kind {
+            EventKind::AdvTimer { key } => {
+                self.adv_queue.push(Reverse((EventKey::new(at, seq), *key)));
+                return;
+            }
+            EventKind::Deliver { to, .. } => {
+                self.posted += 1;
+                *to
+            }
+            EventKind::Timer { node, .. } | EventKind::Recover { node } => *node,
+        };
+        let lane = node.index() % self.lanes.len();
+        self.lanes[lane].queue.push_with_seq(at, seq, kind);
+    }
+}
+
 /// The sharded simulation executor. Construct via [`Sim::sharded`];
 /// consume via [`ShardedSim::run`].
 ///
@@ -510,39 +444,11 @@ enum Src {
 /// back to inline execution. [`ShardedSim::set_parallel`] overrides the
 /// automatic choice; the trace is identical either way.
 pub struct ShardedSim<A: Automaton> {
-    n: usize,
-    faulty: BTreeSet<NodeId>,
-    adversary_passive: bool,
-    honest: Vec<NodeId>,
-    link: LinkConfig,
-    delay_model: DelayModel,
-    /// Immutable shared state (clocks, signers, verifier, fault bitmap),
-    /// `Arc`ed once so the persistent worker threads can hold it for the
-    /// whole run.
-    cx: Arc<EngineCtx>,
-    adv_signer: RestrictedSigner,
-    knowledge: KnowledgeTracker,
-    adversary: Box<dyn Adversary<A::Msg>>,
-    rng: SmallRng,
-    limits: RunLimits,
-    trace: Trace,
-    now: Time,
-    lanes: Vec<Lane<A>>,
+    world: World<A::Msg>,
+    router: Router<A>,
     /// The conservative window length `d − ũ` (minimum delay of any
     /// link): nothing sent inside a window can arrive inside it.
     lookahead: Dur,
-    /// Global sequence counter; all true sequence numbers come from here.
-    next_seq: u64,
-    /// Adversary real-time timers, merged into the reconcile by key
-    /// (adversary callbacks only ever run in the sequential reconcile).
-    adv_queue: BinaryHeap<Reverse<(EventKey, u64)>>,
-    /// Pooled adversary effect buffer.
-    adv_effects: Vec<AdvEffect<A::Msg>>,
-    pulse_recorded: bool,
-    /// Continuous pulse/violation observer, invoked only from the
-    /// sequential reconcile (same ordered stream as single-lane).
-    observer: Option<Arc<dyn RunObserver>>,
-    posted: u64,
     /// Whether window work is dispatched to the persistent worker pool.
     /// Defaults to `available_parallelism() > 1`; on a single-CPU host
     /// the lanes run inline (same order, same trace — scheduling never
@@ -582,14 +488,14 @@ impl<A: Automaton> WorkerPool<A> {
     /// Spawns one worker per lane. Each worker loops: receive a job,
     /// advance the lane through its window, send the lane back; it exits
     /// when its job channel disconnects (pool drop).
-    fn spawn(cx: &Arc<EngineCtx>, lanes: usize) -> Self {
+    fn spawn(env: &Arc<Env>, lanes: usize) -> Self {
         let (done_tx, done_rx) = crossbeam::channel::unbounded();
         let mut jobs = Vec::with_capacity(lanes);
         let handles = (0..lanes)
             .map(|index| {
                 let (job_tx, job_rx) = crossbeam::channel::unbounded::<Job<A>>();
                 jobs.push(job_tx);
-                let cx = Arc::clone(cx);
+                let env = Arc::clone(env);
                 let done = done_tx.clone();
                 std::thread::spawn(move || {
                     while let Ok(job) = job_rx.recv() {
@@ -599,7 +505,7 @@ impl<A: Automaton> WorkerPool<A> {
                             budget,
                         } = job;
                         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            lane.advance(&cx, window, budget);
+                            lane.advance(&env, window, budget);
                             lane
                         }));
                         if done.send((index, result)).is_err() {
@@ -635,52 +541,27 @@ impl<A: Automaton> ShardedSim<A> {
     /// Panics if `lanes == 0`.
     pub(crate) fn new(sim: Sim<A>, lanes: usize) -> Self {
         assert!(lanes > 0, "need at least one lane");
-        let lanes = lanes.min(sim.n);
+        let world = sim.world;
+        let n = world.env.n;
+        let count = lanes.min(n);
         let mut nodes = sim.nodes;
-        let lane_states = (0..lanes)
+        let lanes = (0..count)
             .map(|l| Lane {
-                nodes: (l..sim.n).step_by(lanes).map(|i| nodes[i].take()).collect(),
-                queue: EventQueue::with_delay_hint(sim.link.d),
-                timers: TimerSlab::new(),
-                records: Vec::new(),
-                arena: Vec::new(),
-                provisional: 0,
-                effects: Vec::new(),
-                delivers_popped: 0,
+                nodes: (l..n).step_by(count).map(|i| nodes[i].take()).collect(),
+                stride: count,
+                queue: EventQueue::with_delay_hint(world.link.d),
+                ..Lane::vacant()
             })
             .collect();
         ShardedSim {
-            n: sim.n,
-            faulty: sim.faulty,
-            adversary_passive: sim.adversary_passive,
-            honest: sim.honest,
-            link: sim.link,
-            delay_model: sim.delay_model,
-            cx: Arc::new(EngineCtx {
-                clocks: sim.clocks,
-                signers: sim.signers,
-                verifier: sim.verifier,
-                faulty_mask: sim.faulty_mask,
-                n: sim.n,
+            lookahead: world.link.d - world.link.u_tilde,
+            world,
+            router: Router {
                 lanes,
-                horizon: sim.limits.horizon,
-                chaos: sim.chaos,
-            }),
-            adv_signer: sim.adv_signer,
-            knowledge: sim.knowledge,
-            adversary: sim.adversary,
-            rng: sim.rng,
-            limits: sim.limits,
-            trace: sim.trace,
-            now: Time::ZERO,
-            lanes: lane_states,
-            lookahead: sim.link.d - sim.link.u_tilde,
-            next_seq: 0,
-            adv_queue: BinaryHeap::new(),
-            adv_effects: Vec::new(),
-            pulse_recorded: false,
-            observer: sim.observer,
-            posted: 0,
+                next_seq: 0,
+                adv_queue: BinaryHeap::new(),
+                posted: 0,
+            },
             parallel: std::thread::available_parallelism().is_ok_and(|p| p.get() > 1),
             pool: None,
         }
@@ -689,7 +570,7 @@ impl<A: Automaton> ShardedSim<A> {
     /// Number of lanes (after clamping to `n`).
     #[must_use]
     pub fn lanes(&self) -> usize {
-        self.lanes.len()
+        self.router.lanes.len()
     }
 
     /// Overrides the automatic use-worker-threads decision (which is
@@ -720,9 +601,15 @@ impl<A: Automaton> ShardedSim<A> {
     /// conservation checks.
     #[must_use]
     pub fn run_with_stats(mut self) -> (Trace, MailboxStats) {
-        self.init();
+        // Init runs inline, in the single-lane order.
+        self.world.schedule_recoveries(&mut self.router);
+        for v in self.world.honest.clone() {
+            self.run_handler_inline(v, Call::Init);
+        }
+        self.world
+            .with_adversary(&mut self.router, |adv, api| adv.on_init(api));
         while let Some(start) = self.global_min_key() {
-            if start.at() > self.limits.horizon {
+            if start.at() > self.world.env.horizon {
                 break;
             }
             // Degrade to the single-instant window when the lookahead is
@@ -740,24 +627,21 @@ impl<A: Automaton> ShardedSim<A> {
                 break;
             }
         }
-        self.trace.finished_at = self.now;
-        self.trace.timer_slots_high_water = self
-            .lanes
-            .iter()
-            .map(|l| l.timers.high_water() as u64)
-            .sum();
-        self.trace.queue_spill_count = self.lanes.iter().map(|l| l.queue.spill_count()).sum();
-        self.trace.queue_splice_count = self.lanes.iter().map(|l| l.queue.splice_count()).sum();
+        let lanes = &self.router.lanes;
+        let mut trace = self.world.trace;
+        trace.finished_at = self.world.now;
+        trace.timer_slots_high_water = lanes.iter().map(|l| l.timers.high_water() as u64).sum();
+        trace.queue_spill_count = lanes.iter().map(|l| l.queue.spill_count()).sum();
+        trace.queue_splice_count = lanes.iter().map(|l| l.queue.splice_count()).sum();
         let stats = MailboxStats {
-            posted: self.posted,
-            consumed: self.lanes.iter().map(|l| l.delivers_popped).sum(),
-            pending: self
-                .lanes
+            posted: self.router.posted,
+            consumed: lanes.iter().map(|l| l.delivers_popped).sum(),
+            pending: lanes
                 .iter()
                 .map(|l| l.queue.pending_deliveries() as u64)
                 .sum(),
         };
-        (self.trace, stats)
+        (trace, stats)
     }
 
     /// The earliest pending `(at, seq)` key across lanes and adversary
@@ -765,47 +649,15 @@ impl<A: Automaton> ShardedSim<A> {
     /// claim a lane queue's next ladder bucket.)
     fn global_min_key(&mut self) -> Option<EventKey> {
         let lane_min = self
+            .router
             .lanes
             .iter_mut()
             .filter_map(|l| l.queue.peek_key())
             .min();
-        let adv_min = self.adv_queue.peek().map(|Reverse((key, _))| *key);
+        let adv_min = self.router.adv_queue.peek().map(|Reverse((key, _))| *key);
         match (lane_min, adv_min) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
-        }
-    }
-
-    /// Replicates the single-lane init: honest `on_init` in ascending
-    /// node order, then the adversary's, applying effects inline (the
-    /// reconcile is trivially sequential here).
-    fn init(&mut self) {
-        debug_assert_eq!(self.now, Time::ZERO);
-        self.schedule_recoveries();
-        for v in self.honest.clone() {
-            self.run_handler_inline(v, |node, ctx| node.on_init(ctx));
-        }
-        self.with_adversary(|adv, api| adv.on_init(api));
-    }
-
-    /// Mirror of `Sim::schedule_recoveries`: one [`EventKind::Recover`]
-    /// per honest crash window that ends, pushed before any other event
-    /// in the identical order — so the events carry the identical
-    /// sequence numbers as the single-lane engine's, and pop before any
-    /// timer deferred to the same recovery instant.
-    fn schedule_recoveries(&mut self) {
-        let Some(chaos) = self.cx.chaos.clone() else {
-            return;
-        };
-        for (at, node, down) in chaos.crash_transitions() {
-            if down || self.cx.faulty_mask[node] {
-                continue;
-            }
-            let node = NodeId::new(node);
-            let seq = self.alloc_seq();
-            self.lane_mut(node)
-                .queue
-                .push_with_seq(at, seq, EventKind::Recover { node });
         }
     }
 
@@ -816,18 +668,18 @@ impl<A: Automaton> ShardedSim<A> {
         // Saturating: an effectively-uncapped run (`max_events(u64::MAX)`)
         // must yield an unbounded budget, not a wrapped-to-zero one.
         let budget = usize::try_from(
-            (self.limits.max_events - self.trace.events_processed).saturating_add(1),
+            (self.world.max_events - self.world.trace.events_processed).saturating_add(1),
         )
         .unwrap_or(usize::MAX);
-        let horizon = self.cx.horizon;
-        let work: Vec<usize> = self
-            .lanes
+        let env = &self.world.env;
+        let lanes = &mut self.router.lanes;
+        let work: Vec<usize> = lanes
             .iter_mut()
             .enumerate()
             .filter_map(|(i, l)| {
                 l.queue
                     .peek_key()
-                    .is_some_and(|k| window.contains(k.at()) && k.at() <= horizon)
+                    .is_some_and(|k| window.contains(k.at()) && k.at() <= env.horizon)
                     .then_some(i)
             })
             .collect();
@@ -838,9 +690,9 @@ impl<A: Automaton> ShardedSim<A> {
             // by key.
             let pool = self
                 .pool
-                .get_or_insert_with(|| WorkerPool::spawn(&self.cx, self.lanes.len()));
+                .get_or_insert_with(|| WorkerPool::spawn(env, lanes.len()));
             for &l in &work {
-                let lane = std::mem::replace(&mut self.lanes[l], Lane::vacant());
+                let lane = std::mem::replace(&mut lanes[l], Lane::vacant());
                 pool.jobs[l]
                     .send(Job {
                         lane,
@@ -850,15 +702,12 @@ impl<A: Automaton> ShardedSim<A> {
                     .unwrap_or_else(|_| unreachable!("lane worker exited while pool is live"));
             }
             for _ in 0..work.len() {
-                let (index, result) = self
-                    .pool
-                    .as_ref()
-                    .expect("pool is live")
+                let (index, result) = pool
                     .done_rx
                     .recv()
                     .expect("lane workers hold the done channel open");
                 match result {
-                    Ok(lane) => self.lanes[index] = lane,
+                    Ok(lane) => lanes[index] = lane,
                     // A handler panicked on a worker: surface it on the
                     // reconcile thread, as the scoped join used to.
                     Err(panic) => std::panic::resume_unwind(panic),
@@ -866,7 +715,7 @@ impl<A: Automaton> ShardedSim<A> {
             }
         } else {
             for l in work {
-                self.lanes[l].advance(&self.cx, window, budget);
+                lanes[l].advance(env, window, budget);
             }
         }
     }
@@ -875,16 +724,19 @@ impl<A: Automaton> ShardedSim<A> {
     /// in-window adversary timers) in ascending `(at, seq)` order.
     fn reconcile(&mut self, window: Window) -> Flow {
         let mut records: Vec<Peekable<IntoIter<Record<A::Msg>>>> = self
+            .router
             .lanes
             .iter_mut()
             .map(|l| std::mem::take(&mut l.records).into_iter().peekable())
             .collect();
-        let mut arenas: Vec<IntoIter<ReplayEffect<A::Msg>>> = self
+        let mut arenas: Vec<IntoIter<Replay<A::Msg>>> = self
+            .router
             .lanes
             .iter_mut()
             .map(|l| std::mem::take(&mut l.arena).into_iter())
             .collect();
         let mut pending: Vec<Vec<u64>> = self
+            .router
             .lanes
             .iter_mut()
             .map(|l| {
@@ -910,6 +762,7 @@ impl<A: Automaton> ShardedSim<A> {
         for (l, recs) in records.iter_mut().enumerate() {
             heads.push(recs.peek().map(|r| resolve(r, &pending[l])));
         }
+        let horizon = self.world.env.horizon;
         loop {
             let mut best: Option<(EventKey, Src)> = None;
             for (l, key) in heads.iter().enumerate() {
@@ -919,9 +772,9 @@ impl<A: Automaton> ShardedSim<A> {
                     }
                 }
             }
-            if let Some(Reverse((key, adv_key))) = self.adv_queue.peek() {
+            if let Some(Reverse((key, adv_key))) = self.router.adv_queue.peek() {
                 if window.contains(key.at())
-                    && key.at() <= self.limits.horizon
+                    && key.at() <= horizon
                     && best.as_ref().is_none_or(|(k, _)| *key < *k)
                 {
                     best = Some((*key, Src::Adv(*adv_key)));
@@ -933,8 +786,7 @@ impl<A: Automaton> ShardedSim<A> {
             // them too. Positive-lookahead windows never need this: every
             // send travels at least the lookahead, past the window end.
             if matches!(window, Window::At(_)) {
-                let horizon = self.limits.horizon;
-                for (l, lane) in self.lanes.iter_mut().enumerate() {
+                for (l, lane) in self.router.lanes.iter_mut().enumerate() {
                     if let Some(key) = lane.queue.peek_key() {
                         if window.contains(key.at())
                             && key.at() <= horizon
@@ -948,433 +800,87 @@ impl<A: Automaton> ShardedSim<A> {
             let Some((key, src)) = best else {
                 return Flow::Continue;
             };
-            debug_assert!(key.at() >= self.now, "time went backwards");
-            self.now = key.at();
-            self.trace.events_processed += 1;
-            if self.trace.events_processed > self.limits.max_events {
-                if let Some(obs) = &self.observer {
-                    obs.on_violation(None, "event cap exceeded", self.now);
-                }
-                self.trace.violations.push("event cap exceeded".to_owned());
-                return Flow::Stop;
-            }
             match src {
                 Src::Adv(adv_key) => {
-                    self.adv_queue.pop();
-                    self.with_adversary(|adv, api| adv.on_timer(adv_key, api));
+                    self.router.adv_queue.pop();
+                    if !self.world.begin_event(key.at(), false) {
+                        return Flow::Stop;
+                    }
+                    self.world
+                        .settle(&mut self.router, Popped::AdvTimer(adv_key));
                 }
-                Src::Queue(l) => self.process_queue_event_inline(l),
+                // Pops and fully processes the lane's head event here,
+                // single-lane style: same-instant arrivals must interleave
+                // with mailbox records and adversary timers in `(at, seq)`
+                // order. Timers the handler arms get true sequence
+                // numbers, so a clamped same-instant timer re-enters this
+                // merge via the queue poll.
+                Src::Queue(l) => {
+                    let lane = &mut self.router.lanes[l];
+                    let (_, event) = lane.queue.pop_keyed().expect("peeked queue is non-empty");
+                    let popped = self
+                        .world
+                        .env
+                        .classify(&mut lane.timers, event.at, event.kind);
+                    lane.delivers_popped += u64::from(popped.is_delivery());
+                    if !self.world.begin_event(key.at(), popped.is_delivery()) {
+                        return Flow::Stop;
+                    }
+                    if let Popped::Honest { node, call } = popped {
+                        self.run_handler_inline(node, call.resolve(Payload::into_owned));
+                    } else {
+                        self.world.settle(&mut self.router, popped);
+                    }
+                }
                 Src::Lane(l) => {
                     let rec = records[l].next().expect("peeked record present");
+                    if !self.world.begin_event(key.at(), rec.body.is_delivery()) {
+                        return Flow::Stop;
+                    }
                     match rec.body {
-                        RecordBody::Stale => {}
-                        RecordBody::ChaosDrop => {
-                            self.trace.messages_delivered += 1;
-                            self.trace.chaos_drops += 1;
-                        }
-                        RecordBody::ChaosTimerInWindow { slot } => {
-                            pending[l][slot as usize] = self.alloc_seq();
-                        }
-                        RecordBody::ChaosTimerBeyond { node, id, resume } => {
-                            let seq = self.alloc_seq();
-                            self.lane_mut(node).queue.push_with_seq(
-                                resume,
-                                seq,
-                                EventKind::Timer { node, id },
-                            );
-                        }
-                        RecordBody::FaultyDeliver { from, to, msg } => {
-                            self.trace.messages_delivered += 1;
-                            if !self.adversary_passive {
-                                if msg.needs_learning() {
-                                    self.knowledge.learn_all(msg.as_ref(), self.now);
-                                }
-                                let msg = msg.as_ref();
-                                self.with_adversary(|adv, api| {
-                                    adv.on_deliver(to, from, msg, api);
-                                });
-                            }
-                        }
-                        RecordBody::Honest {
-                            node,
-                            delivery,
-                            effects,
-                        } => {
-                            if delivery {
-                                self.trace.messages_delivered += 1;
-                            }
+                        RecordBody::Settle(popped) => self.world.settle(&mut self.router, popped),
+                        RecordBody::Ran { node, effects, .. } => {
                             let effects = arenas[l].by_ref().take(effects as usize);
-                            self.replay_honest_effects(node, effects, &mut pending[l]);
+                            self.replay(node, effects, &mut pending[l]);
+                        }
+                        RecordBody::Deferred { slot } => {
+                            pending[l][slot as usize] = self.router.alloc_seq();
                         }
                     }
                     heads[l] = records[l].peek().map(|r| resolve(r, &pending[l]));
                 }
             }
-            if self.pulse_recorded {
-                self.pulse_recorded = false;
-                if self.done_by_pulses() {
-                    return Flow::Stop;
-                }
+            if self.world.done_by_pulses() {
+                return Flow::Stop;
             }
         }
     }
 
-    /// Replays one honest event's effects in order, exactly as
-    /// `Sim::apply_node_effects` would (same RNG draws, same sequence
-    /// numbers, same adversary callbacks).
-    fn replay_honest_effects(
+    /// Applies one honest handler's recorded effects in order.
+    fn replay(
         &mut self,
-        from: NodeId,
-        effects: impl Iterator<Item = ReplayEffect<A::Msg>>,
+        node: NodeId,
+        effects: impl Iterator<Item = Replay<A::Msg>>,
         pending: &mut [u64],
     ) {
         for effect in effects {
             match effect {
-                ReplayEffect::Send { to, msg } => {
-                    self.schedule_honest_send(from, to, Payload::Owned(msg));
-                }
-                ReplayEffect::Broadcast { msg } => {
-                    // One shared payload behind an `Arc`, fanned out to
-                    // every node — identical to `Sim::apply_node_effects`.
-                    let shared = Payload::shared(msg);
-                    for to in NodeId::all(self.n) {
-                        self.schedule_honest_send(from, to, shared.clone());
-                    }
-                }
-                ReplayEffect::TimerInWindow { slot } => {
-                    pending[slot as usize] = self.alloc_seq();
-                }
-                ReplayEffect::TimerBeyond { node, id, fire_at } => {
-                    let seq = self.alloc_seq();
-                    self.lane_mut(node)
-                        .queue
-                        .push_with_seq(fire_at, seq, EventKind::Timer { node, id });
-                }
-                ReplayEffect::Pulse { node, index } => {
-                    let before = self.trace.violations.len();
-                    let jump_ok = self
-                        .cx
-                        .chaos
-                        .as_deref()
-                        .is_some_and(|c| c.was_ever_down(node));
-                    self.trace.record_pulse(node, index, self.now, jump_ok);
-                    if let Some(obs) = &self.observer {
-                        // `record_pulse` may itself flag an out-of-order
-                        // pulse; surface that to the observer too (same
-                        // order as the single-lane engine).
-                        for text in &self.trace.violations[before..] {
-                            obs.on_violation(Some(node), text, self.now);
-                        }
-                        obs.on_pulse(node, index, self.now);
-                    }
-                    self.pulse_recorded = true;
-                }
-                ReplayEffect::Violation { node, text } => {
-                    let text = format!("{node}: {text}");
-                    if let Some(obs) = &self.observer {
-                        obs.on_violation(Some(node), &text, self.now);
-                    }
-                    self.trace.violations.push(text);
-                }
-            }
-        }
-    }
-
-    /// Pops and fully processes lane `l`'s head event on the reconcile
-    /// thread — handler and effects inline, exactly like the single-lane
-    /// loop. Only reached from zero-lookahead windows (see the merge),
-    /// where same-instant arrivals must interleave with mailbox records
-    /// and adversary timers in `(at, seq)` order. Timers the handler arms
-    /// are pushed with true sequence numbers (init-style), so a clamped
-    /// same-instant timer re-enters this merge via the queue poll.
-    fn process_queue_event_inline(&mut self, l: usize) {
-        let (_, event) = self.lanes[l]
-            .queue
-            .pop_keyed()
-            .expect("peeked queue is non-empty");
-        match event.kind {
-            EventKind::Deliver { from, to, msg } => {
-                self.lanes[l].delivers_popped += 1;
-                self.trace.messages_delivered += 1;
-                if self
-                    .cx
-                    .chaos
-                    .as_deref()
-                    .is_some_and(|c| c.down(to, self.now))
-                {
-                    self.trace.chaos_drops += 1;
-                } else if self.cx.faulty_mask[to.index()] {
-                    if !self.adversary_passive {
-                        if msg.needs_learning() {
-                            self.knowledge.learn_all(msg.as_ref(), self.now);
-                        }
-                        let msg = msg.as_ref();
-                        self.with_adversary(|adv, api| adv.on_deliver(to, from, msg, api));
-                    }
-                } else {
-                    let msg = msg.into_owned();
-                    self.run_handler_inline(to, |node, ctx| node.on_message(from, msg, ctx));
-                }
-            }
-            EventKind::Timer { node, id } => {
-                if self
-                    .cx
-                    .chaos
-                    .as_deref()
-                    .is_some_and(|c| c.down(node, self.now))
-                {
-                    // Inline = single-lane style: defer with a true
-                    // sequence number (recovery is always after `now`,
-                    // hence outside this single-instant window).
-                    let resume = self
-                        .cx
-                        .chaos
-                        .as_deref()
-                        .and_then(|c| c.resume_at(node, self.now));
-                    if let Some(resume) = resume {
-                        let seq = self.alloc_seq();
-                        self.lane_mut(node).queue.push_with_seq(
-                            resume,
-                            seq,
-                            EventKind::Timer { node, id },
-                        );
-                    }
-                } else if self.lanes[l].timers.fire(id) && !self.cx.faulty_mask[node.index()] {
-                    self.run_handler_inline(node, |n, ctx| n.on_timer(id, ctx));
-                }
-            }
-            EventKind::Recover { node } => {
-                if !self
-                    .cx
-                    .chaos
-                    .as_deref()
-                    .is_some_and(|c| c.down(node, self.now))
-                {
-                    self.run_handler_inline(node, |n, ctx| n.on_recover(ctx));
-                }
-            }
-            EventKind::AdvTimer { .. } => {
-                unreachable!("adversary timers never enter lane queues")
+                Replay::Apply(effect) => self.world.apply_effect(&mut self.router, node, effect),
+                Replay::Provisional(slot) => pending[slot as usize] = self.router.alloc_seq(),
             }
         }
     }
 
     /// Runs an honest handler on the reconcile thread at the current
-    /// replay time and applies its effects immediately (used by init and
-    /// by zero-lookahead inline processing; timers get true sequence
-    /// numbers, never provisional ones).
-    fn run_handler_inline<F>(&mut self, v: NodeId, f: F)
-    where
-        F: FnOnce(&mut A, &mut dyn Context<A::Msg>),
-    {
-        let lane = v.index() % self.lanes.len();
-        let count = self.lanes[lane].run_handler(&self.cx, v, self.now, None, f);
-        let arena = std::mem::take(&mut self.lanes[lane].arena);
-        debug_assert_eq!(arena.len(), count as usize);
-        self.replay_honest_effects(v, arena.into_iter(), &mut []);
-    }
-
-    /// Mirrors `Sim::schedule_honest_send` in the replay: draw the delay,
-    /// notify the adversary, then route the delivery into the destination
-    /// node's lane — in that exact order, so RNG consumption and sequence
-    /// numbers match the single-lane engine step for step.
-    fn schedule_honest_send(&mut self, from: NodeId, to: NodeId, msg: Payload<A::Msg>) {
-        // Chaos hooks in the exact single-lane order (cut, storm, flood);
-        // see `Sim::schedule_honest_send` — any divergence would
-        // desynchronize the shared RNG stream.
-        if self
-            .cx
-            .chaos
-            .as_deref()
-            .is_some_and(|c| c.cut(from, to, self.now))
-        {
-            self.trace.chaos_drops += 1;
-            return;
-        }
-        let bounds = self.link.bounds_masked(
-            self.cx.faulty_mask[from.index()],
-            self.cx.faulty_mask[to.index()],
-        );
-        let storming = self
-            .cx
-            .chaos
-            .as_deref()
-            .is_some_and(|c| c.storming(self.now));
-        let delay = if storming {
-            bounds.1
-        } else if self.delay_model == DelayModel::AdversaryChoice {
-            match self.adversary.pick_delay(from, to, bounds) {
-                Some(d) => {
-                    assert!(
-                        d >= bounds.0 && d <= bounds.1,
-                        "adversary chose delay {d} outside bounds ({}, {})",
-                        bounds.0,
-                        bounds.1
-                    );
-                    d
-                }
-                None => DelayModel::Random.draw(from, to, bounds, &mut self.rng),
-            }
-        } else {
-            self.delay_model.draw(from, to, bounds, &mut self.rng)
-        };
-        self.with_adversary(|adv, api| adv.on_honest_send(from, to, api));
-        let flood = self.cx.chaos.as_deref().and_then(|c| c.flood(self.now));
-        if let Some(spec) = flood {
-            // Duplicates first, then the original — the single-lane
-            // engine's push (and therefore sequence) order.
-            for _ in 0..spec.copies {
-                let copy = msg.clone();
-                let copy_delay = if spec.rush {
-                    bounds.0
-                } else {
-                    DelayModel::Random.draw(from, to, bounds, &mut self.rng)
-                };
-                self.trace.chaos_duplicates += 1;
-                let seq = self.alloc_seq();
-                self.posted += 1;
-                let at = self.now + copy_delay;
-                self.lane_mut(to)
-                    .queue
-                    .push_with_seq(at, seq, EventKind::Deliver { from, to, msg: copy });
-            }
-        }
-        let seq = self.alloc_seq();
-        self.posted += 1;
-        let at = self.now + delay;
-        self.lane_mut(to)
-            .queue
-            .push_with_seq(at, seq, EventKind::Deliver { from, to, msg });
-    }
-
-    /// Mirrors `Sim::with_adversary`: pooled effect buffer, the same
-    /// passive fast path, effects applied after the callback returns.
-    fn with_adversary<F>(&mut self, f: F)
-    where
-        F: FnOnce(&mut dyn Adversary<A::Msg>, &mut AdversaryApi<'_, A::Msg>),
-    {
-        if self.adversary_passive {
-            return;
-        }
-        let mut effects = std::mem::take(&mut self.adv_effects);
-        debug_assert!(effects.is_empty(), "pooled adversary buffer not drained");
-        {
-            let mut api = AdversaryApi {
-                now: self.now,
-                n: self.n,
-                corrupted: &self.faulty,
-                signer: &self.adv_signer,
-                verifier: &*self.cx.verifier,
-                clocks: &self.cx.clocks,
-                knowledge: &self.knowledge,
-                effects: &mut effects,
-            };
-            f(&mut *self.adversary, &mut api);
-        }
-        self.apply_adv_effects(&mut effects);
-        effects.clear();
-        self.adv_effects = effects;
-    }
-
-    /// Mirrors `Sim::apply_adv_effects`: the knowledge gate, delay
-    /// validation, and pushes happen in the recorded order. Adversary
-    /// timers go onto the adversary queue with a freshly allocated key;
-    /// ones landing inside the current window are picked up by the
-    /// ongoing reconcile merge.
-    fn apply_adv_effects(&mut self, effects: &mut Vec<AdvEffect<A::Msg>>) {
-        for effect in effects.drain(..) {
-            match effect {
-                AdvEffect::SendAs {
-                    from,
-                    to,
-                    msg,
-                    delay,
-                } => {
-                    assert!(
-                        self.faulty.contains(&from),
-                        "adversary impersonated honest node {from}"
-                    );
-                    // Mirror of the single-lane engine: a cut link fails
-                    // adversarial traffic before the forgery gate.
-                    if self
-                        .cx
-                        .chaos
-                        .as_deref()
-                        .is_some_and(|c| c.cut(from, to, self.now))
-                    {
-                        self.trace.chaos_drops += 1;
-                        continue;
-                    }
-                    if let Err(e) = self.knowledge.authorize(&msg, self.now) {
-                        self.trace.forgeries_blocked += 1;
-                        let text = format!("blocked forgery: {e}");
-                        if let Some(obs) = &self.observer {
-                            obs.on_violation(None, &text, self.now);
-                        }
-                        self.trace.violations.push(text);
-                        continue;
-                    }
-                    let bounds = self.link.bounds_masked(
-                        self.cx.faulty_mask[from.index()],
-                        self.cx.faulty_mask[to.index()],
-                    );
-                    let delay = match delay {
-                        Some(d) => {
-                            assert!(
-                                d >= bounds.0 && d <= bounds.1,
-                                "adversarial delay {d} outside bounds ({}, {})",
-                                bounds.0,
-                                bounds.1
-                            );
-                            d
-                        }
-                        None => self.delay_model.draw(from, to, bounds, &mut self.rng),
-                    };
-                    let seq = self.alloc_seq();
-                    self.posted += 1;
-                    let at = self.now + delay;
-                    self.lane_mut(to).queue.push_with_seq(
-                        at,
-                        seq,
-                        EventKind::Deliver {
-                            from,
-                            to,
-                            msg: Payload::Owned(msg),
-                        },
-                    );
-                }
-                AdvEffect::SetTimer { at, key } => {
-                    let at = at.max(self.now);
-                    let seq = self.alloc_seq();
-                    self.adv_queue.push(Reverse((EventKey::new(at, seq), key)));
-                }
-            }
-        }
-    }
-
-    fn alloc_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        assert!(
-            seq < PROVISIONAL_BASE,
-            "sharded runs cap at 2^35 scheduled events"
-        );
-        self.next_seq += 1;
-        seq
-    }
-
-    fn lane_mut(&mut self, node: NodeId) -> &mut Lane<A> {
-        let l = node.index() % self.lanes.len();
-        &mut self.lanes[l]
-    }
-
-    fn done_by_pulses(&self) -> bool {
-        match self.limits.max_pulses {
-            None => false,
-            Some(k) => self
-                .honest
-                .iter()
-                .all(|v| self.trace.pulses[v.index()].len() as u64 >= k),
-        }
+    /// time and applies its effects at once (init and zero-lookahead
+    /// inline processing; timers get true sequence numbers, never
+    /// provisional ones).
+    fn run_handler_inline(&mut self, v: NodeId, call: Call<A::Msg>) {
+        let l = v.index() % self.router.lanes.len();
+        let lane = &mut self.router.lanes[l];
+        lane.run_handler(&self.world.env, v, self.world.now, None, call);
+        let effects = std::mem::take(&mut lane.arena);
+        self.replay(v, effects.into_iter(), &mut []);
     }
 }
 
@@ -1477,7 +983,7 @@ mod tests {
             to: NodeId,
             bounds: (Dur, Dur),
         ) -> Option<Dur> {
-            if (from.index() + to.index()) % 3 == 0 {
+            if (from.index() + to.index()).is_multiple_of(3) {
                 Some(bounds.0)
             } else {
                 None

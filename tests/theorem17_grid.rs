@@ -1,13 +1,22 @@
 //! Integration grid for Theorem 17: across system sizes, fault loads,
-//! delay/drift regimes and adversarial delay policies, CPS keeps
-//! liveness, skew ≤ S, and periods within [(T − (θ+1)S)/θ, T + 3S].
+//! delay/drift regimes, adversarial delay policies and active Byzantine
+//! strategies, CPS keeps liveness, skew ≤ S, and periods within
+//! [(T − (θ+1)S)/θ, T + 3S].
 
-use crusader::core::{CpsNode, Params};
+use crusader::core::adversary::{RushingForwarder, StaggeredDealer};
+use crusader::core::{Carry, CpsNode, Derived, Params};
 use crusader::crypto::NodeId;
 use crusader::sim::metrics::pulse_stats;
-use crusader::sim::{DelayModel, SilentAdversary, SimBuilder};
+use crusader::sim::{Adversary, DelayModel, SilentAdversary, SimBuilder};
 use crusader::time::drift::DriftModel;
 use crusader::time::{Dur, Time};
+
+/// Builds the adversary controlling a case's faulty nodes.
+type MakeAdversary = fn(&Params, &Derived) -> Box<dyn Adversary<Carry>>;
+
+fn silent(_: &Params, _: &Derived) -> Box<dyn Adversary<Carry>> {
+    Box::new(SilentAdversary)
+}
 
 struct Case {
     name: &'static str,
@@ -18,6 +27,7 @@ struct Case {
     theta: f64,
     delays: DelayModel,
     drift: DriftModel,
+    adversary: MakeAdversary,
 }
 
 fn run_case(case: &Case, pulses: u64, seed: u64) {
@@ -38,7 +48,7 @@ fn run_case(case: &Case, pulses: u64, seed: u64) {
         .max_pulses(pulses)
         .build(
             |me| CpsNode::new(me, params, derived),
-            Box::new(SilentAdversary),
+            (case.adversary)(&params, &derived),
         )
         .run();
     let honest: Vec<NodeId> = NodeId::all(case.n)
@@ -92,6 +102,7 @@ fn small_system_fault_free() {
             theta: 1.0001,
             delays: DelayModel::Random,
             drift: DriftModel::OffsetsOnly,
+            adversary: silent,
         },
         10,
         1,
@@ -110,6 +121,7 @@ fn three_nodes_one_fault() {
             theta: 1.0001,
             delays: DelayModel::Extremal,
             drift: DriftModel::ExtremalSplit,
+            adversary: silent,
         },
         12,
         2,
@@ -128,6 +140,7 @@ fn nine_nodes_four_faults_worst_drift() {
             theta: 1.0005,
             delays: DelayModel::Tilted,
             drift: DriftModel::ExtremalSplit,
+            adversary: silent,
         },
         12,
         3,
@@ -146,6 +159,7 @@ fn sixteen_nodes_seven_faults() {
             theta: 1.0002,
             delays: DelayModel::Random,
             drift: DriftModel::RandomStable,
+            adversary: silent,
         },
         8,
         4,
@@ -164,6 +178,7 @@ fn tiny_delay_fast_clocks() {
             theta: 1.02,
             delays: DelayModel::Extremal,
             drift: DriftModel::ExtremalSplit,
+            adversary: silent,
         },
         15,
         5,
@@ -185,6 +200,7 @@ fn wan_scale_delays() {
                 interval: Dur::from_millis(500.0),
                 pieces: 8,
             },
+            adversary: silent,
         },
         8,
         6,
@@ -207,11 +223,61 @@ fn wandering_clocks_many_seeds() {
                     interval: Dur::from_millis(5.0),
                     pieces: 32,
                 },
+                adversary: silent,
             },
             10,
             seed,
         );
     }
+}
+
+/// Round-anticipating staggered dealers at the full fault budget, with
+/// every delay at its adversary-chosen minimum and the clocks split
+/// fast/slow the way the stagger pushes them.
+#[test]
+fn nine_nodes_four_staggered_dealers() {
+    run_case(
+        &Case {
+            name: "n=9 f=4 staggered dealers",
+            n: 9,
+            faulty: (5..9).collect(),
+            d_us: 1000.0,
+            u_us: 50.0,
+            theta: 1.0005,
+            delays: DelayModel::AdversaryChoice,
+            drift: DriftModel::ExtremalSplit,
+            adversary: |params, derived| {
+                Box::new(StaggeredDealer::anticipating(
+                    Dur::from_micros(40.0),
+                    params,
+                    derived,
+                ))
+            },
+        },
+        12,
+        7,
+    );
+}
+
+/// Faulty nodes forward every honest dealer signature they receive back
+/// into the network at the minimum delay.
+#[test]
+fn seven_nodes_three_rushing_forwarders() {
+    run_case(
+        &Case {
+            name: "n=7 f=3 rushing forwarders",
+            n: 7,
+            faulty: (4..7).collect(),
+            d_us: 1000.0,
+            u_us: 20.0,
+            theta: 1.0002,
+            delays: DelayModel::AdversaryChoice,
+            drift: DriftModel::RandomStable,
+            adversary: |_, _| Box::new(RushingForwarder::new()),
+        },
+        12,
+        8,
+    );
 }
 
 #[test]
