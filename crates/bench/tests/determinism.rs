@@ -11,15 +11,33 @@ use crusader_bench::snapshot::cps_scenario;
 use crusader_bench::{trace_hash, Scenario};
 use crusader_chaos::{builtin_catalog_dir, run_scenario, Catalog, Executor};
 use crusader_core::adversary::{RushingForwarder, StaggeredDealer};
-use crusader_core::Carry;
-use crusader_sim::{Adversary, DelayModel, SilentAdversary};
-use crusader_time::Dur;
+use crusader_core::{Carry, CpsNode, Params};
+use crusader_sim::{Adversary, DelayModel, SilentAdversary, SimBuilder, Trace};
+use crusader_time::drift::DriftModel;
+use crusader_time::{Dur, Time};
 
 /// `(n, expected trace hash)` for the snapshot scenario at each size.
 const PINNED: &[(usize, u64)] = &[
     (4, 0x1277e2210ec74e1f),
     (8, 0xeb28601f3439c630),
     (16, 0xc49491b40c2c1e51),
+];
+
+/// Trace hash of the n = 64 snapshot scenario — the run `benchmark/`'s
+/// `sim_mesh` workload times — recorded at commit 8cd2032. Checked on the
+/// single-lane engine only: the count ledger cross-checks the sharded
+/// executor at this size.
+const PINNED_N64: u64 = 0x2c12ef20314847c8;
+
+/// `(delay model, horizon in seconds, trace hash)` of [`horizon_run`],
+/// recorded at commit 8cd2032. Both horizons fall in round 9's echo
+/// burst. Under `MaxAlways` that burst's deliveries share one instant,
+/// the horizon itself, so every one of them is in, and sequence numbers
+/// alone order the deliveries to faulty nodes against the rest; under
+/// `Random` the horizon splits the burst.
+const PINNED_HORIZON: [(DelayModel, f64, u64); 2] = [
+    (DelayModel::MaxAlways, 0.018_968_287_289_949_835, 0x1f341d33d2e3f3b1),
+    (DelayModel::Random, 0.018_92, 0x7d1f6a8910a48e9d),
 ];
 
 /// Trace hashes of the n = 8 snapshot scenario under the two active
@@ -65,6 +83,51 @@ fn fixed_seed_cps_traces_are_pinned() {
              the engine's observable behaviour changed \
              (events={}, messages={}, violations={:?})",
             trace.events_processed, trace.messages_delivered, trace.violations
+        );
+    }
+}
+
+#[test]
+fn n64_cps_trace_is_pinned() {
+    let (trace, _) = cps_scenario(64).run_cps_trace(Box::new(SilentAdversary));
+    let got = trace_hash(&trace);
+    assert_eq!(
+        got, PINNED_N64,
+        "n=64: trace hash {got:#018x} != pinned {PINNED_N64:#018x} \
+         (events={}, messages={}, violations={:?})",
+        trace.events_processed, trace.messages_delivered, trace.violations
+    );
+}
+
+/// CPS at n = 9 with f = 4 silent nodes and no pulse target, so the run
+/// ends on the horizon rule.
+fn horizon_run(delays: DelayModel, horizon: Time) -> Trace {
+    let params = Params::max_resilience(9, Dur::from_millis(1.0), Dur::from_micros(10.0), 1.0001);
+    let derived = params.derive().expect("feasible scenario");
+    SimBuilder::new(params.n)
+        .faulty(params.n - params.f..params.n)
+        .link(params.d, params.u)
+        .delays(delays)
+        .drift(DriftModel::RandomStable, params.theta, derived.s)
+        .seed(0xC0FFEE)
+        .horizon(horizon)
+        .build(|me| CpsNode::new(me, params, derived), Box::new(SilentAdversary))
+        .run()
+}
+
+#[test]
+fn horizon_stopped_traces_are_pinned() {
+    for (delays, horizon, expected) in PINNED_HORIZON {
+        let trace = horizon_run(delays.clone(), Time::from_secs(horizon));
+        let got = trace_hash(&trace);
+        assert_eq!(
+            got, expected,
+            "{delays:?}: trace hash {got:#018x} != pinned {expected:#018x} \
+             (events={}, messages={}, finished_at={:?}, pulses={:?})",
+            trace.events_processed,
+            trace.messages_delivered,
+            trace.finished_at,
+            trace.pulses.iter().map(Vec::len).collect::<Vec<_>>()
         );
     }
 }
