@@ -97,6 +97,7 @@ fn n64_cps_trace_is_pinned() {
          (events={}, messages={}, violations={:?})",
         trace.events_processed, trace.messages_delivered, trace.violations
     );
+    assert_eq!(trace.tallied_deliveries, 243_474, "deliveries counted without queueing");
 }
 
 /// CPS at n = 9 with f = 4 silent nodes and no pulse target, so the run

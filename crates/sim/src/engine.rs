@@ -1,7 +1,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use crusader_crypto::{KeyRing, KnowledgeTracker, NodeId, Signer, Verifier};
+use crusader_crypto::{CarriesSignatures, KeyRing, KnowledgeTracker, NodeId, Signer, Verifier};
 use crusader_time::drift::DriftModel;
 use crusader_time::{Dur, HardwareClock, LocalTime, Time};
 use rand::rngs::SmallRng;
@@ -10,7 +10,7 @@ use rand::SeedableRng;
 use crate::adversary::Adversary;
 use crate::automaton::{Automaton, Context};
 use crate::chaos::{ChaosTimeline, RunObserver};
-use crate::event::{EventKind, EventQueue, Payload, TimerId, TimerSlab};
+use crate::event::{EventKey, EventKind, EventQueue, Payload, TimerId, TimerSlab};
 use crate::network::{DelayModel, LinkConfig};
 use crate::trace::Trace;
 use crate::world::{Call, Env, Popped, Post, World};
@@ -232,6 +232,12 @@ impl SimBuilder {
             // hot paths keep their zero-cost `None` fast path.
             chaos: self.chaos.filter(|c| !c.is_empty()),
         };
+        let passive = adversary.is_passive();
+        let unobserved = if passive && env.chaos.is_none() {
+            env.faulty_mask.clone()
+        } else {
+            Vec::new()
+        };
         Sim {
             world: World {
                 env: Arc::new(env),
@@ -243,7 +249,7 @@ impl SimBuilder {
                 adv_signer: ring.restricted_signer(self.faulty.clone()),
                 knowledge: KnowledgeTracker::new(self.faulty.clone()),
                 faulty: self.faulty,
-                adversary_passive: adversary.is_passive(),
+                adversary_passive: passive,
                 adversary,
                 adv_effects: Vec::new(),
                 rng,
@@ -259,6 +265,7 @@ impl SimBuilder {
             pending: Pending {
                 queue: EventQueue::with_delay_hint(self.link.d),
                 broadcasts: BroadcastArena::new(),
+                tally: Tally::new(unobserved),
             },
             node_effects: Vec::new(),
         }
@@ -360,16 +367,160 @@ impl<M: Clone> BroadcastArena<M> {
     }
 }
 
+/// A fold waits until the tally holds at least this many keys.
+const TALLY_FOLD_MIN: usize = 1024;
+
+/// The deliveries [`Sim::run`] counts instead of queueing.
+///
+/// With a passive adversary (see [`Adversary::is_passive`]) and no chaos
+/// timeline, a delivery to a faulty node changes nothing but the event
+/// and message counts: no callback sees it, nothing is learned from it,
+/// and no crash can drop it. [`Pending::post`] releases such a delivery's
+/// payload at once and keeps only its `(at, seq)` key, with the sequence
+/// number taken from the queue's own counter, so every event keeps the
+/// number it would have had. The run counts the keys where the queue would
+/// have popped them:
+///
+/// * before a pop, once the tally has doubled since the last fold, every
+///   key below the popped one, so memory stays bounded by the deliveries
+///   in flight;
+/// * when `max_pulses` stops the run after event `K`, the keys below `K`;
+/// * when the horizon stops it or the queue drains, the keys at or before
+///   the horizon; `finished_at` is the later of the last event processed
+///   and the last key counted;
+/// * once the events processed plus the keys pending could exceed the
+///   event cap, tallying stops (later deliveries take the queue), and the
+///   pending keys are sorted once and counted one at a time in front of
+///   each pop, so the cap trips on the event it would have tripped on,
+///   tallied or queued.
+///
+/// The sharded executor queues these deliveries like any other, so its
+/// traces are the oracle for this one.
+struct Tally {
+    /// By node index, whether deliveries to the node are tallied: the
+    /// faulty set while tallying is on, empty once the cap has stopped it
+    /// (or when it never started).
+    unobserved: Vec<bool>,
+    /// Keys not yet counted: in post order while tallying is on, sorted
+    /// descending (the next one last) once it has stopped.
+    keys: Vec<EventKey>,
+    /// Fold again once `keys` is this long.
+    fold_at: usize,
+}
+
+impl Tally {
+    fn new(unobserved: Vec<bool>) -> Self {
+        Tally {
+            unobserved,
+            keys: Vec::new(),
+            fold_at: TALLY_FOLD_MIN,
+        }
+    }
+
+    /// Whether a delivery to `to` is tallied rather than queued.
+    #[inline]
+    fn takes(&self, to: NodeId) -> bool {
+        self.unobserved.get(to.index()).copied().unwrap_or(false)
+    }
+
+    /// Whether counting every pending key could trip the event cap.
+    #[inline]
+    fn cap_in_reach<M>(&self, world: &World<M>) -> bool {
+        world.trace.events_processed + self.keys.len() as u64 >= world.max_events
+    }
+
+    /// Before the run processes the queued event `next` (`last` being the
+    /// one it processed before): counts the keys below `next` if a fold
+    /// is due or the cap is in reach. Returns false if one of them trips
+    /// the cap.
+    #[inline]
+    fn before<M: Clone + CarriesSignatures>(
+        &mut self,
+        world: &mut World<M>,
+        last: EventKey,
+        next: EventKey,
+    ) -> bool {
+        if self.keys.len() < self.fold_at && !self.cap_in_reach(world) {
+            return true;
+        }
+        let within_cap = self.count(world, last, |key| key < next);
+        self.fold_at = (2 * self.keys.len()).max(TALLY_FOLD_MIN);
+        within_cap
+    }
+
+    /// Counts the pending keys `due` selects, `last` being the last event
+    /// the run processed. Returns false if one of them trips the event
+    /// cap, which [`World::begin_event`] records as it does for a queued
+    /// event.
+    fn count<M: Clone + CarriesSignatures>(
+        &mut self,
+        world: &mut World<M>,
+        last: EventKey,
+        due: impl Fn(EventKey) -> bool,
+    ) -> bool {
+        if !self.unobserved.is_empty() && self.cap_in_reach(world) {
+            // The keys below `last` were within the cap when it was popped.
+            self.fold(world, |key| key < last);
+            self.keys.sort_unstable_by_key(|&key| std::cmp::Reverse(key));
+            self.unobserved = Vec::new();
+        }
+        if !self.unobserved.is_empty() {
+            self.fold(world, due);
+            return true;
+        }
+        while let Some(&key) = self.keys.last() {
+            if !due(key) {
+                break;
+            }
+            self.keys.pop();
+            world.trace.tallied_deliveries += 1;
+            if !world.begin_event(key.at(), true) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Counts every pending key `due` selects at once.
+    fn fold<M>(&mut self, world: &mut World<M>, due: impl Fn(EventKey) -> bool) {
+        let pending = self.keys.len();
+        let mut latest = None;
+        self.keys.retain(|&key| {
+            let counted = due(key);
+            if counted {
+                latest = latest.max(Some(key));
+            }
+            !counted
+        });
+        let counted = (pending - self.keys.len()) as u64;
+        world.trace.events_processed += counted;
+        world.trace.messages_delivered += counted;
+        world.trace.tallied_deliveries += counted;
+        if let Some(key) = latest {
+            world.now = world.now.max(key.at());
+        }
+    }
+}
+
 /// The single-lane engine's [`Post`]: one queue that numbers events in
-/// push order, and the arena behind [`Payload::Local`].
+/// push order, the arena behind [`Payload::Local`], and the [`Tally`] of
+/// deliveries nobody observes.
 struct Pending<M> {
     queue: EventQueue<M>,
     broadcasts: BroadcastArena<M>,
+    tally: Tally,
 }
 
 impl<M: Clone> Post<M> for Pending<M> {
     fn post(&mut self, at: Time, kind: EventKind<M>) {
-        self.queue.push(at, kind);
+        match kind {
+            EventKind::Deliver { to, msg, .. } if self.tally.takes(to) => {
+                self.drop_payload(msg);
+                let seq = self.queue.take_seq();
+                self.tally.keys.push(EventKey::new(at, seq));
+            }
+            kind => self.queue.push(at, kind),
+        }
     }
 
     fn share(&mut self, msg: M, fanout: usize) -> Payload<M> {
@@ -469,16 +620,27 @@ impl<A: Automaton> Sim<A> {
         }
         self.world
             .with_adversary(&mut self.pending, |adv, api| adv.on_init(api));
-        while let Some(event) = self.pending.queue.pop() {
-            if event.at > self.world.env.horizon {
-                break;
+        let horizon = self.world.env.horizon;
+        // The last event processed; no key lies below this one.
+        let mut last = EventKey::new(Time::ZERO, 0);
+        // Whether the loop left the tally nothing to count.
+        let settled = loop {
+            let Some((key, event)) = self.pending.queue.pop_keyed() else {
+                break false;
+            };
+            if event.at > horizon {
+                break false;
             }
+            if !self.pending.tally.before(&mut self.world, last, key) {
+                break true;
+            }
+            last = key;
             let popped = self
                 .world
                 .env
                 .classify(&mut self.timers, event.at, event.kind);
             if !self.world.begin_event(event.at, popped.is_delivery()) {
-                break;
+                break true;
             }
             if let Popped::Honest { node, call } = popped {
                 let call = call.resolve(|msg| self.pending.broadcasts.take(msg));
@@ -487,8 +649,14 @@ impl<A: Automaton> Sim<A> {
                 self.world.settle(&mut self.pending, popped);
             }
             if self.world.done_by_pulses() {
-                break;
+                self.pending.tally.count(&mut self.world, key, |k| k < key);
+                break true;
             }
+        };
+        if !settled {
+            self.pending
+                .tally
+                .count(&mut self.world, last, |key| key.at() <= horizon);
         }
         let mut trace = self.world.trace;
         trace.finished_at = self.world.now;

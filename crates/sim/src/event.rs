@@ -14,8 +14,10 @@
 //!   (the paper's model), so events land a roughly constant distance
 //!   ahead of the pops — the classic regime where a calendar/ladder queue
 //!   beats a heap. Pushes drop into fixed-width time buckets in O(1);
-//!   each bucket is sorted once when its turn comes and then drained as a
-//!   tiny insertion-sorted run; the rare far-future event (an idle-period
+//!   each bucket is sorted once when its turn comes and then drained
+//!   through a cursor. A bucket is not small: a round's echo burst lands
+//!   in one, so a claim can hold tens of thousands of entries (see
+//!   [`sort_near_sorted`]). The rare far-future event (an idle-period
 //!   timer, a test's adversarial timestamp) overflows to a small 4-ary
 //!   spill heap ([`EventQueue::spill_count`] reports how often). The
 //!   tiers are anchored at the **pop frontier**, not at whatever was
@@ -338,12 +340,19 @@ const RUN_DEMOTE_MIN: usize = 64;
 /// must not trigger a demote-and-reclaim round trip.
 const RUN_DEMOTE_INSERTS: u32 = 32;
 
-/// Sorts one claimed bucket ascending. Bucket contents are near-sorted —
-/// pushes happen in nondecreasing "now" order with at most the delay
-/// jitter `u` of inversion — so small buckets use a plain insertion sort
-/// (O(k + inversions), the cheapest possible drain for this workload)
-/// while large ones fall back to `sort_unstable`, whose worst case stays
-/// `O(k log k)` even for adversarially shuffled timestamps.
+/// Sorts one claimed bucket ascending: an insertion sort up to 64
+/// entries, `sort_unstable` above, whose worst case stays `O(k log k)`
+/// even for adversarially shuffled timestamps.
+///
+/// What the CPS workload claims is large, not small. The n = 64 snapshot
+/// scenario (511 005 events) makes 27 claims holding 338 644 entries, the
+/// largest 37 026: a round's echo burst lands inside one `d/8` bucket.
+/// Those take the `sort_unstable` path, and a burst demote sends a run's
+/// tail back to the ladder to be sorted again on its next claim. Sorting
+/// is 16–19 % of `Sim::run` there (2-core x86-64), 17–22 ns per event.
+/// (Before deliveries to faulty nodes skipped the queue, the same run
+/// claimed 649 138 entries, the largest 70 785, and sorting was 21–24 %
+/// of `Sim::run`, 34–45 ns per event.)
 fn sort_near_sorted(v: &mut [HeapEntry]) {
     if v.len() > 64 {
         v.sort_unstable_by_key(|e| e.0);
@@ -459,9 +468,10 @@ impl SpillHeap {
 ///    compute the bucket from `at`, append. When the run drains, the next
 ///    non-empty bucket is claimed wholesale (`Vec` swap, so bucket
 ///    capacity is recycled through the ring) and sorted once —
-///    `sort_unstable` on packed `u128` keys, far cheaper per entry than
-///    heap sifts because the workload is near-sorted and bucket
-///    populations are small.
+///    `sort_unstable` on packed `u128` keys. A claim can hold a whole
+///    round's echo burst, tens of thousands of entries at n = 64, and
+///    sorting is 16–19 % of the run's time there (see
+///    [`sort_near_sorted`]).
 /// 3. **The spill heap** (`spill`): entries at or past `limit_idx` — rare
 ///    far-future timers. When run and ladder are both empty the ladder is
 ///    re-anchored at the spill minimum and one ladder-span of entries is
@@ -620,9 +630,18 @@ impl<M> EventQueue<M> {
     }
 
     pub fn push(&mut self, at: Time, kind: EventKind<M>) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq();
         self.push_with_seq(at, seq, kind);
+    }
+
+    /// Takes the next number of [`push`](Self::push)'s sequence without
+    /// queueing anything, for an event the caller accounts for itself:
+    /// the events pushed after it keep the numbers they would have had.
+    pub fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        assert!(seq < SEQ_LIMIT, "more than 2^36 events scheduled");
+        self.next_seq += 1;
+        seq
     }
 
     /// [`push`](Self::push) with an externally assigned sequence number.
@@ -779,14 +798,8 @@ impl<M> EventQueue<M> {
         self.run.get(self.head).map(|e| e.key())
     }
 
-    /// [`pop`](Self::pop), also returning the event's global-order key.
+    /// Pops the next event together with its global-order key.
     pub fn pop_keyed(&mut self) -> Option<(EventKey, Event<M>)> {
-        let key = self.peek_key()?;
-        let event = self.pop().expect("peeked queue is non-empty");
-        Some((key, event))
-    }
-
-    pub fn pop(&mut self) -> Option<Event<M>> {
         self.ensure_front();
         let entry = *self.run.get(self.head)?;
         self.head += 1;
@@ -796,10 +809,16 @@ impl<M> EventQueue<M> {
             .take()
             .expect("queue entry pointing at empty slot");
         self.free.push(slot);
-        Some(Event {
+        let event = Event {
             at: entry.at(),
             kind,
-        })
+        };
+        Some((entry.key(), event))
+    }
+
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub fn pop(&mut self) -> Option<Event<M>> {
+        self.pop_keyed().map(|(_, event)| event)
     }
 
     /// Returns the run's remaining entries to the ladder (keeping the

@@ -48,7 +48,13 @@
 //!   the bounded slab footprint;
 //! * adversaries whose callbacks are no-ops declare it via
 //!   [`Adversary::is_passive`], letting the engine skip per-message
-//!   callback plumbing and knowledge bookkeeping they can never observe.
+//!   callback plumbing and knowledge bookkeeping they can never observe;
+//! * with such an adversary and no chaos timeline, a delivery to a faulty
+//!   node is observable only as two counts, so [`Sim::run`] does not
+//!   queue it: it keeps the delivery's `(at, seq)` key and counts it
+//!   where the queue would have popped it, exactly under every stop rule
+//!   ([`Trace::tallied_deliveries`] reports how many). The sharded
+//!   executor queues these deliveries, so its traces check the shortcut.
 //!
 //! For large `n` — where one event loop serializes every delivery — the
 //! engine shards into per-node event lanes with a deterministic merge:
@@ -439,6 +445,76 @@ mod tests {
             )
             .run();
         assert!(trace.pulses.iter().all(|p| p.len() == 1));
+    }
+
+    /// Every honest node pulses and broadcasts a token on each millisecond
+    /// of its local clock, and ignores the tokens it receives.
+    struct Ticker {
+        ticks: u64,
+    }
+
+    impl Automaton for Ticker {
+        type Msg = Token;
+
+        fn on_init(&mut self, ctx: &mut dyn Context<Token>) {
+            ctx.set_timer_at(LocalTime::from_millis(1.0));
+        }
+
+        fn on_message(&mut self, _: NodeId, _: Token, _: &mut dyn Context<Token>) {}
+
+        fn on_timer(&mut self, _t: TimerId, ctx: &mut dyn Context<Token>) {
+            self.ticks += 1;
+            ctx.pulse(self.ticks);
+            ctx.broadcast(Token);
+            ctx.set_timer_at(LocalTime::from_millis(1.0 + self.ticks as f64));
+        }
+    }
+
+    /// As silent as [`SilentAdversary`] but not declared passive, so the
+    /// engine queues and dispatches every delivery to a faulty node.
+    struct Watching;
+
+    impl<M> Adversary<M> for Watching {}
+
+    /// Under a passive adversary the engine counts deliveries to faulty
+    /// nodes instead of queueing them. Whatever stops the run — the
+    /// horizon, `max_pulses`, or an event cap tripped by a counted
+    /// delivery or by a queued event — the trace must be the one the
+    /// queued path gives.
+    #[test]
+    fn tallied_deliveries_leave_the_trace_unchanged() {
+        let mut limits: Vec<(Option<u64>, u64)> = vec![(None, u64::MAX), (Some(200), u64::MAX)];
+        limits.extend((0..40).chain(5_000..5_040).map(|cap| (None, cap)));
+        for delays in [DelayModel::MaxAlways, DelayModel::Random] {
+            for &(pulses, cap) in &limits {
+                let run = |adversary: Box<dyn Adversary<Token>>| {
+                    let builder = SimBuilder::new(6)
+                        .faulty([4, 5])
+                        .delays(delays.clone())
+                        .horizon(Time::from_millis(300.5))
+                        .max_events(cap);
+                    let builder = match pulses {
+                        Some(k) => builder.max_pulses(k),
+                        None => builder,
+                    };
+                    builder.build(|_| Ticker { ticks: 0 }, adversary).run()
+                };
+                let (tallied, queued) = (run(Box::new(SilentAdversary)), run(Box::new(Watching)));
+                let case = format!("{delays:?}, max_pulses {pulses:?}, max_events {cap}");
+                assert_eq!(tallied.pulses, queued.pulses, "{case}");
+                assert_eq!(tallied.violations, queued.violations, "{case}");
+                assert_eq!(tallied.events_processed, queued.events_processed, "{case}");
+                assert_eq!(tallied.messages_delivered, queued.messages_delivered, "{case}");
+                assert_eq!(tallied.finished_at, queued.finished_at, "{case}");
+                assert_eq!(queued.tallied_deliveries, 0, "{case}");
+                if cap == u64::MAX && pulses.is_none() {
+                    // About 300 broadcasts × 4 senders × 2 faulty
+                    // recipients land by the horizon: enough for the tally
+                    // to fold mid-run.
+                    assert!(tallied.tallied_deliveries > 2_000, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -81,6 +81,16 @@ pub struct Trace {
     /// sharded executor and excluded from the determinism trace hash,
     /// exactly like [`queue_spill_count`](Self::queue_spill_count).
     pub queue_splice_count: u64,
+    /// Deliveries to faulty nodes that [`Sim::run`](crate::Sim::run)
+    /// counted in [`events_processed`](Self::events_processed) and
+    /// [`messages_delivered`](Self::messages_delivered) without queueing
+    /// them, because nothing could observe them: the adversary is passive
+    /// and no chaos timeline is installed (see
+    /// [`Adversary::is_passive`](crate::Adversary::is_passive)). A
+    /// performance diagnostic, excluded from the determinism trace hash
+    /// like [`queue_spill_count`](Self::queue_spill_count); the sharded
+    /// executor queues every delivery and reports zero.
+    pub tallied_deliveries: u64,
     /// Messages destroyed by chaos injection — deliveries to crashed
     /// nodes plus sends lost to an active link cut (see
     /// [`crate::ChaosTimeline`]). Zero when no timeline is installed.

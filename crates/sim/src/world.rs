@@ -239,7 +239,10 @@ pub(crate) struct World<M> {
     pub(crate) adversary: Box<dyn Adversary<M>>,
     /// Sampled once from [`Adversary::is_passive`]; `true` skips the
     /// adversary callbacks, and the knowledge bookkeeping only they could
-    /// observe, on every message.
+    /// observe, on every message. Without a chaos timeline it also lets
+    /// [`Sim::run`](crate::Sim::run) count deliveries to faulty nodes
+    /// instead of queueing them (`engine::Tally`); the sharded executor
+    /// queues them.
     pub(crate) adversary_passive: bool,
     /// Pooled adversary effect buffer: one allocation per run, not one
     /// per callback.
