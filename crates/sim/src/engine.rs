@@ -10,7 +10,7 @@ use rand::SeedableRng;
 use crate::adversary::Adversary;
 use crate::automaton::{Automaton, Context};
 use crate::chaos::{ChaosTimeline, RunObserver};
-use crate::event::{EventKey, EventKind, EventQueue, Payload, TimerId, TimerSlab};
+use crate::event::{EventKey, EventKind, EventQueue, TimerId, TimerSlab};
 use crate::network::{DelayModel, LinkConfig};
 use crate::trace::Trace;
 use crate::world::{Call, Env, Popped, Post, World};
@@ -264,7 +264,7 @@ impl SimBuilder {
             timers: TimerSlab::new(),
             pending: Pending {
                 queue: EventQueue::with_delay_hint(self.link.d),
-                broadcasts: BroadcastArena::new(),
+                messages: MessageArena::new(),
                 tally: Tally::new(unobserved),
             },
             node_effects: Vec::new(),
@@ -272,79 +272,74 @@ impl SimBuilder {
     }
 }
 
-/// One pending broadcast in the single-lane engine's arena.
+/// One stored message in the single-lane engine's arena.
 #[derive(Debug)]
-struct BroadcastSlot<M> {
+struct MessageSlot<M> {
     msg: M,
     /// Handles still outstanding; the slot frees when it reaches zero.
     remaining: u32,
-    /// Whether a faulty delivery has already walked this payload's claims
-    /// (the flag [`Payload::needs_learning`] keeps for a shared payload,
-    /// without the atomic).
+    /// Whether a faulty delivery has already walked this message's
+    /// claims (the flag a sharded [`Payload`](crate::event::Payload)
+    /// keeps, without the atomic).
     learned: bool,
 }
 
-/// Single-threaded broadcast storage for [`Sim::run`].
+/// Single-threaded message storage for [`Sim::run`]: every message in
+/// flight, unicast or broadcast, lives here, and the event queue carries
+/// its `u32` slot index.
 ///
-/// A broadcast schedules `n` deliveries of one payload. Routing them
-/// through [`Payload::Shared`]'s `Arc` costs two atomic refcount
-/// operations per delivery (clone at push, drop at delivery) — pure waste
-/// on the single-lane engine's one thread, and measurably so: at `n = 16`
-/// the CPS scenario is ~10 000 broadcast deliveries. The engine instead
-/// parks the payload here under a plain integer refcount and ships
-/// [`Payload::Local`] slot indices through the event queue. The sharded
-/// executor keeps the `Arc` path: its payloads genuinely cross lane
-/// threads.
+/// A broadcast schedules `n` deliveries of one message under a plain
+/// integer refcount, so the single-lane engine pays no atomic operations
+/// per delivery; and since an event holds an index instead of the
+/// message, a queue slab slot is 16 bytes whatever the message type. The
+/// sharded executor keeps its messages behind an `Arc`: its deliveries
+/// genuinely cross lane threads.
 #[derive(Debug)]
-struct BroadcastArena<M> {
-    slots: Vec<Option<BroadcastSlot<M>>>,
+struct MessageArena<M> {
+    slots: Vec<Option<MessageSlot<M>>>,
     free: Vec<u32>,
 }
 
-impl<M: Clone> BroadcastArena<M> {
+impl<M: Clone> MessageArena<M> {
     fn new() -> Self {
-        BroadcastArena {
+        MessageArena {
             slots: Vec::new(),
             free: Vec::new(),
         }
     }
 
-    fn slot(&mut self, id: u32) -> &mut BroadcastSlot<M> {
+    fn slot(&mut self, id: u32) -> &mut MessageSlot<M> {
         self.slots[id as usize]
             .as_mut()
-            .expect("local payload pointing at empty broadcast slot")
+            .expect("message handle pointing at an empty arena slot")
     }
 
-    /// Parks `msg` for `fanout` handles; every copy of the returned
+    /// Stores `msg` for `fanout` handles; every copy of the returned
     /// handle is one of them.
-    fn insert(&mut self, msg: M, fanout: usize) -> Payload<M> {
-        let slot = BroadcastSlot {
+    fn insert(&mut self, msg: M, fanout: usize) -> u32 {
+        let slot = MessageSlot {
             msg,
             remaining: u32::try_from(fanout).expect("n fits u32"),
             learned: false,
         };
-        let id = match self.free.pop() {
+        match self.free.pop() {
             Some(id) => {
                 debug_assert!(self.slots[id as usize].is_none(), "free slot occupied");
                 self.slots[id as usize] = Some(slot);
                 id
             }
             None => {
-                let id = u32::try_from(self.slots.len())
-                    .expect("more than u32::MAX simultaneous broadcasts");
+                let id =
+                    u32::try_from(self.slots.len()).expect("more than u32::MAX messages in flight");
                 self.slots.push(Some(slot));
                 id
             }
-        };
-        Payload::Local(id)
+        }
     }
 
     /// Resolves one honest delivery: moves the message out of its slot on
     /// the last handle, clones it otherwise.
-    fn take(&mut self, msg: Payload<M>) -> M {
-        let Payload::Local(id) = msg else {
-            return msg.into_owned();
-        };
+    fn take(&mut self, id: u32) -> M {
         let slot = self.slot(id);
         if slot.remaining > 1 {
             slot.remaining -= 1;
@@ -364,6 +359,11 @@ impl<M: Clone> BroadcastArena<M> {
             self.slots[id as usize] = None;
             self.free.push(id);
         }
+    }
+
+    /// Slots holding a message some handle still refers to.
+    fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
     }
 }
 
@@ -503,16 +503,18 @@ impl Tally {
 }
 
 /// The single-lane engine's [`Post`]: one queue that numbers events in
-/// push order, the arena behind [`Payload::Local`], and the [`Tally`] of
+/// push order, the arena its `u32` handles index, and the [`Tally`] of
 /// deliveries nobody observes.
 struct Pending<M> {
-    queue: EventQueue<M>,
-    broadcasts: BroadcastArena<M>,
+    queue: EventQueue<u32>,
+    messages: MessageArena<M>,
     tally: Tally,
 }
 
 impl<M: Clone> Post<M> for Pending<M> {
-    fn post(&mut self, at: Time, kind: EventKind<M>) {
+    type Handle = u32;
+
+    fn post(&mut self, at: Time, kind: EventKind<u32>) {
         match kind {
             EventKind::Deliver { to, msg, .. } if self.tally.takes(to) => {
                 self.drop_payload(msg);
@@ -523,28 +525,21 @@ impl<M: Clone> Post<M> for Pending<M> {
         }
     }
 
-    fn share(&mut self, msg: M, fanout: usize) -> Payload<M> {
-        self.broadcasts.insert(msg, fanout)
+    fn share(&mut self, msg: M, fanout: usize) -> u32 {
+        self.messages.insert(msg, fanout)
     }
 
-    fn copy_payload(&mut self, msg: &Payload<M>) -> Payload<M> {
-        if let Payload::Local(id) = *msg {
-            self.broadcasts.slot(id).remaining += 1;
-        }
-        msg.clone()
+    fn copy_payload(&mut self, &id: &u32) -> u32 {
+        self.messages.slot(id).remaining += 1;
+        id
     }
 
-    fn drop_payload(&mut self, msg: Payload<M>) {
-        if let Payload::Local(id) = msg {
-            self.broadcasts.release(id);
-        }
+    fn drop_payload(&mut self, id: u32) {
+        self.messages.release(id);
     }
 
-    fn view_payload<'a>(&'a mut self, msg: &'a Payload<M>) -> (&'a M, bool) {
-        let Payload::Local(id) = *msg else {
-            return (msg.as_ref(), msg.needs_learning());
-        };
-        let slot = self.broadcasts.slot(id);
+    fn view_payload<'a>(&'a mut self, &id: &'a u32) -> (&'a M, bool) {
+        let slot = self.messages.slot(id);
         let learn = !std::mem::replace(&mut slot.learned, true);
         (&slot.msg, learn)
     }
@@ -626,6 +621,7 @@ impl<A: Automaton> Sim<A> {
         // Whether the loop left the tally nothing to count.
         let settled = loop {
             let Some((key, event)) = self.pending.queue.pop_keyed() else {
+                debug_assert_eq!(self.pending.messages.live(), 0, "a message handle leaked");
                 break false;
             };
             if event.at > horizon {
@@ -643,7 +639,7 @@ impl<A: Automaton> Sim<A> {
                 break true;
             }
             if let Popped::Honest { node, call } = popped {
-                let call = call.resolve(|msg| self.pending.broadcasts.take(msg));
+                let call = call.resolve(|id| self.pending.messages.take(id));
                 self.run_call(node, call);
             } else {
                 self.world.settle(&mut self.pending, popped);

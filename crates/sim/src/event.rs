@@ -6,9 +6,12 @@
 //!
 //! * **Payloads never ride the ordering structure.** The queue orders
 //!   small `Copy` records `(at, seq, slot)` packed into one `u128`; the
-//!   [`EventKind`] payloads live in a free-list slab that the ordering
-//!   machinery never touches. Pushing an event after the queue's
-//!   high-water mark has been reached allocates nothing.
+//!   [`EventKind`]s live in a free-list slab that the ordering machinery
+//!   never touches, and a message is not in the slab either: it lives in
+//!   its executor's store (`Sim::run`'s message arena, the sharded
+//!   executor's `Arc`s) and the event carries a handle on it, so a slab
+//!   slot is 16 bytes whatever the message type. Pushing an event after
+//!   the queue's high-water mark has been reached allocates nothing.
 //! * **The workload is near-sorted, so the queue is a ladder, not a
 //!   heap.** Every message delay falls in the bounded window `[d−u, d]`
 //!   (the paper's model), so events land a roughly constant distance
@@ -66,119 +69,89 @@ impl TimerId {
     }
 }
 
-/// One broadcast's payload plus its knowledge-learning state.
+/// The sharded executor's message handle: one message shared by every
+/// pending delivery of it (one `Arc` instead of a deep clone per
+/// delivery). Its deliveries cross lane threads, which is what the `Arc`
+/// is for; [`Sim::run`](crate::Sim::run) keeps its messages in a
+/// single-threaded arena and queues `u32` indices instead.
+pub(crate) type Payload<M> = Arc<SharedPayload<M>>;
+
+/// One message behind a [`Payload`], plus its knowledge-learning state.
 #[derive(Debug)]
 pub(crate) struct SharedPayload<M> {
     pub msg: M,
     /// Set once the first faulty delivery has recorded this payload's
-    /// claims. A broadcast reaches every faulty node with the *same*
-    /// claims, and [`KnowledgeTracker::learn`] keeps the earliest time per
-    /// claim — so every delivery after the first (which, in pop order, is
-    /// the earliest) would be a no-op; the flag lets the engine skip the
+    /// claims. Every delivery of one payload — a broadcast's fan-out, a
+    /// flood's copies — carries the *same* claims, and
+    /// [`KnowledgeTracker::learn`] keeps the earliest time per claim, so
+    /// every delivery after the first (which, in pop order, is the
+    /// earliest) would be a no-op; the flag lets the engine skip the
     /// claim walk instead of rediscovering that per delivery.
     ///
     /// [`KnowledgeTracker::learn`]: crusader_crypto::KnowledgeTracker::learn
     adversary_learned: AtomicBool,
 }
 
-/// A delivery payload: exclusively owned, or shared across the `n`
-/// deliveries of one broadcast (one `Arc` instead of `n` deep clones).
-#[derive(Clone, Debug)]
-pub(crate) enum Payload<M> {
-    /// A point-to-point message.
-    Owned(M),
-    /// One broadcast's payload, shared by every pending delivery.
-    Shared(Arc<SharedPayload<M>>),
-    /// **Single-lane engine only:** an index into the engine's broadcast
-    /// arena, whose refcounts are plain integers — the single-threaded
-    /// engine pays no atomic operations per broadcast delivery. Only the
-    /// engine's `Post` implementation creates, copies, reads and releases
-    /// this variant, so the shared step never needs to tell it apart; the
-    /// sharded executor's broadcast payloads cross lane threads, which is
-    /// what [`Payload::Shared`]'s `Arc` is for. The accessors below treat
-    /// `Local` as unreachable: the engine resolves it against its arena
-    /// before they can be called.
-    Local(u32),
-}
-
-impl<M> Payload<M> {
-    /// Wraps a broadcast payload for sharing.
-    pub fn shared(msg: M) -> Self {
-        Payload::Shared(Arc::new(SharedPayload {
+impl<M> SharedPayload<M> {
+    /// Wraps a message for sharing.
+    pub fn new(msg: M) -> Payload<M> {
+        Arc::new(SharedPayload {
             msg,
             adversary_learned: AtomicBool::new(false),
-        }))
+        })
     }
 
     /// Whether the adversary's knowledge tracker still needs to see this
-    /// payload's claims; flips the first-delivery flag on shared payloads.
+    /// payload's claims; flips the first-delivery flag.
     ///
-    /// (The engine is single-threaded; the atomic exists only to keep the
-    /// shared payload `Sync`. A plain load + store avoids the locked
+    /// (The reconcile is single-threaded; the atomic exists only to keep
+    /// the shared payload `Sync`. A plain load + store avoids the locked
     /// read-modify-write a `swap` would emit.)
     #[inline]
     pub fn needs_learning(&self) -> bool {
-        match self {
-            Payload::Owned(_) => true,
-            Payload::Shared(shared) => {
-                if shared.adversary_learned.load(Ordering::Relaxed) {
-                    false
-                } else {
-                    shared.adversary_learned.store(true, Ordering::Relaxed);
-                    true
-                }
-            }
-            Payload::Local(_) => unreachable!("local payloads are resolved by the engine"),
+        if self.adversary_learned.load(Ordering::Relaxed) {
+            false
+        } else {
+            self.adversary_learned.store(true, Ordering::Relaxed);
+            true
         }
     }
 }
 
-impl<M: Clone> Payload<M> {
+impl<M: Clone> SharedPayload<M> {
     /// Extracts the message, cloning only if other deliveries still share
-    /// it (the last delivery of a broadcast unwraps for free).
+    /// it (the last delivery unwraps for free).
     #[inline]
-    pub fn into_owned(self) -> M {
-        match self {
-            Payload::Owned(msg) => msg,
-            Payload::Shared(shared) => {
-                // Probe the refcount before `try_unwrap`: the non-last
-                // deliveries of a broadcast (the common case) then pay a
-                // relaxed load instead of a failed compare-exchange.
-                if Arc::strong_count(&shared) > 1 {
-                    return shared.msg.clone();
-                }
-                match Arc::try_unwrap(shared) {
-                    Ok(inner) => inner.msg,
-                    Err(arc) => arc.msg.clone(),
-                }
-            }
-            Payload::Local(_) => unreachable!("local payloads are resolved by the engine"),
+    pub fn into_owned(self: Payload<M>) -> M {
+        // Probe the refcount before `try_unwrap`: the non-last deliveries
+        // of a broadcast (the common case) then pay a relaxed load instead
+        // of a failed compare-exchange.
+        if Arc::strong_count(&self) > 1 {
+            return self.msg.clone();
+        }
+        match Arc::try_unwrap(self) {
+            Ok(inner) => inner.msg,
+            Err(arc) => arc.msg.clone(),
         }
     }
 }
 
-impl<M> AsRef<M> for Payload<M> {
-    #[inline]
-    fn as_ref(&self) -> &M {
-        match self {
-            Payload::Owned(msg) => msg,
-            Payload::Shared(shared) => &shared.msg,
-            Payload::Local(_) => unreachable!("local payloads are resolved by the engine"),
-        }
-    }
-}
-
-/// What happens when an event fires.
+/// What happens when an event fires. `H` is the executor's message
+/// handle (see [`Post`](crate::world::Post)): a `u32` arena index for
+/// [`Sim::run`](crate::Sim::run), a [`Payload`] for the sharded executor.
+/// Either way the message itself lives in the executor's store, so
+/// `Option<EventKind<H>>` — a queue slab slot — is 16 bytes whatever the
+/// message type.
 #[derive(Clone, Debug)]
-pub(crate) enum EventKind<M> {
+pub(crate) enum EventKind<H> {
     /// A message is delivered to `to`.
     Deliver {
         /// Channel-authenticated sender.
         from: NodeId,
         /// Recipient.
         to: NodeId,
-        /// Payload.
-        msg: Payload<M>,
+        /// Handle on the message.
+        msg: H,
     },
     /// An honest node's local-time timer fires.
     Timer { node: NodeId, id: TimerId },
@@ -193,11 +166,11 @@ pub(crate) enum EventKind<M> {
     Recover { node: NodeId },
 }
 
-/// A popped event: the payload rejoined with its firing time.
+/// A popped event: its kind rejoined with its firing time.
 #[derive(Debug)]
-pub(crate) struct Event<M> {
+pub(crate) struct Event<H> {
     pub at: Time,
-    pub kind: EventKind<M>,
+    pub kind: EventKind<H>,
 }
 
 /// The global total order of the simulation: `(at, seq)` packed into one
@@ -246,9 +219,10 @@ impl EventKey {
 /// unique); it just rides along. The packing caps a run at 2³⁶ ≈ 68 G
 /// total events (the default `max_events` cap is 50 M, three orders of
 /// magnitude below, and a 68 G-event run would take hours of wall clock)
-/// and 2²⁸ ≈ 268 M *simultaneously scheduled* events (roughly 15 GiB of
-/// payload slab at CPS message sizes, so memory gives out around the same
-/// scale); `push` asserts both rather than silently corrupting order.
+/// and 2²⁸ ≈ 268 M *simultaneously scheduled* events (2²⁸ slab slots ×
+/// 16 B = 4 GiB of slab, plus the messages in the executor's store, so
+/// memory gives out around the same scale); `push` asserts both rather
+/// than silently corrupting order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct HeapEntry(u128);
 
@@ -448,7 +422,7 @@ impl SpillHeap {
 
 /// A deterministic future-event list: a two-tier ladder/calendar queue.
 ///
-/// Payloads are parked in `slots` (recycled through `free`) while the
+/// Events are parked in `slots` (recycled through `free`) while the
 /// ordering machinery moves only [`HeapEntry`] records. Three tiers, by
 /// distance from the pop frontier — on every path, because the
 /// partition [re-anchors](Self::reanchor) whenever traffic shows the
@@ -506,7 +480,7 @@ impl SpillHeap {
 /// pinned trace hashes in `crates/bench/tests/determinism.rs` pin it
 /// end-to-end.
 #[derive(Debug)]
-pub(crate) struct EventQueue<M> {
+pub(crate) struct EventQueue<H> {
     /// Tier 1: the active run, sorted ascending; `run[head..]` is live
     /// (the head cursor avoids reverse-order pops and keeps drains
     /// forward-scanning).
@@ -542,12 +516,12 @@ pub(crate) struct EventQueue<M> {
     /// Lifetime count of pushes spliced by the catch-all branch into a
     /// run past sparse size.
     spliced: u64,
-    slots: Vec<Option<EventKind<M>>>,
+    slots: Vec<Option<EventKind<H>>>,
     free: Vec<u32>,
     next_seq: u64,
 }
 
-impl<M> EventQueue<M> {
+impl<H> EventQueue<H> {
     /// A queue with the default bucket width (tuned for `d = 1 ms`, the
     /// [`SimBuilder`](crate::SimBuilder) default). Production paths pass
     /// the real link delay via [`with_delay_hint`](Self::with_delay_hint);
@@ -629,7 +603,7 @@ impl<M> EventQueue<M> {
         idx.min(u64::MAX - LADDER_BUCKETS as u64 - 2)
     }
 
-    pub fn push(&mut self, at: Time, kind: EventKind<M>) {
+    pub fn push(&mut self, at: Time, kind: EventKind<H>) {
         let seq = self.take_seq();
         self.push_with_seq(at, seq, kind);
     }
@@ -651,7 +625,7 @@ impl<M> EventQueue<M> {
     /// and routes each event into the destination node's lane-local queue;
     /// this entry point bypasses the queue's own counter so `(at, seq)`
     /// keys stay globally unique and globally ordered across lanes.
-    pub fn push_with_seq(&mut self, at: Time, seq: u64, kind: EventKind<M>) {
+    pub fn push_with_seq(&mut self, at: Time, seq: u64, kind: EventKind<H>) {
         debug_assert!(
             !self.buckets.is_empty(),
             "push into a placeholder queue (see EventQueue::placeholder)"
@@ -799,7 +773,7 @@ impl<M> EventQueue<M> {
     }
 
     /// Pops the next event together with its global-order key.
-    pub fn pop_keyed(&mut self) -> Option<(EventKey, Event<M>)> {
+    pub fn pop_keyed(&mut self) -> Option<(EventKey, Event<H>)> {
         self.ensure_front();
         let entry = *self.run.get(self.head)?;
         self.head += 1;
@@ -817,7 +791,7 @@ impl<M> EventQueue<M> {
     }
 
     #[cfg_attr(not(test), allow(dead_code))]
-    pub fn pop(&mut self) -> Option<Event<M>> {
+    pub fn pop(&mut self) -> Option<Event<H>> {
         self.pop_keyed().map(|(_, event)| event)
     }
 
@@ -1269,25 +1243,29 @@ mod tests {
 
     #[test]
     fn shared_payload_unwraps_or_clones() {
-        let a = Payload::shared(vec![1u8, 2]);
+        let a = SharedPayload::new(vec![1u8, 2]);
         let b = a.clone();
-        assert_eq!(a.as_ref(), &vec![1, 2]);
+        assert_eq!(a.msg, vec![1, 2]);
         assert_eq!(a.into_owned(), vec![1, 2]); // clones (b still shares)
         assert_eq!(b.into_owned(), vec![1, 2]); // last ref: unwraps
-        assert_eq!(Payload::Owned(7u64).into_owned(), 7);
     }
 
     #[test]
     fn shared_payload_learns_exactly_once() {
-        let a = Payload::shared(());
+        let a = SharedPayload::new(());
         let b = a.clone();
         assert!(a.needs_learning(), "first faulty delivery learns");
         assert!(!b.needs_learning(), "second delivery of the same payload skips");
         assert!(!a.needs_learning());
-        // Owned payloads always learn (no sharing to dedupe against).
-        let o = Payload::Owned(());
-        assert!(o.needs_learning());
-        assert!(o.needs_learning());
+    }
+
+    /// A slab slot holds a handle, never the message: its size is fixed
+    /// for both executors' handles, however large the message.
+    #[test]
+    fn event_slot_is_sixteen_bytes_for_every_handle() {
+        type Big = [u8; 256];
+        assert_eq!(std::mem::size_of::<Option<EventKind<u32>>>(), 16);
+        assert_eq!(std::mem::size_of::<Option<EventKind<Payload<Big>>>>(), 16);
     }
 
     #[test]

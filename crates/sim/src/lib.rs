@@ -29,7 +29,7 @@
 //!
 //! * the future-event list is a ladder (calendar) queue of 16-byte `Copy`
 //!   records (`u128`-packed `(time, seq, slot)`) pointing into a
-//!   free-list slab that owns the payloads — pushes are O(1) bucket
+//!   free-list slab of 16-byte events — pushes are O(1) bucket
 //!   appends anchored at the pop frontier (a far-future first push, such
 //!   as a crash scenario's recovery event, cannot stretch the sorted
 //!   tier over the traffic in front of it; [`Trace::queue_splice_count`]
@@ -38,10 +38,12 @@
 //!   mark allocate nothing;
 //! * node and adversary effect buffers are pooled in the [`Sim`] and
 //!   drained in place (one allocation per run, not per event);
-//! * [`Context::broadcast`] fans out behind one shared `Arc` instead of
-//!   `n` deep clones, and a broadcast's signature claims are learned by
-//!   the knowledge tracker only on its first faulty delivery (later
-//!   copies cannot add knowledge);
+//! * every message is stored once, outside the queue (an integer-refcounted
+//!   arena in [`Sim`], an `Arc` in [`ShardedSim`]), and events carry a
+//!   handle on it: a broadcast fans out as `n` handles, not `n` deep
+//!   clones, and a message's signature claims are learned by the
+//!   knowledge tracker only on its first faulty delivery (later copies
+//!   cannot add knowledge);
 //! * timers are generation-stamped slab slots — cancelling an
 //!   already-fired timer is recognized by a stale stamp instead of being
 //!   remembered forever, and [`Trace::timer_slots_high_water`] exposes

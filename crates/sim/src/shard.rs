@@ -101,7 +101,7 @@ use crusader_time::{Dur, Time};
 
 use crate::automaton::Automaton;
 use crate::engine::{Effect, NodeCtx, Sim};
-use crate::event::{EventKey, EventKind, EventQueue, Payload, TimerSlab};
+use crate::event::{EventKey, EventKind, EventQueue, Payload, SharedPayload, TimerSlab};
 use crate::trace::Trace;
 use crate::world::{Call, Env, Popped, Post, World};
 
@@ -140,7 +140,7 @@ enum RecordBody<M> {
     /// Settled by the reconcile through [`World::settle`]: every outcome
     /// of [`Env::classify`] except an honest handler and an in-window
     /// deferral.
-    Settle(Popped<M>),
+    Settle(Popped<Payload<M>>),
     /// An honest node's handler ran, for a message delivery or not. (The
     /// flag lives here, not as a field of [`Record`]: a lone `bool` there
     /// made every record push wait on a store-forwarding stall.) Its
@@ -203,7 +203,7 @@ struct Lane<A: Automaton> {
     nodes: Vec<Option<A>>,
     /// The lane count: node `v` belongs to lane `v.index() % stride`.
     stride: usize,
-    queue: EventQueue<A::Msg>,
+    queue: EventQueue<Payload<A::Msg>>,
     timers: TimerSlab,
     /// This window's mailbox, in lane pop order (= global order
     /// restricted to the lane; see the module docs).
@@ -264,7 +264,7 @@ impl<A: Automaton> Lane<A> {
             let body = match popped {
                 Popped::Honest { node, call } => {
                     let delivery = matches!(call, Call::Message { .. });
-                    let call = call.resolve(Payload::into_owned);
+                    let call = call.resolve(SharedPayload::into_owned);
                     let effects = self.run_handler(env, node, at, Some(window), call);
                     RecordBody::Ran {
                         node,
@@ -290,7 +290,7 @@ impl<A: Automaton> Lane<A> {
 
     /// Pushes an in-window event under the next provisional sequence
     /// number and returns its slot in the pending table.
-    fn push_provisional(&mut self, at: Time, kind: EventKind<A::Msg>) -> u32 {
+    fn push_provisional(&mut self, at: Time, kind: EventKind<Payload<A::Msg>>) -> u32 {
         let slot = self.provisional;
         self.provisional += 1;
         self.queue
@@ -409,7 +409,9 @@ impl<A: Automaton> Router<A> {
 }
 
 impl<A: Automaton> Post<A::Msg> for Router<A> {
-    fn post(&mut self, at: Time, kind: EventKind<A::Msg>) {
+    type Handle = Payload<A::Msg>;
+
+    fn post(&mut self, at: Time, kind: EventKind<Payload<A::Msg>>) {
         let seq = self.alloc_seq();
         let node = match &kind {
             EventKind::AdvTimer { key } => {
@@ -424,6 +426,14 @@ impl<A: Automaton> Post<A::Msg> for Router<A> {
         };
         let lane = node.index() % self.lanes.len();
         self.lanes[lane].queue.push_with_seq(at, seq, kind);
+    }
+
+    fn share(&mut self, msg: A::Msg, _fanout: usize) -> Payload<A::Msg> {
+        SharedPayload::new(msg)
+    }
+
+    fn view_payload<'a>(&'a mut self, msg: &'a Payload<A::Msg>) -> (&'a A::Msg, bool) {
+        (&msg.msg, msg.needs_learning())
     }
 }
 
@@ -827,7 +837,7 @@ impl<A: Automaton> ShardedSim<A> {
                         return Flow::Stop;
                     }
                     if let Popped::Honest { node, call } = popped {
-                        self.run_handler_inline(node, call.resolve(Payload::into_owned));
+                        self.run_handler_inline(node, call.resolve(SharedPayload::into_owned));
                     } else {
                         self.world.settle(&mut self.router, popped);
                     }

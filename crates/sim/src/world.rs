@@ -28,7 +28,7 @@ use crate::adversary::{AdvEffect, Adversary, AdversaryApi};
 use crate::automaton::{Automaton, Context};
 use crate::chaos::{ChaosTimeline, RunObserver};
 use crate::engine::Effect;
-use crate::event::{EventKind, Payload, TimerId, TimerSlab};
+use crate::event::{EventKind, TimerId, TimerSlab};
 use crate::network::{DelayModel, LinkConfig};
 use crate::trace::Trace;
 
@@ -52,22 +52,16 @@ pub(crate) struct Env {
     pub(crate) chaos: Option<Arc<ChaosTimeline>>,
 }
 
-/// What a popped event amounts to (see [`Env::classify`]).
-pub(crate) enum Popped<M> {
+/// What a popped event amounts to (see [`Env::classify`]). `H` is the
+/// simulator's message handle ([`Post::Handle`]).
+pub(crate) enum Popped<H> {
     /// A delivery to a chaos-crashed node: the network delivered it and
     /// nobody was listening.
-    ChaosDrop(Payload<M>),
+    ChaosDrop(H),
     /// A delivery to a faulty node: the adversary sees it.
-    Faulty {
-        from: NodeId,
-        to: NodeId,
-        msg: Payload<M>,
-    },
+    Faulty { from: NodeId, to: NodeId, msg: H },
     /// An honest node's handler runs.
-    Honest {
-        node: NodeId,
-        call: Call<Payload<M>>,
-    },
+    Honest { node: NodeId, call: Call<H> },
     /// A crashed node's timer, deferred to the node's recovery instant.
     Defer {
         node: NodeId,
@@ -80,7 +74,7 @@ pub(crate) enum Popped<M> {
     AdvTimer(u64),
 }
 
-impl<M> Popped<M> {
+impl<H> Popped<H> {
     /// Whether the event was a message delivery.
     #[inline]
     pub(crate) fn is_delivery(&self) -> bool {
@@ -96,8 +90,8 @@ impl<M> Popped<M> {
     }
 }
 
-/// The handler an honest node runs. `T` is the message: a [`Payload`]
-/// until the simulator resolves it.
+/// The handler an honest node runs. `T` is the message: a handle until
+/// the simulator resolves it.
 pub(crate) enum Call<T> {
     Init,
     Message { from: NodeId, msg: T },
@@ -137,12 +131,12 @@ impl Env {
     // Inlined into every pop loop: returned out of line, `Popped` cost
     // the `sim_mesh` benchmark ~8 % of its event rate (2-core x86-64).
     #[inline(always)]
-    pub(crate) fn classify<M>(
+    pub(crate) fn classify<H>(
         &self,
         timers: &mut TimerSlab,
         at: Time,
-        kind: EventKind<M>,
-    ) -> Popped<M> {
+        kind: EventKind<H>,
+    ) -> Popped<H> {
         let down = |node: NodeId| self.chaos.as_deref().is_some_and(|c| c.down(node, at));
         match kind {
             EventKind::Deliver { from, to, msg } => {
@@ -193,38 +187,41 @@ impl Env {
     }
 }
 
-/// Where a simulator puts what the world schedules: the one seam between
-/// the two simulators. The defaults suit payloads that are owned or
-/// behind an `Arc`.
-pub(crate) trait Post<M: Clone> {
+/// Where a simulator puts what the world schedules, and where it keeps
+/// the messages: the one seam between the two simulators. Every message
+/// — a broadcast, an honest unicast, an adversary's `SendAs` — enters the
+/// simulator's store through [`share`](Self::share), and the events
+/// carry a [`Handle`](Self::Handle) on it: a `u32` arena index in
+/// [`Sim::run`](crate::Sim::run), an `Arc` in the sharded executor,
+/// whose deliveries cross lane threads.
+pub(crate) trait Post<M> {
+    /// A handle on one stored message.
+    type Handle: Clone;
+
     /// Schedules `kind` at `at`, after everything already posted for the
     /// same instant.
-    fn post(&mut self, at: Time, kind: EventKind<M>);
+    fn post(&mut self, at: Time, kind: EventKind<Self::Handle>);
 
-    /// Wraps one broadcast message for `fanout` deliveries, each of which
-    /// takes a `clone` of the returned handle.
-    fn share(&mut self, msg: M, fanout: usize) -> Payload<M> {
-        let _ = fanout;
-        Payload::shared(msg)
-    }
+    /// Stores one message for `fanout` deliveries, each of which takes a
+    /// `clone` of the returned handle.
+    fn share(&mut self, msg: M, fanout: usize) -> Self::Handle;
 
-    /// A further handle on `msg`, for a flood duplicate.
-    fn copy_payload(&mut self, msg: &Payload<M>) -> Payload<M> {
+    /// A further handle on `msg`, for a flood duplicate. The default
+    /// suits a refcounted handle.
+    fn copy_payload(&mut self, msg: &Self::Handle) -> Self::Handle {
         msg.clone()
     }
 
-    /// Releases a payload that will not reach a handler.
-    fn drop_payload(&mut self, msg: Payload<M>) {
+    /// Releases a handle that will not reach a handler.
+    fn drop_payload(&mut self, msg: Self::Handle) {
         drop(msg);
     }
 
     /// Reads `msg` for a faulty recipient, and whether its claims still
-    /// need learning: a broadcast reaches every faulty node with the same
-    /// claims, so only its first (earliest) faulty delivery can add
-    /// knowledge.
-    fn view_payload<'a>(&'a mut self, msg: &'a Payload<M>) -> (&'a M, bool) {
-        (msg.as_ref(), msg.needs_learning())
-    }
+    /// need learning: every delivery of one message (a broadcast's
+    /// fan-out, a flood's copies) carries the same claims, so only its
+    /// first (earliest) faulty delivery can add knowledge.
+    fn view_payload<'a>(&'a mut self, msg: &'a Self::Handle) -> (&'a M, bool);
 }
 
 /// The globally ordered state of one run (see the [module docs](self)).
@@ -277,7 +274,7 @@ impl<M: Clone + CarriesSignatures> World<M> {
 
     /// Applies a popped event that runs no honest handler; the simulator
     /// runs [`Popped::Honest`] itself.
-    pub(crate) fn settle<P: Post<M>>(&mut self, post: &mut P, popped: Popped<M>) {
+    pub(crate) fn settle<P: Post<M>>(&mut self, post: &mut P, popped: Popped<P::Handle>) {
         match popped {
             Popped::Honest { .. } => unreachable!("the simulator runs honest handlers"),
             Popped::ChaosDrop(msg) => {
@@ -305,7 +302,10 @@ impl<M: Clone + CarriesSignatures> World<M> {
     /// only the node's own slab, so the handler's caller applies those.
     pub(crate) fn apply_effect<P: Post<M>>(&mut self, post: &mut P, v: NodeId, effect: Effect<M>) {
         match effect {
-            Effect::Send { to, msg } => self.schedule_honest_send(post, v, to, Payload::Owned(msg)),
+            Effect::Send { to, msg } => {
+                let msg = post.share(msg, 1);
+                self.schedule_honest_send(post, v, to, msg);
+            }
             Effect::Broadcast { msg } => {
                 let msg = post.share(msg, self.env.n);
                 for to in NodeId::all(self.env.n) {
@@ -363,7 +363,7 @@ impl<M: Clone + CarriesSignatures> World<M> {
         post: &mut P,
         from: NodeId,
         to: NodeId,
-        msg: Payload<M>,
+        msg: P::Handle,
     ) {
         if self.cut(from, to) {
             self.trace.chaos_drops += 1;
@@ -495,7 +495,7 @@ impl<M: Clone + CarriesSignatures> World<M> {
                         }
                         None => self.delay_model.draw(from, to, bounds, &mut self.rng),
                     };
-                    let msg = Payload::Owned(msg);
+                    let msg = post.share(msg, 1);
                     post.post(self.now + delay, EventKind::Deliver { from, to, msg });
                 }
                 AdvEffect::SetTimer { at, key } => {
