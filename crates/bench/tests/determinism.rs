@@ -175,18 +175,19 @@ fn worker_pool_reproduces_pinned_hashes() {
     }
 }
 
-/// The ladder event queue's spill heap exists for pathological far-future
-/// timers; the standard CPS scenarios must never touch it (every CPS
-/// timer fires within `T + 3S < 13 d`, well inside the queue's ~16 `d`
-/// bucketed horizon). A nonzero count here means the ladder's sizing
-/// regressed and the queue is quietly degrading toward heap behaviour.
+/// The event queue's heap exists for pathological far-future timers;
+/// the standard CPS scenarios must never spill into it (every CPS timer
+/// fires within `T + 3S < 13 d`, well inside the ~16 `d` window the
+/// queue's ring keeps just past the pops). A nonzero count here means
+/// the window's sizing regressed or it stopped following the pops, and
+/// the queue is quietly degrading toward heap behaviour.
 #[test]
 fn standard_cps_scenarios_never_spill() {
     for &(n, _) in PINNED {
         let (trace, _) = cps_scenario(n).run_cps_trace(Box::new(SilentAdversary));
         assert_eq!(
             trace.queue_spill_count, 0,
-            "n={n}: {} events overflowed the ladder queue's horizon",
+            "n={n}: {} events overflowed the event queue's window",
             trace.queue_spill_count
         );
         // Same property for the per-lane queues of the sharded executor
@@ -196,7 +197,7 @@ fn standard_cps_scenarios_never_spill() {
         let (trace, _) = sharded.run_cps_trace(Box::new(SilentAdversary));
         assert_eq!(
             trace.queue_spill_count, 0,
-            "n={n} lanes=4: {} events overflowed a lane queue's horizon",
+            "n={n} lanes=4: {} events overflowed a lane queue's window",
             trace.queue_spill_count
         );
     }

@@ -110,13 +110,13 @@ fn sim_replays_are_bit_identical_across_lane_counts() {
     }
 }
 
-/// The event queue stays a ladder under every fault timeline: at the
-/// benchmark's size (`rescale(32)`), on one lane and on four, at most
-/// 1 % of a scenario's events may have been spliced into the queue's
-/// sorted run — the one push path that is not O(1). A count ratio, so it
-/// holds on any host. (Before the queue anchored its tiers at the pop
-/// frontier, a crash scenario's `Recover` event — pushed first, hundreds
-/// of buckets out — put nearly *every* push on that path.)
+/// The event queue keeps its traffic on the ring under every fault
+/// timeline: at the benchmark's size (`rescale(32)`), on one lane and on
+/// four, spills plus splices — the pushes that go to the queue's heap
+/// instead of an O(1) ring append — stay at or under 1 % of a scenario's
+/// events. A count ratio, so it holds on any host. (A window that does
+/// not follow the pops fails it: one anchored once per 16 d epoch
+/// spilled 8.7 % of `round_flood`'s events.)
 #[test]
 fn queue_splices_stay_under_one_percent_of_events() {
     for sc in &catalog().scenarios {
@@ -142,10 +142,12 @@ fn queue_splices_stay_under_one_percent_of_events() {
             sc.name
         );
         for (lanes, trace) in [(1, &reference.trace), (4, &sharded.trace)] {
+            let off_ring = trace.queue_spill_count + trace.queue_splice_count;
             assert!(
-                trace.queue_splice_count <= trace.events_processed / 100,
-                "{} on {lanes} lane(s): {} of {} events were spliced into the sorted run",
+                off_ring <= trace.events_processed / 100,
+                "{} on {lanes} lane(s): {} spills + {} splices of {} events left the ring",
                 sc.name,
+                trace.queue_spill_count,
                 trace.queue_splice_count,
                 trace.events_processed
             );

@@ -1,6 +1,6 @@
 //! The engine's zero-allocation event plumbing: a slab-backed future-event
-//! list (a two-tier ladder/calendar queue) and generation-stamped timer
-//! slots.
+//! list (a bucket window that slides with the pop frontier, plus a heap)
+//! and generation-stamped timer slots.
 //!
 //! Three design rules keep the hot path allocation-free and cheap:
 //!
@@ -12,29 +12,24 @@
 //!   executor's `Arc`s) and the event carries a handle on it, so a slab
 //!   slot is 16 bytes whatever the message type. Pushing an event after
 //!   the queue's high-water mark has been reached allocates nothing.
-//! * **The workload is near-sorted, so the queue is a ladder, not a
-//!   heap.** Every message delay falls in the bounded window `[d−u, d]`
-//!   (the paper's model), so events land a roughly constant distance
-//!   ahead of the pops — the classic regime where a calendar/ladder queue
-//!   beats a heap. Pushes drop into fixed-width time buckets in O(1);
-//!   each bucket is sorted once when its turn comes and then drained
-//!   through a cursor. A bucket is not small: a round's echo burst lands
-//!   in one, so a claim can hold tens of thousands of entries (see
-//!   [`sort_near_sorted`]). The rare far-future event (an idle-period
-//!   timer, a test's adversarial timestamp) overflows to a small 4-ary
-//!   spill heap ([`EventQueue::spill_count`] reports how often). The
-//!   tiers are anchored at the **pop frontier**, not at whatever was
-//!   pushed first: when traffic undercuts the sorted run — a crash
-//!   scenario's `Recover` event scheduled before anything else, a lane
-//!   holding only its next-pulse timer when a round's deliveries are
-//!   posted — the partition re-anchors just under the traffic in one
-//!   pass (lowering the whole bucketed window if the undercut is deeper
-//!   than the ring can address), so a far-future entry never turns the
-//!   queue into one sorted array ([`EventQueue::splice_count`] counts
-//!   the pushes that still take the sorted-insert path). Pop order is
-//!   *exactly* `(at, seq)` — bucket boundaries are a monotone function of
-//!   `at`, so the partition can never reorder keys — which the pinned
-//!   trace hashes and the sharded engine's merge depend on.
+//! * **The workload is near-sorted, so the queue is a sliding bucket
+//!   window, not a heap.** Every message delay falls in the bounded
+//!   window `[d−u, d]` (the paper's model), so nearly every push lands
+//!   within one `d` of the pop frontier — the classic regime where a
+//!   calendar queue beats a heap. Pushes drop into fixed-width time
+//!   buckets on a 128-bucket ring in O(1); popping claims the lowest
+//!   occupied bucket, sorts it once and drains it through a cursor, and
+//!   the ring's window moves past the claimed bucket, so it always covers
+//!   the 16 `d` just ahead of the pops. A bucket is not small: a round's
+//!   echo burst lands in one, so a claim can hold tens of thousands of
+//!   entries (see [`sort_near_sorted`]). What falls outside the window —
+//!   a far-future timer, a late push into the bucket being drained — goes
+//!   to one small 4-ary heap ([`EventQueue::spill_count`] and
+//!   [`EventQueue::splice_count`] count the two), and a push below the
+//!   window slides it down instead. Pop order is *exactly* `(at, seq)` —
+//!   the bucket index is a monotone function of `at`, and every pop
+//!   compares the run head with the heap top — which the pinned trace
+//!   hashes and the sharded engine's merge depend on.
 //! * **Timer state is a generation-stamped slab, not a set.** A
 //!   [`TimerId`] packs `(generation, slot)`; cancelling or firing frees
 //!   the slot and bumps its generation, so stale ids are recognized by a
@@ -269,64 +264,30 @@ impl HeapEntry {
     }
 }
 
-/// Children per spill-heap node. A 4-ary min-heap halves the tree depth
-/// of a binary one; sift-down compares more children per level but
-/// touches adjacent memory.
+/// Children per heap node. A 4-ary min-heap halves the tree depth of a
+/// binary one; sift-down compares more children per level but touches
+/// adjacent memory.
 const HEAP_ARITY: usize = 4;
 
-/// Number of ladder buckets (a power of two, so the ring index is a mask).
-const LADDER_BUCKETS: usize = 128;
+/// Buckets on the ring (a power of two, so the ring slot is a mask).
+const RING_BUCKETS: usize = 128;
 
-/// Ladder buckets per delay-horizon hint: the bucket width is
-/// `d / LADDER_BUCKETS_PER_HORIZON`, so the ladder spans
-/// `LADDER_BUCKETS / LADDER_BUCKETS_PER_HORIZON = 16` delay horizons —
-/// comfortably past CPS's timer reach (`T < 10 d`, Corollary 15), which
-/// is what keeps [`EventQueue::spill_count`] at zero for the standard
-/// scenarios.
-const LADDER_BUCKETS_PER_HORIZON: f64 = 8.0;
-
-/// While the queue holds fewer live entries than this (and neither the
-/// ladder nor the spill heap is in use), pushes go straight into the
-/// sorted run: a tiny queue behaves as one sorted array, avoiding a
-/// bucket claim every couple of pops.
-const SPARSE_RUN_MAX: usize = 24;
-
-/// A run taking sustained splices into its top bucket re-anchors
-/// (demotes) itself back into the ladder once it is longer than this —
-/// below it, plain sorted inserts are cheaper than redistributing.
-///
-/// The demote exists for the sharded engine's push pattern: a lane
-/// drains its queue over a conservative window, and the subsequent
-/// reconcile pushes the whole window's worth of new deliveries — all
-/// within one delay-jitter span `u`, i.e. into *one* bucket, which by
-/// then is the freshly claimed run. Without the demote every one of
-/// those pushes pays a randomly positioned sorted insert into an
-/// ever-growing run — O(window²) memmove traffic, measured as a 6×
-/// reconcile slowdown at n = 64 — where one O(run) unwind per burst
-/// restores O(1) unsorted bucket appends. (A burst landing *below* the
-/// run's top bucket needs no such patience: it re-anchors on its first
-/// push, see [`EventQueue::push_with_seq`].)
-const RUN_DEMOTE_MIN: usize = 64;
-
-/// Top-bucket splices tolerated per claimed run before a large run is
-/// considered under burst pressure (see [`RUN_DEMOTE_MIN`]): a handful
-/// of clamped-to-now timers spliced into a big actively-draining run
-/// must not trigger a demote-and-reclaim round trip.
-const RUN_DEMOTE_INSERTS: u32 = 32;
+/// Buckets per delay-horizon hint: the bucket width is
+/// `d / BUCKETS_PER_HORIZON`, so the ring's window spans
+/// `RING_BUCKETS / BUCKETS_PER_HORIZON = 16` delay horizons past the pop
+/// frontier — beyond CPS's timer reach (`T + 3S < 13 d`), which is what
+/// keeps [`EventQueue::spill_count`] at zero for the standard scenarios.
+const BUCKETS_PER_HORIZON: f64 = 8.0;
 
 /// Sorts one claimed bucket ascending: an insertion sort up to 64
 /// entries, `sort_unstable` above, whose worst case stays `O(k log k)`
 /// even for adversarially shuffled timestamps.
 ///
-/// What the CPS workload claims is large, not small. The n = 64 snapshot
-/// scenario (511 005 events) makes 27 claims holding 338 644 entries, the
-/// largest 37 026: a round's echo burst lands inside one `d/8` bucket.
-/// Those take the `sort_unstable` path, and a burst demote sends a run's
-/// tail back to the ladder to be sorted again on its next claim. Sorting
-/// is 16–19 % of `Sim::run` there (2-core x86-64), 17–22 ns per event.
-/// (Before deliveries to faulty nodes skipped the queue, the same run
-/// claimed 649 138 entries, the largest 70 785, and sorting was 21–24 %
-/// of `Sim::run`, 34–45 ns per event.)
+/// What the CPS workload claims is large, not small. On `Sim::run` the
+/// n = 64 snapshot scenario (511 005 events) makes 31 claims holding
+/// 265 925 entries, the largest 37 026: a round's echo burst lands inside
+/// one `d/8` bucket. Those take the `sort_unstable` path, and the claim
+/// sort is the queue's largest cost.
 fn sort_near_sorted(v: &mut [HeapEntry]) {
     if v.len() > 64 {
         v.sort_unstable_by_key(|e| e.0);
@@ -346,56 +307,55 @@ fn sort_near_sorted(v: &mut [HeapEntry]) {
     }
 }
 
-/// The far-future tier of the ladder queue: a plain 4-ary min-heap of
-/// [`HeapEntry`] records (the pre-ladder queue's ordering structure,
-/// demoted to handling the rare overflow).
+/// The queue's out-of-window tier: a plain 4-ary min-heap of
+/// [`HeapEntry`] records.
 #[derive(Debug, Default)]
-struct SpillHeap {
-    heap: Vec<HeapEntry>,
+struct MinHeap {
+    entries: Vec<HeapEntry>,
 }
 
-impl SpillHeap {
+impl MinHeap {
     fn len(&self) -> usize {
-        self.heap.len()
+        self.entries.len()
     }
 
     fn peek(&self) -> Option<HeapEntry> {
-        self.heap.first().copied()
+        self.entries.first().copied()
     }
 
     fn push(&mut self, entry: HeapEntry) {
-        self.heap.push(entry);
-        self.sift_up(self.heap.len() - 1);
+        self.entries.push(entry);
+        self.sift_up(self.entries.len() - 1);
     }
 
     fn pop(&mut self) -> Option<HeapEntry> {
-        let entry = *self.heap.first()?;
-        let last = self.heap.pop().expect("heap is non-empty");
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
+        let entry = *self.entries.first()?;
+        let last = self.entries.pop().expect("heap is non-empty");
+        if !self.entries.is_empty() {
+            self.entries[0] = last;
             self.sift_down(0);
         }
         Some(entry)
     }
 
     fn sift_up(&mut self, mut i: usize) {
-        let entry = self.heap[i];
+        let entry = self.entries[i];
         while i > 0 {
             let parent = (i - 1) / HEAP_ARITY;
-            if !entry.before(&self.heap[parent]) {
+            if !entry.before(&self.entries[parent]) {
                 break;
             }
-            self.heap[i] = self.heap[parent];
+            self.entries[i] = self.entries[parent];
             i = parent;
         }
-        self.heap[i] = entry;
+        self.entries[i] = entry;
     }
 
     /// Bottom-up sift-down: walk the hole to a leaf choosing the minimum
     /// child at each level, then bubble the displaced entry back up.
     fn sift_down(&mut self, i: usize) {
-        let entry = self.heap[i];
-        let len = self.heap.len();
+        let entry = self.entries[i];
+        let len = self.entries.len();
         let mut hole = i;
         loop {
             let first_child = hole * HEAP_ARITY + 1;
@@ -404,117 +364,83 @@ impl SpillHeap {
             }
             let last_child = (first_child + HEAP_ARITY).min(len);
             let mut min = first_child;
-            let mut min_val = self.heap[first_child];
+            let mut min_val = self.entries[first_child];
             for child in first_child + 1..last_child {
-                let val = self.heap[child];
+                let val = self.entries[child];
                 if val.before(&min_val) {
                     min = child;
                     min_val = val;
                 }
             }
-            self.heap[hole] = min_val;
+            self.entries[hole] = min_val;
             hole = min;
         }
-        self.heap[hole] = entry;
+        self.entries[hole] = entry;
         self.sift_up(hole);
     }
 }
 
-/// A deterministic future-event list: a two-tier ladder/calendar queue.
+/// A deterministic future-event list: a bucket window that slides with
+/// the pop frontier, plus a heap for what falls outside it.
 ///
 /// Events are parked in `slots` (recycled through `free`) while the
-/// ordering machinery moves only [`HeapEntry`] records. Three tiers, by
-/// distance from the pop frontier — on every path, because the
-/// partition [re-anchors](Self::reanchor) whenever traffic shows the
-/// frontier to be below the run:
+/// ordering machinery moves only [`HeapEntry`] records, in three parts:
 ///
-/// 1. **The active run** (`run`): every entry whose bucket index is
-///    `≤ run_idx`, kept sorted ascending behind a head cursor (pops are
-///    a bounds-checked read plus an increment). Drained fully before the
-///    ladder advances; late arrivals into its top bucket — same-instant
-///    follow-ups, zero-delay sends — are spliced in by binary-search
-///    insertion, the "tiny insertion-sorted run" of the classic ladder
-///    queue. A push strictly below the top bucket lowers `run_idx`
-///    instead, so the run never stays stretched across the gap between
-///    a far-future entry and the traffic in front of it.
-/// 2. **The ladder** (`buckets`): a ring of [`LADDER_BUCKETS`] fixed-width
-///    time buckets for indices in `(run_idx, limit_idx)`. A push is O(1):
-///    compute the bucket from `at`, append. When the run drains, the next
-///    non-empty bucket is claimed wholesale (`Vec` swap, so bucket
-///    capacity is recycled through the ring) and sorted once —
-///    `sort_unstable` on packed `u128` keys. A claim can hold a whole
-///    round's echo burst, tens of thousands of entries at n = 64, and
-///    sorting is 16–19 % of the run's time there (see
-///    [`sort_near_sorted`]).
-/// 3. **The spill heap** (`spill`): entries at or past `limit_idx` — rare
-///    far-future timers. When run and ladder are both empty the ladder is
-///    re-anchored at the spill minimum and one ladder-span of entries is
-///    drained back into buckets.
+/// 1. **The claimed run** (`run`): one bucket, index `lo − 1`, sorted
+///    ascending behind a head cursor (pops are a bounds-checked read plus
+///    an increment).
+/// 2. **The ring** (`buckets`): [`RING_BUCKETS`] fixed-width time buckets
+///    holding the indices `[lo, lo + RING_BUCKETS)`, unsorted. A push is
+///    O(1): compute the bucket from `at`, append. When the run is spent,
+///    the lowest occupied bucket is claimed wholesale (`Vec` swap, so
+///    bucket capacity is recycled through the ring) and sorted once, and
+///    `lo` moves past it — every claim slides the window. A claim can
+///    hold a whole round's echo burst, tens of thousands of entries at
+///    n = 64 (see [`sort_near_sorted`]).
+/// 3. **The heap** (`heap`): everything else — pushes past the window
+///    (far-future timers, [`spill_count`](Self::spill_count)) and late
+///    pushes into the bucket being drained (same-instant follow-ups,
+///    zero-delay sends, [`splice_count`](Self::splice_count)). Every pop
+///    compares the run head with the heap top. A pop from the heap while
+///    run and ring are both empty raises `lo` to that event's bucket, so
+///    the traffic it causes lands on the ring.
 ///
-/// **Re-anchoring.** `limit_idx` is set by whichever entry opened the
-/// current epoch — the first push into an empty queue, or the spill
-/// minimum at a recharge — and that entry need not be near the pops: a
-/// crash scenario schedules its `Recover` events (hundreds of buckets
-/// out) before any node has sent a message, and a sharded lane that has
-/// drained down to one next-pulse timer recharges on it just before the
-/// reconcile posts the next round's deliveries. The ring aliases indices
-/// [`LADDER_BUCKETS`] apart, so buckets exist only for one ring-span
-/// below `limit_idx`; nearer traffic used to have nowhere to go but the
-/// run, each push a binary search plus a memmove over everything pending
-/// (measured: 570–700 ns/event on the crash-and-recover catalog
-/// scenarios against 145–217 ns on the calm ones). Now the first push
-/// strictly under the run's top bucket moves the *window* instead: one
-/// pass, `O(run + entries past the new limit)`, sends the far entries to
-/// the spill heap where they belong and everything else to O(1) buckets.
-/// The same routine serves a burst demote and [`relax`](Self::relax), so
-/// the three ways of lowering the run cannot diverge.
+/// A push below `lo` anywhere else — a crash scenario's traffic after
+/// its far `Recover` events, a sharded lane that claimed its next-pulse
+/// timer before the reconcile posted the round's deliveries — slides the
+/// window *down* to it ([`lower`](Self::lower)), so that push and the
+/// rest of its burst take O(1) ring appends.
 ///
 /// **Order is exactly `(at, seq)`, always.** The bucket index is a
 /// monotone function of `at` alone (`floor(at · inv_width)`, computed
-/// identically on every path), so tier boundaries can only ever separate
-/// keys the total order already separates; within a tier, full-key
-/// sorting decides. Adversarially placed timestamps (pushes earlier than
-/// the run frontier, bursts at one instant, far-future spikes) therefore
-/// pop in exactly the order the old heap produced — the equivalence
+/// identically on every path), run entries lie below `lo` and ring
+/// entries at or above it, and the heap is compared on the full key, so
+/// the parts can never reorder keys. Adversarially placed timestamps
+/// (pushes earlier than the frontier, bursts at one instant, far-future
+/// spikes) pop in exactly the order a heap produces — the oracle
 /// proptest at the bottom of this file holds the two to account, and the
 /// pinned trace hashes in `crates/bench/tests/determinism.rs` pin it
 /// end-to-end.
 #[derive(Debug)]
 pub(crate) struct EventQueue<H> {
-    /// Tier 1: the active run, sorted ascending; `run[head..]` is live
-    /// (the head cursor avoids reverse-order pops and keeps drains
-    /// forward-scanning).
+    /// The claimed run, sorted ascending; `run[head..]` is live.
     run: Vec<HeapEntry>,
     /// First live entry of `run` (everything before it already popped).
     head: usize,
-    /// Tier 2: the bucket ring; absolute index `i` lives at
-    /// `i % LADDER_BUCKETS`, unsorted until claimed.
+    /// The ring: bucket index `i` lives at slot `i % RING_BUCKETS`.
     buckets: Vec<Vec<HeapEntry>>,
-    /// Occupancy bitmap over the ring (bit = ring slot non-empty), so
-    /// claiming the next bucket is a couple of `trailing_zeros`, not a
-    /// 128-slot scan.
-    occupied: [u64; LADDER_BUCKETS / 64],
-    /// Tier 3: far-future overflow.
-    spill: SpillHeap,
+    /// Occupancy bitmap over the ring (bit = slot non-empty), so claiming
+    /// the next bucket is a couple of `trailing_zeros`, not a scan.
+    occupied: [u64; RING_BUCKETS / 64],
+    /// Everything outside the window.
+    heap: MinHeap,
     /// Reciprocal bucket width (s⁻¹); fixed at construction.
     inv_width: f64,
-    /// Highest absolute bucket index covered by the run.
-    run_idx: u64,
-    /// Next absolute bucket index the drain scan will visit.
-    next_idx: u64,
-    /// Entries with `bucket_index >= limit_idx` go to the spill heap.
-    limit_idx: u64,
-    /// Catch-all splices into the current run since it was last claimed,
-    /// anchored, or demoted — the burst detector (see `RUN_DEMOTE_MIN`).
-    run_inserts: u32,
-    /// Entries currently in the bucket ring.
-    in_buckets: usize,
-    /// Total entries across all three tiers.
-    len: usize,
-    /// Lifetime count of entries sent to the spill heap.
+    /// Lowest bucket index the ring holds; the run's bucket is `lo − 1`.
+    lo: u64,
+    /// Lifetime count of entries sent to the heap past the window.
     spilled: u64,
-    /// Lifetime count of pushes spliced by the catch-all branch into a
-    /// run past sparse size.
+    /// Lifetime count of late pushes into the claimed bucket.
     spliced: u64,
     slots: Vec<Option<EventKind<H>>>,
     free: Vec<u32>,
@@ -533,56 +459,36 @@ impl<H> EventQueue<H> {
 
     /// An allocation-free stand-in for a queue that will never be used —
     /// the value a dispatched lane leaves behind while it is out on a
-    /// worker thread. The bucket ring is empty, so debug builds panic on
-    /// any push (see the `debug_assert` in
+    /// worker thread. The ring is empty, so debug builds panic on any
+    /// push (see the `debug_assert` in
     /// [`push_with_seq`](Self::push_with_seq)); the sharded engine swaps
     /// the real lane back before any queue operation can happen.
     pub fn placeholder() -> Self {
-        EventQueue {
-            run: Vec::new(),
-            head: 0,
-            buckets: Vec::new(),
-            occupied: [0; LADDER_BUCKETS / 64],
-            spill: SpillHeap::default(),
-            inv_width: 1.0,
-            run_idx: 0,
-            next_idx: 1,
-            limit_idx: LADDER_BUCKETS as u64,
-            run_inserts: 0,
-            in_buckets: 0,
-            len: 0,
-            spilled: 0,
-            spliced: 0,
-            slots: Vec::new(),
-            free: Vec::new(),
-            next_seq: 0,
-        }
+        Self::with_ring(Vec::new(), 1.0)
     }
 
-    /// A queue whose ladder is sized for a maximum message delay of `d`:
-    /// bucket width `d / 8`, ladder span `16 d`. The hint affects only
-    /// performance (how often events overflow to the spill heap), never
-    /// ordering.
+    /// A queue whose ring is sized for a maximum message delay of `d`:
+    /// bucket width `d / 8`, window span `16 d`. The hint affects only
+    /// performance (how often events go to the heap), never ordering.
     pub fn with_delay_hint(d: Dur) -> Self {
-        let width = d.as_secs() / LADDER_BUCKETS_PER_HORIZON;
+        let width = d.as_secs() / BUCKETS_PER_HORIZON;
         let inv_width = if width > 0.0 && width.is_finite() {
             1.0 / width
         } else {
-            LADDER_BUCKETS_PER_HORIZON / 1e-3
+            BUCKETS_PER_HORIZON / 1e-3
         };
+        Self::with_ring((0..RING_BUCKETS).map(|_| Vec::new()).collect(), inv_width)
+    }
+
+    fn with_ring(buckets: Vec<Vec<HeapEntry>>, inv_width: f64) -> Self {
         EventQueue {
             run: Vec::new(),
             head: 0,
-            buckets: (0..LADDER_BUCKETS).map(|_| Vec::new()).collect(),
-            occupied: [0; LADDER_BUCKETS / 64],
-            spill: SpillHeap::default(),
+            buckets,
+            occupied: [0; RING_BUCKETS / 64],
+            heap: MinHeap::default(),
             inv_width,
-            run_idx: 0,
-            next_idx: 1,
-            limit_idx: LADDER_BUCKETS as u64,
-            run_inserts: 0,
-            in_buckets: 0,
-            len: 0,
+            lo: 0,
             spilled: 0,
             spliced: 0,
             slots: Vec::new(),
@@ -591,16 +497,16 @@ impl<H> EventQueue<H> {
         }
     }
 
-    /// The absolute ladder-bucket index of `at` — monotone in `at`, and
-    /// the *same* function on every push and recharge path, which is what
-    /// makes the tier partition order-safe. Clamped below `u64::MAX` so
-    /// `limit_idx` arithmetic cannot overflow (clamped entries just share
-    /// the topmost bucket; within-bucket sorting still orders them).
+    /// The absolute bucket index of `at` — monotone in `at`, and the
+    /// *same* function on every path, which is what makes the partition
+    /// order-safe. Clamped so `lo + RING_BUCKETS` cannot overflow
+    /// (clamped entries just share the topmost bucket; sorting still
+    /// orders them).
     #[inline]
     fn bucket_index(&self, at: Time) -> u64 {
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let idx = (at.as_secs() * self.inv_width) as u64; // saturating cast
-        idx.min(u64::MAX - LADDER_BUCKETS as u64 - 2)
+        idx.min(u64::MAX - RING_BUCKETS as u64 - 2)
     }
 
     pub fn push(&mut self, at: Time, kind: EventKind<H>) {
@@ -648,136 +554,126 @@ impl<H> EventQueue<H> {
         };
         let entry = HeapEntry::new(at, seq, slot);
         let idx = self.bucket_index(at);
-        if self.len == 0 {
-            // Re-anchor the ladder on the first event of a fresh epoch,
-            // discarding the drained run's dead prefix (without this, a
-            // workload that repeatedly drains the queue would grow the
-            // run `Vec` by one entry per epoch forever). The limit
-            // leaves one bucket of headroom *below* the anchor so a
-            // post-anchor burst into the anchor's own bucket can demote
-            // out of the run without moving the window.
-            self.run.clear();
-            self.head = 0;
-            self.run_idx = idx;
-            self.next_idx = idx + 1;
-            self.limit_idx = idx + LADDER_BUCKETS as u64;
-            self.run_inserts = 0;
-            self.run.push(entry);
-        } else if self.in_buckets == 0
-            && self.spill.len() == 0
-            && self.run.len() - self.head < SPARSE_RUN_MAX
-            && idx < self.limit_idx
-        {
-            // Sparse mode: while the queue is tiny and fits one sorted
-            // array, keep everything in the run (a binary-search insert
-            // beats paying a bucket claim every couple of pops). The run
-            // then covers every index it absorbed. Compact the popped
-            // prefix once it dominates the buffer — sparse steady state
-            // never drains the run, so without this the dead prefix
-            // would grow with run length, one entry per pop.
-            if self.head > SPARSE_RUN_MAX {
-                self.run.drain(..self.head);
-                self.head = 0;
-            }
-            let pos = self.run[self.head..].partition_point(|e| e.0 < entry.0);
-            self.run.insert(self.head + pos, entry);
-            self.run_idx = self.run_idx.max(idx);
-            self.next_idx = self.run_idx + 1;
-        } else if idx > self.run_idx {
-            self.place(idx, entry);
-        } else {
-            // Lands in the run's index range. Strictly below its top
-            // bucket means the run is not where the pops are: it was
-            // anchored on a far-future first push, lazily claimed ahead
-            // of traffic that had not been posted yet, or grew across
-            // buckets in sparse mode — so the partition re-anchors just
-            // under the push at once (see [`reanchor`](Self::reanchor))
-            // and this entry, like the rest of its burst, takes an O(1)
-            // bucket append. A push into the top bucket itself is the
-            // run's legitimate late arrival (a same-instant follow-up, a
-            // zero-delay send) and is spliced in — unless a large run is
-            // taking *sustained* splices, the burst anti-pattern (a
-            // whole round of deliveries landing in one freshly claimed
-            // bucket, each paying a mid-run memmove — measured as a 6×
-            // reconcile slowdown at n = 64), which past
-            // [`RUN_DEMOTE_MIN`] re-anchors the same way. The
-            // insert-count gate keeps an occasional splice into a large
-            // actively-draining run (a timer clamped to "now") from
-            // paying a pointless demote-and-reclaim round trip.
-            self.run_inserts += 1;
-            if idx < self.run_idx
-                || (self.run_inserts > RUN_DEMOTE_INSERTS
-                    && self.run.len() - self.head > RUN_DEMOTE_MIN)
-            {
-                self.reanchor(idx.saturating_sub(1));
-            }
-            if idx > self.run_idx {
-                self.place(idx, entry);
-            } else {
-                // Amortized prefix compaction (same rationale as the
-                // sparse branch): a run that keeps absorbing splices as
-                // fast as it drains may never empty, so drop the popped
-                // prefix whenever it outweighs the live tail.
-                if self.head > SPARSE_RUN_MAX && self.head >= self.run.len() - self.head {
-                    self.run.drain(..self.head);
-                    self.head = 0;
-                }
-                let live = &self.run[self.head..];
-                // (a run still short enough for sparse mode is a tiny
-                // sorted array by design; only longer ones are counted)
-                self.spliced += u64::from(live.len() >= SPARSE_RUN_MAX);
-                let pos = live.partition_point(|e| e.0 < entry.0);
-                self.run.insert(self.head + pos, entry);
-            }
-        }
-        self.len += 1;
-    }
-
-    /// Files an entry above the run: an O(1) append to its ring bucket
-    /// (unsorted until claimed), or the spill heap at or past `limit_idx`.
-    #[inline]
-    fn place(&mut self, idx: u64, entry: HeapEntry) {
-        debug_assert!(idx > self.run_idx);
-        if idx < self.limit_idx {
-            let slot = (idx % LADDER_BUCKETS as u64) as usize;
-            self.buckets[slot].push(entry);
-            self.occupied[slot / 64] |= 1 << (slot % 64);
-            self.in_buckets += 1;
-        } else {
-            self.spill.push(entry);
+        if idx >= self.lo + RING_BUCKETS as u64 {
+            self.heap.push(entry);
             self.spilled += 1;
+            return;
         }
+        if idx < self.lo {
+            if idx + 1 == self.lo && self.head < self.run.len() {
+                // A late arrival into the bucket being drained: the heap
+                // orders it against the run without touching the run.
+                self.heap.push(entry);
+                self.spliced += 1;
+                return;
+            }
+            self.lower(idx);
+        }
+        self.file(idx, entry);
     }
 
-    /// Makes the run's head the queue minimum, claiming lazily: the
-    /// ladder only advances when someone actually asks for the front.
-    /// Lazy (rather than claim-on-last-pop) matters to the sharded
-    /// engine, whose reconcile pushes a whole window of traffic between a
-    /// lane's last pop and its next peek — those pushes should land in
-    /// unclaimed O(1) buckets, not splice into a prematurely claimed run.
+    /// Appends an entry whose index lies in the window to its ring slot.
     #[inline]
-    fn ensure_front(&mut self) {
-        if self.head == self.run.len() && self.len > 0 {
-            self.run.clear();
+    fn file(&mut self, idx: u64, entry: HeapEntry) {
+        let slot = (idx % RING_BUCKETS as u64) as usize;
+        self.buckets[slot].push(entry);
+        self.occupied[slot / 64] |= 1 << (slot % 64);
+    }
+
+    /// Slides the window down to start at `idx < lo`: the ring buckets
+    /// the lowered window cannot address, indices
+    /// `[max(idx + RING_BUCKETS, lo), lo + RING_BUCKETS)`, move to the
+    /// heap (counted as spills), and the unspent run tail goes back to
+    /// its bucket `lo − 1` — on the ring, or on the heap if that too is
+    /// out of reach. `O(tail + moved)`, plus one pass over at most
+    /// [`RING_BUCKETS`] occupancy bits.
+    fn lower(&mut self, idx: u64) {
+        let ring = RING_BUCKETS as u64;
+        let end = idx + ring;
+        for i in end.max(self.lo)..self.lo + ring {
+            let slot = (i % ring) as usize;
+            if self.occupied[slot / 64] & (1 << (slot % 64)) != 0 {
+                self.spilled += self.buckets[slot].len() as u64;
+                for entry in self.buckets[slot].drain(..) {
+                    self.heap.push(entry);
+                }
+                self.occupied[slot / 64] &= !(1 << (slot % 64));
+            }
+        }
+        if self.head < self.run.len() {
+            self.run.drain(..self.head);
             self.head = 0;
-            self.advance();
+            let claimed = self.lo - 1;
+            if claimed < end {
+                // The loop above emptied this slot (it also holds index
+                // `lo + RING_BUCKETS − 1`).
+                let slot = (claimed % ring) as usize;
+                std::mem::swap(&mut self.run, &mut self.buckets[slot]);
+                self.occupied[slot / 64] |= 1 << (slot % 64);
+            } else {
+                self.spilled += self.run.len() as u64;
+                for entry in self.run.drain(..) {
+                    self.heap.push(entry);
+                }
+            }
+        }
+        self.lo = idx;
+    }
+
+    /// Claims the lowest occupied ring bucket, if any, as the new run
+    /// and slides the window past it; called when the run is spent. Lazy
+    /// — the ring only advances when someone asks for the front — so the
+    /// sharded reconcile's pushes between a lane's last pop and its next
+    /// peek land on the ring, not behind a prematurely claimed run.
+    fn claim(&mut self) {
+        let from = (self.lo % RING_BUCKETS as u64) as usize;
+        let Some(slot) = self.first_occupied_from(from) else {
+            return;
+        };
+        // Swap, not drain: the run's spent capacity rotates into the ring
+        // slot, so steady state allocates nothing.
+        self.run.clear();
+        self.head = 0;
+        std::mem::swap(&mut self.run, &mut self.buckets[slot]);
+        self.occupied[slot / 64] &= !(1 << (slot % 64));
+        sort_near_sorted(&mut self.run);
+        // The window spans the ring, so the cyclic distance from `lo`
+        // recovers the absolute index unambiguously.
+        self.lo += ((slot + RING_BUCKETS - from) % RING_BUCKETS) as u64 + 1;
+    }
+
+    /// The queue minimum, and whether it is the heap top.
+    #[inline]
+    fn front(&mut self) -> Option<(HeapEntry, bool)> {
+        if self.head == self.run.len() {
+            self.claim();
+        }
+        match (self.run.get(self.head), self.heap.peek()) {
+            (Some(&run), Some(top)) if top.before(&run) => Some((top, true)),
+            (Some(&run), _) => Some((run, false)),
+            (None, top) => top.map(|top| (top, true)),
         }
     }
 
     /// The `(at, seq)` key of the next event, without popping it. Drives
     /// the sharded engine's window computation and in-window pop loop.
-    /// (`&mut`: may lazily claim the next ladder bucket.)
+    /// (`&mut`: may lazily claim the next ring bucket.)
     pub fn peek_key(&mut self) -> Option<EventKey> {
-        self.ensure_front();
-        self.run.get(self.head).map(|e| e.key())
+        self.front().map(|(entry, _)| entry.key())
     }
 
     /// Pops the next event together with its global-order key.
     pub fn pop_keyed(&mut self) -> Option<(EventKey, Event<H>)> {
-        self.ensure_front();
-        let entry = *self.run.get(self.head)?;
-        self.head += 1;
-        self.len -= 1;
+        let (entry, from_heap) = self.front()?;
+        if !from_heap {
+            self.head += 1;
+        } else {
+            self.heap.pop();
+            if self.head == self.run.len() {
+                // Run and ring are empty: the heap holds the frontier.
+                self.lo = self.lo.max(self.bucket_index(entry.at()));
+            }
+        }
         let slot = entry.slot();
         let kind = self.slots[slot as usize]
             .take()
@@ -795,142 +691,16 @@ impl<H> EventQueue<H> {
         self.pop_keyed().map(|(_, event)| event)
     }
 
-    /// Returns the run's remaining entries to the ladder (keeping the
-    /// partition invariants), so that a consumer pausing mid-run — a lane
-    /// stopping at its conservative-window boundary — leaves the queue in
-    /// its cheapest shape for the pushes that arrive before the next
-    /// peek. Purely a performance hint: order is unaffected, and the next
-    /// front access re-claims lazily.
-    pub fn relax(&mut self) {
-        if self.head == self.run.len() {
-            self.run.clear();
-            self.head = 0;
-            return;
-        }
-        let new_idx = self.bucket_index(self.run[self.head].at()).saturating_sub(1);
-        self.reanchor(new_idx);
-    }
-
-    /// Claims the next non-empty bucket as the new active run (recharging
-    /// the ladder from the spill heap first if every bucket is empty).
-    /// Called only when the run is empty but the queue is not.
-    fn advance(&mut self) {
-        debug_assert!(self.run.is_empty());
-        if self.in_buckets == 0 {
-            // Ladder dry: re-anchor it at the spill minimum and pull one
-            // ladder-span of far-future entries back into buckets.
-            let top = self.spill.peek().expect("non-empty queue with empty tiers");
-            let first = self.bucket_index(top.at());
-            self.next_idx = first;
-            self.limit_idx = first + LADDER_BUCKETS as u64;
-            while let Some(top) = self.spill.peek() {
-                let idx = self.bucket_index(top.at());
-                if idx >= self.limit_idx {
-                    break;
-                }
-                let entry = self.spill.pop().expect("peeked spill heap is non-empty");
-                let slot = (idx % LADDER_BUCKETS as u64) as usize;
-                self.buckets[slot].push(entry);
-                self.occupied[slot / 64] |= 1 << (slot % 64);
-                self.in_buckets += 1;
-            }
-            // (direct pushes rather than `place`: during a recharge the
-            // run is empty and `run_idx` still points at its drained
-            // epoch, so the helper's frontier assertion does not apply)
-            debug_assert!(self.in_buckets > 0, "recharge drained nothing");
-        }
-        // The occupancy bitmap finds the next non-empty ring slot in the
-        // cyclic order starting at `next_idx`; live bucket indices span
-        // at most the ring size, so the cyclic distance recovers the
-        // absolute index unambiguously.
-        let from = (self.next_idx % LADDER_BUCKETS as u64) as usize;
-        let slot = self.first_occupied_from(from);
-        let delta = (slot + LADDER_BUCKETS - from) % LADDER_BUCKETS;
-        // Swap, not drain: the run's spent capacity rotates into the ring
-        // slot, so steady state allocates nothing.
-        std::mem::swap(&mut self.run, &mut self.buckets[slot]);
-        self.occupied[slot / 64] &= !(1 << (slot % 64));
-        self.in_buckets -= self.run.len();
-        sort_near_sorted(&mut self.run);
-        self.run_idx = self.next_idx + delta as u64;
-        self.next_idx = self.run_idx + 1;
-        self.run_inserts = 0;
-    }
-
-    /// Lowers the run to `new_run_idx` (a no-op if it is already there
-    /// or below): the run keeps its entries up to that index and every
-    /// later one is refiled above it. The one routine behind all three
-    /// ways the partition follows the pop frontier down — a push below
-    /// the run's top bucket, a burst demote, and [`relax`](Self::relax).
-    ///
-    /// If the ring cannot address the gap up to `limit_idx` (see
-    /// *Re-anchoring* in the type docs) the window comes down too:
-    /// `limit_idx` drops to one ring-span above the new anchor, and
-    /// bucket and run entries at or past it move to the spill heap.
-    /// `O(run + moved)`. Order is untouched: every entry is refiled by
-    /// the same `bucket_index`, and run ≤ buckets < spill still holds
-    /// index-wise.
-    fn reanchor(&mut self, new_run_idx: u64) {
-        if new_run_idx >= self.run_idx {
-            return;
-        }
-        self.run_idx = new_run_idx;
-        self.next_idx = new_run_idx + 1;
-        self.run_inserts = 0;
-        if self.limit_idx > new_run_idx + LADDER_BUCKETS as u64 + 1 {
-            // Same headroom as a fresh anchor: one bucket spare below.
-            self.limit_idx = new_run_idx + LADDER_BUCKETS as u64;
-            if self.in_buckets > 0 {
-                self.spill_past_limit();
-            }
-        }
-        self.run.drain(..self.head);
-        self.head = 0;
-        // The run is sorted and the bucket index is monotone in `at`, so
-        // the entries that stay (index ≤ the new anchor) are a prefix.
-        let keep = self
-            .run
-            .partition_point(|e| self.bucket_index(e.at()) <= new_run_idx);
-        for i in keep..self.run.len() {
-            let entry = self.run[i];
-            self.place(self.bucket_index(entry.at()), entry);
-        }
-        self.run.truncate(keep);
-    }
-
-    /// Moves every bucket whose index is at or past a just-lowered
-    /// `limit_idx` to the spill heap. Live bucket indices span at most
-    /// the ring, so each slot holds entries of a single index and its
-    /// first entry speaks for all of them.
-    fn spill_past_limit(&mut self) {
-        for slot in 0..LADDER_BUCKETS {
-            let Some(first) = self.buckets[slot].first() else {
-                continue;
-            };
-            if self.bucket_index(first.at()) < self.limit_idx {
-                continue;
-            }
-            let moved = self.buckets[slot].len();
-            for entry in self.buckets[slot].drain(..) {
-                self.spill.push(entry);
-            }
-            self.occupied[slot / 64] &= !(1 << (slot % 64));
-            self.in_buckets -= moved;
-            self.spilled += moved as u64;
-        }
-    }
-
     /// First set bit of the occupancy bitmap in cyclic ring order
-    /// starting at `from`. Must only be called with at least one bucket
-    /// occupied. Written against `LADDER_BUCKETS / 64` words so the
-    /// bucket count stays a freely tunable constant.
+    /// starting at `from`, if any. Written against `RING_BUCKETS / 64`
+    /// words so the bucket count stays a freely tunable constant.
     #[inline]
-    fn first_occupied_from(&self, from: usize) -> usize {
-        const WORDS: usize = LADDER_BUCKETS / 64;
+    fn first_occupied_from(&self, from: usize) -> Option<usize> {
+        const WORDS: usize = RING_BUCKETS / 64;
         let (word, bit) = (from / 64, from % 64);
         let masked = self.occupied[word] & (!0u64 << bit);
         if masked != 0 {
-            return word * 64 + masked.trailing_zeros() as usize;
+            return Some(word * 64 + masked.trailing_zeros() as usize);
         }
         for step in 1..=WORDS {
             let w = (word + step) % WORDS;
@@ -942,45 +712,42 @@ impl<H> EventQueue<H> {
                 self.occupied[w]
             };
             if bits != 0 {
-                return w * 64 + bits.trailing_zeros() as usize;
+                return Some(w * 64 + bits.trailing_zeros() as usize);
             }
         }
-        unreachable!("first_occupied_from on an empty ladder")
+        None
     }
 
-    /// How many entries went to the spill heap over this queue's
-    /// lifetime: pushes past the ladder's horizon, plus already-queued
-    /// entries a [`reanchor`](Self::reanchor) moved there when it
-    /// lowered the window (each counted once per move). Zero for
-    /// workloads whose events stay within ~16 delay horizons of the pop
-    /// frontier (all the standard CPS scenarios — a regression test pins
-    /// this); a large value signals the delay hint passed to
+    /// How many entries went to the heap from past the window over this
+    /// queue's lifetime: pushes at or beyond `lo + 128` buckets (16 delay
+    /// horizons), plus ring and run entries a [`lower`](Self::lower) moved
+    /// there (each counted once per move). Zero for the standard CPS
+    /// scenarios (a regression test pins this); a large value signals
+    /// that the delay hint passed to
     /// [`with_delay_hint`](Self::with_delay_hint) is far off the
     /// workload's real horizon.
     pub fn spill_count(&self) -> u64 {
         self.spilled
     }
 
-    /// How many pushes took the catch-all splice into a sorted run
-    /// already [`SPARSE_RUN_MAX`] entries long (the `idx <= run_idx`
-    /// branch of [`push_with_seq`](Self::push_with_seq); inserts into a
-    /// run shorter than that — sparse mode, or a lane's handful of
-    /// same-bucket arrivals — are the cheap path by design and are not
-    /// counted). Each is a binary search plus a memmove of the run's
-    /// tail, so a count that grows with the push count means the queue
-    /// has degraded into one sorted array.
+    /// How many pushes landed in the claimed bucket while its run was
+    /// still draining — late arrivals such as same-instant follow-ups and
+    /// zero-delay sends. Each went to the heap, an `O(log heap)` push and
+    /// pop instead of two O(1) steps, so a count that grows with the push
+    /// count means the traffic has stopped running ahead of the pops.
     pub fn splice_count(&self) -> u64 {
         self.spliced
     }
 
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn len(&self) -> usize {
-        self.len
+        let ring: usize = self.buckets.iter().map(Vec::len).sum();
+        self.run.len() - self.head + ring + self.heap.len()
     }
 
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Number of `Deliver` events currently pending — the sharded engine's
@@ -993,51 +760,33 @@ impl<H> EventQueue<H> {
             .count()
     }
 
-    /// Asserts the tier partition the pop order rests on: a sorted run
-    /// at or below `run_idx`, every bucket entry in its own ring slot
-    /// strictly between `run_idx` and `limit_idx` and within one
-    /// ring-span of the limit (no aliasing), the spill heap at or past
-    /// the limit, and the bookkeeping counters in agreement.
+    /// Asserts the partition the pop order rests on: a sorted run in
+    /// bucket `lo − 1`, every ring entry in its own slot inside the window
+    /// `[lo, lo + RING_BUCKETS)`, the occupancy bits in agreement, and a
+    /// valid heap.
     #[cfg(test)]
     fn check_invariants(&self) {
         let live = &self.run[self.head..];
         assert!(live.windows(2).all(|w| w[0].0 < w[1].0), "run not sorted");
         for e in live {
-            assert!(
-                self.bucket_index(e.at()) <= self.run_idx,
-                "run entry above run_idx"
-            );
+            assert_eq!(self.bucket_index(e.at()) + 1, self.lo, "run entry off the claimed bucket");
         }
-        let mut in_buckets = 0;
         for (slot, bucket) in self.buckets.iter().enumerate() {
             let bit = self.occupied[slot / 64] >> (slot % 64) & 1;
             assert_eq!(bit == 1, !bucket.is_empty(), "occupancy bit of slot {slot}");
             for e in bucket {
                 let idx = self.bucket_index(e.at());
-                assert_eq!(
-                    (idx % LADDER_BUCKETS as u64) as usize,
-                    slot,
-                    "entry in wrong slot"
-                );
+                assert_eq!((idx % RING_BUCKETS as u64) as usize, slot, "entry in wrong slot");
                 assert!(
-                    idx > self.run_idx && idx < self.limit_idx,
-                    "bucket entry outside the ladder"
-                );
-                assert!(
-                    idx + LADDER_BUCKETS as u64 >= self.limit_idx,
-                    "ring slot aliased"
+                    idx >= self.lo && idx < self.lo + RING_BUCKETS as u64,
+                    "ring entry outside the window"
                 );
             }
-            in_buckets += bucket.len();
         }
-        assert_eq!(in_buckets, self.in_buckets);
-        for e in &self.spill.heap {
-            assert!(
-                self.bucket_index(e.at()) >= self.limit_idx,
-                "spill entry below the limit"
-            );
+        let heap = &self.heap.entries;
+        for i in 1..heap.len() {
+            assert!(!heap[i].before(&heap[(i - 1) / HEAP_ARITY]), "heap order");
         }
-        assert_eq!(live.len() + in_buckets + self.spill.len(), self.len);
     }
 
     /// Slab slots currently sitting on the free list (leak diagnostics).
@@ -1293,7 +1042,7 @@ mod tests {
     fn far_future_events_spill_and_return_in_order() {
         let d = Dur::from_millis(1.0);
         let mut q: EventQueue<()> = EventQueue::with_delay_hint(d);
-        // Anchor near zero, then schedule far past the 16d ladder span.
+        // One event near zero, then three far past the 16 d window.
         q.push(Time::from_millis(0.5), EventKind::AdvTimer { key: 0 });
         q.push(Time::from_millis(500.0), EventKind::AdvTimer { key: 2 });
         q.push(Time::from_millis(100.0), EventKind::AdvTimer { key: 1 });
@@ -1305,20 +1054,18 @@ mod tests {
                 _ => unreachable!(),
             })
             .collect();
-        // Spilled entries recharge the ladder and still pop in time order,
-        // across two separate recharges (100 ms and 500 ms fit no common
-        // ladder span; 5000 ms needs a third).
+        // The heap hands them back in time order once the ring is empty.
         assert_eq!(keys, vec![0, 1, 2, 3]);
     }
 
     #[test]
-    fn horizon_rollover_reanchors_the_ladder() {
+    fn horizon_rollover_slides_the_window() {
         let mut q: EventQueue<()> = EventQueue::new();
         for round in 0..50u64 {
             // Each round sits ~1000 bucket widths past the previous one,
-            // far beyond the 128-bucket ring: the queue must re-anchor
-            // every time it drains (and when a push lands on an empty
-            // queue), without ring-index collisions corrupting order.
+            // far beyond the 128-bucket ring: the window must follow the
+            // pops out of the heap, without ring-index collisions
+            // corrupting order.
             let base = Time::from_secs(round as f64 * 0.125);
             q.push(base + Dur::from_micros(7.0), EventKind::AdvTimer { key: 2 * round });
             q.push(base, EventKind::AdvTimer { key: 2 * round + 1 });
@@ -1333,8 +1080,8 @@ mod tests {
     #[test]
     fn pushes_behind_the_frontier_still_pop_first() {
         // An adversarial push *earlier* than everything already popped
-        // must still come out before later-dated entries (the run is the
-        // catch-all tier below the frontier).
+        // must still come out before later-dated entries (it slides the
+        // window down to itself).
         let mut q: EventQueue<()> = EventQueue::new();
         q.push(Time::from_secs(1.0), EventKind::AdvTimer { key: 10 });
         q.push(Time::from_secs(1.001), EventKind::AdvTimer { key: 11 });
@@ -1345,18 +1092,18 @@ mod tests {
     }
 
     /// The chaos engine's push pattern: a `Recover` event scheduled before
-    /// anything else anchors the queue thousands of buckets ahead of the
-    /// traffic. The queue must stay a ladder — O(1) bucket appends, not
-    /// one sorted array absorbing every push by binary search + memmove
-    /// (before the frontier re-anchor, the splice count below equalled
-    /// the number of pushes).
+    /// anything else, thousands of buckets ahead of the traffic. The
+    /// queue must stay a ladder — O(1) ring appends, with the far entry
+    /// parked on the heap — not one sorted array absorbing every push
+    /// (when the queue anchored its tiers on the first push, the splice
+    /// count below equalled the number of pushes).
     #[test]
     fn far_future_anchor_stays_a_ladder() {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
 
         let d = 1e-3; // the default delay hint: buckets are d / 8 wide
-        let sentinel_at = 10_000.0 * d / LADDER_BUCKETS_PER_HORIZON;
+        let sentinel_at = 10_000.0 * d / BUCKETS_PER_HORIZON;
         let mut q: EventQueue<u64> = EventQueue::new();
         let mut oracle: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut seq = 0u64;
@@ -1376,7 +1123,7 @@ mod tests {
         push(&mut q, &mut oracle, sentinel_at);
         // A round's worth of traffic in flight, then 100 k pop/push
         // pairs with delays in [d − u, d]: ~2 k buckets of simulated
-        // time (a dozen ladder epochs), all of it short of the sentinel.
+        // time (a dozen ring spans), all of it short of the sentinel.
         for i in 0..360 {
             push(&mut q, &mut oracle, d * jitter() + f64::from(i) * 1e-9);
         }
@@ -1401,17 +1148,66 @@ mod tests {
         }
         assert_eq!(last, Some(0), "the sentinel pops last");
         assert!(q.is_empty());
-        // One burst-demote's worth of tolerated splices per re-anchor,
-        // and the sentinel forces a single re-anchor.
-        let budget = u64::from(RUN_DEMOTE_INSERTS) + RUN_DEMOTE_MIN as u64 + 8;
+        // Every delay is at least 0.9 d, so no push lands in the bucket
+        // being drained.
+        let budget = 8;
         assert!(
             q.splice_count() < budget,
             "{} of {seq} pushes were spliced into the sorted run (budget {budget})",
             q.splice_count()
         );
-        // The sentinel is moved to the spill heap once; the rest of the
-        // count is ordinary epoch-boundary overflow.
-        assert!(q.spill_count() >= 1);
+        // The sentinel, pushed past the window, is the one spill.
+        assert_eq!(q.spill_count(), 1);
+    }
+
+    /// Bounded-delay traffic plus a timer armed `15 d` ahead on every
+    /// 16th pop — the shape of a CPS run, whose timers reach `T + 3S <
+    /// 13 d` — never leaves the window, however far the pops travel: the
+    /// window slides with every claim. (A window anchored once per
+    /// `16 d` epoch spilled 21 178 entries of this stream.)
+    #[test]
+    fn window_slides_with_the_frontier() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        let d = 1e-3; // the default delay hint
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut oracle: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut push =
+            |q: &mut EventQueue<u64>, oracle: &mut BinaryHeap<Reverse<(u64, u64)>>, at: f64| {
+                q.push(Time::from_secs(at), EventKind::AdvTimer { key: seq });
+                oracle.push(Reverse((at.to_bits(), seq)));
+                seq += 1;
+            };
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        let mut jitter = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for i in 0..360 {
+            push(&mut q, &mut oracle, d * jitter() + f64::from(i) * 1e-9);
+        }
+        for i in 0..200_000u32 {
+            let event = q.pop().expect("queue holds the stream");
+            let Reverse((at_bits, want)) = oracle.pop().expect("oracle holds the stream");
+            assert_eq!(event.at.as_secs().to_bits(), at_bits, "pop {i} out of order");
+            assert!(matches!(event.kind, EventKind::AdvTimer { key } if key == want));
+            let now = event.at.as_secs();
+            push(&mut q, &mut oracle, now + d - 0.01 * d * jitter());
+            if i % 16 == 0 {
+                push(&mut q, &mut oracle, now + 15.0 * d);
+            }
+        }
+        while let Some(Reverse((at_bits, want))) = oracle.pop() {
+            let event = q.pop().expect("queue and oracle drain together");
+            assert_eq!(event.at.as_secs().to_bits(), at_bits);
+            assert!(matches!(event.kind, EventKind::AdvTimer { key } if key == want));
+        }
+        assert!(q.is_empty());
+        assert_eq!(q.spill_count(), 0, "entries left the window");
     }
 
     proptest! {
@@ -1495,15 +1291,15 @@ mod tests {
             prop_assert!(slab.high_water() <= 300);
         }
 
-        /// Ladder queue vs. a `BinaryHeap` oracle over adversarial
+        /// The queue vs. a `BinaryHeap` oracle over adversarial
         /// timestamp patterns — same-instant bursts, zero-delay (ũ = d)
-        /// arrivals, bounded-delay traffic, far-future timers that hit
-        /// the spill heap, horizon rollovers that force the ladder to
-        /// re-anchor, a first push ≥ 1 000 buckets ahead of everything
-        /// that follows (the `Recover`-first shape), and drains down to
-        /// the spill tier followed by nearer pushes (the dry sharded
-        /// lane), both of which lower the whole window. The `(at, seq)`
-        /// pop sequences must be identical.
+        /// arrivals, bounded-delay traffic, far-future timers past the
+        /// window, horizon rollovers that leave the ring empty, a first
+        /// push ≥ 1 000 buckets ahead of everything that follows (the
+        /// `Recover`-first shape), and drains down to the heap followed
+        /// by nearer pushes (the dry sharded lane), both of which slide
+        /// the window down. The `(at, seq)` pop sequences must be
+        /// identical.
         #[test]
         fn prop_ladder_matches_heap_oracle(
             ops in proptest::collection::vec(0u32..1 << 14, 1..300)
@@ -1545,7 +1341,7 @@ mod tests {
                 }
             };
             // Half the streams open on a far-future first push, which
-            // anchors the ladder ≥ 1 000 buckets (125 d) past the rest.
+            // lands ≥ 1 000 buckets (125 d) past the rest.
             if ops[0] % 2 == 0 {
                 let at = (125.0 + f64::from(ops[0] >> 3)) * d;
                 push(&mut q, &mut oracle, &mut next_seq, at);
@@ -1553,11 +1349,11 @@ mod tests {
             for op in ops {
                 let magnitude = f64::from(op >> 3);
                 match op % 8 {
-                    // Drain to the spill tier, let a peek recharge the
-                    // ladder on the (far) spill minimum, then undercut it
-                    // with bounded-delay traffic from the pop frontier.
+                    // Drain to the heap, let a peek look at its (far)
+                    // minimum, then undercut it with bounded-delay
+                    // traffic from the pop frontier.
                     7 if (op >> 3) % 8 == 0 => {
-                        while q.len() > q.spill.len() {
+                        while q.len() > q.heap.len() {
                             pop_and_compare(&mut q, &mut oracle, &mut now);
                         }
                         let _ = q.peek_key();
@@ -1579,7 +1375,7 @@ mod tests {
                     }
                     // Zero-delay arrival, as under ũ = d.
                     3 => push(&mut q, &mut oracle, &mut next_seq, now),
-                    // Far-future timer, beyond the 16d ladder span.
+                    // Far-future timer, beyond the 16 d window.
                     4 => {
                         let at = now + (20.0 + magnitude) * 16.0 * d;
                         push(&mut q, &mut oracle, &mut next_seq, at);

@@ -27,15 +27,14 @@
 //! Every experiment and test funnels through this engine, so the hot path
 //! is engineered to process an event without touching the allocator:
 //!
-//! * the future-event list is a ladder (calendar) queue of 16-byte `Copy`
-//!   records (`u128`-packed `(time, seq, slot)`) pointing into a
-//!   free-list slab of 16-byte events — pushes are O(1) bucket
-//!   appends anchored at the pop frontier (a far-future first push, such
-//!   as a crash scenario's recovery event, cannot stretch the sorted
-//!   tier over the traffic in front of it; [`Trace::queue_splice_count`]
-//!   and [`Trace::queue_spill_count`] report the exceptions), ordering
-//!   never moves or clones a message, and pushes past the high-water
-//!   mark allocate nothing;
+//! * the future-event list is a calendar queue of 16-byte `Copy` records
+//!   (`u128`-packed `(time, seq, slot)`) pointing into a free-list slab
+//!   of 16-byte events — pushes are O(1) appends to a 128-bucket ring
+//!   whose window slides with the pops, and the rest (far-future timers,
+//!   late pushes into the bucket being drained; [`Trace::queue_spill_count`]
+//!   and [`Trace::queue_splice_count`] count them) waits on one small
+//!   heap; ordering never moves or clones a message, and pushes past the
+//!   high-water mark allocate nothing;
 //! * node and adversary effect buffers are pooled in the [`Sim`] and
 //!   drained in place (one allocation per run, not per event);
 //! * every message is stored once, outside the queue (an integer-refcounted

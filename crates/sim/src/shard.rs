@@ -11,8 +11,8 @@
 //!
 //! * **Lanes.** Node `v` belongs to lane `v.index() % lanes`. A lane owns
 //!   its nodes' automatons, their timers, and a lane-local event queue
-//!   (the engine's ladder queue) holding exactly the events destined for
-//!   its nodes.
+//!   (the engine's sliding-window queue) holding exactly the events
+//!   destined for its nodes.
 //! * **Windows.** Each round picks the globally earliest pending event
 //!   time `t_min` and advances every lane — in parallel, on a persistent
 //!   per-lane worker pool — through the window `[t_min, t_min + (d − ũ))`.
@@ -82,10 +82,11 @@
 //! memory bound, but an upper estimate of the single global slab's
 //! high-water (lanes cannot observe each other's concurrent occupancy) —
 //! and [`Trace::queue_spill_count`] / [`Trace::queue_splice_count`] sum
-//! the per-lane ladder-queue spill and splice counters, which need not
-//! equal the single global queue's (lane frontiers advance
-//! independently). All three are performance diagnostics, excluded from
-//! the determinism trace hash.
+//! the per-lane queues' spill and splice counters, which need not equal
+//! the single global queue's (lane frontiers advance independently, and
+//! a lane's window slides down whenever the reconcile posts traffic
+//! under the bucket it last claimed). All three are performance
+//! diagnostics, excluded from the determinism trace hash.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -282,10 +283,6 @@ impl<A: Automaton> Lane<A> {
             };
             self.records.push(Record { at, seq, body });
         }
-        // Pausing at the window boundary: hand the run's unpopped tail
-        // back to the ladder, so the reconcile's upcoming push storm
-        // lands in O(1) buckets instead of splicing into a claimed run.
-        self.queue.relax();
     }
 
     /// Pushes an in-window event under the next provisional sequence
@@ -656,7 +653,8 @@ impl<A: Automaton> ShardedSim<A> {
 
     /// The earliest pending `(at, seq)` key across lanes and adversary
     /// timers — the next window's start. (`&mut`: peeking may lazily
-    /// claim a lane queue's next ladder bucket.)
+    /// claim a lane queue's next ring bucket, sliding its window past
+    /// it; a reconcile push under that bucket slides it back down.)
     fn global_min_key(&mut self) -> Option<EventKey> {
         let lane_min = self
             .router

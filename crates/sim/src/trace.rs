@@ -40,23 +40,20 @@ pub struct Trace {
     /// [`queue_spill_count`]: Self::queue_spill_count
     /// [`queue_splice_count`]: Self::queue_splice_count
     pub timer_slots_high_water: u64,
-    /// Events that overflowed the ladder event queue's bucketed horizon
-    /// into its far-future spill heap (see `crusader_sim`'s engine
-    /// internals: the queue covers ~16 maximum-delay horizons ahead of
-    /// the pop frontier in O(1) buckets, and anything further rides a
-    /// fallback min-heap). Zero for the standard CPS scenarios — every
-    /// CPS timer fires within `T + 3S < 13d` of being armed — and pinned
-    /// there by a regression test; a persistently large value means the
-    /// workload's timer horizon dwarfs its link delay `d` and the queue
-    /// is degrading toward plain heap behaviour.
+    /// Entries the event queue sent past its bucket window to its heap
+    /// (see `crusader_sim`'s engine internals: a 128-bucket ring covers
+    /// the ~16 maximum-delay horizons just past the pop frontier in O(1)
+    /// buckets, and its window slides with every bucket the pops claim).
+    /// Zero for the standard CPS scenarios — every CPS timer fires within
+    /// `T + 3S < 13d` of being armed — and pinned there by a regression
+    /// test; a persistently large value means the workload's timer
+    /// horizon dwarfs its link delay `d` and the queue is degrading
+    /// toward plain heap behaviour.
     ///
-    /// When traffic undercuts a far-anchored run (a `Recover` event
-    /// scheduled first, a lane holding only its next-pulse timer) the
-    /// queue re-anchors its window at the pop frontier and moves the
-    /// already-queued entries past the lowered horizon to the spill
-    /// heap; those moves **are counted here**, once each, next to the
-    /// pushes that overflowed directly. Standard CPS runs never lower
-    /// the window, so their count stays zero.
+    /// Two kinds of entry are counted, once each: pushes past the window,
+    /// and already-queued entries that a push *below* the window (traffic
+    /// under a far `Recover` event or under a lane's next-pulse timer)
+    /// moved to the heap when it slid the window down to itself.
     ///
     /// Purely a performance diagnostic: spilling never affects event
     /// order. Under the sharded executor it is the *sum* over the
@@ -65,19 +62,17 @@ pub struct Trace {
     /// [`timer_slots_high_water`](Self::timer_slots_high_water) — it is
     /// excluded from the determinism trace hash.
     pub queue_spill_count: u64,
-    /// Pushes that landed in the ladder queue's catch-all tier and were
-    /// spliced by binary search plus memmove into a sorted run already
-    /// past the queue's tiny-array size (24 entries; shorter runs are
-    /// the cheap path by design and are not counted) — the one push path
-    /// that is not O(1). Same-instant follow-ups and zero-delay sends
-    /// into a busy bucket always take it; a count above a percent or so of
-    /// [`events_processed`](Self::events_processed) means the tier
-    /// partition has lost the pop frontier and the queue is degrading
-    /// toward one sorted array (the chaos matrix test and the
-    /// chaos-smoke CI job gate that share).
+    /// Late pushes into the event queue's claimed bucket — the sorted run
+    /// it is draining — which go to its heap instead: same-instant
+    /// follow-ups and zero-delay sends. Together with
+    /// [`queue_spill_count`](Self::queue_spill_count) these are the pushes
+    /// that are not an O(1) ring append; a sum above a percent or so of
+    /// [`events_processed`](Self::events_processed) means the window has
+    /// lost the pop frontier and the queue is degrading toward a heap
+    /// (the chaos matrix test and the chaos-smoke CI job gate that share).
     ///
-    /// Purely a performance diagnostic: which tier a push lands in never
-    /// affects event order. Summed over the per-lane queues under the
+    /// Purely a performance diagnostic: which part of the queue a push
+    /// lands in never affects event order. Summed over the per-lane queues under the
     /// sharded executor and excluded from the determinism trace hash,
     /// exactly like [`queue_spill_count`](Self::queue_spill_count).
     pub queue_splice_count: u64,
