@@ -16,7 +16,7 @@ use crusader_crypto::{CarriesSignatures, NodeId};
 use crusader_sim::{Automaton, Context, TimerId};
 use crusader_time::{Dur, LocalTime};
 
-use crusader_core::{midpoint, Derived, ParamError, Params};
+use crusader_core::{midpoint, Derived, ParamError, Params, TcbWindows};
 
 /// The unsigned "I pulsed" message of Lynch–Welch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,6 +47,8 @@ pub struct LwNode {
     me: NodeId,
     params: Params,
     derived: Derived,
+    /// CPS's TCB windows: the send offset and the acceptance window.
+    windows: TcbWindows,
     round: u64,
     pulse_local: LocalTime,
     /// First reception local time per sender for the current round.
@@ -62,6 +64,7 @@ impl LwNode {
             me,
             params,
             derived,
+            windows: TcbWindows::from_params(&params, &derived),
             round: 0,
             pulse_local: LocalTime::ZERO,
             arrivals: Vec::new(),
@@ -86,19 +89,14 @@ impl LwNode {
         self.round
     }
 
-    fn accept_window(&self) -> Dur {
-        (self.params.d + self.derived.s * (self.params.theta + 1.0)) * self.params.theta
-    }
-
     fn start_round(&mut self, ctx: &mut dyn Context<Tick>) {
         self.round += 1;
         self.pulse_local = ctx.local_time();
         ctx.pulse(self.round);
         self.arrivals = vec![None; self.params.n];
-        let send_at = self.pulse_local + self.derived.s * self.params.theta;
-        let id = ctx.set_timer_at(send_at);
+        let id = ctx.set_timer_at(self.pulse_local + self.windows.send_offset);
         self.timers.insert(id, TimerKind::SendOwn { round: self.round });
-        let deadline = self.pulse_local + self.accept_window() + self.derived.eps * 2.0;
+        let deadline = self.pulse_local + self.windows.accept_window + self.derived.eps * 2.0;
         let id = ctx.set_timer_at(deadline);
         self.timers
             .insert(id, TimerKind::Deadline { round: self.round });
@@ -146,8 +144,8 @@ impl Automaton for LwNode {
             return;
         }
         let h = ctx.local_time();
-        if h <= self.pulse_local || h >= self.pulse_local + self.accept_window() + self.derived.eps
-        {
+        let window_end = self.pulse_local + self.windows.accept_window + self.derived.eps;
+        if h <= self.pulse_local || h >= window_end {
             return;
         }
         let slot = &mut self.arrivals[from.index()];

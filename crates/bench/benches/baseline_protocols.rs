@@ -18,7 +18,7 @@ fn bench_protocols(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("cps", |b| {
         let s = scenario();
-        b.iter(|| s.run_cps(Box::new(SilentAdversary)).0.pulses);
+        b.iter(|| s.run_cps(Box::new(SilentAdversary)).0.stats.complete_pulses);
     });
     group.bench_function("lynch_welch", |b| {
         let mut s = scenario();
@@ -31,7 +31,8 @@ fn bench_protocols(c: &mut Criterion) {
                 |me| LwNode::new(me, params, derived),
                 Box::new(SilentAdversary),
             )
-            .pulses
+            .stats
+            .complete_pulses
         });
     });
     group.bench_function("echo_sync", |b| {
@@ -42,7 +43,8 @@ fn bench_protocols(c: &mut Criterion) {
                 |me| EchoSyncNode::new(me, 8, 3, Dur::from_millis(10.0)),
                 Box::new(SilentAdversary),
             )
-            .pulses
+            .stats
+            .complete_pulses
         });
     });
     group.bench_function("chain_sync", |b| {
@@ -54,7 +56,8 @@ fn bench_protocols(c: &mut Criterion) {
                 |me| ChainSyncNode::new(me, 8, 3, Dur::from_millis(1.0), 1.0001),
                 Box::new(SilentAdversary),
             )
-            .pulses
+            .stats
+            .complete_pulses
         });
     });
     group.finish();

@@ -14,7 +14,7 @@ fn bench_cps(c: &mut Criterion) {
             let s = cps_scenario(n);
             b.iter(|| {
                 let (m, _) = s.run_cps(Box::new(SilentAdversary));
-                assert_eq!(m.pulses as u64, CPS_SNAPSHOT_PULSES);
+                assert_eq!(m.stats.complete_pulses as u64, CPS_SNAPSHOT_PULSES);
             });
         });
     }

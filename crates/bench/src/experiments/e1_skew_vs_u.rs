@@ -7,6 +7,7 @@
 
 use crate::cli::{Failure, SimArgs};
 use crate::{header, us, Scenario};
+use crusader_core::bounds::definition3;
 use crusader_sim::{DelayModel, SilentAdversary};
 use crusader_time::drift::DriftModel;
 use crusader_time::Dur;
@@ -35,15 +36,15 @@ pub fn run(args: &SimArgs) -> Result<(), Failure> {
         s.drift = DriftModel::ExtremalSplit;
         s.pulses = 15;
         let (m, derived) = s.run_cps(Box::new(SilentAdversary));
-        assert_eq!(m.pulses, 15, "liveness at u={u_us}µs");
-        assert!(m.max_skew <= derived.s, "bound violated at u={u_us}µs");
+        assert_eq!(m.stats.complete_pulses, 15, "liveness at u={u_us}µs");
+        definition3(&m.stats, &derived).unwrap_or_else(|b| panic!("at u={u_us}µs: {b:?}"));
         println!(
             "| {:>7.1} | {:>12} | {:>13} | {:>16} | {:>5.2} | {:>8.2} |",
             u_us,
             us(derived.s),
-            us(m.max_skew),
+            us(m.stats.max_skew),
             us(m.steady_skew),
-            m.max_skew.as_secs() / derived.s.as_secs(),
+            m.stats.max_skew.as_secs() / derived.s.as_secs(),
             derived.s.as_micros() / u_us,
         );
     }

@@ -6,6 +6,7 @@
 
 use crate::cli::{Failure, SimArgs};
 use crate::{header, us, Scenario};
+use crusader_core::bounds::definition3;
 use crusader_core::Params;
 use crusader_sim::{DelayModel, SilentAdversary};
 use crusader_time::drift::DriftModel;
@@ -38,13 +39,13 @@ pub fn run(args: &SimArgs) -> Result<(), Failure> {
         s.drift = DriftModel::ExtremalSplit;
         s.pulses = 15;
         let (m, derived) = s.run_cps(Box::new(SilentAdversary));
-        assert_eq!(m.pulses, 15, "liveness at θ={theta}");
-        assert!(m.max_skew <= derived.s, "bound violated at θ={theta}");
+        assert_eq!(m.stats.complete_pulses, 15, "liveness at θ={theta}");
+        definition3(&m.stats, &derived).unwrap_or_else(|b| panic!("at θ={theta}: {b:?}"));
         println!(
             "| {:>7.0e} | {:>12} | {:>13} | {:>16} | {:>10.2} |",
             theta_minus_1,
             us(derived.s),
-            us(m.max_skew),
+            us(m.stats.max_skew),
             us(m.steady_skew),
             derived.s.as_secs() / (theta_minus_1 * d.as_secs()),
         );

@@ -2,13 +2,15 @@
 //! Lynch–Welch (no signatures) is limited to ⌈n/3⌉−1.
 //!
 //! For each (n, f) cell, both protocols face their matching stagger
-//! attack with adversarially split clock rates. "ok" = bounded skew
-//! (≤ S) and no violations over 40 pulses; "DIVERGES" = skew grew past S.
+//! attack with adversarially split clock rates. "ok" = 40 pulses, no
+//! violations and skew ≤ S (for CPS, all of Definition 3); "DIVERGES" =
+//! anything else.
 
 use crusader_baselines::{LwNode, TickStagger};
 use crate::cli::{Failure, SimArgs};
 use crate::Scenario;
 use crusader_core::adversary::StaggeredDealer;
+use crusader_core::bounds::definition3;
 use crusader_core::{max_faults_with_signatures, max_faults_without_signatures, Params};
 use crusader_sim::DelayModel;
 use crusader_time::drift::DriftModel;
@@ -39,7 +41,8 @@ fn verdict_cps(n: usize, f: usize, lanes: usize) -> &'static str {
         |me| crusader_core::CpsNode::new(me, params, derived),
         Box::new(StaggeredDealer::new(Dur::from_micros(300.0))),
     );
-    if m.pulses == 40 && m.violations == 0 && m.max_skew <= derived.s {
+    let within_bounds = definition3(&m.stats, &derived).is_ok();
+    if m.stats.complete_pulses == 40 && m.violations == 0 && within_bounds {
         "ok"
     } else {
         "DIVERGES"
@@ -57,7 +60,7 @@ fn verdict_lw(n: usize, f: usize, lanes: usize) -> &'static str {
         |me| LwNode::new(me, params, derived),
         Box::new(TickStagger::new(Dur::from_micros(300.0))),
     );
-    if m.pulses == 40 && m.violations == 0 && m.max_skew <= derived.s {
+    if m.stats.complete_pulses == 40 && m.violations == 0 && m.stats.max_skew <= derived.s {
         "ok"
     } else {
         "DIVERGES"

@@ -3,6 +3,7 @@
 
 use crate::cli::{Failure, SimArgs};
 use crate::{header, Scenario};
+use crusader_core::bounds::definition3;
 use crusader_sim::{DelayModel, SilentAdversary};
 use crusader_time::drift::DriftModel;
 use crusader_time::Dur;
@@ -36,15 +37,14 @@ pub fn run(args: &SimArgs) -> Result<(), Failure> {
         s.drift = DriftModel::ExtremalSplit;
         s.pulses = 12;
         let (m, derived) = s.run_cps(Box::new(SilentAdversary));
-        let ok = m.min_period >= derived.p_min - Dur::from_nanos(1.0)
-            && m.max_period <= derived.p_max + Dur::from_nanos(1.0);
+        let ok = m.stats.complete_pulses == 12 && definition3(&m.stats, &derived).is_ok();
         println!(
             "| {:>7.1} | {:>6} | {:>14.4} | {:>13.4} | {:>13.4} | {:>14.4} | {} |",
             u_us,
             theta,
             derived.p_min.as_millis(),
-            m.min_period.as_millis(),
-            m.max_period.as_millis(),
+            m.stats.min_period.as_millis(),
+            m.stats.max_period.as_millis(),
             derived.p_max.as_millis(),
             if ok { "yes" } else { "NO" },
         );

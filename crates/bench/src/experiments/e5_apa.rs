@@ -23,7 +23,7 @@ impl RushingAdversary<ApaMsg> for SplitDealers {
         round: usize,
         _honest: &[(NodeId, NodeId, ApaMsg)],
     ) -> Vec<(NodeId, NodeId, ApaMsg)> {
-        if round % 2 != 0 {
+        if !round.is_multiple_of(2) {
             return Vec::new();
         }
         let iteration = round / 2;

@@ -15,7 +15,7 @@
 //! `--lanes` is rejected.
 
 use crate::cli::{Failure, SimArgs};
-use crusader_core::{TcbInstance, TcbWindows};
+use crusader_core::{Params, TcbInstance, TcbWindows};
 use crusader_time::{Dur, LocalTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -48,12 +48,13 @@ fn sample(
     // whenever it likes (staggered per receiver, receiver 0 earliest).
     let p_dealer = rng.gen_range(0.0..s_bound);
     let dealer_rate = rng.gen_range(1.0..=theta);
+    let send_offset = windows.send_offset.as_secs();
     let send_real = |to: usize| -> f64 {
         if honest_dealer {
-            p_dealer + theta * s_bound / dealer_rate
+            p_dealer + send_offset / dealer_rate
         } else {
             let share = if n > 1 { to as f64 / (n - 1) as f64 } else { 0.0 };
-            p_dealer + theta * s_bound + share * stagger
+            p_dealer + send_offset + share * stagger
         }
     };
     // Direct deliveries.
@@ -124,13 +125,8 @@ pub fn run(args: &SimArgs) -> Result<(), Failure> {
     // count, under this experiment's link/clock parameters.
     let n = args.resolve_n(2, Dur::from_secs(d), Dur::from_secs(u), theta)?;
     let s_bound = 300e-6;
-    let windows = TcbWindows {
-        send_offset: Dur::from_secs(theta * s_bound),
-        accept_window: Dur::from_secs(theta * (d + (theta + 1.0) * s_bound)),
-        decide_wait: Dur::from_secs(d - 2.0 * u),
-        eps: Dur::from_nanos(0.05),
-        reject_echoes: true,
-    };
+    let params = Params::max_resilience(n, Dur::from_secs(d), Dur::from_secs(u), theta);
+    let windows = TcbWindows::with_skew(&params, Dur::from_secs(s_bound), Dur::from_nanos(0.05));
     let consistency_bound = (1.0 - 1.0 / theta) * d + 2.0 * u / theta;
     let trials = 20_000;
 

@@ -33,11 +33,11 @@ pub fn run(args: &SimArgs) -> Result<(), Failure> {
             "| {:>6.0} | {:>3.0} | {:>6} | {:>13.3} | {:>19} |",
             u_tilde.as_micros(),
             mult,
-            m.pulses,
-            m.max_skew.as_micros(),
+            m.stats.complete_pulses,
+            m.stats.max_skew.as_micros(),
             m.violations,
         );
-        assert_eq!(m.pulses, 12, "liveness must survive");
+        assert_eq!(m.stats.complete_pulses, 12, "liveness must survive");
     }
     println!("\nShape check: at ũ = u the attack is harmless (0 violations —");
     println!("the TCB windows were sized for exactly this); as ũ grows the");

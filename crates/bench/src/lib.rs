@@ -19,33 +19,22 @@ pub mod snapshot;
 /// One measured run.
 #[derive(Clone, Debug)]
 pub struct Measurement {
-    /// Pulses completed by every honest node.
-    pub pulses: usize,
-    /// `sup_r ‖p⃗_r‖` over the run.
-    pub max_skew: Dur,
+    /// The honest nodes' pulse statistics: liveness, skews, periods.
+    pub stats: PulseStats,
     /// Max skew after the convergence prefix (pulse 5 onwards).
     pub steady_skew: Dur,
-    /// Minimum observed period.
-    pub min_period: Dur,
-    /// Maximum observed period.
-    pub max_period: Dur,
     /// Number of soft violations recorded (0 in a healthy run).
     pub violations: usize,
-    /// Messages delivered.
-    pub messages: u64,
 }
 
 impl Measurement {
-    fn from_stats(stats: &PulseStats, trace: &Trace) -> Self {
+    fn new(trace: &Trace, honest: &[NodeId]) -> Self {
+        let stats = pulse_stats(trace, honest);
         Measurement {
-            pulses: stats.complete_pulses,
-            max_skew: stats.max_skew,
-            steady_skew: steady_state_skew(stats, 5.min(stats.complete_pulses.max(1)))
+            steady_skew: steady_state_skew(&stats, 5.min(stats.complete_pulses.max(1)))
                 .unwrap_or(stats.max_skew),
-            min_period: stats.min_period,
-            max_period: stats.max_period,
+            stats,
             violations: trace.violations.len(),
-            messages: trace.messages_delivered,
         }
     }
 }
@@ -162,8 +151,7 @@ impl Scenario {
         adversary: Box<dyn Adversary<crusader_core::Carry>>,
     ) -> (Measurement, Derived) {
         let (trace, derived) = self.run_cps_trace(adversary);
-        let stats = pulse_stats(&trace, &self.honest());
-        (Measurement::from_stats(&stats, &trace), derived)
+        (Measurement::new(&trace, &self.honest()), derived)
     }
 
     /// Runs CPS under this scenario and returns the raw [`Trace`].
@@ -214,9 +202,7 @@ impl Scenario {
         F: FnMut(NodeId) -> A,
     {
         let sim = self.builder(max_offset).build(make_node, adversary);
-        let trace = self.execute(sim);
-        let stats = pulse_stats(&trace, &self.honest());
-        Measurement::from_stats(&stats, &trace)
+        Measurement::new(&self.execute(sim), &self.honest())
     }
 }
 
@@ -292,8 +278,8 @@ mod tests {
         let mut s = Scenario::new(4, Dur::from_millis(1.0), Dur::from_micros(10.0), 1.0001);
         s.pulses = 5;
         let (m, derived) = s.run_cps(Box::new(SilentAdversary));
-        assert_eq!(m.pulses, 5);
-        assert!(m.max_skew <= derived.s);
+        assert_eq!(m.stats.complete_pulses, 5);
+        assert_eq!(crusader_core::bounds::definition3(&m.stats, &derived), Ok(()));
         assert_eq!(m.violations, 0);
     }
 }

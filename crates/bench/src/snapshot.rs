@@ -18,9 +18,9 @@
 //! * `recovery` — a crash-and-rejoin scenario per grid point
 //!   (n ∈ {4, 8, 16} × {one crash, the full crash budget}) with the
 //!   [`crusader_core::RecoveringNode`] fleet: completed rejoins and
-//!   worst/mean time-to-resync against the documented catch-up bound
-//!   `(2d + u)θ + 2·p_max` (the resync collect window plus two maximum
-//!   round periods), to the millisecond's third decimal;
+//!   worst/mean time-to-resync against the catch-up bound
+//!   [`crusader_core::bounds::rejoin_catch_up`], to the millisecond's
+//!   third decimal;
 //! * `catalog` — every committed chaos scenario at its native `n`, so a
 //!   queue change that moves a spill or splice count is a one-line diff
 //!   of a committed file.
@@ -50,7 +50,7 @@ use std::path::Path;
 use std::time::Duration;
 
 use crusader_chaos::{builtin_catalog_dir, run_scenario, Catalog, Executor};
-use crusader_core::{max_faults_with_signatures, CpsNode, FleetNode, Params, PulseClient};
+use crusader_core::{bounds, max_faults_with_signatures, CpsNode, FleetNode, Params, PulseClient};
 use crusader_crypto::NodeId;
 use crusader_runtime::RuntimeConfig;
 use crusader_sim::metrics::{pulse_stats, resync_times};
@@ -111,9 +111,8 @@ pub struct RecoveryRow {
     pub max_resync_ms: f64,
     /// Mean recovery-to-next-pulse time across the row, in ms.
     pub mean_resync_ms: f64,
-    /// The documented catch-up bound `(2d + u)θ + 2·p_max` in ms: the
-    /// resync collect window plus two maximum round periods. The row's
-    /// scenario pins it as its `resync_ms` invariant.
+    /// The catch-up bound [`crusader_core::bounds::rejoin_catch_up`] in
+    /// ms. The row's scenario pins it as its `resync_ms` invariant.
     pub bound_ms: f64,
     /// Violations (protocol or invariant) recorded by the replay.
     pub violations: u64,
@@ -391,8 +390,7 @@ pub fn recovery_scenario(n: usize, crashes: usize) -> crusader_chaos::Scenario {
     let theta = 1.01;
     let params = Params::max_resilience(n, d, u, theta);
     let derived = params.derive().expect("recovery grid params feasible");
-    let collect_window = (d * 2.0 + u) * theta;
-    let bound = collect_window + derived.p_max * 2.0;
+    let bound = bounds::rejoin_catch_up(&params, &derived);
     let mut text = format!(
         "name recovery_n{n}_c{crashes}\n\
          summary {crashes} staggered crash-and-rejoin cycles at n = {n}\n\

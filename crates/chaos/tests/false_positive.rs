@@ -4,7 +4,11 @@
 //! checker's bounds are mis-calibrated or an engine regressed — both
 //! worth failing loudly over.
 
-use crusader_chaos::{builtin_catalog_dir, run_scenario, Catalog, Executor, Scenario};
+use crusader_chaos::{
+    builtin_catalog_dir, run_scenario, scenario_params, Catalog, Executor, Scenario,
+};
+use crusader_core::{bounds, Derived};
+use crusader_sim::metrics::PulseStats;
 
 fn fault_free_scenarios() -> Vec<Scenario> {
     Catalog::load(&builtin_catalog_dir())
@@ -61,6 +65,32 @@ fn fault_free_scenarios_are_spotless_on_the_simulator() {
                 }
             }
         }
+    }
+}
+
+/// No committed scenario's hand-set `skew_ms` or `period_ms` is tighter
+/// than Theorem 17 at the scenario's own `(d, u, θ)`: pulses at the
+/// theorem's extremes pass Definition 3 against the scenario's limits.
+/// `resync_ms` pins a regression envelope, tighter than the claimed
+/// catch-up bound on purpose, so it is not checked here.
+#[test]
+fn catalog_invariants_admit_theorem_17() {
+    let catalog = Catalog::load(&builtin_catalog_dir()).expect("committed catalog loads");
+    for sc in catalog.scenarios {
+        let derived = scenario_params(&sc).derive().expect("catalog params feasible");
+        let spec = &sc.invariants;
+        let (p_min, p_max) = spec.period.unwrap_or((derived.p_min, derived.p_max));
+        let limits = Derived { s: spec.skew.unwrap_or(derived.s), p_min, p_max, ..derived };
+        let extremes = PulseStats {
+            skews: vec![derived.s; 2],
+            max_skew: derived.s,
+            min_period: derived.p_min,
+            min_period_round: 1,
+            max_period: derived.p_max,
+            max_period_round: 1,
+            complete_pulses: 2,
+        };
+        assert_eq!(bounds::definition3(&extremes, &limits), Ok(()), "{}", sc.name);
     }
 }
 

@@ -230,11 +230,12 @@ impl Adversary<Carry> for StaggeredDealer {
 #[cfg(test)]
 mod tests {
     use crusader_crypto::NodeId;
-    use crusader_sim::metrics::pulse_stats;
+    use crusader_sim::metrics::{pulse_stats, PulseStats};
     use crusader_sim::{DelayModel, LinkConfig, SimBuilder};
     use crusader_time::drift::DriftModel;
     use crusader_time::Time;
 
+    use crate::bounds;
     use crate::cps::CpsNode;
     use crate::params::Params;
 
@@ -250,9 +251,10 @@ mod tests {
         adv: Box<dyn Adversary<Carry>>,
         u_tilde: Option<Dur>,
         pulses: u64,
-    ) -> (crusader_sim::Trace, Params) {
+    ) -> (crusader_sim::Trace, PulseStats) {
         let p = params(n);
         let derived = p.derive().unwrap();
+        let honest: Vec<NodeId> = NodeId::all(n).filter(|v| !faulty.contains(&v.index())).collect();
         let mut link = LinkConfig::new(p.d, p.u);
         if let Some(ut) = u_tilde {
             link = link.with_u_tilde(ut);
@@ -267,22 +269,16 @@ mod tests {
             .max_pulses(pulses)
             .build(|me| CpsNode::new(me, p, derived), adv)
             .run();
-        (trace, p)
+        let stats = pulse_stats(&trace, &honest);
+        (trace, stats)
     }
 
     #[test]
     fn rushing_forwarder_is_harmless_when_u_tilde_equals_u() {
-        let (trace, p) = run_with(5, vec![4], Box::new(RushingForwarder::new()), None, 8);
-        let honest: Vec<NodeId> = (0..4).map(NodeId::new).collect();
-        let stats = pulse_stats(&trace, &honest);
+        let (trace, stats) = run_with(5, vec![4], Box::new(RushingForwarder::new()), None, 8);
         assert_eq!(stats.complete_pulses, 8);
-        let derived = p.derive().unwrap();
-        assert!(
-            stats.max_skew <= derived.s,
-            "skew {} > S {}",
-            stats.max_skew,
-            derived.s
-        );
+        let derived = params(5).derive().unwrap();
+        assert_eq!(bounds::definition3(&stats, &derived), Ok(()));
         assert!(trace.violations.is_empty(), "{:?}", trace.violations);
     }
 
@@ -292,15 +288,13 @@ mod tests {
         // rejection horizon, so honest dealers start getting ⊥'d. The
         // protocol must still be live (⊥ counts against the fault
         // budget), but the error budget degrades.
-        let (trace, _) = run_with(
+        let (trace, stats) = run_with(
             5,
             vec![4],
             Box::new(RushingForwarder::new()),
             Some(Dur::from_micros(300.0)),
             8,
         );
-        let honest: Vec<NodeId> = (0..4).map(NodeId::new).collect();
-        let stats = pulse_stats(&trace, &honest);
         // Liveness persists...
         assert_eq!(stats.complete_pulses, 8);
         // ...and the attack visibly fires: ⊥ outputs now exceed what the
@@ -315,22 +309,15 @@ mod tests {
     fn staggered_dealer_bounded_by_echo_rejection() {
         let p = params(5);
         let derived = p.derive().unwrap();
-        let (trace, _) = run_with(
+        let (_, stats) = run_with(
             5,
             vec![4],
             Box::new(StaggeredDealer::new(Dur::from_micros(200.0))),
             None,
             10,
         );
-        let honest: Vec<NodeId> = (0..4).map(NodeId::new).collect();
-        let stats = pulse_stats(&trace, &honest);
         assert_eq!(stats.complete_pulses, 10);
-        assert!(
-            stats.max_skew <= derived.s,
-            "skew {} > S {}",
-            stats.max_skew,
-            derived.s
-        );
+        assert_eq!(bounds::definition3(&stats, &derived), Ok(()));
     }
 
     #[test]
@@ -340,7 +327,7 @@ mod tests {
         // the skew within S (ablation A1 shows it escaping without).
         let p = params(5);
         let derived = p.derive().unwrap();
-        let (trace, _) = run_with(
+        let (_, stats) = run_with(
             5,
             vec![3, 4],
             Box::new(StaggeredDealer::anticipating(
@@ -351,14 +338,7 @@ mod tests {
             None,
             25,
         );
-        let honest: Vec<NodeId> = (0..3).map(NodeId::new).collect();
-        let stats = pulse_stats(&trace, &honest);
         assert_eq!(stats.complete_pulses, 25);
-        assert!(
-            stats.max_skew <= derived.s,
-            "skew {} > S {}",
-            stats.max_skew,
-            derived.s
-        );
+        assert_eq!(bounds::definition3(&stats, &derived), Ok(()));
     }
 }

@@ -21,9 +21,10 @@
 //!
 //! A client's pulse trails the core's by the dealers' send offset
 //! (`θ·S` on the dealer's clock) plus one message delay, so the
-//! fleet-wide skew is `S + θ²·S + d` rather than `S` — the standard
-//! one-to-many trade (the relay hop costs `Θ(d)`, exactly like the
-//! pre-existing echo-broadcast baseline the paper compares against).
+//! fleet-wide skew is [`crate::bounds::fleet_skew`], `S(1 + θ²) + d`,
+//! rather than `S` — the standard one-to-many trade (the relay hop costs
+//! `Θ(d)`, exactly like the pre-existing echo-broadcast baseline the
+//! paper compares against).
 //!
 //! [`FleetNode`] packages "core member or client" as a single
 //! [`Automaton`] type so one `make_node` closure can deploy a mixed
@@ -238,6 +239,7 @@ mod tests {
     use crusader_time::{Dur, Time};
 
     use super::*;
+    use crate::bounds;
     use crate::params::Params;
 
     fn fleet_params(core: usize) -> Params {
@@ -278,15 +280,8 @@ mod tests {
             trace.violations
         );
         assert!(trace.violations.is_empty(), "{:?}", trace.violations);
-        // One-to-many trade: a client trails the core by the dealers'
-        // send offset (θ·S local, ≤ θ²·S real time) plus one flight ≤ d,
-        // so fleet-wide skew is bounded by S + θ²·S + d.
-        let bound = derived.s * (1.0 + params.theta * params.theta) + params.d;
-        assert!(
-            stats.max_skew <= bound,
-            "fleet skew {} exceeds S(1 + θ²) + d = {bound}",
-            stats.max_skew
-        );
+        let bound = bounds::fleet_skew(&params, &derived);
+        assert!(stats.max_skew <= bound, "fleet skew {} > {bound}", stats.max_skew);
     }
 
     /// A faulty core member staying silent cannot stop clients (quorum

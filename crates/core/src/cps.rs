@@ -434,12 +434,13 @@ impl Automaton for CpsNode {
 
 #[cfg(test)]
 mod tests {
-    use crusader_sim::metrics::pulse_stats;
+    use crusader_sim::metrics::{pulse_stats, PulseStats};
     use crusader_sim::{DelayModel, SilentAdversary, SimBuilder};
     use crusader_time::drift::DriftModel;
     use crusader_time::Time;
 
     use super::*;
+    use crate::bounds;
 
     fn params(n: usize) -> Params {
         Params::max_resilience(n, Dur::from_millis(1.0), Dur::from_micros(10.0), 1.0001)
@@ -452,9 +453,10 @@ mod tests {
         drift: DriftModel,
         pulses: u64,
         seed: u64,
-    ) -> (crusader_sim::Trace, Params, Derived) {
+    ) -> (crusader_sim::Trace, PulseStats, Derived) {
         let p = params(n);
         let derived = p.derive().unwrap();
+        let honest: Vec<NodeId> = NodeId::all(n).filter(|v| !faulty.contains(&v.index())).collect();
         let trace = SimBuilder::new(n)
             .faulty(faulty)
             .link(p.d, p.u)
@@ -468,30 +470,24 @@ mod tests {
                 Box::new(SilentAdversary),
             )
             .run();
-        (trace, p, derived)
+        let stats = pulse_stats(&trace, &honest);
+        (trace, stats, derived)
     }
 
     #[test]
     fn fault_free_liveness_and_skew() {
-        let (trace, p, derived) =
+        let (trace, stats, derived) =
             run_cps(4, vec![], DelayModel::Random, DriftModel::OffsetsOnly, 10, 1);
-        let honest: Vec<NodeId> = NodeId::all(p.n).collect();
-        let stats = pulse_stats(&trace, &honest);
         assert_eq!(stats.complete_pulses, 10);
         assert!(trace.violations.is_empty(), "{:?}", trace.violations);
-        assert!(
-            stats.max_skew <= derived.s,
-            "skew {} exceeds S {}",
-            stats.max_skew,
-            derived.s
-        );
+        assert_eq!(bounds::definition3(&stats, &derived), Ok(()));
     }
 
     #[test]
     fn skew_contracts_from_initial_offset() {
         // Start at nearly full initial offset S; after convergence the
         // skew must be well below S.
-        let (trace, p, derived) = run_cps(
+        let (_, stats, derived) = run_cps(
             4,
             vec![],
             DelayModel::Random,
@@ -499,8 +495,6 @@ mod tests {
             12,
             3,
         );
-        let honest: Vec<NodeId> = NodeId::all(p.n).collect();
-        let stats = pulse_stats(&trace, &honest);
         let early = stats.skews[0];
         let late = stats.skews[stats.skews.len() - 1];
         assert!(
@@ -513,7 +507,7 @@ mod tests {
     #[test]
     fn tolerates_max_silent_faults() {
         // n = 5, f = 2 silent faulty nodes.
-        let (trace, p, derived) = run_cps(
+        let (trace, stats, derived) = run_cps(
             5,
             vec![3, 4],
             DelayModel::Extremal,
@@ -521,21 +515,14 @@ mod tests {
             10,
             7,
         );
-        let honest: Vec<NodeId> = NodeId::all(p.n).filter(|v| v.index() < 3).collect();
-        let stats = pulse_stats(&trace, &honest);
         assert_eq!(stats.complete_pulses, 10);
-        assert!(
-            stats.max_skew <= derived.s,
-            "skew {} exceeds S {}",
-            stats.max_skew,
-            derived.s
-        );
+        assert_eq!(bounds::definition3(&stats, &derived), Ok(()));
         assert!(trace.violations.is_empty(), "{:?}", trace.violations);
     }
 
     #[test]
     fn periods_within_theorem_17_bounds() {
-        let (trace, p, derived) = run_cps(
+        let (_, stats, derived) = run_cps(
             4,
             vec![],
             DelayModel::Extremal,
@@ -543,26 +530,13 @@ mod tests {
             8,
             11,
         );
-        let honest: Vec<NodeId> = NodeId::all(p.n).collect();
-        let stats = pulse_stats(&trace, &honest);
-        let tol = Dur::from_nanos(1.0);
-        assert!(
-            stats.min_period + tol >= derived.p_min,
-            "Pmin {} below bound {}",
-            stats.min_period,
-            derived.p_min
-        );
-        assert!(
-            stats.max_period <= derived.p_max + tol,
-            "Pmax {} above bound {}",
-            stats.max_period,
-            derived.p_max
-        );
+        assert_eq!(stats.complete_pulses, 8);
+        assert_eq!(bounds::definition3(&stats, &derived), Ok(()));
     }
 
     #[test]
     fn worst_case_drift_and_delays_stay_within_s() {
-        let (trace, _p, derived) = run_cps(
+        let (_, stats, derived) = run_cps(
             8,
             vec![5, 6, 7],
             DelayModel::Tilted,
@@ -570,15 +544,8 @@ mod tests {
             12,
             13,
         );
-        let honest: Vec<NodeId> = (0..5).map(NodeId::new).collect();
-        let stats = pulse_stats(&trace, &honest);
         assert_eq!(stats.complete_pulses, 12);
-        assert!(
-            stats.max_skew <= derived.s,
-            "skew {} exceeds S {}",
-            stats.max_skew,
-            derived.s
-        );
+        assert_eq!(bounds::definition3(&stats, &derived), Ok(()));
     }
 
     #[test]

@@ -20,11 +20,13 @@
 //! * [`midpoint`](mod@midpoint) — the shared discard-and-midpoint selection rule.
 //! * [`adversary`] — Byzantine strategies (rushing forwarder, staggered
 //!   dealer) used by the attack experiments.
+//! * [`bounds`] — each claimed bound, defined once: Definition 3 under
+//!   Theorem 17, the fleet skew and the rejoin catch-up time.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use crusader_core::{CpsNode, Params};
+//! use crusader_core::{bounds, CpsNode, Params};
 //! use crusader_crypto::NodeId;
 //! use crusader_sim::metrics::pulse_stats;
 //! use crusader_sim::{SilentAdversary, SimBuilder};
@@ -52,7 +54,7 @@
 //! let honest: Vec<NodeId> = (0..3).map(NodeId::new).collect();
 //! let stats = pulse_stats(&trace, &honest);
 //! assert_eq!(stats.complete_pulses, 5);
-//! assert!(stats.max_skew <= derived.s); // Theorem 17
+//! assert_eq!(bounds::definition3(&stats, &derived), Ok(())); // Theorem 17
 //! # Ok::<(), crusader_core::ParamError>(())
 //! ```
 
@@ -61,6 +63,7 @@
 
 pub mod adversary;
 pub mod apa;
+pub mod bounds;
 pub mod cb;
 pub mod client;
 pub mod cps;

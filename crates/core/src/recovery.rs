@@ -18,25 +18,26 @@
 //!    [`RecoveryMsg::ResyncReply`]: its latest [`PulseCertificate`] plus
 //!    `since_pulse`, how long ago on the replier's clock that certified
 //!    pulse fired.
-//! 3. At the deadline the recoverer keeps only replies whose certificate
-//!    verifies, takes the *maximum* certified round `r★`, and the *median*
-//!    `since_pulse` among the replies certifying `r★`, clamped into
-//!    `[0, P_max]`. The signatures make the round unforgeable; the timing
-//!    field is unauthenticated, so the median-and-clamp bounds the damage
-//!    of a lying replier to at most one nominal period — which the next
-//!    midpoint correction absorbs.
+//! 3. Each verified reply's `since_pulse` is clamped into `[0, 2·P_max]`
+//!    (an honest replier mid-round reports up to one period plus the
+//!    acceptance deadline). At the deadline the recoverer takes the
+//!    *maximum* certified round `r★` and the *median* clamped
+//!    `since_pulse` among the replies certifying it. The round is
+//!    unforgeable; the timing field is not, so clamp, median and period
+//!    folding leave a lying replier less than one period of phase, which
+//!    the next midpoint correction absorbs.
 //! 4. [`CpsNode`] fast-forwards: it adopts `r★` (plus any whole periods
 //!    hiding in `since_pulse`), reconstructs the certified pulse's local
 //!    time, and schedules its next pulse one nominal period after it.
 //!
-//! The catch-up bound: the recovered node pulses again within one nominal
-//! period of the deadline (round `r★ + 1`), and that round's ordinary
-//! discard-and-midpoint correction pulls it back inside the skew envelope
-//! `S` — i.e. zero-violation pulsing resumes within **k = 2 rounds** of
-//! the resync deadline. If no reply survives verification the node retries
-//! ([`RESYNC_MAX_ATTEMPTS`] times, one round trip apart) and finally
-//! free-runs from its stale state so that simultaneous whole-fleet crashes
-//! still recover liveness.
+//! The catch-up bound ([`crate::bounds::rejoin_catch_up`]): the recovered
+//! node pulses again within one nominal period of the deadline (round
+//! `r★ + 1`), and that round's ordinary discard-and-midpoint correction
+//! pulls it back inside the skew envelope `S` — i.e. zero-violation
+//! pulsing resumes within **k = 2 rounds** of the resync deadline. If no
+//! reply survives verification the node retries ([`RESYNC_MAX_ATTEMPTS`]
+//! times, one round trip apart) and finally free-runs from its stale state
+//! so that simultaneous whole-fleet crashes still recover liveness.
 //!
 //! [`RecoveringNode`] wraps [`CpsNode`] without touching its hot path: the
 //! inner automaton still speaks [`Carry`], and the wrapper tunnels it
@@ -48,6 +49,7 @@ use crusader_time::{Dur, LocalTime};
 
 use crate::cps::CpsNode;
 use crate::messages::{pulse_sign_bytes_array, pulse_sign_bytes_cached, Carry};
+use crate::params::Params;
 
 /// Resync attempts before a recovering node gives up on certificates and
 /// free-runs from stale state (covers whole-fleet outages where nobody is
@@ -252,10 +254,10 @@ impl RecoveringNode {
         self.collect_timer.is_some()
     }
 
-    /// One request→reply round trip on the recoverer's clock: the
-    /// collection window of a single attempt.
-    fn collect_window(&self) -> Dur {
-        let p = self.inner.params();
+    /// One request→reply round trip on the recoverer's clock,
+    /// `θ·(2d + u)`: the collection window of a single attempt.
+    #[must_use]
+    pub fn collect_window(p: &Params) -> Dur {
         (p.d * 2.0 + p.u) * p.theta
     }
 
@@ -263,7 +265,7 @@ impl RecoveringNode {
         self.attempts += 1;
         self.replies.clear();
         ctx.broadcast(RecoveryMsg::ResyncRequest);
-        self.collect_deadline = ctx.local_time() + self.collect_window();
+        self.collect_deadline = ctx.local_time() + Self::collect_window(self.inner.params());
         self.collect_timer = Some(ctx.set_timer_at(self.collect_deadline));
     }
 
@@ -388,7 +390,6 @@ mod tests {
 
     use super::*;
     use crate::messages::pulse_sign_bytes;
-    use crate::params::Params;
 
     fn params(n: usize) -> Params {
         Params::max_resilience(n, Dur::from_millis(1.0), Dur::from_micros(10.0), 1.0001)

@@ -50,12 +50,19 @@ impl TcbWindows {
     /// Derives the windows from model parameters.
     #[must_use]
     pub fn from_params(params: &Params, derived: &Derived) -> Self {
+        Self::with_skew(params, derived.s, derived.eps)
+    }
+
+    /// The windows for skew bound `s` and boundary tolerance `eps` — the
+    /// one place Figure 2's window formulas are written.
+    #[must_use]
+    pub fn with_skew(params: &Params, s: Dur, eps: Dur) -> Self {
         let theta = params.theta;
         TcbWindows {
-            send_offset: derived.s * theta,
-            accept_window: (params.d + derived.s * (theta + 1.0)) * theta,
+            send_offset: s * theta,
+            accept_window: (params.d + s * (theta + 1.0)) * theta,
             decide_wait: params.d - params.u * 2.0,
-            eps: derived.eps,
+            eps,
             reject_echoes: true,
         }
     }

@@ -1,10 +1,11 @@
 //! End-to-end rejoin: a node crashed mid-run completes the signed resync
-//! handshake and returns to zero-violation pulsing within the documented
-//! catch-up bound (module docs of `crusader_core::recovery`).
+//! handshake and returns to zero-violation pulsing within a regression
+//! envelope tighter than the claimed catch-up bound
+//! (`crusader_core::bounds::rejoin_catch_up`).
 
 use std::sync::Arc;
 
-use crusader_core::{CpsNode, Params, RecoveringNode};
+use crusader_core::{bounds, CpsNode, Params, RecoveringNode};
 use crusader_crypto::NodeId;
 use crusader_sim::metrics::{pulse_stats, resync_times};
 use crusader_sim::{ChaosTimeline, SilentAdversary, SimBuilder, Trace};
@@ -32,13 +33,6 @@ fn run_with_chaos(n: usize, seed: u64, chaos: Arc<ChaosTimeline>) -> (Trace, Par
     (trace, p)
 }
 
-/// One resync round trip plus the pulse that follows it, with a little
-/// scheduling slack: the documented time-to-resync envelope.
-fn resync_bound(p: &Params) -> Dur {
-    let derived = p.derive().unwrap();
-    (p.d * 2.0 + p.u) * p.theta + derived.t_nominal * 2.0
-}
-
 #[test]
 fn crashed_node_rejoins_with_zero_violations() {
     let mut chaos = ChaosTimeline::new(4);
@@ -55,20 +49,16 @@ fn crashed_node_rejoins_with_zero_violations() {
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].node, NodeId::new(2));
     let tt = events[0].time_to_pulse.expect("recovered node pulsed again");
-    let bound = resync_bound(&p);
+    // A regression envelope on the shared collect window: two nominal
+    // periods, tighter than the claimed bound's `2·P_max`.
+    let bound = RecoveringNode::collect_window(&p) + p.derive().unwrap().t_nominal * 2.0;
     assert!(tt <= bound, "time-to-resync {tt} exceeds bound {bound}");
 
     // The unaffected majority kept pulsing within the skew envelope the
     // whole time.
     let others: Vec<NodeId> = [0usize, 1, 3].into_iter().map(NodeId::new).collect();
     let stats = pulse_stats(&trace, &others);
-    let derived = p.derive().unwrap();
-    assert!(
-        stats.max_skew <= derived.s,
-        "skew {} exceeds S {}",
-        stats.max_skew,
-        derived.s
-    );
+    assert_eq!(bounds::definition3(&stats, &p.derive().unwrap()), Ok(()));
     // The recovered node pulsed both before the crash and after the
     // rejoin.
     let resumed = events[0].resumed_at;

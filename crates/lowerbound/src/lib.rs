@@ -99,13 +99,7 @@ mod tests {
     fn cyclic_sum_is_exactly_two_u_tilde() {
         let cfg = cfg(200.0, 1.05);
         let (_, report) = run_cps(cfg);
-        let expect = cfg.u_tilde * 2.0;
-        assert!(
-            (report.cyclic_sum - expect).abs() < Dur::from_nanos(1.0),
-            "cyclic sum {} vs 2ũ = {}",
-            report.cyclic_sum,
-            expect
-        );
+        assert!(report.cyclic_identity, "cyclic sum {} ≠ 2ũ", report.cyclic_sum);
     }
 
     #[test]
@@ -183,7 +177,7 @@ mod tests {
         // 2ũ/(3(θ−1)) = 2·150µs/(3·0.05) = 2 ms.
         assert!((plateau.as_millis() - 2.0).abs() < 1e-9);
         let fast = cfg.clock_in(0, 2);
-        let lead = cfg.u_tilde * (2.0 / 3.0);
+        let lead = cfg.bound();
         // After the plateau the fast clock leads by exactly 2ũ/3.
         let t = crusader_time::Time::from_secs(1.0);
         assert!(

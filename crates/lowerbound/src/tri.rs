@@ -57,11 +57,18 @@ pub struct TriConfig {
 }
 
 impl TriConfig {
-    /// The plateau time `t* = 2ũ/(3(θ−1))` after which fast clocks hold a
-    /// constant `2ũ/3` lead.
+    /// Theorem 5's bound `2ũ/3`: the skew the construction forces, and
+    /// the lead the fast clocks hold from the plateau on.
+    #[must_use]
+    pub fn bound(&self) -> Dur {
+        self.u_tilde * (2.0 / 3.0)
+    }
+
+    /// The plateau time `t* = 2ũ/(3(θ−1))`: a rate-`θ` clock has gained
+    /// the [`bound`](Self::bound) by then and runs at rate 1 after.
     #[must_use]
     pub fn plateau(&self) -> Dur {
-        self.u_tilde * (2.0 / (3.0 * (self.theta - 1.0)))
+        self.bound() / (self.theta - 1.0)
     }
 
     /// The clock of node `j` in execution `e` (`j ≠ e`): identity for

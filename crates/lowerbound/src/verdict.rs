@@ -18,13 +18,15 @@ pub struct LowerBoundReport {
     /// The cyclic sum of the three offsets; the construction forces it to
     /// equal exactly `2ũ` (up to f64 rounding).
     pub cyclic_sum: Dur,
+    /// Whether `cyclic_sum = 2ũ` up to the same tolerance as `holds`.
+    pub cyclic_identity: bool,
     /// `max_e |p^e_{e+1} − p^e_{e+2}|` — the skew the adversary achieves
     /// in the worst of the three executions.
     pub max_skew: Dur,
-    /// The theorem's bound `2ũ/3`.
+    /// The theorem's bound `2ũ/3` ([`TriConfig::bound`]).
     pub bound: Dur,
-    /// Whether `max_skew ≥ bound` (up to f64 tolerance) — the theorem's
-    /// claim.
+    /// Whether `max_skew ≥ bound` up to `1e-12 s + 1e-9·ũ` of f64
+    /// rounding — the theorem's claim.
     pub holds: bool,
     /// Whether the implied adversary was audited clean (all faulty sends
     /// at non-negative times with previously learned signatures).
@@ -59,22 +61,21 @@ pub fn evaluate(trace: &TriTrace, cfg: &TriConfig) -> Option<LowerBoundReport> {
     }
     let r = measurement?;
 
-    let mut per_execution_offset = [Dur::ZERO; 3];
-    for e in 0..3 {
-        per_execution_offset[e] = trace.pulses[e][0][r] - trace.pulses[e][1][r];
-    }
+    let per_execution_offset: [Dur; 3] =
+        std::array::from_fn(|e| trace.pulses[e][0][r] - trace.pulses[e][1][r]);
     let cyclic_sum: Dur = per_execution_offset.iter().copied().sum();
     let max_skew = per_execution_offset
         .iter()
         .map(|d| d.abs())
         .max()
         .expect("three executions");
-    let bound = cfg.u_tilde * (2.0 / 3.0);
+    let bound = cfg.bound();
     let tol = Dur::from_secs(1e-12 + 1e-9 * cfg.u_tilde.as_secs());
     Some(LowerBoundReport {
         measurement_pulse: r + 1,
         per_execution_offset,
         cyclic_sum,
+        cyclic_identity: (cyclic_sum - cfg.u_tilde * 2.0).abs() <= tol,
         max_skew,
         bound,
         holds: max_skew + tol >= bound,

@@ -15,12 +15,14 @@ pub struct PulseStats {
     pub skews: Vec<Dur>,
     /// `sup_r ‖p⃗_r‖` — the paper's skew `S` as measured.
     pub max_skew: Dur,
-    /// Skew of the last complete pulse (steady-state skew once converged).
-    pub final_skew: Dur,
     /// `inf_r { min_v p_{v,r+1} − max_v p_{v,r} }` (Definition 3).
     pub min_period: Dur,
+    /// The first pulse `r` attaining `min_period` (0 below two pulses).
+    pub min_period_round: usize,
     /// `sup_r { max_v p_{v,r+1} − min_v p_{v,r} }` (Definition 3).
     pub max_period: Dur,
+    /// The first pulse `r` attaining `max_period` (0 below two pulses).
+    pub max_period_round: usize,
     /// Number of pulses completed by all the given nodes.
     pub complete_pulses: usize,
 }
@@ -38,43 +40,36 @@ pub struct PulseStats {
 pub fn pulse_stats(trace: &Trace, nodes: &[NodeId]) -> PulseStats {
     assert!(!nodes.is_empty(), "need at least one node to analyze");
     let complete = trace.complete_pulses(nodes);
-    let mut skews = Vec::with_capacity(complete);
-    for r in 1..=complete {
-        let times = trace
-            .pulse_times(r, nodes)
-            .expect("pulse r is complete for all nodes");
-        let min = times.iter().copied().min().expect("non-empty");
-        let max = times.iter().copied().max().expect("non-empty");
-        skews.push(max - min);
-    }
-    let max_skew = skews.iter().copied().max().unwrap_or(Dur::ZERO);
-    let final_skew = skews.last().copied().unwrap_or(Dur::ZERO);
-
-    let mut min_period = Dur::from_secs(f64::MAX / 2.0);
-    let mut max_period = Dur::ZERO;
-    if complete >= 2 {
-        for r in 1..complete {
-            let cur = trace.pulse_times(r, nodes).expect("complete");
-            let next = trace.pulse_times(r + 1, nodes).expect("complete");
-            let cur_min = cur.iter().copied().min().expect("non-empty");
-            let cur_max = cur.iter().copied().max().expect("non-empty");
-            let next_min = next.iter().copied().min().expect("non-empty");
-            let next_max = next.iter().copied().max().expect("non-empty");
-            min_period = min_period.min(next_min - cur_max);
-            max_period = max_period.max(next_max - cur_min);
-        }
-    } else {
-        min_period = Dur::ZERO;
-    }
-
-    PulseStats {
+    // Each complete pulse's earliest and latest time over `nodes`.
+    let spans: Vec<(Time, Time)> = (1..=complete)
+        .map(|r| {
+            let times = trace
+                .pulse_times(r, nodes)
+                .expect("pulse r is complete for all nodes");
+            let min = times.iter().copied().min().expect("non-empty");
+            (min, times.into_iter().max().expect("non-empty"))
+        })
+        .collect();
+    let skews: Vec<Dur> = spans.iter().map(|&(min, max)| max - min).collect();
+    let mut stats = PulseStats {
+        max_skew: skews.iter().copied().max().unwrap_or(Dur::ZERO),
         skews,
-        max_skew,
-        final_skew,
-        min_period,
-        max_period,
+        min_period: Dur::ZERO,
+        min_period_round: 0,
+        max_period: Dur::ZERO,
+        max_period_round: 0,
         complete_pulses: complete,
+    };
+    for (r, pair) in (1..).zip(spans.windows(2)) {
+        let (shortest, longest) = (pair[1].0 - pair[0].1, pair[1].1 - pair[0].0);
+        if r == 1 || shortest < stats.min_period {
+            (stats.min_period, stats.min_period_round) = (shortest, r);
+        }
+        if longest > stats.max_period {
+            (stats.max_period, stats.max_period_round) = (longest, r);
+        }
     }
+    stats
 }
 
 /// One node recovery, measured in real time: when the node came back up
@@ -158,12 +153,12 @@ mod tests {
         assert!((s.skews[1].as_secs() - 0.05).abs() < 1e-12);
         assert!((s.skews[2].as_secs() - 0.2).abs() < 1e-12);
         assert!((s.max_skew.as_secs() - 0.2).abs() < 1e-12);
-        assert!((s.final_skew.as_secs() - 0.2).abs() < 1e-12);
         // min period: min over r of (next_min - cur_max):
         // r=1: min(2.0,2.05)-max(1.0,1.1)=0.9 ; r=2: 3.0-2.05=0.95
         assert!((s.min_period.as_secs() - 0.9).abs() < 1e-12);
         // max period: r=1: 2.05-1.0=1.05 ; r=2: 3.2-2.0=1.2
         assert!((s.max_period.as_secs() - 1.2).abs() < 1e-12);
+        assert_eq!((s.min_period_round, s.max_period_round), (1, 2));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --example byzantine_gauntlet`
 
 use crusader::core::adversary::{RushingForwarder, StaggeredDealer};
-use crusader::core::{Carry, CpsNode, Params};
+use crusader::core::{bounds, Carry, CpsNode, Params};
 use crusader::crypto::NodeId;
 use crusader::sim::metrics::{pulse_stats, steady_state_skew};
 use crusader::sim::{Adversary, DelayModel, SilentAdversary, SimBuilder};
@@ -43,7 +43,7 @@ fn run_scenario(
         format!("{}", stats.max_skew),
         format!("{steady}"),
         100.0 * stats.max_skew.as_secs() / derived.s.as_secs(),
-        if stats.max_skew <= derived.s {
+        if bounds::definition3(&stats, &derived).is_ok() {
             "within S ✓"
         } else {
             "EXCEEDED"

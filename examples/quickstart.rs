@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use crusader::core::{CpsNode, Params};
+use crusader::core::{bounds, CpsNode, Params};
 use crusader::crypto::NodeId;
 use crusader::sim::metrics::pulse_stats;
 use crusader::sim::{DelayModel, SilentAdversary, SimBuilder};
@@ -72,6 +72,6 @@ fn main() {
     );
     println!("  messages    : {}", trace.messages_delivered);
     println!("  violations  : {}", trace.violations.len());
-    assert!(stats.max_skew <= derived.s, "Theorem 17 violated?!");
+    bounds::definition3(&stats, &derived).expect("Theorem 17 violated?!");
     println!("\n  ✓ skew stayed within the Theorem 17 bound throughout");
 }

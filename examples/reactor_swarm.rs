@@ -13,7 +13,7 @@
 
 use std::time::Duration;
 
-use crusader::core::{CpsNode, FleetNode, Params, PulseClient};
+use crusader::core::{bounds, CpsNode, FleetNode, Params, PulseClient};
 use crusader::crypto::NodeId;
 use crusader::runtime::{run, RuntimeConfig};
 use crusader::sim::metrics::pulse_stats;
@@ -74,7 +74,7 @@ fn main() {
     println!(
         "\n  fleet skew ≈ core skew + dealer send offset + one relay hop \
          (bound S(1 + θ²) + d = {});",
-        derived.s * (1.0 + theta * theta) + d
+        bounds::fleet_skew(&params, &derived)
     );
     if !report.trace.violations.is_empty() {
         println!("  violations: {:?}", report.trace.violations);

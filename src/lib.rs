@@ -27,7 +27,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use crusader::core::{CpsNode, Params};
+//! use crusader::core::{bounds, CpsNode, Params};
 //! use crusader::crypto::NodeId;
 //! use crusader::sim::metrics::pulse_stats;
 //! use crusader::sim::{SilentAdversary, SimBuilder};
@@ -56,7 +56,7 @@
 //! let honest: Vec<NodeId> = (0..3).map(NodeId::new).collect();
 //! let stats = pulse_stats(&trace, &honest);
 //! assert_eq!(stats.complete_pulses, 10);      // liveness
-//! assert!(stats.max_skew <= derived.s);       // Theorem 17's skew bound
+//! assert_eq!(bounds::definition3(&stats, &derived), Ok(())); // Theorem 17
 //! # Ok::<(), crusader::core::ParamError>(())
 //! ```
 //!

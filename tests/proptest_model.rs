@@ -2,7 +2,7 @@
 //! legal combination of delays, drift, seeds and fault placement, CPS
 //! must satisfy Definition 3 (liveness, S-bounded skew, period bounds).
 
-use crusader::core::{CpsNode, Params};
+use crusader::core::{bounds, CpsNode, Params};
 use crusader::crypto::NodeId;
 use crusader::sim::metrics::pulse_stats;
 use crusader::sim::{DelayModel, SilentAdversary, SimBuilder};
@@ -84,16 +84,9 @@ proptest! {
         // Liveness.
         prop_assert_eq!(stats.complete_pulses, 6, "violations: {:?}", trace.violations);
         prop_assert!(trace.violations.is_empty(), "{:?}", trace.violations);
-        // S-bounded skew.
-        prop_assert!(
-            stats.max_skew <= derived.s,
-            "skew {} > S {} (n={}, f={}, u={}µs, θ={})",
-            stats.max_skew, derived.s, n, f, u_us, theta
-        );
-        // Period bounds.
-        let tol = Dur::from_nanos(1.0);
-        prop_assert!(stats.min_period + tol >= derived.p_min);
-        prop_assert!(stats.max_period <= derived.p_max + tol);
+        // S-bounded skew and period bounds.
+        let case = format!("n={n}, f={f}, u={u_us}µs, θ={theta}");
+        prop_assert_eq!(bounds::definition3(&stats, &derived), Ok(()), "{}", case);
     }
 
     /// Parameter derivation is monotone: more uncertainty or more drift

@@ -8,7 +8,9 @@
 
 use crusader::baselines::{LwNode, TickStagger};
 use crusader::core::adversary::StaggeredDealer;
-use crusader::core::{max_faults_with_signatures, max_faults_without_signatures, CpsNode, Params};
+use crusader::core::{
+    bounds, max_faults_with_signatures, max_faults_without_signatures, CpsNode, Params,
+};
 use crusader::crypto::NodeId;
 use crusader::sim::metrics::pulse_stats;
 use crusader::sim::{DelayModel, SimBuilder};
@@ -52,7 +54,7 @@ fn lw_under_attack(n: usize, f: usize, pulses: u64) -> (Dur, Dur, Dur, usize) {
     )
 }
 
-fn cps_under_attack(n: usize, f: usize, pulses: u64) -> (Dur, Dur) {
+fn cps_under_attack(n: usize, f: usize, pulses: u64) {
     let p = params(n, f);
     let derived = p.derive().unwrap();
     let faulty: Vec<usize> = (n - f..n).collect();
@@ -73,7 +75,7 @@ fn cps_under_attack(n: usize, f: usize, pulses: u64) -> (Dur, Dur) {
     let stats = pulse_stats(&trace, &honest);
     assert_eq!(stats.complete_pulses, pulses as usize, "CPS liveness");
     assert!(trace.violations.is_empty(), "{:?}", trace.violations);
-    (stats.max_skew, derived.s)
+    bounds::definition3(&stats, &derived).unwrap_or_else(|b| panic!("CPS at n={n}, f={f}: {b:?}"));
 }
 
 #[test]
@@ -112,11 +114,7 @@ fn lynch_welch_diverges_at_one_third() {
 fn cps_holds_at_one_third_and_beyond() {
     // Same fault fractions that break LW are routine for CPS.
     for (n, f) in [(6, 2), (7, 3), (9, 4)] {
-        let (skew, s) = cps_under_attack(n, f, 40);
-        assert!(
-            skew <= s,
-            "CPS at n={n}, f={f}: skew {skew} above S {s}"
-        );
+        cps_under_attack(n, f, 40);
     }
 }
 

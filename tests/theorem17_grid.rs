@@ -4,7 +4,7 @@
 //! [(T − (θ+1)S)/θ, T + 3S].
 
 use crusader::core::adversary::{RushingForwarder, StaggeredDealer};
-use crusader::core::{Carry, CpsNode, Derived, Params};
+use crusader::core::{bounds, Carry, CpsNode, Derived, Params};
 use crusader::crypto::NodeId;
 use crusader::sim::metrics::pulse_stats;
 use crusader::sim::{Adversary, DelayModel, SilentAdversary, SimBuilder};
@@ -66,28 +66,7 @@ fn run_case(case: &Case, pulses: u64, seed: u64) {
         case.name,
         trace.violations
     );
-    assert!(
-        stats.max_skew <= derived.s,
-        "{}: skew {} > S {}",
-        case.name,
-        stats.max_skew,
-        derived.s
-    );
-    let tol = Dur::from_nanos(1.0);
-    assert!(
-        stats.min_period + tol >= derived.p_min,
-        "{}: Pmin {} < {}",
-        case.name,
-        stats.min_period,
-        derived.p_min
-    );
-    assert!(
-        stats.max_period <= derived.p_max + tol,
-        "{}: Pmax {} > {}",
-        case.name,
-        stats.max_period,
-        derived.p_max
-    );
+    bounds::definition3(&stats, &derived).unwrap_or_else(|b| panic!("{}: {b:?}", case.name));
 }
 
 #[test]
