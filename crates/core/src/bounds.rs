@@ -1,6 +1,7 @@
 //! The bounds the system claims, each defined once for tests, experiments
 //! and examples to share: Definition 3 under Theorem 17, the one-to-many
-//! fleet's skew, and the rejoin catch-up time.
+//! fleet's skew, the rejoin catch-up time and the wall-clock runtime's
+//! skew envelope.
 
 use crusader_sim::metrics::PulseStats;
 use crusader_time::Dur;
@@ -72,6 +73,14 @@ pub fn definition3(stats: &PulseStats, derived: &Derived) -> Result<(), Breach> 
 #[must_use]
 pub fn fleet_skew(params: &Params, derived: &Derived) -> Dur {
     derived.s * (1.0 + params.theta * params.theta) + params.d
+}
+
+/// The wall-clock runtime's skew envelope `d + 2S`: host scheduling jitter
+/// inflates the delay uncertainty past the configured `u`, so a run on real
+/// threads is held to this looser bound rather than to the simulator's `S`.
+#[must_use]
+pub fn runtime_skew(params: &Params, derived: &Derived) -> Dur {
+    params.d + derived.s * 2.0
 }
 
 /// The rejoin catch-up bound `θ·(2d + u) + 2·P_max` (module docs of

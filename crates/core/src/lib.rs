@@ -21,7 +21,8 @@
 //! * [`adversary`] — Byzantine strategies (rushing forwarder, staggered
 //!   dealer) used by the attack experiments.
 //! * [`bounds`] — each claimed bound, defined once: Definition 3 under
-//!   Theorem 17, the fleet skew and the rejoin catch-up time.
+//!   Theorem 17, the fleet skew, the rejoin catch-up time and the runtime
+//!   skew envelope.
 //!
 //! # Quickstart
 //!

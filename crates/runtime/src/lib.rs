@@ -105,11 +105,66 @@ mod tests {
     use std::time::Duration;
 
     use crusader_baselines::EchoSyncNode;
+    use crusader_core::{bounds, CpsNode, Params};
     use crusader_crypto::NodeId;
     use crusader_sim::metrics::pulse_stats;
     use crusader_time::Dur;
 
     use super::*;
+
+    fn cps_cfg(silent: Vec<usize>, seed: u64) -> (RuntimeConfig, Params) {
+        let d = Dur::from_millis(5.0);
+        let u = Dur::from_millis(2.0);
+        let params = Params::max_resilience(4, d, u, 1.01);
+        let derived = params.derive().unwrap();
+        let cfg = RuntimeConfig {
+            silent,
+            d,
+            u,
+            theta: 1.01,
+            max_offset: derived.s,
+            run_for: Duration::from_millis(700),
+            seed,
+            ..RuntimeConfig::new(4)
+        };
+        (cfg, params)
+    }
+
+    /// ≥ 3 complete pulses among the first `honest_n` nodes, with skew under
+    /// the runtime envelope [`bounds::runtime_skew`]. Violations are not
+    /// asserted: with a node silent, one honest dealer delayed by the host
+    /// past its window gives a second ⊥ and trips the `f` budget.
+    fn assert_cps_pulses(cfg: &RuntimeConfig, params: Params, honest_n: usize) {
+        let derived = params.derive().unwrap();
+        let report = run(cfg, |me| CpsNode::new(me, params, derived));
+        let honest: Vec<NodeId> = (0..honest_n).map(NodeId::new).collect();
+        let stats = pulse_stats(&report.trace, &honest);
+        assert!(
+            stats.complete_pulses >= 3,
+            "only {} pulses: {:?}",
+            stats.complete_pulses,
+            report.trace.violations
+        );
+        assert!(
+            stats.max_skew < bounds::runtime_skew(&params, &derived),
+            "skew {} not under d + 2S",
+            stats.max_skew
+        );
+        assert!(report.messages_delivered > 0);
+    }
+
+    #[test]
+    fn cps_survives_silent_fault_on_the_reactor() {
+        let (cfg, params) = cps_cfg(vec![3], 11);
+        assert_cps_pulses(&cfg, params, 3);
+    }
+
+    #[test]
+    fn reactor_with_one_worker_still_pulses() {
+        let (mut cfg, params) = cps_cfg(vec![], 13);
+        cfg.workers = Some(1);
+        assert_cps_pulses(&cfg, params, 4);
+    }
 
     #[test]
     fn echo_sync_runs_on_the_runtime_too() {
