@@ -55,12 +55,6 @@ impl CarriesSignatures for EchoMsg {
             f(SignedClaim::new(*signer, bytes.clone(), sig.clone()));
         }
     }
-
-    fn claims(&self) -> Vec<SignedClaim> {
-        let mut claims = Vec::with_capacity(self.sigs.len());
-        self.for_each_claim(&mut |claim| claims.push(claim));
-        claims
-    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -127,12 +127,6 @@ impl CarriesSignatures for Carry {
             self.signature.clone(),
         ));
     }
-
-    fn claims(&self) -> Vec<SignedClaim> {
-        let mut claims = Vec::with_capacity(1);
-        self.for_each_claim(&mut |claim| claims.push(claim));
-        claims
-    }
 }
 
 #[cfg(test)]

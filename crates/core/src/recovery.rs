@@ -131,12 +131,6 @@ impl CarriesSignatures for RecoveryMsg {
             }
         }
     }
-
-    fn claims(&self) -> Vec<SignedClaim> {
-        let mut claims = Vec::new();
-        self.for_each_claim(&mut |claim| claims.push(claim));
-        claims
-    }
 }
 
 /// Presents the inner [`CpsNode`]'s `Carry` world on top of a

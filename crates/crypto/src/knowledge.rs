@@ -53,28 +53,20 @@ impl fmt::Debug for SignedClaim {
 /// A faulty node may only send a message whose honest-signed claims it has
 /// *already received* — the paper's execution well-formedness condition.
 ///
-/// Implementors override [`for_each_claim`](Self::for_each_claim) (the
-/// non-allocating visitor the engine's hot path uses); overriding only the
-/// legacy [`claims`](Self::claims) also works, since the visitor's default
-/// falls back to it. A type that overrides neither carries no signatures.
+/// Implementors write [`for_each_claim`](Self::for_each_claim), the
+/// non-allocating visitor the engine's hot path uses; a type that does not
+/// carries no signatures.
 pub trait CarriesSignatures {
-    /// Visits every signed claim embedded in this message, in order.
-    ///
-    /// This is the engine's primary API: learning and authorization walk
-    /// claims through this visitor, so a message type that implements it
-    /// directly pays no `Vec` allocation per delivery.
-    fn for_each_claim(&self, f: &mut dyn FnMut(SignedClaim)) {
-        for claim in self.claims() {
-            f(claim);
-        }
-    }
+    /// Visits every signed claim embedded in this message, in order. The
+    /// default visits none.
+    fn for_each_claim(&self, _f: &mut dyn FnMut(SignedClaim)) {}
 
-    /// The signed claims embedded in this message, as an allocated vector.
-    ///
-    /// Kept as a convenience shim (and as the override point for legacy
-    /// implementations); the default carries no signatures.
+    /// The signed claims embedded in this message, collected from
+    /// [`for_each_claim`](Self::for_each_claim) into a vector.
     fn claims(&self) -> Vec<SignedClaim> {
-        Vec::new()
+        let mut claims = Vec::new();
+        self.for_each_claim(&mut |claim| claims.push(claim));
+        claims
     }
 }
 
@@ -318,8 +310,8 @@ mod tests {
 
     struct Msg(Vec<SignedClaim>);
     impl CarriesSignatures for Msg {
-        fn claims(&self) -> Vec<SignedClaim> {
-            self.0.clone()
+        fn for_each_claim(&self, f: &mut dyn FnMut(SignedClaim)) {
+            self.0.iter().cloned().for_each(f);
         }
     }
 

@@ -11,10 +11,11 @@
 //! (`src/reactor.rs`): N node state machines multiplexed as non-blocking
 //! tasks onto M long-lived worker threads, with per-node inboxes, a
 //! ready-queue scheduler that parks idle workers, and a hashed
-//! [timer wheel](wheel) multiplexing all `SetTimer` deadlines through
-//! one timer thread — thousands of nodes on a handful of threads. Every
-//! node's handlers run through one protocol core (`src/node.rs`: handler
-//! dispatch, timer bookkeeping, pulse logging), and
+//! [timer wheel](wheel) multiplexing all `SetTimer` deadlines on the
+//! network thread — thousands of nodes on M + 1 threads, supervised by
+//! the thread that called [`run`]. Every node's handlers run through
+//! one protocol core (`src/node.rs`: handler dispatch, timer
+//! bookkeeping, pulse logging), and
 //! `tests/runtime_bounds.rs` holds runs to the model bounds.
 //!
 //! The same [`Automaton`](crusader_sim::Automaton) implementations run
@@ -26,7 +27,7 @@
 //! delay, so it effectively inflates `u`: configure millisecond-scale
 //! `d`/`u` (WAN-like), not microseconds, and treat skew numbers from this
 //! runtime as environment-dependent. The runtime's own grid adds to the
-//! same budget: the network thread and the reactor's timer wheel share
+//! same budget: the network thread delivers and fires timer wakes on
 //! one tick — at most `u/64`, clamped to `[50 µs, 1 ms]`. A timer wake
 //! is up to one tick late. A delivery is rounded *up* to the grid after
 //! a flight drawn from `[d − u, d − tick]`, so it stays inside
@@ -82,8 +83,8 @@ pub use supervise::SupervisionStats;
 use crusader_time::Dur;
 
 /// The tick, in nanoseconds, of the one grid the runtime keeps time on:
-/// the reactor's timer wheel fires wake-ups on it and the network thread
-/// delivers on it. Fine enough that being up to one tick late is small
+/// the network thread delivers messages and fires the timer wheel's
+/// wake-ups on it. Fine enough that being up to one tick late is small
 /// against the delay uncertainty `u` (protocol deadlines compound two or
 /// three timer hops, so lateness must be ≪ the slack `u` provides),
 /// coarse enough that neither thread spins and that a tick's deliveries

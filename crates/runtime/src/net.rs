@@ -1,4 +1,5 @@
-//! The reactor's delay-injecting network thread.
+//! The reactor's delay-injecting network thread, which also keeps its
+//! timer wake-ups.
 //!
 //! Receives send/broadcast commands from node handlers, holds each
 //! message for a random flight time inside `[d − u, d]` (drawn per
@@ -8,7 +9,7 @@
 //!
 //! # The tick grid
 //!
-//! The thread acts on the grid the reactor's timer wheel uses: ticks of
+//! The thread acts on one grid, for messages and wake-ups alike: ticks of
 //! [`tick_ns`](crate::tick_ns) nanoseconds (`min(u, d)/64`, clamped to
 //! `[50 µs, 1 ms]`), counted from the instant the thread was set up. A
 //! message's flight is drawn uniformly, in whole nanoseconds, from
@@ -91,6 +92,14 @@
 //! twice: a 2048-node broadcast is one channel send instead of 2048, and
 //! the ring holds small entries sharing a payload instead of 2048 deep
 //! copies.
+//!
+//! # Timer wake-ups
+//!
+//! Each node's earliest timer deadline arrives as a [`NetCommand::Wake`]
+//! and sits in a [`TimerWheel`] on the same grid. Due wake-ups go to
+//! [`DeliverySink::wake`] at the top of every turn, before the wait,
+//! which also ends at the next wake-up. One counts as one entry against
+//! the ingest budget, and not as a command in `net_commands`.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -108,6 +117,7 @@ use rand::{RngCore, SeedableRng};
 
 use crate::node::Outbox;
 use crate::supervise::Counters;
+use crate::wheel::{TimerWheel, WheelKey};
 use crate::{tick_ns, whole_nanos};
 
 /// What a node receives from the runtime.
@@ -154,6 +164,10 @@ pub(crate) trait DeliverySink<M>: Send + 'static {
             self.deliver(to, event);
         }
     }
+
+    /// The wake-up `node` registered with [`NetCommand::Wake`] came due.
+    /// The default ignores it: the tests' sinks register none.
+    fn wake(&mut self, _node: NodeId) {}
 }
 
 /// Chaos injection context for the network thread: the fault timeline
@@ -351,6 +365,9 @@ const NET_QUEUE_CAP: usize = 65_536;
 /// memory for this many messages, not for the burst.
 const TURN_BUDGET: usize = 4096;
 
+/// Slot count of the timer wheel that holds the reactor's wake-ups.
+const WHEEL_SLOTS: usize = 256;
+
 /// Emptied batch buffers kept for reuse; a flush that finds none starts
 /// a fresh one, a return that finds the list full is dropped.
 const SPARE_OUTBOXES: usize = 256;
@@ -405,6 +422,14 @@ impl<M> NetLink<M> {
         self.counters.note_fault_budget();
     }
 
+    /// Replaces `node`'s wake-up with `at` (`None` clears it). Blocks
+    /// while the queue is full instead of dropping: a lost wake-up would
+    /// be a node that never runs its timers again, and the net thread
+    /// never waits on a worker, so the wait always ends.
+    pub fn wake(&self, node: NodeId, at: Option<Instant>) {
+        let _ = self.tx.send(NetCommand::Wake { node, at });
+    }
+
     /// An empty outbox to fill next: a recycled one when the net thread
     /// has returned any (so its buffers are already grown), else fresh.
     pub fn spare_outbox(&self) -> Outbox<M> {
@@ -431,6 +456,13 @@ pub(crate) enum NetCommand<M> {
         from: NodeId,
         out: Outbox<M>,
     },
+    /// Not a message: `node`'s next timer deadline, which replaces the
+    /// one it registered before (`None` clears it). See
+    /// [`NetLink::wake`].
+    Wake {
+        node: NodeId,
+        at: Option<Instant>,
+    },
     Shutdown,
 }
 
@@ -440,7 +472,7 @@ impl<M> NetCommand<M> {
         match self {
             NetCommand::Send { .. } | NetCommand::Broadcast { .. } => 1,
             NetCommand::Batch { out, .. } => (out.sends.len() + out.broadcasts.len()) as u64,
-            NetCommand::Shutdown => 0,
+            NetCommand::Wake { .. } | NetCommand::Shutdown => 0,
         }
     }
 }
@@ -530,6 +562,10 @@ struct Flights<M> {
     staged: Vec<Vec<NodeEvent<M>>>,
     touched: Vec<NodeId>,
     spare: Arc<Mutex<Vec<Outbox<M>>>>,
+    /// The reactor's timer wake-ups on the same grid, at most one per
+    /// node, and the key of each node's entry.
+    wakes: TimerWheel<NodeId>,
+    wake_keys: Vec<Option<WheelKey>>,
 }
 
 impl<M: Clone> Flights<M> {
@@ -557,6 +593,8 @@ impl<M: Clone> Flights<M> {
             staged: (0..n).map(|_| Vec::new()).collect(),
             touched: Vec::new(),
             spare,
+            wakes: TimerWheel::new(tick, WHEEL_SLOTS),
+            wake_keys: vec![None; n],
         }
     }
 
@@ -637,8 +675,8 @@ impl<M: Clone> Flights<M> {
     }
 
     /// Puts everything `cmd` carries in flight, departing at `sent_at`
-    /// (the thread passes the instant it dequeued the command). Returns
-    /// `false` for `Shutdown`.
+    /// (the thread passes the instant it dequeued the command), or
+    /// registers the wake-up it carries. Returns `false` for `Shutdown`.
     fn enqueue(&mut self, cmd: NetCommand<M>, sent_at: Instant) -> bool {
         let (t, storming, flood) = match &self.chaos {
             Some(c) => {
@@ -668,9 +706,32 @@ impl<M: Clone> Flights<M> {
                     spare.push(out);
                 }
             }
+            NetCommand::Wake { node, at } => {
+                if let Some(key) = self.wake_keys[node.index()].take() {
+                    self.wakes.cancel(key);
+                }
+                if let Some(at) = at {
+                    let key = self.wakes.insert(self.nanos_of(at), node);
+                    self.wake_keys[node.index()] = Some(key);
+                }
+            }
             NetCommand::Shutdown => return false,
         }
         true
+    }
+
+    /// Hands every wake-up due by `now` to `sink`, in deadline order.
+    fn fire_wakes<S: DeliverySink<M>>(&mut self, now: Instant, sink: &mut S) {
+        for (_, node) in self.wakes.advance(self.nanos_of(now)) {
+            self.wake_keys[node.index()] = None;
+            sink.wake(node);
+        }
+    }
+
+    /// The instant of the earliest pending wake-up's tick.
+    fn next_wake(&mut self) -> Option<Instant> {
+        let ns = self.wakes.next_deadline()?;
+        Some(self.origin + Duration::from_nanos(ns))
     }
 
     /// The instant of the earliest occupied tick: when the next sweep
@@ -765,12 +826,21 @@ fn network_loop<M: Clone + Send, S: DeliverySink<M>>(
                 sink.deliver(NodeId::new(node), NodeEvent::PanicInject);
             }
         }
+        // Due wake-ups fire here, before the wait and whatever it
+        // receives: under an echo storm commands arrive without a pause,
+        // and a wait that reported its deadline only once the queue ran
+        // dry would starve every timer for as long as the storm lasts.
+        flights.fire_wakes(now, &mut sink);
         flights.deliver_due(now, &mut sink);
-        // Wait for the next command, the next due delivery, or the next
-        // chaos transition — whichever is soonest. (After a sweep that
-        // used up its budget the next delivery is already due, and the
-        // wait only picks up a command that is already queued.)
-        let mut deadline: Option<Instant> = flights.next_due();
+        // Wait for the next command, the next due delivery or wake-up,
+        // or the next chaos transition — whichever is soonest. (After a
+        // sweep that used up its budget the next delivery is already due,
+        // and the wait only picks up a command that is already queued.)
+        let mut deadline = flights
+            .next_due()
+            .into_iter()
+            .chain(flights.next_wake())
+            .min();
         if let Some(c) = flights.chaos.as_ref() {
             let next_crash = transitions
                 .as_ref()
@@ -788,14 +858,16 @@ fn network_loop<M: Clone + Send, S: DeliverySink<M>>(
             None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
         };
         // Ingest that command and every one already queued behind it,
-        // up to the budget. All senders gone is a shutdown nobody sent.
+        // up to the budget, where a wake-up counts as one entry. All
+        // senders gone is a shutdown nobody sent.
         let mut next = match received {
             Ok(cmd) => Some(cmd),
             Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => Some(NetCommand::Shutdown),
         };
-        let floor = flights.ring.len;
+        let (floor, mut wakes) = (flights.ring.len, 0);
         while let Some(cmd) = next {
+            let wake = matches!(cmd, NetCommand::Wake { .. });
             if !flights.enqueue(cmd, Instant::now()) {
                 // Shutdown comes when every node is done (or gone), so
                 // nobody is left to read what is still in flight: it is
@@ -804,8 +876,12 @@ fn network_loop<M: Clone + Send, S: DeliverySink<M>>(
                 counters.note_discarded(flights.ring.len as u64);
                 return (flights.delivered, flights.chaos_dropped);
             }
-            commands += 1;
-            next = if flights.ring.len - floor < TURN_BUDGET {
+            if wake {
+                wakes += 1;
+            } else {
+                commands += 1;
+            }
+            next = if flights.ring.len - floor + wakes < TURN_BUDGET {
                 match rx.try_recv() {
                     Ok(cmd) => Some(cmd),
                     Err(TryRecvError::Empty) => None,
@@ -1026,7 +1102,7 @@ mod tests {
                 let sends = out.sends.iter().map(|&(_, msg)| msg);
                 sends.chain(out.broadcasts.iter().copied()).collect()
             }
-            NetCommand::Shutdown => Vec::new(),
+            NetCommand::Wake { .. } | NetCommand::Shutdown => Vec::new(),
         }
     }
 
@@ -1286,10 +1362,10 @@ mod tests {
         );
     }
 
-    /// The net-thread analogue of the timer thread's starvation fix: with
-    /// commands arriving faster than they can be ingested, the queue is
-    /// never seen empty, and only the ingest budget gets a due message
-    /// delivered.
+    /// The net thread's starvation rule: with commands arriving faster
+    /// than they can be ingested, the queue is never seen empty, and only
+    /// the ingest budget gets a due message delivered (and a due wake-up
+    /// fired: both happen at the top of every turn).
     #[test]
     fn a_command_storm_does_not_starve_a_due_delivery() {
         let sink = Tally::default();

@@ -159,8 +159,13 @@ pub(crate) struct NodeCore<A: Automaton> {
     clock: EmulatedClock,
     signer: Arc<dyn Signer>,
     verifier: Arc<dyn Verifier>,
+    /// Every armed timer, cancelled ones included until they surface.
     timers: BinaryHeap<PendingTimer>,
-    cancelled: HashSet<TimerId>,
+    /// The ids of the armed timers neither fired nor cancelled: a heap
+    /// entry fires only if its id is still here. Cancelling a timer that
+    /// already fired removes nothing, so both collections stay bounded by
+    /// the timers pending.
+    live: HashSet<TimerId>,
     next_timer_raw: u64,
     /// Pulse observations `(index, host instant)`, harvested at shutdown.
     pulses: Vec<(u64, Instant)>,
@@ -178,8 +183,8 @@ pub(crate) struct NodeCore<A: Automaton> {
     observer: Option<(Arc<dyn RunObserver>, Instant)>,
     /// Set once the node saw `Shutdown`; further events are ignored.
     pub done: bool,
-    /// The wheel deadline this node last registered with the reactor's
-    /// timer thread (`None` = no pending wakeup).
+    /// The wheel deadline this node last registered with the network
+    /// thread (`None` = no pending wakeup).
     pub registered_wakeup: Option<Instant>,
 }
 
@@ -200,7 +205,7 @@ impl<A: Automaton> NodeCore<A> {
             signer,
             verifier,
             timers: BinaryHeap::new(),
-            cancelled: HashSet::new(),
+            live: HashSet::new(),
             next_timer_raw: (me.index() as u64) << 40, // node-unique ids
             pulses: Vec::new(),
             violations: Vec::new(),
@@ -264,14 +269,13 @@ impl<A: Automaton> NodeCore<A> {
             violations: new_violations,
             ..
         } = ctx;
-        for id in cancels {
-            self.cancelled.insert(id);
-        }
+        // Arm before cancelling: a handler may cancel a timer it just set.
         for (id, at) in new_timers {
-            self.timers.push(PendingTimer {
-                fire_local: at,
-                id,
-            });
+            self.live.insert(id);
+            self.timers.push(PendingTimer { fire_local: at, id });
+        }
+        for id in cancels {
+            self.live.remove(&id);
         }
         if !pulses.is_empty() {
             let now = Instant::now();
@@ -329,7 +333,7 @@ impl<A: Automaton> NodeCore<A> {
                 // rejoin handshake — drop everything pending before the
                 // automaton's recovery hook re-arms what it needs.
                 self.timers.clear();
-                self.cancelled.clear();
+                self.live.clear();
                 self.dispatch(Some(NodeEvent::Thaw), None, out);
                 return true;
             }
@@ -371,7 +375,7 @@ impl<A: Automaton> NodeCore<A> {
                 return;
             }
             let t = self.timers.pop().expect("peeked");
-            if self.cancelled.remove(&t.id) {
+            if !self.live.remove(&t.id) {
                 continue;
             }
             self.dispatch(None, Some(t.id), out);
@@ -386,9 +390,8 @@ impl<A: Automaton> NodeCore<A> {
             return None;
         }
         while let Some(t) = self.timers.peek() {
-            if self.cancelled.contains(&t.id) {
-                let t = self.timers.pop().expect("peeked");
-                self.cancelled.remove(&t.id);
+            if !self.live.contains(&t.id) {
+                self.timers.pop();
                 continue;
             }
             return Some(self.clock.when(t.fire_local));
@@ -414,5 +417,49 @@ impl<A: Automaton> NodeCore<A> {
     /// Surrenders the buffered pulse log and violations.
     pub fn into_results(self) -> (Vec<(u64, Instant)>, Vec<String>) {
         (self.pulses, self.violations)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crusader_crypto::KeyRing;
+    use crusader_time::Dur;
+
+    use super::*;
+
+    /// Arms 1 000 timers due at once and counts them as they fire; a
+    /// message cancels every one of them.
+    struct Alarms(Vec<TimerId>, usize);
+
+    impl Automaton for Alarms {
+        type Msg = ();
+
+        fn on_init(&mut self, ctx: &mut dyn Context<()>) {
+            self.0 = (0..1_000).map(|_| ctx.set_timer_at(LocalTime::ZERO)).collect();
+        }
+
+        fn on_message(&mut self, _from: NodeId, _msg: (), ctx: &mut dyn Context<()>) {
+            self.0.iter().for_each(|&id| ctx.cancel_timer(id));
+        }
+
+        fn on_timer(&mut self, _timer: TimerId, _ctx: &mut dyn Context<()>) {
+            self.1 += 1;
+        }
+    }
+
+    #[test]
+    fn cancelling_fired_timers_leaves_no_per_timer_state() {
+        let (ring, me) = (KeyRing::symbolic(1, 0), NodeId::new(0));
+        let clock = EmulatedClock::new(Instant::now(), Dur::ZERO, 1.0);
+        let alarms = Alarms(Vec::new(), 0);
+        let mut core = NodeCore::new(alarms, me, 1, clock, ring.signer(me), ring.verifier());
+        let mut out = Outbox::default();
+        core.init(&mut out);
+        core.fire_due(&mut out);
+        assert_eq!(core.automaton.1, 1_000);
+        assert!(core.on_event(NodeEvent::Deliver { from: me, msg: () }, &mut out));
+        assert_eq!(core.next_deadline(), None);
+        assert!(core.timers.is_empty());
+        assert!(core.live.is_empty(), "{} ids kept", core.live.len());
     }
 }

@@ -7,30 +7,26 @@
 //! "whole lanes per window" to "one node task per wakeup".
 //!
 //! ```text
-//!             ┌────────────┐  NetCommand: one per quantum
-//!   handlers ─┤  network   │◄───────────────────────────┐
-//!             │  thread    │ one sweep per occupied tick │
-//!             └─────┬──────┘ deliver_batch: one inbox    │
-//!                   ▼        append + wake per node/sweep│
-//!  ┌───────────────────────────────┐               ┌─────┴─────┐
+//!             ┌─────────────┐ NetCommand: one per quantum;
+//!   handlers ─┤   network   │◄─ Wake(node, at) when a node's ┐
+//!             │   thread:   │   earliest deadline changes    │
+//!             │ tick ring + │                                │
+//!             │ timer wheel │ per occupied tick: one inbox   │
+//!             └──────┬──────┘ append + wake per node; per due│
+//!                    ▼        wake: a push on the urgent lane│
+//!  ┌───────────────────────────────┐               ┌─────────┴─┐
 //!  │ per-node cells                │   ready queue │  workers  │
 //!  │  inbox: Mutex<VecDeque<Event>>│──────────────►│  (M long- │
 //!  │  queued: AtomicBool           │  (crossbeam   │   lived   │
 //!  │  core: Mutex<Option<NodeCore>>│   channel;    │  threads, │
 //!  └───────────────────────────────┘   workers     │  parked   │
-//!                   ▲                  park on     │  on recv) │
-//!                   │ wake at deadline  recv)      └─────┬─────┘
-//!             ┌─────┴──────┐                             │
-//!             │   timer    │◄────────────────────────────┘
-//!             │   thread   │  register(node, Instant)
-//!             │ hashed     │
-//!             │ timer wheel│
-//!             └────────────┘
+//!                                      park on     │  on recv) │
+//!                                      recv)       └───────────┘
 //! ```
 //!
 //! * **Cells and the ready queue.** Each node is a cell: an inbox, a
 //!   `queued` flag, and its [`NodeCore`]. Anyone with events for the
-//!   node (network thread, timer thread, harness) pushes them into the
+//!   node (network thread, harness) pushes them into the
 //!   inbox and *schedules* the cell — a compare-and-swap on `queued`
 //!   plus, if it was idle, one send on the shared ready channel. The
 //!   network thread does this once per node per delivery sweep — one
@@ -50,14 +46,13 @@
 //! * **Timers.** `SetTimer` deadlines stay node-local (each `NodeCore`
 //!   keeps its own heap); the reactor only
 //!   needs to know *when to wake the node next*. After running a node,
-//!   the worker registers the node's earliest deadline with the timer
-//!   thread, which multiplexes all N wakeups through one hashed
-//!   [`TimerWheel`](crate::wheel::TimerWheel) and re-schedules each node
-//!   as its tick expires. The wheel's tick is [`tick_ns`], the grid the
-//!   network thread delivers on too (a wake can be late by at most one
-//!   tick, which is indistinguishable from host scheduling jitter and is
-//!   folded into the same "real hardware inflates `u`" caveat as
-//!   everything else in this crate).
+//!   the worker sends the node's earliest deadline, if it changed, to the
+//!   network thread, which multiplexes all N wakeups through one hashed
+//!   [`TimerWheel`](crate::wheel::TimerWheel) on its own tick grid and
+//!   puts each node on the urgent lane as its tick expires (a wake can
+//!   be late by at most one tick, which is indistinguishable from host
+//!   scheduling jitter and is folded into the same "real hardware
+//!   inflates `u`" caveat as everything else in this crate).
 //! * **Fairness.** A worker processes at most [`BATCH_EVENTS`] events
 //!   per scheduling, however many one hand-off put into the inbox; what
 //!   is left goes back to the front of the inbox and the cell is
@@ -68,21 +63,22 @@
 //!   outbox rolls back to its pre-event state, the unprocessed tail of
 //!   the scratch queue is re-spliced to the *front* of the node's inbox
 //!   (no event lost, none delivered twice), and the panic is counted — then
-//!   the worker carrying it dies and a dedicated supervisor thread
-//!   respawns a replacement that adopts the same ready queue, so the
-//!   dead worker's backlog is picked up by the pool. A watchdog thread
-//!   scans per-node heartbeat slots (each node's next registered timer
-//!   deadline) and re-schedules nodes whose deadline is long overdue —
+//!   the worker carrying it dies, and the calling thread, which waits on
+//!   the workers' exits while the run lasts, respawns a replacement that
+//!   adopts the same ready queue, so the dead worker's backlog is picked
+//!   up by the pool. Between exits it scans per-node heartbeat slots
+//!   (each node's next registered timer deadline) a few times per stall
+//!   threshold and re-schedules nodes whose deadline is long overdue —
 //!   the signature of a wakeup lost to a wedged scheduler. Faults
 //!   beyond the `⌊(n − 1)/2⌋` budget flip the run into logged, degraded
 //!   mode; nothing aborts.
 //! * **Shutdown.** The harness pushes `Shutdown` into every inbox,
 //!   schedules every cell, then enqueues one sentinel per worker.
 //!   Channel FIFO order means every pre-shutdown wakeup drains first;
-//!   workers exit on the sentinel, then the supervisor, network, timer
-//!   and watchdog threads are joined, and the pulse logs are harvested
-//!   from the cells with everything quiescent — no lock is ever held
-//!   while converting.
+//!   workers exit on the sentinel (one that panics during shutdown
+//!   retires instead of being respawned), then the network thread is
+//!   joined, and the pulse logs are harvested from the cells with
+//!   everything quiescent — no lock is ever held while converting.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -103,8 +99,6 @@ use crate::harness::{ReactorRun, RuntimeConfig};
 use crate::net::{DeliverySink, NetChaos, NetLink, Network, NodeEvent};
 use crate::node::{NodeCore, Outbox};
 use crate::supervise::{self, Counters, Heartbeats};
-use crate::tick_ns;
-use crate::wheel::{TimerWheel, WheelKey};
 
 /// Max events one scheduling quantum may process before the node goes
 /// back to the end of the ready queue.
@@ -116,15 +110,12 @@ const STOP: u32 = u32::MAX;
 /// Ready-queue sentinel telling a worker to drain the urgent lane.
 const KICK: u32 = u32::MAX - 1;
 
-/// Slot count of the per-run hashed timer wheel.
-const WHEEL_SLOTS: usize = 256;
-
 struct Cell<A: Automaton> {
     inbox: Mutex<VecDeque<NodeEvent<A::Msg>>>,
     queued: AtomicBool,
     /// Whether the timer wheel currently holds a wakeup for this node.
     /// Set by the worker when it registers a deadline, cleared by the
-    /// timer thread when the entry fires. Guards against the lost-wakeup
+    /// network thread when the entry fires. Guards against the lost-wakeup
     /// race where the wheel fires *while* the node is mid-run (the
     /// `queued` flag swallows the schedule): the worker's post-run
     /// recheck sees `armed == false` with a deadline still pending and
@@ -159,7 +150,7 @@ impl<A: Automaton> Shared<A> {
     }
 
     /// Like [`schedule`](Self::schedule), but through the urgent lane —
-    /// used by the timer thread for expired deadlines. Unconditional:
+    /// used by the network thread for expired deadlines. Unconditional:
     /// even a node already *on* the normal ready queue (or mid-run) must
     /// not serve its expired deadline behind the message backlog — under
     /// an echo storm that back-of-the-queue wait is tens of
@@ -177,7 +168,7 @@ impl<A: Automaton> Shared<A> {
 /// silent nodes are dropped here — the node crashed before start, so
 /// the bytes would only pile up unread (the network still counts the
 /// delivery). Also carries the chaos injector's `Freeze`/`Thaw` control
-/// events.
+/// events, and the timer wheel's wake-ups onto the urgent lane.
 struct CellSink<A: Automaton> {
     shared: Arc<Shared<A>>,
     counters: Arc<Counters>,
@@ -204,38 +195,26 @@ impl<A: Automaton> DeliverySink<A::Msg> for CellSink<A> {
         // A silent node's events were not taken.
         events.clear();
     }
+
+    fn wake(&mut self, node: NodeId) {
+        // Disarm *before* scheduling: if the node is mid-run and the
+        // schedule is swallowed by its `queued` flag, the worker's
+        // post-run recheck observes the disarm and re-schedules.
+        let cell = &self.shared.cells[node.index()];
+        cell.wheel_armed.store(false, Ordering::Release);
+        self.shared.schedule_urgent(node.index());
+    }
 }
 
-enum WheelCmd {
-    /// Replace `node`'s wakeup with `at` (`None` clears it).
-    Register { node: u32, at: Option<Instant> },
-    Stop,
-}
-
-/// Everything a worker thread needs to run nodes. The supervisor moves
-/// a dead worker's context into its replacement, so the replacement
+/// Everything a worker thread needs to run nodes. The supervising caller
+/// moves a dead worker's context into its replacement, so the replacement
 /// adopts the same ready queue (and with it the dead worker's backlog).
 struct WorkerCtx<A: Automaton> {
     shared: Arc<Shared<A>>,
     ready_rx: Receiver<u32>,
     net: NetLink<A::Msg>,
-    wheel_tx: Sender<WheelCmd>,
     counters: Arc<Counters>,
     heartbeats: Arc<Heartbeats>,
-}
-
-// Manual impl: `derive(Clone)` would demand `A: Clone`.
-impl<A: Automaton> Clone for WorkerCtx<A> {
-    fn clone(&self) -> Self {
-        WorkerCtx {
-            shared: Arc::clone(&self.shared),
-            ready_rx: self.ready_rx.clone(),
-            net: self.net.clone(),
-            wheel_tx: self.wheel_tx.clone(),
-            counters: Arc::clone(&self.counters),
-            heartbeats: Arc::clone(&self.heartbeats),
-        }
-    }
 }
 
 /// Puts `tail` back onto the *front* of the cell's inbox, ahead of
@@ -254,7 +233,7 @@ fn splice_front<A: Automaton>(cell: &Cell<A>, tail: &mut VecDeque<NodeEvent<A::M
 /// its pre-call state, counts the panic against the fault budget,
 /// records it as a violation on the node (injected drills excepted) and
 /// hands the payload back so the worker can die with it — the
-/// supervisor respawns a replacement.
+/// supervising caller respawns a replacement.
 fn guarded<A: Automaton, R>(
     core: &mut NodeCore<A>,
     out: &mut Outbox<A::Msg>,
@@ -359,7 +338,7 @@ fn run_node<A: Automaton>(
             }
         }
         out.flush(core.me(), &ctx.net);
-        // Register (or clear) this node's wakeup with the timer thread.
+        // Register (or clear) this node's wakeup with the network thread.
         // Re-registration is needed when the earliest deadline changed
         // *or* the wheel no longer holds our entry (it fired — possibly
         // before the emulated clock caught up to the local fire time, or
@@ -374,10 +353,7 @@ fn run_node<A: Automaton>(
         if needs_register {
             core.registered_wakeup = next;
             cell.wheel_armed.store(next.is_some(), Ordering::Release);
-            let _ = ctx.wheel_tx.send(WheelCmd::Register {
-                node: idx as u32,
-                at: next,
-            });
+            ctx.net.wake(core.me(), next);
         }
         ctx.heartbeats
             .set_deadline(idx, if core.done { None } else { next });
@@ -401,7 +377,7 @@ fn run_node<A: Automaton>(
 
 /// A worker's main loop: drain the urgent lane, then run ready nodes.
 /// A node panic is re-raised here — the worker dies with it and the
-/// supervisor respawns a replacement.
+/// supervising caller respawns a replacement.
 fn worker_main<A: Automaton>(ctx: &WorkerCtx<A>) {
     let mut out = Outbox::default();
     let mut scratch = VecDeque::new();
@@ -431,7 +407,7 @@ fn worker_main<A: Automaton>(ctx: &WorkerCtx<A>) {
 }
 
 /// Spawns one worker thread. On exit — clean or by panic — the worker
-/// reports `(its context, panicked)` to the supervisor through
+/// reports `(its context, panicked)` to the supervising caller through
 /// `exit_tx`, which decides between respawn and retirement.
 fn spawn_worker<A: Automaton>(
     name: String,
@@ -445,88 +421,6 @@ fn spawn_worker<A: Automaton>(
             let _ = exit_tx.send((ctx, panicked));
         })
         .expect("spawn worker thread")
-}
-
-fn timer_loop<A: Automaton>(
-    shared: &Shared<A>,
-    rx: &Receiver<WheelCmd>,
-    t0: Instant,
-    granularity_ns: u64,
-) {
-    let nanos_since = |at: Instant| -> u64 {
-        #[allow(clippy::cast_possible_truncation)]
-        {
-            at.saturating_duration_since(t0).as_nanos() as u64
-        }
-    };
-    let mut wheel: TimerWheel<u32> = TimerWheel::new(granularity_ns, WHEEL_SLOTS);
-    let mut keys: Vec<Option<WheelKey>> = vec![None; shared.cells.len()];
-    let apply = |wheel: &mut TimerWheel<u32>,
-                     keys: &mut Vec<Option<WheelKey>>,
-                     cmd: WheelCmd|
-     -> bool {
-        match cmd {
-            WheelCmd::Register { node, at } => {
-                if let Some(key) = keys[node as usize].take() {
-                    wheel.cancel(key);
-                }
-                if let Some(at) = at {
-                    keys[node as usize] = Some(wheel.insert(nanos_since(at), node));
-                }
-                true
-            }
-            WheelCmd::Stop => false,
-        }
-    };
-    loop {
-        // Apply every already-queued command without blocking…
-        loop {
-            match rx.try_recv() {
-                Ok(cmd) => {
-                    if !apply(&mut wheel, &mut keys, cmd) {
-                        return;
-                    }
-                }
-                Err(channel::TryRecvError::Empty) => break,
-                Err(channel::TryRecvError::Disconnected) => return,
-            }
-        }
-        // …then fire everything due *now*. This must come before the
-        // blocking receive and must not depend on a timeout: under an
-        // echo storm the re-registration traffic is continuous, and a
-        // `recv_deadline` that drains queued commands before reporting
-        // `Timeout` would otherwise starve expiry for as long as the
-        // storm lasts (≈ one message flight — a protocol-visible
-        // deadline slip, not jitter).
-        for (_, node) in wheel.advance(nanos_since(Instant::now())) {
-            keys[node as usize] = None;
-            // Disarm *before* scheduling: if the node is mid-run and the
-            // schedule is swallowed by its `queued` flag, the worker's
-            // post-run recheck observes the disarm and re-schedules.
-            shared.cells[node as usize]
-                .wheel_armed
-                .store(false, Ordering::Release);
-            shared.schedule_urgent(node as usize);
-        }
-        let next = wheel
-            .next_deadline()
-            .map(|ns| t0 + Duration::from_nanos(ns));
-        let cmd = match next {
-            Some(at) => rx.recv_deadline(at),
-            None => rx
-                .recv()
-                .map_err(|_| channel::RecvTimeoutError::Disconnected),
-        };
-        match cmd {
-            Ok(cmd) => {
-                if !apply(&mut wheel, &mut keys, cmd) {
-                    return;
-                }
-            }
-            Err(channel::RecvTimeoutError::Disconnected) => return,
-            Err(channel::RecvTimeoutError::Timeout) => { /* loop fires due */ }
-        }
-    }
 }
 
 /// Runs the configured system: draws each active node's clock rate and
@@ -552,7 +446,6 @@ where
     let t0 = Instant::now();
     let counters = Arc::new(Counters::new(cfg.n));
     let heartbeats = Arc::new(Heartbeats::new(cfg.n, t0));
-    let stop = Arc::new(AtomicBool::new(false));
     // The epoch is a hair in the future so every clock starts at its
     // configured offset.
     let epoch = t0 + Duration::from_millis(2);
@@ -615,80 +508,19 @@ where
         Arc::clone(&counters),
     );
 
-    let (wheel_tx, wheel_rx) = channel::unbounded::<WheelCmd>();
-    let granularity = tick_ns(cfg.u, cfg.d);
-    let timer_handle = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("crusader-timer".into())
-            .spawn(move || timer_loop(&shared, &wheel_rx, t0, granularity))
-            .expect("spawn timer thread")
-    };
-
-    // The watchdog nudges stalled nodes back through the urgent lane.
-    let watchdog = {
-        let shared = Arc::clone(&shared);
-        supervise::spawn_watchdog(
-            Arc::clone(&heartbeats),
-            Arc::clone(&counters),
-            supervise::stall_threshold(cfg.d),
-            Arc::clone(&stop),
-            move |idx| shared.schedule_urgent(idx),
-        )
-    };
-
     let (exit_tx, exit_rx) = channel::unbounded::<(WorkerCtx<A>, bool)>();
-    let worker_handles: Vec<_> = (0..workers)
+    let mut worker_handles: Vec<_> = (0..workers)
         .map(|w| {
             let ctx = WorkerCtx {
                 shared: Arc::clone(&shared),
                 ready_rx: ready_rx.clone(),
                 net: network.link.clone(),
-                wheel_tx: wheel_tx.clone(),
                 counters: Arc::clone(&counters),
                 heartbeats: Arc::clone(&heartbeats),
             };
             spawn_worker(format!("crusader-worker-{w}"), ctx, exit_tx.clone())
         })
         .collect();
-
-    // The supervisor owns the exit channel: a worker that died of a
-    // panic (before shutdown began) is replaced by a fresh thread
-    // adopting its context — same ready queue, so the dead worker's
-    // backlog is picked up by the pool.
-    let supervisor = {
-        let counters = Arc::clone(&counters);
-        let stop = Arc::clone(&stop);
-        let exit_tx = exit_tx.clone();
-        std::thread::Builder::new()
-            .name("crusader-supervisor".into())
-            .spawn(move || {
-                let mut live = workers;
-                let mut generation = 0u64;
-                let mut respawned = Vec::new();
-                while live > 0 {
-                    let Ok((ctx, panicked)) = exit_rx.recv() else {
-                        break;
-                    };
-                    if panicked && !stop.load(Ordering::Acquire) {
-                        generation += 1;
-                        counters.note_respawn();
-                        respawned.push(spawn_worker(
-                            format!("crusader-worker-respawn-{generation}"),
-                            ctx,
-                            exit_tx.clone(),
-                        ));
-                    } else {
-                        live -= 1;
-                    }
-                }
-                for handle in respawned {
-                    let _ = handle.join();
-                }
-            })
-            .expect("spawn supervisor thread")
-    };
-    drop(exit_tx);
 
     // Kick every live node so its `on_init` runs (lazily, on a worker).
     for i in 0..cfg.n {
@@ -697,7 +529,33 @@ where
         }
     }
 
-    std::thread::sleep(cfg.run_for);
+    // Supervise until `run_for` is up: a worker that died of a panic is
+    // replaced by a fresh thread adopting its context (module docs,
+    // *Supervision*), and a stalled node is nudged onto the urgent lane.
+    let threshold = supervise::stall_threshold(cfg.d);
+    let poll = (threshold / 4).min(Duration::from_millis(50));
+    let start = Instant::now();
+    let (stop_at, mut next_scan) = (start + cfg.run_for, start + poll);
+    let mut generation = 0u64;
+    loop {
+        let now = Instant::now();
+        if now >= next_scan {
+            heartbeats.scan(now, threshold, &counters, |idx| shared.schedule_urgent(idx));
+            next_scan = now + poll;
+        }
+        if now >= stop_at {
+            break;
+        }
+        if let Ok((ctx, true)) = exit_rx.recv_deadline(next_scan.min(stop_at)) {
+            generation += 1;
+            counters.note_respawn();
+            worker_handles.push(spawn_worker(
+                format!("crusader-worker-respawn-{generation}"),
+                ctx,
+                exit_tx.clone(),
+            ));
+        }
+    }
 
     // Orderly shutdown: Shutdown events first, then one sentinel per
     // worker — FIFO ordering drains all pre-shutdown work first.
@@ -710,19 +568,14 @@ where
     for _ in 0..workers {
         let _ = ready_tx.send(STOP);
     }
-    // Panics from here on retire the worker instead of respawning it —
-    // the run is over.
-    stop.store(true, Ordering::Release);
-    let _ = supervisor.join();
+    // From here on an exiting worker retires, panicked or not — the run
+    // is over. The drain ends once every worker has exited.
+    drop(exit_tx);
+    while exit_rx.recv().is_ok() {}
     for handle in worker_handles {
         let _ = handle.join();
     }
     let (messages_delivered, chaos_dropped) = network.shutdown();
-    let _ = wheel_tx.send(WheelCmd::Stop);
-    let _ = timer_handle.join();
-    // The watchdog's nudge closure holds the `Shared` handle; join it
-    // before harvesting.
-    let _ = watchdog.join();
 
     // Everything is joined: harvest without contention. Events still
     // queued (deliveries that raced shutdown) are counted as discarded,

@@ -1,6 +1,6 @@
 //! Supervision primitives for the wall-clock runtime: fault counters
-//! with an explicit degradation budget, per-node heartbeat slots for
-//! silent-stall detection, and the watchdog thread that scans them.
+//! with an explicit degradation budget, and per-node heartbeat slots
+//! with the scan that detects silent stalls in them.
 //!
 //! The runtime's fault posture is *log and keep going*. A panicking
 //! handler is contained (and its worker respawned, with the dead
@@ -19,7 +19,6 @@
 
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crusader_time::Dur;
@@ -36,8 +35,8 @@ pub struct SupervisionStats {
     pub worker_panics: u64,
     /// Reactor workers respawned after a panic killed their thread.
     pub worker_respawns: u64,
-    /// Silent node stalls detected by the watchdog (a registered timer
-    /// deadline overdue by more than the stall threshold).
+    /// Silent node stalls detected by the heartbeat scan (a registered
+    /// timer deadline overdue by more than the stall threshold).
     pub stalls_detected: u64,
     /// Retries of a command push because the network queue was full.
     pub net_retries: u64,
@@ -174,8 +173,8 @@ pub(crate) const EXEMPT: u64 = u64::MAX;
 ///
 /// The reactor writes a node's slot every time it runs the node: the
 /// earliest pending timer deadline, or [`EXEMPT`] when the node has no
-/// wakeup of its own. The watchdog flags a node whose recorded deadline
-/// passed by more than the stall threshold — the signature of a wakeup
+/// wakeup of its own. [`scan`](Self::scan) flags a node whose recorded
+/// deadline passed by more than the stall threshold — the signature of a wakeup
 /// lost to a dead worker or a wedged scheduler, which a healthy run
 /// never exhibits (late wakeups stay within scheduling jitter).
 pub(crate) struct Heartbeats {
@@ -203,6 +202,40 @@ impl Heartbeats {
         let value = at.map_or(EXEMPT, |at| self.nanos(at));
         self.beats[node].store(value, Ordering::Release);
     }
+
+    /// Counts each node whose recorded deadline is overdue at `now` by
+    /// more than `threshold` as a stall (against the fault budget) and
+    /// calls `nudge` with its index so the reactor can reschedule it.
+    pub fn scan(
+        &self,
+        now: Instant,
+        threshold: Duration,
+        counters: &Counters,
+        mut nudge: impl FnMut(usize),
+    ) {
+        #[allow(clippy::cast_possible_truncation)]
+        let threshold_ns = threshold.as_nanos() as u64;
+        let now_ns = self.nanos(now);
+        for (node, slot) in self.beats.iter().enumerate() {
+            let recorded = slot.load(Ordering::Acquire);
+            if recorded == EXEMPT || now_ns <= recorded.saturating_add(threshold_ns) {
+                continue;
+            }
+            // Move the slot forward so one stall is counted once per
+            // threshold window, even with the node still wedged; losing
+            // the race to the node itself (which just ran and
+            // re-registered) cancels the report — it was not stalled
+            // after all.
+            if slot
+                .compare_exchange(recorded, now_ns, Ordering::AcqRel, Ordering::Relaxed)
+                .is_ok()
+            {
+                counters.note_stall();
+                counters.note_fault_budget();
+                nudge(node);
+            }
+        }
+    }
 }
 
 /// The stall threshold for link delay `d`: generous against scheduling
@@ -210,55 +243,6 @@ impl Heartbeats {
 /// wedged node within a sub-second run.
 pub(crate) fn stall_threshold(d: Dur) -> Duration {
     Duration::from_secs_f64(d.as_secs() * 20.0).max(Duration::from_millis(50))
-}
-
-/// Spawns the watchdog thread: scans the heartbeat slots at a fraction
-/// of `threshold`, counts each overdue node as a stall (against the
-/// fault budget) and calls `nudge` with its index so the reactor can
-/// reschedule it. Exits when `stop` is set.
-pub(crate) fn spawn_watchdog<F>(
-    heartbeats: Arc<Heartbeats>,
-    counters: Arc<Counters>,
-    threshold: Duration,
-    stop: Arc<AtomicBool>,
-    nudge: F,
-) -> std::thread::JoinHandle<()>
-where
-    F: Fn(usize) + Send + 'static,
-{
-    std::thread::Builder::new()
-        .name("crusader-watchdog".into())
-        .spawn(move || {
-            // Poll a few times per threshold, but stay responsive to
-            // `stop` even when the threshold is seconds long.
-            let poll = (threshold / 4).min(Duration::from_millis(50));
-            #[allow(clippy::cast_possible_truncation)]
-            let threshold_ns = threshold.as_nanos() as u64;
-            while !stop.load(Ordering::Acquire) {
-                std::thread::sleep(poll);
-                let now_ns = heartbeats.nanos(Instant::now());
-                for (node, slot) in heartbeats.beats.iter().enumerate() {
-                    let recorded = slot.load(Ordering::Acquire);
-                    if recorded == EXEMPT || now_ns <= recorded.saturating_add(threshold_ns) {
-                        continue;
-                    }
-                    // Move the slot forward so one stall is counted
-                    // once per threshold window, even with the node
-                    // still wedged; losing the race to the node itself
-                    // (which just ran and re-registered) cancels the
-                    // report — it was not stalled after all.
-                    if slot
-                        .compare_exchange(recorded, now_ns, Ordering::AcqRel, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        counters.note_stall();
-                        counters.note_fault_budget();
-                        nudge(node);
-                    }
-                }
-            }
-        })
-        .expect("spawn watchdog thread")
 }
 
 /// Best-effort text of a panic payload (panics carry `&str` or `String`
@@ -328,48 +312,31 @@ mod tests {
     #[test]
     fn watchdog_detects_an_overdue_deadline_and_nudges() {
         let t0 = Instant::now();
-        let hb = Arc::new(Heartbeats::new(2, t0));
-        let counters = Arc::new(Counters::new(8));
-        let stop = Arc::new(AtomicBool::new(false));
-        // Node 1's deadline is long past; node 0 is exempt.
+        let hb = Heartbeats::new(2, t0);
+        let counters = Counters::new(8);
+        let threshold = Duration::from_millis(20);
+        let mut nudged = Vec::new();
+        // Node 1's deadline is `t0`; node 0 is exempt.
         hb.set_deadline(1, Some(t0));
-        let nudged = Arc::new(AtomicU64::new(u64::MAX));
-        let watchdog = {
-            let nudged = Arc::clone(&nudged);
-            spawn_watchdog(
-                Arc::clone(&hb),
-                Arc::clone(&counters),
-                Duration::from_millis(20),
-                Arc::clone(&stop),
-                move |node| nudged.store(node as u64, Ordering::Release),
-            )
-        };
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while counters.snapshot().stalls_detected == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
+        // Overdue by the threshold: nothing. Past it: counted and nudged,
+        // then not again until another threshold has passed.
+        let late = t0 + threshold + Duration::from_nanos(1);
+        for at in [t0 + threshold, late, late + threshold, late + threshold * 2] {
+            hb.scan(at, threshold, &counters, |node| nudged.push((at, node)));
         }
-        stop.store(true, Ordering::Release);
-        watchdog.join().unwrap();
-        assert!(counters.snapshot().stalls_detected >= 1);
-        assert_eq!(nudged.load(Ordering::Acquire), 1);
+        assert_eq!(nudged, [(late, 1), (late + threshold * 2, 1)]);
+        assert_eq!(counters.snapshot().stalls_detected, 2);
     }
 
     #[test]
     fn exempt_slots_never_stall() {
-        let t0 = Instant::now() - Duration::from_secs(10);
-        let hb = Arc::new(Heartbeats::new(1, t0));
-        let counters = Arc::new(Counters::new(4));
-        let stop = Arc::new(AtomicBool::new(false));
-        let watchdog = spawn_watchdog(
-            Arc::clone(&hb),
-            Arc::clone(&counters),
-            Duration::from_millis(10),
-            Arc::clone(&stop),
-            |_| panic!("nudged an exempt node"),
-        );
-        std::thread::sleep(Duration::from_millis(40));
-        stop.store(true, Ordering::Release);
-        watchdog.join().unwrap();
+        let t0 = Instant::now();
+        let hb = Heartbeats::new(1, t0);
+        let counters = Counters::new(4);
+        let at = t0 + Duration::from_secs(10);
+        hb.scan(at, Duration::from_millis(10), &counters, |_| {
+            panic!("nudged an exempt node")
+        });
         assert_eq!(counters.snapshot().stalls_detected, 0);
     }
 

@@ -31,8 +31,8 @@
 //!   fired yet.
 //!
 //! The wheel is a plain deterministic data structure (no clocks, no
-//! threads); the reactor's timer thread owns one and drives it with real
-//! host instants.
+//! threads); the runtime's network thread owns one and drives it with
+//! real host instants.
 
 /// Handle to a pending entry, for [`TimerWheel::cancel`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,7 +132,7 @@ impl<T> TimerWheel<T> {
         // recompute lazily" — not "empty": surviving entries smaller than
         // this insert may exist, so promoting `None` to `Some(tick)` here
         // would silently raise the reported next deadline and make the
-        // reactor's timer thread sleep past real deadlines.
+        // network thread sleep past real deadlines.
         if self.min_tick.is_some_and(|m| tick < m) {
             self.min_tick = Some(tick);
         } else if self.len == 1 {
@@ -265,8 +265,8 @@ mod tests {
     /// Regression: an insert landing while the cached minimum is
     /// invalidated (`None`, right after an `advance` fired the previous
     /// minimum) must not raise `next_deadline` above a surviving smaller
-    /// entry. This exact sequence made the reactor's timer thread sleep
-    /// ~200 ms past a herd of accept deadlines.
+    /// entry. This exact sequence once made the thread owning the wheel
+    /// sleep ~200 ms past a herd of accept deadlines.
     #[test]
     fn insert_after_min_fire_keeps_surviving_minimum() {
         let mut w = TimerWheel::new(10, 8);

@@ -78,7 +78,7 @@ fn run_drill(cfg: &crusader_runtime::RuntimeConfig, params: Params) -> crusader_
 }
 
 /// An injected drill on the reactor kills the worker carrying it; the
-/// supervisor respawns a replacement and the clean pulse cadence of the
+/// calling thread respawns a replacement and the clean pulse cadence of the
 /// whole fleet continues — zero violations, since a drill is not a
 /// protocol bug.
 #[test]

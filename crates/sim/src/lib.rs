@@ -348,8 +348,8 @@ mod tests {
     struct Signed(SignedClaim);
 
     impl CarriesSignatures for Signed {
-        fn claims(&self) -> Vec<SignedClaim> {
-            vec![self.0.clone()]
+        fn for_each_claim(&self, f: &mut dyn FnMut(SignedClaim)) {
+            f(self.0.clone());
         }
     }
 
