@@ -7,11 +7,13 @@
 //! changed observable behaviour, not just speed, and must be treated as a
 //! correctness regression (or consciously re-pinned with a justification).
 
+use crusader_baselines::EchoSyncNode;
 use crusader_bench::snapshot::cps_scenario;
 use crusader_bench::{trace_hash, Scenario};
 use crusader_chaos::{builtin_catalog_dir, run_scenario, Catalog, Executor};
 use crusader_core::adversary::{RushingForwarder, StaggeredDealer};
 use crusader_core::{Carry, CpsNode, Params};
+use crusader_lowerbound::{TriConfig, TriSim, TriTrace};
 use crusader_sim::{Adversary, DelayModel, SilentAdversary, SimBuilder, Trace};
 use crusader_time::drift::DriftModel;
 use crusader_time::{Dur, Time};
@@ -271,6 +273,84 @@ fn chaos_catalog_traces_are_pinned() {
     assert_eq!(
         got, expected,
         "a catalog replay's (trace hash, chaos_drops, chaos_duplicates) changed"
+    );
+}
+
+/// `(ũ in µs, CPS hash, echo-sync hash)` of [`tri_hash`] over E7's
+/// grid: Theorem 5's merged tri-execution at d = 1 ms, θ = 1.05, ten
+/// pulses, horizon 5 s. Recorded at commit 2fb9fd7, while the engine
+/// still had its own handler context and timer-id counter.
+const PINNED_TRI: [(f64, u64, u64); 4] = [
+    (50.0, 0xe030d0a0a77ef374, 0x0e00cbf12aed1ef0),
+    (100.0, 0x4056ea90c95cbf76, 0x2fef7a207bf6f9ed),
+    (200.0, 0xa456d27c745a36c4, 0x30bbb7161d8235fe),
+    (400.0, 0x8ffad7c0a84f4eec, 0x2c6a2bc039dfe107),
+];
+
+/// FNV-1a over a [`TriTrace`]: every pulse's local and real time as bit
+/// patterns, the audit's violations, and the message count.
+fn tri_hash(trace: &TriTrace) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut write = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for locals in &trace.pulse_locals {
+        write(&(locals.len() as u64).to_le_bytes());
+        for local in locals {
+            write(&local.as_secs().to_bits().to_le_bytes());
+        }
+    }
+    for execution in &trace.pulses {
+        for pulses in execution {
+            write(&(pulses.len() as u64).to_le_bytes());
+            for t in pulses {
+                write(&t.as_secs().to_bits().to_le_bytes());
+            }
+        }
+    }
+    write(&(trace.well_formedness_violations.len() as u64).to_le_bytes());
+    for v in &trace.well_formedness_violations {
+        write(v.as_bytes());
+        write(&[0xff]);
+    }
+    write(&trace.messages.to_le_bytes());
+    h
+}
+
+#[test]
+fn tri_execution_traces_are_pinned() {
+    let d = Dur::from_millis(1.0);
+    let theta = 1.05;
+    let got: Vec<(f64, u64, u64)> = PINNED_TRI
+        .iter()
+        .map(|&(u_us, _, _)| {
+            let u_tilde = Dur::from_micros(u_us);
+            let cfg = TriConfig {
+                d,
+                u_tilde,
+                theta,
+                max_pulses: 10,
+                horizon: Dur::from_secs(5.0),
+            };
+            let params = Params::max_resilience(3, d, u_tilde, theta);
+            let derived = params.derive().expect("E7's parameters are valid");
+            let cps = TriSim::new(cfg, |me| CpsNode::new(me, params, derived)).run();
+            let echo =
+                TriSim::new(cfg, |me| EchoSyncNode::new(me, 3, 1, Dur::from_millis(20.0))).run();
+            (u_us, tri_hash(&cps), tri_hash(&echo))
+        })
+        .collect();
+    let got_hex: Vec<String> = got
+        .iter()
+        .map(|(u, c, e)| format!("({u:.1}, {c:#018x}, {e:#018x})"))
+        .collect();
+    assert_eq!(
+        got,
+        PINNED_TRI.to_vec(),
+        "a tri-execution trace changed: {got_hex:?}"
     );
 }
 
