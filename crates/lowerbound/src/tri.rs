@@ -31,11 +31,11 @@
 //! faulty node beforehand (the adversary's knowledge constraint).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use crusader_crypto::{KeyRing, KnowledgeTracker, NodeId, Signer, Verifier};
-use crusader_sim::{Automaton, Context, TimerId};
+use crusader_sim::{Automaton, Call, Effect, NodeCtx, TimerId, TimerSlab};
 use crusader_time::{Dur, HardwareClock, LocalTime, Time};
 
 /// Parameters of the construction.
@@ -139,60 +139,6 @@ impl<M> Ord for TriEvent<M> {
     }
 }
 
-struct TriCtx<'a, M> {
-    me: NodeId,
-    now_local: LocalTime,
-    signer: &'a dyn Signer,
-    verifier: &'a dyn Verifier,
-    next_timer: &'a mut u64,
-    sends: Vec<(NodeId, M)>,
-    timers: Vec<(TimerId, LocalTime)>,
-    cancels: Vec<TimerId>,
-    pulses: Vec<u64>,
-    violations: Vec<String>,
-}
-
-impl<'a, M: Clone> Context<M> for TriCtx<'a, M> {
-    fn me(&self) -> NodeId {
-        self.me
-    }
-    fn n(&self) -> usize {
-        3
-    }
-    fn local_time(&self) -> LocalTime {
-        self.now_local
-    }
-    fn send(&mut self, to: NodeId, msg: M) {
-        self.sends.push((to, msg));
-    }
-    fn broadcast(&mut self, msg: M) {
-        for to in NodeId::all(3) {
-            self.sends.push((to, msg.clone()));
-        }
-    }
-    fn set_timer_at(&mut self, at: LocalTime) -> TimerId {
-        let id = TimerId::new(*self.next_timer);
-        *self.next_timer += 1;
-        self.timers.push((id, at));
-        id
-    }
-    fn cancel_timer(&mut self, timer: TimerId) {
-        self.cancels.push(timer);
-    }
-    fn pulse(&mut self, index: u64) {
-        self.pulses.push(index);
-    }
-    fn signer(&self) -> &dyn Signer {
-        self.signer
-    }
-    fn verifier(&self) -> &dyn Verifier {
-        self.verifier
-    }
-    fn mark_violation(&mut self, description: String) {
-        self.violations.push(description);
-    }
-}
-
 /// The merged tri-execution simulator. See the module docs.
 pub struct TriSim<A: Automaton> {
     cfg: TriConfig,
@@ -202,8 +148,11 @@ pub struct TriSim<A: Automaton> {
     verifier: Arc<dyn Verifier>,
     queue: BinaryHeap<Reverse<TriEvent<A::Msg>>>,
     seq: u64,
-    next_timer: u64,
-    cancelled: HashSet<TimerId>,
+    /// Per node, the timers it has armed and not yet seen fire or
+    /// cancelled.
+    timers: [TimerSlab; 3],
+    /// Pooled handler effect buffer.
+    effects: Vec<Effect<A::Msg>>,
     /// Per execution `e`: the adversary's signature knowledge, timed in
     /// `Exᵉ`'s real time.
     knowledge: [KnowledgeTracker; 3],
@@ -248,8 +197,8 @@ impl<A: Automaton> TriSim<A> {
             verifier,
             queue: BinaryHeap::new(),
             seq: 0,
-            next_timer: 0,
-            cancelled: HashSet::new(),
+            timers: std::array::from_fn(|_| TimerSlab::new()),
+            effects: Vec::new(),
             knowledge,
             trace: TriTrace {
                 pulse_locals: [Vec::new(), Vec::new(), Vec::new()],
@@ -281,7 +230,7 @@ impl<A: Automaton> TriSim<A> {
     pub fn run(mut self) -> TriTrace {
         // All clocks read 0 at t = 0 (perfect initial synchronization).
         for j in 0..3 {
-            self.with_node(j, LocalTime::ZERO, |node, ctx| node.on_init(ctx));
+            self.with_node(j, LocalTime::ZERO, Call::Init);
         }
         let horizon = LocalTime::ZERO + self.cfg.horizon;
         while let Some(Reverse(event)) = self.queue.pop() {
@@ -291,17 +240,14 @@ impl<A: Automaton> TriSim<A> {
             match event.kind {
                 TriEventKind::Deliver { from, to, msg } => {
                     self.trace.messages += 1;
-                    let at = event.key;
-                    self.with_node(to, at, |node, ctx| {
-                        node.on_message(NodeId::new(from), msg, ctx);
-                    });
+                    let from = NodeId::new(from);
+                    self.with_node(to, event.key, Call::Message { from, msg });
                 }
                 TriEventKind::Timer { node, id } => {
-                    if self.cancelled.remove(&id) {
+                    if !self.timers[node].fire(id) {
                         continue;
                     }
-                    let at = event.key;
-                    self.with_node(node, at, |n, ctx| n.on_timer(id, ctx));
+                    self.with_node(node, event.key, Call::Timer(id));
                 }
             }
             if self
@@ -316,55 +262,62 @@ impl<A: Automaton> TriSim<A> {
         self.finish()
     }
 
-    fn with_node<F>(&mut self, j: usize, now_local: LocalTime, f: F)
-    where
-        F: FnOnce(&mut A, &mut dyn Context<A::Msg>),
-    {
-        let mut ctx = TriCtx {
-            me: NodeId::new(j),
-            now_local,
-            signer: &*self.signers[j],
-            verifier: &*self.verifier,
-            next_timer: &mut self.next_timer,
-            sends: Vec::new(),
-            timers: Vec::new(),
-            cancels: Vec::new(),
-            pulses: Vec::new(),
-            violations: Vec::new(),
-        };
-        f(&mut self.nodes[j], &mut ctx);
-        let TriCtx {
-            sends,
-            timers,
-            cancels,
-            pulses,
-            violations,
-            ..
-        } = ctx;
-        for v in violations {
-            self.trace
-                .well_formedness_violations
-                .push(format!("protocol violation at n{j}: {v}"));
-        }
-        for id in cancels {
-            self.cancelled.insert(id);
-        }
-        for (id, at) in timers {
-            let key = at.max(now_local);
-            self.push(key, TriEventKind::Timer { node: j, id });
-        }
-        for index in pulses {
-            let expected = self.trace.pulse_locals[j].len() as u64 + 1;
-            if index != expected {
+    /// Runs `call` on node `j` at its local time `now_local`, then applies
+    /// the handler's effects: timers are queued before any send, since
+    /// queue ties break by push order.
+    fn with_node(&mut self, j: usize, now_local: LocalTime, call: Call<A::Msg>) {
+        let mut effects = std::mem::take(&mut self.effects);
+        call.run(
+            &mut self.nodes[j],
+            &mut NodeCtx::new(
+                NodeId::new(j),
+                3,
+                now_local,
+                &*self.signers[j],
+                &*self.verifier,
+                &mut self.timers[j],
+                &mut effects,
+            ),
+        );
+        effects.retain(|effect| match effect {
+            Effect::Send { .. } | Effect::Broadcast { .. } => true,
+            &Effect::SetTimer { id, at } => {
+                self.push(at.max(now_local), TriEventKind::Timer { node: j, id });
+                false
+            }
+            &Effect::CancelTimer { id } => {
+                self.timers[j].cancel(id);
+                false
+            }
+            &Effect::Pulse { index } => {
+                let expected = self.trace.pulse_locals[j].len() as u64 + 1;
+                if index != expected {
+                    self.trace
+                        .well_formedness_violations
+                        .push(format!("n{j}: pulse {index} after {expected} expected"));
+                }
+                self.trace.pulse_locals[j].push(now_local);
+                false
+            }
+            Effect::Violation(text) => {
                 self.trace
                     .well_formedness_violations
-                    .push(format!("n{j}: pulse {index} after {expected} expected"));
+                    .push(format!("protocol violation at n{j}: {text}"));
+                false
             }
-            self.trace.pulse_locals[j].push(now_local);
+        });
+        for effect in effects.drain(..) {
+            match effect {
+                Effect::Send { to, msg } => self.dispatch_send(j, to.index(), now_local, msg),
+                Effect::Broadcast { msg } => {
+                    for k in 0..3 {
+                        self.dispatch_send(j, k, now_local, msg.clone());
+                    }
+                }
+                _ => unreachable!("applied above"),
+            }
         }
-        for (to, msg) in sends {
-            self.dispatch_send(j, to.index(), now_local, msg);
-        }
+        self.effects = effects;
     }
 
     fn dispatch_send(&mut self, j: usize, k: usize, h: LocalTime, msg: A::Msg) {

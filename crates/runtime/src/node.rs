@@ -6,50 +6,24 @@
 //! capabilities. The reactor drives its methods from whichever worker
 //! thread the node's task is scheduled on.
 //!
-//! Pulses and violations are buffered *inside* the core and harvested
-//! once at shutdown: the hot path takes no shared lock (the seed
-//! implementation funnelled every pulse through one global
-//! `Mutex<Vec<…>>`, which at thousands of nodes is a scalability bug,
-//! and converted the log to a [`Trace`](crusader_sim::Trace) while still
-//! holding it).
+//! Handlers run against the simulator's [`NodeCtx`], so they see the
+//! same context on every executor. The core applies a handler's effects
+//! only after it returns: sends go to the worker's outbox, timers to the
+//! node's heap, pulses and violations to logs buffered *inside* the core
+//! and harvested once at shutdown, so the hot path takes no shared lock.
 
-use std::collections::{BinaryHeap, HashSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use crusader_crypto::{NodeId, Signer, Verifier};
-use crusader_sim::{Automaton, Context, RunObserver, TimerId};
+use crusader_sim::{Automaton, Call, Effect, NodeCtx, RunObserver, TimerId, TimerSlab};
 use crusader_time::{LocalTime, Time};
 
 use crate::clock::EmulatedClock;
 use crate::net::{NetCommand, NetLink, NodeEvent};
 use crate::supervise;
-
-struct PendingTimer {
-    fire_local: LocalTime,
-    id: TimerId,
-}
-
-impl PartialEq for PendingTimer {
-    fn eq(&self, other: &Self) -> bool {
-        self.fire_local == other.fire_local && self.id == other.id
-    }
-}
-impl Eq for PendingTimer {}
-impl PartialOrd for PendingTimer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingTimer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by local fire time.
-        other
-            .fire_local
-            .cmp(&self.fire_local)
-            .then_with(|| other.id.cmp(&self.id))
-    }
-}
 
 /// Messages handlers produced, to be flushed to the network by the
 /// worker once the quantum's handlers have returned. Broadcasts stay a
@@ -97,60 +71,6 @@ impl<M> Outbox<M> {
     }
 }
 
-struct RtCtx<'a, M> {
-    me: NodeId,
-    n: usize,
-    now_local: LocalTime,
-    signer: &'a dyn Signer,
-    verifier: &'a dyn Verifier,
-    next_timer: &'a mut u64,
-    sends: &'a mut Vec<(NodeId, M)>,
-    broadcasts: &'a mut Vec<M>,
-    timers: Vec<(TimerId, LocalTime)>,
-    cancels: Vec<TimerId>,
-    pulses: Vec<u64>,
-    violations: Vec<String>,
-}
-
-impl<'a, M: Clone> Context<M> for RtCtx<'a, M> {
-    fn me(&self) -> NodeId {
-        self.me
-    }
-    fn n(&self) -> usize {
-        self.n
-    }
-    fn local_time(&self) -> LocalTime {
-        self.now_local
-    }
-    fn send(&mut self, to: NodeId, msg: M) {
-        self.sends.push((to, msg));
-    }
-    fn broadcast(&mut self, msg: M) {
-        self.broadcasts.push(msg);
-    }
-    fn set_timer_at(&mut self, at: LocalTime) -> TimerId {
-        let id = TimerId::new(*self.next_timer);
-        *self.next_timer += 1;
-        self.timers.push((id, at));
-        id
-    }
-    fn cancel_timer(&mut self, timer: TimerId) {
-        self.cancels.push(timer);
-    }
-    fn pulse(&mut self, index: u64) {
-        self.pulses.push(index);
-    }
-    fn signer(&self) -> &dyn Signer {
-        self.signer
-    }
-    fn verifier(&self) -> &dyn Verifier {
-        self.verifier
-    }
-    fn mark_violation(&mut self, description: String) {
-        self.violations.push(description);
-    }
-}
-
 /// One node's complete runtime state.
 pub(crate) struct NodeCore<A: Automaton> {
     automaton: A,
@@ -159,14 +79,14 @@ pub(crate) struct NodeCore<A: Automaton> {
     clock: EmulatedClock,
     signer: Arc<dyn Signer>,
     verifier: Arc<dyn Verifier>,
-    /// Every armed timer, cancelled ones included until they surface.
-    timers: BinaryHeap<PendingTimer>,
     /// The ids of the armed timers neither fired nor cancelled: a heap
-    /// entry fires only if its id is still here. Cancelling a timer that
-    /// already fired removes nothing, so both collections stay bounded by
-    /// the timers pending.
-    live: HashSet<TimerId>,
-    next_timer_raw: u64,
+    /// entry fires only if the slab still holds its id.
+    timers: TimerSlab,
+    /// Every armed timer by local fire time, cancelled ones included until
+    /// they surface.
+    deadlines: BinaryHeap<Reverse<(LocalTime, TimerId)>>,
+    /// The running handler's effects (pooled across handlers).
+    effects: Vec<Effect<A::Msg>>,
     /// Pulse observations `(index, host instant)`, harvested at shutdown.
     pulses: Vec<(u64, Instant)>,
     /// Violations (prefixed with the node id), harvested at shutdown.
@@ -204,9 +124,9 @@ impl<A: Automaton> NodeCore<A> {
             clock,
             signer,
             verifier,
-            timers: BinaryHeap::new(),
-            live: HashSet::new(),
-            next_timer_raw: (me.index() as u64) << 40, // node-unique ids
+            timers: TimerSlab::new(),
+            deadlines: BinaryHeap::new(),
+            effects: Vec::new(),
             pulses: Vec::new(),
             violations: Vec::new(),
             inited: false,
@@ -227,91 +147,58 @@ impl<A: Automaton> NodeCore<A> {
         self.me
     }
 
-    fn dispatch(
-        &mut self,
-        event: Option<NodeEvent<A::Msg>>,
-        fired: Option<TimerId>,
-        out: &mut Outbox<A::Msg>,
-    ) -> bool {
-        let now_local = self.clock.read(Instant::now());
-        let mut ctx = RtCtx {
-            me: self.me,
-            n: self.n,
-            now_local,
-            signer: &*self.signer,
-            verifier: &*self.verifier,
-            next_timer: &mut self.next_timer_raw,
-            sends: &mut out.sends,
-            broadcasts: &mut out.broadcasts,
-            timers: Vec::new(),
-            cancels: Vec::new(),
-            pulses: Vec::new(),
-            violations: Vec::new(),
-        };
-        match (event, fired) {
-            (Some(NodeEvent::Deliver { from, msg }), _) => {
-                self.automaton.on_message(from, msg, &mut ctx);
-            }
-            (Some(NodeEvent::Shutdown), _) => return false,
-            // Thaw reaches dispatch as the recovery notification; the
-            // automaton clears its own stale state (inboxes, signature
-            // memos) and re-arms from scratch.
-            (Some(NodeEvent::Thaw), _) => self.automaton.on_recover(&mut ctx),
-            // Freeze and panic drills are consumed in `on_event`.
-            (Some(NodeEvent::Freeze | NodeEvent::PanicInject), _) => {}
-            (None, Some(id)) => self.automaton.on_timer(id, &mut ctx),
-            (None, None) => self.automaton.on_init(&mut ctx),
-        }
-        let RtCtx {
-            timers: new_timers,
-            cancels,
-            pulses,
-            violations: new_violations,
-            ..
-        } = ctx;
-        // Arm before cancelling: a handler may cancel a timer it just set.
-        for (id, at) in new_timers {
-            self.live.insert(id);
-            self.timers.push(PendingTimer { fire_local: at, id });
-        }
-        for id in cancels {
-            self.live.remove(&id);
-        }
-        if !pulses.is_empty() {
-            let now = Instant::now();
-            if let Some((obs, epoch)) = &self.observer {
-                let at = Time::from_secs(now.saturating_duration_since(*epoch).as_secs_f64());
-                for idx in &pulses {
-                    obs.on_pulse(self.me, *idx, at);
+    /// Runs one handler, then applies its effects. A handler that panics
+    /// leaves them in `effects` for [`discard_effects`](Self::discard_effects).
+    fn dispatch(&mut self, call: Call<A::Msg>, out: &mut Outbox<A::Msg>) {
+        call.run(
+            &mut self.automaton,
+            &mut NodeCtx::new(
+                self.me,
+                self.n,
+                self.clock.read(Instant::now()),
+                &*self.signer,
+                &*self.verifier,
+                &mut self.timers,
+                &mut self.effects,
+            ),
+        );
+        let mut effects = std::mem::take(&mut self.effects);
+        for effect in effects.drain(..) {
+            match effect {
+                Effect::Send { to, msg } => out.sends.push((to, msg)),
+                Effect::Broadcast { msg } => out.broadcasts.push(msg),
+                Effect::SetTimer { id, at } => self.deadlines.push(Reverse((at, id))),
+                Effect::CancelTimer { id } => {
+                    self.timers.cancel(id);
                 }
-            }
-            self.pulses.extend(pulses.into_iter().map(|idx| (idx, now)));
-        }
-        if !new_violations.is_empty() {
-            if let Some((obs, epoch)) = &self.observer {
-                let at = Time::from_secs(
-                    Instant::now()
-                        .saturating_duration_since(*epoch)
-                        .as_secs_f64(),
-                );
-                for v in &new_violations {
-                    obs.on_violation(Some(self.me), v, at);
+                Effect::Pulse { index } => {
+                    let now = Instant::now();
+                    if let Some((obs, epoch)) = &self.observer {
+                        obs.on_pulse(self.me, index, scenario_time(*epoch, now));
+                    }
+                    self.pulses.push((index, now));
                 }
+                Effect::Violation(text) => self.note_violation(&text),
             }
-            self.violations.extend(
-                new_violations
-                    .into_iter()
-                    .map(|v| format!("{}: {v}", self.me)),
-            );
         }
-        true
+        self.effects = effects;
+    }
+
+    /// Drops the effects of a handler that panicked: none reaches the
+    /// outbox, and the timers it armed are released.
+    pub fn discard_effects(&mut self) {
+        for effect in self.effects.drain(..) {
+            if let Effect::SetTimer { id, .. } = effect {
+                self.timers.cancel(id);
+            }
+        }
     }
 
     /// Runs `on_init` (idempotent).
     pub fn init(&mut self, out: &mut Outbox<A::Msg>) {
         if !self.inited {
             self.inited = true;
-            self.dispatch(None, None, out);
+            self.dispatch(Call::Init, out);
         }
     }
 
@@ -322,25 +209,22 @@ impl<A: Automaton> NodeCore<A> {
             return false;
         }
         match event {
-            NodeEvent::Freeze => {
-                self.frozen = true;
-                return true;
-            }
+            NodeEvent::Freeze => self.frozen = true,
             NodeEvent::Thaw => {
                 self.frozen = false;
                 // Stale-state rejoin fix: timers armed before the crash
-                // (and their cancel bookkeeping) must not fire into the
-                // rejoin handshake — drop everything pending before the
-                // automaton's recovery hook re-arms what it needs.
-                self.timers.clear();
-                self.live.clear();
-                self.dispatch(Some(NodeEvent::Thaw), None, out);
-                return true;
+                // must not fire into the rejoin handshake — drop
+                // everything pending before the automaton's recovery hook
+                // re-arms what it needs.
+                for Reverse((_, id)) in self.deadlines.drain() {
+                    self.timers.cancel(id);
+                }
+                self.dispatch(Call::Recover, out);
             }
             // A crashed node runs no handlers: deliveries to it are
             // simply lost, as in the simulator — and a panic drill
             // aimed at a crashed node fizzles.
-            NodeEvent::PanicInject if self.frozen => return true,
+            NodeEvent::PanicInject | NodeEvent::Deliver { .. } if self.frozen => {}
             NodeEvent::PanicInject => {
                 panic!(
                     "{}: node {} panicked on schedule",
@@ -348,12 +232,10 @@ impl<A: Automaton> NodeCore<A> {
                     self.me
                 );
             }
-            NodeEvent::Deliver { .. } if self.frozen => return true,
-            event => {
-                if !self.dispatch(Some(event), None, out) {
-                    self.done = true;
-                    return false;
-                }
+            NodeEvent::Deliver { from, msg } => self.dispatch(Call::Message { from, msg }, out),
+            NodeEvent::Shutdown => {
+                self.done = true;
+                return false;
             }
         }
         true
@@ -365,20 +247,14 @@ impl<A: Automaton> NodeCore<A> {
         if self.done || self.frozen {
             return;
         }
-        loop {
-            let now_local = self.clock.read(Instant::now());
-            let due = self
-                .timers
-                .peek()
-                .is_some_and(|t| t.fire_local <= now_local);
-            if !due {
+        while let Some(&Reverse((at, id))) = self.deadlines.peek() {
+            if at > self.clock.read(Instant::now()) {
                 return;
             }
-            let t = self.timers.pop().expect("peeked");
-            if !self.live.remove(&t.id) {
-                continue;
+            self.deadlines.pop();
+            if self.timers.fire(id) {
+                self.dispatch(Call::Timer(id), out);
             }
-            self.dispatch(None, Some(t.id), out);
         }
     }
 
@@ -389,27 +265,20 @@ impl<A: Automaton> NodeCore<A> {
         if self.frozen {
             return None;
         }
-        while let Some(t) = self.timers.peek() {
-            if !self.live.contains(&t.id) {
-                self.timers.pop();
-                continue;
+        while let Some(&Reverse((at, id))) = self.deadlines.peek() {
+            if self.timers.is_armed(id) {
+                return Some(self.clock.when(at));
             }
-            return Some(self.clock.when(t.fire_local));
+            self.deadlines.pop();
         }
         None
     }
 
-    /// Records a violation from outside a handler context — the
-    /// reactor uses it to log contained handler panics against the
-    /// node.
+    /// Records a violation: a handler's, or one from outside a handler
+    /// (the reactor logs contained handler panics against the node).
     pub fn note_violation(&mut self, text: &str) {
         if let Some((obs, epoch)) = &self.observer {
-            let at = Time::from_secs(
-                Instant::now()
-                    .saturating_duration_since(*epoch)
-                    .as_secs_f64(),
-            );
-            obs.on_violation(Some(self.me), text, at);
+            obs.on_violation(Some(self.me), text, scenario_time(*epoch, Instant::now()));
         }
         self.violations.push(format!("{}: {text}", self.me));
     }
@@ -420,9 +289,16 @@ impl<A: Automaton> NodeCore<A> {
     }
 }
 
+/// The scenario time of host instant `now` in a run that started at
+/// `epoch`.
+fn scenario_time(epoch: Instant, now: Instant) -> Time {
+    Time::from_secs(now.saturating_duration_since(epoch).as_secs_f64())
+}
+
 #[cfg(test)]
 mod tests {
     use crusader_crypto::KeyRing;
+    use crusader_sim::Context;
     use crusader_time::Dur;
 
     use super::*;
@@ -459,7 +335,7 @@ mod tests {
         assert_eq!(core.automaton.1, 1_000);
         assert!(core.on_event(NodeEvent::Deliver { from: me, msg: () }, &mut out));
         assert_eq!(core.next_deadline(), None);
-        assert!(core.timers.is_empty());
-        assert!(core.live.is_empty(), "{} ids kept", core.live.len());
+        assert!(core.deadlines.is_empty());
+        assert_eq!(core.timers.live(), 0, "{} ids kept", core.timers.live());
     }
 }

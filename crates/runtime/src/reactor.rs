@@ -43,7 +43,7 @@
 //!   queue twice, so a node's handlers are always executed sequentially
 //!   — the [`Automaton`] contract — without per-node locks being
 //!   contended.
-//! * **Timers.** `SetTimer` deadlines stay node-local (each `NodeCore`
+//! * **Timers.** Timer deadlines stay node-local (each `NodeCore`
 //!   keeps its own heap); the reactor only
 //!   needs to know *when to wake the node next*. After running a node,
 //!   the worker sends the node's earliest deadline, if it changed, to the
@@ -60,7 +60,8 @@
 //!   grew while the worker was clearing the flag), so one hot node
 //!   cannot starve 2047 others.
 //! * **Supervision.** A handler panic is contained per event: the
-//!   outbox rolls back to its pre-event state, the unprocessed tail of
+//!   panicking handler's effects are dropped (what the handlers before
+//!   it sent stays in the outbox), the unprocessed tail of
 //!   the scratch queue is re-spliced to the *front* of the node's inbox
 //!   (no event lost, none delivered twice), and the panic is counted — then
 //!   the worker carrying it dies, and the calling thread, which waits on
@@ -229,8 +230,8 @@ fn splice_front<A: Automaton>(cell: &Cell<A>, tail: &mut VecDeque<NodeEvent<A::M
     std::mem::swap(&mut *inbox, tail);
 }
 
-/// Runs one handler call with panic capture: rolls the outbox back to
-/// its pre-call state, counts the panic against the fault budget,
+/// Runs one handler call with panic capture: drops the effects of the
+/// handler that panicked, counts the panic against the fault budget,
 /// records it as a violation on the node (injected drills excepted) and
 /// hands the payload back so the worker can die with it — the
 /// supervising caller respawns a replacement.
@@ -240,12 +241,10 @@ fn guarded<A: Automaton, R>(
     counters: &Counters,
     f: impl FnOnce(&mut NodeCore<A>, &mut Outbox<A::Msg>) -> R,
 ) -> Result<R, Box<dyn Any + Send>> {
-    let (s0, b0) = (out.sends.len(), out.broadcasts.len());
     match catch_unwind(AssertUnwindSafe(|| f(core, out))) {
         Ok(r) => Ok(r),
         Err(payload) => {
-            out.sends.truncate(s0);
-            out.broadcasts.truncate(b0);
+            core.discard_effects();
             counters.note_panic();
             counters.note_fault_budget();
             let msg = supervise::panic_message(&*payload);
@@ -260,8 +259,8 @@ fn guarded<A: Automaton, R>(
 /// One scheduling quantum for node `idx` on a worker thread. `scratch`
 /// is the worker's own event queue, empty between quanta.
 ///
-/// A handler panic does not lose state: the outbox rolls back to the
-/// pre-event point, the unprocessed tail of the scratch queue goes back
+/// A handler panic does not lose state: only the panicking handler's
+/// effects are dropped, the unprocessed tail of the scratch queue goes back
 /// to the front of the inbox (no event lost, none delivered twice), the
 /// cell's scheduling bookkeeping completes as usual — and the payload is
 /// returned so the worker carrying the panic dies and is respawned.

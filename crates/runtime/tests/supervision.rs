@@ -5,6 +5,7 @@
 //! than a quantum's worth at the panic — under hand-picked and
 //! property-randomized panic schedules.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -104,6 +105,73 @@ fn reactor_respawns_worker_after_injected_panic() {
     assert!(sup.worker_panics >= 1, "{sup:?}");
     assert!(sup.worker_respawns >= 1, "{sup:?}");
     assert_eq!(sup.fault_budget, 1);
+}
+
+/// Node 0 arms two timers for the same local time: the first sends node 1
+/// a ping, the second panics (a handler bug, not a drill). Node 1 counts
+/// the pings it receives.
+struct TwoAlarms {
+    first: Option<TimerId>,
+    received: Arc<AtomicU64>,
+}
+
+impl Automaton for TwoAlarms {
+    type Msg = Ping;
+
+    fn on_init(&mut self, ctx: &mut dyn Context<Ping>) {
+        if ctx.me().index() == 0 {
+            let at = LocalTime::from_millis(5.0);
+            self.first = Some(ctx.set_timer_at(at));
+            ctx.set_timer_at(at);
+        }
+    }
+
+    fn on_message(&mut self, _from: NodeId, _msg: Ping, _ctx: &mut dyn Context<Ping>) {
+        self.received.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn on_timer(&mut self, timer: TimerId, ctx: &mut dyn Context<Ping>) {
+        if Some(timer) == self.first {
+            ctx.send(NodeId::new(1), Ping { seq: 1 });
+        } else {
+            panic!("second alarm broke");
+        }
+    }
+}
+
+/// A panic in one timer handler drops that handler's effects only: the
+/// timer that fired before it in the same wakeup keeps its send, and the
+/// panic is counted once and recorded as one violation.
+#[test]
+fn a_panicking_timer_keeps_the_sends_of_the_timers_before_it() {
+    let received = Arc::new(AtomicU64::new(0));
+    let cfg = RuntimeConfig {
+        n: 3,
+        d: Dur::from_millis(3.0),
+        u: Dur::ZERO,
+        theta: 1.0,
+        max_offset: Dur::ZERO,
+        run_for: Duration::from_millis(200),
+        workers: Some(1),
+        ..RuntimeConfig::new(3)
+    };
+    let report = run(&cfg, |_me| TwoAlarms {
+        first: None,
+        received: Arc::clone(&received),
+    });
+    assert_eq!(received.load(Ordering::Relaxed), 1, "node 1 lost the first alarm's ping");
+    assert_eq!(report.supervision.worker_panics, 1, "{:?}", report.supervision);
+    assert_eq!(
+        report.trace.violations.len(),
+        1,
+        "{:?}",
+        report.trace.violations
+    );
+    assert!(
+        report.trace.violations[0].contains("handler panicked: second alarm broke"),
+        "{:?}",
+        report.trace.violations
+    );
 }
 
 /// Pings per tick and sender. The link below has no delay uncertainty,

@@ -1,19 +1,19 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use crusader_crypto::{CarriesSignatures, KeyRing, KnowledgeTracker, NodeId, Signer, Verifier};
+use crusader_crypto::{CarriesSignatures, KeyRing, KnowledgeTracker, NodeId};
 use crusader_time::drift::DriftModel;
-use crusader_time::{Dur, HardwareClock, LocalTime, Time};
+use crusader_time::{Dur, HardwareClock, Time};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::adversary::Adversary;
-use crate::automaton::{Automaton, Context};
+use crate::automaton::{Automaton, Call, Effect};
 use crate::chaos::{ChaosTimeline, RunObserver};
-use crate::event::{EventKey, EventKind, EventQueue, TimerId, TimerSlab};
+use crate::event::{EventKey, EventKind, EventQueue, TimerSlab};
 use crate::network::{DelayModel, LinkConfig};
 use crate::trace::Trace;
-use crate::world::{Call, Env, Popped, Post, World};
+use crate::world::{Env, Popped, Post, World};
 
 /// Configures and constructs a [`Sim`].
 ///
@@ -545,19 +545,6 @@ impl<M: Clone> Post<M> for Pending<M> {
     }
 }
 
-/// What an honest handler asked for, applied after it returns.
-pub(crate) enum Effect<M> {
-    Send { to: NodeId, msg: M },
-    /// One payload for all `n` destinations, shared by the fan-out
-    /// instead of deep-cloned `n` times.
-    Broadcast { msg: M },
-    /// A timer armed to fire at real time `at`.
-    SetTimer { id: TimerId, at: Time },
-    CancelTimer { id: TimerId },
-    Pulse { index: u64 },
-    Violation(String),
-}
-
 /// A deterministic discrete-event simulation of one execution of the model.
 ///
 /// Construct via [`SimBuilder`]; consume via [`Sim::run`].
@@ -671,7 +658,7 @@ impl<A: Automaton> Sim<A> {
         let node = self.nodes[v.index()].as_mut().expect("honest node present");
         call.run(
             node,
-            &mut NodeCtx::new(env, v, self.world.now, &mut self.timers, &mut effects),
+            &mut env.node_ctx(v, self.world.now, &mut self.timers, &mut effects),
         );
         for effect in effects.drain(..) {
             if let Effect::CancelTimer { id } = effect {
@@ -681,96 +668,5 @@ impl<A: Automaton> Sim<A> {
             }
         }
         self.node_effects = effects;
-    }
-}
-
-/// The [`Context`] an honest handler runs against, on either simulator.
-pub(crate) struct NodeCtx<'a, M> {
-    me: NodeId,
-    n: usize,
-    now: Time,
-    now_local: LocalTime,
-    clock: &'a HardwareClock,
-    signer: &'a dyn Signer,
-    verifier: &'a dyn Verifier,
-    timers: &'a mut TimerSlab,
-    effects: &'a mut Vec<Effect<M>>,
-}
-
-impl<'a, M> NodeCtx<'a, M> {
-    /// Node `me`'s context at real time `now`.
-    pub(crate) fn new(
-        env: &'a Env,
-        me: NodeId,
-        now: Time,
-        timers: &'a mut TimerSlab,
-        effects: &'a mut Vec<Effect<M>>,
-    ) -> Self {
-        let clock = &env.clocks[me.index()];
-        NodeCtx {
-            me,
-            n: env.n,
-            now,
-            now_local: clock.read(now),
-            clock,
-            signer: &*env.signers[me.index()],
-            verifier: &*env.verifier,
-            timers,
-            effects,
-        }
-    }
-}
-
-impl<'a, M: Clone> Context<M> for NodeCtx<'a, M> {
-    fn me(&self) -> NodeId {
-        self.me
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn local_time(&self) -> LocalTime {
-        self.now_local
-    }
-
-    fn send(&mut self, to: NodeId, msg: M) {
-        self.effects.push(Effect::Send { to, msg });
-    }
-
-    fn broadcast(&mut self, msg: M) {
-        self.effects.push(Effect::Broadcast { msg });
-    }
-
-    fn set_timer_at(&mut self, at: LocalTime) -> TimerId {
-        let id = self.timers.arm();
-        // A timer armed at or before the current local time fires now.
-        let at = if at <= self.now_local {
-            self.now
-        } else {
-            self.clock.when(at)
-        };
-        self.effects.push(Effect::SetTimer { id, at });
-        id
-    }
-
-    fn cancel_timer(&mut self, timer: TimerId) {
-        self.effects.push(Effect::CancelTimer { id: timer });
-    }
-
-    fn pulse(&mut self, index: u64) {
-        self.effects.push(Effect::Pulse { index });
-    }
-
-    fn signer(&self) -> &dyn Signer {
-        self.signer
-    }
-
-    fn verifier(&self) -> &dyn Verifier {
-        self.verifier
-    }
-
-    fn mark_violation(&mut self, description: String) {
-        self.effects.push(Effect::Violation(description));
     }
 }

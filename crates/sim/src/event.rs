@@ -49,9 +49,10 @@ pub struct TimerId(pub(crate) u64);
 impl TimerId {
     /// Creates a timer id from a raw counter value.
     ///
-    /// Exposed for alternative [`Context`](crate::Context)
-    /// implementations (the wall-clock runtime, the lower-bound
-    /// tri-execution engine); within one context, ids must be unique.
+    /// Every executor takes its ids from a [`TimerSlab`] through
+    /// [`NodeCtx`](crate::NodeCtx); this is for a stand-alone
+    /// [`Context`](crate::Context), such as a benchmark's probe, that
+    /// numbers its own. Within one context, ids must be unique.
     #[must_use]
     pub fn new(raw: u64) -> Self {
         TimerId(raw)
@@ -814,8 +815,13 @@ impl<H> EventQueue<H> {
 ///
 /// A single slot would need 2³² arm/free cycles to wrap its stamp; runs
 /// are capped at 50 M events by default, far below that.
+///
+/// Every executor keeps one slab per node (the simulators one per lane,
+/// since a lane's nodes never share ids with other lanes' timers): a
+/// [`NodeCtx`](crate::NodeCtx) arms ids in it, and the executor fires or
+/// cancels them.
 #[derive(Debug, Default)]
-pub(crate) struct TimerSlab {
+pub struct TimerSlab {
     slots: Vec<TimerSlot>,
     free: Vec<u32>,
     live: usize,
@@ -829,6 +835,8 @@ struct TimerSlot {
 }
 
 impl TimerSlab {
+    /// An empty slab.
+    #[must_use]
     pub fn new() -> Self {
         TimerSlab::default()
     }
@@ -868,17 +876,29 @@ impl TimerSlab {
         self.release(id)
     }
 
+    /// Whether `id` is armed: neither fired nor cancelled yet.
+    #[must_use]
+    pub fn is_armed(&self, id: TimerId) -> bool {
+        self.slot_of(id).is_some()
+    }
+
+    /// The slot `id` holds while it is armed.
     #[inline]
-    fn release(&mut self, id: TimerId) -> bool {
+    fn slot_of(&self, id: TimerId) -> Option<usize> {
         let slot = (id.0 & u64::from(u32::MAX)) as usize;
         #[allow(clippy::cast_possible_truncation)]
         let generation = (id.0 >> 32) as u32;
-        let Some(entry) = self.slots.get_mut(slot) else {
-            return false; // id from a different context (never issued here)
-        };
-        if !entry.armed || entry.generation != generation {
+        // An id from a different slab may name a slot never issued here.
+        let entry = self.slots.get(slot)?;
+        (entry.armed && entry.generation == generation).then_some(slot)
+    }
+
+    #[inline]
+    fn release(&mut self, id: TimerId) -> bool {
+        let Some(slot) = self.slot_of(id) else {
             return false;
-        }
+        };
+        let entry = &mut self.slots[slot];
         entry.armed = false;
         entry.generation = entry.generation.wrapping_add(1);
         self.free.push(slot as u32);
@@ -887,12 +907,13 @@ impl TimerSlab {
     }
 
     /// Most timers ever pending at once (bounds the slab's memory).
+    #[must_use]
     pub fn high_water(&self) -> usize {
         self.high_water
     }
 
     /// Timers pending right now.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[must_use]
     pub fn live(&self) -> usize {
         self.live
     }

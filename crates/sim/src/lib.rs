@@ -122,7 +122,7 @@ pub mod shard;
 pub mod synchronous;
 
 pub use adversary::{Adversary, AdversaryApi, SilentAdversary};
-pub use automaton::{Automaton, Context, TimerId};
+pub use automaton::{Automaton, Call, Context, Effect, NodeCtx, TimerId, TimerSlab};
 pub use chaos::{ChaosTimeline, FloodSpec, RunObserver};
 pub use engine::{Sim, SimBuilder};
 pub use network::{DelayModel, LinkConfig};

@@ -100,11 +100,11 @@ use crossbeam::channel::{Receiver, Sender};
 use crusader_crypto::NodeId;
 use crusader_time::{Dur, Time};
 
-use crate::automaton::Automaton;
-use crate::engine::{Effect, NodeCtx, Sim};
+use crate::automaton::{Automaton, Call, Effect};
+use crate::engine::Sim;
 use crate::event::{EventKey, EventKind, EventQueue, Payload, SharedPayload, TimerSlab};
 use crate::trace::Trace;
-use crate::world::{Call, Env, Popped, Post, World};
+use crate::world::{Env, Popped, Post, World};
 
 /// Sequence numbers at or above this value are *provisional*: lane-local
 /// stand-ins for in-window timers whose true global number is assigned by
@@ -313,17 +313,18 @@ impl<A: Automaton> Lane<A> {
         let node = self.nodes[v.index() / self.stride]
             .as_mut()
             .expect("honest node present");
-        call.run(
-            node,
-            &mut NodeCtx::new(env, v, now, &mut self.timers, &mut effects),
-        );
+        call.run(node, &mut env.node_ctx(v, now, &mut self.timers, &mut effects));
         let before = self.arena.len();
         for effect in effects.drain(..) {
             let replay = match effect {
-                Effect::SetTimer { id, at }
-                    if window.is_some_and(|w| w.contains(at)) && at <= env.horizon =>
-                {
-                    Replay::Provisional(self.push_provisional(at, EventKind::Timer { node: v, id }))
+                Effect::SetTimer { id, at } if window.is_some() => {
+                    let fire = env.fire_time(v, now, at);
+                    if window.is_some_and(|w| w.contains(fire)) && fire <= env.horizon {
+                        let slot = self.push_provisional(fire, EventKind::Timer { node: v, id });
+                        Replay::Provisional(slot)
+                    } else {
+                        Replay::Apply(Effect::SetTimer { id, at })
+                    }
                 }
                 // Lane-local, order-insensitive across lanes (a node only
                 // ever cancels its own timers): applied here so later

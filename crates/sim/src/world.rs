@@ -21,13 +21,12 @@ use std::sync::Arc;
 use crusader_crypto::{
     CarriesSignatures, KnowledgeTracker, NodeId, RestrictedSigner, Signer, Verifier,
 };
-use crusader_time::{Dur, HardwareClock, Time};
+use crusader_time::{Dur, HardwareClock, LocalTime, Time};
 use rand::rngs::SmallRng;
 
 use crate::adversary::{AdvEffect, Adversary, AdversaryApi};
-use crate::automaton::{Automaton, Context};
+use crate::automaton::{Call, Effect, NodeCtx};
 use crate::chaos::{ChaosTimeline, RunObserver};
-use crate::engine::Effect;
 use crate::event::{EventKind, TimerId, TimerSlab};
 use crate::network::{DelayModel, LinkConfig};
 use crate::trace::Trace;
@@ -90,41 +89,39 @@ impl<H> Popped<H> {
     }
 }
 
-/// The handler an honest node runs. `T` is the message: a handle until
-/// the simulator resolves it.
-pub(crate) enum Call<T> {
-    Init,
-    Message { from: NodeId, msg: T },
-    Timer(TimerId),
-    Recover,
-}
-
-impl<T> Call<T> {
-    /// Resolves the message, if any.
-    #[inline]
-    pub(crate) fn resolve<M>(self, f: impl FnOnce(T) -> M) -> Call<M> {
-        match self {
-            Call::Init => Call::Init,
-            Call::Message { from, msg } => Call::Message { from, msg: f(msg) },
-            Call::Timer(id) => Call::Timer(id),
-            Call::Recover => Call::Recover,
-        }
-    }
-}
-
-impl<M> Call<M> {
-    #[inline]
-    pub(crate) fn run<A: Automaton<Msg = M>>(self, node: &mut A, ctx: &mut dyn Context<M>) {
-        match self {
-            Call::Init => node.on_init(ctx),
-            Call::Message { from, msg } => node.on_message(from, msg, ctx),
-            Call::Timer(id) => node.on_timer(id, ctx),
-            Call::Recover => node.on_recover(ctx),
-        }
-    }
-}
-
 impl Env {
+    /// Honest node `v`'s handler context at real time `now`.
+    pub(crate) fn node_ctx<'a, M>(
+        &'a self,
+        v: NodeId,
+        now: Time,
+        timers: &'a mut TimerSlab,
+        effects: &'a mut Vec<Effect<M>>,
+    ) -> NodeCtx<'a, M> {
+        NodeCtx::new(
+            v,
+            self.n,
+            self.clocks[v.index()].read(now),
+            &*self.signers[v.index()],
+            &*self.verifier,
+            timers,
+            effects,
+        )
+    }
+
+    /// The real time at which node `v`'s timer for local time `at`, armed
+    /// at real time `now`, fires: `now` if the node's clock already reads
+    /// `at` or more, else the instant it comes to read `at`.
+    #[inline]
+    pub(crate) fn fire_time(&self, v: NodeId, now: Time, at: LocalTime) -> Time {
+        let clock = &self.clocks[v.index()];
+        if at <= clock.read(now) {
+            now
+        } else {
+            clock.when(at)
+        }
+    }
+
     /// Decides what the event `kind`, popped at `at`, amounts to — for
     /// both simulators, in this one place. `timers` is the slab of the
     /// node the event belongs to; firing a live timer consumes its slot.
@@ -312,7 +309,10 @@ impl<M: Clone + CarriesSignatures> World<M> {
                     self.schedule_honest_send(post, v, to, msg.clone());
                 }
             }
-            Effect::SetTimer { id, at } => post.post(at, EventKind::Timer { node: v, id }),
+            Effect::SetTimer { id, at } => {
+                let at = self.env.fire_time(v, self.now, at);
+                post.post(at, EventKind::Timer { node: v, id });
+            }
             Effect::CancelTimer { .. } => unreachable!("cancellations stay with the node's slab"),
             Effect::Pulse { index } => self.record_pulse(v, index),
             Effect::Violation(text) => self.record_violation(Some(v), text),
