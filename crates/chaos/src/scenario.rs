@@ -95,7 +95,7 @@ pub enum Expectation {
 }
 
 /// A crash directive, kept in scenario form so the timeline can be
-/// rebuilt (and restretched) on demand.
+/// rebuilt on demand.
 #[derive(Clone, Copy, Debug)]
 pub struct CrashSpec {
     /// Crashing node.

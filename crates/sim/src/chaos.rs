@@ -337,55 +337,6 @@ impl ChaosTimeline {
     pub fn crashes(&self) -> &[CrashWindow] {
         &self.crashes
     }
-
-    /// Scales every window boundary by `factor` (used with time-stretched
-    /// replays, where `d`, `u` and all deadlines scale together).
-    #[must_use]
-    pub fn stretched(&self, factor: f64) -> ChaosTimeline {
-        let s = |t: Time| Time::from_secs(t.as_secs() * factor);
-        ChaosTimeline {
-            n: self.n,
-            crashes: self
-                .crashes
-                .iter()
-                .map(|w| CrashWindow {
-                    node: w.node,
-                    from: s(w.from),
-                    until: w.until.map(s),
-                })
-                .collect(),
-            cuts: self
-                .cuts
-                .iter()
-                .map(|w| CutWindow {
-                    a: w.a.clone(),
-                    b: w.b.clone(),
-                    from: s(w.from),
-                    until: s(w.until),
-                })
-                .collect(),
-            storms: self
-                .storms
-                .iter()
-                .map(|w| StormWindow {
-                    from: s(w.from),
-                    until: s(w.until),
-                })
-                .collect(),
-            floods: self
-                .floods
-                .iter()
-                .map(|w| FloodWindow {
-                    from: s(w.from),
-                    until: s(w.until),
-                    copies: w.copies,
-                    rush: w.rush,
-                })
-                .collect(),
-            panics: self.panics.iter().map(|&(at, node)| (s(at), node)).collect(),
-            ever_down: self.ever_down.clone(),
-        }
-    }
 }
 
 /// Continuous run observation: called by the engines, in event order,
@@ -479,16 +430,5 @@ mod tests {
         c.panic_at(1, t(10.0));
         assert!(!c.is_empty());
         assert_eq!(c.panic_schedule(), vec![(t(10.0), 1), (t(30.0), 3)]);
-        let s = c.stretched(2.0);
-        assert_eq!(s.panic_schedule(), vec![(t(20.0), 1), (t(60.0), 3)]);
-    }
-
-    #[test]
-    fn stretch_scales_windows() {
-        let mut c = ChaosTimeline::new(2);
-        c.crash(1, t(10.0), Some(t(20.0)));
-        let s = c.stretched(2.0);
-        assert!(s.down(NodeId::new(1), t(30.0)));
-        assert!(!s.down(NodeId::new(1), t(15.0)));
     }
 }
