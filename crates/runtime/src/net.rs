@@ -130,11 +130,11 @@ pub enum NodeEvent<M> {
         /// Payload.
         msg: M,
     },
-    /// Chaos injection: the node crashes (drops deliveries, defers
+    /// Chaos injection: the node crashes (drops deliveries, fires no
     /// timers) until [`NodeEvent::Thaw`].
     Freeze,
-    /// Chaos injection: the node recovers; overdue timers fire at the
-    /// recovery instant, mirroring the simulator's deferral semantics.
+    /// Chaos injection: the node recovers; its pending timers are
+    /// cancelled and its recovery hook runs.
     Thaw,
     /// Chaos injection: the node's next handler invocation panics (a
     /// supervision drill — exercises containment and worker respawn).
@@ -186,6 +186,30 @@ impl NetChaos {
     /// Whether scenario time `t` has come by `now`.
     fn due(&self, t: Time, now: Instant) -> bool {
         self.instant_of(t) <= now
+    }
+
+    /// The timeline's control events — crash transitions and panic
+    /// drills — as one `(when, node, event)` list sorted by time, latest
+    /// first, so the next one pops from the back. At one instant, crash
+    /// transitions go before drills.
+    fn control_schedule<M>(&self) -> Vec<(Time, NodeId, NodeEvent<M>)> {
+        let transitions = self.timeline.crash_transitions().into_iter();
+        let drills = self.timeline.panic_schedule().into_iter();
+        let mut schedule: Vec<_> = transitions
+            .map(|(t, node, down)| {
+                let event = if down {
+                    NodeEvent::Freeze
+                } else {
+                    NodeEvent::Thaw
+                };
+                (t, NodeId::new(node), event)
+            })
+            .chain(drills.map(|(t, node)| (t, NodeId::new(node), NodeEvent::PanicInject)))
+            .collect();
+        // A stable sort keeps each instant's transitions ahead of its drills.
+        schedule.sort_by(|x, y| x.0.partial_cmp(&y.0).expect("finite times"));
+        schedule.reverse();
+        schedule
     }
 }
 
@@ -770,60 +794,25 @@ impl<M: Clone> Flights<M> {
     }
 }
 
-/// Crash-transition playback state: the sorted `(when, node, down)`
-/// schedule from [`ChaosTimeline::crash_transitions`] plus a cursor.
-struct Transitions {
-    schedule: Vec<(Time, usize, bool)>,
-    next: usize,
-}
-
-/// Panic-drill playback state: the sorted `(when, node)` schedule from
-/// [`ChaosTimeline::panic_schedule`] plus a cursor.
-struct PanicCursor {
-    schedule: Vec<(Time, usize)>,
-    next: usize,
-}
-
 fn network_loop<M: Clone + Send, S: DeliverySink<M>>(
     rx: &Receiver<NetCommand<M>>,
     mut sink: S,
     mut flights: Flights<M>,
     counters: &Counters,
 ) -> (u64, u64) {
-    let mut transitions = flights.chaos.as_ref().map(|c| Transitions {
-        schedule: c.timeline.crash_transitions(),
-        next: 0,
-    });
-    let mut panics = flights.chaos.as_ref().map(|c| PanicCursor {
-        schedule: c.timeline.panic_schedule(),
-        next: 0,
-    });
+    let mut control = flights
+        .chaos
+        .as_ref()
+        .map_or_else(Vec::new, NetChaos::control_schedule);
     let mut commands = 0u64;
     loop {
-        // Deliver what is due, after any crash transitions and panic
-        // drills that have come due.
+        // Deliver what is due, after the crash transitions and panic
+        // drills that have come due, in time order.
         let now = Instant::now();
-        if let (Some(tr), Some(c)) = (transitions.as_mut(), flights.chaos.as_ref()) {
-            while let Some(&(t, node, down)) = tr.schedule.get(tr.next) {
-                if !c.due(t, now) {
-                    break;
-                }
-                tr.next += 1;
-                let event = if down {
-                    NodeEvent::Freeze
-                } else {
-                    NodeEvent::Thaw
-                };
-                sink.deliver(NodeId::new(node), event);
-            }
-        }
-        if let (Some(pc), Some(c)) = (panics.as_mut(), flights.chaos.as_ref()) {
-            while let Some(&(t, node)) = pc.schedule.get(pc.next) {
-                if !c.due(t, now) {
-                    break;
-                }
-                pc.next += 1;
-                sink.deliver(NodeId::new(node), NodeEvent::PanicInject);
+        if let Some(c) = &flights.chaos {
+            while control.last().is_some_and(|&(t, ..)| c.due(t, now)) {
+                let (_, node, event) = control.pop().expect("a due control event");
+                sink.deliver(node, event);
             }
         }
         // Due wake-ups fire here, before the wait and whatever it
@@ -833,7 +822,7 @@ fn network_loop<M: Clone + Send, S: DeliverySink<M>>(
         flights.fire_wakes(now, &mut sink);
         flights.deliver_due(now, &mut sink);
         // Wait for the next command, the next due delivery or wake-up,
-        // or the next chaos transition — whichever is soonest. (After a
+        // or the next chaos control event — whichever is soonest. (After a
         // sweep that used up its budget the next delivery is already due,
         // and the wait only picks up a command that is already queued.)
         let mut deadline = flights
@@ -841,17 +830,9 @@ fn network_loop<M: Clone + Send, S: DeliverySink<M>>(
             .into_iter()
             .chain(flights.next_wake())
             .min();
-        if let Some(c) = flights.chaos.as_ref() {
-            let next_crash = transitions
-                .as_ref()
-                .and_then(|tr| tr.schedule.get(tr.next).map(|&(t, _, _)| t));
-            let next_panic = panics
-                .as_ref()
-                .and_then(|pc| pc.schedule.get(pc.next).map(|&(t, _)| t));
-            for t in [next_crash, next_panic].into_iter().flatten() {
-                let at = c.instant_of(t);
-                deadline = Some(deadline.map_or(at, |d| d.min(at)));
-            }
+        if let (Some(c), Some(&(t, ..))) = (&flights.chaos, control.last()) {
+            let at = c.instant_of(t);
+            deadline = Some(deadline.map_or(at, |d| d.min(at)));
         }
         let received = match deadline {
             Some(at) => rx.recv_deadline(at),
@@ -1187,6 +1168,40 @@ mod tests {
         let (bottom, top) = (sent_ns + 15_000_000, sent_ns + 20_000_000);
         assert_eq!(ticks[..N], [bottom.div_ceil(flights.tick); N]);
         assert_eq!(ticks[N..], [top / flights.tick; N]);
+    }
+
+    /// Control events pop in time order, a drill before a later crash
+    /// transition; at one instant the transition goes first.
+    #[test]
+    fn control_events_pop_in_time_order_transitions_first_at_a_tie() {
+        let mut timeline = ChaosTimeline::new(N);
+        timeline.crash(1, Time::from_millis(20.0), Some(Time::from_millis(30.0)));
+        timeline.panic_at(2, Time::from_millis(10.0));
+        timeline.panic_at(3, Time::from_millis(20.0));
+        let chaos = NetChaos {
+            timeline: Arc::new(timeline),
+            epoch: Instant::now(),
+        };
+        let mut schedule = chaos.control_schedule::<u32>();
+        let mut popped = Vec::new();
+        while let Some((t, node, event)) = schedule.pop() {
+            let kind = match event {
+                NodeEvent::Freeze => "freeze",
+                NodeEvent::Thaw => "thaw",
+                NodeEvent::PanicInject => "panic",
+                _ => unreachable!("not a control event"),
+            };
+            popped.push((t, node.index(), kind));
+        }
+        assert_eq!(
+            popped,
+            [
+                (Time::from_millis(10.0), 2, "panic"),
+                (Time::from_millis(20.0), 1, "freeze"),
+                (Time::from_millis(20.0), 3, "panic"),
+                (Time::from_millis(30.0), 1, "thaw"),
+            ]
+        );
     }
 
     /// An hour-long link is 72 million ticks of 50 µs; a burst on it
