@@ -71,6 +71,9 @@ impl<M> Outbox<M> {
     }
 }
 
+/// The effect-buffer capacity a core keeps between handlers.
+const EFFECTS_KEPT: usize = 64;
+
 /// One node's complete runtime state.
 pub(crate) struct NodeCore<A: Automaton> {
     automaton: A,
@@ -181,6 +184,10 @@ impl<A: Automaton> NodeCore<A> {
                 Effect::Violation(text) => self.note_violation(&text),
             }
         }
+        // A core keeps its buffer between handlers, but not the room an
+        // outsized one needed: a fleet whose nodes each send a thousand
+        // messages from `on_init` would hold megabytes of idle capacity.
+        effects.shrink_to(EFFECTS_KEPT);
         self.effects = effects;
     }
 

@@ -317,7 +317,7 @@ impl<A: Automaton> Lane<A> {
         let before = self.arena.len();
         for effect in effects.drain(..) {
             let replay = match effect {
-                Effect::SetTimer { id, at } if window.is_some() => {
+                Effect::SetTimer { id, at } => {
                     let fire = env.fire_time(v, now, at);
                     if window.is_some_and(|w| w.contains(fire)) && fire <= env.horizon {
                         let slot = self.push_provisional(fire, EventKind::Timer { node: v, id });
