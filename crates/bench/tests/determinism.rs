@@ -338,8 +338,10 @@ fn tri_execution_traces_are_pinned() {
             let params = Params::max_resilience(3, d, u_tilde, theta);
             let derived = params.derive().expect("E7's parameters are valid");
             let cps = TriSim::new(cfg, |me| CpsNode::new(me, params, derived)).run();
-            let echo =
-                TriSim::new(cfg, |me| EchoSyncNode::new(me, 3, 1, Dur::from_millis(20.0))).run();
+            let echo = TriSim::new(cfg, |me| {
+                EchoSyncNode::new(me, 3, 1, Dur::from_millis(20.0))
+            })
+            .run();
             (u_us, tri_hash(&cps), tri_hash(&echo))
         })
         .collect();

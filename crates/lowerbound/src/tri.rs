@@ -387,5 +387,3 @@ impl<A: Automaton> TriSim<A> {
         self.trace
     }
 }
-
-

@@ -159,8 +159,16 @@ fn a_panicking_timer_keeps_the_sends_of_the_timers_before_it() {
         first: None,
         received: Arc::clone(&received),
     });
-    assert_eq!(received.load(Ordering::Relaxed), 1, "node 1 lost the first alarm's ping");
-    assert_eq!(report.supervision.worker_panics, 1, "{:?}", report.supervision);
+    assert_eq!(
+        received.load(Ordering::Relaxed),
+        1,
+        "node 1 lost the first alarm's ping"
+    );
+    assert_eq!(
+        report.supervision.worker_panics, 1,
+        "{:?}",
+        report.supervision
+    );
     assert_eq!(
         report.trace.violations.len(),
         1,

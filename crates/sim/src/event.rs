@@ -816,10 +816,10 @@ impl<H> EventQueue<H> {
 /// A single slot would need 2³² arm/free cycles to wrap its stamp; runs
 /// are capped at 50 M events by default, far below that.
 ///
-/// Every executor keeps one slab per node (the simulators one per lane,
-/// since a lane's nodes never share ids with other lanes' timers): a
-/// [`NodeCtx`](crate::NodeCtx) arms ids in it, and the executor fires or
-/// cancels them.
+/// A [`NodeCtx`](crate::NodeCtx) arms ids in its executor's slab, and
+/// the executor fires or cancels them: [`Sim::run`](crate::Sim::run)
+/// keeps one slab for the run, the sharded executor one per lane, and
+/// the wall-clock runtime and the tri-execution engine one per node.
 #[derive(Debug, Default)]
 pub struct TimerSlab {
     slots: Vec<TimerSlot>,

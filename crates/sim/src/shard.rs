@@ -313,7 +313,10 @@ impl<A: Automaton> Lane<A> {
         let node = self.nodes[v.index() / self.stride]
             .as_mut()
             .expect("honest node present");
-        call.run(node, &mut env.node_ctx(v, now, &mut self.timers, &mut effects));
+        call.run(
+            node,
+            &mut env.node_ctx(v, now, &mut self.timers, &mut effects),
+        );
         let before = self.arena.len();
         for effect in effects.drain(..) {
             let replay = match effect {
