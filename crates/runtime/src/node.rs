@@ -97,9 +97,9 @@ pub(crate) struct NodeCore<A: Automaton> {
     /// Whether `on_init` ran (the reactor initializes lazily, on the
     /// node's first scheduling).
     inited: bool,
-    /// Chaos-crashed: deliveries are dropped and timers deferred until
-    /// a [`NodeEvent::Thaw`] arrives (they then fire at the recovery
-    /// instant, mirroring the simulator's crash semantics).
+    /// Chaos-crashed: deliveries are dropped and no timer fires until a
+    /// [`NodeEvent::Thaw`] arrives, which cancels every pending timer
+    /// before the recovery hook runs.
     frozen: bool,
     /// Continuous run observer plus the run epoch used to convert host
     /// instants to scenario [`Time`]s. `None` outside chaos runs.
@@ -249,7 +249,7 @@ impl<A: Automaton> NodeCore<A> {
     }
 
     /// Fires every timer due by the node's emulated clock. A frozen
-    /// node fires nothing — its due timers wait for the thaw.
+    /// node fires nothing.
     pub fn fire_due(&mut self, out: &mut Outbox<A::Msg>) {
         if self.done || self.frozen {
             return;
