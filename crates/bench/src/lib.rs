@@ -1,5 +1,6 @@
 //! Shared measurement harness for the experiments ([`experiments`], one
-//! binary with a subcommand each) and the criterion benches.
+//! binary with a subcommand each), the count ledger and the determinism
+//! tests.
 //!
 //! Every experiment in README.md's per-experiment index funnels through
 //! [`Scenario::run_cps`] / [`Scenario::run_protocol`], so sweeps differ only in the

@@ -1,5 +1,5 @@
 //! The committed count ledger (`BENCH_cps.json`) and the scenarios it,
-//! the criterion benches, the determinism tests and `e10` share.
+//! the determinism tests and `e10` share.
 //!
 //! What the repo can *gate* about the simulator is deterministic: event,
 //! message, spill and splice counts, and virtual-time resync
@@ -60,8 +60,7 @@ use crusader_time::Dur;
 use crate::cli::Failure;
 use crate::{trace_hash, Scenario};
 
-/// System sizes of the ledger's `cps` rows (the first three mirror the
-/// `cps_sim` criterion bench).
+/// System sizes of the ledger's `cps` rows.
 pub const CPS_SNAPSHOT_NS: &[usize] = &[4, 8, 16, CPS_SHARDED_N];
 
 /// The `cps` row that is cross-checked on the sharded executor.
@@ -70,7 +69,7 @@ pub const CPS_SHARDED_N: usize = 64;
 /// Lane count of that cross-check.
 pub const CPS_SHARDED_LANES: usize = 8;
 
-/// Pulses per run (mirrors the `cps_sim` criterion bench).
+/// Pulses per run.
 pub const CPS_SNAPSHOT_PULSES: u64 = 8;
 
 /// Core size of the one-to-many fleet deployments
@@ -118,8 +117,8 @@ pub struct RecoveryRow {
     pub violations: u64,
 }
 
-/// The scenario measured for row `n` — one place, so the ledger, the
-/// criterion bench, and the determinism tests cannot drift apart.
+/// The scenario measured for row `n` — one place, so the ledger and the
+/// determinism tests cannot drift apart.
 #[must_use]
 pub fn cps_scenario(n: usize) -> Scenario {
     let mut s = Scenario::new(n, Dur::from_millis(1.0), Dur::from_micros(10.0), 1.0001);

@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 
 use crusader_crypto::NodeId;
-use crusader_sim::{RunObserver, Trace};
+use crusader_sim::{RunObserver, Trace, BLOCKED_FORGERY_PREFIX};
 use crusader_time::{Dur, Time};
 use parking_lot::Mutex;
 
@@ -354,7 +354,7 @@ impl RunObserver for InvariantChecker {
         // forgeries are the *engine* catching the adversary, not a
         // protocol failure.
         let tolerated = !self.spec.count_affected_violations
-            && (text.starts_with("blocked forgery")
+            && (text.starts_with(BLOCKED_FORGERY_PREFIX)
                 || node.is_some_and(|v| !self.stable[v.index()]));
         if tolerated {
             st.tolerated += 1;
@@ -442,7 +442,11 @@ mod tests {
         // Node 1 pulses wildly and complains — all tolerated.
         pulse(&c, 1, 5, 10.2);
         c.on_violation(Some(NodeId::new(1)), "round mismatch", Time::from_millis(15.0));
-        c.on_violation(None, "blocked forgery: stale", Time::from_millis(16.0));
+        c.on_violation(
+            None,
+            &format!("{BLOCKED_FORGERY_PREFIX}: stale"),
+            Time::from_millis(16.0),
+        );
         let v = c.finalize(Time::from_millis(100.0));
         assert!(v.clean(), "{:?}", v.violations);
         assert_eq!(v.tolerated, 2);

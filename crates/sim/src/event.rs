@@ -925,38 +925,6 @@ mod tests {
 
     use super::*;
 
-    /// Microbenchmark of the queue alone (not a correctness test):
-    /// `cargo test --release -p crusader_sim -- --ignored --nocapture`.
-    #[test]
-    #[ignore = "microbenchmark, run explicitly with --ignored"]
-    fn bench_queue_steady_state() {
-        // CPS-ish steady state: ~N outstanding, each pop schedules one
-        // push at popped_at + delay, delay in [d-u, d].
-        let d = 1e-3;
-        let u = 1e-5;
-        for outstanding in [8usize, 64, 360] {
-            let mut q: EventQueue<u64> = EventQueue::new();
-            let mut x = 0x9e3779b97f4a7c15u64;
-            let mut rng = move || {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x >> 11) as f64 / (1u64 << 53) as f64
-            };
-            for i in 0..outstanding {
-                q.push(Time::from_secs(d * rng() + i as f64 * 1e-9), EventKind::AdvTimer { key: 0 });
-            }
-            let iters = 2_000_000u64;
-            let started = std::time::Instant::now();
-            for _ in 0..iters {
-                let e = q.pop().unwrap();
-                q.push(e.at + Dur::from_secs(d - u * rng()), EventKind::AdvTimer { key: 0 });
-            }
-            let ns = started.elapsed().as_nanos() as f64 / iters as f64;
-            println!("outstanding={outstanding}: {ns:.1} ns/op (pop+push)");
-        }
-    }
-
     #[test]
     fn pops_in_time_order() {
         let mut q: EventQueue<()> = EventQueue::new();

@@ -127,7 +127,7 @@ pub use chaos::{ChaosTimeline, FloodSpec, RunObserver};
 pub use engine::{Sim, SimBuilder};
 pub use network::{DelayModel, LinkConfig};
 pub use shard::{MailboxStats, ShardedSim};
-pub use trace::Trace;
+pub use trace::{Trace, BLOCKED_FORGERY_PREFIX};
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,13 @@
 use crusader_crypto::NodeId;
 use crusader_time::Time;
 
+/// How every violation the engine records for a blocked adversary send
+/// begins (`"blocked forgery: <reason>"`): the send carried an honest
+/// signature the adversary had not yet learned. Such entries are the
+/// engine catching the adversary, not a protocol failure, and checkers
+/// tell them apart by this prefix.
+pub const BLOCKED_FORGERY_PREFIX: &str = "blocked forgery";
+
 /// The observable record of a simulation run.
 ///
 /// Collected by the engine; consumed by [`metrics`](crate::metrics) and by
@@ -15,7 +22,8 @@ pub struct Trace {
     /// panicking.
     pub violations: Vec<String>,
     /// Number of adversarial sends dropped because they carried honest
-    /// signatures the adversary had not yet learned.
+    /// signatures the adversary had not yet learned (each also records a
+    /// violation starting with [`BLOCKED_FORGERY_PREFIX`]).
     pub forgeries_blocked: u64,
     /// Total messages delivered (to honest and faulty nodes).
     pub messages_delivered: u64,

@@ -29,7 +29,7 @@ use crate::automaton::{Call, Effect, NodeCtx};
 use crate::chaos::{ChaosTimeline, RunObserver};
 use crate::event::{EventKind, TimerId, TimerSlab};
 use crate::network::{DelayModel, LinkConfig};
-use crate::trace::Trace;
+use crate::trace::{Trace, BLOCKED_FORGERY_PREFIX};
 
 /// What a run fixes at build time. The world reads it, and so does every
 /// lane thread of the sharded executor.
@@ -479,7 +479,7 @@ impl<M: Clone + CarriesSignatures> World<M> {
                     }
                     if let Err(e) = self.knowledge.authorize(&msg, self.now) {
                         self.trace.forgeries_blocked += 1;
-                        self.record_violation(None, format!("blocked forgery: {e}"));
+                        self.record_violation(None, format!("{BLOCKED_FORGERY_PREFIX}: {e}"));
                         continue;
                     }
                     let bounds = self.link_bounds(from, to);

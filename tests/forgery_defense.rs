@@ -6,7 +6,7 @@
 use crusader::core::{bounds, pulse_sign_bytes, Carry, CpsNode, Params};
 use crusader::crypto::{NodeId, Signature};
 use crusader::sim::metrics::pulse_stats;
-use crusader::sim::{Adversary, AdversaryApi, DelayModel, SimBuilder};
+use crusader::sim::{Adversary, AdversaryApi, DelayModel, SimBuilder, BLOCKED_FORGERY_PREFIX};
 use crusader::time::drift::DriftModel;
 use crusader::time::{Dur, Time};
 
@@ -203,7 +203,7 @@ fn mislabelled_signatures_fail_verification() {
         trace
             .violations
             .iter()
-            .all(|v| v.starts_with("blocked forgery")),
+            .all(|v| v.starts_with(BLOCKED_FORGERY_PREFIX)),
         "unexpected protocol violation"
     );
 }

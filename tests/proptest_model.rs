@@ -1,11 +1,13 @@
 //! Property-based tests over randomized model configurations: for *any*
-//! legal combination of delays, drift, seeds and fault placement, CPS
-//! must satisfy Definition 3 (liveness, S-bounded skew, period bounds).
+//! legal combination of delays, drift, seeds, fault placement and
+//! adversary, CPS must satisfy Definition 3 (liveness, S-bounded skew,
+//! period bounds).
 
-use crusader::core::{bounds, CpsNode, Params};
+use crusader::core::adversary::{RushingForwarder, StaggeredDealer};
+use crusader::core::{bounds, Carry, CpsNode, Derived, Params};
 use crusader::crypto::NodeId;
 use crusader::sim::metrics::pulse_stats;
-use crusader::sim::{DelayModel, SilentAdversary, SimBuilder};
+use crusader::sim::{Adversary, DelayModel, SilentAdversary, SimBuilder};
 use crusader::time::drift::DriftModel;
 use crusader::time::{Dur, Time};
 use proptest::prelude::*;
@@ -33,9 +35,41 @@ fn drift_model() -> impl Strategy<Value = DriftModel> {
     ]
 }
 
+/// The faulty nodes' strategy. Every strategy runs on the default link,
+/// where faulty links keep the honest minimum delay (ũ = u).
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Attack {
+    Silent,
+    /// Echoes honest dealers' broadcasts at the minimum delay.
+    Rushing,
+    /// Round-anticipating dealers straddling the honest estimates, the
+    /// late half arriving `stagger` after the early half.
+    Anticipating,
+}
+
+impl Attack {
+    fn build(self, stagger: Dur, params: &Params, derived: &Derived) -> Box<dyn Adversary<Carry>> {
+        match self {
+            Attack::Silent => Box::new(SilentAdversary),
+            Attack::Rushing => Box::new(RushingForwarder::new()),
+            Attack::Anticipating => {
+                Box::new(StaggeredDealer::anticipating(stagger, params, derived))
+            }
+        }
+    }
+}
+
+fn attack() -> impl Strategy<Value = Attack> {
+    prop_oneof![
+        Just(Attack::Silent),
+        Just(Attack::Rushing),
+        Just(Attack::Anticipating),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 24, // each case is a full multi-pulse simulation
+        cases: 400, // each case is a full multi-pulse simulation
         ..ProptestConfig::default()
     })]
 
@@ -48,6 +82,8 @@ proptest! {
         theta_exp in -5.0f64..-1.5, // θ − 1 ∈ [10^-5, 10^-1.5]
         delays in delay_model(),
         drift in drift_model(),
+        attack in attack(),
+        stagger_over_s in 0.0f64..2.0, // an anticipating dealer's stagger ∈ [0, 2S)
         seed in 0u64..10_000,
     ) {
         let theta = 1.0 + 10f64.powf(theta_exp);
@@ -64,6 +100,7 @@ proptest! {
             .collect();
         let params = Params { n, f: f_max, d, u, theta };
         let derived = params.derive().expect("feasible by construction");
+        let stagger = derived.s * stagger_over_s;
         let trace = SimBuilder::new(n)
             .faulty(faulty.iter().copied())
             .link(d, u)
@@ -72,20 +109,28 @@ proptest! {
             .seed(seed)
             .horizon(Time::from_secs(120.0))
             .max_pulses(6)
-            .build(
-                |me| CpsNode::new(me, params, derived),
-                Box::new(SilentAdversary),
-            )
+            .build(|me| CpsNode::new(me, params, derived), attack.build(stagger, &params, &derived))
             .run();
         let honest: Vec<NodeId> = NodeId::all(n)
             .filter(|v| !faulty.contains(&v.index()))
             .collect();
         let stats = pulse_stats(&trace, &honest);
+        let mut case = format!("n={n}, f={f}, u={u_us}µs, θ={theta}, {attack:?}");
+        if attack == Attack::Anticipating {
+            case += &format!(" (stagger {stagger})");
+        }
         // Liveness.
-        prop_assert_eq!(stats.complete_pulses, 6, "violations: {:?}", trace.violations);
-        prop_assert!(trace.violations.is_empty(), "{:?}", trace.violations);
+        prop_assert_eq!(
+            stats.complete_pulses, 6,
+            "{}; violations: {:?}", case, trace.violations
+        );
+        // No protocol complaint under a silent or rushing adversary; for
+        // the anticipating dealer Definition 3 is the claim, as in
+        // `crusader_core::adversary`'s unit tests.
+        if attack != Attack::Anticipating {
+            prop_assert!(trace.violations.is_empty(), "{}; {:?}", case, trace.violations);
+        }
         // S-bounded skew and period bounds.
-        let case = format!("n={n}, f={f}, u={u_us}µs, θ={theta}");
         prop_assert_eq!(bounds::definition3(&stats, &derived), Ok(()), "{}", case);
     }
 
