@@ -10,22 +10,18 @@
 //! | [`ChainSyncNode`] (consensus-style, cf. Abraham et al. '19) | yes | `⌈n/2⌉ − 1` | `Θ(u + (θ−1)·f·d)` |
 //! | `CpsNode` (this paper) | yes | `⌈n/2⌉ − 1` | `Θ(u + (θ−1)d)` |
 //!
-//! Also here: [`DsNode`], the classic Dolev–Strong authenticated broadcast
-//! (the consensus substrate behind the third row), and the attack
-//! strategies ([`TickStagger`], [`SelectiveEcho`]) that realize each
-//! baseline's worst case.
+//! Also here: the attack strategies ([`TickStagger`], [`SelectiveEcho`])
+//! that realize each baseline's worst case.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adversary;
 pub mod chain_sync;
-pub mod dolev_strong;
 pub mod echo_sync;
 pub mod lynch_welch;
 
 pub use adversary::{SelectiveEcho, TickStagger};
 pub use chain_sync::{ChainMsg, ChainSyncNode};
-pub use dolev_strong::{DsMsg, DsNode, DsOutput};
 pub use echo_sync::{EchoMsg, EchoSyncNode};
 pub use lynch_welch::{LwNode, Tick};

@@ -16,7 +16,6 @@
 use std::sync::Arc;
 
 use crusader_core::{max_faults_with_signatures, CpsNode, Params, RecoveringNode, RecoveryMsg};
-use crusader_crypto::NodeId;
 use crusader_runtime::RuntimeConfig;
 use crusader_sim::{
     Adversary, DelayModel, SilentAdversary, SimBuilder, Trace,
@@ -117,14 +116,10 @@ pub fn scenario_params(sc: &Scenario) -> Params {
 #[must_use]
 pub fn run_scenario(sc: &Scenario, executor: Executor) -> Outcome {
     let timeline = Arc::new(sc.timeline());
-    // Up-transitions still inside another crash window are swallowed by
-    // the executors (the node stays down), so they are no recoveries —
-    // mirror that here or the resync predicate would wait on a pulse
-    // that legitimately never comes.
     let resumes: Vec<(Time, usize)> = timeline
         .crash_transitions()
         .into_iter()
-        .filter(|&(at, node, down)| !down && !timeline.down(NodeId::new(node), at))
+        .filter(|&(_, _, down)| !down)
         .map(|(at, node, _)| (at, node))
         .collect();
     let checker = Arc::new(

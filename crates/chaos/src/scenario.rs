@@ -31,7 +31,9 @@
 //! ```
 //!
 //! Node sets are comma-separated indices and inclusive ranges:
-//! `0-3,6`. Every directive is validated on parse (values finite,
+//! `0-3,6`. One node's `crash` windows may overlap or touch: the node is
+//! down over their union and recovers once, at its end (a `never`
+//! window keeps it down from its start on). Every directive is validated on parse (values finite,
 //! indices in range, windows non-empty, bounds ordered, `n`/`d_ms`/
 //! `u_ms`/`theta` feasible for Theorem 17 with the `faulty` set inside
 //! the `⌈n/2⌉ − 1` budget) so a broken file is an `Err` naming the line

@@ -83,8 +83,6 @@ pub struct CpsNode {
     /// scratch, so schemes admitting several valid signatures per message
     /// stay correct — this is a pure-function memo, not a trust decision.
     verified: Vec<Option<Signature>>,
-    /// Diagnostic: the Δ corrections applied so far.
-    corrections: Vec<Dur>,
     /// The latest round this node completed with `f + 1` verified dealer
     /// signatures, those signatures, and the local pulse time of that
     /// round — the pulse certificate served to recovering peers (see
@@ -109,7 +107,6 @@ impl CpsNode {
             next_scheduled: false,
             timers: HashMap::default(),
             verified: Vec::new(),
-            corrections: Vec::new(),
             cert: None,
         }
     }
@@ -135,12 +132,6 @@ impl CpsNode {
     #[must_use]
     pub fn round(&self) -> u64 {
         self.round
-    }
-
-    /// The midpoint corrections `Δ^r_v` applied so far.
-    #[must_use]
-    pub fn corrections(&self) -> &[Dur] {
-        &self.corrections
     }
 
     /// The derived protocol quantities in use.
@@ -204,7 +195,6 @@ impl CpsNode {
                 Dur::ZERO
             }
         };
-        self.corrections.push(correction);
         let target = self.pulse_local + correction + self.derived.t_nominal;
         if target <= ctx.local_time() {
             ctx.mark_violation(format!(
@@ -553,7 +543,6 @@ mod tests {
         let p = params(4);
         let node = CpsNode::from_params(NodeId::new(0), &p).unwrap();
         assert_eq!(node.round(), 0);
-        assert!(node.corrections().is_empty());
         assert_eq!(node.derived().s, p.derive().unwrap().s);
     }
 

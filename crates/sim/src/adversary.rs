@@ -1,7 +1,7 @@
 use std::collections::BTreeSet;
 
 use crusader_crypto::{KnowledgeTracker, NodeId, RestrictedSigner, Verifier};
-use crusader_time::{Dur, HardwareClock, LocalTime, Time};
+use crusader_time::{Dur, HardwareClock, Time};
 
 /// The Byzantine adversary of an execution.
 ///
@@ -134,13 +134,6 @@ impl<'a, M> AdversaryApi<'a, M> {
     #[must_use]
     pub fn corrupted(&self) -> &BTreeSet<NodeId> {
         self.corrupted
-    }
-
-    /// Reads any node's hardware clock (the adversary chose the clock
-    /// functions, so it knows them all).
-    #[must_use]
-    pub fn local_time_of(&self, node: NodeId) -> LocalTime {
-        self.clocks[node.index()].read(self.now)
     }
 
     /// The hardware clock of `node`.

@@ -6,8 +6,9 @@
 //!
 //! * the simulator engines ([`Sim::run`](crate::Sim::run) and the sharded
 //!   executor) query it at event-dispatch and send-scheduling time;
-//! * the wall-clock runtime's network thread replays the same windows
-//!   against its delivery heap and emits freeze/thaw control events.
+//! * the wall-clock runtime's network thread turns the same schedule into
+//!   freeze/thaw control events, delivered from its tick ring and timer
+//!   wheel alongside the messages.
 //!
 //! Everything in a timeline is a **pure function of simulated time**:
 //! `down(v, t)`, `cut(from, to, t)` and friends depend only on the
@@ -21,12 +22,19 @@
 //!
 //! Injection semantics, shared by every executor:
 //!
-//! * **Crash** — while a node is down it runs no handlers: deliveries to
-//!   it are counted as delivered by the network but lost
-//!   ([`Trace::chaos_drops`](crate::Trace::chaos_drops)), and its timers
-//!   are deferred to the recovery instant (so a timer-driven protocol
-//!   can attempt to rejoin) or dropped if the node never recovers.
-//!   Messages it sent before crashing stay in flight and arrive.
+//! * **Crash** — one node's crash windows may overlap or touch; the node
+//!   is down over their union and recovers once, at the union's end
+//!   ([`ChaosTimeline::crash`] merges them as they are added). While a
+//!   node is down it runs no handlers: deliveries to it are counted as
+//!   delivered by the network but lost
+//!   ([`Trace::chaos_drops`](crate::Trace::chaos_drops)). Messages it
+//!   sent before crashing stay in flight and arrive. Its timers differ
+//!   by executor: the simulators defer a timer due while the node is
+//!   down to the recovery instant, after the recovery hook (so a
+//!   timer-driven protocol can attempt to rejoin), or drop it if the
+//!   node never recovers; the wall-clock runtime fires none while the
+//!   node is frozen and cancels every pending one when it thaws, before
+//!   the recovery hook re-arms what it needs.
 //! * **Cut** — a message *sent* while its link is cut is lost; messages
 //!   already in flight when the cut begins still arrive. Cuts apply to
 //!   honest and adversarial sends alike (the network failed, not the
@@ -48,16 +56,19 @@
 use crusader_crypto::NodeId;
 use crusader_time::Time;
 
-/// One crash window: node `node` is down during `[from, until)`
-/// (`until = None` means it never recovers within the run).
+/// One stretch of a node's downtime: `[from, until)`, with `until = None`
+/// if the node never recovers within the run.
 #[derive(Clone, Copy, Debug)]
-pub struct CrashWindow {
-    /// The crashed node.
-    pub node: usize,
-    /// Crash instant (inclusive).
-    pub from: Time,
-    /// Recovery instant (exclusive), or `None` for crash-forever.
-    pub until: Option<Time>,
+struct Downtime {
+    from: Time,
+    until: Option<Time>,
+}
+
+impl Downtime {
+    #[inline]
+    fn covers(&self, at: Time) -> bool {
+        at >= self.from && self.until.is_none_or(|u| at < u)
+    }
 }
 
 /// One link-cut window: messages sent during `[from, until)` between the
@@ -114,7 +125,9 @@ pub struct FloodSpec {
 #[derive(Clone, Debug, Default)]
 pub struct ChaosTimeline {
     n: usize,
-    crashes: Vec<CrashWindow>,
+    /// Per node, its downtime: sorted, disjoint and never touching, so
+    /// every start is a real crash and every end a real recovery.
+    downtime: Vec<Vec<Downtime>>,
     cuts: Vec<CutWindow>,
     storms: Vec<StormWindow>,
     floods: Vec<FloodWindow>,
@@ -123,8 +136,6 @@ pub struct ChaosTimeline {
     /// layer. Simulated executors ignore drills (there is no worker to
     /// kill); the scenario verdicts they gate run on the runtime.
     panics: Vec<(Time, usize)>,
-    /// Cached: which nodes appear in any crash window.
-    ever_down: Vec<bool>,
 }
 
 impl ChaosTimeline {
@@ -133,12 +144,11 @@ impl ChaosTimeline {
     pub fn new(n: usize) -> Self {
         ChaosTimeline {
             n,
-            crashes: Vec::new(),
+            downtime: vec![Vec::new(); n],
             cuts: Vec::new(),
             storms: Vec::new(),
             floods: Vec::new(),
             panics: Vec::new(),
-            ever_down: vec![false; n],
         }
     }
 
@@ -151,14 +161,18 @@ impl ChaosTimeline {
     /// Whether the timeline injects nothing at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty()
+        self.downtime.iter().all(Vec::is_empty)
             && self.cuts.is_empty()
             && self.storms.is_empty()
             && self.floods.is_empty()
             && self.panics.is_empty()
     }
 
-    /// Adds a crash window for `node` over `[from, until)`.
+    /// Adds a crash window for `node` over `[from, until)` (`until =
+    /// None`: the node never recovers). A window that overlaps or touches
+    /// the node's existing downtime merges with it, so the node is down
+    /// over the union and recovers once, at its end; the order windows
+    /// are added in does not matter.
     ///
     /// # Panics
     ///
@@ -171,8 +185,20 @@ impl ChaosTimeline {
         if let Some(until) = until {
             assert!(until > from, "empty crash window");
         }
-        self.ever_down[node] = true;
-        self.crashes.push(CrashWindow { node, from, until });
+        let mut merged = Downtime { from, until };
+        let spans = &mut self.downtime[node];
+        // The spans are disjoint and never touch, so the ones this window
+        // meets are exactly those its union with them must absorb.
+        spans.retain(|s| {
+            let meets = until.is_none_or(|u| s.from <= u) && s.until.is_none_or(|u| u >= from);
+            if meets {
+                merged.from = merged.from.min(s.from);
+                merged.until = merged.until.zip(s.until).map(|(a, b)| a.max(b));
+            }
+            !meets
+        });
+        let at = spans.partition_point(|s| s.from < merged.from);
+        spans.insert(at, merged);
     }
 
     /// Adds a link-cut window between node sets `a` and `b` (both
@@ -244,40 +270,23 @@ impl ChaosTimeline {
     #[inline]
     #[must_use]
     pub fn was_ever_down(&self, node: NodeId) -> bool {
-        self.ever_down[node.index()]
+        !self.downtime[node.index()].is_empty()
     }
 
     /// Whether `node` is down (crashed) at `at`.
     #[inline]
     #[must_use]
     pub fn down(&self, node: NodeId, at: Time) -> bool {
-        if !self.ever_down[node.index()] {
-            return false;
-        }
-        self.crashes.iter().any(|w| {
-            w.node == node.index() && at >= w.from && w.until.is_none_or(|u| at < u)
-        })
+        self.downtime[node.index()].iter().any(|s| s.covers(at))
     }
 
-    /// The instant a node down at `at` is back up, accounting for
-    /// overlapping or adjacent crash windows; `None` if it never
+    /// The instant a node down at `at` is back up; `None` if it never
     /// recovers. Returns `Some(at)` untouched if the node is up.
     #[must_use]
     pub fn resume_at(&self, node: NodeId, at: Time) -> Option<Time> {
-        let mut t = at;
-        // Fixpoint over the (few) windows: step past every window that
-        // covers the candidate instant until none does.
-        loop {
-            let covering = self.crashes.iter().find(|w| {
-                w.node == node.index() && t >= w.from && w.until.is_none_or(|u| t < u)
-            });
-            match covering {
-                None => return Some(t),
-                Some(w) => match w.until {
-                    None => return None,
-                    Some(u) => t = u,
-                },
-            }
+        match self.downtime[node.index()].iter().find(|s| s.covers(at)) {
+            Some(s) => s.until,
+            None => Some(at),
         }
     }
 
@@ -317,25 +326,23 @@ impl ChaosTimeline {
     }
 
     /// Every crash/recover transition as `(instant, node, down)`, sorted
-    /// by instant — the wall-clock runtime's injector walks this list to
-    /// emit freeze/thaw control events.
+    /// by instant, then node. Each node's transitions alternate down and
+    /// up: every up-transition is a real recovery. The simulators
+    /// schedule their recovery hooks from this list, and the wall-clock
+    /// runtime's injector walks it to emit freeze/thaw control events.
     #[must_use]
     pub fn crash_transitions(&self) -> Vec<(Time, usize, bool)> {
-        let mut out = Vec::with_capacity(self.crashes.len() * 2);
-        for w in &self.crashes {
-            out.push((w.from, w.node, true));
-            if let Some(u) = w.until {
-                out.push((u, w.node, false));
+        let mut out = Vec::new();
+        for (node, spans) in self.downtime.iter().enumerate() {
+            for s in spans {
+                out.push((s.from, node, true));
+                if let Some(u) = s.until {
+                    out.push((u, node, false));
+                }
             }
         }
-        out.sort_by(|x, y| x.0.partial_cmp(&y.0).expect("finite times").then(x.1.cmp(&y.1)));
+        out.sort_by_key(|&(at, node, _)| (at, node));
         out
-    }
-
-    /// The crash windows (read access for reporting).
-    #[must_use]
-    pub fn crashes(&self) -> &[CrashWindow] {
-        &self.crashes
     }
 }
 
@@ -365,19 +372,37 @@ mod tests {
 
     #[test]
     fn down_and_resume() {
-        let mut c = ChaosTimeline::new(4);
+        let mut c = ChaosTimeline::new(6);
         c.crash(1, t(10.0), Some(t(20.0)));
-        c.crash(1, t(20.0), Some(t(25.0))); // adjacent window
+        c.crash(1, t(20.0), Some(t(25.0))); // touching window
         c.crash(2, t(5.0), None);
-        let v1 = NodeId::new(1);
-        let v2 = NodeId::new(2);
+        // Overlapping, added out of order, with a gap before the last.
+        c.crash(3, t(40.0), Some(t(50.0)));
+        c.crash(3, t(30.0), Some(t(45.0)));
+        c.crash(3, t(60.0), Some(t(70.0)));
+        // A `never` window absorbs the windows after its start.
+        c.crash(4, t(30.0), Some(t(40.0)));
+        c.crash(4, t(50.0), Some(t(60.0)));
+        c.crash(4, t(35.0), None);
+        let [v0, v1, v2, v3, v4, v5] = [0, 1, 2, 3, 4, 5].map(NodeId::new);
         assert!(!c.down(v1, t(9.9)));
         assert!(c.down(v1, t(10.0)));
+        assert!(c.down(v1, t(20.0)));
         assert!(c.down(v1, t(24.9)));
         assert!(!c.down(v1, t(25.0)));
         assert_eq!(c.resume_at(v1, t(12.0)), Some(t(25.0)));
         assert_eq!(c.resume_at(v2, t(6.0)), None);
-        assert_eq!(c.resume_at(NodeId::new(0), t(6.0)), Some(t(6.0)));
+        assert_eq!(c.resume_at(v0, t(6.0)), Some(t(6.0)));
+        assert!(c.down(v3, t(30.0)) && c.down(v3, t(49.9)));
+        assert!(!c.down(v3, t(50.0)) && c.down(v3, t(60.0)));
+        assert_eq!(c.resume_at(v3, t(32.0)), Some(t(50.0)));
+        assert_eq!(c.resume_at(v3, t(45.0)), Some(t(50.0)));
+        assert_eq!(c.resume_at(v3, t(55.0)), Some(t(55.0)));
+        assert_eq!(c.resume_at(v3, t(65.0)), Some(t(70.0)));
+        assert!(!c.down(v4, t(29.9)) && c.down(v4, t(45.0)) && c.down(v4, t(90.0)));
+        assert_eq!(c.resume_at(v4, t(31.0)), None);
+        assert!([v1, v2, v3, v4].iter().all(|&v| c.was_ever_down(v)));
+        assert!(!c.was_ever_down(v0) && !c.was_ever_down(v5));
     }
 
     #[test]
@@ -419,6 +444,29 @@ mod tests {
         assert_eq!(
             c.crash_transitions(),
             vec![(t(10.0), 1, true), (t(30.0), 3, true), (t(40.0), 3, false)]
+        );
+        // Overlapping, touching, out-of-order and `never`-absorbed windows
+        // leave one down/up pair per stretch of downtime.
+        let mut c = ChaosTimeline::new(4);
+        c.crash(1, t(80.0), Some(t(160.0)));
+        c.crash(1, t(40.0), Some(t(120.0)));
+        c.crash(2, t(40.0), Some(t(100.0)));
+        c.crash(2, t(100.0), Some(t(160.0)));
+        c.crash(2, t(200.0), Some(t(210.0)));
+        c.crash(3, t(50.0), Some(t(60.0)));
+        c.crash(3, t(55.0), None);
+        c.crash(3, t(70.0), Some(t(80.0)));
+        assert_eq!(
+            c.crash_transitions(),
+            vec![
+                (t(40.0), 1, true),
+                (t(40.0), 2, true),
+                (t(50.0), 3, true),
+                (t(160.0), 1, false),
+                (t(160.0), 2, false),
+                (t(200.0), 2, true),
+                (t(210.0), 2, false),
+            ]
         );
     }
 

@@ -155,7 +155,7 @@ pub(crate) enum EventKind<H> {
     AdvTimer { key: u64 },
     /// A crashed node comes back up: run its
     /// [`Automaton::on_recover`](crate::Automaton::on_recover) hook.
-    /// Scheduled at init time from the chaos timeline's crash windows
+    /// Scheduled at init time, one per recovery in the chaos timeline
     /// (identically in both engines, so seqs — and therefore sharded
     /// traces — stay bit-identical), which also places it *before* any
     /// timer deferred to the same recovery instant.

@@ -92,16 +92,12 @@ pub struct ResyncEvent {
 
 /// Time-to-resync for every recovery in `chaos`'s crash schedule, in
 /// `(resumed_at, node)` order.
-///
-/// Up-transitions swallowed by an overlapping or adjacent crash window
-/// (the node is still down at that instant) are skipped, mirroring the
-/// executors' own recovery scheduling.
 #[must_use]
 pub fn resync_times(trace: &Trace, chaos: &ChaosTimeline) -> Vec<ResyncEvent> {
     let mut out = Vec::new();
     for (at, node, down) in chaos.crash_transitions() {
         let node = NodeId::new(node);
-        if down || chaos.down(node, at) {
+        if down {
             continue;
         }
         let first = trace.pulses[node.index()].iter().copied().find(|&t| t >= at);
@@ -217,7 +213,7 @@ mod tests {
     fn resync_skips_up_transitions_inside_other_windows() {
         let t = trace_from(&[&[1.0, 9.5]]);
         let mut chaos = ChaosTimeline::new(1);
-        // Overlapping windows: only the final resumption at 9.0 counts.
+        // Overlapping windows merge: the one resumption is at 9.0.
         chaos.crash(0, Time::from_secs(2.0), Some(Time::from_secs(6.0)));
         chaos.crash(0, Time::from_secs(5.0), Some(Time::from_secs(9.0)));
         let events = resync_times(&t, &chaos);

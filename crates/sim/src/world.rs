@@ -170,11 +170,6 @@ impl Env {
                     }
                 }
             }
-            // One Recover event is scheduled per crash window; with
-            // overlapping or adjacent windows the node can still be down
-            // here, and the covering window's own Recover event does the
-            // real resume.
-            EventKind::Recover { node } if down(node) => Popped::Stale,
             EventKind::Recover { node } => Popped::Honest {
                 node,
                 call: Call::Recover,
@@ -319,8 +314,8 @@ impl<M: Clone + CarriesSignatures> World<M> {
         }
     }
 
-    /// Schedules one [`EventKind::Recover`] per honest crash window that
-    /// ends within the run, before any other event exists: the events get
+    /// Schedules one [`EventKind::Recover`] per recovery of an honest node
+    /// in the chaos timeline, before any other event exists: the events get
     /// the lowest sequence numbers, so a recovery hook always runs before
     /// the node's timers deferred to the same instant.
     pub(crate) fn schedule_recoveries<P: Post<M>>(&self, post: &mut P) {

@@ -51,9 +51,6 @@ pub use clock::{ClockError, HardwareClock, HardwareClockBuilder, Segment};
 pub use duration::Dur;
 pub use instant::{LocalTime, Time};
 
-/// The nominal minimum hardware clock rate (the model normalizes it to 1).
-pub const MIN_RATE: f64 = 1.0;
-
 #[cfg(test)]
 mod tests {
     use super::*;

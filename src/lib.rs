@@ -18,7 +18,7 @@
 //!   signatures, and the adversary's knowledge tracker.
 //! * [`time`] — real/local time, drifting hardware clocks, drift models.
 //! * [`baselines`] — Lynch–Welch, Srikanth–Toueg-style echo sync,
-//!   Dolev–Strong broadcast, consensus-style chain sync.
+//!   consensus-style chain sync.
 //! * [`lowerbound`] — the executable Theorem 5 construction (skew
 //!   `≥ 2ũ/3` whenever `f ≥ ⌈n/3⌉`).
 //! * [`runtime`] — a wall-clock thread runtime running the same protocol
