@@ -80,7 +80,7 @@ pub fn run(args: &SimArgs) -> Result<(), Failure> {
         "splices",
     ]);
     let mut mismatches = 0;
-    let mut degraded = 0;
+    let mut off_ring = 0;
     for sc in &scenarios {
         for &executor in &executors {
             // Wall-clock replays are at the mercy of host scheduling: a
@@ -144,10 +144,10 @@ pub fn run(args: &SimArgs) -> Result<(), Failure> {
                     // ring for the heap; a share above 1 % means the
                     // window lost the pop frontier. A count ratio, so it
                     // gates on any host.
-                    let off_ring = t.queue_spill_count + t.queue_splice_count;
-                    let over = off_ring > t.events_processed / 100;
+                    let pushes_off_ring = t.queue_spill_count + t.queue_splice_count;
+                    let over = pushes_off_ring > t.events_processed / 100;
                     if over {
-                        degraded += 1;
+                        off_ring += 1;
                     }
                     format!(
                         "{} | {ns_per_event:.0} | {} | {}{}",
@@ -165,9 +165,9 @@ pub fn run(args: &SimArgs) -> Result<(), Failure> {
             );
         }
     }
-    if degraded > 0 {
+    if off_ring > 0 {
         return Err(Failure::drift(format!(
-            "\n{degraded} replay(s) sent more than 1 % of their events off the queue's ring"
+            "\n{off_ring} replay(s) sent more than 1 % of their events off the queue's ring"
         )));
     }
     if mismatches > 0 {

@@ -18,7 +18,7 @@ use crate::supervise::SupervisionStats;
 ///
 /// This enum and [`RuntimeConfig::backend`] are kept only because the
 /// repo benchmark (`benchmark/src/workloads/rt.rs`) still names them;
-/// both go once it stops (ROADMAP, second open item).
+/// both go once it stops (ROADMAP, item 1).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// N node tasks multiplexed onto [`RuntimeConfig::workers`]
@@ -103,8 +103,8 @@ pub struct RuntimeReport {
     /// Messages the network thread delivered (broadcasts count once per
     /// destination, including destinations that crashed at start).
     pub messages_delivered: u64,
-    /// Supervision outcome: contained panics, worker respawns, detected
-    /// stalls, network retry/drop counts and the degradation flag.
+    /// Supervision outcome: contained panics, worker respawns, and the
+    /// message path's command, hand-off and discard counts.
     pub supervision: SupervisionStats,
 }
 

@@ -105,9 +105,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{
-    self, Receiver, RecvTimeoutError, SendTimeoutError, Sender, TryRecvError,
-};
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use crusader_crypto::NodeId;
 use crusader_sim::{ChaosTimeline, FloodSpec};
 use crusader_time::{Dur, Time};
@@ -361,20 +359,14 @@ impl<M> TickRing<M> {
     }
 }
 
-/// Bounded retry policy for pushing a command onto the network sink:
-/// total attempts per send, and the first per-send timeout (doubled on
-/// every retry — exponential backoff).
-const NET_SEND_ATTEMPTS: u32 = 4;
-const NET_BACKOFF_BASE: Duration = Duration::from_millis(2);
-
 /// Capacity of the command channel into the network thread, in
 /// *commands*: each carries what one flush held, up to a whole worker
 /// quantum's messages (`BATCH_EVENTS` handler calls on the reactor), so
-/// the messages queued behind a wedged network thread are bounded by
-/// this times a quantum, not by this. Large enough that a healthy run
-/// never fills it; bounding it means a wedged network thread exerts
-/// backpressure (and eventually triggers the retry/degradation path)
-/// instead of growing the queue without limit.
+/// the messages queued behind a busy network thread are bounded by this
+/// times a quantum, not by this. Large enough that a healthy run never
+/// fills it; bounding it makes a sender that outruns the network thread
+/// wait for it (back-pressure, see [`NetLink::send`]) instead of growing
+/// the queue without limit.
 const NET_QUEUE_CAP: usize = 65_536;
 
 /// Messages one direction may move before the loop turns to the other:
@@ -396,17 +388,13 @@ const WHEEL_SLOTS: usize = 256;
 /// a fresh one, a return that finds the list full is dropped.
 const SPARE_OUTBOXES: usize = 256;
 
-/// A node's handle on the network sink: a bounded channel sender with
-/// retry, exponential backoff and a per-send timeout. A command that
-/// exhausts its attempts is dropped and every message in it counted
-/// (message loss is within the model — the protocol tolerates it),
-/// never a panic or a stall.
+/// A node's handle on the network sink: a bounded channel sender, and
+/// the free list of emptied batch buffers.
 pub(crate) struct NetLink<M> {
     tx: Sender<NetCommand<M>>,
     /// Batch buffers the net thread has emptied, on their way back to
     /// whoever flushes next.
     spare: Arc<Mutex<Vec<Outbox<M>>>>,
-    counters: Arc<Counters>,
 }
 
 // Manual impl: `derive(Clone)` would demand `M: Clone`, which the
@@ -416,40 +404,29 @@ impl<M> Clone for NetLink<M> {
         NetLink {
             tx: self.tx.clone(),
             spare: Arc::clone(&self.spare),
-            counters: Arc::clone(&self.counters),
         }
     }
 }
 
 impl<M> NetLink<M> {
-    /// Pushes `cmd` onto the network queue, retrying with backoff while
-    /// the queue stays full. Silent on disconnect (the network thread is
-    /// gone — the run is shutting down); on exhaustion the command is
-    /// dropped, each message in it counted as a failed send, and the
-    /// lot charged to the fault budget.
-    pub fn send(&self, mut cmd: NetCommand<M>) {
-        let mut timeout = NET_BACKOFF_BASE;
-        for attempt in 1..=NET_SEND_ATTEMPTS {
-            match self.tx.send_timeout(cmd, timeout) {
-                Ok(()) => return,
-                Err(SendTimeoutError::Disconnected(_)) => return,
-                Err(SendTimeoutError::Timeout(back)) => {
-                    cmd = back;
-                    if attempt < NET_SEND_ATTEMPTS {
-                        self.counters.note_net_retry();
-                        timeout *= 2;
-                    }
-                }
-            }
-        }
-        self.counters.note_net_sends_failed(cmd.messages());
-        self.counters.note_fault_budget();
+    /// Pushes `cmd` onto the network queue, blocking while the queue is
+    /// full; a message between honest nodes is never dropped. Silent on
+    /// disconnect (the network thread is gone — the run is shutting
+    /// down).
+    ///
+    /// The wait always ends, because the net thread never waits on a
+    /// worker. It takes inbox locks, which workers hold only for a swap
+    /// or a splice; it pushes onto the unbounded ready channel and the
+    /// urgent lane; it never locks a cell's `core`. So a worker blocked
+    /// here in [`Outbox::flush`] while holding its node's `core` waits
+    /// only on the net thread, and the net thread always drains.
+    pub fn send(&self, cmd: NetCommand<M>) {
+        let _ = self.tx.send(cmd);
     }
 
     /// Replaces `node`'s wake-up with `at` (`None` clears it). Blocks
-    /// while the queue is full instead of dropping: a lost wake-up would
-    /// be a node that never runs its timers again, and the net thread
-    /// never waits on a worker, so the wait always ends.
+    /// while the queue is full, like [`send`](Self::send): a lost wake-up
+    /// would be a node that never runs its timers again.
     pub fn wake(&self, node: NodeId, at: Option<Instant>) {
         let _ = self.tx.send(NetCommand::Wake { node, at });
     }
@@ -490,17 +467,6 @@ pub(crate) enum NetCommand<M> {
     Shutdown,
 }
 
-impl<M> NetCommand<M> {
-    /// Messages a node handed over in this command (a broadcast is one).
-    fn messages(&self) -> u64 {
-        match self {
-            NetCommand::Send { .. } | NetCommand::Broadcast { .. } => 1,
-            NetCommand::Batch { out, .. } => (out.sends.len() + out.broadcasts.len()) as u64,
-            NetCommand::Wake { .. } | NetCommand::Shutdown => 0,
-        }
-    }
-}
-
 /// The delay-injecting network thread handle.
 pub(crate) struct Network<M> {
     pub link: NetLink<M>,
@@ -526,19 +492,12 @@ impl<M: Clone + Send + Sync + 'static> Network<M> {
             channel::bounded(NET_QUEUE_CAP);
         let spare = Arc::new(Mutex::new(Vec::new()));
         let flights = Flights::new(n, d, u, seed, chaos, Arc::clone(&spare));
-        let handle = {
-            let counters = Arc::clone(&counters);
-            std::thread::Builder::new()
-                .name("crusader-net".into())
-                .spawn(move || network_loop(&rx, sink, flights, &counters))
-                .expect("spawn network thread")
-        };
+        let handle = std::thread::Builder::new()
+            .name("crusader-net".into())
+            .spawn(move || network_loop(&rx, sink, flights, &counters))
+            .expect("spawn network thread");
         Network {
-            link: NetLink {
-                tx,
-                spare,
-                counters,
-            },
+            link: NetLink { tx, spare },
             handle,
         }
     }
@@ -996,7 +955,7 @@ mod tests {
     /// and stops it once `wait_for` deliveries have been seen. Returns
     /// `(seen by the sink, delivered, chaos-dropped, discarded, commands)`.
     fn round_trip(d: Dur, u: Dur, wait_for: u64) -> (u64, u64, u64, u64, u64) {
-        let counters = Arc::new(Counters::new(N));
+        let counters = Arc::new(Counters::default());
         let sink = Tally::default();
         let seen = Arc::clone(&sink.seen);
         let chaos = Some(cut_and_flood());
@@ -1032,27 +991,41 @@ mod tests {
     }
 
     #[test]
-    fn a_command_given_up_on_counts_every_message_in_it() {
-        // A queue of one that nobody reads: the second command runs out
-        // of attempts.
-        let (tx, _rx) = channel::bounded(1);
-        let counters = Arc::new(Counters::new(N));
+    fn a_full_queue_holds_a_send_back_and_never_drops_it() {
+        // A queue of one that nobody reads for longer than any retry
+        // policy would wait: the second command waits for room.
+        let (tx, rx) = channel::bounded(1);
         let link = NetLink {
             tx,
             spare: Arc::new(Mutex::new(Vec::new())),
-            counters: Arc::clone(&counters),
         };
-        link.send(NetCommand::Shutdown);
-        let out = Outbox {
-            sends: vec![(NodeId::new(1), 0u32); 5],
-            broadcasts: vec![1, 2],
-        };
-        let from = NodeId::new(0);
-        link.send(NetCommand::Batch { from, out });
-        let snap = counters.snapshot();
-        assert_eq!(snap.net_sends_failed, 7);
-        assert_eq!(snap.net_retries, u64::from(NET_SEND_ATTEMPTS) - 1);
-        assert!(snap.degraded, "seven lost messages against a budget of one");
+        let sender = std::thread::spawn(move || {
+            link.send(NetCommand::Shutdown);
+            let out = Outbox {
+                sends: vec![(NodeId::new(1), 0u32); 5],
+                broadcasts: vec![1, 2],
+            };
+            link.send(NetCommand::Batch {
+                from: NodeId::new(0),
+                out,
+            });
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        let patience = Duration::from_secs(10);
+        assert!(matches!(
+            rx.recv_timeout(patience),
+            Ok(NetCommand::Shutdown)
+        ));
+        match rx.recv_timeout(patience) {
+            Ok(NetCommand::Batch { from, out }) => {
+                assert_eq!(from, NodeId::new(0));
+                assert_eq!(out.sends.len() + out.broadcasts.len(), 7);
+            }
+            _ => panic!("the batch behind a full queue was dropped"),
+        }
+        sender
+            .join()
+            .expect("the sender returns once the queue has room");
     }
 
     /// What is in flight, as `(tick, to, msg)` in the order it is owed:
@@ -1385,7 +1358,7 @@ mod tests {
     fn a_command_storm_does_not_starve_a_due_delivery() {
         let sink = Tally::default();
         let landed = Arc::clone(&sink.marked);
-        let counters = Arc::new(Counters::new(N));
+        let counters = Arc::new(Counters::default());
         let net = Network::spawn(sink, N, ms(5.0), ms(1.0), 5, None, counters);
         let (from, to) = (NodeId::new(0), NodeId::new(1));
         net.link.send(NetCommand::Send {

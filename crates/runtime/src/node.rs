@@ -47,7 +47,7 @@ impl<M> Default for Outbox<M> {
 
 impl<M> Outbox<M> {
     /// Hands everything buffered to the network link as **one** command
-    /// (the link retries with backoff if the network queue is full).
+    /// (the link blocks while the network queue is full).
     /// More than one message travels as the outbox itself, swapped for
     /// a recycled empty one so that neither side allocates; a lone
     /// message needs no buffer and goes as a bare `Send`/`Broadcast`.

@@ -67,12 +67,12 @@
 //!   the worker carrying it dies, and the calling thread, which waits on
 //!   the workers' exits while the run lasts, respawns a replacement that
 //!   adopts the same ready queue, so the dead worker's backlog is picked
-//!   up by the pool. Between exits it scans per-node heartbeat slots
-//!   (each node's next registered timer deadline) a few times per stall
-//!   threshold and re-schedules nodes whose deadline is long overdue —
-//!   the signature of a wakeup lost to a wedged scheduler. Faults
-//!   beyond the `⌊(n − 1)/2⌋` budget flip the run into logged, degraded
-//!   mode; nothing aborts.
+//!   up by the pool. Nothing else is supervised. A send to a full
+//!   network queue blocks until the network thread makes room
+//!   ([`NetLink::send`] says why that wait always ends), and a node
+//!   that stopped running its timers shows in its own violation log and
+//!   in the checker's period and liveness predicates;
+//!   `tests/timer_liveness.rs` fails on a lost wake-up.
 //! * **Shutdown.** The harness pushes `Shutdown` into every inbox,
 //!   schedules every cell, then enqueues one sentinel per worker.
 //!   Channel FIFO order means every pre-shutdown wakeup drains first;
@@ -99,7 +99,7 @@ use crate::clock::EmulatedClock;
 use crate::harness::{ReactorRun, RuntimeConfig};
 use crate::net::{DeliverySink, NetChaos, NetLink, Network, NodeEvent};
 use crate::node::{NodeCore, Outbox};
-use crate::supervise::{self, Counters, Heartbeats};
+use crate::supervise::{self, Counters};
 
 /// Max events one scheduling quantum may process before the node goes
 /// back to the end of the ready queue.
@@ -215,7 +215,6 @@ struct WorkerCtx<A: Automaton> {
     ready_rx: Receiver<u32>,
     net: NetLink<A::Msg>,
     counters: Arc<Counters>,
-    heartbeats: Arc<Heartbeats>,
 }
 
 /// Puts `tail` back onto the *front* of the cell's inbox, ahead of
@@ -231,10 +230,10 @@ fn splice_front<A: Automaton>(cell: &Cell<A>, tail: &mut VecDeque<NodeEvent<A::M
 }
 
 /// Runs one handler call with panic capture: drops the effects of the
-/// handler that panicked, counts the panic against the fault budget,
-/// records it as a violation on the node (injected drills excepted) and
-/// hands the payload back so the worker can die with it — the
-/// supervising caller respawns a replacement.
+/// handler that panicked, counts the panic, records it as a violation
+/// on the node (injected drills excepted) and hands the payload back so
+/// the worker can die with it — the supervising caller respawns a
+/// replacement.
 fn guarded<A: Automaton, R>(
     core: &mut NodeCore<A>,
     out: &mut Outbox<A::Msg>,
@@ -246,7 +245,6 @@ fn guarded<A: Automaton, R>(
         Err(payload) => {
             core.discard_effects();
             counters.note_panic();
-            counters.note_fault_budget();
             let msg = supervise::panic_message(&*payload);
             if !supervise::is_injected(&msg) {
                 core.note_violation(&format!("handler panicked: {msg}"));
@@ -287,7 +285,6 @@ fn run_node<A: Automaton>(
                 n
             };
             ctx.counters.note_discarded(leftover as u64);
-            ctx.heartbeats.set_deadline(idx, None);
             cell.queued.store(false, Ordering::Release);
             return Ok(());
         }
@@ -354,8 +351,6 @@ fn run_node<A: Automaton>(
             cell.wheel_armed.store(next.is_some(), Ordering::Release);
             ctx.net.wake(core.me(), next);
         }
-        ctx.heartbeats
-            .set_deadline(idx, if core.done { None } else { next });
         next.is_some()
     };
     cell.queued.store(false, Ordering::Release);
@@ -442,12 +437,10 @@ where
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         })
         .max(1);
-    let t0 = Instant::now();
-    let counters = Arc::new(Counters::new(cfg.n));
-    let heartbeats = Arc::new(Heartbeats::new(cfg.n, t0));
+    let counters = Arc::new(Counters::default());
     // The epoch is a hair in the future so every clock starts at its
     // configured offset.
-    let epoch = t0 + Duration::from_millis(2);
+    let epoch = Instant::now() + Duration::from_millis(2);
     let verifier = ring.verifier();
 
     let (ready_tx, ready_rx) = channel::unbounded::<u32>();
@@ -515,7 +508,6 @@ where
                 ready_rx: ready_rx.clone(),
                 net: network.link.clone(),
                 counters: Arc::clone(&counters),
-                heartbeats: Arc::clone(&heartbeats),
             };
             spawn_worker(format!("crusader-worker-{w}"), ctx, exit_tx.clone())
         })
@@ -530,22 +522,11 @@ where
 
     // Supervise until `run_for` is up: a worker that died of a panic is
     // replaced by a fresh thread adopting its context (module docs,
-    // *Supervision*), and a stalled node is nudged onto the urgent lane.
-    let threshold = supervise::stall_threshold(cfg.d);
-    let poll = (threshold / 4).min(Duration::from_millis(50));
-    let start = Instant::now();
-    let (stop_at, mut next_scan) = (start + cfg.run_for, start + poll);
+    // *Supervision*).
+    let stop_at = Instant::now() + cfg.run_for;
     let mut generation = 0u64;
-    loop {
-        let now = Instant::now();
-        if now >= next_scan {
-            heartbeats.scan(now, threshold, &counters, |idx| shared.schedule_urgent(idx));
-            next_scan = now + poll;
-        }
-        if now >= stop_at {
-            break;
-        }
-        if let Ok((ctx, true)) = exit_rx.recv_deadline(next_scan.min(stop_at)) {
+    while let Ok((ctx, panicked)) = exit_rx.recv_deadline(stop_at) {
+        if panicked {
             generation += 1;
             counters.note_respawn();
             worker_handles.push(spawn_worker(

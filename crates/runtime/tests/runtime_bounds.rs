@@ -221,10 +221,7 @@ impl crusader_sim::Automaton for Bomb {
 
 /// A handler panic on a worker is *contained*: the run completes, the
 /// panic is recorded as a violation against the node and counted on the
-/// supervision stats, the worker that carried it is respawned, and —
-/// with every node's only handler blowing up, far past the
-/// `⌊(n − 1)/2⌋` budget — the run reports itself degraded instead of
-/// aborting.
+/// supervision stats, and the worker that carried it is respawned.
 #[test]
 fn reactor_contains_handler_panics() {
     quiet_bombs();
@@ -247,6 +244,4 @@ fn reactor_contains_handler_panics() {
     let sup = report.supervision;
     assert!(sup.worker_panics >= 2, "both bombs counted: {sup:?}");
     assert!(sup.worker_respawns >= 1, "dead worker respawned: {sup:?}");
-    assert!(sup.degraded, "2 panics exceed a budget of 0: {sup:?}");
-    assert_eq!(sup.fault_budget, 0);
 }

@@ -104,7 +104,6 @@ fn reactor_respawns_worker_after_injected_panic() {
     let sup = report.supervision;
     assert!(sup.worker_panics >= 1, "{sup:?}");
     assert!(sup.worker_respawns >= 1, "{sup:?}");
-    assert_eq!(sup.fault_budget, 1);
 }
 
 /// Node 0 arms two timers for the same local time: the first sends node 1

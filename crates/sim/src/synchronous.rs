@@ -1,6 +1,7 @@
 //! A classic synchronous compute–send–receive round executor with a
-//! *rushing* adversary, used by the synchronous algorithms of the paper
-//! (Crusader Broadcast, approximate agreement, Dolev–Strong).
+//! *rushing* adversary, used by the synchronous algorithms of the paper:
+//! Crusader Broadcast (`cb.rs`) and approximate agreement (`apa.rs`,
+//! experiment E5 and `tests/apa_corollary2.rs`).
 //!
 //! In every round, all live honest nodes emit their messages first; the
 //! rushing adversary then observes the entire honest traffic of the round
