@@ -28,6 +28,8 @@ pub struct ChaosAdversary {
     /// Delay used for rushed replays — the scenario's `d − u`, the
     /// fastest a faulty link may legally be.
     rush_delay: Dur,
+    /// The current replay's destinations, reused across deliveries.
+    dests: Vec<NodeId>,
 }
 
 impl ChaosAdversary {
@@ -38,6 +40,7 @@ impl ChaosAdversary {
         ChaosAdversary {
             timeline,
             rush_delay,
+            dests: Vec::with_capacity(MAX_REPLAY_FANOUT),
         }
     }
 }
@@ -63,14 +66,16 @@ impl<M: Clone + Send + Sync + 'static> Adversary<M> for ChaosAdversary {
         // ring starting after the recipient, so repeated deliveries to
         // the same node spread the flood deterministically.
         let n = api.n();
-        let corrupted = api.corrupted().clone();
-        let dests: Vec<NodeId> = (1..n)
-            .map(|step| NodeId::new((to.index() + step) % n))
-            .filter(|dest| !corrupted.contains(dest))
-            .take(MAX_REPLAY_FANOUT)
-            .collect();
+        let corrupted = api.corrupted();
+        self.dests.clear();
+        self.dests.extend(
+            (1..n)
+                .map(|step| NodeId::new((to.index() + step) % n))
+                .filter(|dest| !corrupted.contains(dest))
+                .take(MAX_REPLAY_FANOUT),
+        );
         for _ in 0..spec.copies {
-            for &dest in &dests {
+            for &dest in &self.dests {
                 if spec.rush {
                     api.send_as_with_delay(to, dest, msg.clone(), self.rush_delay);
                 } else {

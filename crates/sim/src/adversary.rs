@@ -130,9 +130,10 @@ impl<'a, M> AdversaryApi<'a, M> {
         self.n
     }
 
-    /// The corrupted set.
+    /// The corrupted set, borrowed for the whole callback, so it can be
+    /// read while sends go through `self`.
     #[must_use]
-    pub fn corrupted(&self) -> &BTreeSet<NodeId> {
+    pub fn corrupted(&self) -> &'a BTreeSet<NodeId> {
         self.corrupted
     }
 

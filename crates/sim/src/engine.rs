@@ -291,7 +291,7 @@ struct MessageSlot<M> {
 /// A broadcast schedules `n` deliveries of one message under a plain
 /// integer refcount, so the single-lane engine pays no atomic operations
 /// per delivery; and since an event holds an index instead of the
-/// message, a queue slab slot is 16 bytes whatever the message type. The
+/// message, a queue entry is 32 bytes whatever the message type. The
 /// sharded executor keeps its messages behind an `Arc`: its deliveries
 /// genuinely cross lane threads.
 #[derive(Debug)]

@@ -1,41 +1,53 @@
-//! The engine's zero-allocation event plumbing: a slab-backed future-event
-//! list (a bucket window that slides with the pop frontier, plus a heap)
-//! and generation-stamped timer slots.
+//! The engine's event plumbing: a future-event list (a bucket window
+//! that slides with the pop frontier, plus a heap) and generation-stamped
+//! timer slots.
 //!
-//! Three design rules keep the hot path allocation-free and cheap:
+//! Four design rules keep the hot path cheap:
 //!
-//! * **Payloads never ride the ordering structure.** The queue orders
-//!   small `Copy` records `(at, seq, slot)` packed into one `u128`; the
-//!   [`EventKind`]s live in a free-list slab that the ordering machinery
-//!   never touches, and a message is not in the slab either: it lives in
-//!   its executor's store (`Sim::run`'s message arena, the sharded
-//!   executor's `Arc`s) and the event carries a handle on it, so a slab
-//!   slot is 16 bytes whatever the message type. Pushing an event after
-//!   the queue's high-water mark has been reached allocates nothing.
+//! * **A queue entry carries its event, and the event is small.** Every
+//!   part of the queue holds one [`Entry`]: the packed `(at, seq)`
+//!   [`EventKey`] and the [`EventKind`]. A message is not in the entry:
+//!   it lives in its executor's store (`Sim::run`'s message arena, the
+//!   sharded executor's `Arc`s) and the event carries a handle on it, so
+//!   an entry is 32 bytes whatever the message type, and a pop takes the
+//!   next entry of the claimed run with no lookup elsewhere.
 //! * **The workload is near-sorted, so the queue is a sliding bucket
 //!   window, not a heap.** Every message delay falls in the bounded
 //!   window `[d−u, d]` (the paper's model), so nearly every push lands
 //!   within one `d` of the pop frontier — the classic regime where a
 //!   calendar queue beats a heap. Pushes drop into fixed-width time
 //!   buckets on a 128-bucket ring in O(1); popping claims the lowest
-//!   occupied bucket, sorts it once and drains it through a cursor, and
-//!   the ring's window moves past the claimed bucket, so it always covers
-//!   the 16 `d` just ahead of the pops. A bucket is not small: a round's
-//!   echo burst lands in one, so a claim can hold tens of thousands of
-//!   entries (see [`sort_near_sorted`]). What falls outside the window —
-//!   a far-future timer, a late push into the bucket being drained — goes
-//!   to one small 4-ary heap ([`EventQueue::spill_count`] and
+//!   occupied bucket, sorts it once (descending) and pops it from the
+//!   back, and the ring's window moves past the claimed bucket, so it
+//!   always covers the 16 `d` just ahead of the pops. A bucket is not
+//!   small: a round's echo burst lands in one, so a claim can hold tens
+//!   of thousands of entries. What falls outside the window — a
+//!   far-future timer, a late push into the bucket being drained — goes
+//!   to one small heap ([`EventQueue::spill_count`] and
 //!   [`EventQueue::splice_count`] count the two), and a push below the
 //!   window slides it down instead. Pop order is *exactly* `(at, seq)` —
 //!   the bucket index is a monotone function of `at`, and every pop
-//!   compares the run head with the heap top — which the pinned trace
-//!   hashes and the sharded engine's merge depend on.
+//!   compares the run's next entry with the heap top — which the pinned
+//!   trace hashes and the sharded engine's merge depend on.
+//! * **Buffer capacity follows what is pending, not what once was.** A
+//!   ring bucket keeps its buffer only until it is claimed: the claim
+//!   takes the buffer as the new run, and the spent run's buffer becomes
+//!   the queue's one spare, which the next push into a bucket without a
+//!   buffer picks up. So the queue holds the buffers of the buckets with
+//!   entries (and of any a slide-down emptied), the run and one spare —
+//!   not the largest burst each of the 128 ring slots ever held. A
+//!   steady stream of one burst per bucket
+//!   allocates nothing once the run and the spare have grown to the
+//!   burst; buckets that fill while others wait allocate their own.
 //! * **Timer state is a generation-stamped slab, not a set.** A
 //!   [`TimerId`] packs `(generation, slot)`; cancelling or firing frees
 //!   the slot and bumps its generation, so stale ids are recognized by a
 //!   mismatched stamp instead of being remembered forever in a `HashSet`
 //!   (which used to leak an entry for every cancel-after-fire).
 
+use std::cmp::{self, Reverse};
+use std::collections::BinaryHeap;
+use std::mem;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -135,9 +147,8 @@ impl<M: Clone> SharedPayload<M> {
 /// What happens when an event fires. `H` is the executor's message
 /// handle (see [`Post`](crate::world::Post)): a `u32` arena index for
 /// [`Sim::run`](crate::Sim::run), a [`Payload`] for the sharded executor.
-/// Either way the message itself lives in the executor's store, so
-/// `Option<EventKind<H>>` — a queue slab slot — is 16 bytes whatever the
-/// message type.
+/// Either way the message itself lives in the executor's store, so an
+/// [`Entry`] is 32 bytes whatever the message type.
 #[derive(Clone, Debug)]
 pub(crate) enum EventKind<H> {
     /// A message is delivered to `to`.
@@ -170,14 +181,29 @@ pub(crate) struct Event<H> {
 }
 
 /// The global total order of the simulation: `(at, seq)` packed into one
-/// integer exactly as [`HeapEntry`] packs it (minus the slab slot), so a
-/// key comparison is a single `u128` compare and keys taken from
-/// *different* per-lane queues order identically to entries inside one
-/// queue. This is the merge token of the sharded engine
-/// ([`crate::shard`]): every recorded effect carries its source event's
-/// key, and the reconcile phase replays records in ascending key order.
+/// `u128`, so the entire comparison — ties broken by insertion order,
+/// making the whole simulation deterministic — is a single integer
+/// compare, and keys taken from *different* per-lane queues order
+/// identically to entries inside one queue. This is the merge token of
+/// the sharded engine ([`crate::shard`]): every recorded effect carries
+/// its source event's key, and the reconcile phase replays records in
+/// ascending key order.
+///
+/// Layout, most significant first: 64 bits of `at` as IEEE-754 bits
+/// (simulation times are finite and non-negative, and non-negative
+/// doubles order identically to their bit patterns), then [`SEQ_BITS`]
+/// bits of `seq` at the top of the low word. That caps a run at 2³⁶ ≈
+/// 68 G events (the default `max_events` cap is 50 M, three orders of
+/// magnitude below); `push` asserts it rather than silently corrupting
+/// order, and the sharded executor carves its provisional numbers from
+/// the top half of that space.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub(crate) struct EventKey(u128);
+
+/// Bits of `seq` in an [`EventKey`].
+const SEQ_BITS: u32 = 36;
+const SEQ_LIMIT: u64 = 1 << SEQ_BITS;
+const SEQ_SHIFT: u32 = 64 - SEQ_BITS;
 
 impl EventKey {
     #[inline]
@@ -185,7 +211,7 @@ impl EventKey {
         debug_assert!(seq < SEQ_LIMIT, "seq out of range");
         let secs = at.as_secs();
         debug_assert!(secs >= 0.0, "events cannot be scheduled before t=0");
-        EventKey((u128::from(secs.to_bits()) << 64) | (u128::from(seq) << SLOT_BITS))
+        EventKey((u128::from(secs.to_bits()) << 64) | (u128::from(seq) << SEQ_SHIFT))
     }
 
     #[inline]
@@ -198,77 +224,43 @@ impl EventKey {
     pub fn seq(self) -> u64 {
         #[allow(clippy::cast_possible_truncation)]
         {
-            ((self.0 >> SLOT_BITS) as u64) & (SEQ_LIMIT - 1)
+            (self.0 as u64) >> SEQ_SHIFT
         }
     }
 }
 
-/// The 16-byte `Copy` record the heap actually orders: one `u128` packing
-/// `(at, seq, slot)` so the entire `(at, seq)` comparison — ties broken by
-/// insertion order, making the whole simulation deterministic — is a
-/// single integer compare.
-///
-/// Layout, most significant first: 64 bits of `at` as IEEE-754 bits
-/// (simulation times are finite and non-negative, and non-negative doubles
-/// order identically to their bit patterns), 36 bits of `seq`, 28 bits of
-/// slab slot. The slot takes no part in ordering (`seq` is already
-/// unique); it just rides along. The packing caps a run at 2³⁶ ≈ 68 G
-/// total events (the default `max_events` cap is 50 M, three orders of
-/// magnitude below, and a 68 G-event run would take hours of wall clock)
-/// and 2²⁸ ≈ 268 M *simultaneously scheduled* events (2²⁸ slab slots ×
-/// 16 B = 4 GiB of slab, plus the messages in the executor's store, so
-/// memory gives out around the same scale); `push` asserts both rather
-/// than silently corrupting order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct HeapEntry(u128);
+/// One queued event: its key and what it does. The run, every ring
+/// bucket and the heap all hold these.
+#[derive(Debug)]
+struct Entry<H> {
+    key: EventKey,
+    kind: EventKind<H>,
+}
 
-const SLOT_BITS: u32 = 28;
-const SEQ_LIMIT: u64 = 1 << (64 - SLOT_BITS);
-const SLOT_LIMIT: u32 = 1 << SLOT_BITS;
+/// A heap element: an [`Entry`] ordered by its key alone, reversed, so
+/// the max-heap [`BinaryHeap`] pops the earliest key first.
+#[derive(Debug)]
+struct Earliest<H>(Entry<H>);
 
-impl HeapEntry {
-    /// The `(at, seq)` prefix, with the slot masked off.
-    #[inline]
-    fn key(self) -> EventKey {
-        EventKey(self.0 & !u128::from(SLOT_LIMIT - 1))
-    }
-
-    #[inline]
-    fn new(at: Time, seq: u64, slot: u32) -> Self {
-        let secs = at.as_secs();
-        debug_assert!(secs >= 0.0, "events cannot be scheduled before t=0");
-        HeapEntry(
-            (u128::from(secs.to_bits()) << 64)
-                | (u128::from(seq) << SLOT_BITS)
-                | u128::from(slot),
-        )
-    }
-
-    #[inline]
-    fn at(self) -> Time {
-        #[allow(clippy::cast_possible_truncation)]
-        Time::from_secs(f64::from_bits((self.0 >> 64) as u64))
-    }
-
-    #[inline]
-    fn slot(self) -> u32 {
-        #[allow(clippy::cast_possible_truncation)]
-        {
-            (self.0 as u32) & (SLOT_LIMIT - 1)
-        }
-    }
-
-    /// Strict `(at, seq)` order; `seq` is unique, so this is total.
-    #[inline]
-    fn before(&self, other: &HeapEntry) -> bool {
-        self.0 < other.0
+impl<H> PartialEq for Earliest<H> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.key == other.0.key
     }
 }
 
-/// Children per heap node. A 4-ary min-heap halves the tree depth of a
-/// binary one; sift-down compares more children per level but touches
-/// adjacent memory.
-const HEAP_ARITY: usize = 4;
+impl<H> Eq for Earliest<H> {}
+
+impl<H> PartialOrd for Earliest<H> {
+    fn partial_cmp(&self, other: &Self) -> Option<cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<H> Ord for Earliest<H> {
+    fn cmp(&self, other: &Self) -> cmp::Ordering {
+        other.0.key.cmp(&self.0.key)
+    }
+}
 
 /// Buckets on the ring (a power of two, so the ring slot is a mask).
 const RING_BUCKETS: usize = 128;
@@ -280,131 +272,29 @@ const RING_BUCKETS: usize = 128;
 /// keeps [`EventQueue::spill_count`] at zero for the standard scenarios.
 const BUCKETS_PER_HORIZON: f64 = 8.0;
 
-/// Sorts one claimed bucket ascending: an insertion sort up to 64
-/// entries, `sort_unstable` above, whose worst case stays `O(k log k)`
-/// even for adversarially shuffled timestamps.
-///
-/// What the CPS workload claims is large, not small. On `Sim::run` the
-/// n = 64 snapshot scenario (511 005 events) makes 31 claims holding
-/// 265 925 entries, the largest 37 026: a round's echo burst lands inside
-/// one `d/8` bucket. Those take the `sort_unstable` path, and the claim
-/// sort is the queue's largest cost.
-fn sort_near_sorted(v: &mut [HeapEntry]) {
-    if v.len() > 64 {
-        v.sort_unstable_by_key(|e| e.0);
-        return;
-    }
-    for i in 1..v.len() {
-        let x = v[i];
-        if x.0 >= v[i - 1].0 {
-            continue;
-        }
-        let mut j = i;
-        while j > 0 && v[j - 1].0 > x.0 {
-            v[j] = v[j - 1];
-            j -= 1;
-        }
-        v[j] = x;
-    }
-}
-
-/// The queue's out-of-window tier: a plain 4-ary min-heap of
-/// [`HeapEntry`] records.
-#[derive(Debug, Default)]
-struct MinHeap {
-    entries: Vec<HeapEntry>,
-}
-
-impl MinHeap {
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn peek(&self) -> Option<HeapEntry> {
-        self.entries.first().copied()
-    }
-
-    fn push(&mut self, entry: HeapEntry) {
-        self.entries.push(entry);
-        self.sift_up(self.entries.len() - 1);
-    }
-
-    fn pop(&mut self) -> Option<HeapEntry> {
-        let entry = *self.entries.first()?;
-        let last = self.entries.pop().expect("heap is non-empty");
-        if !self.entries.is_empty() {
-            self.entries[0] = last;
-            self.sift_down(0);
-        }
-        Some(entry)
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        let entry = self.entries[i];
-        while i > 0 {
-            let parent = (i - 1) / HEAP_ARITY;
-            if !entry.before(&self.entries[parent]) {
-                break;
-            }
-            self.entries[i] = self.entries[parent];
-            i = parent;
-        }
-        self.entries[i] = entry;
-    }
-
-    /// Bottom-up sift-down: walk the hole to a leaf choosing the minimum
-    /// child at each level, then bubble the displaced entry back up.
-    fn sift_down(&mut self, i: usize) {
-        let entry = self.entries[i];
-        let len = self.entries.len();
-        let mut hole = i;
-        loop {
-            let first_child = hole * HEAP_ARITY + 1;
-            if first_child >= len {
-                break;
-            }
-            let last_child = (first_child + HEAP_ARITY).min(len);
-            let mut min = first_child;
-            let mut min_val = self.entries[first_child];
-            for child in first_child + 1..last_child {
-                let val = self.entries[child];
-                if val.before(&min_val) {
-                    min = child;
-                    min_val = val;
-                }
-            }
-            self.entries[hole] = min_val;
-            hole = min;
-        }
-        self.entries[hole] = entry;
-        self.sift_up(hole);
-    }
-}
-
 /// A deterministic future-event list: a bucket window that slides with
 /// the pop frontier, plus a heap for what falls outside it.
 ///
-/// Events are parked in `slots` (recycled through `free`) while the
-/// ordering machinery moves only [`HeapEntry`] records, in three parts:
+/// Every part holds [`Entry`] values:
 ///
 /// 1. **The claimed run** (`run`): one bucket, index `lo − 1`, sorted
-///    ascending behind a head cursor (pops are a bounds-checked read plus
-///    an increment).
+///    descending, so a pop is a `Vec::pop`.
 /// 2. **The ring** (`buckets`): [`RING_BUCKETS`] fixed-width time buckets
 ///    holding the indices `[lo, lo + RING_BUCKETS)`, unsorted. A push is
 ///    O(1): compute the bucket from `at`, append. When the run is spent,
-///    the lowest occupied bucket is claimed wholesale (`Vec` swap, so
-///    bucket capacity is recycled through the ring) and sorted once, and
-///    `lo` moves past it — every claim slides the window. A claim can
-///    hold a whole round's echo burst, tens of thousands of entries at
-///    n = 64 (see [`sort_near_sorted`]).
+///    the lowest occupied bucket is claimed wholesale (its buffer moves
+///    out; the spent run's buffer becomes the `spare`) and sorted once,
+///    and `lo` moves past it — every claim slides the window. A claim can
+///    hold a whole round's echo burst: at n = 64 the snapshot scenario
+///    (511 005 events) makes 31 claims holding 265 925 entries, the
+///    largest 37 026, and the claim sort is the queue's largest cost.
 /// 3. **The heap** (`heap`): everything else — pushes past the window
 ///    (far-future timers, [`spill_count`](Self::spill_count)) and late
 ///    pushes into the bucket being drained (same-instant follow-ups,
 ///    zero-delay sends, [`splice_count`](Self::splice_count)). Every pop
-///    compares the run head with the heap top. A pop from the heap while
-///    run and ring are both empty raises `lo` to that event's bucket, so
-///    the traffic it causes lands on the ring.
+///    compares the run's next entry with the heap top. A pop from the
+///    heap while run and ring are both empty raises `lo` to that event's
+///    bucket, so the traffic it causes lands on the ring.
 ///
 /// A push below `lo` anywhere else — a crash scenario's traffic after
 /// its far `Recover` events, a sharded lane that claimed its next-pulse
@@ -424,17 +314,18 @@ impl MinHeap {
 /// end-to-end.
 #[derive(Debug)]
 pub(crate) struct EventQueue<H> {
-    /// The claimed run, sorted ascending; `run[head..]` is live.
-    run: Vec<HeapEntry>,
-    /// First live entry of `run` (everything before it already popped).
-    head: usize,
+    /// The claimed run, sorted descending: the next entry is the last.
+    run: Vec<Entry<H>>,
     /// The ring: bucket index `i` lives at slot `i % RING_BUCKETS`.
-    buckets: Vec<Vec<HeapEntry>>,
+    buckets: Vec<Vec<Entry<H>>>,
     /// Occupancy bitmap over the ring (bit = slot non-empty), so claiming
     /// the next bucket is a couple of `trailing_zeros`, not a scan.
     occupied: [u64; RING_BUCKETS / 64],
+    /// The last spent run's buffer, empty, for the next push into a ring
+    /// slot that has no buffer.
+    spare: Vec<Entry<H>>,
     /// Everything outside the window.
-    heap: MinHeap,
+    heap: BinaryHeap<Earliest<H>>,
     /// Reciprocal bucket width (s⁻¹); fixed at construction.
     inv_width: f64,
     /// Lowest bucket index the ring holds; the run's bucket is `lo − 1`.
@@ -443,8 +334,6 @@ pub(crate) struct EventQueue<H> {
     spilled: u64,
     /// Lifetime count of late pushes into the claimed bucket.
     spliced: u64,
-    slots: Vec<Option<EventKind<H>>>,
-    free: Vec<u32>,
     next_seq: u64,
 }
 
@@ -481,19 +370,17 @@ impl<H> EventQueue<H> {
         Self::with_ring((0..RING_BUCKETS).map(|_| Vec::new()).collect(), inv_width)
     }
 
-    fn with_ring(buckets: Vec<Vec<HeapEntry>>, inv_width: f64) -> Self {
+    fn with_ring(buckets: Vec<Vec<Entry<H>>>, inv_width: f64) -> Self {
         EventQueue {
             run: Vec::new(),
-            head: 0,
             buckets,
             occupied: [0; RING_BUCKETS / 64],
-            heap: MinHeap::default(),
+            spare: Vec::new(),
+            heap: BinaryHeap::new(),
             inv_width,
             lo: 0,
             spilled: 0,
             spliced: 0,
-            slots: Vec::new(),
-            free: Vec::new(),
             next_seq: 0,
         }
     }
@@ -538,33 +425,21 @@ impl<H> EventQueue<H> {
             "push into a placeholder queue (see EventQueue::placeholder)"
         );
         assert!(seq < SEQ_LIMIT, "more than 2^36 events scheduled");
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                debug_assert!(self.slots[slot as usize].is_none(), "free slot occupied");
-                self.slots[slot as usize] = Some(kind);
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slots.len())
-                    .ok()
-                    .filter(|&s| s < SLOT_LIMIT)
-                    .expect("more than 2^28 simultaneous events");
-                self.slots.push(Some(kind));
-                slot
-            }
+        let entry = Entry {
+            key: EventKey::new(at, seq),
+            kind,
         };
-        let entry = HeapEntry::new(at, seq, slot);
         let idx = self.bucket_index(at);
         if idx >= self.lo + RING_BUCKETS as u64 {
-            self.heap.push(entry);
+            self.heap.push(Earliest(entry));
             self.spilled += 1;
             return;
         }
         if idx < self.lo {
-            if idx + 1 == self.lo && self.head < self.run.len() {
+            if idx + 1 == self.lo && !self.run.is_empty() {
                 // A late arrival into the bucket being drained: the heap
                 // orders it against the run without touching the run.
-                self.heap.push(entry);
+                self.heap.push(Earliest(entry));
                 self.spliced += 1;
                 return;
             }
@@ -573,20 +448,25 @@ impl<H> EventQueue<H> {
         self.file(idx, entry);
     }
 
-    /// Appends an entry whose index lies in the window to its ring slot.
+    /// Appends an entry whose index lies in the window to its ring slot,
+    /// giving the slot the spare buffer if it has none.
     #[inline]
-    fn file(&mut self, idx: u64, entry: HeapEntry) {
+    fn file(&mut self, idx: u64, entry: Entry<H>) {
         let slot = (idx % RING_BUCKETS as u64) as usize;
-        self.buckets[slot].push(entry);
+        let bucket = &mut self.buckets[slot];
+        if bucket.capacity() == 0 {
+            mem::swap(bucket, &mut self.spare);
+        }
+        bucket.push(entry);
         self.occupied[slot / 64] |= 1 << (slot % 64);
     }
 
     /// Slides the window down to start at `idx < lo`: the ring buckets
     /// the lowered window cannot address, indices
     /// `[max(idx + RING_BUCKETS, lo), lo + RING_BUCKETS)`, move to the
-    /// heap (counted as spills), and the unspent run tail goes back to
-    /// its bucket `lo − 1` — on the ring, or on the heap if that too is
-    /// out of reach. `O(tail + moved)`, plus one pass over at most
+    /// heap (counted as spills), and the unspent run goes back to its
+    /// bucket `lo − 1` — on the ring, or on the heap if that too is out
+    /// of reach. `O(run + moved)`, plus one pass over at most
     /// [`RING_BUCKETS`] occupancy bits.
     fn lower(&mut self, idx: u64) {
         let ring = RING_BUCKETS as u64;
@@ -595,27 +475,21 @@ impl<H> EventQueue<H> {
             let slot = (i % ring) as usize;
             if self.occupied[slot / 64] & (1 << (slot % 64)) != 0 {
                 self.spilled += self.buckets[slot].len() as u64;
-                for entry in self.buckets[slot].drain(..) {
-                    self.heap.push(entry);
-                }
+                self.heap.extend(self.buckets[slot].drain(..).map(Earliest));
                 self.occupied[slot / 64] &= !(1 << (slot % 64));
             }
         }
-        if self.head < self.run.len() {
-            self.run.drain(..self.head);
-            self.head = 0;
+        if !self.run.is_empty() {
             let claimed = self.lo - 1;
             if claimed < end {
                 // The loop above emptied this slot (it also holds index
                 // `lo + RING_BUCKETS − 1`).
                 let slot = (claimed % ring) as usize;
-                std::mem::swap(&mut self.run, &mut self.buckets[slot]);
+                mem::swap(&mut self.run, &mut self.buckets[slot]);
                 self.occupied[slot / 64] |= 1 << (slot % 64);
             } else {
                 self.spilled += self.run.len() as u64;
-                for entry in self.run.drain(..) {
-                    self.heap.push(entry);
-                }
+                self.heap.extend(self.run.drain(..).map(Earliest));
             }
         }
         self.lo = idx;
@@ -631,28 +505,29 @@ impl<H> EventQueue<H> {
         let Some(slot) = self.first_occupied_from(from) else {
             return;
         };
-        // Swap, not drain: the run's spent capacity rotates into the ring
-        // slot, so steady state allocates nothing.
-        self.run.clear();
-        self.head = 0;
-        std::mem::swap(&mut self.run, &mut self.buckets[slot]);
+        // The bucket's buffer becomes the run; the spent run's buffer
+        // waits as the spare instead of staying parked in the ring.
+        let bucket = mem::take(&mut self.buckets[slot]);
+        self.spare = mem::replace(&mut self.run, bucket);
         self.occupied[slot / 64] &= !(1 << (slot % 64));
-        sort_near_sorted(&mut self.run);
+        self.run.sort_unstable_by_key(|e| Reverse(e.key));
         // The window spans the ring, so the cyclic distance from `lo`
         // recovers the absolute index unambiguously.
         self.lo += ((slot + RING_BUCKETS - from) % RING_BUCKETS) as u64 + 1;
     }
 
-    /// The queue minimum, and whether it is the heap top.
+    /// Whether the next entry is the heap top rather than the run's
+    /// last, claiming a bucket first if the run is spent; `None` when
+    /// the queue is empty.
     #[inline]
-    fn front(&mut self) -> Option<(HeapEntry, bool)> {
-        if self.head == self.run.len() {
+    fn next_from_heap(&mut self) -> Option<bool> {
+        if self.run.is_empty() {
             self.claim();
         }
-        match (self.run.get(self.head), self.heap.peek()) {
-            (Some(&run), Some(top)) if top.before(&run) => Some((top, true)),
-            (Some(&run), _) => Some((run, false)),
-            (None, top) => top.map(|top| (top, true)),
+        match (self.run.last(), self.heap.peek()) {
+            (Some(run), Some(top)) => Some(top.0.key < run.key),
+            (Some(_), None) => Some(false),
+            (None, top) => top.map(|_| true),
         }
     }
 
@@ -660,31 +535,30 @@ impl<H> EventQueue<H> {
     /// the sharded engine's window computation and in-window pop loop.
     /// (`&mut`: may lazily claim the next ring bucket.)
     pub fn peek_key(&mut self) -> Option<EventKey> {
-        self.front().map(|(entry, _)| entry.key())
+        if self.next_from_heap()? {
+            self.heap.peek().map(|top| top.0.key)
+        } else {
+            self.run.last().map(|e| e.key)
+        }
     }
 
     /// Pops the next event together with its global-order key.
     pub fn pop_keyed(&mut self) -> Option<(EventKey, Event<H>)> {
-        let (entry, from_heap) = self.front()?;
-        if !from_heap {
-            self.head += 1;
-        } else {
-            self.heap.pop();
-            if self.head == self.run.len() {
+        let entry = if self.next_from_heap()? {
+            let Earliest(entry) = self.heap.pop()?;
+            if self.run.is_empty() {
                 // Run and ring are empty: the heap holds the frontier.
-                self.lo = self.lo.max(self.bucket_index(entry.at()));
+                self.lo = self.lo.max(self.bucket_index(entry.key.at()));
             }
-        }
-        let slot = entry.slot();
-        let kind = self.slots[slot as usize]
-            .take()
-            .expect("queue entry pointing at empty slot");
-        self.free.push(slot);
-        let event = Event {
-            at: entry.at(),
-            kind,
+            entry
+        } else {
+            self.run.pop()?
         };
-        Some((entry.key(), event))
+        let event = Event {
+            at: entry.key.at(),
+            kind: entry.kind,
+        };
+        Some((entry.key, event))
     }
 
     #[cfg_attr(not(test), allow(dead_code))]
@@ -743,7 +617,7 @@ impl<H> EventQueue<H> {
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn len(&self) -> usize {
         let ring: usize = self.buckets.iter().map(Vec::len).sum();
-        self.run.len() - self.head + ring + self.heap.len()
+        self.run.len() + ring + self.heap.len()
     }
 
     #[cfg_attr(not(test), allow(dead_code))]
@@ -754,52 +628,55 @@ impl<H> EventQueue<H> {
     /// Number of `Deliver` events currently pending — the sharded engine's
     /// mailbox-conservation diagnostics count undelivered messages here.
     pub fn pending_deliveries(&self) -> usize {
-        self.slots
+        self.run
             .iter()
-            .flatten()
-            .filter(|k| matches!(k, EventKind::Deliver { .. }))
+            .chain(self.buckets.iter().flatten())
+            .chain(self.heap.iter().map(|e| &e.0))
+            .filter(|e| matches!(e.kind, EventKind::Deliver { .. }))
             .count()
     }
 
-    /// Asserts the partition the pop order rests on: a sorted run in
-    /// bucket `lo − 1`, every ring entry in its own slot inside the window
-    /// `[lo, lo + RING_BUCKETS)`, the occupancy bits in agreement, and a
-    /// valid heap.
+    /// Asserts the partition the pop order rests on: a run sorted
+    /// descending in bucket `lo − 1`, every ring entry in its own slot
+    /// inside the window `[lo, lo + RING_BUCKETS)`, the occupancy bits in
+    /// agreement, and an empty spare.
     #[cfg(test)]
     fn check_invariants(&self) {
-        let live = &self.run[self.head..];
-        assert!(live.windows(2).all(|w| w[0].0 < w[1].0), "run not sorted");
-        for e in live {
-            assert_eq!(self.bucket_index(e.at()) + 1, self.lo, "run entry off the claimed bucket");
+        assert!(
+            self.run.windows(2).all(|w| w[0].key > w[1].key),
+            "run not sorted descending"
+        );
+        for e in &self.run {
+            assert_eq!(
+                self.bucket_index(e.key.at()) + 1,
+                self.lo,
+                "run entry off the claimed bucket"
+            );
         }
         for (slot, bucket) in self.buckets.iter().enumerate() {
             let bit = self.occupied[slot / 64] >> (slot % 64) & 1;
             assert_eq!(bit == 1, !bucket.is_empty(), "occupancy bit of slot {slot}");
             for e in bucket {
-                let idx = self.bucket_index(e.at());
-                assert_eq!((idx % RING_BUCKETS as u64) as usize, slot, "entry in wrong slot");
+                let idx = self.bucket_index(e.key.at());
+                assert_eq!(
+                    (idx % RING_BUCKETS as u64) as usize,
+                    slot,
+                    "entry in wrong slot"
+                );
                 assert!(
                     idx >= self.lo && idx < self.lo + RING_BUCKETS as u64,
                     "ring entry outside the window"
                 );
             }
         }
-        let heap = &self.heap.entries;
-        for i in 1..heap.len() {
-            assert!(!heap[i].before(&heap[(i - 1) / HEAP_ARITY]), "heap order");
-        }
+        assert!(self.spare.is_empty(), "spare buffer holds entries");
     }
 
-    /// Slab slots currently sitting on the free list (leak diagnostics).
+    /// Entries of buffer capacity the run, the ring and the spare hold.
     #[cfg(test)]
-    fn free_slots(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Total slab capacity ever allocated (the queue's high-water mark).
-    #[cfg(test)]
-    fn slab_slots(&self) -> usize {
-        self.slots.len()
+    fn retained_capacity(&self) -> usize {
+        let ring: usize = self.buckets.iter().map(Vec::capacity).sum();
+        self.run.capacity() + ring + self.spare.capacity()
     }
 }
 
@@ -963,20 +840,33 @@ mod tests {
         assert!(q.is_empty());
     }
 
+    /// A steady stream of echo bursts, each one bucket past the last and
+    /// drained before the next, recycles the run's buffer through the
+    /// spare: the queue keeps about two bursts of capacity, not one per
+    /// ring slot it has visited.
     #[test]
-    fn slab_slots_are_recycled_not_leaked() {
+    fn retained_capacity_stays_near_one_burst() {
+        const BURST: usize = 4096;
+        let width = 1e-3 / BUCKETS_PER_HORIZON; // the default delay hint
         let mut q: EventQueue<()> = EventQueue::new();
-        for round in 0..100u64 {
-            for key in 0..4 {
-                q.push(Time::from_secs(round as f64), EventKind::AdvTimer { key });
+        let mut worst = 0;
+        for round in 0..256u32 {
+            let base = (f64::from(round) + 0.25) * width;
+            for i in 0..BURST {
+                let at = base + (i % 97) as f64 * width * 1e-3;
+                q.push(Time::from_secs(at), EventKind::AdvTimer { key: 0 });
             }
-            for _ in 0..4 {
-                q.pop().unwrap();
+            for _ in 0..BURST {
+                q.pop().expect("the burst is queued");
             }
+            worst = worst.max(q.retained_capacity());
         }
-        // 400 events flowed through, but at most 4 were ever outstanding.
-        assert!(q.slab_slots() <= 4, "slab grew to {}", q.slab_slots());
-        assert_eq!(q.free_slots(), q.slab_slots());
+        assert!(q.is_empty());
+        assert_eq!(q.spill_count() + q.splice_count(), 0);
+        assert!(
+            worst <= 4 * BURST,
+            "the queue retained {worst} entries of capacity for {BURST}-entry bursts"
+        );
     }
 
     #[test]
@@ -997,13 +887,13 @@ mod tests {
         assert!(!a.needs_learning());
     }
 
-    /// A slab slot holds a handle, never the message: its size is fixed
-    /// for both executors' handles, however large the message.
+    /// An entry holds a handle, never the message: its size is fixed for
+    /// both executors' handles, however large the message.
     #[test]
-    fn event_slot_is_sixteen_bytes_for_every_handle() {
+    fn entry_is_thirty_two_bytes_for_every_handle() {
         type Big = [u8; 256];
-        assert_eq!(std::mem::size_of::<Option<EventKind<u32>>>(), 16);
-        assert_eq!(std::mem::size_of::<Option<EventKind<Payload<Big>>>>(), 16);
+        assert_eq!(std::mem::size_of::<Entry<u32>>(), 32);
+        assert_eq!(std::mem::size_of::<Entry<Payload<Big>>>(), 32);
     }
 
     #[test]
@@ -1201,9 +1091,9 @@ mod tests {
 
     proptest! {
         /// Random interleavings of pushes and pops: pops always come out
-        /// in (at, seq) order, and the slab never leaks a slot.
+        /// in (at, seq) order.
         #[test]
-        fn prop_slab_queue_orders_and_recycles(
+        fn prop_queue_orders_like_a_sorted_model(
             // Encodes (at, push/pop) in one value: the vendored proptest
             // stand-in has no tuple strategies. Low bit: push; rest: time.
             ops in proptest::collection::vec(0u16..100, 1..200)
@@ -1212,7 +1102,6 @@ mod tests {
             let mut next_key = 0u64;
             // Model: keys in `(at, insertion)` order, as a sorted list.
             let mut model: Vec<(u16, u64)> = Vec::new();
-            let mut outstanding_high_water = 0usize;
             for op in ops {
                 let (at, is_push) = (op >> 1, op & 1 == 1);
                 if is_push {
@@ -1223,7 +1112,6 @@ mod tests {
                     model.push((at, next_key));
                     model.sort(); // key is insertion-ordered, so stable
                     next_key += 1;
-                    outstanding_high_water = outstanding_high_water.max(q.len());
                 } else if let Some(event) = q.pop() {
                     let (at_expect, key_expect) = model.remove(0);
                     prop_assert_eq!(event.at, Time::from_secs(f64::from(at_expect)));
@@ -1241,10 +1129,7 @@ mod tests {
                 prop_assert_eq!(event.at, Time::from_secs(f64::from(at_expect)));
             }
             prop_assert!(model.is_empty());
-            // No slot leaked: everything allocated is back on the free
-            // list, and the slab never outgrew the deepest outstanding set.
-            prop_assert_eq!(q.free_slots(), q.slab_slots());
-            prop_assert!(q.slab_slots() <= outstanding_high_water.max(1));
+            prop_assert!(q.is_empty());
         }
 
         /// Arbitrary arm/cancel/fire interleavings never leak timer slots.
@@ -1383,7 +1268,6 @@ mod tests {
             while !oracle.is_empty() || !q.is_empty() {
                 pop_and_compare(&mut q, &mut oracle, &mut now);
             }
-            prop_assert_eq!(q.free_slots(), q.slab_slots());
         }
     }
 }

@@ -27,14 +27,16 @@
 //! Every experiment and test funnels through this engine, so the hot path
 //! is engineered to process an event without touching the allocator:
 //!
-//! * the future-event list is a calendar queue of 16-byte `Copy` records
-//!   (`u128`-packed `(time, seq, slot)`) pointing into a free-list slab
-//!   of 16-byte events — pushes are O(1) appends to a 128-bucket ring
-//!   whose window slides with the pops, and the rest (far-future timers,
-//!   late pushes into the bucket being drained; [`Trace::queue_spill_count`]
-//!   and [`Trace::queue_splice_count`] count them) waits on one small
-//!   heap; ordering never moves or clones a message, and pushes past the
-//!   high-water mark allocate nothing;
+//! * the future-event list is a calendar queue of 32-byte entries, each a
+//!   `u128`-packed `(time, seq)` key beside its event — pushes are O(1)
+//!   appends to a 128-bucket ring whose window slides with the pops, a
+//!   pop takes the last entry of the claimed bucket (sorted once,
+//!   descending), and the rest (far-future timers, late pushes into the
+//!   bucket being drained; [`Trace::queue_spill_count`] and
+//!   [`Trace::queue_splice_count`] count them) waits on one small heap;
+//!   ordering never moves or clones a message, and the queue's buffers
+//!   hold what is pending plus one spare, not the largest burst each
+//!   ring slot ever saw;
 //! * node and adversary effect buffers are pooled in the [`Sim`] and
 //!   drained in place (one allocation per run, not per event);
 //! * every message is stored once, outside the queue (an integer-refcounted

@@ -980,7 +980,7 @@ mod tests {
             if self.ticks < 8 {
                 api.set_timer(api.now() + Dur::from_micros(700.0), key);
             }
-            for &c in api.corrupted().clone().iter() {
+            for &c in api.corrupted() {
                 for v in 0..api.n() {
                     if v != c.index() {
                         api.send_as(c, NodeId::new(v), Token(9));
@@ -1111,7 +1111,7 @@ mod tests {
 
         fn on_timer(&mut self, key: u64, api: &mut AdversaryApi<'_, Token>) {
             let target = NodeId::new(key as usize % api.n());
-            for &c in api.corrupted().clone().iter() {
+            for &c in api.corrupted() {
                 if target != c {
                     api.send_as(c, target, Token(60));
                 }
