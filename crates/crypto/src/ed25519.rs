@@ -6,8 +6,11 @@ use rand::{Rng, SeedableRng};
 
 use crate::{NodeId, Signature};
 
-/// A real ed25519 PKI: one signing key per node, all verifying keys known
-/// to everyone (the paper's PKI assumption).
+/// An ed25519-shaped PKI: one signing key per node, all verifying keys
+/// known to everyone (the paper's PKI assumption). It uses
+/// `ed25519-dalek`'s type surface over the vendored keyed-hash MAC, which
+/// is not real Ed25519 and not secure (`vendor/README.md`; making it real
+/// is ROADMAP item 13).
 ///
 /// Used by the wall-clock runtime and the crypto micro-benchmarks; the
 /// simulator normally uses [`SymbolicScheme`](crate::SymbolicScheme), whose

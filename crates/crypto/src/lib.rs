@@ -13,7 +13,8 @@
 //!   well-formedness condition — a faulty node may only replay an honest
 //!   signature it has already *received*), this is exactly the signature
 //!   model under which the paper's results are stated.
-//! * [`Ed25519Scheme`] — real ed25519 signatures via `ed25519-dalek`, used
+//! * [`Ed25519Scheme`] — ed25519-typed signatures via the vendored
+//!   `ed25519-dalek` stand-in (a keyed-hash MAC, not real Ed25519), used
 //!   by the wall-clock runtime and available for apples-to-apples
 //!   micro-benchmarks (experiment E10).
 //!
@@ -57,8 +58,9 @@ use std::sync::Arc;
 pub enum Signature {
     /// A symbolic (ideal-model) signature: a 64-bit keyed tag.
     Symbolic(u64),
-    /// A real ed25519 signature (64 bytes). Shared, not owned: a signed
-    /// message is cloned once per destination it is delivered to, and a
+    /// An ed25519-typed signature (64 bytes, from the MAC stand-in).
+    /// Shared, not owned: a signed message is cloned once per
+    /// destination it is delivered to, and a
     /// clone bumps a count instead of allocating 64 bytes on one thread
     /// for another to free. Equality, hashing and `Debug` see the bytes.
     Ed25519(Arc<[u8; 64]>),

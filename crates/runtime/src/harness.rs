@@ -22,7 +22,8 @@ use crate::supervise::SupervisionStats;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// N node tasks multiplexed onto [`RuntimeConfig::workers`]
-    /// long-lived threads with per-node inboxes and a hashed timer wheel.
+    /// long-lived threads with per-node inboxes, woken from the network
+    /// thread's one time queue.
     #[default]
     Reactor,
 }
@@ -122,7 +123,9 @@ pub(crate) struct ReactorRun {
 }
 
 /// Runs `make_node`-built automatons on the reactor, under real threads,
-/// real (injected) delays and real ed25519 signatures.
+/// real (injected) delays and `ed25519-dalek`-typed signatures (the
+/// vendored keyed-hash MAC, not real Ed25519: `vendor/README.md`,
+/// ROADMAP item 13).
 ///
 /// The same [`Automaton`] code that runs in the simulator runs here —
 /// `CpsNode`, `LwNode`, `EchoSyncNode`, or yours — driven by the same
@@ -130,7 +133,8 @@ pub(crate) struct ReactorRun {
 ///
 /// # Panics
 ///
-/// Panics if thread spawning fails or if `n == 0`. An automaton handler
+/// Panics if thread spawning fails, if `n == 0`, or if the network
+/// thread panics. An automaton handler
 /// that panics on a worker thread is *contained*: the panic is counted
 /// on [`RuntimeReport::supervision`], recorded as a violation against
 /// the node, the worker that carried it is respawned, and the run keeps

@@ -4,15 +4,18 @@
 //! model-exact, audit-enforced), this crate is the deployment path:
 //! crossbeam channels as links, a delay-injecting network thread
 //! enforcing `[d − u, d]` flight times, per-node emulated drifting
-//! clocks, and **real ed25519 signatures** (`crusader-crypto`'s
-//! `KeyRing::ed25519`).
+//! clocks, and signatures through `crusader-crypto`'s
+//! `KeyRing::ed25519`: `ed25519-dalek`'s type surface over the vendored
+//! keyed-hash MAC, not real Ed25519 (see `vendor/README.md`; making it
+//! real is ROADMAP item 13).
 //!
 //! One executor drives the nodes, an event-driven worker-pool reactor
 //! (`src/reactor.rs`): N node state machines multiplexed as non-blocking
 //! tasks onto M long-lived worker threads, with per-node inboxes, a
-//! ready-queue scheduler that parks idle workers, and a hashed
-//! [timer wheel](wheel) multiplexing all `SetTimer` deadlines on the
-//! network thread — thousands of nodes on M + 1 threads, supervised by
+//! ready-queue scheduler that parks idle workers, and one tick-keyed
+//! [time queue](wheel) on the network thread holding every message in
+//! flight, every node's next `SetTimer` wake-up and every chaos control
+//! event — thousands of nodes on M + 1 threads, supervised by
 //! the thread that called [`run`]. Every node's handlers run through
 //! one protocol core (`src/node.rs`: handler dispatch, timer
 //! bookkeeping, pulse logging), and
@@ -21,7 +24,8 @@
 //! The same [`Automaton`](crusader_sim::Automaton) implementations run
 //! unchanged in both worlds; the runtime exists to demonstrate that the
 //! protocol code is genuinely runtime-agnostic and to measure end-to-end
-//! behaviour with real crypto and real threads.
+//! behaviour with real threads and a signature path of the same shape as
+//! Ed25519's (the MAC stand-in's costs are not Ed25519's).
 //!
 //! Host scheduling jitter is physically indistinguishable from message
 //! delay, so it effectively inflates `u`: configure millisecond-scale
@@ -83,8 +87,8 @@ pub use supervise::SupervisionStats;
 use crusader_time::Dur;
 
 /// The tick, in nanoseconds, of the one grid the runtime keeps time on:
-/// the network thread delivers messages and fires the timer wheel's
-/// wake-ups on it. Fine enough that being up to one tick late is small
+/// the network thread's time queue delivers messages, fires wake-ups and
+/// injects chaos control events on it. Fine enough that being up to one tick late is small
 /// against the delay uncertainty `u` (protocol deadlines compound two or
 /// three timer hops, so lateness must be ≪ the slack `u` provides),
 /// coarse enough that neither thread spins and that a tick's deliveries

@@ -22,7 +22,7 @@
 //! than the grid and the rounding overshoots `sent_at + d` by less than
 //! one tick. That is the kernel's own timer slack, which no sleeping
 //! thread on this host undercuts, and the crate docs fold it into the
-//! same "the host inflates `u`" caveat as the wheel's tick.
+//! same "the host inflates `u`" caveat as a wake-up's tick.
 //!
 //! A CPS round is `n³` deliveries spread over `2u`: at their drawn
 //! instants they come due a microsecond apart, and every one of them
@@ -32,28 +32,19 @@
 //! per destination: at most `2u/tick + 2` sweeps a round however many
 //! messages it holds.
 //!
-//! # The tick ring
+//! # The time queue
 //!
-//! Every message of a tick shares its instant, so what is in flight
-//! needs no ordering beyond "which tick" and "arrival order within it".
-//! [`TickRing`] keeps one slab of entries threaded into per-tick FIFO
-//! lists (`next` index per entry, `(head, tail)` per tick, freed entries
-//! on a free list), and a ring of ticks that spans only the first to the
-//! last *occupied* tick. Push and pop are `O(1)`; the front tick is never
-//! empty while anything is in flight, so the sleep deadline is `O(1)`
-//! too. The slab is as long as the most messages ever in flight at once
-//! and the ring costs eight bytes per tick between the earliest and the
-//! latest delivery outstanding — neither grows with `d/tick` for a burst
-//! on a long link, nor with the fullest tick (one queue per tick would
-//! keep every tick's peak capacity for good). A push earlier than
-//! everything in flight (a sweep that ran late, a `d − u` below one tick)
-//! becomes the new front tick: due at once, never lost, and with no
-//! rotation to wait out.
+//! Everything the thread waits for — a message in flight, a node's timer
+//! wake-up, a chaos control event — is one [`Due`] in one
+//! [`TimerWheel`](crate::wheel::TimerWheel) on the grid, popped in strict
+//! `(tick, arrival)` order; the loop sleeps until its one next deadline.
+//! Control events are queued at set-up, before any command, so a message
+//! due in the tick of a `Freeze` lands after it.
 //!
 //! # Batches in both directions
 //!
 //! At a million messages a second what a message costs is the channel
-//! operation around it, not the ring push:
+//! operation around it, not the queue push:
 //!
 //! * **In.** A worker quantum's sends and broadcasts arrive as *one*
 //!   [`NetCommand::Batch`] (a lone message still travels as a bare
@@ -90,18 +81,18 @@
 //! and are held behind one `Arc` while in flight; the per-destination
 //! clone happens only at delivery time. At reactor scale this matters
 //! twice: a 2048-node broadcast is one channel send instead of 2048, and
-//! the ring holds small entries sharing a payload instead of 2048 deep
+//! the queue holds small entries sharing a payload instead of 2048 deep
 //! copies.
 //!
 //! # Timer wake-ups
 //!
-//! Each node's earliest timer deadline arrives as a [`NetCommand::Wake`]
-//! and sits in a [`TimerWheel`] on the same grid. Due wake-ups go to
-//! [`DeliverySink::wake`] at the top of every turn, before the wait,
-//! which also ends at the next wake-up. One counts as one entry against
-//! the ingest budget, and not as a command in `net_commands`.
+//! Each node's earliest timer deadline arrives as a [`NetCommand::Wake`],
+//! which cancels the node's previous wake-up and queues the new one. A
+//! sweep hands its due wake-ups to [`DeliverySink::wake`] after the
+//! events it staged, so a woken node finds every delivery due by then in
+//! its inbox. A wake-up counts as one entry against the ingest budget,
+//! and not as a command in `net_commands`.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -176,44 +167,33 @@ pub(crate) struct NetChaos {
 }
 
 impl NetChaos {
-    /// The host instant of scenario time `t`.
-    fn instant_of(&self, t: Time) -> Instant {
-        self.epoch + Duration::from_secs_f64(t.as_secs())
-    }
-
-    /// Whether scenario time `t` has come by `now`.
-    fn due(&self, t: Time, now: Instant) -> bool {
-        self.instant_of(t) <= now
-    }
-
     /// The timeline's control events — crash transitions and panic
-    /// drills — as one `(when, node, event)` list sorted by time, latest
-    /// first, so the next one pops from the back. At one instant, crash
-    /// transitions go before drills.
-    fn control_schedule<M>(&self) -> Vec<(Time, NodeId, NodeEvent<M>)> {
+    /// drills — as `(when, entry)` in time order; a stable sort
+    /// keeps each instant's transitions ahead of its drills.
+    fn control_events<M>(&self) -> Vec<(Time, Due<M>)> {
         let transitions = self.timeline.crash_transitions().into_iter();
         let drills = self.timeline.panic_schedule().into_iter();
-        let mut schedule: Vec<_> = transitions
+        let mut events: Vec<_> = transitions
             .map(|(t, node, down)| {
-                let event = if down {
-                    NodeEvent::Freeze
+                let node = NodeId::new(node);
+                let due = if down {
+                    Due::Freeze(node)
                 } else {
-                    NodeEvent::Thaw
+                    Due::Thaw(node)
                 };
-                (t, NodeId::new(node), event)
+                (t, due)
             })
-            .chain(drills.map(|(t, node)| (t, NodeId::new(node), NodeEvent::PanicInject)))
+            .chain(drills.map(|(t, node)| (t, Due::Panic(NodeId::new(node)))))
             .collect();
-        // A stable sort keeps each instant's transitions ahead of its drills.
-        schedule.sort_by(|x, y| x.0.partial_cmp(&y.0).expect("finite times"));
-        schedule.reverse();
-        schedule
+        events.sort_by(|x, y| x.0.partial_cmp(&y.0).expect("finite times"));
+        events
     }
 }
 
 /// An in-flight payload: owned for unicasts, `Arc`-shared for
 /// broadcasts and flood copies (cloned per destination only at
 /// delivery).
+#[derive(Clone)]
 enum Payload<M> {
     One(M),
     Shared(Arc<M>),
@@ -235,128 +215,22 @@ impl<M: Clone> Payload<M> {
     }
 }
 
-/// End-of-list mark in the [`TickRing`]'s entry indices.
-const NIL: u32 = u32::MAX;
-
-/// One message in flight, or a free slab entry (`payload` is `None`).
-/// `next` is the entry behind it in its tick, or the next free entry.
-struct Entry<M> {
-    next: u32,
-    from: NodeId,
-    to: NodeId,
-    payload: Option<Payload<M>>,
-}
-
-/// One tick's FIFO list of slab entries: `(head, tail)`, both [`NIL`]
-/// when no message is due in the tick.
-#[derive(Clone, Copy)]
-struct TickList {
-    head: u32,
-    tail: u32,
-}
-
-const NO_MESSAGES: TickList = TickList {
-    head: NIL,
-    tail: NIL,
-};
-
-/// The messages in flight, by delivery tick, in arrival order within a
-/// tick (module docs, *The tick ring*).
-struct TickRing<M> {
-    /// The slab: grows only when the free list is empty, so its length
-    /// is the most messages ever in flight at once.
-    entries: Vec<Entry<M>>,
-    /// Head of the free list threaded through `entries`.
-    free: u32,
-    /// The ticks from `first` to the last occupied one. Neither end is
-    /// ever an empty tick; the ones in between may be.
-    ticks: VecDeque<TickList>,
-    /// The tick of `ticks[0]`.
-    first: u64,
-    len: usize,
-}
-
-impl<M> TickRing<M> {
-    fn new() -> Self {
-        TickRing {
-            entries: Vec::new(),
-            free: NIL,
-            ticks: VecDeque::new(),
-            first: 0,
-            len: 0,
-        }
-    }
-
-    /// The earliest tick with a message in it.
-    fn first_tick(&self) -> Option<u64> {
-        (!self.ticks.is_empty()).then_some(self.first)
-    }
-
-    /// Appends a message to `tick`'s list. A tick earlier than
-    /// everything in flight becomes the new front.
-    fn push(&mut self, tick: u64, from: NodeId, to: NodeId, payload: Payload<M>) {
-        let entry = Entry {
-            next: NIL,
-            from,
-            to,
-            payload: Some(payload),
-        };
-        let at = if self.free == NIL {
-            let at = u32::try_from(self.entries.len()).expect("the slab is indexed by u32");
-            assert!(at != NIL, "2^32 messages in flight");
-            self.entries.push(entry);
-            at
-        } else {
-            let at = self.free;
-            self.free = std::mem::replace(&mut self.entries[at as usize], entry).next;
-            at
-        };
-        if self.ticks.is_empty() {
-            self.first = tick;
-        }
-        for _ in tick..self.first {
-            self.ticks.push_front(NO_MESSAGES);
-        }
-        self.first = self.first.min(tick);
-        let offset = usize::try_from(tick - self.first).expect("ticks in flight fit in memory");
-        if offset >= self.ticks.len() {
-            self.ticks.resize(offset + 1, NO_MESSAGES);
-        }
-        let list = &mut self.ticks[offset];
-        if list.head == NIL {
-            list.head = at;
-        } else {
-            self.entries[list.tail as usize].next = at;
-        }
-        list.tail = at;
-        self.len += 1;
-    }
-
-    /// Takes the oldest message of the earliest tick, if that tick is
-    /// `now_tick` or earlier.
-    fn pop_due(&mut self, now_tick: u64) -> Option<(NodeId, NodeId, Payload<M>)> {
-        if self.first > now_tick {
-            return None;
-        }
-        let list = self.ticks.front_mut()?;
-        let at = list.head;
-        let entry = &mut self.entries[at as usize];
-        let payload = entry
-            .payload
-            .take()
-            .expect("a listed entry holds a message");
-        let popped = (entry.from, entry.to, payload);
-        list.head = std::mem::replace(&mut entry.next, self.free);
-        self.free = at;
-        self.len -= 1;
-        // Keep the front occupied: drop this tick once it is empty, and
-        // the empty ones behind it.
-        while self.ticks.front().is_some_and(|list| list.head == NIL) {
-            self.ticks.pop_front();
-            self.first += 1;
-        }
-        Some(popped)
-    }
+/// What the time queue holds (module docs, *The time queue*).
+#[derive(Clone)]
+enum Due<M> {
+    /// A message in flight.
+    Message {
+        from: NodeId,
+        to: NodeId,
+        payload: Payload<M>,
+    },
+    /// A node's timer wake-up.
+    Wake(NodeId),
+    /// Chaos control events for a node: [`NodeEvent::Freeze`],
+    /// [`NodeEvent::Thaw`] and [`NodeEvent::PanicInject`].
+    Freeze(NodeId),
+    Thaw(NodeId),
+    Panic(NodeId),
 }
 
 /// Capacity of the command channel into the network thread, in
@@ -369,8 +243,8 @@ impl<M> TickRing<M> {
 /// the queue without limit.
 const NET_QUEUE_CAP: usize = 65_536;
 
-/// Messages one direction may move before the loop turns to the other:
-/// a delivery sweep hands over at most this many due messages, then the
+/// Entries one direction may move before the loop turns to the other:
+/// a delivery sweep hands over at most this many due entries, then the
 /// ingest takes at most this many in-flight entries from queued commands
 /// (the command that crosses the line is finished first). Either side
 /// holds the other back by a fraction of a millisecond at most, so a
@@ -380,9 +254,6 @@ const NET_QUEUE_CAP: usize = 65_536;
 /// caps what is staged per sweep, so a burst of any size needs staging
 /// memory for this many messages, not for the burst.
 const TURN_BUDGET: usize = 4096;
-
-/// Slot count of the timer wheel that holds the reactor's wake-ups.
-const WHEEL_SLOTS: usize = 256;
 
 /// Emptied batch buffers kept for reuse; a flush that finds none starts
 /// a fresh one, a return that finds the list full is dropped.
@@ -505,9 +376,16 @@ impl<M: Clone + Send + Sync + 'static> Network<M> {
     /// Stops the network thread (behind every command already queued)
     /// and joins it. Yields `(delivered, chaos_dropped)` message counts;
     /// what was still in flight is on the counters as discarded.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the network thread's panic, if it had one: a dead
+    /// network thread must not pass for one that delivered nothing.
     pub fn shutdown(self) -> (u64, u64) {
         let _ = self.link.tx.send(NetCommand::Shutdown);
-        self.handle.join().unwrap_or((0, 0))
+        self.handle
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 }
 
@@ -522,16 +400,17 @@ struct Departure {
     flood: Option<FloodSpec>,
 }
 
-/// The messages in flight and everything that decides their flight
+/// What the thread waits for, and everything that decides flight
 /// times. Kept apart from the thread's loop so that tests can drive it
 /// with instants of their choosing.
 struct Flights<M> {
-    ring: TickRing<M>,
+    queue: TimerWheel<Due<M>>,
+    /// Messages in the queue.
+    in_flight: usize,
     rng: SmallRng,
     n: usize,
-    /// Where the grid starts, and its tick in nanoseconds.
+    /// Where the grid starts.
     origin: Instant,
-    tick: u64,
     /// Flights are `min_ns` plus a draw from `0..=spread_ns`: the range
     /// `[d − u, max(d − u, d − tick)]` of the module docs.
     min_ns: u64,
@@ -539,15 +418,15 @@ struct Flights<M> {
     chaos: Option<NetChaos>,
     chaos_dropped: u64,
     delivered: u64,
-    /// Due messages of the current sweep, per destination, and the
-    /// destinations that have any. The inner vectors keep their
-    /// capacity from sweep to sweep.
+    /// Due messages and control events of the current sweep, per
+    /// destination, and the destinations that have any; then the nodes
+    /// whose wake-up came due. The vectors keep their capacity from
+    /// sweep to sweep.
     staged: Vec<Vec<NodeEvent<M>>>,
     touched: Vec<NodeId>,
+    woken: Vec<NodeId>,
     spare: Arc<Mutex<Vec<Outbox<M>>>>,
-    /// The reactor's timer wake-ups on the same grid, at most one per
-    /// node, and the key of each node's entry.
-    wakes: TimerWheel<NodeId>,
+    /// The key of each node's wake-up in the queue, if it has one.
     wake_keys: Vec<Option<WheelKey>>,
 }
 
@@ -562,12 +441,12 @@ impl<M: Clone> Flights<M> {
     ) -> Self {
         let tick = tick_ns(u, d);
         let min_ns = whole_nanos(d - u);
-        Flights {
-            ring: TickRing::new(),
+        let mut flights = Flights {
+            queue: TimerWheel::new(tick, 0),
+            in_flight: 0,
             rng: SmallRng::seed_from_u64(seed ^ 0x7e7e_0000_0000_0001),
             n,
             origin: Instant::now(),
-            tick,
             min_ns,
             spread_ns: whole_nanos(d).saturating_sub(tick).saturating_sub(min_ns),
             chaos,
@@ -575,10 +454,18 @@ impl<M: Clone> Flights<M> {
             delivered: 0,
             staged: (0..n).map(|_| Vec::new()).collect(),
             touched: Vec::new(),
+            woken: Vec::new(),
             spare,
-            wakes: TimerWheel::new(tick, WHEEL_SLOTS),
             wake_keys: vec![None; n],
+        };
+        // Queued before any command, so each precedes its tick's deliveries.
+        if let Some(c) = &flights.chaos {
+            for (t, due) in c.control_events() {
+                let at = flights.nanos_of(c.epoch + Duration::from_secs_f64(t.as_secs()));
+                flights.queue.insert(at, due);
+            }
         }
+        flights
     }
 
     /// `at` in nanoseconds on the grid's clock (zero before its origin).
@@ -609,8 +496,9 @@ impl<M: Clone> Flights<M> {
         flight_ns: u64,
         payload: Payload<M>,
     ) {
-        let tick = (dep.sent_ns + flight_ns).div_ceil(self.tick);
-        self.ring.push(tick, from, to, payload);
+        let due = Due::Message { from, to, payload };
+        self.queue.insert(dep.sent_ns + flight_ns, due);
+        self.in_flight += 1;
     }
 
     /// Puts one message for one destination in flight: the link-cut
@@ -691,10 +579,10 @@ impl<M: Clone> Flights<M> {
             }
             NetCommand::Wake { node, at } => {
                 if let Some(key) = self.wake_keys[node.index()].take() {
-                    self.wakes.cancel(key);
+                    self.queue.cancel(key);
                 }
                 if let Some(at) = at {
-                    let key = self.wakes.insert(self.nanos_of(at), node);
+                    let key = self.queue.insert(self.nanos_of(at), Due::Wake(node));
                     self.wake_keys[node.index()] = Some(key);
                 }
             }
@@ -703,52 +591,53 @@ impl<M: Clone> Flights<M> {
         true
     }
 
-    /// Hands every wake-up due by `now` to `sink`, in deadline order.
-    fn fire_wakes<S: DeliverySink<M>>(&mut self, now: Instant, sink: &mut S) {
-        for (_, node) in self.wakes.advance(self.nanos_of(now)) {
-            self.wake_keys[node.index()] = None;
-            sink.wake(node);
-        }
-    }
-
-    /// The instant of the earliest pending wake-up's tick.
-    fn next_wake(&mut self) -> Option<Instant> {
-        let ns = self.wakes.next_deadline()?;
+    /// The instant of the earliest occupied tick: when the next sweep
+    /// has something to hand over.
+    fn next_due(&mut self) -> Option<Instant> {
+        let ns = self.queue.next_deadline()?;
         Some(self.origin + Duration::from_nanos(ns))
     }
 
-    /// The instant of the earliest occupied tick: when the next sweep
-    /// has something to hand over.
-    fn next_due(&self) -> Option<Instant> {
-        self.ring
-            .first_tick()
-            .map(|tick| self.origin + Duration::from_nanos(tick * self.tick))
-    }
-
-    /// One delivery sweep: hands the messages of every tick that has
-    /// come by `now` — the earliest [`TURN_BUDGET`] of them, if there
-    /// are more — to `sink`, staged per destination in `(tick, arrival)`
-    /// order, then one `deliver_batch` per destination that has any.
+    /// One sweep: pops what every tick that has come by `now` holds —
+    /// the earliest [`TURN_BUDGET`] entries, if there are more — in
+    /// `(tick, arrival)` order. Messages and control events are staged
+    /// per destination and handed over with one `deliver_batch` per
+    /// destination that has any; then the due wake-ups fire.
     fn deliver_due<S: DeliverySink<M>>(&mut self, now: Instant, sink: &mut S) {
-        let now_tick = self.nanos_of(now) / self.tick;
+        let now_ns = self.nanos_of(now);
         for _ in 0..TURN_BUDGET {
-            let Some((from, to, payload)) = self.ring.pop_due(now_tick) else {
+            let Some((_, due)) = self.queue.pop_due(now_ns) else {
                 break;
+            };
+            let (to, event) = match due {
+                Due::Message { from, to, payload } => {
+                    self.in_flight -= 1;
+                    self.delivered += 1;
+                    let msg = payload.into_msg();
+                    (to, NodeEvent::Deliver { from, msg })
+                }
+                Due::Freeze(node) => (node, NodeEvent::Freeze),
+                Due::Thaw(node) => (node, NodeEvent::Thaw),
+                Due::Panic(node) => (node, NodeEvent::PanicInject),
+                Due::Wake(node) => {
+                    self.wake_keys[node.index()] = None;
+                    self.woken.push(node);
+                    continue;
+                }
             };
             let slot = &mut self.staged[to.index()];
             if slot.is_empty() {
                 self.touched.push(to);
             }
-            slot.push(NodeEvent::Deliver {
-                from,
-                msg: payload.into_msg(),
-            });
-            self.delivered += 1;
+            slot.push(event);
         }
         for to in self.touched.drain(..) {
             let slot = &mut self.staged[to.index()];
             sink.deliver_batch(to, slot);
             debug_assert!(slot.is_empty(), "the sink left events behind");
+        }
+        for node in self.woken.drain(..) {
+            sink.wake(node);
         }
     }
 }
@@ -759,41 +648,19 @@ fn network_loop<M: Clone + Send, S: DeliverySink<M>>(
     mut flights: Flights<M>,
     counters: &Counters,
 ) -> (u64, u64) {
-    let mut control = flights
-        .chaos
-        .as_ref()
-        .map_or_else(Vec::new, NetChaos::control_schedule);
     let mut commands = 0u64;
     loop {
-        // Deliver what is due, after the crash transitions and panic
-        // drills that have come due, in time order.
-        let now = Instant::now();
-        if let Some(c) = &flights.chaos {
-            while control.last().is_some_and(|&(t, ..)| c.due(t, now)) {
-                let (_, node, event) = control.pop().expect("a due control event");
-                sink.deliver(node, event);
-            }
-        }
-        // Due wake-ups fire here, before the wait and whatever it
+        // Hand over what is due before the wait and whatever it
         // receives: under an echo storm commands arrive without a pause,
         // and a wait that reported its deadline only once the queue ran
-        // dry would starve every timer for as long as the storm lasts.
-        flights.fire_wakes(now, &mut sink);
-        flights.deliver_due(now, &mut sink);
-        // Wait for the next command, the next due delivery or wake-up,
-        // or the next chaos control event — whichever is soonest. (After a
-        // sweep that used up its budget the next delivery is already due,
-        // and the wait only picks up a command that is already queued.)
-        let mut deadline = flights
-            .next_due()
-            .into_iter()
-            .chain(flights.next_wake())
-            .min();
-        if let (Some(c), Some(&(t, ..))) = (&flights.chaos, control.last()) {
-            let at = c.instant_of(t);
-            deadline = Some(deadline.map_or(at, |d| d.min(at)));
-        }
-        let received = match deadline {
+        // dry would starve every delivery and timer for as long as the
+        // storm lasts.
+        flights.deliver_due(Instant::now(), &mut sink);
+        // Wait for the next command or the next due entry, whichever is
+        // sooner. (After a sweep that used up its budget the next entry
+        // is already due, and the wait only picks up a command that is
+        // already queued.)
+        let received = match flights.next_due() {
             Some(at) => rx.recv_deadline(at),
             None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
         };
@@ -805,7 +672,7 @@ fn network_loop<M: Clone + Send, S: DeliverySink<M>>(
             Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => Some(NetCommand::Shutdown),
         };
-        let (floor, mut wakes) = (flights.ring.len, 0);
+        let (floor, mut wakes) = (flights.in_flight, 0);
         while let Some(cmd) = next {
             let wake = matches!(cmd, NetCommand::Wake { .. });
             if !flights.enqueue(cmd, Instant::now()) {
@@ -813,7 +680,7 @@ fn network_loop<M: Clone + Send, S: DeliverySink<M>>(
                 // nobody is left to read what is still in flight: it is
                 // counted as discarded, not delivered.
                 counters.note_net_commands(commands);
-                counters.note_discarded(flights.ring.len as u64);
+                counters.note_discarded(flights.in_flight as u64);
                 return (flights.delivered, flights.chaos_dropped);
             }
             if wake {
@@ -821,7 +688,7 @@ fn network_loop<M: Clone + Send, S: DeliverySink<M>>(
             } else {
                 commands += 1;
             }
-            next = if flights.ring.len - floor + wakes < TURN_BUDGET {
+            next = if flights.in_flight - floor + wakes < TURN_BUDGET {
                 match rx.try_recv() {
                     Ok(cmd) => Some(cmd),
                     Err(TryRecvError::Empty) => None,
@@ -1030,22 +897,14 @@ mod tests {
 
     /// What is in flight, as `(tick, to, msg)` in the order it is owed:
     /// tick by tick, arrival order within a tick.
-    fn in_flight(ring: &TickRing<u32>) -> Vec<(u64, NodeId, u32)> {
-        let mut owed = Vec::new();
-        for (tick, list) in (ring.first..).zip(&ring.ticks) {
-            let mut at = list.head;
-            while at != NIL {
-                let entry = &ring.entries[at as usize];
-                let msg = match entry.payload.as_ref().expect("listed") {
-                    Payload::One(msg) => *msg,
-                    Payload::Shared(msg) => **msg,
-                };
-                owed.push((tick, entry.to, msg));
-                at = entry.next;
-            }
-        }
-        assert_eq!(owed.len(), ring.len);
-        owed
+    fn in_flight(flights: &Flights<u32>) -> Vec<(u64, NodeId, u32)> {
+        let tick = flights.queue.granularity();
+        let all = flights.queue.clone().advance(u64::MAX).into_iter();
+        all.filter_map(|(ns, due)| match due {
+            Due::Message { to, payload, .. } => Some((ns / tick, to, payload.into_msg())),
+            _ => None,
+        })
+        .collect()
     }
 
     /// The values a command carries.
@@ -1065,7 +924,7 @@ mod tests {
         let (d, u) = (ms(20.0), ms(5.0));
         let (floor, ceiling) = (Duration::from_millis(15), Duration::from_millis(20));
         let mut flights = flights(d, u, 11, Some(cut_and_flood()));
-        let tick = Duration::from_nanos(flights.tick);
+        let tick = Duration::from_nanos(flights.queue.granularity());
         assert!(
             tick <= Duration::from_millis(5),
             "u ≥ tick: the window holds"
@@ -1080,8 +939,8 @@ mod tests {
         }
         // What is in flight, per destination, in the order it is owed.
         let mut owed: [Vec<(Instant, u32)>; N] = Default::default();
-        for (tick_no, to, msg) in in_flight(&flights.ring) {
-            let due = flights.origin + Duration::from_nanos(tick_no * flights.tick);
+        for (tick_no, to, msg) in in_flight(&flights) {
+            let due = flights.origin + Duration::from_nanos(tick_no * flights.queue.granularity());
             assert!(due >= sent_at[&msg] + floor, "scheduled before d - u");
             assert!(due <= sent_at[&msg] + ceiling, "scheduled after d");
             owed[to.index()].push((due, msg));
@@ -1098,7 +957,7 @@ mod tests {
             sink.got.iter().all(Vec::is_empty),
             "delivered before its tick"
         );
-        while flights.ring.len > 0 {
+        while flights.in_flight > 0 {
             now += step;
             sink.now = Some(now);
             flights.deliver_due(now, &mut sink);
@@ -1130,72 +989,145 @@ mod tests {
         };
         let mut flights = flights(ms(20.0), ms(5.0), 5, Some(chaos));
         // Sent off the grid, one second in.
-        let sent_ns = 12_800 * flights.tick + 1_000;
+        let sent_ns = 12_800 * flights.queue.granularity() + 1_000;
         let sent_at = flights.origin + Duration::from_nanos(sent_ns);
         let (from, msg) = (NodeId::new(2), 9);
         assert!(flights.enqueue(NetCommand::Broadcast { from, msg }, sent_at));
-        let ticks: Vec<u64> = in_flight(&flights.ring).iter().map(|m| m.0).collect();
+        let ticks: Vec<u64> = in_flight(&flights).iter().map(|m| m.0).collect();
         assert_eq!(ticks.len(), 2 * N);
         // The rushed copies share the first tick at or after `d − u`,
         // the stormed originals the last one at or before `d`.
         let (bottom, top) = (sent_ns + 15_000_000, sent_ns + 20_000_000);
-        assert_eq!(ticks[..N], [bottom.div_ceil(flights.tick); N]);
-        assert_eq!(ticks[N..], [top / flights.tick; N]);
+        assert_eq!(
+            ticks[..N],
+            [bottom.div_ceil(flights.queue.granularity()); N]
+        );
+        assert_eq!(ticks[N..], [top / flights.queue.granularity(); N]);
     }
 
-    /// Control events pop in time order, a drill before a later crash
-    /// transition; at one instant the transition goes first.
+    /// Control events come out of the time queue in time order, a drill
+    /// before a later crash transition; at one instant the transition
+    /// goes first, and a delivery due in the tick of a `Freeze` lands
+    /// after it.
     #[test]
     fn control_events_pop_in_time_order_transitions_first_at_a_tie() {
         let mut timeline = ChaosTimeline::new(N);
         timeline.crash(1, Time::from_millis(20.0), Some(Time::from_millis(30.0)));
         timeline.panic_at(2, Time::from_millis(10.0));
         timeline.panic_at(3, Time::from_millis(20.0));
+        let epoch = Instant::now();
         let chaos = NetChaos {
             timeline: Arc::new(timeline),
-            epoch: Instant::now(),
+            epoch,
         };
-        let mut schedule = chaos.control_schedule::<u32>();
-        let mut popped = Vec::new();
-        while let Some((t, node, event)) = schedule.pop() {
-            let kind = match event {
-                NodeEvent::Freeze => "freeze",
-                NodeEvent::Thaw => "thaw",
-                NodeEvent::PanicInject => "panic",
-                _ => unreachable!("not a control event"),
-            };
-            popped.push((t, node.index(), kind));
+        // No flight time: a message is due in the tick it is sent in.
+        let mut flights = flights(Dur::ZERO, Dur::ZERO, 0, Some(chaos));
+        let (from, to) = (NodeId::new(0), NodeId::new(1));
+        let freeze_at = epoch + Duration::from_millis(20);
+        assert!(flights.enqueue(NetCommand::Send { from, to, msg: 7 }, freeze_at));
+
+        /// Every event with the instant of the sweep that handed it over.
+        struct Log(Option<Instant>, Vec<(Instant, usize, &'static str)>);
+        impl DeliverySink<u32> for Log {
+            fn deliver(&mut self, to: NodeId, event: NodeEvent<u32>) {
+                let kind = match event {
+                    NodeEvent::Freeze => "freeze",
+                    NodeEvent::Thaw => "thaw",
+                    NodeEvent::PanicInject => "panic",
+                    NodeEvent::Deliver { .. } => "deliver",
+                    NodeEvent::Shutdown => unreachable!("never queued"),
+                };
+                self.1
+                    .push((self.0.expect("set per sweep"), to.index(), kind));
+            }
         }
-        assert_eq!(
-            popped,
-            [
-                (Time::from_millis(10.0), 2, "panic"),
-                (Time::from_millis(20.0), 1, "freeze"),
-                (Time::from_millis(20.0), 3, "panic"),
-                (Time::from_millis(30.0), 1, "thaw"),
-            ]
-        );
+        let mut sink = Log(None, Vec::new());
+        while let Some(due) = flights.next_due() {
+            sink.0 = Some(due);
+            flights.deliver_due(due, &mut sink);
+        }
+        let expected = [
+            (10, 2, "panic"),
+            (20, 1, "freeze"),
+            (20, 1, "deliver"),
+            (20, 3, "panic"),
+            (30, 1, "thaw"),
+        ];
+        assert_eq!(sink.1.len(), expected.len());
+        // Each in the first sweep at or after its instant.
+        let tick = Duration::from_nanos(flights.queue.granularity());
+        for (&(swept, node, kind), &(ms, n, k)) in sink.1.iter().zip(&expected) {
+            assert_eq!((node, kind), (n, k));
+            let at = epoch + Duration::from_millis(ms);
+            let late = "{kind} at {ms} ms swept late";
+            assert!(swept >= at && swept < at + tick, "{late}");
+        }
     }
 
     /// An hour-long link is 72 million ticks of 50 µs; a burst on it
     /// costs a slab entry per message and a ring of the ticks the burst
-    /// itself covers.
+    /// itself covers. A wake-up an hour out and one far in the past
+    /// stretch the ring by nothing and by one tick.
     #[test]
     fn the_ring_spans_the_occupied_ticks_only() {
         let mut flights = flights(Dur::from_secs(3600.0), ms(1.0), 7, None);
-        assert_eq!(flights.tick, 50_000);
+        assert_eq!(flights.queue.granularity(), 50_000);
         let sent_at = flights.origin + Duration::from_millis(1);
         for cmd in one_of_each() {
             assert!(flights.enqueue(cmd, sent_at));
         }
-        assert_eq!(flights.ring.entries.len(), 80);
-        assert!(flights.ring.first > 71_000_000);
-        assert!(
-            flights.ring.ticks.len() <= 21,
-            "{}",
-            flights.ring.ticks.len()
+        assert_eq!(
+            flights.queue.footprint().0,
+            0,
+            "the burst waits off the ring"
         );
-        assert!(flights.ring.ticks.capacity() <= 64);
+        // A sweep a second in; then a wake-up an hour after it, and one
+        // a second before it.
+        let swept = flights.origin + Duration::from_secs(1);
+        let mut sink = PerEvent::default();
+        flights.deliver_due(swept, &mut sink);
+        let wakes = [(0, swept + Duration::from_secs(3600)), (1, flights.origin)];
+        for (node, at) in wakes {
+            let node = NodeId::new(node);
+            assert!(flights.enqueue(NetCommand::Wake { node, at: Some(at) }, swept));
+        }
+        assert_eq!(flights.queue.footprint().2, 82);
+        assert_eq!(flights.queue.footprint().0, 1, "the stale wake-up's tick");
+        assert_eq!(flights.next_due(), Some(swept), "the stale wake-up is due");
+        flights.deliver_due(swept, &mut sink);
+        assert!(flights.wake_keys[1].is_none(), "the stale wake-up fired");
+        // A tick before the burst is due, it joins the ring; the far
+        // wake-up, 20 000 ticks behind it, does not.
+        let hour = flights.origin + Duration::from_secs(3600);
+        flights.deliver_due(hour - Duration::from_micros(50), &mut sink);
+        assert!(sink.got.iter().all(Vec::is_empty), "delivered early");
+        assert!(flights.next_due().is_some_and(|due| due >= hour));
+        let (span, capacity, _) = flights.queue.footprint();
+        assert!(span <= 21, "{span}");
+        assert!(capacity <= 64, "{capacity}");
+        assert_eq!(flights.queue.len(), 81);
+    }
+
+    /// A sink that panics kills the network thread, and `shutdown` says
+    /// so instead of reporting that nothing was delivered.
+    #[test]
+    #[should_panic(expected = "the sink broke")]
+    fn a_panicking_network_thread_panics_shutdown() {
+        struct Broken;
+        impl DeliverySink<u32> for Broken {
+            fn deliver(&mut self, _to: NodeId, _event: NodeEvent<u32>) {
+                panic!("the sink broke");
+            }
+        }
+        let counters = Arc::new(Counters::default());
+        let net = Network::spawn(Broken, N, Dur::ZERO, Dur::ZERO, 1, None, counters);
+        let (from, to) = (NodeId::new(0), NodeId::new(1));
+        net.link.send(NetCommand::Send { from, to, msg: 0 });
+        let patience = Instant::now() + Duration::from_secs(10);
+        while !net.handle.is_finished() && Instant::now() < patience {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        net.shutdown();
     }
 
     #[test]
@@ -1244,15 +1176,15 @@ mod tests {
         let from = NodeId::new(0);
         let now = Instant::now();
         assert!(flights.enqueue(NetCommand::Batch { from, out }, now));
-        assert_eq!(flights.ring.ticks.len(), 1);
+        assert_eq!(flights.queue.footprint().0, 1);
         let later = now + Duration::from_secs(1);
         let mut sink = PerBatch::default();
         flights.deliver_due(later, &mut sink);
         assert_eq!(flights.delivered, TURN_BUDGET as u64);
-        assert_eq!(flights.ring.len, 5);
+        assert_eq!(flights.in_flight, 5);
         assert!(flights.next_due().is_some_and(|due| due <= later));
         flights.deliver_due(later, &mut sink);
-        assert_eq!(flights.ring.len, 0);
+        assert_eq!(flights.in_flight, 0);
         assert_eq!(flights.next_due(), None);
         // The tick came out in arrival order across the two sweeps.
         for (to, got) in sink.inner.got.iter().enumerate() {
@@ -1291,7 +1223,7 @@ mod tests {
         let (d, u) = (ms(200.0), ms(60.0));
         let spare = Arc::new(Mutex::new(Vec::new()));
         let mut flights: Flights<u32> = Flights::new(MESH, d, u, 23, None, spare);
-        let tick = Duration::from_nanos(flights.tick);
+        let tick = Duration::from_nanos(flights.queue.granularity());
         let start = flights.origin + Duration::from_millis(5);
         let apart = Duration::from_millis(60) / (MESH * MESH) as u32;
         for k in 0..(MESH * MESH) as u32 {
@@ -1299,7 +1231,7 @@ mod tests {
             let cmd = NetCommand::Broadcast { from, msg: k };
             assert!(flights.enqueue(cmd, start + apart * k));
         }
-        assert_eq!(flights.ring.len, MESH * MESH * MESH);
+        assert_eq!(flights.in_flight, MESH * MESH * MESH);
         let mut sink = Census {
             handed: vec![0; MESH],
             messages: 0,
@@ -1338,7 +1270,7 @@ mod tests {
         assert_eq!(sink.messages, MESH * MESH * MESH + MESH);
         let (sweeps, bound) = (
             round_sweeps.expect("set"),
-            2 * 60_000_000 / flights.tick + 2,
+            2 * 60_000_000 / flights.queue.granularity() + 2,
         );
         assert!(
             sweeps <= bound,
@@ -1404,7 +1336,7 @@ mod tests {
         use super::*;
 
         proptest! {
-            /// The ring, driven through `Flights`, against a
+            /// The time queue, driven through `Flights`, against a
             /// `BinaryHeap<(tick, arrival)>`: every sweep hands each
             /// destination what the heap pops, in the heap's order, the
             /// budget included; the next deadline is the heap's minimum;
@@ -1412,7 +1344,7 @@ mod tests {
             /// were in flight at once. On a `d = u = 0` link a message's
             /// tick is its send instant rounded up, so choosing send
             /// instants is choosing ticks — also ones the sweeps have
-            /// already passed.
+            /// already passed, which both clamp to the last swept tick.
             #[test]
             fn prop_ring_matches_heap_oracle(
                 // One op per value (the vendored proptest stand-in has no
@@ -1421,10 +1353,13 @@ mod tests {
                 ops in proptest::collection::vec(0u32..1 << 16, 1..120)
             ) {
                 let mut flights = flights(Dur::ZERO, Dur::ZERO, 0, None);
-                let (origin, tick) = (flights.origin, flights.tick);
+                let (origin, tick) = (flights.origin, flights.queue.granularity());
                 let instant_of = |tick_no: u64| origin + Duration::from_nanos(tick_no * tick);
                 let mut oracle: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
                 let (mut arrivals, mut peak, mut now_tick) = (0u32, 0usize, 8u64);
+                // The tick of the last sweep: a push into an earlier tick
+                // is clamped to it.
+                let mut swept = 0u64;
                 for op in ops {
                     let arg = u64::from(op >> 3);
                     // How many messages to push into which tick, or
@@ -1445,7 +1380,7 @@ mod tests {
                         let sends = (0..count).map(|_| {
                             let arrival = arrivals;
                             arrivals += 1;
-                            oracle.push(Reverse((at_tick, arrival)));
+                            oracle.push(Reverse((at_tick.max(swept), arrival)));
                             (NodeId::new(arrival as usize % N), arrival)
                         });
                         let out = Outbox {
@@ -1467,6 +1402,7 @@ mod tests {
                         };
                         // Anywhere inside the tick will do.
                         let now = instant_of(now_tick) + Duration::from_nanos(arg % tick);
+                        swept = now_tick;
                         loop {
                             let mut expect: [Vec<u32>; N] = Default::default();
                             for _ in 0..TURN_BUDGET {
@@ -1490,10 +1426,10 @@ mod tests {
                             }
                         }
                     }
-                    prop_assert_eq!(flights.ring.len, oracle.len());
+                    prop_assert_eq!(flights.in_flight, oracle.len());
                     let due = oracle.peek().map(|&Reverse((t, _))| instant_of(t));
                     prop_assert_eq!(flights.next_due(), due);
-                    prop_assert!(flights.ring.entries.len() <= peak);
+                    prop_assert!(flights.queue.footprint().2 <= peak);
                 }
             }
         }

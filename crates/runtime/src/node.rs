@@ -106,8 +106,8 @@ pub(crate) struct NodeCore<A: Automaton> {
     observer: Option<(Arc<dyn RunObserver>, Instant)>,
     /// Set once the node saw `Shutdown`; further events are ignored.
     pub done: bool,
-    /// The wheel deadline this node last registered with the network
-    /// thread (`None` = no pending wakeup).
+    /// The wake-up deadline this node last registered with the network
+    /// thread's time queue (`None` = no pending wakeup).
     pub registered_wakeup: Option<Instant>,
 }
 

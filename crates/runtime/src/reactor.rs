@@ -10,8 +10,8 @@
 //!             ┌─────────────┐ NetCommand: one per quantum;
 //!   handlers ─┤   network   │◄─ Wake(node, at) when a node's ┐
 //!             │   thread:   │   earliest deadline changes    │
-//!             │ tick ring + │                                │
-//!             │ timer wheel │ per occupied tick: one inbox   │
+//!             │ one tick-   │                                │
+//!             │ keyed queue │ per occupied tick: one inbox   │
 //!             └──────┬──────┘ append + wake per node; per due│
 //!                    ▼        wake: a push on the urgent lane│
 //!  ┌───────────────────────────────┐               ┌─────────┴─┐
@@ -47,12 +47,13 @@
 //!   keeps its own heap); the reactor only
 //!   needs to know *when to wake the node next*. After running a node,
 //!   the worker sends the node's earliest deadline, if it changed, to the
-//!   network thread, which multiplexes all N wakeups through one hashed
-//!   [`TimerWheel`](crate::wheel::TimerWheel) on its own tick grid and
-//!   puts each node on the urgent lane as its tick expires (a wake can
-//!   be late by at most one tick, which is indistinguishable from host
-//!   scheduling jitter and is folded into the same "real hardware
-//!   inflates `u`" caveat as everything else in this crate).
+//!   network thread, which keeps all N wake-ups in its one time queue
+//!   ([`TimerWheel`](crate::wheel::TimerWheel)) beside the messages in
+//!   flight and puts each node on the urgent lane as its tick expires,
+//!   after the deliveries due by then (a wake can be late by at most one
+//!   tick, which is indistinguishable from host scheduling jitter and is
+//!   folded into the same "real hardware inflates `u`" caveat as
+//!   everything else in this crate).
 //! * **Fairness.** A worker processes at most [`BATCH_EVENTS`] events
 //!   per scheduling, however many one hand-off put into the inbox; what
 //!   is left goes back to the front of the inbox and the cell is
@@ -114,13 +115,14 @@ const KICK: u32 = u32::MAX - 1;
 struct Cell<A: Automaton> {
     inbox: Mutex<VecDeque<NodeEvent<A::Msg>>>,
     queued: AtomicBool,
-    /// Whether the timer wheel currently holds a wakeup for this node.
-    /// Set by the worker when it registers a deadline, cleared by the
-    /// network thread when the entry fires. Guards against the lost-wakeup
-    /// race where the wheel fires *while* the node is mid-run (the
-    /// `queued` flag swallows the schedule): the worker's post-run
-    /// recheck sees `armed == false` with a deadline still pending and
-    /// re-schedules itself.
+    /// Whether the network thread's time queue holds a wake-up for this
+    /// node. Set by the worker when it registers a deadline, cleared by
+    /// the network thread when the entry fires; a worker that finds it
+    /// clear registers even an unchanged deadline again. Also guards
+    /// against the lost-wakeup race where the wake-up fires *while* the
+    /// node is mid-run (the `queued` flag swallows the schedule): the
+    /// worker's post-run recheck sees `armed == false` with a deadline
+    /// still pending and re-schedules itself.
     wheel_armed: AtomicBool,
     /// `None` for silent (crashed-from-start) nodes. Locked only by the
     /// single worker currently running the node (the `queued` protocol
@@ -169,7 +171,7 @@ impl<A: Automaton> Shared<A> {
 /// silent nodes are dropped here — the node crashed before start, so
 /// the bytes would only pile up unread (the network still counts the
 /// delivery). Also carries the chaos injector's `Freeze`/`Thaw` control
-/// events, and the timer wheel's wake-ups onto the urgent lane.
+/// events, and the time queue's wake-ups onto the urgent lane.
 struct CellSink<A: Automaton> {
     shared: Arc<Shared<A>>,
     counters: Arc<Counters>,
@@ -336,7 +338,7 @@ fn run_node<A: Automaton>(
         out.flush(core.me(), &ctx.net);
         // Register (or clear) this node's wakeup with the network thread.
         // Re-registration is needed when the earliest deadline changed
-        // *or* the wheel no longer holds our entry (it fired — possibly
+        // *or* the queue no longer holds our entry (it fired — possibly
         // before the emulated clock caught up to the local fire time, or
         // while this very run was in flight).
         let next = if core.done { None } else { core.next_deadline() };
@@ -356,7 +358,7 @@ fn run_node<A: Automaton>(
     cell.queued.store(false, Ordering::Release);
     // Lost-wakeup checks: events that arrived between the inbox drain
     // and the flag clear (or past the batch cap, or requeued by a panic)
-    // re-schedule the node; so does a wheel wakeup that fired mid-run
+    // re-schedule the node; so does a wake-up that fired mid-run
     // and found `queued` set.
     if !cell.inbox.lock().is_empty()
         || (deadline_pending && !cell.wheel_armed.load(Ordering::Acquire))

@@ -7,8 +7,8 @@
 //! * the simulator engines ([`Sim::run`](crate::Sim::run) and the sharded
 //!   executor) query it at event-dispatch and send-scheduling time;
 //! * the wall-clock runtime's network thread turns the same schedule into
-//!   freeze/thaw control events, delivered from its tick ring and timer
-//!   wheel alongside the messages.
+//!   freeze/thaw control events, queued in its one time queue and
+//!   delivered in tick order alongside the messages.
 //!
 //! Everything in a timeline is a **pure function of simulated time**:
 //! `down(v, t)`, `cut(from, to, t)` and friends depend only on the
