@@ -38,13 +38,17 @@ impl EmulatedClock {
         LocalTime::ZERO + self.offset + Dur::from_secs(elapsed * self.rate)
     }
 
-    /// The host instant at which the clock reads `at` (clamped to
-    /// `start` for pre-epoch readings).
+    /// The first host instant at which the clock reads `at` or more
+    /// (clamped to `start` for pre-epoch readings): whole nanoseconds,
+    /// rounded up, plus one, so that float rounding cannot make
+    /// [`read`](Self::read) of it fall short of `at`.
     #[must_use]
     pub fn when(&self, at: LocalTime) -> Instant {
         let local_span = (at - (LocalTime::ZERO + self.offset)).as_secs();
-        let real_span = (local_span / self.rate).max(0.0);
-        self.start + std::time::Duration::from_secs_f64(real_span)
+        let real_ns = (local_span / self.rate * 1e9).ceil().max(0.0);
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let real_ns = real_ns as u64;
+        self.start + std::time::Duration::from_nanos(real_ns + 1)
     }
 
     /// The emulated rate.
@@ -77,6 +81,18 @@ mod tests {
         let back = clock.when(clock.read(t));
         let diff = if back > t { back - t } else { t - back };
         assert!(diff < Duration::from_micros(1));
+    }
+
+    #[test]
+    fn a_reading_at_when_is_never_short_of_its_target() {
+        let start = Instant::now();
+        for (offset, rate) in [(0.0, 1.0), (0.7, 1.01), (3.3, 1.000_001), (0.0, 1.5)] {
+            let clock = EmulatedClock::new(start, Dur::from_millis(offset), rate);
+            for k in 0..10_000 {
+                let at = LocalTime::from_micros(offset * 1e3 + 0.1 + f64::from(k) * 997.3);
+                assert!(clock.read(clock.when(at)) >= at, "{at:?} at rate {rate}");
+            }
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! tasks onto M long-lived worker threads, with per-node inboxes, a
 //! ready-queue scheduler that parks idle workers, and one tick-keyed
 //! [time queue](wheel) on the network thread holding every message in
-//! flight, every node's next `SetTimer` wake-up and every chaos control
-//! event — thousands of nodes on M + 1 threads, supervised by
+//! flight, every armed timer and every chaos control event — thousands
+//! of nodes on M + 1 threads, supervised by
 //! the thread that called [`run`]. Every node's handlers run through
 //! one protocol core (`src/node.rs`: handler dispatch, timer
 //! bookkeeping, pulse logging), and
@@ -31,9 +31,9 @@
 //! delay, so it effectively inflates `u`: configure millisecond-scale
 //! `d`/`u` (WAN-like), not microseconds, and treat skew numbers from this
 //! runtime as environment-dependent. The runtime's own grid adds to the
-//! same budget: the network thread delivers and fires timer wakes on
-//! one tick — at most `u/64`, clamped to `[50 µs, 1 ms]`. A timer wake
-//! is up to one tick late. A delivery is rounded *up* to the grid after
+//! same budget: the network thread delivers messages and fires timers
+//! on one tick — at most `u/64`, clamped to `[50 µs, 1 ms]`. A timer
+//! fires up to one tick late, and never early. A delivery is rounded *up* to the grid after
 //! a flight drawn from `[d − u, d − tick]`, so it stays inside
 //! `[d − u, d]` whenever `u` is at least one tick; for a smaller `u`
 //! (under 50 µs, `u = 0` included) it is never early and overshoots `d`
@@ -87,7 +87,7 @@ pub use supervise::SupervisionStats;
 use crusader_time::Dur;
 
 /// The tick, in nanoseconds, of the one grid the runtime keeps time on:
-/// the network thread's time queue delivers messages, fires wake-ups and
+/// the network thread's time queue delivers messages, fires timers and
 /// injects chaos control events on it. Fine enough that being up to one tick late is small
 /// against the delay uncertainty `u` (protocol deadlines compound two or
 /// three timer hops, so lateness must be ≪ the slack `u` provides),

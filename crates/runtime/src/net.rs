@@ -1,15 +1,15 @@
-//! The reactor's delay-injecting network thread, which also keeps its
-//! timer wake-ups.
+//! The reactor's delay-injecting network thread, which also keeps the
+//! nodes' timers.
 //!
 //! Receives send/broadcast commands from node handlers, holds each
 //! message for a random flight time inside `[d − u, d]` (drawn per
 //! *destination*, like the simulator's random delay model), then hands
 //! it to the reactor through a [`DeliverySink`]: an inbox hand-off plus
-//! wake-up per destination.
+//! schedule per destination.
 //!
 //! # The tick grid
 //!
-//! The thread acts on one grid, for messages and wake-ups alike: ticks of
+//! The thread acts on one grid, for messages and timers alike: ticks of
 //! [`tick_ns`](crate::tick_ns) nanoseconds (`min(u, d)/64`, clamped to
 //! `[50 µs, 1 ms]`), counted from the instant the thread was set up. A
 //! message's flight is drawn uniformly, in whole nanoseconds, from
@@ -22,7 +22,7 @@
 //! than the grid and the rounding overshoots `sent_at + d` by less than
 //! one tick. That is the kernel's own timer slack, which no sleeping
 //! thread on this host undercuts, and the crate docs fold it into the
-//! same "the host inflates `u`" caveat as a wake-up's tick.
+//! same "the host inflates `u`" caveat as a timer's tick.
 //!
 //! A CPS round is `n³` deliveries spread over `2u`: at their drawn
 //! instants they come due a microsecond apart, and every one of them
@@ -34,8 +34,8 @@
 //!
 //! # The time queue
 //!
-//! Everything the thread waits for — a message in flight, a node's timer
-//! wake-up, a chaos control event — is one [`Due`] in one
+//! Everything the thread waits for — a message in flight, a node's timer,
+//! a chaos control event — is one [`Due`] in one
 //! [`TimerWheel`](crate::wheel::TimerWheel) on the grid, popped in strict
 //! `(tick, arrival)` order; the loop sleeps until its one next deadline.
 //! Control events are queued at set-up, before any command, so a message
@@ -49,8 +49,8 @@
 //! * **In.** A worker quantum's sends and broadcasts arrive as *one*
 //!   [`NetCommand::Batch`] (a lone message still travels as a bare
 //!   `Send`/`Broadcast`, which needs no buffer). Per wake-up the loop
-//!   ingests every command already queued, up to [`TURN_BUDGET`]
-//!   in-flight entries — bounded, so a command storm cannot starve a
+//!   ingests every command already queued, up to [`TURN_BUDGET`] new
+//!   queue entries — bounded, so a command storm cannot starve a
 //!   delivery that is already due. The emptied buffers go back to the
 //!   senders through a small free list ([`NetLink`]), so the steady
 //!   state allocates nothing — and frees nothing across threads, which
@@ -84,21 +84,26 @@
 //! the queue holds small entries sharing a payload instead of 2048 deep
 //! copies.
 //!
-//! # Timer wake-ups
+//! # Timers
 //!
-//! Each node's earliest timer deadline arrives as a [`NetCommand::Wake`],
-//! which cancels the node's previous wake-up and queues the new one. A
-//! sweep hands its due wake-ups to [`DeliverySink::wake`] after the
-//! events it staged, so a woken node finds every delivery due by then in
-//! its inbox. A wake-up counts as one entry against the ingest budget,
-//! and not as a command in `net_commands`.
+//! A timer is one entry in the time queue, as it is one event in the
+//! simulator's. It arrives in its quantum's [`NetCommand::Batch`] as the
+//! first host instant at which the node's clock reads its deadline
+//! ([`EmulatedClock::when`](crate::EmulatedClock::when) rounds up), and
+//! comes due as a [`NodeEvent::Timer`] staged in `(tick, arrival)` order
+//! like a delivery: behind its node's earlier deliveries, as in the
+//! simulator. The node skips a timer it cancelled meanwhile, so the
+//! queue never cancels anything. A timer counts against the ingest
+//! budget; a flush that carried only timers is not counted in
+//! `net_commands`. The crash rule differs from the simulators' (see
+//! [`NodeEvent::Thaw`]).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use crusader_crypto::NodeId;
-use crusader_sim::{ChaosTimeline, FloodSpec};
+use crusader_sim::{ChaosTimeline, FloodSpec, TimerId};
 use crusader_time::{Dur, Time};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -106,7 +111,7 @@ use rand::{RngCore, SeedableRng};
 
 use crate::node::Outbox;
 use crate::supervise::Counters;
-use crate::wheel::{TimerWheel, WheelKey};
+use crate::wheel::TimerWheel;
 use crate::{tick_ns, whole_nanos};
 
 /// What a node receives from the runtime.
@@ -119,11 +124,17 @@ pub enum NodeEvent<M> {
         /// Payload.
         msg: M,
     },
-    /// Chaos injection: the node crashes (drops deliveries, fires no
-    /// timers) until [`NodeEvent::Thaw`].
+    /// A timer the node armed came due; the node skips it if it was
+    /// cancelled meanwhile.
+    Timer(TimerId),
+    /// Chaos injection: the node crashes (drops deliveries and the
+    /// timers that come due, runs no handler) until [`NodeEvent::Thaw`].
     Freeze,
-    /// Chaos injection: the node recovers; its pending timers are
-    /// cancelled and its recovery hook runs.
+    /// Chaos injection: the node recovers; every timer it armed before
+    /// is cancelled and its recovery hook runs. So a timer armed before
+    /// the crash never fires, even one due after the recovery. The
+    /// simulators differ here: they defer a crashed node's due timer to
+    /// its recovery instant and fire it then, unless it was cancelled.
     Thaw,
     /// Chaos injection: the node's next handler invocation panics (a
     /// supervision drill — exercises containment and worker respawn).
@@ -138,8 +149,8 @@ pub enum NodeEvent<M> {
 /// The network thread is generic over it so that the tests below can
 /// record what a sweep hands over; the reactor's cell sink is the one
 /// implementation outside them. Carries whole [`NodeEvent`]s (not just
-/// messages) so the chaos injector can emit `Freeze`/`Thaw` control
-/// events through the same path.
+/// messages), so due timers and the chaos injector's `Freeze`/`Thaw`
+/// control events take the same path.
 pub(crate) trait DeliverySink<M>: Send + 'static {
     fn deliver(&mut self, to: NodeId, event: NodeEvent<M>);
 
@@ -153,10 +164,6 @@ pub(crate) trait DeliverySink<M>: Send + 'static {
             self.deliver(to, event);
         }
     }
-
-    /// The wake-up `node` registered with [`NetCommand::Wake`] came due.
-    /// The default ignores it: the tests' sinks register none.
-    fn wake(&mut self, _node: NodeId) {}
 }
 
 /// Chaos injection context for the network thread: the fault timeline
@@ -224,8 +231,8 @@ enum Due<M> {
         to: NodeId,
         payload: Payload<M>,
     },
-    /// A node's timer wake-up.
-    Wake(NodeId),
+    /// A timer `node` armed (module docs, *Timers*).
+    Timer { node: NodeId, id: TimerId },
     /// Chaos control events for a node: [`NodeEvent::Freeze`],
     /// [`NodeEvent::Thaw`] and [`NodeEvent::PanicInject`].
     Freeze(NodeId),
@@ -245,7 +252,7 @@ const NET_QUEUE_CAP: usize = 65_536;
 
 /// Entries one direction may move before the loop turns to the other:
 /// a delivery sweep hands over at most this many due entries, then the
-/// ingest takes at most this many in-flight entries from queued commands
+/// ingest queues at most this many new entries from queued commands
 /// (the command that crosses the line is finished first). Either side
 /// holds the other back by a fraction of a millisecond at most, so a
 /// command storm cannot starve due deliveries, and a burst coming due
@@ -295,13 +302,6 @@ impl<M> NetLink<M> {
         let _ = self.tx.send(cmd);
     }
 
-    /// Replaces `node`'s wake-up with `at` (`None` clears it). Blocks
-    /// while the queue is full, like [`send`](Self::send): a lost wake-up
-    /// would be a node that never runs its timers again.
-    pub fn wake(&self, node: NodeId, at: Option<Instant>) {
-        let _ = self.tx.send(NetCommand::Wake { node, at });
-    }
-
     /// An empty outbox to fill next: a recycled one when the net thread
     /// has returned any (so its buffers are already grown), else fresh.
     pub fn spare_outbox(&self) -> Outbox<M> {
@@ -323,17 +323,11 @@ pub(crate) enum NetCommand<M> {
     },
     /// Everything one flush held: the sends, then the broadcasts, as if
     /// each had been its own command, except that they share one send
-    /// instant. The emptied outbox goes back to [`NetLink::spare_outbox`].
+    /// instant; then the timers `from` armed. The emptied outbox goes
+    /// back to [`NetLink::spare_outbox`].
     Batch {
         from: NodeId,
         out: Outbox<M>,
-    },
-    /// Not a message: `node`'s next timer deadline, which replaces the
-    /// one it registered before (`None` clears it). See
-    /// [`NetLink::wake`].
-    Wake {
-        node: NodeId,
-        at: Option<Instant>,
     },
     Shutdown,
 }
@@ -418,16 +412,12 @@ struct Flights<M> {
     chaos: Option<NetChaos>,
     chaos_dropped: u64,
     delivered: u64,
-    /// Due messages and control events of the current sweep, per
-    /// destination, and the destinations that have any; then the nodes
-    /// whose wake-up came due. The vectors keep their capacity from
-    /// sweep to sweep.
+    /// Due messages, timers and control events of the current sweep,
+    /// per destination, and the destinations that have any. The vectors
+    /// keep their capacity from sweep to sweep.
     staged: Vec<Vec<NodeEvent<M>>>,
     touched: Vec<NodeId>,
-    woken: Vec<NodeId>,
     spare: Arc<Mutex<Vec<Outbox<M>>>>,
-    /// The key of each node's wake-up in the queue, if it has one.
-    wake_keys: Vec<Option<WheelKey>>,
 }
 
 impl<M: Clone> Flights<M> {
@@ -454,9 +444,7 @@ impl<M: Clone> Flights<M> {
             delivered: 0,
             staged: (0..n).map(|_| Vec::new()).collect(),
             touched: Vec::new(),
-            woken: Vec::new(),
             spare,
-            wake_keys: vec![None; n],
         };
         // Queued before any command, so each precedes its tick's deliveries.
         if let Some(c) = &flights.chaos {
@@ -545,9 +533,9 @@ impl<M: Clone> Flights<M> {
         }
     }
 
-    /// Puts everything `cmd` carries in flight, departing at `sent_at`
-    /// (the thread passes the instant it dequeued the command), or
-    /// registers the wake-up it carries. Returns `false` for `Shutdown`.
+    /// Puts every message `cmd` carries in flight, departing at `sent_at`
+    /// (the thread passes the instant it dequeued the command), and
+    /// queues every timer it carries. Returns `false` for `Shutdown`.
     fn enqueue(&mut self, cmd: NetCommand<M>, sent_at: Instant) -> bool {
         let (t, storming, flood) = match &self.chaos {
             Some(c) => {
@@ -572,18 +560,13 @@ impl<M: Clone> Flights<M> {
                 for msg in out.broadcasts.drain(..) {
                     self.fan_out(from, msg, &dep);
                 }
+                for (at, id) in out.timers.drain(..) {
+                    let due = Due::Timer { node: from, id };
+                    self.queue.insert(self.nanos_of(at), due);
+                }
                 let mut spare = self.spare.lock();
                 if spare.len() < SPARE_OUTBOXES {
                     spare.push(out);
-                }
-            }
-            NetCommand::Wake { node, at } => {
-                if let Some(key) = self.wake_keys[node.index()].take() {
-                    self.queue.cancel(key);
-                }
-                if let Some(at) = at {
-                    let key = self.queue.insert(self.nanos_of(at), Due::Wake(node));
-                    self.wake_keys[node.index()] = Some(key);
                 }
             }
             NetCommand::Shutdown => return false,
@@ -600,9 +583,9 @@ impl<M: Clone> Flights<M> {
 
     /// One sweep: pops what every tick that has come by `now` holds —
     /// the earliest [`TURN_BUDGET`] entries, if there are more — in
-    /// `(tick, arrival)` order. Messages and control events are staged
-    /// per destination and handed over with one `deliver_batch` per
-    /// destination that has any; then the due wake-ups fire.
+    /// `(tick, arrival)` order. Messages, timers and control events are
+    /// staged per destination and handed over with one `deliver_batch`
+    /// per destination that has any.
     fn deliver_due<S: DeliverySink<M>>(&mut self, now: Instant, sink: &mut S) {
         let now_ns = self.nanos_of(now);
         for _ in 0..TURN_BUDGET {
@@ -619,11 +602,7 @@ impl<M: Clone> Flights<M> {
                 Due::Freeze(node) => (node, NodeEvent::Freeze),
                 Due::Thaw(node) => (node, NodeEvent::Thaw),
                 Due::Panic(node) => (node, NodeEvent::PanicInject),
-                Due::Wake(node) => {
-                    self.wake_keys[node.index()] = None;
-                    self.woken.push(node);
-                    continue;
-                }
+                Due::Timer { node, id } => (node, NodeEvent::Timer(id)),
             };
             let slot = &mut self.staged[to.index()];
             if slot.is_empty() {
@@ -635,9 +614,6 @@ impl<M: Clone> Flights<M> {
             let slot = &mut self.staged[to.index()];
             sink.deliver_batch(to, slot);
             debug_assert!(slot.is_empty(), "the sink left events behind");
-        }
-        for node in self.woken.drain(..) {
-            sink.wake(node);
         }
     }
 }
@@ -665,16 +641,19 @@ fn network_loop<M: Clone + Send, S: DeliverySink<M>>(
             None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
         };
         // Ingest that command and every one already queued behind it,
-        // up to the budget, where a wake-up counts as one entry. All
-        // senders gone is a shutdown nobody sent.
+        // up to the budget of new queue entries. All senders gone is a
+        // shutdown nobody sent.
         let mut next = match received {
             Ok(cmd) => Some(cmd),
             Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => Some(NetCommand::Shutdown),
         };
-        let (floor, mut wakes) = (flights.in_flight, 0);
+        let floor = flights.queue.len();
         while let Some(cmd) = next {
-            let wake = matches!(cmd, NetCommand::Wake { .. });
+            // Messages per command measures the send side's batching:
+            // a flush of timers alone is not counted.
+            let counted = !matches!(&cmd, NetCommand::Batch { out, .. }
+                if out.sends.is_empty() && out.broadcasts.is_empty());
             if !flights.enqueue(cmd, Instant::now()) {
                 // Shutdown comes when every node is done (or gone), so
                 // nobody is left to read what is still in flight: it is
@@ -683,12 +662,8 @@ fn network_loop<M: Clone + Send, S: DeliverySink<M>>(
                 counters.note_discarded(flights.in_flight as u64);
                 return (flights.delivered, flights.chaos_dropped);
             }
-            if wake {
-                wakes += 1;
-            } else {
-                commands += 1;
-            }
-            next = if flights.in_flight - floor + wakes < TURN_BUDGET {
+            commands += u64::from(counted);
+            next = if flights.queue.len() - floor < TURN_BUDGET {
                 match rx.try_recv() {
                     Ok(cmd) => Some(cmd),
                     Err(TryRecvError::Empty) => None,
@@ -752,6 +727,7 @@ mod tests {
             let out = Outbox {
                 sends: NodeId::all(N).map(|to| (to, next())).collect(),
                 broadcasts: vec![next(), next()],
+                ..Outbox::default()
             };
             cmds.push(NetCommand::Batch { from, out });
         }
@@ -763,8 +739,8 @@ mod tests {
     }
 
     /// Per destination, what arrived, with the instant of the sweep that
-    /// brought it. Takes events one at a time, so `deliver_batch` is the
-    /// trait's default.
+    /// brought it: a message as its value, a timer as its raw id. Takes
+    /// events one at a time, so `deliver_batch` is the trait's default.
     #[derive(Default)]
     struct PerEvent {
         now: Option<Instant>,
@@ -773,11 +749,23 @@ mod tests {
 
     impl DeliverySink<u32> for PerEvent {
         fn deliver(&mut self, to: NodeId, event: NodeEvent<u32>) {
-            let NodeEvent::Deliver { msg, .. } = event else {
-                panic!("only messages fly here");
+            let value = match event {
+                NodeEvent::Deliver { msg, .. } => msg,
+                NodeEvent::Timer(id) => u32::try_from(id.raw()).expect("a small id"),
+                _ => panic!("only messages and timers are queued here"),
             };
-            self.got[to.index()].push((msg, self.now));
+            self.got[to.index()].push((value, self.now));
         }
+    }
+
+    /// A batch from `from` that carries only the timer `id`, due at `at`.
+    fn timer(from: usize, id: u32, at: Instant) -> NetCommand<u32> {
+        let out = Outbox {
+            timers: vec![(at, TimerId::new(u64::from(id)))],
+            ..Outbox::default()
+        };
+        let from = NodeId::new(from);
+        NetCommand::Batch { from, out }
     }
 
     /// The same record, taken a batch at a time, as the reactor takes it.
@@ -871,6 +859,7 @@ mod tests {
             let out = Outbox {
                 sends: vec![(NodeId::new(1), 0u32); 5],
                 broadcasts: vec![1, 2],
+                ..Outbox::default()
             };
             link.send(NetCommand::Batch {
                 from: NodeId::new(0),
@@ -915,7 +904,7 @@ mod tests {
                 let sends = out.sends.iter().map(|&(_, msg)| msg);
                 sends.chain(out.broadcasts.iter().copied()).collect()
             }
-            NetCommand::Wake { .. } | NetCommand::Shutdown => Vec::new(),
+            NetCommand::Shutdown => Vec::new(),
         }
     }
 
@@ -1035,7 +1024,7 @@ mod tests {
                     NodeEvent::Thaw => "thaw",
                     NodeEvent::PanicInject => "panic",
                     NodeEvent::Deliver { .. } => "deliver",
-                    NodeEvent::Shutdown => unreachable!("never queued"),
+                    NodeEvent::Timer(_) | NodeEvent::Shutdown => unreachable!("never queued"),
                 };
                 self.1
                     .push((self.0.expect("set per sweep"), to.index(), kind));
@@ -1066,7 +1055,7 @@ mod tests {
 
     /// An hour-long link is 72 million ticks of 50 µs; a burst on it
     /// costs a slab entry per message and a ring of the ticks the burst
-    /// itself covers. A wake-up an hour out and one far in the past
+    /// itself covers. A timer an hour out and one far in the past
     /// stretch the ring by nothing and by one tick.
     #[test]
     fn the_ring_spans_the_occupied_ticks_only() {
@@ -1081,23 +1070,23 @@ mod tests {
             0,
             "the burst waits off the ring"
         );
-        // A sweep a second in; then a wake-up an hour after it, and one
-        // a second before it.
+        // A sweep a second in; then a timer an hour after it, and one a
+        // second before it.
         let swept = flights.origin + Duration::from_secs(1);
         let mut sink = PerEvent::default();
         flights.deliver_due(swept, &mut sink);
-        let wakes = [(0, swept + Duration::from_secs(3600)), (1, flights.origin)];
-        for (node, at) in wakes {
-            let node = NodeId::new(node);
-            assert!(flights.enqueue(NetCommand::Wake { node, at: Some(at) }, swept));
+        let timers = [(0, swept + Duration::from_secs(3600)), (1, flights.origin)];
+        for (node, at) in timers {
+            assert!(flights.enqueue(timer(node, 7, at), swept));
         }
         assert_eq!(flights.queue.footprint().2, 82);
-        assert_eq!(flights.queue.footprint().0, 1, "the stale wake-up's tick");
-        assert_eq!(flights.next_due(), Some(swept), "the stale wake-up is due");
+        assert_eq!(flights.queue.footprint().0, 1, "the stale timer's tick");
+        assert_eq!(flights.next_due(), Some(swept), "the stale timer is due");
         flights.deliver_due(swept, &mut sink);
-        assert!(flights.wake_keys[1].is_none(), "the stale wake-up fired");
+        assert_eq!(sink.got[1], [(7, None)], "the stale timer fired");
+        sink.got[1].clear();
         // A tick before the burst is due, it joins the ring; the far
-        // wake-up, 20 000 ticks behind it, does not.
+        // timer, 20 000 ticks behind it, does not.
         let hour = flights.origin + Duration::from_secs(3600);
         flights.deliver_due(hour - Duration::from_micros(50), &mut sink);
         assert!(sink.got.iter().all(Vec::is_empty), "delivered early");
@@ -1139,6 +1128,7 @@ mod tests {
             let out = Outbox {
                 sends,
                 broadcasts: vec![1000, 1001, 1002],
+                ..Outbox::default()
             };
             NetCommand::Batch {
                 from: NodeId::new(1),
@@ -1171,7 +1161,7 @@ mod tests {
             .collect();
         let out = Outbox {
             sends,
-            broadcasts: Vec::new(),
+            ..Outbox::default()
         };
         let from = NodeId::new(0);
         let now = Instant::now();
@@ -1284,8 +1274,8 @@ mod tests {
 
     /// The net thread's starvation rule: with commands arriving faster
     /// than they can be ingested, the queue is never seen empty, and only
-    /// the ingest budget gets a due message delivered (and a due wake-up
-    /// fired: both happen at the top of every turn).
+    /// the ingest budget gets a due message delivered (and a due timer
+    /// handed over: both happen at the top of every turn).
     #[test]
     fn a_command_storm_does_not_starve_a_due_delivery() {
         let sink = Tally::default();
@@ -1338,11 +1328,12 @@ mod tests {
         proptest! {
             /// The time queue, driven through `Flights`, against a
             /// `BinaryHeap<(tick, arrival)>`: every sweep hands each
-            /// destination what the heap pops, in the heap's order, the
-            /// budget included; the next deadline is the heap's minimum;
-            /// and the slab is never longer than the most messages that
-            /// were in flight at once. On a `d = u = 0` link a message's
-            /// tick is its send instant rounded up, so choosing send
+            /// destination what the heap pops, messages and timers
+            /// alike, in the heap's order, the budget included; the next
+            /// deadline is the heap's minimum; and the slab is never
+            /// longer than the most entries that were pending at once. On
+            /// a `d = u = 0` link a message's tick is its send instant
+            /// rounded up, as a timer's is its instant, so choosing
             /// instants is choosing ticks — also ones the sweeps have
             /// already passed, which both clamp to the last swept tick.
             #[test]
@@ -1356,6 +1347,8 @@ mod tests {
                 let (origin, tick) = (flights.origin, flights.queue.granularity());
                 let instant_of = |tick_no: u64| origin + Duration::from_nanos(tick_no * tick);
                 let mut oracle: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+                // Which arrivals are timers rather than messages.
+                let mut is_timer = Vec::new();
                 let (mut arrivals, mut peak, mut now_tick) = (0u32, 0usize, 8u64);
                 // The tick of the last sweep: a push into an earlier tick
                 // is clamped to it.
@@ -1377,18 +1370,28 @@ mod tests {
                         _ => None,
                     };
                     if let Some((count, at_tick)) = push {
+                        // Half the single pushes are a timer of the node
+                        // a message would have gone to.
+                        let as_timer = count == 1 && (arg >> 7) & 1 == 1;
                         let sends = (0..count).map(|_| {
                             let arrival = arrivals;
                             arrivals += 1;
                             oracle.push(Reverse((at_tick.max(swept), arrival)));
+                            is_timer.push(as_timer);
                             (NodeId::new(arrival as usize % N), arrival)
                         });
-                        let out = Outbox {
-                            sends: sends.collect(),
-                            broadcasts: Vec::new(),
+                        let sends: Vec<_> = sends.collect();
+                        let cmd = if as_timer {
+                            let (node, id) = sends[0];
+                            timer(node.index(), id, instant_of(at_tick))
+                        } else {
+                            let out = Outbox {
+                                sends,
+                                ..Outbox::default()
+                            };
+                            NetCommand::Batch { from: NodeId::new(0), out }
                         };
-                        let from = NodeId::new(0);
-                        prop_assert!(flights.enqueue(NetCommand::Batch { from, out }, instant_of(at_tick)));
+                        prop_assert!(flights.enqueue(cmd, instant_of(at_tick)));
                         peak = peak.max(oracle.len());
                     } else {
                         // Sweep a few ticks on, or at the same instant
@@ -1426,7 +1429,9 @@ mod tests {
                             }
                         }
                     }
-                    prop_assert_eq!(flights.in_flight, oracle.len());
+                    let messages = oracle.iter().filter(|r| !is_timer[r.0 .1 as usize]).count();
+                    prop_assert_eq!(flights.in_flight, messages);
+                    prop_assert_eq!(flights.queue.len(), oracle.len());
                     let due = oracle.peek().map(|&Reverse((t, _))| instant_of(t));
                     prop_assert_eq!(flights.next_due(), due);
                     prop_assert!(flights.queue.footprint().2 <= peak);

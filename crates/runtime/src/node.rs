@@ -2,37 +2,40 @@
 //!
 //! [`NodeCore`] owns everything one node needs to run its
 //! [`Automaton`]: the automaton itself, the node's emulated drifting
-//! clock, its pending local-time timers, and its signing/verifying
+//! clock, the ids of its pending timers, and its signing/verifying
 //! capabilities. The reactor drives its methods from whichever worker
 //! thread the node's task is scheduled on.
 //!
 //! Handlers run against the simulator's [`NodeCtx`], so they see the
 //! same context on every executor. The core applies a handler's effects
-//! only after it returns: sends go to the worker's outbox, timers to the
-//! node's heap, pulses and violations to logs buffered *inside* the core
-//! and harvested once at shutdown, so the hot path takes no shared lock.
+//! only after it returns: sends go to the worker's outbox, and so do
+//! timers, each as the host instant its deadline falls on, for the
+//! network thread's time queue; pulses and violations go to logs
+//! buffered *inside* the core and harvested once at shutdown, so the hot
+//! path takes no shared lock.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use crusader_crypto::{NodeId, Signer, Verifier};
 use crusader_sim::{Automaton, Call, Effect, NodeCtx, RunObserver, TimerId, TimerSlab};
-use crusader_time::{LocalTime, Time};
+use crusader_time::Time;
 
 use crate::clock::EmulatedClock;
 use crate::net::{NetCommand, NetLink, NodeEvent};
 use crate::supervise;
 
-/// Messages handlers produced, to be flushed to the network by the
-/// worker once the quantum's handlers have returned. Broadcasts stay a
-/// *single* value here and on the wire to the network thread; the
+/// Messages and timers handlers produced, to be flushed to the network
+/// by the worker once the quantum's handlers have returned. Broadcasts
+/// stay a *single* value here and on the wire to the network thread; the
 /// fan-out (and the per-destination delay draws) happens inside the
 /// network, so a 2048-node broadcast costs one channel send, not 2048.
 pub(crate) struct Outbox<M> {
     pub sends: Vec<(NodeId, M)>,
     pub broadcasts: Vec<M>,
+    /// Timers armed, each with the first host instant at which the
+    /// node's clock reads its deadline.
+    pub timers: Vec<(Instant, TimerId)>,
 }
 
 // Manual impl: `derive(Default)` would demand `M: Default`.
@@ -41,6 +44,7 @@ impl<M> Default for Outbox<M> {
         Outbox {
             sends: Vec::new(),
             broadcasts: Vec::new(),
+            timers: Vec::new(),
         }
     }
 }
@@ -48,17 +52,19 @@ impl<M> Default for Outbox<M> {
 impl<M> Outbox<M> {
     /// Hands everything buffered to the network link as **one** command
     /// (the link blocks while the network queue is full).
-    /// More than one message travels as the outbox itself, swapped for
-    /// a recycled empty one so that neither side allocates; a lone
-    /// message needs no buffer and goes as a bare `Send`/`Broadcast`.
+    /// More than one message, or any timer, travels as the outbox
+    /// itself, swapped for a recycled empty one so that neither side
+    /// allocates; a lone message needs no buffer and goes as a bare
+    /// `Send`/`Broadcast`.
     pub fn flush(&mut self, from: NodeId, net: &NetLink<M>) {
+        let lone = self.timers.is_empty();
         let cmd = match (self.sends.len(), self.broadcasts.len()) {
-            (0, 0) => return,
-            (1, 0) => {
+            (0, 0) if lone => return,
+            (1, 0) if lone => {
                 let (to, msg) = self.sends.pop().expect("one send");
                 NetCommand::Send { from, to, msg }
             }
-            (0, 1) => {
+            (0, 1) if lone => {
                 let msg = self.broadcasts.pop().expect("one broadcast");
                 NetCommand::Broadcast { from, msg }
             }
@@ -82,12 +88,10 @@ pub(crate) struct NodeCore<A: Automaton> {
     clock: EmulatedClock,
     signer: Arc<dyn Signer>,
     verifier: Arc<dyn Verifier>,
-    /// The ids of the armed timers neither fired nor cancelled: a heap
-    /// entry fires only if the slab still holds its id.
+    /// The ids of the armed timers neither fired nor cancelled: a
+    /// [`NodeEvent::Timer`] runs its handler only if the slab still
+    /// holds its id.
     timers: TimerSlab,
-    /// Every armed timer by local fire time, cancelled ones included until
-    /// they surface.
-    deadlines: BinaryHeap<Reverse<(LocalTime, TimerId)>>,
     /// The running handler's effects (pooled across handlers).
     effects: Vec<Effect<A::Msg>>,
     /// Pulse observations `(index, host instant)`, harvested at shutdown.
@@ -97,7 +101,7 @@ pub(crate) struct NodeCore<A: Automaton> {
     /// Whether `on_init` ran (the reactor initializes lazily, on the
     /// node's first scheduling).
     inited: bool,
-    /// Chaos-crashed: deliveries are dropped and no timer fires until a
+    /// Chaos-crashed: deliveries and timers are dropped until a
     /// [`NodeEvent::Thaw`] arrives, which cancels every pending timer
     /// before the recovery hook runs.
     frozen: bool,
@@ -106,9 +110,6 @@ pub(crate) struct NodeCore<A: Automaton> {
     observer: Option<(Arc<dyn RunObserver>, Instant)>,
     /// Set once the node saw `Shutdown`; further events are ignored.
     pub done: bool,
-    /// The wake-up deadline this node last registered with the network
-    /// thread's time queue (`None` = no pending wakeup).
-    pub registered_wakeup: Option<Instant>,
 }
 
 impl<A: Automaton> NodeCore<A> {
@@ -128,7 +129,6 @@ impl<A: Automaton> NodeCore<A> {
             signer,
             verifier,
             timers: TimerSlab::new(),
-            deadlines: BinaryHeap::new(),
             effects: Vec::new(),
             pulses: Vec::new(),
             violations: Vec::new(),
@@ -136,7 +136,6 @@ impl<A: Automaton> NodeCore<A> {
             frozen: false,
             observer: None,
             done: false,
-            registered_wakeup: None,
         }
     }
 
@@ -170,7 +169,7 @@ impl<A: Automaton> NodeCore<A> {
             match effect {
                 Effect::Send { to, msg } => out.sends.push((to, msg)),
                 Effect::Broadcast { msg } => out.broadcasts.push(msg),
-                Effect::SetTimer { id, at } => self.deadlines.push(Reverse((at, id))),
+                Effect::SetTimer { id, at } => out.timers.push((self.clock.when(at), id)),
                 Effect::CancelTimer { id } => {
                     self.timers.cancel(id);
                 }
@@ -222,16 +221,17 @@ impl<A: Automaton> NodeCore<A> {
                 // Stale-state rejoin fix: timers armed before the crash
                 // must not fire into the rejoin handshake — drop
                 // everything pending before the automaton's recovery hook
-                // re-arms what it needs.
-                for Reverse((_, id)) in self.deadlines.drain() {
-                    self.timers.cancel(id);
-                }
+                // re-arms what it needs. Their queue entries still come
+                // due, and find their ids stale.
+                self.timers.cancel_all();
                 self.dispatch(Call::Recover, out);
             }
             // A crashed node runs no handlers: deliveries to it are
-            // simply lost, as in the simulator — and a panic drill
+            // simply lost, as in the simulator; its due timers are lost
+            // too (module docs of `net`, *Timers*); and a panic drill
             // aimed at a crashed node fizzles.
-            NodeEvent::PanicInject | NodeEvent::Deliver { .. } if self.frozen => {}
+            NodeEvent::PanicInject | NodeEvent::Deliver { .. } | NodeEvent::Timer(_)
+                if self.frozen => {}
             NodeEvent::PanicInject => {
                 panic!(
                     "{}: node {} panicked on schedule",
@@ -240,45 +240,18 @@ impl<A: Automaton> NodeCore<A> {
                 );
             }
             NodeEvent::Deliver { from, msg } => self.dispatch(Call::Message { from, msg }, out),
+            // A stale id was cancelled after its entry was queued.
+            NodeEvent::Timer(id) => {
+                if self.timers.fire(id) {
+                    self.dispatch(Call::Timer(id), out);
+                }
+            }
             NodeEvent::Shutdown => {
                 self.done = true;
                 return false;
             }
         }
         true
-    }
-
-    /// Fires every timer due by the node's emulated clock. A frozen
-    /// node fires nothing.
-    pub fn fire_due(&mut self, out: &mut Outbox<A::Msg>) {
-        if self.done || self.frozen {
-            return;
-        }
-        while let Some(&Reverse((at, id))) = self.deadlines.peek() {
-            if at > self.clock.read(Instant::now()) {
-                return;
-            }
-            self.deadlines.pop();
-            if self.timers.fire(id) {
-                self.dispatch(Call::Timer(id), out);
-            }
-        }
-    }
-
-    /// The host instant of the earliest pending (uncancelled) timer.
-    /// `None` while frozen: the node has no wakeups of its own and
-    /// resumes only on the `Thaw` event.
-    pub fn next_deadline(&mut self) -> Option<Instant> {
-        if self.frozen {
-            return None;
-        }
-        while let Some(&Reverse((at, id))) = self.deadlines.peek() {
-            if self.timers.is_armed(id) {
-                return Some(self.clock.when(at));
-            }
-            self.deadlines.pop();
-        }
-        None
     }
 
     /// Records a violation: a handler's, or one from outside a handler
@@ -306,7 +279,7 @@ fn scenario_time(epoch: Instant, now: Instant) -> Time {
 mod tests {
     use crusader_crypto::KeyRing;
     use crusader_sim::Context;
-    use crusader_time::Dur;
+    use crusader_time::{Dur, LocalTime};
 
     use super::*;
 
@@ -330,19 +303,91 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cancelling_fired_timers_leaves_no_per_timer_state() {
+    fn core<A: Automaton>(automaton: A) -> NodeCore<A> {
         let (ring, me) = (KeyRing::symbolic(1, 0), NodeId::new(0));
         let clock = EmulatedClock::new(Instant::now(), Dur::ZERO, 1.0);
-        let alarms = Alarms(Vec::new(), 0);
-        let mut core = NodeCore::new(alarms, me, 1, clock, ring.signer(me), ring.verifier());
+        NodeCore::new(automaton, me, 1, clock, ring.signer(me), ring.verifier())
+    }
+
+    /// Hands every timer in `out` to `core` as the network thread would
+    /// once it came due, and returns them.
+    fn fire<A: Automaton>(core: &mut NodeCore<A>, out: &mut Outbox<A::Msg>) -> Vec<TimerId> {
+        let armed: Vec<_> = out.timers.drain(..).map(|(_, id)| id).collect();
+        for &id in &armed {
+            assert!(core.on_event(NodeEvent::Timer(id), out));
+        }
+        armed
+    }
+
+    #[test]
+    fn cancelling_fired_timers_leaves_no_per_timer_state() {
+        let mut core = core(Alarms(Vec::new(), 0));
+        let mut out = Outbox::default();
+        let before = Instant::now();
+        core.init(&mut out);
+        assert_eq!(out.timers.len(), 1_000);
+        assert!(out.timers.iter().all(|&(at, _)| at <= before), "not due at once");
+        let armed = fire(&mut core, &mut out);
+        assert_eq!(core.automaton.1, 1_000);
+        // A second hand-off of the same ids finds them stale.
+        for &id in &armed {
+            assert!(core.on_event(NodeEvent::Timer(id), &mut out));
+        }
+        assert_eq!(core.automaton.1, 1_000, "a timer fired twice");
+        let me = core.me();
+        assert!(core.on_event(NodeEvent::Deliver { from: me, msg: () }, &mut out));
+        assert!(out.timers.is_empty());
+        assert_eq!(core.timers.live(), 0, "{} ids kept", core.timers.live());
+    }
+
+    /// Arms one timer due at once and one an hour out, at start and
+    /// again on recovery, and counts fires.
+    struct Pair(usize);
+
+    impl Automaton for Pair {
+        type Msg = ();
+
+        fn on_init(&mut self, ctx: &mut dyn Context<()>) {
+            ctx.set_timer_at(LocalTime::ZERO);
+            ctx.set_timer_at(LocalTime::ZERO + Dur::from_secs(3600.0));
+        }
+
+        fn on_recover(&mut self, ctx: &mut dyn Context<()>) {
+            self.on_init(ctx);
+        }
+
+        fn on_message(&mut self, _from: NodeId, _msg: (), _ctx: &mut dyn Context<()>) {}
+
+        fn on_timer(&mut self, _timer: TimerId, _ctx: &mut dyn Context<()>) {
+            self.0 += 1;
+        }
+    }
+
+    /// The runtime's crash rule for timers: one that comes due while the
+    /// node is frozen is dropped, and `Thaw` cancels every timer still
+    /// pending, so one armed before `Freeze` and due after `Thaw` does
+    /// not fire either. (The simulators defer a crashed node's due timer
+    /// to its recovery instant instead.)
+    #[test]
+    fn a_frozen_node_drops_its_due_timers_and_a_thaw_cancels_the_rest() {
+        let mut core = core(Pair(0));
         let mut out = Outbox::default();
         core.init(&mut out);
-        core.fire_due(&mut out);
-        assert_eq!(core.automaton.1, 1_000);
-        assert!(core.on_event(NodeEvent::Deliver { from: me, msg: () }, &mut out));
-        assert_eq!(core.next_deadline(), None);
-        assert!(core.deadlines.is_empty());
-        assert_eq!(core.timers.live(), 0, "{} ids kept", core.timers.live());
+        let armed: Vec<_> = out.timers.drain(..).map(|(_, id)| id).collect();
+        assert!(core.on_event(NodeEvent::Freeze, &mut out));
+        // The first comes due while the node is down.
+        assert!(core.on_event(NodeEvent::Timer(armed[0]), &mut out));
+        assert_eq!(core.automaton.0, 0, "a frozen node ran a timer");
+        assert!(core.on_event(NodeEvent::Thaw, &mut out));
+        assert_eq!(core.timers.live(), 2, "the thaw left a timer pending");
+        // The second comes due after the recovery, and so does a late
+        // hand-off of the first.
+        for id in [armed[1], armed[0]] {
+            assert!(core.on_event(NodeEvent::Timer(id), &mut out));
+        }
+        assert_eq!(core.automaton.0, 0, "a timer from before the crash fired");
+        // What the recovery hook armed fires as usual.
+        fire(&mut core, &mut out);
+        assert_eq!(core.automaton.0, 2);
     }
 }

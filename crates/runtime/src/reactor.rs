@@ -7,13 +7,14 @@
 //! "whole lanes per window" to "one node task per wakeup".
 //!
 //! ```text
-//!             ┌─────────────┐ NetCommand: one per quantum;
-//!   handlers ─┤   network   │◄─ Wake(node, at) when a node's ┐
-//!             │   thread:   │   earliest deadline changes    │
+//!             ┌─────────────┐ NetCommand: one per quantum,
+//!   handlers ─┤   network   │◄─ its sends, broadcasts and    ┐
+//!             │   thread:   │   timers                       │
 //!             │ one tick-   │                                │
 //!             │ keyed queue │ per occupied tick: one inbox   │
-//!             └──────┬──────┘ append + wake per node; per due│
-//!                    ▼        wake: a push on the urgent lane│
+//!             └──────┬──────┘ append + schedule per node,    │
+//!                    ▼        on the urgent lane if it       │
+//!                             holds a due timer              │
 //!  ┌───────────────────────────────┐               ┌─────────┴─┐
 //!  │ per-node cells                │   ready queue │  workers  │
 //!  │  inbox: Mutex<VecDeque<Event>>│──────────────►│  (M long- │
@@ -36,24 +37,20 @@
 //!   is empty), pop a node index, swap the node's inbox against their
 //!   own empty scratch queue (the lock is held for the swap only, and
 //!   both buffers keep their capacity, so the steady state allocates
-//!   nothing), run the events through the node's `NodeCore`, fire the
-//!   node's due timers, hand
-//!   everything the handlers sent to the network as one command, and
-//!   clear `queued`. The flag guarantees a node is never on the ready
-//!   queue twice, so a node's handlers are always executed sequentially
-//!   — the [`Automaton`] contract — without per-node locks being
-//!   contended.
-//! * **Timers.** Timer deadlines stay node-local (each `NodeCore`
-//!   keeps its own heap); the reactor only
-//!   needs to know *when to wake the node next*. After running a node,
-//!   the worker sends the node's earliest deadline, if it changed, to the
-//!   network thread, which keeps all N wake-ups in its one time queue
-//!   ([`TimerWheel`](crate::wheel::TimerWheel)) beside the messages in
-//!   flight and puts each node on the urgent lane as its tick expires,
-//!   after the deliveries due by then (a wake can be late by at most one
-//!   tick, which is indistinguishable from host scheduling jitter and is
-//!   folded into the same "real hardware inflates `u`" caveat as
-//!   everything else in this crate).
+//!   nothing), run the events through the node's `NodeCore`, hand
+//!   everything the handlers sent and armed to the network as one
+//!   command, and clear `queued`. The flag keeps a node off the ready
+//!   queue while it is there, but the urgent lane (below) may push it
+//!   again, so two workers can pick up one node: its `core` lock is what
+//!   runs a node's handlers one at a time — the [`Automaton`] contract.
+//! * **Timers.** A timer is an event like a delivery. The worker hands
+//!   each armed timer to the network thread with the quantum's messages,
+//!   its time queue ([`TimerWheel`](crate::wheel::TimerWheel)) holds it
+//!   beside the messages in flight, and when its tick comes it lands in
+//!   the node's inbox as a [`NodeEvent::Timer`], behind the deliveries
+//!   due before it, and the node goes on the urgent lane. It is never
+//!   early and at most one tick late, which is indistinguishable from
+//!   host scheduling jitter (the crate docs' "the host inflates `u`").
 //! * **Fairness.** A worker processes at most [`BATCH_EVENTS`] events
 //!   per scheduling, however many one hand-off put into the inbox; what
 //!   is left goes back to the front of the inbox and the cell is
@@ -73,7 +70,7 @@
 //!   ([`NetLink::send`] says why that wait always ends), and a node
 //!   that stopped running its timers shows in its own violation log and
 //!   in the checker's period and liveness predicates;
-//!   `tests/timer_liveness.rs` fails on a lost wake-up.
+//!   `tests/timer_liveness.rs` fails on a lost timer.
 //! * **Shutdown.** The harness pushes `Shutdown` into every inbox,
 //!   schedules every cell, then enqueues one sentinel per worker.
 //!   Channel FIFO order means every pre-shutdown wakeup drains first;
@@ -115,18 +112,11 @@ const KICK: u32 = u32::MAX - 1;
 struct Cell<A: Automaton> {
     inbox: Mutex<VecDeque<NodeEvent<A::Msg>>>,
     queued: AtomicBool,
-    /// Whether the network thread's time queue holds a wake-up for this
-    /// node. Set by the worker when it registers a deadline, cleared by
-    /// the network thread when the entry fires; a worker that finds it
-    /// clear registers even an unchanged deadline again. Also guards
-    /// against the lost-wakeup race where the wake-up fires *while* the
-    /// node is mid-run (the `queued` flag swallows the schedule): the
-    /// worker's post-run recheck sees `armed == false` with a deadline
-    /// still pending and re-schedules itself.
-    wheel_armed: AtomicBool,
-    /// `None` for silent (crashed-from-start) nodes. Locked only by the
-    /// single worker currently running the node (the `queued` protocol
-    /// makes that exclusive), so never contended.
+    /// `None` for silent (crashed-from-start) nodes. Held for a whole
+    /// quantum, so the node's handlers run one at a time. That takes the
+    /// lock, not `queued`: the urgent lane pushes a node that is queued
+    /// or mid-run, so a second worker can block here until the first is
+    /// done (and then usually finds the inbox empty).
     core: Mutex<Option<NodeCore<A>>>,
 }
 
@@ -136,11 +126,11 @@ struct Shared<A: Automaton> {
     /// delivery path never touches a cell's `core` lock.
     active: Vec<bool>,
     ready_tx: Sender<u32>,
-    /// Deadline wakeups jump the message backlog: workers drain this
-    /// lane before taking the next ready-queue entry. Without it, a
-    /// timer wake waits FIFO behind every queued node's message batch —
-    /// milliseconds of protocol-visible timer lateness under an echo
-    /// storm.
+    /// Due timers jump the message backlog: workers drain this lane
+    /// before taking the next ready-queue entry. Without it, a node whose
+    /// timer came due waits FIFO behind every queued node's message
+    /// batch — milliseconds of protocol-visible timer lateness under an
+    /// echo storm.
     urgent: Mutex<VecDeque<u32>>,
 }
 
@@ -153,11 +143,11 @@ impl<A: Automaton> Shared<A> {
     }
 
     /// Like [`schedule`](Self::schedule), but through the urgent lane —
-    /// used by the network thread for expired deadlines. Unconditional:
-    /// even a node already *on* the normal ready queue (or mid-run) must
-    /// not serve its expired deadline behind the message backlog — under
-    /// an echo storm that back-of-the-queue wait is tens of
-    /// milliseconds. A duplicate run is a cheap no-op.
+    /// used by the network thread for a hand-off that carries a due
+    /// timer. Unconditional: even a node already *on* the normal ready
+    /// queue (or mid-run) must not serve its due timer behind the message
+    /// backlog — under an echo storm that back-of-the-queue wait is tens
+    /// of milliseconds. A duplicate run is a cheap no-op.
     fn schedule_urgent(&self, idx: usize) {
         let _ = self.cells[idx].queued.swap(true, Ordering::AcqRel);
         self.urgent.lock().push_back(idx as u32);
@@ -166,46 +156,45 @@ impl<A: Automaton> Shared<A> {
     }
 }
 
-/// The network's way into the cells: one inbox lock and one wake-up
-/// check per hand-off, however many events it carries. Events for
-/// silent nodes are dropped here — the node crashed before start, so
-/// the bytes would only pile up unread (the network still counts the
-/// delivery). Also carries the chaos injector's `Freeze`/`Thaw` control
-/// events, and the time queue's wake-ups onto the urgent lane.
+/// The network's way into the cells: one inbox lock and one schedule
+/// per hand-off, however many events it carries. Events for silent
+/// nodes are dropped here — the node crashed before start, so the bytes
+/// would only pile up unread (the network still counts the delivery).
+/// Also carries due timers, and the chaos injector's `Freeze`/`Thaw`
+/// control events.
 struct CellSink<A: Automaton> {
     shared: Arc<Shared<A>>,
     counters: Arc<Counters>,
 }
 
-impl<A: Automaton> CellSink<A> {
-    fn hand_off(&self, to: NodeId, put: impl FnOnce(&mut VecDeque<NodeEvent<A::Msg>>)) {
-        if !self.shared.active[to.index()] {
-            return;
-        }
-        put(&mut self.shared.cells[to.index()].inbox.lock());
-        self.counters.note_inbox_handoff();
-        self.shared.schedule(to.index());
-    }
-}
-
 impl<A: Automaton> DeliverySink<A::Msg> for CellSink<A> {
     fn deliver(&mut self, to: NodeId, event: NodeEvent<A::Msg>) {
-        self.hand_off(to, |inbox| inbox.push_back(event));
+        self.deliver_batch(to, &mut vec![event]);
     }
 
+    /// A hand-off with a timer in it goes on the urgent lane; one that
+    /// carries only timers is not counted in `inbox_handoffs`, which
+    /// measures how well deliveries batch.
     fn deliver_batch(&mut self, to: NodeId, events: &mut Vec<NodeEvent<A::Msg>>) {
-        self.hand_off(to, |inbox| inbox.extend(events.drain(..)));
-        // A silent node's events were not taken.
-        events.clear();
-    }
-
-    fn wake(&mut self, node: NodeId) {
-        // Disarm *before* scheduling: if the node is mid-run and the
-        // schedule is swallowed by its `queued` flag, the worker's
-        // post-run recheck observes the disarm and re-schedules.
-        let cell = &self.shared.cells[node.index()];
-        cell.wheel_armed.store(false, Ordering::Release);
-        self.shared.schedule_urgent(node.index());
+        let idx = to.index();
+        if !self.shared.active[idx] {
+            // A silent node's events are not taken.
+            events.clear();
+            return;
+        }
+        let timers = events
+            .iter()
+            .filter(|e| matches!(e, NodeEvent::Timer(_)))
+            .count();
+        if timers < events.len() {
+            self.counters.note_inbox_handoff();
+        }
+        self.shared.cells[idx].inbox.lock().extend(events.drain(..));
+        if timers == 0 {
+            self.shared.schedule(idx);
+        } else {
+            self.shared.schedule_urgent(idx);
+        }
     }
 }
 
@@ -273,19 +262,14 @@ fn run_node<A: Automaton>(
     let shared = &*ctx.shared;
     let cell = &shared.cells[idx];
     let mut panic_payload: Option<Box<dyn Any + Send>> = None;
-    let deadline_pending = {
+    {
         let mut guard = cell.core.lock();
         let Some(core) = guard.as_mut() else {
             cell.queued.store(false, Ordering::Release);
             return Ok(());
         };
         if core.done {
-            let leftover = {
-                let mut inbox = cell.inbox.lock();
-                let n = inbox.len();
-                inbox.clear();
-                n
-            };
+            let leftover = cell.inbox.lock().drain(..).count();
             ctx.counters.note_discarded(leftover as u64);
             cell.queued.store(false, Ordering::Release);
             return Ok(());
@@ -330,39 +314,12 @@ fn run_node<A: Automaton>(
         // storm would monopolize its worker and starve every other
         // node's timers.
         splice_front(cell, scratch);
-        if panic_payload.is_none() {
-            if let Err(p) = guarded(core, out, &ctx.counters, |c, o| c.fire_due(o)) {
-                panic_payload = Some(p);
-            }
-        }
         out.flush(core.me(), &ctx.net);
-        // Register (or clear) this node's wakeup with the network thread.
-        // Re-registration is needed when the earliest deadline changed
-        // *or* the queue no longer holds our entry (it fired — possibly
-        // before the emulated clock caught up to the local fire time, or
-        // while this very run was in flight).
-        let next = if core.done { None } else { core.next_deadline() };
-        let needs_register = match next {
-            Some(_) => {
-                next != core.registered_wakeup || !cell.wheel_armed.load(Ordering::Acquire)
-            }
-            None => core.registered_wakeup.is_some(),
-        };
-        if needs_register {
-            core.registered_wakeup = next;
-            cell.wheel_armed.store(next.is_some(), Ordering::Release);
-            ctx.net.wake(core.me(), next);
-        }
-        next.is_some()
-    };
+    }
     cell.queued.store(false, Ordering::Release);
-    // Lost-wakeup checks: events that arrived between the inbox drain
-    // and the flag clear (or past the batch cap, or requeued by a panic)
-    // re-schedule the node; so does a wake-up that fired mid-run
-    // and found `queued` set.
-    if !cell.inbox.lock().is_empty()
-        || (deadline_pending && !cell.wheel_armed.load(Ordering::Acquire))
-    {
+    // Events that arrived between the inbox drain and the flag clear (or
+    // past the batch cap, or requeued by a panic) re-schedule the node.
+    if !cell.inbox.lock().is_empty() {
         shared.schedule(idx);
     }
     match panic_payload {
@@ -381,8 +338,8 @@ fn worker_main<A: Automaton>(ctx: &WorkerCtx<A>) {
         if idx == STOP {
             return;
         }
-        // Expired deadlines first; the ready-queue entry waits its turn
-        // behind them.
+        // Nodes with a due timer first; the ready-queue entry waits its
+        // turn behind them.
         loop {
             let next = ctx.shared.urgent.lock().pop_front();
             match next {
@@ -473,7 +430,6 @@ where
         cells.push(Cell {
             inbox: Mutex::new(VecDeque::new()),
             queued: AtomicBool::new(false),
-            wheel_armed: AtomicBool::new(false),
             core: Mutex::new(core),
         });
     }

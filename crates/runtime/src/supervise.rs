@@ -37,13 +37,15 @@ pub struct SupervisionStats {
     pub net_retries: u64,
     /// Always 0: a send to a full network queue blocks, it never drops.
     pub net_sends_failed: u64,
-    /// Commands the network thread ingested. A command carries
-    /// everything one flush held, so messages per command says how well
-    /// the send side batches.
+    /// Commands with messages in them that the network thread ingested.
+    /// A command carries everything one flush held, so messages per
+    /// command says how well the send side batches; a flush that armed
+    /// timers but sent nothing is not counted.
     pub net_commands: u64,
-    /// Inbox hand-offs the network made: one lock and one wake-up check
+    /// Inbox hand-offs the network made: one lock and one schedule
     /// each, carrying everything a delivery sweep held for that node.
-    /// `messages_delivered` over this says how well delivery batches.
+    /// `messages_delivered` over this says how well delivery batches; a
+    /// hand-off of due timers alone is not counted.
     pub inbox_handoffs: u64,
     /// Queued node events discarded at teardown or past a shutdown —
     /// counted, never silently lost, so panic-path runs cannot distort

@@ -1,6 +1,6 @@
 //! The network thread's one time queue, keyed by tick.
 //!
-//! Message deliveries, the reactor's timer wake-ups and chaos control
+//! Message deliveries, the nodes' timers and chaos control
 //! events all come due on one grid of ticks of `granularity`
 //! nanoseconds, so one queue holds them and answers "what is next?" with
 //! one number ([`next_deadline`](TimerWheel::next_deadline)). A deadline
@@ -239,6 +239,9 @@ impl<T> TimerWheel<T> {
 
     /// Cancels a pending entry. Returns the payload if it was still
     /// pending, `None` if it already fired (or was already cancelled).
+    /// The network thread never cancels: a node skips a cancelled timer
+    /// when it comes due. Only the repo benchmark's `runtime.wheel.*`
+    /// rows and this module's proptest call it.
     pub fn cancel(&mut self, key: WheelKey) -> Option<T> {
         let slot = &mut self.slots[key.index];
         if slot.stamp != key.stamp {

@@ -139,7 +139,7 @@ impl Automaton for TwoAlarms {
 }
 
 /// A panic in one timer handler drops that handler's effects only: the
-/// timer that fired before it in the same wakeup keeps its send, and the
+/// timer that fired before it in the same hand-off keeps its send, and the
 /// panic is counted once and recorded as one violation.
 #[test]
 fn a_panicking_timer_keeps_the_sends_of_the_timers_before_it() {

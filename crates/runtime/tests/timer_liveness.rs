@@ -1,9 +1,9 @@
 //! Timer liveness under load: every node keeps running its timers while
 //! one worker is busy with a message burst. A node that receives no
-//! messages runs only when the network thread wakes it, so one lost
-//! wake-up leaves it never firing again, and nothing else in the runtime
-//! would notice; this test does. Its own test binary, because the single
-//! worker is busy for the whole run.
+//! messages runs only when the network thread hands it a due timer, so
+//! one lost timer leaves it never firing again, and nothing else in the
+//! runtime would notice; this test does. Its own test binary, because
+//! the single worker is busy for the whole run.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,7 +24,7 @@ const FAN_OUT: usize = 6;
 
 /// Re-arms a 1 ms timer from every fire and, on a busy node, sends a
 /// message to each of the next [`FAN_OUT`] busy nodes with it, so the
-/// worker is mid-run on some node whenever a wake-up comes due. Logs the
+/// worker is mid-run on some node whenever a timer comes due. Logs the
 /// host instant of every fire.
 struct Ticker {
     fires: Arc<Mutex<Vec<Vec<Instant>>>>,
@@ -60,9 +60,8 @@ impl Automaton for Ticker {
 /// Each of 48 nodes on one worker, busy or quiet, fires at least a
 /// quarter of the 1 ms ticks the run has room for, and keeps firing into
 /// the run's last 150 ms. Drifting clocks put every deadline through the
-/// emulated clock's conversions, the path on which a wake-up that fired
-/// before the node's local time reached its deadline has to be
-/// registered again.
+/// emulated clock's conversion to a host instant, the one place a timer's
+/// due time is computed.
 #[test]
 fn every_node_keeps_firing_its_timers_under_a_message_burst() {
     let fires = Arc::new(Mutex::new(vec![Vec::new(); N]));

@@ -753,10 +753,19 @@ impl TimerSlab {
         self.release(id)
     }
 
-    /// Whether `id` is armed: neither fired nor cancelled yet.
-    #[must_use]
-    pub fn is_armed(&self, id: TimerId) -> bool {
-        self.slot_of(id).is_some()
+    /// Cancels every pending timer, so that every id armed so far is
+    /// stale. The wall-clock runtime calls it when a crashed node
+    /// recovers; the simulators have no caller, since they defer a
+    /// crashed node's due timer to its recovery instant instead.
+    pub fn cancel_all(&mut self) {
+        for (slot, entry) in (0u32..).zip(&mut self.slots) {
+            if entry.armed {
+                entry.armed = false;
+                entry.generation = entry.generation.wrapping_add(1);
+                self.free.push(slot);
+            }
+        }
+        self.live = 0;
     }
 
     /// The slot `id` holds while it is armed.
@@ -909,6 +918,21 @@ mod tests {
         assert!(slab.cancel(b));
         assert_eq!(slab.live(), 0);
         assert_eq!(slab.high_water(), 1);
+    }
+
+    #[test]
+    fn timer_slab_cancel_all_makes_every_pending_id_stale() {
+        let mut slab = TimerSlab::new();
+        let fired = slab.arm();
+        let pending: Vec<_> = (0..3).map(|_| slab.arm()).collect();
+        assert!(slab.fire(fired));
+        slab.cancel_all();
+        assert_eq!(slab.live(), 0);
+        assert!(pending.iter().all(|&id| !slab.fire(id)), "a cancelled id fired");
+        // The freed slots are reused under new stamps.
+        let fresh: Vec<_> = (0..4).map(|_| slab.arm()).collect();
+        assert!(fresh.iter().all(|id| !pending.contains(id)));
+        assert_eq!((slab.live(), slab.high_water()), (4, 4));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! the sharded executor on its worker pool, the Theorem 5 tri-execution
 //! engine and the wall-clock runtime run one probe automaton at n = 3,
 //! and every node must observe the same timer, broadcast and violation
-//! semantics on each.
+//! semantics on each — no timer firing before the node's clock reads its
+//! deadline included.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -11,7 +12,7 @@ use crusader::crypto::{CarriesSignatures, NodeId};
 use crusader::lowerbound::{TriConfig, TriSim};
 use crusader::runtime::{run, RuntimeConfig};
 use crusader::sim::{Automaton, Context, SilentAdversary, SimBuilder, TimerId};
-use crusader::time::Dur;
+use crusader::time::{Dur, LocalTime};
 
 const N: usize = 3;
 
@@ -33,6 +34,8 @@ struct Facts {
     after_stale_cancel_fired: u32,
     /// Deliveries of the node's own broadcast.
     own_broadcasts: u32,
+    /// Firings that found the node's clock below the timer's deadline.
+    early_fires: u32,
 }
 
 /// Every node: in `on_init`, arms a timer at the current local time,
@@ -44,6 +47,16 @@ struct Probe {
     now: Option<TimerId>,
     cancelled: Option<TimerId>,
     after: Option<TimerId>,
+    /// The local deadline of every timer armed, by id.
+    deadlines: Vec<(TimerId, LocalTime)>,
+}
+
+impl Probe {
+    fn arm(&mut self, ctx: &mut dyn Context<Hello>, at: LocalTime) -> TimerId {
+        let id = ctx.set_timer_at(at);
+        self.deadlines.push((id, at));
+        id
+    }
 }
 
 impl Automaton for Probe {
@@ -52,8 +65,8 @@ impl Automaton for Probe {
     fn on_init(&mut self, ctx: &mut dyn Context<Hello>) {
         self.in_init = true;
         let now = ctx.local_time();
-        self.now = Some(ctx.set_timer_at(now));
-        let cancelled = ctx.set_timer_at(now + Dur::from_millis(1.0));
+        self.now = Some(self.arm(ctx, now));
+        let cancelled = self.arm(ctx, now + Dur::from_millis(1.0));
         ctx.cancel_timer(cancelled);
         self.cancelled = Some(cancelled);
         ctx.broadcast(Hello);
@@ -68,11 +81,17 @@ impl Automaton for Probe {
     }
 
     fn on_timer(&mut self, timer: TimerId, ctx: &mut dyn Context<Hello>) {
-        let mut facts = self.facts.lock().unwrap();
+        let facts = Arc::clone(&self.facts);
+        let mut facts = facts.lock().unwrap();
+        let (_, deadline) = self.deadlines.iter().find(|&&(id, _)| id == timer).unwrap();
+        if ctx.local_time() < *deadline {
+            facts.early_fires += 1;
+        }
         if Some(timer) == self.now {
             facts.now_fired += 1;
             facts.fired_while_arming |= self.in_init;
-            self.after = Some(ctx.set_timer_at(ctx.local_time() + Dur::from_millis(2.0)));
+            let after = ctx.local_time() + Dur::from_millis(2.0);
+            self.after = Some(self.arm(ctx, after));
             ctx.cancel_timer(timer);
         } else if Some(timer) == self.cancelled {
             facts.cancelled_fired += 1;
@@ -92,6 +111,7 @@ fn probes() -> (Vec<Arc<Mutex<Facts>>>, impl FnMut(NodeId) -> Probe) {
         now: None,
         cancelled: None,
         after: None,
+        deadlines: Vec::new(),
     };
     (facts, make)
 }
@@ -110,6 +130,7 @@ fn check(
         cancelled_fired: 0,
         after_stale_cancel_fired: 1,
         own_broadcasts: 1,
+        early_fires: 0,
     };
     for (v, facts) in NodeId::all(N).zip(facts) {
         assert_eq!(*facts.lock().unwrap(), expected, "{executor}: node {v}");
