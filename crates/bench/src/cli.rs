@@ -13,12 +13,6 @@
 //!   budget — except `e9`, which by design corrupts a single node, and
 //!   `e7`, a 3-node construction by definition
 //!   ([`SimArgs::require_n`]);
-//! * `--lanes L` — run the scenario on the sharded executor
-//!   ([`crusader_sim::ShardedSim`]) with `L` event lanes (`1`, the
-//!   default, keeps the single-lane reference engine). Traces are
-//!   identical either way; only wall-clock changes. Experiments that
-//!   never run the event-lane simulator (`e5`, `e6`, `e7`, `e10`, `a2`)
-//!   do not take it;
 //! * `--runtime` — also replay each scenario on the wall-clock runtime;
 //!   `e11_chaos` only;
 //! * `--workers W` — how many reactor worker threads the wall-clock
@@ -77,8 +71,6 @@ pub struct SimArgs {
     /// `--n`: requested system size (`None` keeps the experiment's
     /// default).
     pub n: Option<usize>,
-    /// `--lanes`: requested lane count (`None` keeps single-lane).
-    pub lanes: Option<usize>,
     /// `--runtime`: also replay on the wall-clock runtime.
     pub runtime: bool,
     /// `--workers`: reactor worker-thread count (`None` means
@@ -111,13 +103,6 @@ impl SimArgs {
                             .map_err(|e| format!("--n: {e}"))?,
                     );
                 }
-                "--lanes" => {
-                    args.lanes = Some(
-                        value("--lanes")?
-                            .parse()
-                            .map_err(|e| format!("--lanes: {e}"))?,
-                    );
-                }
                 "--runtime" => args.runtime = true,
                 "--workers" => {
                     args.workers = Some(
@@ -137,9 +122,6 @@ impl SimArgs {
                 }
                 other => return Err(format!("unknown argument {other:?}")),
             }
-        }
-        if args.lanes == Some(0) {
-            return Err("--lanes must be at least 1".to_owned());
         }
         if args.workers == Some(0) {
             return Err("--workers must be at least 1".to_owned());
@@ -166,12 +148,6 @@ impl SimArgs {
                  Theorem 17 under d={d}, u={u}, θ={theta}: {e}"
             ))),
         }
-    }
-
-    /// The lane count to run with (1 = single-lane reference engine).
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.lanes.unwrap_or(1)
     }
 
     /// Resolves `--n` against the *structural* maximum-resilience check
@@ -227,8 +203,6 @@ mod tests {
             "catalog/05_partition_heal.chaos",
             "--catalog",
             "catalog",
-            "--lanes",
-            "4",
         ])
         .expect("parses");
         assert_eq!(
@@ -236,7 +210,6 @@ mod tests {
             Some(std::path::Path::new("catalog/05_partition_heal.chaos"))
         );
         assert_eq!(args.catalog.as_deref(), Some(std::path::Path::new("catalog")));
-        assert_eq!(args.lanes, Some(4));
     }
 
     #[test]
@@ -256,6 +229,7 @@ mod tests {
             "--reps",
             "--max-n",
             "--backend",
+            "--lanes",
         ] {
             let err = parse(&[gone, "x"]).expect_err("must fail");
             assert!(err.contains(gone), "{err}");

@@ -14,7 +14,7 @@ use crusader_sim::DelayModel;
 use crusader_time::drift::DriftModel;
 use crusader_time::Dur;
 
-fn measure(n: usize, lanes: usize, reject: bool, stagger_us: f64) -> (f64, f64, usize) {
+fn measure(n: usize, reject: bool, stagger_us: f64) -> (f64, f64, usize) {
     // At the default n = 5, f = ⌈n/2⌉ − 1 = 2 = ⌈5/3⌉: beyond the
     // signature-free bound, where the discard rule alone can no longer
     // absorb timing equivocation — this is exactly the regime the
@@ -24,7 +24,6 @@ fn measure(n: usize, lanes: usize, reject: bool, stagger_us: f64) -> (f64, f64, 
     let f = crusader_core::max_faults_with_signatures(n);
     let mut s = Scenario::new(n, Dur::from_millis(1.0), Dur::from_micros(20.0), 1.003);
     s.faulty = (n - f..n).collect();
-    s.lanes = lanes;
     s.delays = DelayModel::Random;
     s.drift = DriftModel::ExtremalSplit;
     s.pulses = 80;
@@ -62,7 +61,7 @@ pub fn run(args: &SimArgs) -> Result<(), Failure> {
     println!("|--------------|-----------|------------------|--------------|----------|");
     for stagger in [50.0, 150.0, 250.0, 350.0, 450.0] {
         for reject in [true, false] {
-            let (skew, s, _viol) = measure(n, args.lanes(), reject, stagger);
+            let (skew, s, _viol) = measure(n, reject, stagger);
             println!(
                 "| {:>12.0} | {:>9} | {:>13.3} | {:>12.3} | {:>8} |",
                 stagger,

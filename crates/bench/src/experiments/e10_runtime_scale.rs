@@ -1,6 +1,5 @@
 //! E10 — runtime scale: CPS deployments on the wall-clock runtime's
-//! event-driven reactor, the live counterpart of the simulator's
-//! sharded executor.
+//! event-driven reactor.
 //!
 //! Unlike e1–e9 this is not a paper reproduction but a deployment
 //! experiment: real OS threads, real ed25519 signatures, injected

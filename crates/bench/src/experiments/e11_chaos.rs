@@ -5,8 +5,8 @@
 //! itself a reproduction result, which is what the CI chaos-smoke step
 //! relies on.
 //!
-//! Every scenario replays on the deterministic simulator (`--lanes`
-//! selects the sharded executor); `--runtime` *adds* a wall-clock
+//! Every scenario replays on the deterministic simulator; `--runtime`
+//! *adds* a wall-clock
 //! runtime replay (on `--workers` reactor workers), where the same fault
 //! timeline plays out against the host clock and must reach the same
 //! verdict. `--n` rescales the
@@ -14,7 +14,7 @@
 //! extra nodes are untouched honest participants).
 //!
 //! ```text
-//! experiments e11_chaos [--scenario FILE | --catalog DIR] [--n N] [--lanes L]
+//! experiments e11_chaos [--scenario FILE | --catalog DIR] [--n N]
 //!                       [--runtime [--workers W]]
 //! ```
 
@@ -52,7 +52,7 @@ pub fn run(args: &SimArgs) -> Result<(), Failure> {
             .collect::<Result<_, _>>()?;
     }
     let mut executors = vec![Executor::Sim {
-        lanes: args.lanes(),
+        lanes: 1,
         force_parallel: None,
     }];
     if args.runtime {

@@ -31,7 +31,6 @@ pub fn run(args: &SimArgs) -> Result<(), Failure> {
     ]);
     for u_us in [1.0, 3.0, 10.0, 30.0, 100.0, 300.0] {
         let mut s = Scenario::new(n, d, Dur::from_micros(u_us), theta);
-        s.lanes = args.lanes();
         s.delays = DelayModel::Extremal;
         s.drift = DriftModel::ExtremalSplit;
         s.pulses = 15;

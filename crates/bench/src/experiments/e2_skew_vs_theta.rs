@@ -34,7 +34,6 @@ pub fn run(args: &SimArgs) -> Result<(), Failure> {
     for theta_minus_1 in [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 5e-2, 7e-2] {
         let theta = 1.0 + theta_minus_1;
         let mut s = Scenario::new(n, d, u, theta);
-        s.lanes = args.lanes();
         s.delays = DelayModel::Extremal;
         s.drift = DriftModel::ExtremalSplit;
         s.pulses = 15;

@@ -16,9 +16,8 @@ use crusader_sim::DelayModel;
 use crusader_time::drift::DriftModel;
 use crusader_time::Dur;
 
-fn scenario(n: usize, f: usize, lanes: usize) -> (Scenario, Params) {
+fn scenario(n: usize, f: usize) -> (Scenario, Params) {
     let mut s = Scenario::new(n, Dur::from_millis(1.0), Dur::from_micros(10.0), 1.003);
-    s.lanes = lanes;
     s.faulty = (n - f..n).collect();
     s.delays = DelayModel::Random;
     s.drift = DriftModel::ExtremalSplit;
@@ -30,11 +29,11 @@ fn scenario(n: usize, f: usize, lanes: usize) -> (Scenario, Params) {
     (s, params)
 }
 
-fn verdict_cps(n: usize, f: usize, lanes: usize) -> &'static str {
+fn verdict_cps(n: usize, f: usize) -> &'static str {
     if f > max_faults_with_signatures(n) {
         return "n/a";
     }
-    let (s, params) = scenario(n, f, lanes);
+    let (s, params) = scenario(n, f);
     let derived = params.derive().unwrap();
     let m = s.run_protocol(
         derived.s,
@@ -49,11 +48,11 @@ fn verdict_cps(n: usize, f: usize, lanes: usize) -> &'static str {
     }
 }
 
-fn verdict_lw(n: usize, f: usize, lanes: usize) -> &'static str {
+fn verdict_lw(n: usize, f: usize) -> &'static str {
     if f > max_faults_with_signatures(n) {
         return "n/a";
     }
-    let (s, params) = scenario(n, f, lanes);
+    let (s, params) = scenario(n, f);
     let derived = params.derive().unwrap();
     let m = s.run_protocol(
         derived.s,
@@ -71,14 +70,13 @@ fn verdict_lw(n: usize, f: usize, lanes: usize) -> &'static str {
 /// with, a panic for a violated shape assertion.
 pub fn run(args: &SimArgs) -> Result<(), Failure> {
     // --n replaces the default size sweep with a single column (validated
-    // for f = ceil(n/2)-1 feasibility); --lanes picks the executor.
+    // for f = ceil(n/2)-1 feasibility).
     let ns: Vec<usize> = match args.n {
         Some(_) => {
             vec![args.resolve_n(12, Dur::from_millis(1.0), Dur::from_micros(10.0), 1.003)?]
         }
         None => vec![4, 6, 7, 9, 12],
     };
-    let lanes = args.lanes();
     println!("# E3: resilience under the stagger attack (40 pulses)\n");
     println!("| n | f | ⌈n/3⌉−1 | ⌈n/2⌉−1 | Lynch–Welch | CPS |");
     println!("|---|---|---------|---------|-------------|-----|");
@@ -88,8 +86,8 @@ pub fn run(args: &SimArgs) -> Result<(), Failure> {
                 "| {n} | {f} | {} | {} | {} | {} |",
                 max_faults_without_signatures(n),
                 max_faults_with_signatures(n),
-                verdict_lw(n, f, lanes),
-                verdict_cps(n, f, lanes),
+                verdict_lw(n, f),
+                verdict_cps(n, f),
             );
         }
     }

@@ -32,7 +32,6 @@ pub fn run(args: &SimArgs) -> Result<(), Failure> {
         (200.0, 1.02),
     ] {
         let mut s = Scenario::new(n, Dur::from_millis(1.0), Dur::from_micros(u_us), theta);
-        s.lanes = args.lanes();
         s.delays = DelayModel::Extremal;
         s.drift = DriftModel::ExtremalSplit;
         s.pulses = 12;

@@ -3,7 +3,7 @@
 //!
 //! Takes `--n N` (default 7) for the convergence sweep: `f = ⌈n/2⌉ − 1`
 //! equivocating dealers against `n − f` honest nodes. Runs on the
-//! synchronous round executor, so `--lanes` is rejected.
+//! synchronous round executor.
 
 use crate::cli::{Failure, SimArgs};
 use crusader_core::cb::{cb_sign_bytes, SignedValue};

@@ -11,8 +11,7 @@
 //!   must hold over every accepting pair), no matter what the dealer
 //!   does.
 //!
-//! The state machines are sampled directly (no event-lane simulator), so
-//! `--lanes` is rejected.
+//! The state machines are sampled directly, without the simulator.
 
 use crate::cli::{Failure, SimArgs};
 use crusader_core::{Params, TcbInstance, TcbWindows};

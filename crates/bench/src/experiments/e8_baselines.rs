@@ -5,8 +5,7 @@
 //!
 //! `--n N` replaces the default sweep (n ∈ {4, 6, 8, 12, 16}) with the
 //! single requested size (validated for Theorem 17 feasibility at the
-//! maximum fault budget); `--lanes L` runs every protocol on the sharded
-//! executor.
+//! maximum fault budget).
 
 use crusader_baselines::{ChainSyncNode, EchoSyncNode, LwNode, SelectiveEcho};
 use crate::cli::{Failure, SimArgs};
@@ -35,7 +34,6 @@ pub fn run(args: &SimArgs) -> Result<(), Failure> {
         let mut s = Scenario::new(n, d, u, theta);
         s.pulses = 12;
         s.drift = DriftModel::ExtremalSplit;
-        s.lanes = args.lanes();
         let f_cps = s.faulty.len();
         let (cps, _) = s.run_cps(Box::new(SilentAdversary));
 

@@ -22,7 +22,6 @@ pub fn run(args: &SimArgs) -> Result<(), Failure> {
     for mult in [1.0, 2.0, 5.0, 10.0, 20.0] {
         let u_tilde = Dur::from_micros(20.0 * mult);
         let mut s = Scenario::new(n, d, u, 1.0002);
-        s.lanes = args.lanes();
         s.faulty = vec![n - 1];
         s.u_tilde = Some(u_tilde);
         s.delays = DelayModel::Random;

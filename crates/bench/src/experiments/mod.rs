@@ -12,10 +12,8 @@
 //! [`EXPERIMENTS`] once, up front ([`crate::cli`] documents them): a
 //! single subcommand given a flag it does not take exits 2 naming both;
 //! `all` forwards each flag to exactly the rows that take it — the
-//! synchronous/sampled experiments (`e5`, `e6`, `a2`) take `--n` but
-//! have no event lanes, the Theorem 5 tri-execution (`e7`) is fixed at
-//! n = 3, only `e10` and `e11` run the wall-clock runtime, only `e11`
-//! replays `.chaos` files — and runs the rest at their defaults rather
+//! Theorem 5 tri-execution (`e7`) is fixed at n = 3, only `e10` and
+//! `e11` run the wall-clock runtime, only `e11` replays `.chaos` files — and runs the rest at their defaults rather
 //! than failing the whole report. `all` runs the rows in-process; an
 //! experiment that returns a [`Failure`] or panics counts as failed and
 //! the report goes on.
@@ -48,8 +46,6 @@ pub struct Experiment {
     /// Takes `--n` (the experiment itself validates the value against
     /// its link parameters).
     pub takes_n: bool,
-    /// Takes `--lanes`.
-    pub takes_lanes: bool,
     /// Takes `--workers`.
     pub takes_workers: bool,
     /// Takes `--scenario`, `--catalog` and `--runtime`.
@@ -60,7 +56,6 @@ const fn exp(
     name: &'static str,
     run: fn(&SimArgs) -> Result<(), Failure>,
     takes_n: bool,
-    takes_lanes: bool,
     takes_workers: bool,
     takes_scenario: bool,
 ) -> Experiment {
@@ -68,7 +63,6 @@ const fn exp(
         name,
         run,
         takes_n,
-        takes_lanes,
         takes_workers,
         takes_scenario,
     }
@@ -76,19 +70,19 @@ const fn exp(
 
 /// Every experiment, in report order.
 pub const EXPERIMENTS: [Experiment; 13] = [
-    exp("e1_skew_vs_u", e1_skew_vs_u::run, true, true, false, false),
-    exp("e2_skew_vs_theta", e2_skew_vs_theta::run, true, true, false, false),
-    exp("e3_resilience", e3_resilience::run, true, true, false, false),
-    exp("e4_periods", e4_periods::run, true, true, false, false),
-    exp("e5_apa", e5_apa::run, true, false, false, false),
-    exp("e6_tcb", e6_tcb::run, true, false, false, false),
-    exp("e7_lower_bound", e7_lower_bound::run, false, false, false, false),
-    exp("e8_baselines", e8_baselines::run, true, true, false, false),
-    exp("e9_rushing", e9_rushing::run, true, true, false, false),
-    exp("e10_runtime_scale", e10_runtime_scale::run, true, false, true, false),
-    exp("e11_chaos", e11_chaos::run, true, true, true, true),
-    exp("a1_ablation_no_reject", a1_ablation_no_reject::run, true, true, false, false),
-    exp("a2_ablation_midpoint", a2_ablation_midpoint::run, true, false, false, false),
+    exp("e1_skew_vs_u", e1_skew_vs_u::run, true, false, false),
+    exp("e2_skew_vs_theta", e2_skew_vs_theta::run, true, false, false),
+    exp("e3_resilience", e3_resilience::run, true, false, false),
+    exp("e4_periods", e4_periods::run, true, false, false),
+    exp("e5_apa", e5_apa::run, true, false, false),
+    exp("e6_tcb", e6_tcb::run, true, false, false),
+    exp("e7_lower_bound", e7_lower_bound::run, false, false, false),
+    exp("e8_baselines", e8_baselines::run, true, false, false),
+    exp("e9_rushing", e9_rushing::run, true, false, false),
+    exp("e10_runtime_scale", e10_runtime_scale::run, true, true, false),
+    exp("e11_chaos", e11_chaos::run, true, true, true),
+    exp("a1_ablation_no_reject", a1_ablation_no_reject::run, true, false, false),
+    exp("a2_ablation_midpoint", a2_ablation_midpoint::run, true, false, false),
 ];
 
 impl Experiment {
@@ -99,9 +93,8 @@ impl Experiment {
     /// ([`SimArgs::require_n`]).
     fn split(&self, args: &SimArgs) -> (SimArgs, Vec<(&'static str, &'static str)>) {
         type Clear = fn(&mut SimArgs) -> bool;
-        let rules: [(&str, bool, &str, Clear); 6] = [
+        let rules: [(&str, bool, &str, Clear); 5] = [
             ("--n", self.takes_n, "running at its default", |a| a.n.take().is_some()),
-            ("--lanes", self.takes_lanes, "running single-lane", |a| a.lanes.take().is_some()),
             ("--runtime", self.takes_scenario, "chaos replay is e11_chaos", |a| std::mem::take(&mut a.runtime)),
             ("--scenario", self.takes_scenario, "chaos replay is e11_chaos", |a| a.scenario.take().is_some()),
             ("--catalog", self.takes_scenario, "chaos replay is e11_chaos", |a| a.catalog.take().is_some()),
@@ -176,9 +169,8 @@ fn run_counts(args: &SimArgs) -> Result<(), Failure> {
     Ok(())
 }
 
-const USAGE: &str = "usage: experiments <name>|all|counts [--n N] [--lanes L] \
-                     [--runtime] [--workers W] [--scenario FILE] [--catalog DIR] \
-                     [--check PATH]";
+const USAGE: &str = "usage: experiments <name>|all|counts [--n N] [--runtime] \
+                     [--workers W] [--scenario FILE] [--catalog DIR] [--check PATH]";
 
 /// Parses `argv` (the process name already stripped), checks the flags
 /// against the subcommand, and runs it.
@@ -223,12 +215,11 @@ pub fn dispatch(argv: impl IntoIterator<Item = String>) -> Result<(), Failure> {
 mod tests {
     use super::*;
 
-    /// The six shared flags, each as the only flag given.
-    fn each_flag() -> [(&'static str, SimArgs); 6] {
+    /// The five shared flags, each as the only flag given.
+    fn each_flag() -> [(&'static str, SimArgs); 5] {
         let d = SimArgs::default;
         [
             ("--n", SimArgs { n: Some(16), ..d() }),
-            ("--lanes", SimArgs { lanes: Some(4), ..d() }),
             ("--runtime", SimArgs { runtime: true, ..d() }),
             ("--workers", SimArgs { workers: Some(2), ..d() }),
             ("--scenario", SimArgs { scenario: Some("x.chaos".into()), ..d() }),
@@ -239,7 +230,6 @@ mod tests {
     fn takes(e: &Experiment, flag: &str) -> bool {
         match flag {
             "--n" => e.takes_n,
-            "--lanes" => e.takes_lanes,
             "--workers" => e.takes_workers,
             _ => e.takes_scenario,
         }
@@ -299,7 +289,7 @@ mod tests {
             (&["e1_skew_vs_u", "--check", "BENCH_cps.json"], "--check"),
             (&["all", "--check", "BENCH_cps.json"], "--check"),
             (&["counts", "--n", "4"], "--check"),
-            (&["e5_apa", "--lanes", "2"], "e5_apa"),
+            (&["e5_apa", "--workers", "2"], "e5_apa"),
             (&["e11_chaos", "--workers", "2"], "--workers needs --runtime"),
             (&["e10_runtime_scale", "--runtime"], "e10_runtime_scale"),
         ] {

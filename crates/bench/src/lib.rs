@@ -9,7 +9,7 @@
 use crusader_core::{CpsNode, Derived, Params};
 use crusader_crypto::NodeId;
 use crusader_sim::metrics::{pulse_stats, steady_state_skew, PulseStats};
-use crusader_sim::{Adversary, Automaton, DelayModel, SimBuilder, Trace};
+use crusader_sim::{Adversary, Automaton, DelayModel, Sim, SimBuilder, Trace};
 use crusader_time::drift::DriftModel;
 use crusader_time::{Dur, Time};
 
@@ -63,18 +63,6 @@ pub struct Scenario {
     pub pulses: u64,
     /// RNG seed.
     pub seed: u64,
-    /// Event lanes: `1` runs the single-lane reference engine, anything
-    /// larger the sharded executor ([`crusader_sim::ShardedSim`]), which
-    /// produces the identical trace (clamped to `n` by the engine).
-    pub lanes: usize,
-    /// Overrides the sharded executor's use-worker-threads decision
-    /// (`Some(true)` forces the persistent worker pool even on a
-    /// single-CPU host, `Some(false)` forces inline lanes, `None` keeps
-    /// the automatic choice). Ignored when `lanes == 1`. Used by the CI
-    /// bench-smoke replay and the determinism tests to exercise the
-    /// cross-thread hand-off on any machine; traces are identical either
-    /// way.
-    pub force_parallel: Option<bool>,
 }
 
 impl Scenario {
@@ -94,8 +82,6 @@ impl Scenario {
             drift: DriftModel::RandomStable,
             pulses: 12,
             seed: 0xC0FFEE,
-            lanes: 1,
-            force_parallel: None,
         }
     }
 
@@ -127,6 +113,14 @@ impl Scenario {
             .collect()
     }
 
+    /// The run's event cap. CPS delivers about `h² · n ≤ n³` messages a
+    /// pulse (`h` honest nodes), so `16 n³` events per pulse, with one
+    /// pulse of slack, leaves room for an adversary's traffic while still
+    /// stopping a runaway protocol.
+    fn max_events(&self) -> u64 {
+        16 * (self.n as u64).pow(3) * (self.pulses + 1)
+    }
+
     fn builder(&self, max_offset: Dur) -> SimBuilder {
         let mut link = crusader_sim::LinkConfig::new(self.d, self.u);
         if let Some(ut) = self.u_tilde {
@@ -140,13 +134,15 @@ impl Scenario {
             .seed(self.seed)
             .horizon(Time::from_secs(3600.0))
             .max_pulses(self.pulses)
+            .max_events(self.max_events())
     }
 
     /// Runs CPS under this scenario with the given adversary.
     ///
     /// # Panics
     ///
-    /// Panics if the scenario parameters are infeasible for Theorem 17.
+    /// Panics if the scenario parameters are infeasible for Theorem 17,
+    /// or if the run stops at its event cap.
     pub fn run_cps(
         &self,
         adversary: Box<dyn Adversary<crusader_core::Carry>>,
@@ -163,7 +159,8 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if the scenario parameters are infeasible for Theorem 17.
+    /// Panics if the scenario parameters are infeasible for Theorem 17,
+    /// or if the run stops at its event cap.
     pub fn run_cps_trace(
         &self,
         adversary: Box<dyn Adversary<crusader_core::Carry>>,
@@ -176,22 +173,30 @@ impl Scenario {
         (self.execute(sim), derived)
     }
 
-    /// Runs a built simulation on the executor `lanes` selects: the
-    /// single-lane reference engine at 1, the sharded executor above
-    /// (with `force_parallel` applied to its worker-pool decision).
-    fn execute<A: Automaton>(&self, sim: crusader_sim::Sim<A>) -> Trace {
-        if self.lanes > 1 {
-            let mut sharded = sim.sharded(self.lanes);
-            if let Some(parallel) = self.force_parallel {
-                sharded.set_parallel(parallel);
-            }
-            sharded.run()
-        } else {
-            sim.run()
-        }
+    /// Runs a built simulation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run stopped at [`max_events`](Self::max_events),
+    /// which its pulse counts would otherwise report as a liveness
+    /// failure.
+    fn execute<A: Automaton>(&self, sim: Sim<A>) -> Trace {
+        let trace = sim.run();
+        let cap = self.max_events();
+        assert!(
+            trace.events_processed <= cap,
+            "the run stopped at its event cap of {cap} events (n = {}, {} pulses)",
+            self.n,
+            self.pulses
+        );
+        trace
     }
 
     /// Runs an arbitrary automaton under this scenario.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run stops at its event cap.
     pub fn run_protocol<A, F>(
         &self,
         max_offset: Dur,
@@ -211,10 +216,10 @@ impl Scenario {
 /// pulse times (as IEEE-754 bit patterns, so a 1-ulp drift flips the
 /// hash), the violation list, forgery/message/event counts, and the
 /// finishing time. Used by the determinism regression test to pin exact
-/// engine behaviour and by the sharded cross-check proptests to compare
-/// executors; `timer_slots_high_water`, `queue_spill_count` and
-/// `queue_splice_count` are deliberately excluded (the sharded engine
-/// reports per-lane aggregates of all three, see [`crusader_sim::shard`]).
+/// engine behaviour. `timer_slots_high_water`, `queue_spill_count`,
+/// `queue_splice_count` and `tallied_deliveries` are left out: they
+/// describe how the engine stored the execution, not the execution (see
+/// [`Trace`]), and the pinned hashes were recorded without them.
 #[must_use]
 pub fn trace_hash(trace: &Trace) -> u64 {
     struct Fnv(u64);
@@ -282,5 +287,30 @@ mod tests {
         assert_eq!(m.stats.complete_pulses, 5);
         assert_eq!(crusader_core::bounds::definition3(&m.stats, &derived), Ok(()));
         assert_eq!(m.violations, 0);
+    }
+
+    /// Re-arms a timer for the current instant on every firing, so it
+    /// never pulses and never lets time pass.
+    struct Spin;
+
+    impl Automaton for Spin {
+        type Msg = ();
+        fn on_init(&mut self, ctx: &mut dyn crusader_sim::Context<()>) {
+            ctx.set_timer_at(ctx.local_time());
+        }
+        fn on_message(&mut self, _: NodeId, (): (), _: &mut dyn crusader_sim::Context<()>) {}
+        fn on_timer(&mut self, _: crusader_sim::TimerId, ctx: &mut dyn crusader_sim::Context<()>) {
+            ctx.set_timer_at(ctx.local_time());
+        }
+    }
+
+    /// A run the event cap stops must say so, not come back as a run
+    /// whose nodes simply stopped pulsing.
+    #[test]
+    #[should_panic(expected = "the run stopped at its event cap of 864 events (n = 3, 1 pulses)")]
+    fn a_run_stopped_by_the_event_cap_names_the_cap() {
+        let mut s = Scenario::new(3, Dur::from_millis(1.0), Dur::from_micros(10.0), 1.0001);
+        s.pulses = 1;
+        s.run_protocol(Dur::ZERO, |_| Spin, Box::new(SilentAdversary));
     }
 }

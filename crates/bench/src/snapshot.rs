@@ -7,14 +7,7 @@
 //! ledger's exact text; the file is never read back into structures, it
 //! is compared **byte for byte** ([`check`]):
 //!
-//! * `cps` — [`cps_scenario`] at n ∈ {4, 8, 16, 64} on the single-lane
-//!   engine. At n = 64 the same seed is also run on the sharded executor
-//!   with [`CPS_SHARDED_LANES`] lanes, once inline and once with the
-//!   persistent worker pool forced on
-//!   ([`Scenario::force_parallel`](crate::Scenario)); all three traces
-//!   must hash identically or [`counts`] panics — the pool is pure
-//!   scheduling, and forcing it makes the gate meaningful on single-CPU
-//!   runners where it would otherwise never engage;
+//! * `cps` — [`cps_scenario`] at n ∈ {4, 8, 16, 64};
 //! * `recovery` — a crash-and-rejoin scenario per grid point
 //!   (n ∈ {4, 8, 16} × {one crash, the full crash budget}) with the
 //!   [`crusader_core::RecoveringNode`] fleet: completed rejoins and
@@ -58,16 +51,10 @@ use crusader_sim::{SilentAdversary, Trace};
 use crusader_time::Dur;
 
 use crate::cli::Failure;
-use crate::{trace_hash, Scenario};
+use crate::Scenario;
 
 /// System sizes of the ledger's `cps` rows.
-pub const CPS_SNAPSHOT_NS: &[usize] = &[4, 8, 16, CPS_SHARDED_N];
-
-/// The `cps` row that is cross-checked on the sharded executor.
-pub const CPS_SHARDED_N: usize = 64;
-
-/// Lane count of that cross-check.
-pub const CPS_SHARDED_LANES: usize = 8;
+pub const CPS_SNAPSHOT_NS: &[usize] = &[4, 8, 16, 64];
 
 /// Pulses per run.
 pub const CPS_SNAPSHOT_PULSES: u64 = 8;
@@ -96,7 +83,7 @@ pub const SCHEMA: &str = "crusader-bench-cps/v6";
 
 /// One time-to-resync measurement: `crashes` nodes crash mid-run in
 /// staggered windows and rejoin through the signed resync handshake, on
-/// the deterministic single-lane simulator. Seed-determinism makes every
+/// the deterministic simulator. Seed-determinism makes every
 /// column exact.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RecoveryRow {
@@ -127,7 +114,7 @@ pub fn cps_scenario(n: usize) -> Scenario {
 }
 
 /// The executor behind every `recovery` and `catalog` row.
-const SINGLE_LANE: Executor = Executor::Sim {
+const SIM: Executor = Executor::Sim {
     lanes: 1,
     force_parallel: None,
 };
@@ -149,29 +136,14 @@ fn count_columns(trace: &Trace) -> String {
 ///
 /// # Panics
 ///
-/// Panics if the sharded executor (inline or worker pool) disagrees with
-/// the single-lane engine at n = [`CPS_SHARDED_N`], if a recovery row
-/// loses a rejoin, or if the committed catalog fails to load — the
+/// Panics if a recovery row loses a rejoin, or if the committed catalog fails to load — the
 /// ledger must not record a broken engine.
 #[must_use]
 pub fn counts() -> String {
     let mut cps = Vec::new();
     for &n in CPS_SNAPSHOT_NS {
-        let (single, _) = cps_scenario(n).run_cps_trace(Box::new(SilentAdversary));
-        if n == CPS_SHARDED_N {
-            for pool in [false, true] {
-                let mut sharded = cps_scenario(n);
-                sharded.lanes = CPS_SHARDED_LANES;
-                sharded.force_parallel = Some(pool);
-                let (trace, _) = sharded.run_cps_trace(Box::new(SilentAdversary));
-                assert_eq!(
-                    trace_hash(&trace),
-                    trace_hash(&single),
-                    "sharded (pool = {pool}) / single-lane drift at n={n}"
-                );
-            }
-        }
-        cps.push(format!("{{\"n\": {n}, {}}}", count_columns(&single)));
+        let (trace, _) = cps_scenario(n).run_cps_trace(Box::new(SilentAdversary));
+        cps.push(format!("{{\"n\": {n}, {}}}", count_columns(&trace)));
     }
     let recovery = RECOVERY_NS.iter().flat_map(|&n| {
         // One crash, and the full budget where that is more than one.
@@ -198,7 +170,7 @@ pub fn counts() -> String {
         .expect("the committed chaos catalog loads")
         .scenarios;
     let catalog = catalog.iter().map(|sc| {
-        let out = run_scenario(sc, SINGLE_LANE);
+        let out = run_scenario(sc, SIM);
         format!(
             "{{\"scenario\": {:?}, \"n\": {}, {}}}",
             sc.name,
@@ -404,7 +376,7 @@ pub fn recovery_scenario(n: usize, crashes: usize) -> crusader_chaos::Scenario {
     crusader_chaos::Scenario::parse(&text).expect("generated recovery scenario parses")
 }
 
-/// Measures one recovery grid point on the single-lane simulator.
+/// Measures one recovery grid point on the simulator.
 ///
 /// # Panics
 ///
@@ -414,7 +386,7 @@ pub fn recovery_scenario(n: usize, crashes: usize) -> crusader_chaos::Scenario {
 pub fn measure_recovery_row(n: usize, crashes: usize) -> RecoveryRow {
     let sc = recovery_scenario(n, crashes);
     let timeline = sc.timeline();
-    let out = run_scenario(&sc, SINGLE_LANE);
+    let out = run_scenario(&sc, SIM);
     let events = resync_times(&out.trace, &timeline);
     let times: Vec<f64> = events
         .iter()

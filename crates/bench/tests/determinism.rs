@@ -26,9 +26,7 @@ const PINNED: &[(usize, u64)] = &[
 ];
 
 /// Trace hash of the n = 64 snapshot scenario — the run `benchmark/`'s
-/// `sim_mesh` workload times — recorded at commit 8cd2032. Checked on the
-/// single-lane engine only: the count ledger cross-checks the sharded
-/// executor at this size.
+/// `sim_mesh` workload times — recorded at commit 8cd2032.
 const PINNED_N64: u64 = 0x2c12ef20314847c8;
 
 /// `(delay model, horizon in seconds, trace hash)` of [`horizon_run`],
@@ -53,7 +51,7 @@ const PINNED_STAGGERED: u64 = 0x805a21cd9627aff5;
 const PINNED_RUSHING: u64 = 0xd6b5680eb949bd0a;
 
 /// `(scenario, trace hash, chaos_drops, chaos_duplicates)` for every
-/// committed chaos scenario at its native `n` on the single-lane engine.
+/// committed chaos scenario at its native `n`.
 /// [`trace_hash`] does not cover the two chaos counters, so they are
 /// pinned beside it.
 const PINNED_CATALOG: &[(&str, u64, u64, u64)] = &[
@@ -135,44 +133,34 @@ fn horizon_stopped_traces_are_pinned() {
     }
 }
 
-/// The sharded executor must reproduce the *same pinned hashes* as the
-/// single-lane engine, for every lane count: the lanes/mailboxes/lookahead
-/// machinery (`crusader_sim::shard`) is a scheduling change, never a
-/// behavioural one.
-#[test]
-fn sharded_engine_reproduces_pinned_hashes() {
-    for &(n, expected) in PINNED {
-        for lanes in [1, 2, 3, 8] {
-            let mut scenario = cps_scenario(n);
-            scenario.lanes = lanes;
-            let (trace, _) = scenario.run_cps_trace(Box::new(SilentAdversary));
-            let got = trace_hash(&trace);
-            assert_eq!(
-                got, expected,
-                "n={n} lanes={lanes}: sharded trace hash {got:#018x} != pinned {expected:#018x}"
-            );
-        }
-    }
-}
+/// As silent as [`SilentAdversary`] but not declared passive, so the
+/// engine queues and dispatches every delivery to a faulty node.
+struct Watching;
 
-/// The persistent worker pool — forced on, so this holds even on a
-/// single-CPU host where it would never engage by itself — must also
-/// reproduce the pinned hashes at every lane count. Together with
-/// `sharded_engine_reproduces_pinned_hashes` this pins both sharded
-/// scheduling modes to the pre-sharding engine's observable behaviour.
+impl<M> Adversary<M> for Watching {}
+
+/// Under a passive adversary `Sim::run` counts deliveries to faulty
+/// nodes instead of queueing them (`Trace::tallied_deliveries`); the
+/// queued path is the oracle. CPS runs of the snapshot scenario at
+/// n ∈ {4, 8, 16}, over three seeds and two delay models, must give the
+/// same trace either way. `crusader_sim`'s own
+/// `tallied_deliveries_leave_the_trace_unchanged` covers the horizon and
+/// event-cap stops on a small protocol.
 #[test]
-fn worker_pool_reproduces_pinned_hashes() {
-    for &(n, expected) in PINNED {
-        for lanes in [2, 8] {
-            let mut scenario = cps_scenario(n);
-            scenario.lanes = lanes;
-            scenario.force_parallel = Some(true);
-            let (trace, _) = scenario.run_cps_trace(Box::new(SilentAdversary));
-            let got = trace_hash(&trace);
-            assert_eq!(
-                got, expected,
-                "n={n} lanes={lanes}: worker-pool trace hash {got:#018x} != pinned {expected:#018x}"
-            );
+fn tallied_cps_deliveries_leave_the_trace_unchanged() {
+    for n in [4, 8, 16] {
+        for seed in [1, 2, 3] {
+            for delays in [DelayModel::Random, DelayModel::MaxAlways] {
+                let mut scenario = cps_scenario(n);
+                scenario.seed = seed;
+                scenario.delays = delays.clone();
+                let (tallied, _) = scenario.run_cps_trace(Box::new(SilentAdversary));
+                let (queued, _) = scenario.run_cps_trace(Box::new(Watching));
+                let case = format!("n={n}, seed {seed}, {delays:?}");
+                assert_eq!(trace_hash(&tallied), trace_hash(&queued), "{case}");
+                assert_eq!(queued.tallied_deliveries, 0, "{case}");
+                assert!(tallied.tallied_deliveries > 0, "{case}");
+            }
         }
     }
 }
@@ -190,16 +178,6 @@ fn standard_cps_scenarios_never_spill() {
         assert_eq!(
             trace.queue_spill_count, 0,
             "n={n}: {} events overflowed the event queue's window",
-            trace.queue_spill_count
-        );
-        // Same property for the per-lane queues of the sharded executor
-        // (reported as the sum over lanes).
-        let mut sharded = cps_scenario(n);
-        sharded.lanes = 4;
-        let (trace, _) = sharded.run_cps_trace(Box::new(SilentAdversary));
-        assert_eq!(
-            trace.queue_spill_count, 0,
-            "n={n} lanes=4: {} events overflowed a lane queue's window",
             trace.queue_spill_count
         );
     }
@@ -225,22 +203,17 @@ fn active_adversary_traces_are_pinned() {
         ("RushingForwarder", || Box::new(RushingForwarder::new()), PINNED_RUSHING),
     ];
     for (name, adversary, expected) in cases {
-        for lanes in [1, 2, 3] {
-            let mut scenario = active_scenario();
-            scenario.lanes = lanes;
-            scenario.force_parallel = (lanes > 1).then_some(true);
-            let (trace, _) = scenario.run_cps_trace(adversary());
-            let got = trace_hash(&trace);
-            assert_eq!(
-                got, expected,
-                "{name} lanes={lanes}: trace hash {got:#018x} != pinned {expected:#018x} \
-                 (events={}, messages={}, forgeries_blocked={}, violations={})",
-                trace.events_processed,
-                trace.messages_delivered,
-                trace.forgeries_blocked,
-                trace.violations.len()
-            );
-        }
+        let (trace, _) = active_scenario().run_cps_trace(adversary());
+        let got = trace_hash(&trace);
+        assert_eq!(
+            got, expected,
+            "{name}: trace hash {got:#018x} != pinned {expected:#018x} \
+             (events={}, messages={}, forgeries_blocked={}, violations={})",
+            trace.events_processed,
+            trace.messages_delivered,
+            trace.forgeries_blocked,
+            trace.violations.len()
+        );
     }
 }
 

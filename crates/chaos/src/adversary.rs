@@ -11,9 +11,8 @@
 //! amplification and rushing, exactly the adversary the paper's
 //! signature discipline is built to absorb.
 //!
-//! Everything here is deterministic and runs in the engine's
-//! sequential adversary phase, so sharded replays stay bit-identical to
-//! the single-lane reference.
+//! Everything here is deterministic, so a replay's trace is a function
+//! of its scenario and seed.
 
 use std::sync::Arc;
 

@@ -1,10 +1,8 @@
 //! Continuous invariant checking over a live run.
 //!
 //! [`InvariantChecker`] implements [`RunObserver`], so it rides inside
-//! both executors: the simulator calls it from the sequential event
-//! loop (single-lane) or the reconcile phase (sharded) in identical
-//! event order, the runtime from whichever worker thread produced the
-//! pulse. Every predicate is evaluated **per event**, so a violation
+//! both executors: the simulator calls it from its event loop in event
+//! order, the runtime from whichever worker thread produced the pulse. Every predicate is evaluated **per event**, so a violation
 //! carries the timestamp of the exact pulse that broke the invariant —
 //! not a post-hoc "somewhere in this trace" verdict.
 //!

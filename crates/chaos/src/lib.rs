@@ -22,12 +22,12 @@
 //! * [`ChaosAdversary`] — the Byzantine half of round-flooding on the
 //!   simulator (replay + rushing inside flood windows);
 //! * [`run_scenario`] — one entry point replaying any scenario on any
-//!   [`Executor`]: single-lane sim, sharded sim (bit-identical traces),
-//!   or the wall-clock runtime (identical verdicts).
+//!   [`Executor`]: the simulator (bit-identical traces per seed) or the
+//!   wall-clock runtime (identical verdicts).
 //!
 //! Honest-traffic injection (crash freezes, link cuts, delay storms,
 //! flood duplication) lives in the executors themselves —
-//! `crusader_sim::ChaosTimeline` is enforced by both sim engines and by
+//! `crusader_sim::ChaosTimeline` is enforced by the simulator and by
 //! the runtime's network thread — so this crate only authors timelines
 //! and observes outcomes; it never reaches into engine internals.
 

@@ -1,14 +1,12 @@
 //! Replaying a [`Scenario`] on any executor with continuous checking.
 //!
-//! One scenario file drives three executors: the single-lane reference
-//! simulator, the sharded simulator (any lane count), and the
-//! wall-clock runtime. Every replay runs the recovery-capable
+//! One scenario file drives two executors: the deterministic simulator
+//! and the wall-clock runtime. Every replay runs the recovery-capable
 //! fleet — [`RecoveringNode`] wrapping [`CpsNode`] — so a crash window
 //! ending mid-run triggers the real signed rejoin handshake (resync
 //! request, `f + 1`-signature pulse certificate, fast-forward) instead
 //! of a node resuming on stale state. The simulator path is bit-deterministic
-//! — same scenario, same seed, same trace on every lane count; the
-//! runtime path replays the same fault timeline against the host clock,
+//! — same scenario, same seed, same trace; the runtime path replays the same fault timeline against the host clock,
 //! with the same [`InvariantChecker`] riding along, and must reach the
 //! same *verdict* (clean / violating) even though its timings carry
 //! host jitter.
@@ -30,13 +28,15 @@ use crate::scenario::{Expectation, Scenario};
 /// Which executor replays the scenario.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Executor {
-    /// The deterministic simulator: `lanes == 1` is the single-lane
-    /// reference engine, larger values the sharded executor
-    /// (`force_parallel` overrides its worker-pool heuristic).
+    /// The deterministic simulator.
+    ///
+    /// Both fields are ignored. They are kept only because the repo
+    /// benchmark (`benchmark/src/workloads/sim_chaos.rs`) still names
+    /// them; they go once it stops (ROADMAP, item 1).
     Sim {
-        /// Event lanes.
+        /// Ignored.
         lanes: usize,
-        /// Worker-pool override; `None` keeps the automatic choice.
+        /// Ignored.
         force_parallel: Option<bool>,
     },
     /// The wall-clock runtime.
@@ -49,8 +49,7 @@ pub enum Executor {
 impl std::fmt::Display for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Executor::Sim { lanes: 1, .. } => write!(f, "sim"),
-            Executor::Sim { lanes, .. } => write!(f, "sim/lanes={lanes}"),
+            Executor::Sim { .. } => write!(f, "sim"),
             Executor::Runtime { .. } => write!(f, "runtime"),
         }
     }
@@ -128,10 +127,7 @@ pub fn run_scenario(sc: &Scenario, executor: Executor) -> Outcome {
     );
     let horizon = Time::ZERO + sc.run_for;
     let trace = match executor {
-        Executor::Sim {
-            lanes,
-            force_parallel,
-        } => run_sim(sc, &timeline, &checker, horizon, lanes, force_parallel),
+        Executor::Sim { .. } => run_sim(sc, &timeline, &checker, horizon),
         Executor::Runtime { workers } => run_runtime(sc, &timeline, &checker, workers),
     };
     let verdict = checker.finalize(horizon);
@@ -148,8 +144,6 @@ fn run_sim(
     timeline: &Arc<crusader_sim::ChaosTimeline>,
     checker: &Arc<InvariantChecker>,
     horizon: Time,
-    lanes: usize,
-    force_parallel: Option<bool>,
 ) -> Trace {
     let params = scenario_params(sc);
     let derived = params.derive().unwrap_or_else(|e| {
@@ -160,7 +154,7 @@ fn run_sim(
     } else {
         Box::new(ChaosAdversary::new(Arc::clone(timeline), sc.d - sc.u))
     };
-    let sim = SimBuilder::new(sc.n)
+    SimBuilder::new(sc.n)
         .faulty(sc.faulty.iter().copied())
         .link(sc.d, sc.u)
         .delays(DelayModel::Random)
@@ -172,16 +166,8 @@ fn run_sim(
         .build(
             |me| RecoveringNode::new(CpsNode::new(me, params, derived)),
             adversary,
-        );
-    if lanes > 1 {
-        let mut sharded = sim.sharded(lanes);
-        if let Some(parallel) = force_parallel {
-            sharded.set_parallel(parallel);
-        }
-        sharded.run()
-    } else {
-        sim.run()
-    }
+        )
+        .run()
 }
 
 fn run_runtime(
@@ -237,7 +223,7 @@ mod tests {
     }
 
     #[test]
-    fn calm_scenario_is_clean_and_lane_invariant() {
+    fn calm_scenario_is_clean() {
         let sc = calm(5, 3);
         let single = run_scenario(
             &sc,
@@ -248,18 +234,6 @@ mod tests {
         );
         assert!(single.as_expected(&sc), "{:?}", single.verdict);
         assert!(single.trace.pulses.iter().all(|p| !p.is_empty()));
-        let sharded = run_scenario(
-            &sc,
-            Executor::Sim {
-                lanes: 3,
-                force_parallel: Some(true),
-            },
-        );
-        assert_eq!(single.trace.pulses, sharded.trace.pulses);
-        assert_eq!(
-            single.verdict.violations, sharded.verdict.violations,
-            "continuous checking must agree lane-for-lane"
-        );
     }
 
     #[test]

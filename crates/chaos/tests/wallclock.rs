@@ -1,8 +1,8 @@
 //! Wall-clock executor checks, isolated in their own test binary: cargo
 //! runs test binaries sequentially, so these real-time runs never race
-//! the CPU-saturating sharded-sim tests (a full-mesh CPS round misses
-//! its deadlines when 8 event lanes own every core). Within the
-//! binary, [`GATE`] serializes the tests themselves.
+//! the CPU-heavy simulator tests (a full-mesh CPS round misses its
+//! deadlines when other work owns every core). Within the binary,
+//! [`GATE`] serializes the tests themselves.
 
 use std::sync::{Mutex, MutexGuard};
 

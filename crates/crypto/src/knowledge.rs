@@ -159,25 +159,6 @@ fn fingerprint(salt: u64, bytes: &[u8]) -> u64 {
 /// compact keys (see `ClaimKey` in this module), so the
 /// learn-on-every-faulty-delivery hot path neither clones claim bytes nor
 /// re-hashes them on each probe.
-///
-/// # Sharded engines and deterministic reconciliation
-///
-/// The tracker's operations are order-sensitive only through the *times*
-/// they carry: `learn` keeps the earliest time per claim, and
-/// `knows`/`authorize` compare against a query time. Two disciplines keep
-/// a parallel simulator deterministic:
-///
-/// * **Sequential reconcile (what `crusader_sim::shard` does):** keep one
-///   tracker and touch it only from the phase that replays events in the
-///   global `(at, seq)` order — learns and authorizations then interleave
-///   exactly as in a single-lane run.
-/// * **Lane-partitioned tracking:** give each lane its own tracker for
-///   its deliveries and fold them together at a synchronization barrier
-///   with [`merge`](Self::merge). Because `learn` is a pointwise
-///   earliest-time minimum, the merge is associative and commutative —
-///   the folded tracker is independent of lane order — but authorization
-///   queries must still only happen *after* the barrier that merges every
-///   learn with an earlier timestamp.
 #[derive(Clone, Debug, Default)]
 pub struct KnowledgeTracker {
     corrupted: BTreeSet<NodeId>,
@@ -240,42 +221,6 @@ impl KnowledgeTracker {
         match unknown {
             Some(claim) => Err(KnowledgeError { claim, at }),
             None => Ok(()),
-        }
-    }
-
-    /// Folds another tracker's learned claims into this one, keeping the
-    /// earliest time per claim — the deterministic reconciliation
-    /// primitive for lane-partitioned tracking (see the type docs).
-    ///
-    /// Forward-looking API: the sharded executor currently uses the
-    /// sequential-reconcile discipline and does not call this; it exists
-    /// (and is tested) so a future parallel reconcile can keep per-lane
-    /// trackers without redesigning the type.
-    ///
-    /// Pointwise minimum over claim keys, so merging is associative and
-    /// commutative: folding any permutation of lane trackers yields the
-    /// same result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trackers disagree on the corrupted set — they would
-    /// then disagree on which claims need learning at all.
-    pub fn merge(&mut self, other: &KnowledgeTracker) {
-        assert_eq!(
-            self.corrupted, other.corrupted,
-            "merging trackers from different executions"
-        );
-        for (key, at) in &other.learned {
-            match self.learned.entry(*key) {
-                Entry::Occupied(mut e) => {
-                    if at < e.get() {
-                        e.insert(*at);
-                    }
-                }
-                Entry::Vacant(e) => {
-                    e.insert(*at);
-                }
-            }
         }
     }
 
@@ -367,37 +312,5 @@ mod tests {
     fn empty_message_always_authorized() {
         let tracker = KnowledgeTracker::new(BTreeSet::new());
         assert!(tracker.authorize(&(), Time::ZERO).is_ok());
-    }
-
-    #[test]
-    fn merge_keeps_earliest_time_and_commutes() {
-        let ring = KeyRing::symbolic(3, 0);
-        let shared = claim(&ring, 0, b"both");
-        let only_a = claim(&ring, 1, b"a");
-        let only_b = claim(&ring, 1, b"b");
-        let mut a = KnowledgeTracker::new(BTreeSet::new());
-        a.learn(shared.clone(), Time::from_secs(2.0));
-        a.learn(only_a.clone(), Time::from_secs(1.0));
-        let mut b = KnowledgeTracker::new(BTreeSet::new());
-        b.learn(shared.clone(), Time::from_secs(3.0));
-        b.learn(only_b.clone(), Time::from_secs(4.0));
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        for t in [&ab, &ba] {
-            assert_eq!(t.len(), 3);
-            assert_eq!(t.learned_at(&shared), Some(Time::from_secs(2.0)));
-            assert_eq!(t.learned_at(&only_a), Some(Time::from_secs(1.0)));
-            assert_eq!(t.learned_at(&only_b), Some(Time::from_secs(4.0)));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "different executions")]
-    fn merge_rejects_mismatched_corruption_sets() {
-        let mut a = KnowledgeTracker::new(BTreeSet::new());
-        let b = KnowledgeTracker::new([NodeId::new(1)].into_iter().collect());
-        a.merge(&b);
     }
 }

@@ -1,10 +1,8 @@
 //! The reactor: N node tasks on M worker threads.
 //!
 //! The runtime's one executor multiplexes thousands of [`NodeCore`]
-//! state machines onto a small persistent worker pool — the same
-//! long-lived-workers-fed-by-channels pattern as the sharded
-//! simulator's lane pool (`crates/sim/src/shard.rs`), adapted from
-//! "whole lanes per window" to "one node task per wakeup".
+//! state machines onto a small persistent worker pool of long-lived
+//! threads fed by channels, one node task per wakeup.
 //!
 //! ```text
 //!             ┌─────────────┐ NetCommand: one per quantum,

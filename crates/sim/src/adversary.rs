@@ -59,7 +59,7 @@ pub trait Adversary<M>: Send {
     /// [`KnowledgeTracker`] is unobservable to it, and the engine skips
     /// signature-knowledge bookkeeping as well. Without a chaos timeline
     /// nothing then observes a delivery to a faulty node at all, so the
-    /// single-lane engine does not queue those deliveries either: it counts
+    /// engine does not queue those deliveries either: it counts
     /// them in the trace where the queue would have popped them
     /// ([`Trace::tallied_deliveries`](crate::Trace::tallied_deliveries)).
     ///

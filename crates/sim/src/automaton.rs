@@ -12,18 +12,16 @@ pub use crate::event::{TimerId, TimerSlab};
 ///
 /// Handlers are invoked sequentially per node; an automaton never needs
 /// interior synchronization — every executor guarantees it: the
-/// simulator by construction, the sharded executor by lane ownership,
-/// and the wall-clock runtime by a never-queued-twice scheduling flag
-/// per node task on its reactor's worker pool. Automatons own
-/// their state outright (`'static`): the sharded executor's persistent
-/// worker pool moves whole lanes of them onto long-lived threads, and
-/// the runtime's reactor moves individual node tasks between workers.
+/// simulator by construction, and the wall-clock runtime by a
+/// never-queued-twice scheduling flag per node task on its reactor's
+/// worker pool. Automatons own their state outright (`'static`): the
+/// runtime's reactor moves individual node tasks between workers.
 pub trait Automaton: Send + 'static {
     /// The protocol's message type.
     ///
-    /// Messages are immutable values once sent; `Sync` lets the sharded
-    /// executor ([`Sim::sharded`](crate::Sim::sharded)) share one
-    /// broadcast payload across lanes running on different threads.
+    /// Messages are immutable values once sent; `Sync` lets the
+    /// wall-clock runtime share one broadcast payload across its worker
+    /// threads.
     type Msg: Clone + std::fmt::Debug + CarriesSignatures + Send + Sync + 'static;
 
     /// Called once at time 0 (before any message or timer).
@@ -189,8 +187,8 @@ pub enum Effect<M> {
 }
 
 /// The one [`Context`] every executor runs handlers against: the
-/// simulator, the sharded executor, the wall-clock runtime and the
-/// lower-bound tri-execution engine.
+/// simulator, the wall-clock runtime and the lower-bound tri-execution
+/// engine.
 ///
 /// Reads come from the fields it is built with; everything a handler asks
 /// for is recorded as an [`Effect`] in the executor's buffer, except that

@@ -4,21 +4,18 @@
 //! windows, link cuts (partitions), delay storms and duplication floods —
 //! that both execution stacks consult while a run is in flight:
 //!
-//! * the simulator engines ([`Sim::run`](crate::Sim::run) and the sharded
-//!   executor) query it at event-dispatch and send-scheduling time;
+//! * the simulator ([`Sim::run`](crate::Sim::run)) queries it at
+//!   event-dispatch and send-scheduling time;
 //! * the wall-clock runtime's network thread turns the same schedule into
 //!   freeze/thaw control events, queued in its one time queue and
 //!   delivered in tick order alongside the messages.
 //!
 //! Everything in a timeline is a **pure function of simulated time**:
 //! `down(v, t)`, `cut(from, to, t)` and friends depend only on the
-//! timeline data and the query instant, never on run state. That is what
-//! makes chaos injection compatible with the sharded executor's
-//! deterministic `(at, seq)` merge — lane threads may evaluate the
-//! predicates in parallel at their local event times and still agree,
-//! bit for bit, with the single-lane reference engine. Anything
+//! timeline data and the query instant, never on run state, so a
+//! simulated run with chaos stays a function of its seed. Anything
 //! *stateful* (RNG draws for duplicate delays, trace counters, adversary
-//! callbacks) stays on the sequential reconcile path.
+//! callbacks) happens in the engine's event order.
 //!
 //! Injection semantics, shared by every executor:
 //!
@@ -47,11 +44,10 @@
 //!   with `rush`, the duplicates travel at the minimum legal delay,
 //!   mimicking a rushing forwarder.
 //!
-//! A [`RunObserver`] is the continuous-checking hook: the engines call it
-//! at every pulse and protocol-violation record, from the sequential part
-//! of the executor, so an observer sees the identical ordered stream on
-//! the single-lane and sharded engines. `crusader_chaos` implements it
-//! with a streaming invariant checker.
+//! A [`RunObserver`] is the continuous-checking hook: the executors call
+//! it at every pulse and protocol-violation record, the simulator in
+//! event order. `crusader_chaos` implements it with a streaming invariant
+//! checker.
 
 use crusader_crypto::NodeId;
 use crusader_time::Time;
@@ -346,13 +342,12 @@ impl ChaosTimeline {
     }
 }
 
-/// Continuous run observation: called by the engines, in event order,
-/// from their sequential sections.
+/// Continuous run observation: called by the simulator in event order,
+/// from its one event loop, and by the wall-clock runtime from its
+/// worker threads.
 ///
-/// Methods take `&self` because the sharded executor shares the observer
-/// behind an `Arc`; implementations use interior mutability. Calls are
-/// never concurrent — both executors invoke the observer only from the
-/// single thread that owns the trace.
+/// Methods take `&self` because the observer is shared behind an `Arc`;
+/// implementations use interior mutability.
 pub trait RunObserver: Send + Sync + std::fmt::Debug {
     /// Node `node` emitted pulse `index` at real time `at`.
     fn on_pulse(&self, node: NodeId, index: u64, at: Time);

@@ -13,7 +13,7 @@ use crate::chaos::{ChaosTimeline, RunObserver};
 use crate::event::{EventKey, EventKind, EventQueue, TimerSlab};
 use crate::network::{DelayModel, LinkConfig};
 use crate::trace::Trace;
-use crate::world::{Env, Popped, Post, World};
+use crate::world::{Env, Popped, World};
 
 /// Configures and constructs a [`Sim`].
 ///
@@ -155,10 +155,9 @@ impl SimBuilder {
     }
 
     /// Installs a chaos fault-injection timeline (see
-    /// [`ChaosTimeline`]). Both executors consult it at dispatch and
-    /// send-scheduling time; injection is deterministic under the
-    /// sharded `(at, seq)` merge because every timeline query is a pure
-    /// function of simulated time.
+    /// [`ChaosTimeline`]). The engine consults it at dispatch and
+    /// send-scheduling time; every timeline query is a pure function of
+    /// simulated time, so injection is deterministic.
     ///
     /// # Panics
     ///
@@ -240,7 +239,7 @@ impl SimBuilder {
         };
         Sim {
             world: World {
-                env: Arc::new(env),
+                env,
                 honest: NodeId::all(self.n)
                     .filter(|v| !self.faulty.contains(v))
                     .collect(),
@@ -272,15 +271,15 @@ impl SimBuilder {
     }
 }
 
-/// One stored message in the single-lane engine's arena.
+/// One stored message in the engine's arena.
 #[derive(Debug)]
 struct MessageSlot<M> {
     msg: M,
     /// Handles still outstanding; the slot frees when it reaches zero.
     remaining: u32,
     /// Whether a faulty delivery has already walked this message's
-    /// claims (the flag a sharded [`Payload`](crate::event::Payload)
-    /// keeps, without the atomic).
+    /// claims: every delivery of one message carries the same claims, so
+    /// only the first (earliest) can add knowledge.
     learned: bool,
 }
 
@@ -289,11 +288,9 @@ struct MessageSlot<M> {
 /// its `u32` slot index.
 ///
 /// A broadcast schedules `n` deliveries of one message under a plain
-/// integer refcount, so the single-lane engine pays no atomic operations
-/// per delivery; and since an event holds an index instead of the
-/// message, a queue entry is 32 bytes whatever the message type. The
-/// sharded executor keeps its messages behind an `Arc`: its deliveries
-/// genuinely cross lane threads.
+/// integer refcount, so the engine pays no atomic operations per
+/// delivery; and since an event holds an index instead of the message, a
+/// queue entry is 32 bytes whatever the message type.
 #[derive(Debug)]
 struct MessageArena<M> {
     slots: Vec<Option<MessageSlot<M>>>,
@@ -394,8 +391,11 @@ const TALLY_FOLD_MIN: usize = 1024;
 ///   each pop, so the cap trips on the event it would have tripped on,
 ///   tallied or queued.
 ///
-/// The sharded executor queues these deliveries like any other, so its
-/// traces are the oracle for this one.
+/// The queued path is the oracle: `tallied_deliveries_leave_the_trace_unchanged`
+/// (in the crate's tests) and `crusader_bench`'s
+/// `tallied_cps_deliveries_leave_the_trace_unchanged` (CPS) run each case
+/// again under an adversary that is as silent but not declared passive,
+/// so every delivery is queued, and compare the traces.
 struct Tally {
     /// By node index, whether deliveries to the node are tallied: the
     /// faulty set while tallying is on, empty once the cap has stopped it
@@ -502,19 +502,22 @@ impl Tally {
     }
 }
 
-/// The single-lane engine's [`Post`]: one queue that numbers events in
-/// push order, the arena its `u32` handles index, and the [`Tally`] of
-/// deliveries nobody observes.
-struct Pending<M> {
-    queue: EventQueue<u32>,
+/// Where the [`World`] puts what it schedules: one queue that numbers
+/// events in push order, the message arena its `u32` handles index, and
+/// the [`Tally`] of deliveries nobody observes. Every message — a
+/// broadcast, an honest unicast, an adversary's `SendAs` — enters the
+/// arena through [`share`](Self::share), and its deliveries carry a
+/// handle on it.
+pub(crate) struct Pending<M> {
+    queue: EventQueue,
     messages: MessageArena<M>,
     tally: Tally,
 }
 
-impl<M: Clone> Post<M> for Pending<M> {
-    type Handle = u32;
-
-    fn post(&mut self, at: Time, kind: EventKind<u32>) {
+impl<M: Clone> Pending<M> {
+    /// Schedules `kind` at `at`, after everything already posted for the
+    /// same instant.
+    pub(crate) fn post(&mut self, at: Time, kind: EventKind) {
         match kind {
             EventKind::Deliver { to, msg, .. } if self.tally.takes(to) => {
                 self.drop_payload(msg);
@@ -525,20 +528,28 @@ impl<M: Clone> Post<M> for Pending<M> {
         }
     }
 
-    fn share(&mut self, msg: M, fanout: usize) -> u32 {
+    /// Stores one message for `fanout` deliveries, each of which takes a
+    /// copy of the returned handle.
+    pub(crate) fn share(&mut self, msg: M, fanout: usize) -> u32 {
         self.messages.insert(msg, fanout)
     }
 
-    fn copy_payload(&mut self, &id: &u32) -> u32 {
+    /// A further handle on `id`, for a flood duplicate.
+    pub(crate) fn copy_payload(&mut self, id: u32) -> u32 {
         self.messages.slot(id).remaining += 1;
         id
     }
 
-    fn drop_payload(&mut self, id: u32) {
+    /// Releases a handle that will not reach a handler.
+    pub(crate) fn drop_payload(&mut self, id: u32) {
         self.messages.release(id);
     }
 
-    fn view_payload<'a>(&'a mut self, &id: &'a u32) -> (&'a M, bool) {
+    /// Reads message `id` for a faulty recipient, and whether its claims
+    /// still need learning: every delivery of one message (a broadcast's
+    /// fan-out, a flood's copies) carries the same claims, so only its
+    /// first (earliest) faulty delivery can add knowledge.
+    pub(crate) fn view_payload(&mut self, id: u32) -> (&M, bool) {
         let slot = self.messages.slot(id);
         let learn = !std::mem::replace(&mut slot.learned, true);
         (&slot.msg, learn)
@@ -571,23 +582,11 @@ impl<A: Automaton> Sim<A> {
         &self.world.env.clocks
     }
 
-    /// Converts this simulation into the sharded executor with `lanes`
-    /// per-node event lanes (see [`ShardedSim`](crate::ShardedSim)).
-    ///
-    /// The sharded executor produces the *same trace, bit for bit*, as
-    /// [`Sim::run`] would — lanes advance in parallel only up to the
-    /// conservative lookahead horizon `d − ũ`, and all globally ordered
-    /// state (RNG, sequence numbers, the adversary, the knowledge tracker)
-    /// is touched in a sequential reconcile that runs the single-lane
-    /// step in the single-lane order. Use it for large `n`, where one
-    /// event loop serializes every delivery.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes == 0`.
+    /// Wraps this simulation in the [`ShardedSim`] shim; `lanes` is
+    /// ignored.
     #[must_use]
-    pub fn sharded(self, lanes: usize) -> crate::shard::ShardedSim<A> {
-        crate::shard::ShardedSim::new(self, lanes)
+    pub fn sharded(self, _lanes: usize) -> ShardedSim<A> {
+        ShardedSim(self)
     }
 
     /// Runs the simulation to completion and returns the trace.
@@ -654,7 +653,7 @@ impl<A: Automaton> Sim<A> {
     fn run_call(&mut self, v: NodeId, call: Call<A::Msg>) {
         let mut effects = std::mem::take(&mut self.node_effects);
         debug_assert!(effects.is_empty(), "pooled node buffer not drained");
-        let env = &*self.world.env;
+        let env = &self.world.env;
         let node = self.nodes[v.index()].as_mut().expect("honest node present");
         call.run(
             node,
@@ -668,5 +667,36 @@ impl<A: Automaton> Sim<A> {
             }
         }
         self.node_effects = effects;
+    }
+}
+
+/// What used to be the sharded executor, now [`Sim::run`] under its old
+/// names.
+///
+/// This type, [`Sim::sharded`] and [`MailboxStats`] are kept only because
+/// the repo benchmark (`benchmark/src/workloads/sim_cps.rs`,
+/// `benchmark/src/layers.rs`) still names them; they go once it stops
+/// (ROADMAP, item 1).
+pub struct ShardedSim<A: Automaton>(Sim<A>);
+
+/// Always zero: [`ShardedSim`] posts to no mailbox.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MailboxStats {
+    /// Always zero.
+    pub posted: u64,
+}
+
+impl<A: Automaton> ShardedSim<A> {
+    /// Does nothing.
+    pub fn set_parallel(&mut self, _parallel: bool) {}
+
+    /// [`Sim::run`].
+    pub fn run(self) -> Trace {
+        self.0.run()
+    }
+
+    /// [`Sim::run`], with zeroed [`MailboxStats`].
+    pub fn run_with_stats(self) -> (Trace, MailboxStats) {
+        (self.0.run(), MailboxStats::default())
     }
 }

@@ -7,10 +7,10 @@
 //! * **A queue entry carries its event, and the event is small.** Every
 //!   part of the queue holds one [`Entry`]: the packed `(at, seq)`
 //!   [`EventKey`] and the [`EventKind`]. A message is not in the entry:
-//!   it lives in its executor's store (`Sim::run`'s message arena, the
-//!   sharded executor's `Arc`s) and the event carries a handle on it, so
-//!   an entry is 32 bytes whatever the message type, and a pop takes the
-//!   next entry of the claimed run with no lookup elsewhere.
+//!   it lives in `Sim::run`'s message arena and the event carries a `u32`
+//!   handle on it, so an entry is 32 bytes whatever the message type, and
+//!   a pop takes the next entry of the claimed run with no lookup
+//!   elsewhere.
 //! * **The workload is near-sorted, so the queue is a sliding bucket
 //!   window, not a heap.** Every message delay falls in the bounded
 //!   window `[d−u, d]` (the paper's model), so nearly every push lands
@@ -28,7 +28,7 @@
 //!   window slides it down instead. Pop order is *exactly* `(at, seq)` —
 //!   the bucket index is a monotone function of `at`, and every pop
 //!   compares the run's next entry with the heap top — which the pinned
-//!   trace hashes and the sharded engine's merge depend on.
+//!   trace hashes depend on.
 //! * **Buffer capacity follows what is pending, not what once was.** A
 //!   ring bucket keeps its buffer only until it is claimed: the claim
 //!   takes the buffer as the new run, and the spent run's buffer becomes
@@ -48,8 +48,6 @@
 use std::cmp::{self, Reverse};
 use std::collections::BinaryHeap;
 use std::mem;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use crusader_crypto::NodeId;
 use crusader_time::{Dur, Time};
@@ -77,88 +75,19 @@ impl TimerId {
     }
 }
 
-/// The sharded executor's message handle: one message shared by every
-/// pending delivery of it (one `Arc` instead of a deep clone per
-/// delivery). Its deliveries cross lane threads, which is what the `Arc`
-/// is for; [`Sim::run`](crate::Sim::run) keeps its messages in a
-/// single-threaded arena and queues `u32` indices instead.
-pub(crate) type Payload<M> = Arc<SharedPayload<M>>;
-
-/// One message behind a [`Payload`], plus its knowledge-learning state.
-#[derive(Debug)]
-pub(crate) struct SharedPayload<M> {
-    pub msg: M,
-    /// Set once the first faulty delivery has recorded this payload's
-    /// claims. Every delivery of one payload — a broadcast's fan-out, a
-    /// flood's copies — carries the *same* claims, and
-    /// [`KnowledgeTracker::learn`] keeps the earliest time per claim, so
-    /// every delivery after the first (which, in pop order, is the
-    /// earliest) would be a no-op; the flag lets the engine skip the
-    /// claim walk instead of rediscovering that per delivery.
-    ///
-    /// [`KnowledgeTracker::learn`]: crusader_crypto::KnowledgeTracker::learn
-    adversary_learned: AtomicBool,
-}
-
-impl<M> SharedPayload<M> {
-    /// Wraps a message for sharing.
-    pub fn new(msg: M) -> Payload<M> {
-        Arc::new(SharedPayload {
-            msg,
-            adversary_learned: AtomicBool::new(false),
-        })
-    }
-
-    /// Whether the adversary's knowledge tracker still needs to see this
-    /// payload's claims; flips the first-delivery flag.
-    ///
-    /// (The reconcile is single-threaded; the atomic exists only to keep
-    /// the shared payload `Sync`. A plain load + store avoids the locked
-    /// read-modify-write a `swap` would emit.)
-    #[inline]
-    pub fn needs_learning(&self) -> bool {
-        if self.adversary_learned.load(Ordering::Relaxed) {
-            false
-        } else {
-            self.adversary_learned.store(true, Ordering::Relaxed);
-            true
-        }
-    }
-}
-
-impl<M: Clone> SharedPayload<M> {
-    /// Extracts the message, cloning only if other deliveries still share
-    /// it (the last delivery unwraps for free).
-    #[inline]
-    pub fn into_owned(self: Payload<M>) -> M {
-        // Probe the refcount before `try_unwrap`: the non-last deliveries
-        // of a broadcast (the common case) then pay a relaxed load instead
-        // of a failed compare-exchange.
-        if Arc::strong_count(&self) > 1 {
-            return self.msg.clone();
-        }
-        match Arc::try_unwrap(self) {
-            Ok(inner) => inner.msg,
-            Err(arc) => arc.msg.clone(),
-        }
-    }
-}
-
-/// What happens when an event fires. `H` is the executor's message
-/// handle (see [`Post`](crate::world::Post)): a `u32` arena index for
-/// [`Sim::run`](crate::Sim::run), a [`Payload`] for the sharded executor.
-/// Either way the message itself lives in the executor's store, so an
-/// [`Entry`] is 32 bytes whatever the message type.
+/// What happens when an event fires. A delivery carries a `u32` handle
+/// on its message in [`Sim::run`](crate::Sim::run)'s message arena, not
+/// the message, so an [`Entry`] is 32 bytes whatever the message type.
 #[derive(Clone, Debug)]
-pub(crate) enum EventKind<H> {
+pub(crate) enum EventKind {
     /// A message is delivered to `to`.
     Deliver {
         /// Channel-authenticated sender.
         from: NodeId,
         /// Recipient.
         to: NodeId,
-        /// Handle on the message.
-        msg: H,
+        /// Arena handle on the message.
+        msg: u32,
     },
     /// An honest node's local-time timer fires.
     Timer { node: NodeId, id: TimerId },
@@ -166,37 +95,32 @@ pub(crate) enum EventKind<H> {
     AdvTimer { key: u64 },
     /// A crashed node comes back up: run its
     /// [`Automaton::on_recover`](crate::Automaton::on_recover) hook.
-    /// Scheduled at init time, one per recovery in the chaos timeline
-    /// (identically in both engines, so seqs — and therefore sharded
-    /// traces — stay bit-identical), which also places it *before* any
-    /// timer deferred to the same recovery instant.
+    /// Scheduled at init time, one per recovery in the chaos timeline,
+    /// which places it *before* any timer deferred to the same recovery
+    /// instant.
     Recover { node: NodeId },
 }
 
 /// A popped event: its kind rejoined with its firing time.
 #[derive(Debug)]
-pub(crate) struct Event<H> {
+pub(crate) struct Event {
     pub at: Time,
-    pub kind: EventKind<H>,
+    pub kind: EventKind,
 }
 
 /// The global total order of the simulation: `(at, seq)` packed into one
 /// `u128`, so the entire comparison — ties broken by insertion order,
 /// making the whole simulation deterministic — is a single integer
-/// compare, and keys taken from *different* per-lane queues order
-/// identically to entries inside one queue. This is the merge token of
-/// the sharded engine ([`crate::shard`]): every recorded effect carries
-/// its source event's key, and the reconcile phase replays records in
-/// ascending key order.
+/// compare. [`Sim::run`](crate::Sim::run)'s delivery tally keeps these
+/// keys for the deliveries it counts instead of queueing.
 ///
 /// Layout, most significant first: 64 bits of `at` as IEEE-754 bits
 /// (simulation times are finite and non-negative, and non-negative
 /// doubles order identically to their bit patterns), then [`SEQ_BITS`]
 /// bits of `seq` at the top of the low word. That caps a run at 2³⁶ ≈
 /// 68 G events (the default `max_events` cap is 50 M, three orders of
-/// magnitude below); `push` asserts it rather than silently corrupting
-/// order, and the sharded executor carves its provisional numbers from
-/// the top half of that space.
+/// magnitude below); `take_seq` asserts it rather than silently
+/// corrupting order.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub(crate) struct EventKey(u128);
 
@@ -219,44 +143,36 @@ impl EventKey {
         #[allow(clippy::cast_possible_truncation)]
         Time::from_secs(f64::from_bits((self.0 >> 64) as u64))
     }
-
-    #[inline]
-    pub fn seq(self) -> u64 {
-        #[allow(clippy::cast_possible_truncation)]
-        {
-            (self.0 as u64) >> SEQ_SHIFT
-        }
-    }
 }
 
 /// One queued event: its key and what it does. The run, every ring
 /// bucket and the heap all hold these.
 #[derive(Debug)]
-struct Entry<H> {
+struct Entry {
     key: EventKey,
-    kind: EventKind<H>,
+    kind: EventKind,
 }
 
 /// A heap element: an [`Entry`] ordered by its key alone, reversed, so
 /// the max-heap [`BinaryHeap`] pops the earliest key first.
 #[derive(Debug)]
-struct Earliest<H>(Entry<H>);
+struct Earliest(Entry);
 
-impl<H> PartialEq for Earliest<H> {
+impl PartialEq for Earliest {
     fn eq(&self, other: &Self) -> bool {
         self.0.key == other.0.key
     }
 }
 
-impl<H> Eq for Earliest<H> {}
+impl Eq for Earliest {}
 
-impl<H> PartialOrd for Earliest<H> {
+impl PartialOrd for Earliest {
     fn partial_cmp(&self, other: &Self) -> Option<cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<H> Ord for Earliest<H> {
+impl Ord for Earliest {
     fn cmp(&self, other: &Self) -> cmp::Ordering {
         other.0.key.cmp(&self.0.key)
     }
@@ -297,9 +213,7 @@ const BUCKETS_PER_HORIZON: f64 = 8.0;
 ///    bucket, so the traffic it causes lands on the ring.
 ///
 /// A push below `lo` anywhere else — a crash scenario's traffic after
-/// its far `Recover` events, a sharded lane that claimed its next-pulse
-/// timer before the reconcile posted the round's deliveries — slides the
-/// window *down* to it ([`lower`](Self::lower)), so that push and the
+/// its far `Recover` events — slides the window *down* to it ([`lower`](Self::lower)), so that push and the
 /// rest of its burst take O(1) ring appends.
 ///
 /// **Order is exactly `(at, seq)`, always.** The bucket index is a
@@ -313,19 +227,19 @@ const BUCKETS_PER_HORIZON: f64 = 8.0;
 /// pinned trace hashes in `crates/bench/tests/determinism.rs` pin it
 /// end-to-end.
 #[derive(Debug)]
-pub(crate) struct EventQueue<H> {
+pub(crate) struct EventQueue {
     /// The claimed run, sorted descending: the next entry is the last.
-    run: Vec<Entry<H>>,
+    run: Vec<Entry>,
     /// The ring: bucket index `i` lives at slot `i % RING_BUCKETS`.
-    buckets: Vec<Vec<Entry<H>>>,
+    buckets: Vec<Vec<Entry>>,
     /// Occupancy bitmap over the ring (bit = slot non-empty), so claiming
     /// the next bucket is a couple of `trailing_zeros`, not a scan.
     occupied: [u64; RING_BUCKETS / 64],
     /// The last spent run's buffer, empty, for the next push into a ring
     /// slot that has no buffer.
-    spare: Vec<Entry<H>>,
+    spare: Vec<Entry>,
     /// Everything outside the window.
-    heap: BinaryHeap<Earliest<H>>,
+    heap: BinaryHeap<Earliest>,
     /// Reciprocal bucket width (s⁻¹); fixed at construction.
     inv_width: f64,
     /// Lowest bucket index the ring holds; the run's bucket is `lo − 1`.
@@ -337,7 +251,7 @@ pub(crate) struct EventQueue<H> {
     next_seq: u64,
 }
 
-impl<H> EventQueue<H> {
+impl EventQueue {
     /// A queue with the default bucket width (tuned for `d = 1 ms`, the
     /// [`SimBuilder`](crate::SimBuilder) default). Production paths pass
     /// the real link delay via [`with_delay_hint`](Self::with_delay_hint);
@@ -345,16 +259,6 @@ impl<H> EventQueue<H> {
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn new() -> Self {
         Self::with_delay_hint(Dur::from_millis(1.0))
-    }
-
-    /// An allocation-free stand-in for a queue that will never be used —
-    /// the value a dispatched lane leaves behind while it is out on a
-    /// worker thread. The ring is empty, so debug builds panic on any
-    /// push (see the `debug_assert` in
-    /// [`push_with_seq`](Self::push_with_seq)); the sharded engine swaps
-    /// the real lane back before any queue operation can happen.
-    pub fn placeholder() -> Self {
-        Self::with_ring(Vec::new(), 1.0)
     }
 
     /// A queue whose ring is sized for a maximum message delay of `d`:
@@ -367,13 +271,9 @@ impl<H> EventQueue<H> {
         } else {
             BUCKETS_PER_HORIZON / 1e-3
         };
-        Self::with_ring((0..RING_BUCKETS).map(|_| Vec::new()).collect(), inv_width)
-    }
-
-    fn with_ring(buckets: Vec<Vec<Entry<H>>>, inv_width: f64) -> Self {
         EventQueue {
             run: Vec::new(),
-            buckets,
+            buckets: (0..RING_BUCKETS).map(|_| Vec::new()).collect(),
             occupied: [0; RING_BUCKETS / 64],
             spare: Vec::new(),
             heap: BinaryHeap::new(),
@@ -397,34 +297,10 @@ impl<H> EventQueue<H> {
         idx.min(u64::MAX - RING_BUCKETS as u64 - 2)
     }
 
-    pub fn push(&mut self, at: Time, kind: EventKind<H>) {
+    /// Queues `kind` at `at`, after everything already pushed for the
+    /// same instant.
+    pub fn push(&mut self, at: Time, kind: EventKind) {
         let seq = self.take_seq();
-        self.push_with_seq(at, seq, kind);
-    }
-
-    /// Takes the next number of [`push`](Self::push)'s sequence without
-    /// queueing anything, for an event the caller accounts for itself:
-    /// the events pushed after it keep the numbers they would have had.
-    pub fn take_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        assert!(seq < SEQ_LIMIT, "more than 2^36 events scheduled");
-        self.next_seq += 1;
-        seq
-    }
-
-    /// [`push`](Self::push) with an externally assigned sequence number.
-    ///
-    /// The sharded engine allocates sequence numbers centrally (its
-    /// reconcile phase replays pushes in the single-lane engine's order)
-    /// and routes each event into the destination node's lane-local queue;
-    /// this entry point bypasses the queue's own counter so `(at, seq)`
-    /// keys stay globally unique and globally ordered across lanes.
-    pub fn push_with_seq(&mut self, at: Time, seq: u64, kind: EventKind<H>) {
-        debug_assert!(
-            !self.buckets.is_empty(),
-            "push into a placeholder queue (see EventQueue::placeholder)"
-        );
-        assert!(seq < SEQ_LIMIT, "more than 2^36 events scheduled");
         let entry = Entry {
             key: EventKey::new(at, seq),
             kind,
@@ -448,10 +324,20 @@ impl<H> EventQueue<H> {
         self.file(idx, entry);
     }
 
+    /// Takes the next number of [`push`](Self::push)'s sequence without
+    /// queueing anything, for an event the caller accounts for itself:
+    /// the events pushed after it keep the numbers they would have had.
+    pub fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        assert!(seq < SEQ_LIMIT, "more than 2^36 events scheduled");
+        self.next_seq += 1;
+        seq
+    }
+
     /// Appends an entry whose index lies in the window to its ring slot,
     /// giving the slot the spare buffer if it has none.
     #[inline]
-    fn file(&mut self, idx: u64, entry: Entry<H>) {
+    fn file(&mut self, idx: u64, entry: Entry) {
         let slot = (idx % RING_BUCKETS as u64) as usize;
         let bucket = &mut self.buckets[slot];
         if bucket.capacity() == 0 {
@@ -497,9 +383,9 @@ impl<H> EventQueue<H> {
 
     /// Claims the lowest occupied ring bucket, if any, as the new run
     /// and slides the window past it; called when the run is spent. Lazy
-    /// — the ring only advances when someone asks for the front — so the
-    /// sharded reconcile's pushes between a lane's last pop and its next
-    /// peek land on the ring, not behind a prematurely claimed run.
+    /// — the ring only advances when a pop asks for the front — so the
+    /// pushes a handler makes after the last pop of a run land on the
+    /// ring, not behind a prematurely claimed run.
     fn claim(&mut self) {
         let from = (self.lo % RING_BUCKETS as u64) as usize;
         let Some(slot) = self.first_occupied_from(from) else {
@@ -531,19 +417,8 @@ impl<H> EventQueue<H> {
         }
     }
 
-    /// The `(at, seq)` key of the next event, without popping it. Drives
-    /// the sharded engine's window computation and in-window pop loop.
-    /// (`&mut`: may lazily claim the next ring bucket.)
-    pub fn peek_key(&mut self) -> Option<EventKey> {
-        if self.next_from_heap()? {
-            self.heap.peek().map(|top| top.0.key)
-        } else {
-            self.run.last().map(|e| e.key)
-        }
-    }
-
     /// Pops the next event together with its global-order key.
-    pub fn pop_keyed(&mut self) -> Option<(EventKey, Event<H>)> {
+    pub fn pop_keyed(&mut self) -> Option<(EventKey, Event)> {
         let entry = if self.next_from_heap()? {
             let Earliest(entry) = self.heap.pop()?;
             if self.run.is_empty() {
@@ -562,7 +437,7 @@ impl<H> EventQueue<H> {
     }
 
     #[cfg_attr(not(test), allow(dead_code))]
-    pub fn pop(&mut self) -> Option<Event<H>> {
+    pub fn pop(&mut self) -> Option<Event> {
         self.pop_keyed().map(|(_, event)| event)
     }
 
@@ -625,17 +500,6 @@ impl<H> EventQueue<H> {
         self.len() == 0
     }
 
-    /// Number of `Deliver` events currently pending — the sharded engine's
-    /// mailbox-conservation diagnostics count undelivered messages here.
-    pub fn pending_deliveries(&self) -> usize {
-        self.run
-            .iter()
-            .chain(self.buckets.iter().flatten())
-            .chain(self.heap.iter().map(|e| &e.0))
-            .filter(|e| matches!(e.kind, EventKind::Deliver { .. }))
-            .count()
-    }
-
     /// Asserts the partition the pop order rests on: a run sorted
     /// descending in bucket `lo − 1`, every ring entry in its own slot
     /// inside the window `[lo, lo + RING_BUCKETS)`, the occupancy bits in
@@ -695,8 +559,7 @@ impl<H> EventQueue<H> {
 ///
 /// A [`NodeCtx`](crate::NodeCtx) arms ids in its executor's slab, and
 /// the executor fires or cancels them: [`Sim::run`](crate::Sim::run)
-/// keeps one slab for the run, the sharded executor one per lane, and
-/// the wall-clock runtime and the tri-execution engine one per node.
+/// keeps one slab for the run, and the wall-clock runtime and the tri-execution engine one per node.
 #[derive(Debug, Default)]
 pub struct TimerSlab {
     slots: Vec<TimerSlot>,
@@ -813,7 +676,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q: EventQueue<()> = EventQueue::new();
+        let mut q: EventQueue = EventQueue::new();
         q.push(Time::from_secs(2.0), EventKind::AdvTimer { key: 2 });
         q.push(Time::from_secs(1.0), EventKind::AdvTimer { key: 1 });
         q.push(Time::from_secs(3.0), EventKind::AdvTimer { key: 3 });
@@ -825,7 +688,7 @@ mod tests {
 
     #[test]
     fn ties_break_by_insertion_order() {
-        let mut q: EventQueue<()> = EventQueue::new();
+        let mut q: EventQueue = EventQueue::new();
         let t = Time::from_secs(1.0);
         for key in 0..5 {
             q.push(t, EventKind::AdvTimer { key });
@@ -841,7 +704,7 @@ mod tests {
 
     #[test]
     fn len_and_empty() {
-        let mut q: EventQueue<()> = EventQueue::new();
+        let mut q: EventQueue = EventQueue::new();
         assert!(q.is_empty());
         q.push(Time::ZERO, EventKind::AdvTimer { key: 0 });
         assert_eq!(q.len(), 1);
@@ -857,7 +720,7 @@ mod tests {
     fn retained_capacity_stays_near_one_burst() {
         const BURST: usize = 4096;
         let width = 1e-3 / BUCKETS_PER_HORIZON; // the default delay hint
-        let mut q: EventQueue<()> = EventQueue::new();
+        let mut q: EventQueue = EventQueue::new();
         let mut worst = 0;
         for round in 0..256u32 {
             let base = (f64::from(round) + 0.25) * width;
@@ -878,31 +741,11 @@ mod tests {
         );
     }
 
-    #[test]
-    fn shared_payload_unwraps_or_clones() {
-        let a = SharedPayload::new(vec![1u8, 2]);
-        let b = a.clone();
-        assert_eq!(a.msg, vec![1, 2]);
-        assert_eq!(a.into_owned(), vec![1, 2]); // clones (b still shares)
-        assert_eq!(b.into_owned(), vec![1, 2]); // last ref: unwraps
-    }
-
-    #[test]
-    fn shared_payload_learns_exactly_once() {
-        let a = SharedPayload::new(());
-        let b = a.clone();
-        assert!(a.needs_learning(), "first faulty delivery learns");
-        assert!(!b.needs_learning(), "second delivery of the same payload skips");
-        assert!(!a.needs_learning());
-    }
-
-    /// An entry holds a handle, never the message: its size is fixed for
-    /// both executors' handles, however large the message.
+    /// An entry holds an arena handle, never the message, so its size
+    /// does not depend on the message type.
     #[test]
     fn entry_is_thirty_two_bytes_for_every_handle() {
-        type Big = [u8; 256];
-        assert_eq!(std::mem::size_of::<Entry<u32>>(), 32);
-        assert_eq!(std::mem::size_of::<Entry<Payload<Big>>>(), 32);
+        assert_eq!(std::mem::size_of::<Entry>(), 32);
     }
 
     #[test]
@@ -944,7 +787,7 @@ mod tests {
     #[test]
     fn far_future_events_spill_and_return_in_order() {
         let d = Dur::from_millis(1.0);
-        let mut q: EventQueue<()> = EventQueue::with_delay_hint(d);
+        let mut q: EventQueue = EventQueue::with_delay_hint(d);
         // One event near zero, then three far past the 16 d window.
         q.push(Time::from_millis(0.5), EventKind::AdvTimer { key: 0 });
         q.push(Time::from_millis(500.0), EventKind::AdvTimer { key: 2 });
@@ -963,7 +806,7 @@ mod tests {
 
     #[test]
     fn horizon_rollover_slides_the_window() {
-        let mut q: EventQueue<()> = EventQueue::new();
+        let mut q: EventQueue = EventQueue::new();
         for round in 0..50u64 {
             // Each round sits ~1000 bucket widths past the previous one,
             // far beyond the 128-bucket ring: the window must follow the
@@ -985,7 +828,7 @@ mod tests {
         // An adversarial push *earlier* than everything already popped
         // must still come out before later-dated entries (it slides the
         // window down to itself).
-        let mut q: EventQueue<()> = EventQueue::new();
+        let mut q: EventQueue = EventQueue::new();
         q.push(Time::from_secs(1.0), EventKind::AdvTimer { key: 10 });
         q.push(Time::from_secs(1.001), EventKind::AdvTimer { key: 11 });
         assert_eq!(q.pop().unwrap().at, Time::from_secs(1.0));
@@ -1007,11 +850,11 @@ mod tests {
 
         let d = 1e-3; // the default delay hint: buckets are d / 8 wide
         let sentinel_at = 10_000.0 * d / BUCKETS_PER_HORIZON;
-        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut q: EventQueue = EventQueue::new();
         let mut oracle: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut push =
-            |q: &mut EventQueue<u64>, oracle: &mut BinaryHeap<Reverse<(u64, u64)>>, at: f64| {
+            |q: &mut EventQueue, oracle: &mut BinaryHeap<Reverse<(u64, u64)>>, at: f64| {
                 q.push(Time::from_secs(at), EventKind::AdvTimer { key: seq });
                 oracle.push(Reverse((at.to_bits(), seq)));
                 seq += 1;
@@ -1074,11 +917,11 @@ mod tests {
         use std::collections::BinaryHeap;
 
         let d = 1e-3; // the default delay hint
-        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut q: EventQueue = EventQueue::new();
         let mut oracle: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut push =
-            |q: &mut EventQueue<u64>, oracle: &mut BinaryHeap<Reverse<(u64, u64)>>, at: f64| {
+            |q: &mut EventQueue, oracle: &mut BinaryHeap<Reverse<(u64, u64)>>, at: f64| {
                 q.push(Time::from_secs(at), EventKind::AdvTimer { key: seq });
                 oracle.push(Reverse((at.to_bits(), seq)));
                 seq += 1;
@@ -1122,7 +965,7 @@ mod tests {
             // stand-in has no tuple strategies. Low bit: push; rest: time.
             ops in proptest::collection::vec(0u16..100, 1..200)
         ) {
-            let mut q: EventQueue<u64> = EventQueue::new();
+            let mut q: EventQueue = EventQueue::new();
             let mut next_key = 0u64;
             // Model: keys in `(at, insertion)` order, as a sorted list.
             let mut model: Vec<(u16, u64)> = Vec::new();
@@ -1195,8 +1038,7 @@ mod tests {
         /// window, horizon rollovers that leave the ring empty, a first
         /// push ≥ 1 000 buckets ahead of everything that follows (the
         /// `Recover`-first shape), and drains down to the heap followed
-        /// by nearer pushes (the dry sharded lane), both of which slide
-        /// the window down. The `(at, seq)` pop sequences must be
+        /// by nearer pushes, both of which slide the window down. The `(at, seq)` pop sequences must be
         /// identical.
         #[test]
         fn prop_ladder_matches_heap_oracle(
@@ -1206,11 +1048,11 @@ mod tests {
             use std::collections::BinaryHeap;
 
             let d = 1e-3; // matches the default delay hint
-            let mut q: EventQueue<u64> = EventQueue::new();
+            let mut q: EventQueue = EventQueue::new();
             let mut oracle: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
             let mut next_seq = 0u64;
             let mut now = 0.0f64; // real time of the latest pop
-            let push = |q: &mut EventQueue<u64>,
+            let push = |q: &mut EventQueue,
                             oracle: &mut BinaryHeap<Reverse<(u64, u64)>>,
                             seq: &mut u64,
                             at: f64| {
@@ -1218,7 +1060,7 @@ mod tests {
                 oracle.push(Reverse((at.to_bits(), *seq)));
                 *seq += 1;
             };
-            let pop_and_compare = |q: &mut EventQueue<u64>,
+            let pop_and_compare = |q: &mut EventQueue,
                                        oracle: &mut BinaryHeap<Reverse<(u64, u64)>>,
                                        now: &mut f64| {
                 let got = q.pop();
@@ -1247,14 +1089,13 @@ mod tests {
             for op in ops {
                 let magnitude = f64::from(op >> 3);
                 match op % 8 {
-                    // Drain to the heap, let a peek look at its (far)
-                    // minimum, then undercut it with bounded-delay
-                    // traffic from the pop frontier.
+                    // Drain to the heap, then undercut its (far)
+                    // minimum with bounded-delay traffic from the pop
+                    // frontier.
                     7 if (op >> 3) % 8 == 0 => {
                         while q.len() > q.heap.len() {
                             pop_and_compare(&mut q, &mut oracle, &mut now);
                         }
-                        let _ = q.peek_key();
                         for k in 0..3 {
                             let delay = d - f64::from(k) * (d / 30.0);
                             push(&mut q, &mut oracle, &mut next_seq, now + delay);

@@ -39,9 +39,8 @@
 //!   ring slot ever saw;
 //! * node and adversary effect buffers are pooled in the [`Sim`] and
 //!   drained in place (one allocation per run, not per event);
-//! * every message is stored once, outside the queue (an integer-refcounted
-//!   arena in [`Sim`], an `Arc` in [`ShardedSim`]), and events carry a
-//!   handle on it: a broadcast fans out as `n` handles, not `n` deep
+//! * every message is stored once, outside the queue, in an
+//!   integer-refcounted arena, and events carry a `u32` handle on it: a broadcast fans out as `n` handles, not `n` deep
 //!   clones, and a message's signature claims are learned by the
 //!   knowledge tracker only on its first faulty delivery (later copies
 //!   cannot add knowledge);
@@ -56,20 +55,17 @@
 //!   node is observable only as two counts, so [`Sim::run`] does not
 //!   queue it: it keeps the delivery's `(at, seq)` key and counts it
 //!   where the queue would have popped it, exactly under every stop rule
-//!   ([`Trace::tallied_deliveries`] reports how many). The sharded
-//!   executor queues these deliveries, so its traces check the shortcut.
+//!   ([`Trace::tallied_deliveries`] reports how many). The crate test
+//!   `tallied_deliveries_leave_the_trace_unchanged` and
+//!   `crusader_bench`'s `tallied_cps_deliveries_leave_the_trace_unchanged`
+//!   check the shortcut against the queued path.
 //!
-//! For large `n` — where one event loop serializes every delivery — the
-//! engine shards into per-node event lanes with a deterministic merge:
-//! [`Sim::sharded`] splits the run across lane-local queues that advance
-//! (in parallel, when the host has the cores) up to a conservative
-//! lookahead horizon `d − ũ`, recording into fixed-order mailboxes. Both
-//! executors share one step: every operation on the globally ordered
-//! state (delay draws, adversary callbacks and their knowledge gate,
-//! chaos hooks, trace and observer records) is defined once, and the
-//! sharded reconcile calls it in merged `(at, seq)` order, so every
-//! pinned trace hash is bit-for-bit identical on both. See [`shard`] for
-//! the design and its proof sketch.
+//! There is one engine, and every event happens in one global `(at, seq)`
+//! order, as in the paper's model. A sharded executor that ran per-node
+//! lanes in parallel up to a lookahead horizon reproduced the same traces
+//! but not a speedup: at n = 256 on two cores it took about twice the
+//! wall time of [`Sim::run`]. Independent runs parallelize instead.
+//! ([`ShardedSim`] remains only as a name the repo benchmark calls.)
 //!
 //! The engine's deterministic counts (events, messages, spills, splices)
 //! are committed in `BENCH_cps.json` at the repo root and compared byte
@@ -120,15 +116,13 @@ mod world;
 
 pub mod chaos;
 pub mod metrics;
-pub mod shard;
 pub mod synchronous;
 
 pub use adversary::{Adversary, AdversaryApi, SilentAdversary};
 pub use automaton::{Automaton, Call, Context, Effect, NodeCtx, TimerId, TimerSlab};
 pub use chaos::{ChaosTimeline, FloodSpec, RunObserver};
-pub use engine::{Sim, SimBuilder};
+pub use engine::{MailboxStats, ShardedSim, Sim, SimBuilder};
 pub use network::{DelayModel, LinkConfig};
-pub use shard::{MailboxStats, ShardedSim};
 pub use trace::{Trace, BLOCKED_FORGERY_PREFIX};
 
 #[cfg(test)]

@@ -36,17 +36,13 @@ pub struct Trace {
     /// with protocol fan-out (timers outstanding per node), *not* with run
     /// length; the regression test in `engine.rs` pins that property.
     ///
-    /// Under the sharded executor ([`crate::ShardedSim`]) this is the
-    /// *sum* of the per-lane slab high-waters — still a valid bound on
-    /// total slab memory, but an upper estimate of the single-lane value
-    /// (lanes cannot observe each other's concurrent occupancy), and one
-    /// of the three fields of this struct that are not bit-identical
-    /// across the two executors (the others are [`queue_spill_count`] and
-    /// [`queue_splice_count`]). It is deliberately excluded from the
-    /// determinism trace hash for that reason.
+    /// Like the queue counters and [`tallied_deliveries`] below, it
+    /// describes how the engine stored the execution, not the execution,
+    /// so the determinism trace hash leaves it out: the pinned hashes
+    /// were recorded without these four fields, and an engine change that
+    /// keeps every event in place may move them.
     ///
-    /// [`queue_spill_count`]: Self::queue_spill_count
-    /// [`queue_splice_count`]: Self::queue_splice_count
+    /// [`tallied_deliveries`]: Self::tallied_deliveries
     pub timer_slots_high_water: u64,
     /// Entries the event queue sent past its bucket window to its heap
     /// (see `crusader_sim`'s engine internals: a 128-bucket ring covers
@@ -60,14 +56,12 @@ pub struct Trace {
     ///
     /// Two kinds of entry are counted, once each: pushes past the window,
     /// and already-queued entries that a push *below* the window (traffic
-    /// under a far `Recover` event or under a lane's next-pulse timer)
-    /// moved to the heap when it slid the window down to itself.
+    /// under a far `Recover` event) moved to the heap when it slid the
+    /// window down to itself.
     ///
     /// Purely a performance diagnostic: spilling never affects event
-    /// order. Under the sharded executor it is the *sum* over the
-    /// per-lane queues, which can differ from the single-lane value
-    /// (lane frontiers advance independently), so — like
-    /// [`timer_slots_high_water`](Self::timer_slots_high_water) — it is
+    /// order, and like
+    /// [`timer_slots_high_water`](Self::timer_slots_high_water) it is
     /// excluded from the determinism trace hash.
     pub queue_spill_count: u64,
     /// Late pushes into the event queue's claimed bucket — the sorted run
@@ -80,9 +74,9 @@ pub struct Trace {
     /// (the chaos matrix test and the chaos-smoke CI job gate that share).
     ///
     /// Purely a performance diagnostic: which part of the queue a push
-    /// lands in never affects event order. Summed over the per-lane queues under the
-    /// sharded executor and excluded from the determinism trace hash,
-    /// exactly like [`queue_spill_count`](Self::queue_spill_count).
+    /// lands in never affects event order. Excluded from the determinism
+    /// trace hash, exactly like
+    /// [`queue_spill_count`](Self::queue_spill_count).
     pub queue_splice_count: u64,
     /// Deliveries to faulty nodes that [`Sim::run`](crate::Sim::run)
     /// counted in [`events_processed`](Self::events_processed) and
@@ -91,8 +85,9 @@ pub struct Trace {
     /// and no chaos timeline is installed (see
     /// [`Adversary::is_passive`](crate::Adversary::is_passive)). A
     /// performance diagnostic, excluded from the determinism trace hash
-    /// like [`queue_spill_count`](Self::queue_spill_count); the sharded
-    /// executor queues every delivery and reports zero.
+    /// like [`queue_spill_count`](Self::queue_spill_count): the same
+    /// execution under a non-passive adversary that ignores its
+    /// callbacks queues every delivery and reports zero.
     pub tallied_deliveries: u64,
     /// Messages destroyed by chaos injection — deliveries to crashed
     /// nodes plus sends lost to an active link cut (see

@@ -1,19 +1,15 @@
-//! The globally ordered half of a simulation step, shared by both
-//! simulators.
+//! The globally ordered half of a simulation step.
 //!
 //! A popped event touches two kinds of state. Its node's automaton,
-//! timers and clock belong to the node, and the sharded executor runs
-//! that part on lane threads. Everything else — the RNG, the adversary,
-//! the signature-knowledge tracker, the trace, the observer, the run
-//! limits and `now` — is one [`World`], and every operation on it is
-//! defined here once: deciding what a popped event amounts to
+//! timers and clock belong to the node. Everything else — the RNG, the
+//! adversary, the signature-knowledge tracker, the trace, the observer,
+//! the run limits and `now` — is one [`World`], and every operation on it
+//! is defined here: deciding what a popped event amounts to
 //! ([`Env::classify`]), scheduling honest sends with their chaos hooks
 //! and delay draw, running the adversary and gating its sends, and
 //! recording pulses and violations. [`Sim::run`](crate::Sim::run) calls
-//! these as it pops each event; the sharded reconcile calls the same
-//! functions while it replays the lanes' mailboxes in `(at, seq)` order.
-//! The two simulators differ only in where a scheduled event goes, which
-//! is the [`Post`] seam.
+//! these as it pops each event, and what they schedule goes to its
+//! [`Pending`] queue and message arena.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -27,12 +23,13 @@ use rand::rngs::SmallRng;
 use crate::adversary::{AdvEffect, Adversary, AdversaryApi};
 use crate::automaton::{Call, Effect, NodeCtx};
 use crate::chaos::{ChaosTimeline, RunObserver};
+use crate::engine::Pending;
 use crate::event::{EventKind, TimerId, TimerSlab};
 use crate::network::{DelayModel, LinkConfig};
 use crate::trace::{Trace, BLOCKED_FORGERY_PREFIX};
 
-/// What a run fixes at build time. The world reads it, and so does every
-/// lane thread of the sharded executor.
+/// What a run fixes at build time: the world and the node handlers read
+/// it.
 pub(crate) struct Env {
     pub(crate) n: usize,
     pub(crate) clocks: Vec<HardwareClock>,
@@ -46,21 +43,20 @@ pub(crate) struct Env {
     pub(crate) horizon: Time,
     /// Fault-injection schedule; `None` (the common case) keeps the
     /// per-event checks to a single branch. Every query is a pure
-    /// function of simulated time, so lane threads may evaluate it in
-    /// parallel.
+    /// function of simulated time.
     pub(crate) chaos: Option<Arc<ChaosTimeline>>,
 }
 
-/// What a popped event amounts to (see [`Env::classify`]). `H` is the
-/// simulator's message handle ([`Post::Handle`]).
-pub(crate) enum Popped<H> {
+/// What a popped event amounts to (see [`Env::classify`]). A message is
+/// its `u32` handle in the run's message arena.
+pub(crate) enum Popped {
     /// A delivery to a chaos-crashed node: the network delivered it and
     /// nobody was listening.
-    ChaosDrop(H),
+    ChaosDrop(u32),
     /// A delivery to a faulty node: the adversary sees it.
-    Faulty { from: NodeId, to: NodeId, msg: H },
+    Faulty { from: NodeId, to: NodeId, msg: u32 },
     /// An honest node's handler runs.
-    Honest { node: NodeId, call: Call<H> },
+    Honest { node: NodeId, call: Call<u32> },
     /// A crashed node's timer, deferred to the node's recovery instant.
     Defer {
         node: NodeId,
@@ -73,7 +69,7 @@ pub(crate) enum Popped<H> {
     AdvTimer(u64),
 }
 
-impl<H> Popped<H> {
+impl Popped {
     /// Whether the event was a message delivery.
     #[inline]
     pub(crate) fn is_delivery(&self) -> bool {
@@ -122,18 +118,13 @@ impl Env {
         }
     }
 
-    /// Decides what the event `kind`, popped at `at`, amounts to — for
-    /// both simulators, in this one place. `timers` is the slab of the
-    /// node the event belongs to; firing a live timer consumes its slot.
+    /// Decides what the event `kind`, popped at `at`, amounts to.
+    /// `timers` is the run's timer slab; firing a live timer consumes its
+    /// slot.
     // Inlined into every pop loop: returned out of line, `Popped` cost
     // the `sim_mesh` benchmark ~8 % of its event rate (2-core x86-64).
     #[inline(always)]
-    pub(crate) fn classify<H>(
-        &self,
-        timers: &mut TimerSlab,
-        at: Time,
-        kind: EventKind<H>,
-    ) -> Popped<H> {
+    pub(crate) fn classify(&self, timers: &mut TimerSlab, at: Time, kind: EventKind) -> Popped {
         let down = |node: NodeId| self.chaos.as_deref().is_some_and(|c| c.down(node, at));
         match kind {
             EventKind::Deliver { from, to, msg } => {
@@ -179,46 +170,9 @@ impl Env {
     }
 }
 
-/// Where a simulator puts what the world schedules, and where it keeps
-/// the messages: the one seam between the two simulators. Every message
-/// — a broadcast, an honest unicast, an adversary's `SendAs` — enters the
-/// simulator's store through [`share`](Self::share), and the events
-/// carry a [`Handle`](Self::Handle) on it: a `u32` arena index in
-/// [`Sim::run`](crate::Sim::run), an `Arc` in the sharded executor,
-/// whose deliveries cross lane threads.
-pub(crate) trait Post<M> {
-    /// A handle on one stored message.
-    type Handle: Clone;
-
-    /// Schedules `kind` at `at`, after everything already posted for the
-    /// same instant.
-    fn post(&mut self, at: Time, kind: EventKind<Self::Handle>);
-
-    /// Stores one message for `fanout` deliveries, each of which takes a
-    /// `clone` of the returned handle.
-    fn share(&mut self, msg: M, fanout: usize) -> Self::Handle;
-
-    /// A further handle on `msg`, for a flood duplicate. The default
-    /// suits a refcounted handle.
-    fn copy_payload(&mut self, msg: &Self::Handle) -> Self::Handle {
-        msg.clone()
-    }
-
-    /// Releases a handle that will not reach a handler.
-    fn drop_payload(&mut self, msg: Self::Handle) {
-        drop(msg);
-    }
-
-    /// Reads `msg` for a faulty recipient, and whether its claims still
-    /// need learning: every delivery of one message (a broadcast's
-    /// fan-out, a flood's copies) carries the same claims, so only its
-    /// first (earliest) faulty delivery can add knowledge.
-    fn view_payload<'a>(&'a mut self, msg: &'a Self::Handle) -> (&'a M, bool);
-}
-
 /// The globally ordered state of one run (see the [module docs](self)).
 pub(crate) struct World<M> {
-    pub(crate) env: Arc<Env>,
+    pub(crate) env: Env,
     pub(crate) faulty: BTreeSet<NodeId>,
     pub(crate) honest: Vec<NodeId>,
     pub(crate) link: LinkConfig,
@@ -230,8 +184,7 @@ pub(crate) struct World<M> {
     /// adversary callbacks, and the knowledge bookkeeping only they could
     /// observe, on every message. Without a chaos timeline it also lets
     /// [`Sim::run`](crate::Sim::run) count deliveries to faulty nodes
-    /// instead of queueing them (`engine::Tally`); the sharded executor
-    /// queues them.
+    /// instead of queueing them (`engine::Tally`).
     pub(crate) adversary_passive: bool,
     /// Pooled adversary effect buffer: one allocation per run, not one
     /// per callback.
@@ -266,7 +219,7 @@ impl<M: Clone + CarriesSignatures> World<M> {
 
     /// Applies a popped event that runs no honest handler; the simulator
     /// runs [`Popped::Honest`] itself.
-    pub(crate) fn settle<P: Post<M>>(&mut self, post: &mut P, popped: Popped<P::Handle>) {
+    pub(crate) fn settle(&mut self, post: &mut Pending<M>, popped: Popped) {
         match popped {
             Popped::Honest { .. } => unreachable!("the simulator runs honest handlers"),
             Popped::ChaosDrop(msg) => {
@@ -275,7 +228,7 @@ impl<M: Clone + CarriesSignatures> World<M> {
             }
             Popped::Faulty { from, to, msg } => {
                 if !self.adversary_passive {
-                    let (seen, learn) = post.view_payload(&msg);
+                    let (seen, learn) = post.view_payload(msg);
                     if learn {
                         self.knowledge.learn_all(seen, self.now);
                     }
@@ -292,7 +245,7 @@ impl<M: Clone + CarriesSignatures> World<M> {
 
     /// Applies one effect of node `v`'s handler. Timer cancellations touch
     /// only the node's own slab, so the handler's caller applies those.
-    pub(crate) fn apply_effect<P: Post<M>>(&mut self, post: &mut P, v: NodeId, effect: Effect<M>) {
+    pub(crate) fn apply_effect(&mut self, post: &mut Pending<M>, v: NodeId, effect: Effect<M>) {
         match effect {
             Effect::Send { to, msg } => {
                 let msg = post.share(msg, 1);
@@ -301,7 +254,7 @@ impl<M: Clone + CarriesSignatures> World<M> {
             Effect::Broadcast { msg } => {
                 let msg = post.share(msg, self.env.n);
                 for to in NodeId::all(self.env.n) {
-                    self.schedule_honest_send(post, v, to, msg.clone());
+                    self.schedule_honest_send(post, v, to, msg);
                 }
             }
             Effect::SetTimer { id, at } => {
@@ -318,7 +271,7 @@ impl<M: Clone + CarriesSignatures> World<M> {
     /// in the chaos timeline, before any other event exists: the events get
     /// the lowest sequence numbers, so a recovery hook always runs before
     /// the node's timers deferred to the same instant.
-    pub(crate) fn schedule_recoveries<P: Post<M>>(&self, post: &mut P) {
+    pub(crate) fn schedule_recoveries(&self, post: &mut Pending<M>) {
         let Some(chaos) = self.env.chaos.as_deref() else {
             return;
         };
@@ -353,12 +306,12 @@ impl<M: Clone + CarriesSignatures> World<M> {
     ///      adversary callback (nothing entered the network);
     ///   2. delay storm — the delay is the link maximum, with no draw;
     ///   3. flood — duplicates are posted before the original.
-    pub(crate) fn schedule_honest_send<P: Post<M>>(
+    pub(crate) fn schedule_honest_send(
         &mut self,
-        post: &mut P,
+        post: &mut Pending<M>,
         from: NodeId,
         to: NodeId,
-        msg: P::Handle,
+        msg: u32,
     ) {
         if self.cut(from, to) {
             self.trace.chaos_drops += 1;
@@ -392,7 +345,7 @@ impl<M: Clone + CarriesSignatures> World<M> {
         self.with_adversary(post, |adv, api| adv.on_honest_send(from, to, api));
         if let Some(spec) = self.env.chaos.as_deref().and_then(|c| c.flood(self.now)) {
             for _ in 0..spec.copies {
-                let copy = post.copy_payload(&msg);
+                let copy = post.copy_payload(msg);
                 let copy_delay = if spec.rush {
                     bounds.0
                 } else {
@@ -413,7 +366,7 @@ impl<M: Clone + CarriesSignatures> World<M> {
     }
 
     /// Runs an adversary callback, then applies its effects.
-    pub(crate) fn with_adversary<P: Post<M>, F>(&mut self, post: &mut P, f: F)
+    pub(crate) fn with_adversary<F>(&mut self, post: &mut Pending<M>, f: F)
     where
         F: FnOnce(&mut dyn Adversary<M>, &mut AdversaryApi<'_, M>),
     {
@@ -450,7 +403,7 @@ impl<M: Clone + CarriesSignatures> World<M> {
     }
 
     /// Applies the adversary's buffered effects in order.
-    fn apply_adv_effects<P: Post<M>>(&mut self, post: &mut P) {
+    fn apply_adv_effects(&mut self, post: &mut Pending<M>) {
         let mut effects = std::mem::take(&mut self.adv_effects);
         for effect in effects.drain(..) {
             match effect {

@@ -1,11 +1,10 @@
 //! Message-arena conservation: every handle `Sim::run` hands out is
 //! released by the time its queue drains.
 //!
-//! The single-lane engine keeps each message in flight in an arena under
-//! an integer refcount and queues `u32` handles on it. A leaked handle
-//! changes no trace, so no trace hash can catch one; instead `Sim::run`
-//! asserts, in debug builds, that the arena is empty when the queue
-//! drains. The two drained runs here release handles on every path:
+//! The engine keeps each message in flight in an arena under an integer
+//! refcount and queues `u32` handles on it. A leaked handle changes no
+//! trace, so no trace hash can catch one; instead `Sim::run` asserts, in
+//! debug builds, that the arena is empty when the queue drains. The two drained runs here release handles on every path:
 //! unicasts and broadcasts, flood copies, cut sends, deliveries to a
 //! crashed node, the adversary's `SendAs` unicasts, and deliveries the
 //! engine tallies instead of queueing.

@@ -1,6 +1,6 @@
 //! The [`Context`] contract, checked on every executor: the simulator,
-//! the sharded executor on its worker pool, the Theorem 5 tri-execution
-//! engine and the wall-clock runtime run one probe automaton at n = 3,
+//! the Theorem 5 tri-execution engine and the wall-clock runtime run one
+//! probe automaton at n = 3,
 //! and every node must observe the same timer, broadcast and violation
 //! semantics on each — no timer firing before the node's clock reads its
 //! deadline included.
@@ -152,17 +152,6 @@ fn the_simulator_keeps_the_context_contract() {
         .build(make, Box::new(SilentAdversary))
         .run();
     check("Sim::run", &facts, &trace.violations, sim_prefix);
-}
-
-#[test]
-fn the_sharded_worker_pool_keeps_the_context_contract() {
-    let (facts, make) = probes();
-    let mut sim = SimBuilder::new(N)
-        .build(make, Box::new(SilentAdversary))
-        .sharded(2);
-    sim.set_parallel(true);
-    let trace = sim.run();
-    check("sharded", &facts, &trace.violations, sim_prefix);
 }
 
 #[test]

@@ -1,8 +1,7 @@
 //! Overlapping and touching crash windows, on every executor that
-//! replays a chaos timeline: the simulator, the sharded executor on its
-//! worker pool and the wall-clock runtime. A node whose windows overlap
-//! or touch is down over their union and must recover once, at the
-//! union's end.
+//! replays a chaos timeline: the simulator and the wall-clock runtime.
+//! A node whose windows overlap or touch is down over their union and
+//! must recover once, at the union's end.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -88,18 +87,6 @@ fn the_simulator_recovers_each_node_once() {
         .build(make, Box::new(SilentAdversary))
         .run();
     check_sim("Sim::run", &counts, &trace.pulses);
-}
-
-#[test]
-fn the_sharded_worker_pool_recovers_each_node_once() {
-    let (counts, make) = probes();
-    let mut sim = SimBuilder::new(N)
-        .chaos(timeline())
-        .build(make, Box::new(SilentAdversary))
-        .sharded(2);
-    sim.set_parallel(true);
-    let trace = sim.run();
-    check_sim("sharded", &counts, &trace.pulses);
 }
 
 #[test]
