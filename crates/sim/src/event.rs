@@ -771,7 +771,10 @@ mod tests {
         assert!(slab.fire(fired));
         slab.cancel_all();
         assert_eq!(slab.live(), 0);
-        assert!(pending.iter().all(|&id| !slab.fire(id)), "a cancelled id fired");
+        assert!(
+            pending.iter().all(|&id| !slab.fire(id)),
+            "a cancelled id fired"
+        );
         // The freed slots are reused under new stamps.
         let fresh: Vec<_> = (0..4).map(|_| slab.arm()).collect();
         assert!(fresh.iter().all(|id| !pending.contains(id)));
@@ -813,7 +816,10 @@ mod tests {
             // pops out of the heap, without ring-index collisions
             // corrupting order.
             let base = Time::from_secs(round as f64 * 0.125);
-            q.push(base + Dur::from_micros(7.0), EventKind::AdvTimer { key: 2 * round });
+            q.push(
+                base + Dur::from_micros(7.0),
+                EventKind::AdvTimer { key: 2 * round },
+            );
             q.push(base, EventKind::AdvTimer { key: 2 * round + 1 });
             let first = q.pop().unwrap();
             let second = q.pop().unwrap();
@@ -939,7 +945,11 @@ mod tests {
         for i in 0..200_000u32 {
             let event = q.pop().expect("queue holds the stream");
             let Reverse((at_bits, want)) = oracle.pop().expect("oracle holds the stream");
-            assert_eq!(event.at.as_secs().to_bits(), at_bits, "pop {i} out of order");
+            assert_eq!(
+                event.at.as_secs().to_bits(),
+                at_bits,
+                "pop {i} out of order"
+            );
             assert!(matches!(event.kind, EventKind::AdvTimer { key } if key == want));
             let now = event.at.as_secs();
             push(&mut q, &mut oracle, now + d - 0.01 * d * jitter());
