@@ -17,28 +17,32 @@
 //!   within one `d` of the pop frontier — the classic regime where a
 //!   calendar queue beats a heap. Pushes drop into fixed-width time
 //!   buckets on a 128-bucket ring in O(1); popping claims the lowest
-//!   occupied bucket, sorts it once (descending) and pops it from the
-//!   back, and the ring's window moves past the claimed bucket, so it
-//!   always covers the 16 `d` just ahead of the pops. A bucket is not
-//!   small: a round's echo burst lands in one, so a claim can hold tens
-//!   of thousands of entries. What falls outside the window — a
-//!   far-future timer, a late push into the bucket being drained — goes
-//!   to one small heap ([`EventQueue::spill_count`] and
+//!   occupied bucket, sorts it descending and pops it from the back, and
+//!   the ring's window moves past the claimed bucket, so it always covers
+//!   the 16 `d` just ahead of the pops. A bucket is not small: a round's
+//!   echo burst lands in one, so a claim can hold tens of thousands of
+//!   entries, spread at random over a slice of `at` about `u` wide. The
+//!   claim sort is therefore a counting scatter on `at` into about one
+//!   group per entry, then a sort of each group. What falls outside the
+//!   window — a far-future timer, a late push into the bucket being
+//!   drained — goes to one small heap ([`EventQueue::spill_count`] and
 //!   [`EventQueue::splice_count`] count the two), and a push below the
 //!   window slides it down instead. Pop order is *exactly* `(at, seq)` —
-//!   the bucket index is a monotone function of `at`, and every pop
-//!   compares the run's next entry with the heap top — which the pinned
-//!   trace hashes depend on.
+//!   the bucket index and the claim's group are monotone functions of
+//!   `at`, and every pop compares the run's next entry with the heap top
+//!   — which the pinned trace hashes depend on.
 //! * **Buffer capacity follows what is pending, not what once was.** A
 //!   ring bucket keeps its buffer only until it is claimed: the claim
-//!   takes the buffer as the new run, and the spent run's buffer becomes
-//!   the queue's one spare, which the next push into a bucket without a
-//!   buffer picks up. So the queue holds the buffers of the buckets with
-//!   entries (and of any a slide-down emptied), the run and one spare —
-//!   not the largest burst each of the 128 ring slots ever held. A
-//!   steady stream of one burst per bucket
-//!   allocates nothing once the run and the spare have grown to the
-//!   burst; buckets that fill while others wait allocate their own.
+//!   scatters the entries into the larger of the spent run's buffer and
+//!   the spare (a claim of a few entries takes the bucket's buffer as the
+//!   run instead), and the buffer left empty becomes the queue's one
+//!   spare, which the next push into a bucket without a buffer picks up.
+//!   So the queue holds the buffers of the buckets with entries (and of
+//!   any a slide-down emptied), the run, one spare and the claim sort's
+//!   group counts — not the largest burst each of the 128 ring slots
+//!   ever held. A steady stream of one burst per bucket allocates nothing
+//!   once the run, the spare and the counts have grown to the burst;
+//!   buckets that fill while others wait allocate their own.
 //! * **Timer state is a generation-stamped slab, not a set.** A
 //!   [`TimerId`] packs `(generation, slot)`; cancelling or firing frees
 //!   the slot and bumps its generation, so stale ids are recognized by a
@@ -133,15 +137,23 @@ impl EventKey {
     #[inline]
     pub fn new(at: Time, seq: u64) -> Self {
         debug_assert!(seq < SEQ_LIMIT, "seq out of range");
-        let secs = at.as_secs();
+        // `+ 0.0` turns −0.0, whose bits order above every positive time,
+        // into +0.0.
+        let secs = at.as_secs() + 0.0;
         debug_assert!(secs >= 0.0, "events cannot be scheduled before t=0");
         EventKey((u128::from(secs.to_bits()) << 64) | (u128::from(seq) << SEQ_SHIFT))
     }
 
     #[inline]
     pub fn at(self) -> Time {
-        #[allow(clippy::cast_possible_truncation)]
-        Time::from_secs(f64::from_bits((self.0 >> 64) as u64))
+        Time::from_secs(f64::from_bits(self.at_bits()))
+    }
+
+    /// The high 64 bits: `at`'s IEEE-754 bits, which order like `at`.
+    #[inline]
+    #[allow(clippy::cast_possible_truncation)]
+    fn at_bits(self) -> u64 {
+        (self.0 >> 64) as u64
     }
 }
 
@@ -178,6 +190,77 @@ impl Ord for Earliest {
     }
 }
 
+/// Claims of at most this many entries are sorted in place by key; larger
+/// ones are grouped on `at` first ([`sort_claim`]).
+const PLAIN_SORT_MAX: usize = 32;
+
+/// Moves the entries of `from` into the empty `into`, sorted descending
+/// by key, and leaves `from` empty; `counts` is scratch space.
+///
+/// A claim of `n > PLAIN_SORT_MAX` entries is split into
+/// `n.next_power_of_two()` groups spanning its own `[min, max]` of `at`'s
+/// bits: an entry's group is `(at_bits − min) >> shift`, with the
+/// smallest `shift` that keeps every group below the count. One counting
+/// pass sizes the groups, the entries are scattered into `into` highest
+/// group first, and each group of two or more is then sorted on the full
+/// key. The group is monotone in `at`, so the result is exactly the
+/// descending key order, and with about one entry per group the scatter
+/// does nearly all the work: a bucket's entries cover only the `u`-wide
+/// slice of `at` a round's burst lands in, at random.
+fn sort_claim(from: &mut Vec<Entry>, into: &mut Vec<Entry>, counts: &mut Vec<u32>) {
+    debug_assert!(into.is_empty(), "sorting into a non-empty run");
+    let n = from.len();
+    if n <= PLAIN_SORT_MAX {
+        from.sort_unstable_by_key(|e| Reverse(e.key));
+        mem::swap(from, into);
+        return;
+    }
+    assert!(
+        u32::try_from(n).is_ok(),
+        "a claim of {n} entries overflows the group counts"
+    );
+    let (mut min, mut max) = (u64::MAX, 0);
+    for e in from.iter() {
+        let bits = e.key.at_bits();
+        min = min.min(bits);
+        max = max.max(bits);
+    }
+    let groups = n.next_power_of_two();
+    let span_bits = u64::BITS - (max - min).leading_zeros();
+    let shift = span_bits.saturating_sub(groups.trailing_zeros());
+    #[allow(clippy::cast_possible_truncation)]
+    let group = |e: &Entry| ((e.key.at_bits() - min) >> shift) as usize;
+    counts.clear();
+    counts.resize(groups, 0);
+    for e in from.iter() {
+        counts[group(e)] += 1;
+    }
+    // Each group's first position in the descending run.
+    let mut next = 0;
+    for count in counts.iter_mut().rev() {
+        next += mem::replace(count, next);
+    }
+    into.reserve_exact(n);
+    into.resize_with(n, || Entry {
+        key: EventKey(0),
+        kind: EventKind::AdvTimer { key: 0 },
+    });
+    for e in from.drain(..) {
+        let cursor = &mut counts[group(&e)];
+        into[*cursor as usize] = e;
+        *cursor += 1;
+    }
+    // Each cursor now ends its group, where the next lower group starts.
+    let mut start = 0;
+    for &end in counts.iter().rev() {
+        let end = end as usize;
+        if end - start > 1 {
+            into[start..end].sort_unstable_by_key(|e| Reverse(e.key));
+        }
+        start = end;
+    }
+}
+
 /// Buckets on the ring (a power of two, so the ring slot is a mask).
 const RING_BUCKETS: usize = 128;
 
@@ -198,12 +281,16 @@ const BUCKETS_PER_HORIZON: f64 = 8.0;
 /// 2. **The ring** (`buckets`): [`RING_BUCKETS`] fixed-width time buckets
 ///    holding the indices `[lo, lo + RING_BUCKETS)`, unsorted. A push is
 ///    O(1): compute the bucket from `at`, append. When the run is spent,
-///    the lowest occupied bucket is claimed wholesale (its buffer moves
-///    out; the spent run's buffer becomes the `spare`) and sorted once,
-///    and `lo` moves past it — every claim slides the window. A claim can
-///    hold a whole round's echo burst: at n = 64 the snapshot scenario
-///    (511 005 events) makes 31 claims holding 265 925 entries, the
-///    largest 37 026, and the claim sort is the queue's largest cost.
+///    the lowest occupied bucket is claimed wholesale: [`sort_claim`]
+///    scatters its entries by groups of `at` into the larger of the spent
+///    run's buffer and the `spare`, and sorts each group; the bucket's
+///    emptied buffer becomes the `spare`, and `lo` moves past it — every
+///    claim slides the window. A claim can hold a whole round's echo
+///    burst: at n = 64 the snapshot scenario (511 005 events) makes 31
+///    claims holding 265 925 entries, the largest 37 026. A comparison
+///    sort of them cost 38 ns per entry, a quarter of the run; the
+///    grouped sort moves each entry once, plus the few moves inside
+///    groups of two or more.
 /// 3. **The heap** (`heap`): everything else — pushes past the window
 ///    (far-future timers, [`spill_count`](Self::spill_count)) and late
 ///    pushes into the bucket being drained (same-instant follow-ups,
@@ -240,6 +327,8 @@ pub(crate) struct EventQueue {
     spare: Vec<Entry>,
     /// Everything outside the window.
     heap: BinaryHeap<Earliest>,
+    /// [`sort_claim`]'s group counts, kept between claims.
+    counts: Vec<u32>,
     /// Reciprocal bucket width (s⁻¹); fixed at construction.
     inv_width: f64,
     /// Lowest bucket index the ring holds; the run's bucket is `lo − 1`.
@@ -277,6 +366,7 @@ impl EventQueue {
             occupied: [0; RING_BUCKETS / 64],
             spare: Vec::new(),
             heap: BinaryHeap::new(),
+            counts: Vec::new(),
             inv_width,
             lo: 0,
             spilled: 0,
@@ -391,12 +481,18 @@ impl EventQueue {
         let Some(slot) = self.first_occupied_from(from) else {
             return;
         };
-        // The bucket's buffer becomes the run; the spent run's buffer
-        // waits as the spare instead of staying parked in the ring.
-        let bucket = mem::take(&mut self.buckets[slot]);
-        self.spare = mem::replace(&mut self.run, bucket);
+        // The larger of the two empty buffers, the spent run's and the
+        // spare, takes the sorted entries; the other is freed first, so
+        // a claim holds two large buffers, not three. The buffer left
+        // empty waits as the spare instead of staying parked in the ring.
+        let mut bucket = mem::take(&mut self.buckets[slot]);
         self.occupied[slot / 64] &= !(1 << (slot % 64));
-        self.run.sort_unstable_by_key(|e| Reverse(e.key));
+        let spare = mem::take(&mut self.spare);
+        if spare.capacity() > self.run.capacity() {
+            self.run = spare;
+        }
+        sort_claim(&mut bucket, &mut self.run, &mut self.counts);
+        self.spare = bucket;
         // The window spans the ring, so the cyclic distance from `lo`
         // recovers the absolute index unambiguously.
         self.lo += ((slot + RING_BUCKETS - from) % RING_BUCKETS) as u64 + 1;
@@ -536,11 +632,14 @@ impl EventQueue {
         assert!(self.spare.is_empty(), "spare buffer holds entries");
     }
 
-    /// Entries of buffer capacity the run, the ring and the spare hold.
+    /// Entries of buffer capacity the run, the ring and the spare hold,
+    /// plus the group-count table as the entries its bytes would fill.
     #[cfg(test)]
     fn retained_capacity(&self) -> usize {
         let ring: usize = self.buckets.iter().map(Vec::capacity).sum();
-        self.run.capacity() + ring + self.spare.capacity()
+        let counts =
+            (self.counts.capacity() * mem::size_of::<u32>()).div_ceil(mem::size_of::<Entry>());
+        self.run.capacity() + ring + self.spare.capacity() + counts
     }
 }
 
@@ -710,6 +809,18 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
+    }
+
+    /// −0.0's bits order above every positive time's, so the key must
+    /// not keep them.
+    #[test]
+    fn an_event_at_negative_zero_pops_first() {
+        let mut q: EventQueue = EventQueue::new();
+        q.push(Time::from_secs(1e-9), EventKind::AdvTimer { key: 1 });
+        q.push(Time::from_secs(-0.0), EventKind::AdvTimer { key: 0 });
+        let first = q.pop().expect("two events are queued");
+        assert!(matches!(first.kind, EventKind::AdvTimer { key: 0 }));
+        assert_eq!(first.at.as_secs().to_bits(), 0);
     }
 
     /// A steady stream of echo bursts, each one bucket past the last and
@@ -967,6 +1078,84 @@ mod tests {
     }
 
     proptest! {
+        /// The grouped claim sort against a comparison sort of the same
+        /// entries, on claims of 0–4 096 entries shaped like the queue's:
+        /// a burst in a `u`-wide slice of one bucket, the same with one
+        /// timer later in the bucket, every entry at one instant, bucket 0 from 0.0 (and −0.0) to one bucket width,
+        /// whose bits span the exponent range, the clamped top bucket up
+        /// to 1e300, a few repeated instants, and sizes at the plain-sort
+        /// cutoff and one either side of it. Sequence numbers are
+        /// shuffled. The sorted run is then sorted again, as when `lower`
+        /// puts a run back into its bucket, reusing the buffers.
+        #[test]
+        fn prop_claim_sort_matches_a_comparison_sort(
+            shape in 0u64..7,
+            len in 0usize..4097,
+            seed in any::<u64>(),
+        ) {
+            let width = 1e-3 / BUCKETS_PER_HORIZON; // the default delay hint
+            let top = (u64::MAX - RING_BUCKETS as u64) as f64 * width;
+            let mut x = seed | 1;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let unit = |r: u64| (r >> 11) as f64 / (1u64 << 53) as f64;
+            let between = |lo: f64, hi: f64, r: u64| {
+                f64::from_bits(lo.to_bits() + r % (hi.to_bits() - lo.to_bits() + 1))
+            };
+            let len = if shape == 5 {
+                PLAIN_SORT_MAX - 1 + len % 3
+            } else {
+                len
+            };
+            let base = 1000.0 * width;
+            let mut seqs: Vec<u64> = (0..len as u64).collect();
+            for i in (1..len).rev() {
+                seqs.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            let mut from: Vec<Entry> = seqs
+                .iter()
+                .map(|&seq| {
+                    let r = next();
+                    let at = match shape {
+                        1 => base,
+                        2 if r % 8 == 0 => -0.0,
+                        2 => between(0.0, width, r),
+                        3 => between(top, 1e300, r),
+                        4 => base + (r % 5) as f64 * 1e-7,
+                        6 if seq == 0 => base + 0.9 * width,
+                        _ => base + unit(r) * width / 10.0,
+                    };
+                    Entry {
+                        key: EventKey::new(Time::from_secs(at), seq),
+                        kind: EventKind::AdvTimer { key: seq },
+                    }
+                })
+                .collect();
+            let mut want: Vec<(EventKey, u64)> = from
+                .iter()
+                .map(|e| match e.kind {
+                    EventKind::AdvTimer { key } => (e.key, key),
+                    _ => unreachable!(),
+                })
+                .collect();
+            want.sort_unstable_by_key(|&(key, _)| Reverse(key));
+            let (mut into, mut counts) = (Vec::new(), Vec::new());
+            for _ in 0..2 {
+                sort_claim(&mut from, &mut into, &mut counts);
+                prop_assert!(from.is_empty());
+                prop_assert_eq!(into.len(), want.len());
+                for (got, &(key, seq)) in into.iter().zip(&want) {
+                    prop_assert_eq!(got.key, key);
+                    prop_assert!(matches!(got.kind, EventKind::AdvTimer { key } if key == seq));
+                }
+                mem::swap(&mut from, &mut into);
+            }
+        }
+
         /// Random interleavings of pushes and pops: pops always come out
         /// in (at, seq) order.
         #[test]

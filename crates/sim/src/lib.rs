@@ -30,8 +30,9 @@
 //! * the future-event list is a calendar queue of 32-byte entries, each a
 //!   `u128`-packed `(time, seq)` key beside its event — pushes are O(1)
 //!   appends to a 128-bucket ring whose window slides with the pops, a
-//!   pop takes the last entry of the claimed bucket (sorted once,
-//!   descending), and the rest (far-future timers, late pushes into the
+//!   pop takes the last entry of the claimed bucket (sorted descending
+//!   by a counting scatter on `at`, then a sort of each small group),
+//!   and the rest (far-future timers, late pushes into the
 //!   bucket being drained; [`Trace::queue_spill_count`] and
 //!   [`Trace::queue_splice_count`] count them) waits on one small heap;
 //!   ordering never moves or clones a message, and the queue's buffers
