@@ -184,9 +184,7 @@ where
             pulses.sort_by_key(|(idx, _)| *idx);
             pulses
                 .into_iter()
-                .map(|(_, at)| {
-                    Time::from_secs(at.saturating_duration_since(epoch).as_secs_f64())
-                })
+                .map(|(_, at)| Time::from_secs(at.saturating_duration_since(epoch).as_secs_f64()))
                 .collect()
         })
         .collect();

@@ -232,7 +232,10 @@ enum Due<M> {
         payload: Payload<M>,
     },
     /// A timer `node` armed (module docs, *Timers*).
-    Timer { node: NodeId, id: TimerId },
+    Timer {
+        node: NodeId,
+        id: TimerId,
+    },
     /// Chaos control events for a node: [`NodeEvent::Freeze`],
     /// [`NodeEvent::Thaw`] and [`NodeEvent::PanicInject`].
     Freeze(NodeId),

@@ -291,7 +291,9 @@ mod tests {
         type Msg = ();
 
         fn on_init(&mut self, ctx: &mut dyn Context<()>) {
-            self.0 = (0..1_000).map(|_| ctx.set_timer_at(LocalTime::ZERO)).collect();
+            self.0 = (0..1_000)
+                .map(|_| ctx.set_timer_at(LocalTime::ZERO))
+                .collect();
         }
 
         fn on_message(&mut self, _from: NodeId, _msg: (), ctx: &mut dyn Context<()>) {
@@ -326,7 +328,10 @@ mod tests {
         let before = Instant::now();
         core.init(&mut out);
         assert_eq!(out.timers.len(), 1_000);
-        assert!(out.timers.iter().all(|&(at, _)| at <= before), "not due at once");
+        assert!(
+            out.timers.iter().all(|&(at, _)| at <= before),
+            "not due at once"
+        );
         let armed = fire(&mut core, &mut out);
         assert_eq!(core.automaton.1, 1_000);
         // A second hand-off of the same ids finds them stale.

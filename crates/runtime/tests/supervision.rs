@@ -66,7 +66,10 @@ fn cps_cfg(chaos: ChaosTimeline, seed: u64) -> (RuntimeConfig, Params) {
 /// scheduling loses a round (same policy and rationale as the chaos
 /// crate's wall-clock tests: a genuine regression fails every attempt,
 /// a scheduler stall does not repeat).
-fn run_drill(cfg: &crusader_runtime::RuntimeConfig, params: Params) -> crusader_runtime::RuntimeReport {
+fn run_drill(
+    cfg: &crusader_runtime::RuntimeConfig,
+    params: Params,
+) -> crusader_runtime::RuntimeReport {
     let derived = params.derive().unwrap();
     let mut report = run(cfg, |me| CpsNode::new(me, params, derived));
     for _ in 0..2 {
