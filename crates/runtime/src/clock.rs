@@ -41,14 +41,16 @@ impl EmulatedClock {
     /// The first host instant at which the clock reads `at` or more
     /// (clamped to `start` for pre-epoch readings): whole nanoseconds,
     /// rounded up, plus one, so that float rounding cannot make
-    /// [`read`](Self::read) of it fall short of `at`.
+    /// [`read`](Self::read) of it fall short of `at`. A deadline 2⁶⁴ ns
+    /// (584 years) or more past `start` saturates there.
     #[must_use]
     pub fn when(&self, at: LocalTime) -> Instant {
         let local_span = (at - (LocalTime::ZERO + self.offset)).as_secs();
         let real_ns = (local_span / self.rate * 1e9).ceil().max(0.0);
+        // `as` saturates a float above `u64::MAX`.
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let real_ns = real_ns as u64;
-        self.start + std::time::Duration::from_nanos(real_ns + 1)
+        self.start + std::time::Duration::from_nanos(real_ns.saturating_add(1))
     }
 
     /// The emulated rate.
@@ -93,6 +95,15 @@ mod tests {
                 assert!(clock.read(clock.when(at)) >= at, "{at:?} at rate {rate}");
             }
         }
+    }
+
+    #[test]
+    fn a_far_deadline_saturates_instead_of_wrapping() {
+        let start = Instant::now();
+        let clock = EmulatedClock::new(start, Dur::ZERO, 1.0);
+        let far = start + Duration::from_nanos(u64::MAX);
+        assert_eq!(clock.when(LocalTime::from_secs(1e12)), far);
+        assert_eq!(clock.when(LocalTime::from_secs(f64::MAX)), far);
     }
 
     #[test]

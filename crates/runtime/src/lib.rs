@@ -33,7 +33,8 @@
 //! runtime as environment-dependent. The runtime's own grid adds to the
 //! same budget: the network thread delivers messages and fires timers
 //! on one tick — at most `u/64`, clamped to `[50 µs, 1 ms]`. A timer
-//! fires up to one tick late, and never early. A delivery is rounded *up* to the grid after
+//! comes due up to one tick late, and never early, then waits its turn
+//! for a worker like a delivery. A delivery is rounded *up* to the grid after
 //! a flight drawn from `[d − u, d − tick]`, so it stays inside
 //! `[d − u, d]` whenever `u` is at least one tick; for a smaller `u`
 //! (under 50 µs, `u = 0` included) it is never early and overshoots `d`

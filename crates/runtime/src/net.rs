@@ -46,10 +46,9 @@
 //! At a million messages a second what a message costs is the channel
 //! operation around it, not the queue push:
 //!
-//! * **In.** A worker quantum's sends and broadcasts arrive as *one*
-//!   [`NetCommand::Batch`] (a lone message still travels as a bare
-//!   `Send`/`Broadcast`, which needs no buffer). Per wake-up the loop
-//!   ingests every command already queued, up to [`TURN_BUDGET`] new
+//! * **In.** A worker quantum's sends, broadcasts and timers arrive as
+//!   *one* [`NetCommand::Batch`], whatever their number. Per wake-up the
+//!   loop ingests every command already queued, up to [`TURN_BUDGET`] new
 //!   queue entries — bounded, so a command storm cannot starve a
 //!   delivery that is already due. The emptied buffers go back to the
 //!   senders through a small free list ([`NetLink`]), so the steady
@@ -297,10 +296,10 @@ impl<M> NetLink<M> {
     ///
     /// The wait always ends, because the net thread never waits on a
     /// worker. It takes inbox locks, which workers hold only for a swap
-    /// or a splice; it pushes onto the unbounded ready channel and the
-    /// urgent lane; it never locks a cell's `core`. So a worker blocked
-    /// here in [`Outbox::flush`] while holding its node's `core` waits
-    /// only on the net thread, and the net thread always drains.
+    /// or a splice; it pushes onto the unbounded ready channel; it never
+    /// locks a cell's `core`. So a worker blocked here in
+    /// [`Outbox::flush`] while holding its node's `core` waits only on
+    /// the net thread, and the net thread always drains.
     pub fn send(&self, cmd: NetCommand<M>) {
         let _ = self.tx.send(cmd);
     }
@@ -313,21 +312,12 @@ impl<M> NetLink<M> {
 }
 
 pub(crate) enum NetCommand<M> {
-    Send {
-        from: NodeId,
-        to: NodeId,
-        msg: M,
-    },
-    /// One copy of `msg` to every node (including the sender), each
-    /// destination with its own independently drawn delay.
-    Broadcast {
-        from: NodeId,
-        msg: M,
-    },
-    /// Everything one flush held: the sends, then the broadcasts, as if
-    /// each had been its own command, except that they share one send
-    /// instant; then the timers `from` armed. The emptied outbox goes
-    /// back to [`NetLink::spare_outbox`].
+    /// Everything one flush held: the sends, then the broadcasts (one
+    /// copy to every node, the sender included, each destination with
+    /// its own independently drawn delay), as if each had been its own
+    /// command, except that they share one send instant; then the timers
+    /// `from` armed. The emptied outbox goes back to
+    /// [`NetLink::spare_outbox`].
     Batch {
         from: NodeId,
         out: Outbox<M>,
@@ -459,12 +449,11 @@ impl<M: Clone> Flights<M> {
         flights
     }
 
-    /// `at` in nanoseconds on the grid's clock (zero before its origin).
+    /// `at` in nanoseconds on the grid's clock (zero before its origin,
+    /// `u64::MAX` past 2⁶⁴ ns after it, so a far deadline stays far).
     fn nanos_of(&self, at: Instant) -> u64 {
-        #[allow(clippy::cast_possible_truncation)]
-        {
-            at.saturating_duration_since(self.origin).as_nanos() as u64
-        }
+        let ns = at.saturating_duration_since(self.origin).as_nanos();
+        u64::try_from(ns).unwrap_or(u64::MAX)
     }
 
     /// A flight time in nanoseconds, uniform over the drawn range.
@@ -540,6 +529,9 @@ impl<M: Clone> Flights<M> {
     /// (the thread passes the instant it dequeued the command), and
     /// queues every timer it carries. Returns `false` for `Shutdown`.
     fn enqueue(&mut self, cmd: NetCommand<M>, sent_at: Instant) -> bool {
+        let NetCommand::Batch { from, mut out } = cmd else {
+            return false;
+        };
         let (t, storming, flood) = match &self.chaos {
             Some(c) => {
                 let t = Time::from_secs(sent_at.saturating_duration_since(c.epoch).as_secs_f64());
@@ -553,26 +545,19 @@ impl<M: Clone> Flights<M> {
             storming,
             flood,
         };
-        match cmd {
-            NetCommand::Send { from, to, msg } => self.route(from, to, Payload::One(msg), &dep),
-            NetCommand::Broadcast { from, msg } => self.fan_out(from, msg, &dep),
-            NetCommand::Batch { from, mut out } => {
-                for (to, msg) in out.sends.drain(..) {
-                    self.route(from, to, Payload::One(msg), &dep);
-                }
-                for msg in out.broadcasts.drain(..) {
-                    self.fan_out(from, msg, &dep);
-                }
-                for (at, id) in out.timers.drain(..) {
-                    let due = Due::Timer { node: from, id };
-                    self.queue.insert(self.nanos_of(at), due);
-                }
-                let mut spare = self.spare.lock();
-                if spare.len() < SPARE_OUTBOXES {
-                    spare.push(out);
-                }
-            }
-            NetCommand::Shutdown => return false,
+        for (to, msg) in out.sends.drain(..) {
+            self.route(from, to, Payload::One(msg), &dep);
+        }
+        for msg in out.broadcasts.drain(..) {
+            self.fan_out(from, msg, &dep);
+        }
+        for (at, id) in out.timers.drain(..) {
+            let due = Due::Timer { node: from, id };
+            self.queue.insert(self.nanos_of(at), due);
+        }
+        let mut spare = self.spare.lock();
+        if spare.len() < SPARE_OUTBOXES {
+            spare.push(out);
         }
         true
     }
@@ -708,6 +693,24 @@ mod tests {
         }
     }
 
+    /// A batch that carries the one unicast `msg` from `from` to `to`.
+    fn send(from: NodeId, to: NodeId, msg: u32) -> NetCommand<u32> {
+        let out = Outbox {
+            sends: vec![(to, msg)],
+            ..Outbox::default()
+        };
+        NetCommand::Batch { from, out }
+    }
+
+    /// A batch that carries the one broadcast `msg` from `from`.
+    fn broadcast(from: NodeId, msg: u32) -> NetCommand<u32> {
+        let out = Outbox {
+            broadcasts: vec![msg],
+            ..Outbox::default()
+        };
+        NetCommand::Batch { from, out }
+    }
+
     /// From every node: a unicast to every node, a broadcast, and a batch
     /// of a unicast to every node plus two broadcasts — five messages per
     /// ordered pair, 80 in all, each with a value of its own. Under
@@ -722,11 +725,9 @@ mod tests {
         let mut cmds = Vec::new();
         for from in NodeId::all(N) {
             for to in NodeId::all(N) {
-                let msg = next();
-                cmds.push(NetCommand::Send { from, to, msg });
+                cmds.push(send(from, to, next()));
             }
-            let msg = next();
-            cmds.push(NetCommand::Broadcast { from, msg });
+            cmds.push(broadcast(from, next()));
             let out = Outbox {
                 sends: NodeId::all(N).map(|to| (to, next())).collect(),
                 broadcasts: vec![next(), next()],
@@ -902,7 +903,6 @@ mod tests {
     /// The values a command carries.
     fn values(cmd: &NetCommand<u32>) -> Vec<u32> {
         match cmd {
-            NetCommand::Send { msg, .. } | NetCommand::Broadcast { msg, .. } => vec![*msg],
             NetCommand::Batch { out, .. } => {
                 let sends = out.sends.iter().map(|&(_, msg)| msg);
                 sends.chain(out.broadcasts.iter().copied()).collect()
@@ -984,7 +984,7 @@ mod tests {
         let sent_ns = 12_800 * flights.queue.granularity() + 1_000;
         let sent_at = flights.origin + Duration::from_nanos(sent_ns);
         let (from, msg) = (NodeId::new(2), 9);
-        assert!(flights.enqueue(NetCommand::Broadcast { from, msg }, sent_at));
+        assert!(flights.enqueue(broadcast(from, msg), sent_at));
         let ticks: Vec<u64> = in_flight(&flights).iter().map(|m| m.0).collect();
         assert_eq!(ticks.len(), 2 * N);
         // The rushed copies share the first tick at or after `d − u`,
@@ -1016,7 +1016,7 @@ mod tests {
         let mut flights = flights(Dur::ZERO, Dur::ZERO, 0, Some(chaos));
         let (from, to) = (NodeId::new(0), NodeId::new(1));
         let freeze_at = epoch + Duration::from_millis(20);
-        assert!(flights.enqueue(NetCommand::Send { from, to, msg: 7 }, freeze_at));
+        assert!(flights.enqueue(send(from, to, 7), freeze_at));
 
         /// Every event with the instant of the sweep that handed it over.
         struct Log(Option<Instant>, Vec<(Instant, usize, &'static str)>);
@@ -1114,7 +1114,7 @@ mod tests {
         let counters = Arc::new(Counters::default());
         let net = Network::spawn(Broken, N, Dur::ZERO, Dur::ZERO, 1, None, counters);
         let (from, to) = (NodeId::new(0), NodeId::new(1));
-        net.link.send(NetCommand::Send { from, to, msg: 0 });
+        net.link.send(send(from, to, 0));
         let patience = Instant::now() + Duration::from_secs(10);
         while !net.handle.is_finished() && Instant::now() < patience {
             std::thread::sleep(Duration::from_millis(1));
@@ -1221,8 +1221,7 @@ mod tests {
         let apart = Duration::from_millis(60) / (MESH * MESH) as u32;
         for k in 0..(MESH * MESH) as u32 {
             let from = NodeId::new(k as usize % MESH);
-            let cmd = NetCommand::Broadcast { from, msg: k };
-            assert!(flights.enqueue(cmd, start + apart * k));
+            assert!(flights.enqueue(broadcast(from, k), start + apart * k));
         }
         assert_eq!(flights.in_flight, MESH * MESH * MESH);
         let mut sink = Census {
@@ -1244,10 +1243,7 @@ mod tests {
                 // A command that arrives between two ticks is taken in,
                 // and the sweep it causes hands nothing over early.
                 let between = due + tick / 2;
-                let cmd = NetCommand::Broadcast {
-                    from: NodeId::new(0),
-                    msg: u32::MAX,
-                };
+                let cmd = broadcast(NodeId::new(0), u32::MAX);
                 assert!(flights.enqueue(cmd, between));
                 let seen = sink.messages;
                 sink.handed.fill(0);
@@ -1286,11 +1282,7 @@ mod tests {
         let counters = Arc::new(Counters::default());
         let net = Network::spawn(sink, N, ms(5.0), ms(1.0), 5, None, counters);
         let (from, to) = (NodeId::new(0), NodeId::new(1));
-        net.link.send(NetCommand::Send {
-            from,
-            to,
-            msg: MARK,
-        });
+        net.link.send(send(from, to, MARK));
         // The storm lasts until the marked message lands; the quota only
         // bounds what a regression would cost in memory.
         let storm: Vec<_> = (0..2)
@@ -1299,8 +1291,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut sent = 0u32;
                     while !landed.load(Ordering::Acquire) && sent < 2_000_000 {
-                        let msg = 0;
-                        if tx.send(NetCommand::Send { from, to, msg }).is_err() {
+                        if tx.send(send(from, to, 0)).is_err() {
                             break;
                         }
                         sent += 1;

@@ -50,30 +50,16 @@ impl<M> Default for Outbox<M> {
 }
 
 impl<M> Outbox<M> {
-    /// Hands everything buffered to the network link as **one** command
-    /// (the link blocks while the network queue is full).
-    /// More than one message, or any timer, travels as the outbox
-    /// itself, swapped for a recycled empty one so that neither side
-    /// allocates; a lone message needs no buffer and goes as a bare
-    /// `Send`/`Broadcast`.
+    /// Hands everything buffered to the network link as **one**
+    /// [`NetCommand::Batch`], the outbox itself, swapped for a recycled
+    /// empty one so that neither side allocates. The link blocks while
+    /// the network queue is full. An empty outbox sends nothing.
     pub fn flush(&mut self, from: NodeId, net: &NetLink<M>) {
-        let lone = self.timers.is_empty();
-        let cmd = match (self.sends.len(), self.broadcasts.len()) {
-            (0, 0) if lone => return,
-            (1, 0) if lone => {
-                let (to, msg) = self.sends.pop().expect("one send");
-                NetCommand::Send { from, to, msg }
-            }
-            (0, 1) if lone => {
-                let msg = self.broadcasts.pop().expect("one broadcast");
-                NetCommand::Broadcast { from, msg }
-            }
-            _ => {
-                let out = std::mem::replace(self, net.spare_outbox());
-                NetCommand::Batch { from, out }
-            }
-        };
-        net.send(cmd);
+        if self.sends.is_empty() && self.broadcasts.is_empty() && self.timers.is_empty() {
+            return;
+        }
+        let out = std::mem::replace(self, net.spare_outbox());
+        net.send(NetCommand::Batch { from, out });
     }
 }
 

@@ -10,9 +10,8 @@
 //!             │   thread:   │   timers                       │
 //!             │ one tick-   │                                │
 //!             │ keyed queue │ per occupied tick: one inbox   │
-//!             └──────┬──────┘ append + schedule per node,    │
-//!                    ▼        on the urgent lane if it       │
-//!                             holds a due timer              │
+//!             └──────┬──────┘ append + schedule per node     │
+//!                    ▼                                       │
 //!  ┌───────────────────────────────┐               ┌─────────┴─┐
 //!  │ per-node cells                │   ready queue │  workers  │
 //!  │  inbox: Mutex<VecDeque<Event>>│──────────────►│  (M long- │
@@ -37,18 +36,21 @@
 //!   both buffers keep their capacity, so the steady state allocates
 //!   nothing), run the events through the node's `NodeCore`, hand
 //!   everything the handlers sent and armed to the network as one
-//!   command, and clear `queued`. The flag keeps a node off the ready
-//!   queue while it is there, but the urgent lane (below) may push it
-//!   again, so two workers can pick up one node: its `core` lock is what
-//!   runs a node's handlers one at a time — the [`Automaton`] contract.
+//!   command, and clear `queued`. The flag is the node's one ownership
+//!   token: set from the schedule that put the node on the ready queue
+//!   until its quantum ends, so the node is on the queue at most once
+//!   and runs on one worker at a time — its handlers one at a time, the
+//!   [`Automaton`] contract.
 //! * **Timers.** A timer is an event like a delivery. The worker hands
 //!   each armed timer to the network thread with the quantum's messages,
 //!   its time queue ([`TimerWheel`](crate::wheel::TimerWheel)) holds it
 //!   beside the messages in flight, and when its tick comes it lands in
 //!   the node's inbox as a [`NodeEvent::Timer`], behind the deliveries
-//!   due before it, and the node goes on the urgent lane. It is never
-//!   early and at most one tick late, which is indistinguishable from
-//!   host scheduling jitter (the crate docs' "the host inflates `u`").
+//!   due before it, and the node is scheduled like any other. It is
+//!   never early. It is late by the wait for the network thread's sweep
+//!   plus at most one quantum of every other node queued ahead of it,
+//!   which is host scheduling jitter like a late delivery (the crate
+//!   docs' "the host inflates `u`").
 //! * **Fairness.** A worker processes at most [`BATCH_EVENTS`] events
 //!   per scheduling, however many one hand-off put into the inbox; what
 //!   is left goes back to the front of the inbox and the cell is
@@ -104,17 +106,12 @@ const BATCH_EVENTS: usize = 256;
 /// Ready-queue sentinel telling a worker to exit.
 const STOP: u32 = u32::MAX;
 
-/// Ready-queue sentinel telling a worker to drain the urgent lane.
-const KICK: u32 = u32::MAX - 1;
-
 struct Cell<A: Automaton> {
     inbox: Mutex<VecDeque<NodeEvent<A::Msg>>>,
+    /// Set while the node is on the ready queue or running.
     queued: AtomicBool,
-    /// `None` for silent (crashed-from-start) nodes. Held for a whole
-    /// quantum, so the node's handlers run one at a time. That takes the
-    /// lock, not `queued`: the urgent lane pushes a node that is queued
-    /// or mid-run, so a second worker can block here until the first is
-    /// done (and then usually finds the inbox empty).
+    /// `None` for silent (crashed-from-start) nodes. Only the worker
+    /// that holds `queued` locks it, so the lock is never contended.
     core: Mutex<Option<NodeCore<A>>>,
 }
 
@@ -124,12 +121,6 @@ struct Shared<A: Automaton> {
     /// delivery path never touches a cell's `core` lock.
     active: Vec<bool>,
     ready_tx: Sender<u32>,
-    /// Due timers jump the message backlog: workers drain this lane
-    /// before taking the next ready-queue entry. Without it, a node whose
-    /// timer came due waits FIFO behind every queued node's message
-    /// batch — milliseconds of protocol-visible timer lateness under an
-    /// echo storm.
-    urgent: Mutex<VecDeque<u32>>,
 }
 
 impl<A: Automaton> Shared<A> {
@@ -138,19 +129,6 @@ impl<A: Automaton> Shared<A> {
         if !self.cells[idx].queued.swap(true, Ordering::AcqRel) {
             let _ = self.ready_tx.send(idx as u32);
         }
-    }
-
-    /// Like [`schedule`](Self::schedule), but through the urgent lane —
-    /// used by the network thread for a hand-off that carries a due
-    /// timer. Unconditional: even a node already *on* the normal ready
-    /// queue (or mid-run) must not serve its due timer behind the message
-    /// backlog — under an echo storm that back-of-the-queue wait is tens
-    /// of milliseconds. A duplicate run is a cheap no-op.
-    fn schedule_urgent(&self, idx: usize) {
-        let _ = self.cells[idx].queued.swap(true, Ordering::AcqRel);
-        self.urgent.lock().push_back(idx as u32);
-        // Kick a (possibly parked) worker to look at the lane.
-        let _ = self.ready_tx.send(KICK);
     }
 }
 
@@ -170,9 +148,8 @@ impl<A: Automaton> DeliverySink<A::Msg> for CellSink<A> {
         self.deliver_batch(to, &mut vec![event]);
     }
 
-    /// A hand-off with a timer in it goes on the urgent lane; one that
-    /// carries only timers is not counted in `inbox_handoffs`, which
-    /// measures how well deliveries batch.
+    /// A hand-off that carries only timers is not counted in
+    /// `inbox_handoffs`, which measures how well deliveries batch.
     fn deliver_batch(&mut self, to: NodeId, events: &mut Vec<NodeEvent<A::Msg>>) {
         let idx = to.index();
         if !self.shared.active[idx] {
@@ -180,19 +157,11 @@ impl<A: Automaton> DeliverySink<A::Msg> for CellSink<A> {
             events.clear();
             return;
         }
-        let timers = events
-            .iter()
-            .filter(|e| matches!(e, NodeEvent::Timer(_)))
-            .count();
-        if timers < events.len() {
+        if !events.iter().all(|e| matches!(e, NodeEvent::Timer(_))) {
             self.counters.note_inbox_handoff();
         }
         self.shared.cells[idx].inbox.lock().extend(events.drain(..));
-        if timers == 0 {
-            self.shared.schedule(idx);
-        } else {
-            self.shared.schedule_urgent(idx);
-        }
+        self.shared.schedule(idx);
     }
 }
 
@@ -326,9 +295,9 @@ fn run_node<A: Automaton>(
     }
 }
 
-/// A worker's main loop: drain the urgent lane, then run ready nodes.
-/// A node panic is re-raised here — the worker dies with it and the
-/// supervising caller respawns a replacement.
+/// A worker's main loop: run ready nodes in queue order. A node panic is
+/// re-raised here — the worker dies with it and the supervising caller
+/// respawns a replacement.
 fn worker_main<A: Automaton>(ctx: &WorkerCtx<A>) {
     let mut out = Outbox::default();
     let mut scratch = VecDeque::new();
@@ -336,23 +305,8 @@ fn worker_main<A: Automaton>(ctx: &WorkerCtx<A>) {
         if idx == STOP {
             return;
         }
-        // Nodes with a due timer first; the ready-queue entry waits its
-        // turn behind them.
-        loop {
-            let next = ctx.shared.urgent.lock().pop_front();
-            match next {
-                Some(u) => {
-                    if let Err(p) = run_node(ctx, u as usize, &mut out, &mut scratch) {
-                        std::panic::resume_unwind(p);
-                    }
-                }
-                None => break,
-            }
-        }
-        if idx != KICK {
-            if let Err(p) = run_node(ctx, idx as usize, &mut out, &mut scratch) {
-                std::panic::resume_unwind(p);
-            }
+        if let Err(p) = run_node(ctx, idx as usize, &mut out, &mut scratch) {
+            std::panic::resume_unwind(p);
         }
     }
 }
@@ -435,7 +389,6 @@ where
         cells,
         active,
         ready_tx: ready_tx.clone(),
-        urgent: Mutex::new(VecDeque::new()),
     });
 
     let net_sink = CellSink {
@@ -559,11 +512,13 @@ mod tests {
     /// More than two full quanta, so the cap has to hold twice.
     const BURST: usize = 2 * BATCH_EVENTS + 88;
 
-    /// Node 0 sends node 1 the whole burst from `on_init`; node 1 naps
-    /// over every 64th note, long enough for a tick to come due in every
-    /// quantum; node 2 ticks every millisecond. Notes and ticks go into
-    /// one log in the order the (single) worker ran them.
+    /// Node 0 sends each of nodes `1..=bursting` the whole burst from
+    /// `on_init`; they nap over every 64th note, long enough for a tick to
+    /// come due in every quantum; the last node ticks every millisecond.
+    /// Notes and ticks go into one log in the order the (single) worker
+    /// ran them.
     struct Crowd {
+        bursting: usize,
         notes: usize,
         log: Arc<Mutex<Vec<Seen>>>,
     }
@@ -572,12 +527,13 @@ mod tests {
         type Msg = Note;
 
         fn on_init(&mut self, ctx: &mut dyn Context<Note>) {
-            match ctx.me().index() {
-                0 => (0..BURST).for_each(|_| ctx.send(NodeId::new(1), Note)),
-                2 => {
-                    ctx.set_timer_at(LocalTime::from_millis(1.0));
+            let me = ctx.me().index();
+            if me == 0 {
+                for to in 1..=self.bursting {
+                    (0..BURST).for_each(|_| ctx.send(NodeId::new(to), Note));
                 }
-                _ => {}
+            } else if me == self.bursting + 1 {
+                ctx.set_timer_at(LocalTime::from_millis(1.0));
             }
         }
 
@@ -596,24 +552,24 @@ mod tests {
         }
     }
 
-    /// One hand-off may put any number of events into an inbox; a quantum
-    /// still runs at most `BATCH_EVENTS` of them, and another node's due
-    /// timer runs before the next quantum does.
-    #[test]
-    fn a_hand_off_longer_than_the_cap_is_run_a_quantum_at_a_time() {
+    /// Runs a [`Crowd`] with `bursting` bursting nodes on one worker and
+    /// returns its report and log, checked for violations and for every
+    /// note run exactly once.
+    fn crowd(bursting: usize) -> (crate::RuntimeReport, Vec<Seen>) {
         let log = Arc::new(Mutex::new(Vec::new()));
         let cfg = RuntimeConfig {
-            // No delay uncertainty: the burst shares its send instant, so
-            // it shares its delivery instant, sweep and hand-off too.
+            // No delay uncertainty: the bursts share their send instant,
+            // so they share their delivery instant and sweep too.
             d: Dur::from_millis(20.0),
             u: Dur::ZERO,
             theta: 1.0,
             max_offset: Dur::ZERO,
             run_for: Duration::from_millis(500),
             workers: Some(1),
-            ..RuntimeConfig::new(3)
+            ..RuntimeConfig::new(bursting + 2)
         };
         let report = run(&cfg, |_| Crowd {
+            bursting,
             notes: 0,
             log: Arc::clone(&log),
         });
@@ -622,27 +578,54 @@ mod tests {
             "{:?}",
             report.trace.violations
         );
-        assert_eq!(report.messages_delivered, BURST as u64);
+        assert_eq!(report.messages_delivered, (bursting * BURST) as u64);
+        let log = std::mem::take(&mut *log.lock());
+        let notes = log.iter().filter(|&&seen| seen == Seen::Note).count();
+        assert_eq!(notes, bursting * BURST, "an event was lost or run twice");
+        (report, log)
+    }
+
+    /// The notes from the first to the last, and the longest run of them
+    /// between two ticks.
+    fn notes_between_ticks(log: &[Seen]) -> (&[Seen], usize) {
+        let first = log.iter().position(|&seen| seen == Seen::Note);
+        let last = log.iter().rposition(|&seen| seen == Seen::Note);
+        let burst = &log[first.expect("a note")..=last.expect("a note")];
+        let longest = burst.split(|&seen| seen == Seen::Tick).map(<[Seen]>::len);
+        (burst, longest.max().expect("the burst is in the log"))
+    }
+
+    /// One hand-off may put any number of events into an inbox; a quantum
+    /// still runs at most `BATCH_EVENTS` of them. A timer that came due
+    /// during a quantum runs before the next one does, because the
+    /// bursting node goes back on the ready queue behind the ticking one.
+    #[test]
+    fn a_hand_off_longer_than_the_cap_is_run_a_quantum_at_a_time() {
+        let (report, log) = crowd(1);
         assert_eq!(report.supervision.net_commands, 1);
         assert_eq!(report.supervision.inbox_handoffs, 1);
-
-        let log = log.lock();
-        let notes: Vec<usize> = (0..log.len()).filter(|&i| log[i] == Seen::Note).collect();
-        assert_eq!(notes.len(), BURST, "an event was lost or run twice");
-        let (first, last) = (notes[0], notes[BURST - 1]);
-        let longest = log[first..=last]
-            .split(|&seen| seen == Seen::Tick)
-            .map(<[Seen]>::len)
-            .max()
-            .expect("the burst is in the log");
+        let (burst, longest) = notes_between_ticks(&log);
         assert!(
             longest <= BATCH_EVENTS,
             "{longest} handlers of one node ran back to back"
         );
-        let ticks_between = last - first + 1 - BURST;
+        let ticks_between = burst.len() - BURST;
         assert!(
             ticks_between >= 2,
             "{ticks_between} ticks ran between the burst's three quanta"
+        );
+    }
+
+    /// The ready queue is FIFO and holds each node at most once, so a due
+    /// timer waits behind at most one quantum of every other queued node:
+    /// with two nodes bursting, at most two quanta run between two ticks.
+    #[test]
+    fn a_due_timer_waits_at_most_one_quantum_of_each_queued_node() {
+        let (_, log) = crowd(2);
+        let (_, longest) = notes_between_ticks(&log);
+        assert!(
+            longest <= 2 * BATCH_EVENTS,
+            "{longest} notes ran between two ticks"
         );
     }
 }

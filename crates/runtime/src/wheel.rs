@@ -287,7 +287,7 @@ impl<T> TimerWheel<T> {
         } else {
             self.first
         };
-        Some(tick * self.granularity)
+        Some(tick.saturating_mul(self.granularity))
     }
 
     /// Removes and returns the earliest entry due at or before `now_ns`,
@@ -316,7 +316,7 @@ impl<T> TimerWheel<T> {
         if self.ticks.is_empty() {
             return None;
         }
-        let due_ns = self.first * self.granularity;
+        let due_ns = self.first.saturating_mul(self.granularity);
         if due_ns > now_ns {
             return None;
         }

@@ -39,8 +39,9 @@ struct Facts {
 }
 
 /// Every node: in `on_init`, arms a timer at the current local time,
-/// arms and cancels a second, broadcasts once and marks one violation;
-/// when the first timer fires, arms a third and cancels the first.
+/// arms and cancels a second, arms one some 30 000 years out, broadcasts
+/// once and marks one violation; when the first timer fires, arms another
+/// and cancels the first.
 struct Probe {
     facts: Arc<Mutex<Facts>>,
     in_init: bool,
@@ -69,6 +70,9 @@ impl Automaton for Probe {
         let cancelled = self.arm(ctx, now + Dur::from_millis(1.0));
         ctx.cancel_timer(cancelled);
         self.cancelled = Some(cancelled);
+        // Past every run's end, and 2⁶⁴ ns or more past the clock's start:
+        // it must not fire at all.
+        self.arm(ctx, LocalTime::from_secs(1e12));
         ctx.broadcast(Hello);
         ctx.mark_violation("probe".to_owned());
         self.in_init = false;
