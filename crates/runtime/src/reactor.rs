@@ -497,7 +497,7 @@ mod tests {
     use crusader_time::{Dur, LocalTime};
 
     use super::*;
-    use crate::run;
+    use crate::{run, RuntimeReport};
 
     #[derive(Clone, Debug)]
     struct Note;
@@ -555,7 +555,7 @@ mod tests {
     /// Runs a [`Crowd`] with `bursting` bursting nodes on one worker and
     /// returns its report and log, checked for violations and for every
     /// note run exactly once.
-    fn crowd(bursting: usize) -> (crate::RuntimeReport, Vec<Seen>) {
+    fn crowd(bursting: usize) -> (RuntimeReport, Vec<Seen>) {
         let log = Arc::new(Mutex::new(Vec::new()));
         let cfg = RuntimeConfig {
             // No delay uncertainty: the bursts share their send instant,
