@@ -176,7 +176,11 @@ impl ChaosTimeline {
     /// down at time zero would skip `on_init`, which no executor
     /// supports), or the window is empty.
     pub fn crash(&mut self, node: usize, from: Time, until: Option<Time>) {
-        assert!(node < self.n, "crash node {node} out of range (n = {})", self.n);
+        assert!(
+            node < self.n,
+            "crash node {node} out of range (n = {})",
+            self.n
+        );
         assert!(from > Time::ZERO, "crash windows must start after time 0");
         if let Some(until) = until {
             assert!(until > from, "empty crash window");
@@ -246,7 +250,11 @@ impl ChaosTimeline {
     ///
     /// Panics if `node` is out of range or `at` is not positive.
     pub fn panic_at(&mut self, node: usize, at: Time) {
-        assert!(node < self.n, "panic node {node} out of range (n = {})", self.n);
+        assert!(
+            node < self.n,
+            "panic node {node} out of range (n = {})",
+            self.n
+        );
         assert!(at > Time::ZERO, "panic drills must fire after time 0");
         self.panics.push((at, node));
     }
@@ -256,7 +264,11 @@ impl ChaosTimeline {
     #[must_use]
     pub fn panic_schedule(&self) -> Vec<(Time, usize)> {
         let mut out = self.panics.clone();
-        out.sort_by(|x, y| x.0.partial_cmp(&y.0).expect("finite times").then(x.1.cmp(&y.1)));
+        out.sort_by(|x, y| {
+            x.0.partial_cmp(&y.0)
+                .expect("finite times")
+                .then(x.1.cmp(&y.1))
+        });
         out
     }
 
@@ -294,11 +306,9 @@ impl ChaosTimeline {
             return false;
         }
         let (f, t) = (from.index(), to.index());
-        self.cuts.iter().any(|w| {
-            at >= w.from
-                && at < w.until
-                && ((w.a[f] && w.b[t]) || (w.b[f] && w.a[t]))
-        })
+        self.cuts
+            .iter()
+            .any(|w| at >= w.from && at < w.until && ((w.a[f] && w.b[t]) || (w.b[f] && w.a[t])))
     }
 
     /// Whether a delay storm is active at `at`.

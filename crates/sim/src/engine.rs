@@ -461,7 +461,8 @@ impl Tally {
         if !self.unobserved.is_empty() && self.cap_in_reach(world) {
             // The keys below `last` were within the cap when it was popped.
             self.fold(world, |key| key < last);
-            self.keys.sort_unstable_by_key(|&key| std::cmp::Reverse(key));
+            self.keys
+                .sort_unstable_by_key(|&key| std::cmp::Reverse(key));
             self.unobserved = Vec::new();
         }
         if !self.unobserved.is_empty() {

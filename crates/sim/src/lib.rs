@@ -176,10 +176,7 @@ mod tests {
     #[test]
     fn broadcast_reaches_everyone_within_bounds() {
         let trace = ping_sim(1)
-            .build(
-                |me| Ping { me, pulsed: false },
-                Box::new(SilentAdversary),
-            )
+            .build(|me| Ping { me, pulsed: false }, Box::new(SilentAdversary))
             .run();
         for v in 0..4 {
             assert_eq!(trace.pulses[v].len(), 1, "node {v}");
@@ -192,10 +189,7 @@ mod tests {
     fn identical_seeds_identical_traces() {
         let run = |seed| {
             ping_sim(seed)
-                .build(
-                    |me| Ping { me, pulsed: false },
-                    Box::new(SilentAdversary),
-                )
+                .build(|me| Ping { me, pulsed: false }, Box::new(SilentAdversary))
                 .run()
         };
         let (a, b, c) = (run(7), run(7), run(8));
@@ -207,10 +201,7 @@ mod tests {
     fn faulty_nodes_do_not_run_protocol_code() {
         let trace = ping_sim(1)
             .faulty([0])
-            .build(
-                |me| Ping { me, pulsed: false },
-                Box::new(SilentAdversary),
-            )
+            .build(|me| Ping { me, pulsed: false }, Box::new(SilentAdversary))
             .run();
         // Node 0 (the broadcaster) is faulty and silent: nobody pulses.
         for v in 0..4 {
@@ -431,16 +422,9 @@ mod tests {
     #[test]
     fn drift_models_integrate_with_builder() {
         let trace = SimBuilder::new(3)
-            .drift(
-                DriftModel::ExtremalSplit,
-                1.05,
-                Dur::from_micros(100.0),
-            )
+            .drift(DriftModel::ExtremalSplit, 1.05, Dur::from_micros(100.0))
             .horizon(Time::from_secs(0.1))
-            .build(
-                |me| Ping { me, pulsed: false },
-                Box::new(SilentAdversary),
-            )
+            .build(|me| Ping { me, pulsed: false }, Box::new(SilentAdversary))
             .run();
         assert!(trace.pulses.iter().all(|p| p.len() == 1));
     }
@@ -502,7 +486,10 @@ mod tests {
                 assert_eq!(tallied.pulses, queued.pulses, "{case}");
                 assert_eq!(tallied.violations, queued.violations, "{case}");
                 assert_eq!(tallied.events_processed, queued.events_processed, "{case}");
-                assert_eq!(tallied.messages_delivered, queued.messages_delivered, "{case}");
+                assert_eq!(
+                    tallied.messages_delivered, queued.messages_delivered,
+                    "{case}"
+                );
                 assert_eq!(tallied.finished_at, queued.finished_at, "{case}");
                 assert_eq!(queued.tallied_deliveries, 0, "{case}");
                 if cap == u64::MAX && pulses.is_none() {
@@ -517,10 +504,9 @@ mod tests {
 
     #[test]
     fn faulty_set_is_exposed() {
-        let sim = SimBuilder::new(3).faulty([1]).build(
-            |me| Ping { me, pulsed: false },
-            Box::new(SilentAdversary),
-        );
+        let sim = SimBuilder::new(3)
+            .faulty([1])
+            .build(|me| Ping { me, pulsed: false }, Box::new(SilentAdversary));
         assert_eq!(sim.honest(), &[NodeId::new(0), NodeId::new(2)]);
         assert_eq!(sim.clocks().len(), 3);
         let _ = BTreeSet::from([1]);

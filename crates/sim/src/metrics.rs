@@ -100,7 +100,10 @@ pub fn resync_times(trace: &Trace, chaos: &ChaosTimeline) -> Vec<ResyncEvent> {
         if down {
             continue;
         }
-        let first = trace.pulses[node.index()].iter().copied().find(|&t| t >= at);
+        let first = trace.pulses[node.index()]
+            .iter()
+            .copied()
+            .find(|&t| t >= at);
         out.push(ResyncEvent {
             node,
             resumed_at: at,
@@ -129,7 +132,12 @@ mod tests {
         let mut t = Trace::new(pulses.len());
         for (v, times) in pulses.iter().enumerate() {
             for (i, secs) in times.iter().enumerate() {
-                t.record_pulse(NodeId::new(v), (i + 1) as u64, Time::from_secs(*secs), false);
+                t.record_pulse(
+                    NodeId::new(v),
+                    (i + 1) as u64,
+                    Time::from_secs(*secs),
+                    false,
+                );
             }
         }
         t

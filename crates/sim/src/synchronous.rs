@@ -34,8 +34,11 @@ pub trait RushingAdversary<M> {
     /// Called once per round *after* all honest messages are fixed.
     /// `honest_traffic` lists them as `(from, to, msg)`; the return value
     /// is the faulty traffic of the round in the same shape.
-    fn round(&mut self, round: usize, honest_traffic: &[(NodeId, NodeId, M)])
-        -> Vec<(NodeId, NodeId, M)>;
+    fn round(
+        &mut self,
+        round: usize,
+        honest_traffic: &[(NodeId, NodeId, M)],
+    ) -> Vec<(NodeId, NodeId, M)>;
 }
 
 /// A rushing adversary that never sends anything (crash faults).
@@ -43,7 +46,11 @@ pub trait RushingAdversary<M> {
 pub struct SilentRushing;
 
 impl<M> RushingAdversary<M> for SilentRushing {
-    fn round(&mut self, _round: usize, _honest: &[(NodeId, NodeId, M)]) -> Vec<(NodeId, NodeId, M)> {
+    fn round(
+        &mut self,
+        _round: usize,
+        _honest: &[(NodeId, NodeId, M)],
+    ) -> Vec<(NodeId, NodeId, M)> {
         Vec::new()
     }
 }
