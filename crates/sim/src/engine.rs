@@ -10,7 +10,7 @@ use rand::SeedableRng;
 use crate::adversary::Adversary;
 use crate::automaton::{Automaton, Call, Effect};
 use crate::chaos::{ChaosTimeline, RunObserver};
-use crate::event::{EventKey, EventKind, EventQueue, TimerSlab};
+use crate::event::{self, EventKey, EventKind, EventQueue, TimerSlab};
 use crate::network::{DelayModel, LinkConfig};
 use crate::trace::Trace;
 use crate::world::{Env, Popped, World};
@@ -402,7 +402,8 @@ struct Tally {
     /// (or when it never started).
     unobserved: Vec<bool>,
     /// Keys not yet counted: in post order while tallying is on, sorted
-    /// descending (the next one last) once it has stopped.
+    /// descending (the next one last) once it has stopped. The buffer
+    /// comes from, and goes back to, the thread's stash of queue buffers.
     keys: Vec<EventKey>,
     /// Fold again once `keys` is this long.
     fold_at: usize,
@@ -412,7 +413,7 @@ impl Tally {
     fn new(unobserved: Vec<bool>) -> Self {
         Tally {
             unobserved,
-            keys: Vec::new(),
+            keys: event::stashed_keys(),
             fold_at: TALLY_FOLD_MIN,
         }
     }
@@ -500,6 +501,12 @@ impl Tally {
         if let Some(key) = latest {
             world.now = world.now.max(key.at());
         }
+    }
+}
+
+impl Drop for Tally {
+    fn drop(&mut self) {
+        event::stash_keys(std::mem::take(&mut self.keys));
     }
 }
 

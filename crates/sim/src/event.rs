@@ -31,24 +31,28 @@
 //!   the bucket index and the claim's group are monotone functions of
 //!   `at`, and every pop compares the run's next entry with the heap top
 //!   — which the pinned trace hashes depend on.
-//! * **Buffer capacity follows what is pending, not what once was.** A
-//!   ring bucket keeps its buffer only until it is claimed: the claim
-//!   scatters the entries into the larger of the spent run's buffer and
-//!   the spare (a claim of a few entries takes the bucket's buffer as the
-//!   run instead), and the buffer left empty becomes the queue's one
-//!   spare, which the next push into a bucket without a buffer picks up.
-//!   So the queue holds the buffers of the buckets with entries (and of
-//!   any a slide-down emptied), the run, one spare and the claim sort's
-//!   group counts — not the largest burst each of the 128 ring slots
-//!   ever held. A steady stream of one burst per bucket allocates nothing
-//!   once the run, the spare and the counts have grown to the burst;
-//!   buckets that fill while others wait allocate their own.
+//! * **A large buffer is grown once per thread, not once per burst or
+//!   per run.** A ring bucket keeps its buffer only until it is claimed.
+//!   Whenever the queue lets go of an empty buffer (the spent run's, a
+//!   claimed bucket's), it keeps the larger of that buffer and its one
+//!   spare and frees the other. A claim scatters into the spare (a claim
+//!   of a few entries is sorted in the bucket's buffer, which becomes the
+//!   run), and a bucket about to reallocate moves its entries into the
+//!   spare instead, if the spare is larger. When a queue drops, its two
+//!   largest empty buffers and the claim sort's group counts go to a
+//!   thread-local stash, and the next queue built on that thread starts
+//!   from them ([`Sim::run`](crate::Sim::run)'s delivery tally stashes
+//!   its key buffer the same way). So a loop of runs on one thread grows
+//!   its burst-sized buffers in the first run only, and the queue holds
+//!   the buffers of the buckets with entries, the run, one spare and the
+//!   counts — not the largest burst each of the 128 ring slots ever held.
 //! * **Timer state is a generation-stamped slab, not a set.** A
 //!   [`TimerId`] packs `(generation, slot)`; cancelling or firing frees
 //!   the slot and bumps its generation, so stale ids are recognized by a
 //!   mismatched stamp instead of being remembered forever in a `HashSet`
 //!   (which used to leak an entry for every cancel-after-fire).
 
+use std::cell::RefCell;
 use std::cmp::{self, Reverse};
 use std::collections::BinaryHeap;
 use std::mem;
@@ -261,6 +265,57 @@ fn sort_claim(from: &mut Vec<Entry>, into: &mut Vec<Entry>, counts: &mut Vec<u32
     }
 }
 
+/// The buffers a dropped [`EventQueue`] and a dropped delivery tally
+/// leave for the next ones built on the same thread. Only capacity moves
+/// through it: every buffer in it is empty.
+struct Stash {
+    /// The two largest entry buffers offered so far.
+    buffers: [Vec<Entry>; 2],
+    /// The largest group-count table offered so far.
+    counts: Vec<u32>,
+    /// The largest tally key buffer offered so far.
+    keys: Vec<EventKey>,
+}
+
+thread_local! {
+    static STASH: RefCell<Stash> = const {
+        RefCell::new(Stash {
+            buffers: [Vec::new(), Vec::new()],
+            counts: Vec::new(),
+            keys: Vec::new(),
+        })
+    };
+}
+
+impl Stash {
+    /// Takes the empty `buffer` in place of the smaller of the two kept if
+    /// it is larger; `buffer` is left with what the stash let go of.
+    fn offer(&mut self, buffer: &mut Vec<Entry>) {
+        let [a, b] = &mut self.buffers;
+        keep_larger(if a.capacity() <= b.capacity() { a } else { b }, buffer);
+    }
+}
+
+/// Swaps `buffer`, emptied, into `kept` if it is the larger.
+fn keep_larger<T>(kept: &mut Vec<T>, buffer: &mut Vec<T>) {
+    if buffer.capacity() > kept.capacity() {
+        buffer.clear();
+        mem::swap(kept, buffer);
+    }
+}
+
+/// The tally key buffer the thread's last tally left, empty.
+pub(crate) fn stashed_keys() -> Vec<EventKey> {
+    STASH.with(|stash| mem::take(&mut stash.borrow_mut().keys))
+}
+
+/// Leaves `keys`' capacity for the next tally on this thread, if it is
+/// larger than what the stash holds.
+pub(crate) fn stash_keys(mut keys: Vec<EventKey>) {
+    // During thread teardown the stash may be gone; the buffer is freed.
+    let _ = STASH.try_with(|stash| keep_larger(&mut stash.borrow_mut().keys, &mut keys));
+}
+
 /// Buckets on the ring (a power of two, so the ring slot is a mask).
 const RING_BUCKETS: usize = 128;
 
@@ -282,10 +337,9 @@ const BUCKETS_PER_HORIZON: f64 = 8.0;
 ///    holding the indices `[lo, lo + RING_BUCKETS)`, unsorted. A push is
 ///    O(1): compute the bucket from `at`, append. When the run is spent,
 ///    the lowest occupied bucket is claimed wholesale: [`sort_claim`]
-///    scatters its entries by groups of `at` into the larger of the spent
-///    run's buffer and the `spare`, and sorts each group; the bucket's
-///    emptied buffer becomes the `spare`, and `lo` moves past it — every
-///    claim slides the window. A claim can hold a whole round's echo
+///    scatters its entries by groups of `at` into the `spare` and sorts
+///    each group, and `lo` moves past it — every claim slides the
+///    window. A claim can hold a whole round's echo
 ///    burst: at n = 64 the snapshot scenario (511 005 events) makes 31
 ///    claims holding 265 925 entries, the largest 37 026. A comparison
 ///    sort of them cost 38 ns per entry, a quarter of the run; the
@@ -302,6 +356,18 @@ const BUCKETS_PER_HORIZON: f64 = 8.0;
 /// A push below `lo` anywhere else — a crash scenario's traffic after
 /// its far `Recover` events — slides the window *down* to it ([`lower`](Self::lower)), so that push and the
 /// rest of its burst take O(1) ring appends.
+///
+/// **Buffers outlive a burst and a run.** The `spare` is the largest
+/// empty buffer the queue has let go of: the spent run's and each claimed
+/// bucket's buffer go there if they are larger than it, a claim scatters
+/// into it, and a push into a full bucket moves the bucket's entries into
+/// it if it is larger than the bucket's buffer, so a burst never regrows
+/// a buffer by doubling while a larger one sits idle. A new queue starts
+/// from the thread's [`Stash`], and a dropped one leaves its two largest
+/// empty buffers and its group counts there, so the next run on the thread
+/// reuses the last one's capacity instead of growing its own from empty.
+/// Only capacity moves between roles and runs, never an entry, so none
+/// of this can change the pop order.
 ///
 /// **Order is exactly `(at, seq)`, always.** The bucket index is a
 /// monotone function of `at` alone (`floor(at · inv_width)`, computed
@@ -322,8 +388,9 @@ pub(crate) struct EventQueue {
     /// Occupancy bitmap over the ring (bit = slot non-empty), so claiming
     /// the next bucket is a couple of `trailing_zeros`, not a scan.
     occupied: [u64; RING_BUCKETS / 64],
-    /// The last spent run's buffer, empty, for the next push into a ring
-    /// slot that has no buffer.
+    /// The largest empty buffer the queue has let go of: a claim
+    /// scatters into it, and a ring slot whose buffer is full or missing
+    /// moves into it if it is larger.
     spare: Vec<Entry>,
     /// Everything outside the window.
     heap: BinaryHeap<Earliest>,
@@ -360,13 +427,21 @@ impl EventQueue {
         } else {
             BUCKETS_PER_HORIZON / 1e-3
         };
+        let (run, spare, counts) = STASH.with(|stash| {
+            let mut stash = stash.borrow_mut();
+            let [mut run, mut spare] = mem::take(&mut stash.buffers);
+            if run.capacity() > spare.capacity() {
+                mem::swap(&mut run, &mut spare);
+            }
+            (run, spare, mem::take(&mut stash.counts))
+        });
         EventQueue {
-            run: Vec::new(),
+            run,
             buckets: (0..RING_BUCKETS).map(|_| Vec::new()).collect(),
             occupied: [0; RING_BUCKETS / 64],
-            spare: Vec::new(),
+            spare,
             heap: BinaryHeap::new(),
-            counts: Vec::new(),
+            counts,
             inv_width,
             lo: 0,
             spilled: 0,
@@ -424,13 +499,16 @@ impl EventQueue {
         seq
     }
 
-    /// Appends an entry whose index lies in the window to its ring slot,
-    /// giving the slot the spare buffer if it has none.
+    /// Appends an entry whose index lies in the window to its ring slot.
+    /// A slot whose buffer is full (or missing) moves into the spare
+    /// instead of reallocating, if the spare is larger, and its emptied
+    /// buffer becomes the spare.
     #[inline]
     fn file(&mut self, idx: u64, entry: Entry) {
         let slot = (idx % RING_BUCKETS as u64) as usize;
         let bucket = &mut self.buckets[slot];
-        if bucket.capacity() == 0 {
+        if bucket.len() == bucket.capacity() && self.spare.capacity() > bucket.capacity() {
+            self.spare.append(bucket);
             mem::swap(bucket, &mut self.spare);
         }
         bucket.push(entry);
@@ -481,18 +559,17 @@ impl EventQueue {
         let Some(slot) = self.first_occupied_from(from) else {
             return;
         };
-        // The larger of the two empty buffers, the spent run's and the
-        // spare, takes the sorted entries; the other is freed first, so
-        // a claim holds two large buffers, not three. The buffer left
-        // empty waits as the spare instead of staying parked in the ring.
+        // The larger of the spent run's buffer and the spare takes the
+        // sorted entries, and the larger of what is left waits as the
+        // spare instead of staying parked in the ring; so a claim holds
+        // two large buffers, not three.
         let mut bucket = mem::take(&mut self.buckets[slot]);
         self.occupied[slot / 64] &= !(1 << (slot % 64));
-        let spare = mem::take(&mut self.spare);
-        if spare.capacity() > self.run.capacity() {
-            self.run = spare;
-        }
-        sort_claim(&mut bucket, &mut self.run, &mut self.counts);
-        self.spare = bucket;
+        keep_larger(&mut self.spare, &mut self.run);
+        let mut run = mem::take(&mut self.spare);
+        sort_claim(&mut bucket, &mut run, &mut self.counts);
+        self.run = run;
+        keep_larger(&mut self.spare, &mut bucket);
         // The window spans the ring, so the cyclic distance from `lo`
         // recovers the absolute index unambiguously.
         self.lo += ((slot + RING_BUCKETS - from) % RING_BUCKETS) as u64 + 1;
@@ -640,6 +717,30 @@ impl EventQueue {
         let counts =
             (self.counts.capacity() * mem::size_of::<u32>()).div_ceil(mem::size_of::<Entry>());
         self.run.capacity() + ring + self.spare.capacity() + counts
+    }
+}
+
+impl Drop for EventQueue {
+    /// Leaves the two largest empty buffers and the group counts in the
+    /// thread's [`Stash`] for the next queue. Buffers that still hold
+    /// entries (a run stopped early) are freed: stashing them too kept a
+    /// flood scenario's 4 MB run alive through the calm ones after it and
+    /// raised `sim_chaos`'s peak resident memory by about 1 MB.
+    fn drop(&mut self) {
+        // During thread teardown the stash may be gone; the buffers are
+        // freed.
+        let _ = STASH.try_with(|stash| {
+            let mut stash = stash.borrow_mut();
+            for buffer in self
+                .buckets
+                .iter_mut()
+                .chain([&mut self.run, &mut self.spare])
+                .filter(|buffer| buffer.is_empty())
+            {
+                stash.offer(buffer);
+            }
+            keep_larger(&mut stash.counts, &mut self.counts);
+        });
     }
 }
 
@@ -823,33 +924,113 @@ mod tests {
         assert_eq!(first.at.as_secs().to_bits(), 0);
     }
 
+    /// Runs `f` on a thread of its own, whose stash starts empty, so what
+    /// an earlier test left on the calling thread cannot count.
+    fn on_a_fresh_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+        std::thread::scope(|scope| {
+            scope
+                .spawn(f)
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        })
+    }
+
+    /// The capacities the thread's stash holds: its two buffers, the
+    /// larger first, and its group counts.
+    fn stashed() -> ([usize; 2], usize) {
+        STASH.with(|stash| {
+            let stash = stash.borrow();
+            let [a, b] = stash.buffers.each_ref().map(Vec::capacity);
+            ([a.max(b), a.min(b)], stash.counts.capacity())
+        })
+    }
+
     /// A steady stream of echo bursts, each one bucket past the last and
     /// drained before the next, recycles the run's buffer through the
     /// spare: the queue keeps about two bursts of capacity, not one per
-    /// ring slot it has visited.
+    /// ring slot it has visited. After each burst, one early arrival
+    /// lands in the next round's bucket while the spare is spent, so that
+    /// bucket starts on a small buffer; when it fills, it moves into the
+    /// spare the claim left rather than regrowing. The queue runs on a
+    /// thread of its own, so the thread's stash starts empty.
     #[test]
     fn retained_capacity_stays_near_one_burst() {
         const BURST: usize = 4096;
         let width = 1e-3 / BUCKETS_PER_HORIZON; // the default delay hint
-        let mut q: EventQueue = EventQueue::new();
-        let mut worst = 0;
-        for round in 0..256u32 {
-            let base = (f64::from(round) + 0.25) * width;
-            for i in 0..BURST {
-                let at = base + (i % 97) as f64 * width * 1e-3;
-                q.push(Time::from_secs(at), EventKind::AdvTimer { key: 0 });
+        let at = |round: u32, i: usize| {
+            Time::from_secs((f64::from(round) + 0.25) * width + (i % 97) as f64 * width * 1e-3)
+        };
+        let (worst, outside) = on_a_fresh_thread(|| {
+            let mut q: EventQueue = EventQueue::new();
+            let mut worst = 0;
+            for round in 0..256u32 {
+                for i in 1..BURST {
+                    q.push(at(round, i), EventKind::AdvTimer { key: 0 });
+                }
+                q.push(at(round + 1, 0), EventKind::AdvTimer { key: 0 });
+                while q.len() > 1 {
+                    q.pop().expect("the burst is queued");
+                }
+                worst = worst.max(q.retained_capacity());
             }
-            for _ in 0..BURST {
-                q.pop().expect("the burst is queued");
-            }
-            worst = worst.max(q.retained_capacity());
-        }
-        assert!(q.is_empty());
-        assert_eq!(q.spill_count() + q.splice_count(), 0);
+            q.pop().expect("the last early arrival is queued");
+            assert!(q.is_empty());
+            (worst, (q.spill_count(), q.splice_count()))
+        });
+        assert_eq!(outside, (0, 0), "entries left the ring");
         assert!(
             worst <= 4 * BURST,
             "the queue retained {worst} entries of capacity for {BURST}-entry bursts"
         );
+    }
+
+    /// A dropped queue leaves its thread its two largest empty buffers and
+    /// its group counts (a buffer still holding entries stays with it),
+    /// and however many queues drop, the thread keeps no more than that.
+    /// The next queue built starts from them.
+    #[test]
+    fn a_thread_keeps_two_buffers_and_the_counts_after_its_queues_drop() {
+        let width = 1e-3 / BUCKETS_PER_HORIZON; // the default delay hint
+        let burst = |q: &mut EventQueue, bucket: u32, size: usize| {
+            for i in 0..size {
+                let at = (f64::from(bucket) + 0.5) * width + i as f64 * 1e-12;
+                q.push(Time::from_secs(at), EventKind::AdvTimer { key: 0 });
+            }
+        };
+        on_a_fresh_thread(|| {
+            assert_eq!(stashed(), ([0, 0], 0));
+            let mut q = EventQueue::new();
+            for (bucket, size) in [(0, 1000), (1, 200), (2, 3000), (3, 100)] {
+                burst(&mut q, bucket, size);
+            }
+            for _ in 0..1200 {
+                q.pop().expect("buckets 0 and 1 are queued");
+            }
+            let buffers = || q.buckets.iter().chain([&q.run, &q.spare]);
+            let mut held: Vec<usize> = buffers()
+                .filter(|b| b.is_empty())
+                .map(Vec::capacity)
+                .collect();
+            held.sort_unstable_by(|a, b| b.cmp(a));
+            let pending = buffers().map(Vec::capacity).max().unwrap_or(0);
+            assert!(pending > held[0], "bucket 2 holds the largest buffer");
+            let counts = q.counts.capacity();
+            drop(q);
+            assert_eq!(stashed(), ([held[0], held[1]], counts));
+
+            let warm = EventQueue::new();
+            assert_eq!(
+                (warm.spare.capacity(), warm.run.capacity()),
+                (held[0], held[1])
+            );
+            assert_eq!(stashed(), ([0, 0], 0), "the warm queue took the stash");
+            let mut cold = EventQueue::new();
+            burst(&mut cold, 0, 50);
+            while cold.pop().is_some() {}
+            drop(cold);
+            drop(warm);
+            assert_eq!(stashed(), ([held[0], held[1]], counts));
+        });
     }
 
     /// An entry holds an arena handle, never the message, so its size

@@ -35,9 +35,14 @@
 //!   and the rest (far-future timers, late pushes into the
 //!   bucket being drained; [`Trace::queue_spill_count`] and
 //!   [`Trace::queue_splice_count`] count them) waits on one small heap;
-//!   ordering never moves or clones a message, and the queue's buffers
-//!   hold what is pending plus one spare, not the largest burst each
-//!   ring slot ever saw;
+//!   ordering never moves or clones a message; the queue keeps the
+//!   buffers of the buckets with entries, the run and one spare (the
+//!   largest empty buffer it has let go of), not the largest burst each
+//!   ring slot ever saw, and a full bucket moves into a larger spare
+//!   instead of regrowing; a dropped queue (and the delivery tally) leaves
+//!   its two largest empty buffers in a thread-local stash that the next
+//!   [`Sim`] on the thread starts from, so a loop of short runs grows its
+//!   burst-sized buffers once per thread, not once per run;
 //! * node and adversary effect buffers are pooled in the [`Sim`] and
 //!   drained in place (one allocation per run, not per event);
 //! * every message is stored once, outside the queue, in an
