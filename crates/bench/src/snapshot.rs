@@ -7,7 +7,9 @@
 //! ledger's exact text; the file is never read back into structures, it
 //! is compared **byte for byte** ([`check`]):
 //!
-//! * `cps` — [`cps_scenario`] at n ∈ {4, 8, 16, 64};
+//! * `cps` — [`cps_scenario`] at n ∈ {4, 8, 16, 64}, each with the
+//!   allocations of two runs of it on a fresh thread (`cold`, then
+//!   `warm`, which starts from the buffers the first left behind);
 //! * `recovery` — a crash-and-rejoin scenario per grid point
 //!   (n ∈ {4, 8, 16} × {one crash, the full crash budget}) with the
 //!   [`crusader_core::RecoveringNode`] fleet: completed rejoins and
@@ -22,6 +24,12 @@
 //! `committed_counts_are_current` test below makes drift fail `cargo
 //! test` too. Re-record with `experiments counts > BENCH_cps.json`.
 //! Wall-clock numbers live in `benchmark/`, not here.
+//!
+//! The allocation columns are counted by the `experiments` binary's
+//! global allocator, which bumps [`ALLOCATIONS`]. A process without it
+//! cannot render them and [`counts`] panics there, so the library's own
+//! test compares every other column. They are recorded from a release
+//! build (a debug build counts the same today, but nothing pins that).
 //!
 //! # Why the large runtime scenarios are one-to-many deployments
 //!
@@ -38,8 +46,9 @@
 //! stays a full mesh (core = n, max silent faults), the paper's
 //! original workload.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Duration;
 
 use crusader_chaos::{builtin_catalog_dir, run_scenario, Catalog, Executor};
@@ -78,8 +87,119 @@ pub const RUNTIME_SMALL_FLEET_MAX_N: usize = 512;
 pub const RECOVERY_NS: &[usize] = &[4, 8, 16];
 
 /// Schema tag written into the file, bumped on layout changes (v6: the
-/// write-only count ledger — `cps`, `recovery`, `catalog`).
-pub const SCHEMA: &str = "crusader-bench-cps/v6";
+/// write-only count ledger — `cps`, `recovery`, `catalog`; v7: the `cps`
+/// rows' `cold` and `warm` allocation columns).
+pub const SCHEMA: &str = "crusader-bench-cps/v7";
+
+/// Heap counters a counting global allocator bumps: the `experiments`
+/// binary installs one, and [`counts`] reads them. Sizes are the ones
+/// requested; a `realloc` counts as one allocation of its new size.
+#[derive(Debug)]
+pub struct AllocCounters {
+    allocations: AtomicU64,
+    allocated_bytes: AtomicU64,
+    live_bytes: AtomicU64,
+    peak_live_bytes: AtomicU64,
+}
+
+/// The process's [`AllocCounters`].
+pub static ALLOCATIONS: AllocCounters = AllocCounters {
+    allocations: AtomicU64::new(0),
+    allocated_bytes: AtomicU64::new(0),
+    live_bytes: AtomicU64::new(0),
+    peak_live_bytes: AtomicU64::new(0),
+};
+
+impl AllocCounters {
+    /// Records a block of `size` bytes allocated, or reallocated from
+    /// `freed` bytes (0 for a fresh allocation).
+    pub fn allocated(&self, size: usize, freed: usize) {
+        self.allocations.fetch_add(1, Relaxed);
+        self.allocated_bytes.fetch_add(size as u64, Relaxed);
+        let live = self.live_bytes.fetch_add(size as u64, Relaxed) + size as u64;
+        self.peak_live_bytes.fetch_max(live, Relaxed);
+        self.freed(freed);
+    }
+
+    /// Records a block of `size` bytes freed.
+    pub fn freed(&self, size: usize) {
+        self.live_bytes.fetch_sub(size as u64, Relaxed);
+    }
+
+    /// What `f` allocates, run alone in the process (the counters are
+    /// global, so another thread allocating meanwhile would count too),
+    /// with its peak taken above `base` live bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` allocated nothing, which means no counting
+    /// allocator is installed.
+    fn measure(&self, base: u64, f: impl FnOnce()) -> AllocCount {
+        let allocations = self.allocations.load(Relaxed);
+        let bytes = self.allocated_bytes.load(Relaxed);
+        let live = self.live_bytes.load(Relaxed);
+        self.peak_live_bytes.store(live, Relaxed);
+        f();
+        let count = AllocCount {
+            allocations: self.allocations.load(Relaxed) - allocations,
+            allocated_bytes: self.allocated_bytes.load(Relaxed) - bytes,
+            peak_live_bytes: self.peak_live_bytes.load(Relaxed).saturating_sub(base),
+        };
+        assert!(
+            count.allocations > 0,
+            "no allocation was counted: the ledger's allocation columns need the counting \
+             global allocator that the experiments binary installs"
+        );
+        count
+    }
+}
+
+/// What one run allocated: blocks, their bytes, and the most bytes live
+/// at once above a base.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AllocCount {
+    /// Blocks allocated or reallocated.
+    pub allocations: u64,
+    /// Bytes those blocks requested.
+    pub allocated_bytes: u64,
+    /// Peak live bytes over the run, above the base.
+    pub peak_live_bytes: u64,
+}
+
+impl fmt::Display for AllocCount {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{{\"allocations\": {}, \"allocated_bytes\": {}, \"peak_live_bytes\": {}}}",
+            self.allocations, self.allocated_bytes, self.peak_live_bytes
+        )
+    }
+}
+
+/// Two runs of `scenario` on a fresh thread: the first starts with
+/// nothing kept from an earlier run, the second from what the first
+/// left on the thread. Both peaks are taken above the live bytes before
+/// the first, so the second's includes what the first left.
+///
+/// # Panics
+///
+/// Panics if no counting allocator is installed.
+#[must_use]
+pub fn cold_and_warm(scenario: &Scenario) -> [AllocCount; 2] {
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                let base = ALLOCATIONS.live_bytes.load(Relaxed);
+                [(); 2].map(|()| {
+                    ALLOCATIONS.measure(base, || {
+                        scenario.run_cps_trace(Box::new(SilentAdversary));
+                    })
+                })
+            })
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })
+}
 
 /// One time-to-resync measurement: `crashes` nodes crash mid-run in
 /// staggered windows and rejoin through the signed resync handshake, on
@@ -137,13 +257,24 @@ fn count_columns(trace: &Trace) -> String {
 /// # Panics
 ///
 /// Panics if a recovery row loses a rejoin, or if the committed catalog fails to load — the
-/// ledger must not record a broken engine.
+/// ledger must not record a broken engine — and if no counting allocator
+/// is installed.
 #[must_use]
 pub fn counts() -> String {
+    ledger(true)
+}
+
+/// The ledger, with the `cps` rows' allocation columns or without them.
+fn ledger(allocations: bool) -> String {
     let mut cps = Vec::new();
     for &n in CPS_SNAPSHOT_NS {
         let (trace, _) = cps_scenario(n).run_cps_trace(Box::new(SilentAdversary));
-        cps.push(format!("{{\"n\": {n}, {}}}", count_columns(&trace)));
+        let mut row = format!("{{\"n\": {n}, {}", count_columns(&trace));
+        if allocations {
+            let [cold, warm] = cold_and_warm(&cps_scenario(n));
+            let _ = write!(row, ", \"cold\": {cold}, \"warm\": {warm}");
+        }
+        cps.push(row + "}");
     }
     let recovery = RECOVERY_NS.iter().flat_map(|&n| {
         // One crash, and the full budget where that is more than one.
@@ -417,15 +548,37 @@ mod tests {
 
     use super::*;
 
-    /// One regeneration shared by the tests below.
+    /// One regeneration shared by the tests below. A test binary has no
+    /// counting allocator, so it renders every column but the `cps`
+    /// rows' allocations.
     fn regenerated() -> &'static str {
         static LEDGER: OnceLock<String> = OnceLock::new();
-        LEDGER.get_or_init(counts)
+        LEDGER.get_or_init(|| ledger(false))
     }
 
+    /// The ledger text with the `cps` rows' allocation columns cut out.
+    fn without_allocations(ledger: &str) -> String {
+        let mut out = String::new();
+        for line in ledger.lines() {
+            match line.find(", \"cold\": ") {
+                Some(at) => {
+                    let comma = if line.ends_with(',') { "," } else { "" };
+                    let _ = writeln!(out, "{}}}{comma}", &line[..at]);
+                }
+                None => {
+                    let _ = writeln!(out, "{line}");
+                }
+            }
+        }
+        out
+    }
+
+    /// The committed ledger without its allocation columns.
     fn committed() -> String {
         let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_cps.json");
-        std::fs::read_to_string(path).expect("BENCH_cps.json is committed at the repo root")
+        let text =
+            std::fs::read_to_string(path).expect("BENCH_cps.json is committed at the repo root");
+        without_allocations(&text)
     }
 
     #[test]
@@ -437,7 +590,43 @@ mod tests {
 
     #[test]
     fn measure_is_deterministic_in_counts() {
-        assert_eq!(counts(), regenerated());
+        assert_eq!(ledger(false), regenerated());
+    }
+
+    #[test]
+    fn every_cps_row_has_allocation_columns() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_cps.json");
+        let text = std::fs::read_to_string(path).expect("BENCH_cps.json is committed");
+        let rows: Vec<&str> = text
+            .lines()
+            .filter(|l| {
+                l.contains("\"n\": ")
+                    && l.contains("\"events_processed\"")
+                    && !l.contains("scenario")
+            })
+            .collect();
+        assert_eq!(rows.len(), CPS_SNAPSHOT_NS.len(), "{text}");
+        for row in rows {
+            assert!(
+                row.contains(", \"cold\": {\"allocations\": ")
+                    && row.contains(", \"warm\": {\"allocations\": "),
+                "{row}"
+            );
+        }
+    }
+
+    /// Without a counting allocator the allocation columns cannot be
+    /// rendered, and saying so beats writing zeros.
+    #[test]
+    fn allocation_columns_refuse_to_count_without_the_allocator() {
+        let err = std::panic::catch_unwind(|| cold_and_warm(&cps_scenario(4)))
+            .expect_err("a test binary has no counting allocator");
+        let text = err
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| err.downcast_ref::<&str>().copied())
+            .unwrap_or("");
+        assert!(text.contains("counting"), "{text}");
     }
 
     #[test]

@@ -100,6 +100,26 @@ fn n64_cps_trace_is_pinned() {
     assert_eq!(trace.tallied_deliveries, 243_474, "deliveries counted without queueing");
 }
 
+/// The event queue and the delivery tally hand their buffers to the next
+/// `Sim` on the same thread, so a run after a larger one starts with
+/// capacity to spare. Only capacity moves, so every pinned hash still
+/// reproduces. The runs share a thread of their own, whose stash starts
+/// empty.
+#[test]
+fn a_run_after_a_larger_one_on_the_same_thread_keeps_its_pin() {
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let (trace, _) = cps_scenario(64).run_cps_trace(Box::new(SilentAdversary));
+            assert_eq!(trace_hash(&trace), PINNED_N64, "n=64, first on the thread");
+            for &(n, expected) in PINNED {
+                let (trace, _) = cps_scenario(n).run_cps_trace(Box::new(SilentAdversary));
+                let got = trace_hash(&trace);
+                assert_eq!(got, expected, "n={n} after n=64: {got:#018x}");
+            }
+        });
+    });
+}
+
 /// CPS at n = 9 with f = 4 silent nodes and no pulse target, so the run
 /// ends on the horizon rule.
 fn horizon_run(delays: DelayModel, horizon: Time) -> Trace {
