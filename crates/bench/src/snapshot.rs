@@ -156,14 +156,14 @@ impl AllocCounters {
 
 /// What one run allocated: blocks, their bytes, and the most bytes live
 /// at once above a base.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AllocCount {
+#[derive(Clone, Copy, Debug)]
+struct AllocCount {
     /// Blocks allocated or reallocated.
-    pub allocations: u64,
+    allocations: u64,
     /// Bytes those blocks requested.
-    pub allocated_bytes: u64,
+    allocated_bytes: u64,
     /// Peak live bytes over the run, above the base.
-    pub peak_live_bytes: u64,
+    peak_live_bytes: u64,
 }
 
 impl fmt::Display for AllocCount {
@@ -184,8 +184,7 @@ impl fmt::Display for AllocCount {
 /// # Panics
 ///
 /// Panics if no counting allocator is installed.
-#[must_use]
-pub fn cold_and_warm(scenario: &Scenario) -> [AllocCount; 2] {
+fn cold_and_warm(scenario: &Scenario) -> [AllocCount; 2] {
     std::thread::scope(|scope| {
         scope
             .spawn(|| {
